@@ -33,11 +33,13 @@ endif
 
 # The fleet engine's determinism contract (bit-identical results at
 # any worker count) is the most concurrency-sensitive surface in the
-# repo: run it and the governor it drives under the race detector
-# uncached, so a schedule-dependent bug can't hide behind the test
-# cache.
+# repo: run it, the governor it drives, and the callers that fan out
+# on fleet.Map (the tournament and the experiment figures) under the
+# race detector uncached, so a schedule-dependent bug can't hide
+# behind the test cache.
 fleet-race:
-	$(GO) test -race -count=1 ./internal/fleet ./internal/governor
+	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament
+	$(GO) test -race -count=1 -run TestFiguresWorkerInvariance ./internal/experiments
 
 # The strict gate: lint, the fleet determinism suite, the full suite
 # under the race detector, then a live client/server smoke over real

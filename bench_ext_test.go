@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"phasemon/internal/analysis"
-	"phasemon/internal/core"
 	"phasemon/internal/cpusim"
 	"phasemon/internal/daq"
 	"phasemon/internal/dvfs"
@@ -69,25 +68,6 @@ func BenchmarkExtPowerCap(b *testing.B) {
 		avg = r.Run.EnergyJ / r.Run.TimeS
 	}
 	b.ReportMetric(avg, "avg-power-W")
-}
-
-func BenchmarkGPHTSnapshotRoundTrip(b *testing.B) {
-	g := core.MustNewGPHT(core.DefaultGPHTConfig())
-	obs := appluObservations(b, 1000)
-	for _, o := range obs {
-		g.Observe(o)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob, err := g.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fresh := core.MustNewGPHT(core.DefaultGPHTConfig())
-		if err := fresh.UnmarshalBinary(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkPredictabilityBound(b *testing.B) {

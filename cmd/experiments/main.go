@@ -47,7 +47,7 @@ func main() {
 		run       = flag.String("run", "all", "experiment to run (e.g. table1, fig4, ext-dtm), comma-separated, or 'all'/'extensions'/'everything'")
 		intervals = flag.Int("intervals", 0, "override per-benchmark run length in sampling intervals (0 = full length)")
 		seed      = flag.Int64("seed", 1, "workload generator seed")
-		workers   = flag.Int("workers", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS); results are identical at any worker count")
+		workers   = flag.Int("workers", 0, "concurrent runs within each figure: benchmarks in fig3-fig5, governed runs in fig11-fig13 and headline (0 = GOMAXPROCS); results are identical at any worker count")
 		list      = flag.Bool("list", false, "list available experiments and exit")
 		csvDir    = flag.String("csvdir", "", "also export the figure datasets as CSV files into this directory")
 	)

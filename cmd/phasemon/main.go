@@ -13,18 +13,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"time"
 
 	"phasemon/internal/analysis"
 	"phasemon/internal/core"
 	"phasemon/internal/dvfs"
-	"phasemon/internal/fleet"
 	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
 	"phasemon/internal/phase"
@@ -36,7 +32,7 @@ import (
 
 func main() {
 	var (
-		bench     = flag.String("bench", "applu_in", "benchmark name (comma-separated list in -sweep mode)")
+		bench     = flag.String("bench", "applu_in", "benchmark name")
 		predictor = flag.String("predictor", "gpht", "predictor spec: gpht, lastvalue, fixwindow, varwindow, duration, runlength, markov_<order>, dtree_<depth>, linreg_<window> (see the README's predictor grammar table)")
 		depth     = flag.Int("depth", 8, "GPHT history depth")
 		entries   = flag.Int("entries", 128, "GPHT pattern-table entries")
@@ -51,8 +47,6 @@ func main() {
 		livePid   = flag.Int("pid", 0, "process to monitor in -live mode (0 = this process)")
 		liveEvery = flag.Duration("period", 100*time.Millisecond, "sampling period in -live mode")
 		liveLoad  = flag.Bool("liveload", true, "generate a synthetic phase-alternating load in -live self-monitoring mode")
-		sweep     = flag.String("sweep", "", "comma-separated predictor specs to compare (monitoring-only) across the -bench benchmarks, e.g. 'lastvalue,gpht_8_128,runlength,markov_2,dtree_4,linreg_16'")
-		workers   = flag.Int("workers", 0, "concurrent runs in -sweep mode (0 = GOMAXPROCS)")
 		phases    = flag.String("phases", "", "custom Mem/Uop phase boundaries, comma-separated (default: the paper's Table 1)")
 		analyze   = flag.Bool("analyze", false, "print stream-structure analysis (entropy, runs, predictability ceiling) after the run")
 		telAddr   = flag.String("telemetry-addr", "", "serve live telemetry over HTTP on this address during the run (/metrics, /snapshot, /events); e.g. 127.0.0.1:9100 or :0")
@@ -97,8 +91,6 @@ func main() {
 			}
 			defer stopTel()
 			return runLive(pred, *live, *liveEvery, *livePid, *liveLoad && *livePid == 0, hub)
-		case *sweep != "":
-			return runSweep(*bench, *sweep, *phases, *intervals, *seed, *workers, os.Stdout)
 		default:
 			return run(*bench, *predictor, *phases, *depth, *entries, *window, *threshold, *intervals, *seed, *csvPath, *analyze, *telAddr)
 		}
@@ -110,67 +102,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "phasemon:", err)
 		os.Exit(1)
 	}
-}
-
-// runSweep fans a benchmark × predictor accuracy sweep out over the
-// fleet engine and prints the accuracy table. Benchmarks and predictor
-// specs are comma-separated; every run is monitoring-only, so the
-// numbers are pure prediction accuracy with no actuation feedback.
-func runSweep(benches, predictors, phases string, intervals int, seed int64, workers int, w io.Writer) error {
-	names := splitList(benches)
-	preds := splitList(predictors)
-	if len(names) == 0 || len(preds) == 0 {
-		return fmt.Errorf("sweep needs at least one benchmark and one predictor spec")
-	}
-	specs := make([]fleet.Spec, 0, len(names)*len(preds))
-	for _, b := range names {
-		for _, p := range preds {
-			specs = append(specs, fleet.Spec{
-				Workload:  b,
-				Policy:    "mon:" + p,
-				Phases:    phases,
-				Intervals: intervals,
-				Seed:      seed,
-			})
-		}
-	}
-	engine := fleet.New(fleet.Config{Workers: workers})
-	results, err := engine.RunAll(context.Background(), specs)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "%-18s", "benchmark")
-	for _, p := range preds {
-		fmt.Fprintf(w, " %12s", p)
-	}
-	fmt.Fprintln(w)
-	for i, b := range names {
-		fmt.Fprintf(w, "%-18s", b)
-		for j := range preds {
-			r := results[i*len(preds)+j]
-			acc, err := r.Res.Accuracy.Accuracy()
-			if err != nil {
-				fmt.Fprintf(w, " %12s", "n/a")
-				continue
-			}
-			fmt.Fprintf(w, " %11.1f%%", acc*100)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// splitList splits a comma-separated flag value, dropping empty
-// entries.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // startTelemetry builds a hub and serves its HTTP endpoints when addr

@@ -97,40 +97,3 @@ func TestCSVPathsAreClean(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSweep(t *testing.T) {
-	var buf strings.Builder
-	err := runSweep("applu_in,gzip_graphic", "lastvalue,gpht_8_128", "", 60, 1, 2, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("sweep table has %d lines, want 3:\n%s", len(lines), out)
-	}
-	for _, want := range []string{"lastvalue", "gpht_8_128", "applu_in", "gzip_graphic"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep table missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "%") {
-		t.Errorf("sweep table has no accuracy values:\n%s", out)
-	}
-}
-
-func TestRunSweepErrors(t *testing.T) {
-	var buf strings.Builder
-	if err := runSweep("", "gpht_8_128", "", 10, 1, 0, &buf); err == nil {
-		t.Error("empty benchmark list accepted")
-	}
-	if err := runSweep("applu_in", " , ", "", 10, 1, 0, &buf); err == nil {
-		t.Error("empty predictor list accepted")
-	}
-	if err := runSweep("no_such", "gpht_8_128", "", 10, 1, 0, &buf); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	if err := runSweep("applu_in", "gpht_0", "", 10, 1, 0, &buf); err == nil {
-		t.Error("invalid predictor spec accepted")
-	}
-}

@@ -26,10 +26,8 @@ import (
 // instead of silently corrupting the table. The encode side is
 // append-style and allocation-free (proved by AllocsPerRun witnesses);
 // the decode side validates every length and range before touching
-// receiver state. This format is distinct from the gob-based
-// MarshalBinary persistence in persist.go: snapshots restore into an
-// already-constructed predictor of matching configuration (the spec
-// travels separately), persistence reconstructs configuration too.
+// receiver state. Snapshots restore into an already-constructed
+// predictor of matching configuration; the spec travels separately.
 
 // StatefulPredictor is a Predictor whose learned state can be
 // exported and re-imported: the contract behind live session
@@ -425,7 +423,7 @@ func (g *GPHT) SnapshotLen() int {
 // GPHR contents, every PHT row with its LRU age and hysteresis bit,
 // the pending training slot, and the hit/miss accounting — in a
 // fixed-layout form. The phtIndex is not encoded; Restore rebuilds it
-// from the valid rows, exactly as persistence does.
+// from the valid rows.
 //
 //lint:hotpath
 func (g *GPHT) Snapshot(dst []byte) []byte {

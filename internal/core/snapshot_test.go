@@ -122,6 +122,77 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGPHTSnapshotRoundTrip: a GPHT restored from a half-trained
+// snapshot carries the hit/miss accounting and continues
+// bit-identically with the original.
+func TestGPHTSnapshotRoundTrip(t *testing.T) {
+	tab := phase.Default()
+	obs := obsFromPhases(tab, repeatPattern([]phase.ID{5, 2, 6, 2, 2, 5}, 600))
+
+	// Train on the first half.
+	trained := MustNewGPHT(DefaultGPHTConfig())
+	for _, o := range obs[:300] {
+		trained.Observe(o)
+	}
+	restored := MustNewGPHT(DefaultGPHTConfig())
+	if err := restored.Restore(trained.Snapshot(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Hits() != trained.Hits() || restored.Misses() != trained.Misses() {
+		t.Errorf("statistics not restored")
+	}
+
+	// Both must behave identically on the second half.
+	for i, o := range obs[300:] {
+		a := trained.Observe(o)
+		b := restored.Observe(o)
+		if a != b {
+			t.Fatalf("divergence at continuation step %d: %v vs %v", i, a, b)
+		}
+	}
+}
+
+// TestGPHTSnapshotSkipsWarmup: a predictor restored from a trained
+// snapshot predicts a learned pattern immediately; a fresh one needs a
+// full pattern pass.
+func TestGPHTSnapshotSkipsWarmup(t *testing.T) {
+	tab := phase.Default()
+	pattern := []phase.ID{1, 4, 2, 6, 3, 5}
+	obs := obsFromPhases(tab, repeatPattern(pattern, 600))
+	trained := MustNewGPHT(DefaultGPHTConfig())
+	for _, o := range obs {
+		trained.Observe(o)
+	}
+	restored := MustNewGPHT(DefaultGPHTConfig())
+	if err := restored.Restore(trained.Snapshot(nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Continue the stream exactly where training stopped (the pattern
+	// keeps cycling): the restored predictor is already in sync and
+	// must predict near-perfectly, no warm-up pass needed.
+	continuation := obsFromPhases(tab, repeatPattern(pattern, 60))
+	mispredictions := func(p Predictor) int {
+		wrong := 0
+		pending := p.Observe(continuation[0])
+		for _, o := range continuation[1:] {
+			if pending != o.Phase {
+				wrong++
+			}
+			pending = p.Observe(o)
+		}
+		return wrong
+	}
+	wrong := mispredictions(restored)
+	if wrong > 2 {
+		t.Errorf("restored predictor made %d mispredictions on a learned pattern", wrong)
+	}
+	// A fresh predictor on the same continuation mispredicts during
+	// its warm-up, demonstrating what the snapshot saves.
+	if freshWrong := mispredictions(MustNewGPHT(DefaultGPHTConfig())); freshWrong <= wrong {
+		t.Errorf("fresh predictor (%d wrong) did not pay a warm-up cost vs restored (%d wrong)", freshWrong, wrong)
+	}
+}
+
 // TestSnapshotRestoreRejectsCorruption: every family must reject
 // truncation, a wrong family tag, and a version it does not speak —
 // without panicking and without producing a half-restored predictor.

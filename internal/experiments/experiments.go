@@ -30,10 +30,11 @@ type Options struct {
 	// Granularity is the sampling interval in uops; 0 selects the
 	// paper's 100M.
 	Granularity float64
-	// Workers bounds how many governed runs the fleet-backed
-	// experiments (Figures 11-13) execute concurrently; 0 selects
-	// GOMAXPROCS. The worker count never changes results, only wall
-	// time.
+	// Workers bounds how many runs a figure executes concurrently on
+	// fleet.Map: benchmarks in the prediction figures (3-5), governed
+	// runs in the management figures (11-13) and the summaries built
+	// on them; 0 selects GOMAXPROCS. The worker count never changes
+	// results, only wall time.
 	Workers int
 }
 

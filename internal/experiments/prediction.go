@@ -7,6 +7,7 @@ import (
 
 	"phasemon/internal/core"
 	"phasemon/internal/dvfs"
+	"phasemon/internal/fleet"
 	"phasemon/internal/phase"
 	"phasemon/internal/stats"
 	"phasemon/internal/workload"
@@ -140,11 +141,11 @@ type Fig3Point struct {
 }
 
 // Figure3 computes the benchmark-category scatter. Benchmarks are
-// evaluated concurrently; each result depends only on its own seeded
-// generator, so the output is deterministic.
+// evaluated o.Workers at a time; each result depends only on its own
+// seeded generator, so the output is deterministic.
 func Figure3(o Options) ([]Fig3Point, error) {
 	o = o.withDefaults()
-	return parMap(workload.All(), func(p *workload.Profile) (Fig3Point, error) {
+	return fleet.Map(o.Workers, workload.All(), func(p *workload.Profile) (Fig3Point, error) {
 		gen := p.Generator(o.params())
 		mem := workload.MemSeries(workload.Collect(gen, 0))
 		avg := stats.Mean(mem)
@@ -190,7 +191,7 @@ var Fig4Predictors = []string{
 // sorted by decreasing last-value accuracy, like the paper's x axis.
 func Figure4(o Options) ([]Fig4Row, error) {
 	o = o.withDefaults()
-	out, err := parMap(workload.All(), func(p *workload.Profile) (Fig4Row, error) {
+	out, err := fleet.Map(o.Workers, workload.All(), func(p *workload.Profile) (Fig4Row, error) {
 		obs, err := observations(p, o)
 		if err != nil {
 			return Fig4Row{}, err
@@ -266,7 +267,7 @@ type Fig5Row struct {
 // benchmarks.
 func Figure5(o Options) ([]Fig5Row, error) {
 	o = o.withDefaults()
-	return parMap(workload.Figure5Set(), func(p *workload.Profile) (Fig5Row, error) {
+	return fleet.Map(o.Workers, workload.Figure5Set(), func(p *workload.Profile) (Fig5Row, error) {
 		obs, err := observations(p, o)
 		if err != nil {
 			return Fig5Row{}, err

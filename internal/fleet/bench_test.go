@@ -8,9 +8,9 @@ import (
 
 // BenchmarkFleetSweep measures sweep throughput at several pool sizes
 // over a fixed 16-run sweep (one workload, 16 distinct seeds, equal
-// per-run work). The cache is disabled so every iteration executes
-// every run; on a multi-core machine the workers=8 case should
-// approach an 8x speedup over workers=1, since runs share no state.
+// per-run work). Every iteration executes every run; on a multi-core
+// machine the workers=8 case should approach an 8x speedup over
+// workers=1, since runs share no state.
 //
 // Run with:
 //
@@ -28,7 +28,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := New(Config{Workers: workers, DisableCache: true})
+			e := New(Config{Workers: workers})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -41,29 +41,5 @@ func BenchmarkFleetSweep(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFleetCacheHit measures the repeat-sweep path: every spec is
-// served from the engine's cache.
-func BenchmarkFleetCacheHit(b *testing.B) {
-	specs := []Spec{
-		{Workload: "applu_in", Policy: "gpht_8_128", Intervals: 200},
-		{Workload: "applu_in", Policy: "baseline", Intervals: 200},
-	}
-	e := New(Config{Workers: 2})
-	if _, err := e.RunAll(context.Background(), specs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := e.RunAll(context.Background(), specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if results[0].Status != StatusCached {
-			b.Fatal("expected cache hit")
-		}
 	}
 }

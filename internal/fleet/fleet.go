@@ -1,7 +1,7 @@
 // Package fleet is the concurrent run engine behind the repo's sweeps:
-// it shards governed-run specs across a bounded worker pool and
-// streams typed results back, while guaranteeing that the numbers are
-// bit-identical to a serial execution.
+// it spreads governed-run specs over a bounded worker pool (Map) and
+// returns typed results in spec order, while guaranteeing that the
+// numbers are bit-identical to a serial execution.
 //
 // The determinism contract has three legs:
 //
@@ -10,22 +10,19 @@
 //     input depends on scheduling;
 //   - fresh state per run: policies rebuild their predictor for every
 //     run, so no predictor state leaks between concurrent runs;
-//   - indexed delivery: results carry the spec's submission index, so
+//   - indexed results: each result lands at its spec's index, so
 //     aggregation orders by index, not by completion.
 //
 // On top sit the operational concerns a long sweep needs: context
-// cancellation and per-run timeouts (through governor.RunContext), a
-// content-keyed result cache with single-flight de-duplication of
-// concurrent identical specs, and live telemetry through the same
+// cancellation (through governor.RunContext), a workload-trace cache
+// shared by the engine's runs, and live telemetry through the same
 // *telemetry.Hub the rest of the pipeline reports to.
 package fleet
 
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sort"
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -45,136 +42,69 @@ type Config struct {
 	// runtime.GOMAXPROCS(0). The worker count never affects results,
 	// only wall time.
 	Workers int
-	// Timeout, when positive, bounds each individual run's wall time; a
-	// run that exceeds it fails with StatusCanceled.
-	Timeout time.Duration
 	// BaseSeed seeds specs that carry no seed of their own (see
 	// Spec.EffectiveSeed); 0 selects 1.
 	BaseSeed int64
-	// DisableCache turns off result caching and single-flight joining,
-	// so every spec executes even when repeated — benchmarks measuring
-	// run throughput need this.
-	DisableCache bool
-	// DisableWorkloadCache turns off the shared workload-trace cache,
-	// so every run re-synthesizes its generator stream. Results are
-	// bit-identical either way (the cache stores exactly what the
-	// generator would emit); the switch exists for memory-constrained
-	// sweeps and for benchmarking synthesis cost.
-	DisableWorkloadCache bool
 	// Telemetry, when non-nil, observes the sweep live: run lifecycle
-	// counters, cache hits, queue depth, and per-run wall-time
-	// distribution, plus the usual monitor/DVFS instrumentation inside
-	// each run. Nil runs unobserved.
+	// counters, queue depth, and per-run wall-time distribution, plus
+	// the usual monitor/DVFS instrumentation inside each run. Nil runs
+	// unobserved.
 	Telemetry *telemetry.Hub
 }
 
-// Engine executes spec sweeps. An Engine is safe for concurrent use;
-// its cache is shared across Run calls, so repeating a sweep is nearly
-// free.
+// Engine executes spec sweeps. An Engine is safe for concurrent use.
 type Engine struct {
 	cfg Config
 
-	// traces shares materialized workload streams across runs; nil
-	// when Config.DisableWorkloadCache is set.
+	// traces shares materialized workload streams across the engine's
+	// runs. A cached trace is exactly what the generator would emit, so
+	// results are bit-identical to synthesizing per run.
 	traces *wcache.Cache
-
-	mu       sync.Mutex
-	cache    map[string]*governor.Result // guarded by mu
-	inflight map[string]*flight          // guarded by mu
 
 	// pending counts accepted-but-unfinished specs for the queue-depth
 	// gauge.
 	pending atomic.Int64
 }
 
-// flight is one in-progress execution that duplicate specs join
-// instead of re-running.
-type flight struct {
-	done chan struct{}
-	res  *governor.Result
-	err  error
-}
-
 // New builds an engine.
 func New(cfg Config) *Engine {
-	e := &Engine{
-		cfg:      cfg,
-		cache:    make(map[string]*governor.Result),
-		inflight: make(map[string]*flight),
+	return &Engine{
+		cfg:    cfg,
+		traces: wcache.New(wcache.Config{Telemetry: cfg.Telemetry}),
 	}
-	if !cfg.DisableWorkloadCache {
-		e.traces = wcache.New(wcache.Config{Telemetry: cfg.Telemetry})
-	}
-	return e
 }
 
-// workers resolves the configured pool size.
-func (e *Engine) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run shards the specs across the worker pool and streams one Result
-// per spec. The channel is buffered to len(specs), so workers never
-// block on delivery and always drain even if the caller abandons the
-// channel; it is closed after the last result. Sharding is static
-// (worker w takes specs w, w+n, w+2n, ...), which pins every spec's
-// executing worker independent of timing.
-func (e *Engine) Run(ctx context.Context, specs []Spec) <-chan Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan Result, len(specs))
+// RunAll runs every spec on the worker pool and returns one Result
+// per spec, in spec order. The returned error is ctx.Err() if the
+// sweep was canceled, else the lowest-index run failure, else nil; the
+// full result slice is returned either way so partial sweeps stay
+// inspectable.
+func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
 	resolved := make([]Spec, len(specs))
 	for i, sp := range specs {
 		resolved[i] = e.resolve(sp)
 	}
 	e.addPending(len(specs))
-
-	workers := e.workers()
-	if workers > len(specs) {
-		workers = len(specs)
+	// runOne reports failures in Result.Err, so Map's error is always
+	// nil; the lowest-index failure is picked below, with its index.
+	results, _ := Map(e.cfg.Workers, resolved, func(sp Spec) (Result, error) {
+		defer e.addPending(-1)
+		return e.runOne(ctx, sp), nil
+	})
+	if err := ctx.Err(); err != nil {
+		return results, err
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(resolved); i += workers {
-				out <- e.runOne(ctx, i, resolved[i])
-				e.addPending(-1)
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// RunAll runs the sweep to completion and returns results in spec
-// order. The returned error is ctx.Err() if the sweep was canceled,
-// else the lowest-index run failure, else nil; the full result slice
-// is returned either way so partial sweeps stay inspectable.
-func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
-	out := make([]Result, 0, len(specs))
-	for r := range e.Run(ctx, specs) {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return out, err
+	for i, r := range results {
+		if r.Err != nil {
+			return results, fmt.Errorf("fleet: spec %d (%s under %s): %w",
+				i, r.Spec.Workload, r.Spec.Policy, r.Err)
 		}
 	}
-	return out, FirstError(out)
+	return results, nil
 }
 
-// resolve fills a spec's derived fields so caching, seeding, and
-// execution all see the same canonical value.
+// resolve fills a spec's derived fields so seeding and execution see
+// the same canonical value.
 func (e *Engine) resolve(sp Spec) Spec {
 	sp.Seed = sp.EffectiveSeed(e.cfg.BaseSeed)
 	if sp.GranularityUops == 0 {
@@ -191,73 +121,20 @@ func (e *Engine) addPending(delta int) {
 	}
 }
 
-// runOne produces the Result for one resolved spec: cache hit, joined
-// duplicate, fresh execution, or cancellation.
-func (e *Engine) runOne(ctx context.Context, idx int, sp Spec) Result {
+// runOne executes one resolved spec, unless the sweep is already
+// canceled.
+func (e *Engine) runOne(ctx context.Context, sp Spec) Result {
 	if err := ctx.Err(); err != nil {
-		return Result{Index: idx, Spec: sp, Status: StatusCanceled, Err: err}
+		return Result{Spec: sp, Err: err}
 	}
-	if e.cfg.DisableCache {
-		return e.executeResult(ctx, idx, sp)
-	}
-
-	key := sp.Key()
-	e.mu.Lock()
-	if res, ok := e.cache[key]; ok {
-		e.mu.Unlock()
-		if tel := e.cfg.Telemetry; tel != nil {
-			tel.FleetCacheHits.Inc()
-		}
-		return Result{Index: idx, Spec: sp, Status: StatusCached, Res: res}
-	}
-	if f, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return Result{Index: idx, Spec: sp, Status: StatusCanceled, Err: ctx.Err()}
-		}
-		if f.err != nil {
-			return e.failure(idx, sp, f.err, 0)
-		}
-		if tel := e.cfg.Telemetry; tel != nil {
-			tel.FleetCacheHits.Inc()
-		}
-		return Result{Index: idx, Spec: sp, Status: StatusCached, Res: f.res}
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[key] = f
-	e.mu.Unlock()
-
-	r := e.executeResult(ctx, idx, sp)
-	f.res, f.err = r.Res, r.Err
-	close(f.done)
-	e.mu.Lock()
-	delete(e.inflight, key)
-	if r.Err == nil && r.Res != nil {
-		e.cache[key] = r.Res
-	}
-	e.mu.Unlock()
-	return r
-}
-
-// executeResult runs the spec and wraps the outcome.
-func (e *Engine) executeResult(ctx context.Context, idx int, sp Spec) Result {
 	tel := e.cfg.Telemetry
 	if tel != nil {
 		tel.FleetStarted.Inc()
 	}
-	runCtx := ctx
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
-	}
 	start := time.Now()
-	res, err := runSpec(runCtx, sp, tel, e.traces)
-	elapsed := time.Since(start)
+	res, err := runSpec(ctx, sp, tel, e.traces)
 	if tel != nil {
-		tel.FleetRunSeconds.Observe(elapsed.Seconds())
+		tel.FleetRunSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			tel.FleetFailed.Inc()
 		} else {
@@ -265,25 +142,14 @@ func (e *Engine) executeResult(ctx context.Context, idx int, sp Spec) Result {
 		}
 	}
 	if err != nil {
-		return e.failure(idx, sp, err, elapsed)
+		return Result{Spec: sp, Err: err}
 	}
-	return Result{Index: idx, Spec: sp, Status: StatusOK, Res: res, Elapsed: elapsed}
-}
-
-// failure classifies an error outcome: context errors mean the run was
-// cut short, everything else is a genuine failure.
-func (e *Engine) failure(idx int, sp Spec, err error, elapsed time.Duration) Result {
-	status := StatusFailed
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		status = StatusCanceled
-	}
-	return Result{Index: idx, Spec: sp, Status: status, Err: err, Elapsed: elapsed}
+	return Result{Spec: sp, Res: res}
 }
 
 // runSpec materializes and executes one resolved spec: workload
 // profile, classifier, generator, translation, policy, governed run.
-// A non-nil trace cache supplies shared, read-only workload streams;
-// otherwise each run synthesizes its own.
+// The trace cache supplies the shared, read-only workload stream.
 func runSpec(ctx context.Context, sp Spec, tel *telemetry.Hub, traces *wcache.Cache) (*governor.Result, error) {
 	prof, err := workload.ByName(sp.Workload)
 	if err != nil {
@@ -305,12 +171,7 @@ func runSpec(ctx context.Context, sp Spec, tel *telemetry.Hub, traces *wcache.Ca
 	if intervals <= 0 {
 		intervals = prof.DefaultIntervals
 	}
-	var gen workload.Generator
-	if traces != nil {
-		gen = traces.Get(prof, params).Generator()
-	} else {
-		gen = prof.Generator(params)
-	}
+	gen := traces.Get(prof, params).Generator()
 	cfg := governor.Config{
 		GranularityUops: sp.GranularityUops,
 		// The run logs exactly one entry per interval; sizing the kernel

@@ -4,17 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"phasemon/internal/governor"
+	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
+	"phasemon/internal/workload"
 )
 
 // sweepSpecs is a mixed sweep: several workloads, managed and
 // monitoring policies, one custom classifier, one bounded translation.
-// All specs are distinct, so fresh-vs-cached status is deterministic.
 func sweepSpecs() []Spec {
 	return []Spec{
 		{Workload: "applu_in", Policy: "baseline", Intervals: 60},
@@ -26,6 +29,7 @@ func sweepSpecs() []Spec {
 		{Workload: "mcf_inp", Policy: "gpht_8_128", Intervals: 40, Bound: 0.05},
 		{Workload: "equake_in", Policy: "varwindow_128_0.005", Intervals: 40},
 		{Workload: "crafty_in", Policy: "oracle", Intervals: 40},
+		{Workload: "applu_in", Policy: "oracle", Intervals: 60},
 		// Five boundaries define six phases, matching the ladder so the
 		// identity translation stays derivable.
 		{Workload: "applu_in", Policy: "gpht_8_128", Phases: "0.004,0.008,0.012,0.02,0.03", Intervals: 40},
@@ -36,8 +40,8 @@ func sweepSpecs() []Spec {
 // that must be bit-identical across worker counts.
 func fingerprint(results []Result) string {
 	var b strings.Builder
-	for _, r := range results {
-		fmt.Fprintf(&b, "%d %s %s", r.Index, r.Spec.Key(), r.Status)
+	for i, r := range results {
+		fmt.Fprintf(&b, "%d %+v", i, r.Spec)
 		if r.Res != nil {
 			fmt.Fprintf(&b, " pol=%s run=%v acc=%d/%d ov=%v bv=%d",
 				r.Res.Policy, r.Res.Run,
@@ -76,29 +80,65 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestWorkloadCacheDeterminism is the wcache invisibility contract:
-// sweeping with the shared workload-trace cache on and off must
-// produce bit-identical result fingerprints at every worker count.
+// a fleet run, served from the shared workload-trace cache, must equal
+// a governed run on a freshly synthesized generator, at every worker
+// count.
 func TestWorkloadCacheDeterminism(t *testing.T) {
 	specs := sweepSpecs()
-	var want string
-	for _, disable := range []bool{false, true} {
-		for _, workers := range []int{1, 4, 16} {
-			e := New(Config{Workers: workers, BaseSeed: 42, DisableWorkloadCache: disable})
-			results, err := e.RunAll(context.Background(), specs)
-			if err != nil {
-				t.Fatalf("cacheOff=%v workers=%d: %v", disable, workers, err)
-			}
-			got := fingerprint(results)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("cacheOff=%v workers=%d diverged from cached workers=1:\n--- want\n%s--- got\n%s",
-					disable, workers, want, got)
+	for _, workers := range []int{1, 4, 16} {
+		results, err := New(Config{Workers: workers, BaseSeed: 42}).RunAll(context.Background(), specs)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, r := range results {
+			want := referenceRun(t, r.Spec)
+			if !reflect.DeepEqual(r.Res, want) {
+				t.Errorf("workers=%d spec %d (%s under %s): cached run differs from a fresh generator",
+					workers, i, r.Spec.Workload, r.Spec.Policy)
 			}
 		}
 	}
+}
+
+// referenceRun executes a resolved spec on a fresh generator, without
+// the engine or its trace cache. The oracle's future is therefore
+// collected from the generator rather than read from a cached trace.
+func referenceRun(t *testing.T, sp Spec) *governor.Result {
+	t.Helper()
+	prof, err := workload.ByName(sp.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := prof.Generator(workload.Params{
+		GranularityUops: float64(sp.GranularityUops),
+		Seed:            sp.Seed,
+		Intervals:       sp.Intervals,
+	})
+	cfg := governor.Config{
+		GranularityUops: sp.GranularityUops,
+		LogCapacity:     sp.Intervals,
+	}
+	var tab *phase.Table
+	if sp.Phases != "" {
+		if tab, err = phase.ParseTable("custom", sp.Phases); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Classifier = tab
+	}
+	if sp.Bound > 0 {
+		if cfg.Translation, err = boundedTranslation(sp.Bound, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pol, err := policyFor(sp, gen, cfg.Classifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := governor.RunContext(context.Background(), gen, pol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestWorkloadCacheShares: distinct specs over the same workload
@@ -169,81 +209,6 @@ func TestEffectiveSeed(t *testing.T) {
 	}
 }
 
-func TestCacheHits(t *testing.T) {
-	hub := telemetry.NewHub(6)
-	e := New(Config{Workers: 2, Telemetry: hub})
-	specs := []Spec{
-		{Workload: "applu_in", Policy: "baseline", Intervals: 40},
-		{Workload: "applu_in", Policy: "gpht_8_128", Intervals: 40},
-	}
-	first, err := e.RunAll(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.RunAll(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range second {
-		if r.Status != StatusCached {
-			t.Errorf("repeat spec %d: status %s, want cached", i, r.Status)
-		}
-		if r.Res != first[i].Res {
-			t.Errorf("repeat spec %d did not reuse the cached result", i)
-		}
-	}
-	if got := hub.FleetCacheHits.Value(); got != uint64(len(specs)) {
-		t.Errorf("FleetCacheHits = %d, want %d", got, len(specs))
-	}
-	if got := hub.FleetStarted.Value(); got != uint64(len(specs)) {
-		t.Errorf("FleetStarted = %d, want %d (cache hits must not re-run)", got, len(specs))
-	}
-}
-
-func TestDuplicateSpecsRunOnce(t *testing.T) {
-	hub := telemetry.NewHub(6)
-	e := New(Config{Workers: 4, Telemetry: hub})
-	sp := Spec{Workload: "applu_in", Policy: "gpht_8_128", Intervals: 40}
-	results, err := e.RunAll(context.Background(), []Spec{sp, sp, sp, sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := 0
-	for _, r := range results {
-		switch r.Status {
-		case StatusOK:
-			fresh++
-		case StatusCached:
-		default:
-			t.Errorf("spec %d: unexpected status %s (%v)", r.Index, r.Status, r.Err)
-		}
-	}
-	if fresh != 1 {
-		t.Errorf("%d fresh executions of identical specs, want exactly 1", fresh)
-	}
-	if got := hub.FleetStarted.Value(); got != 1 {
-		t.Errorf("FleetStarted = %d, want 1", got)
-	}
-}
-
-func TestDisableCache(t *testing.T) {
-	hub := telemetry.NewHub(6)
-	e := New(Config{Workers: 2, DisableCache: true, Telemetry: hub})
-	sp := Spec{Workload: "applu_in", Policy: "baseline", Intervals: 40}
-	results, err := e.RunAll(context.Background(), []Spec{sp, sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Status != StatusOK {
-			t.Errorf("spec %d: status %s, want ok (cache disabled)", r.Index, r.Status)
-		}
-	}
-	if got := hub.FleetStarted.Value(); got != 2 {
-		t.Errorf("FleetStarted = %d, want 2", got)
-	}
-}
-
 func TestRunFailuresPropagate(t *testing.T) {
 	e := New(Config{Workers: 2})
 	results, err := e.RunAll(context.Background(), []Spec{
@@ -255,14 +220,14 @@ func TestRunFailuresPropagate(t *testing.T) {
 		t.Fatal("want error from failing specs")
 	}
 	if !strings.Contains(err.Error(), "no_such_bench") {
-		t.Errorf("FirstError should report the lowest-index failure, got %v", err)
+		t.Errorf("RunAll should report the lowest-index failure, got %v", err)
 	}
-	if results[0].Status != StatusOK {
-		t.Errorf("healthy spec contaminated: %s (%v)", results[0].Status, results[0].Err)
+	if results[0].Res == nil || results[0].Err != nil {
+		t.Errorf("healthy spec contaminated: %v", results[0].Err)
 	}
 	for _, i := range []int{1, 2} {
-		if results[i].Status != StatusFailed || results[i].Err == nil {
-			t.Errorf("spec %d: status %s err %v, want failed", i, results[i].Status, results[i].Err)
+		if results[i].Res != nil || results[i].Err == nil {
+			t.Errorf("spec %d: err %v, want failed", i, results[i].Err)
 		}
 	}
 }
@@ -270,35 +235,40 @@ func TestRunFailuresPropagate(t *testing.T) {
 func TestCancellationNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	// Runs must be long enough that the whole sweep cannot finish in
-	// the gap between the first result arriving and cancel() landing —
-	// at 400 intervals the zero-alloc hot path races through all 32
-	// specs first and no run is left to cancel. Canceled runs abort at
-	// interval granularity, so the long tail costs nothing.
+	defer cancel()
+	// Runs must be long enough that the whole sweep cannot finish
+	// before cancel() lands; canceled runs abort at interval
+	// granularity, so the long tail costs nothing.
 	specs := make([]Spec, 32)
 	for i := range specs {
 		specs[i] = Spec{Workload: "applu_in", Policy: "gpht_8_128", Intervals: 50000, Seed: int64(i + 1)}
 	}
-	e := New(Config{Workers: 8, DisableCache: true})
-	ch := e.Run(ctx, specs)
-	<-ch // let the sweep get going
-	cancel()
-	seen := 1
+	hub := telemetry.NewHub(6)
+	go func() {
+		// Cancel once the sweep is under way.
+		for hub.FleetStarted.Value() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	results, err := New(Config{Workers: 8, Telemetry: hub}).RunAll(ctx, specs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunAll err = %v, want context.Canceled", err)
+	}
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d specs", len(results), len(specs))
+	}
 	canceled := 0
-	for r := range ch {
-		seen++
-		if r.Status == StatusCanceled {
+	for _, r := range results {
+		if errors.Is(r.Err, context.Canceled) {
 			canceled++
 		}
-	}
-	if seen != len(specs) {
-		t.Fatalf("drained %d results for %d specs", seen, len(specs))
 	}
 	if canceled == 0 {
 		t.Error("cancellation mid-sweep produced no canceled runs")
 	}
-	// Workers must all exit; poll briefly since close happens after
-	// the last send.
+	// Workers must all exit; poll briefly for the scheduler to retire
+	// them.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -313,40 +283,6 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-func TestAbandonedChannelStillDrains(t *testing.T) {
-	// A caller that walks away after the first result must not wedge
-	// the workers: the channel is buffered to len(specs).
-	before := runtime.NumGoroutine()
-	e := New(Config{Workers: 4})
-	specs := sweepSpecs()[:4]
-	ch := e.Run(context.Background(), specs)
-	<-ch // read one result, abandon the rest
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("workers wedged on abandoned channel: %d goroutines before, %d now",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func TestPerRunTimeout(t *testing.T) {
-	e := New(Config{Workers: 1, Timeout: time.Nanosecond})
-	results, err := e.RunAll(context.Background(), []Spec{
-		{Workload: "applu_in", Policy: "baseline", Intervals: 4000},
-	})
-	if err == nil {
-		t.Fatal("want error from timed-out run")
-	}
-	if results[0].Status != StatusCanceled {
-		t.Errorf("status = %s, want canceled", results[0].Status)
-	}
-	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want DeadlineExceeded", results[0].Err)
-	}
-}
-
 func TestRunAllCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -354,36 +290,6 @@ func TestRunAllCanceledContext(t *testing.T) {
 	_, err := e.RunAll(ctx, sweepSpecs()[:3])
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-func TestStatusString(t *testing.T) {
-	cases := map[Status]string{
-		StatusOK:       "ok",
-		StatusCached:   "cached",
-		StatusFailed:   "failed",
-		StatusCanceled: "canceled",
-		Status(0):      "status(0)",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("Status(%d).String() = %q, want %q", uint8(s), got, want)
-		}
-	}
-}
-
-func TestFirstErrorOrdering(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	rs := []Result{
-		{Index: 5, Spec: Spec{Workload: "w5"}, Status: StatusFailed, Err: errB},
-		{Index: 2, Spec: Spec{Workload: "w2"}, Status: StatusFailed, Err: errA},
-		{Index: 0, Status: StatusOK},
-	}
-	if err := FirstError(rs); !errors.Is(err, errA) {
-		t.Errorf("FirstError = %v, want the index-2 failure", err)
-	}
-	if err := FirstError(rs[2:]); err != nil {
-		t.Errorf("FirstError over successes = %v, want nil", err)
 	}
 }
 

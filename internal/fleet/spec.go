@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"fmt"
 	"hash/fnv"
-	"time"
 
 	"phasemon/internal/governor"
 )
@@ -41,13 +39,6 @@ type Spec struct {
 	GranularityUops uint64
 }
 
-// Key renders the spec into its canonical cache-key form. Two specs
-// with equal keys describe byte-identical runs.
-func (s Spec) Key() string {
-	return fmt.Sprintf("w=%s|p=%s|ph=%s|i=%d|s=%d|b=%g|g=%d",
-		s.Workload, s.Policy, s.Phases, s.Intervals, s.Seed, s.Bound, s.GranularityUops)
-}
-
 // EffectiveSeed resolves the seed a run will actually use: the spec's
 // own seed when set, otherwise a stable mix of base and the workload
 // name. Mixing over the workload alone (never the policy) keeps every
@@ -69,85 +60,13 @@ func (s Spec) EffectiveSeed(base int64) int64 {
 	return mixed
 }
 
-// Status classifies how a fleet run concluded.
-type Status uint8
-
-const (
-	// StatusOK is a freshly executed, successful run.
-	StatusOK Status = iota + 1
-	// StatusCached is a successful result served from the engine's
-	// cache (or joined from a concurrent identical run).
-	StatusCached
-	// StatusFailed is a run that returned an error.
-	StatusFailed
-	// StatusCanceled is a run abandoned because the sweep's context was
-	// canceled or its per-run timeout expired.
-	StatusCanceled
-)
-
-// String labels the status for reports.
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusCached:
-		return "cached"
-	case StatusFailed:
-		return "failed"
-	case StatusCanceled:
-		return "canceled"
-	default:
-		return fmt.Sprintf("status(%d)", uint8(s))
-	}
-}
-
-// Result is one spec's outcome. Res is shared with the engine's cache
-// when Status is StatusCached; treat it as read-only.
+// Result is one spec's outcome.
 type Result struct {
-	// Index is the spec's position in the submitted slice, so streamed
-	// results can be reordered deterministically.
-	Index int
 	// Spec is the resolved spec (defaults and derived seed filled in).
 	Spec Spec
-	// Status classifies the outcome.
-	Status Status
 	// Res is the governed run's result when the run succeeded.
 	Res *governor.Result
-	// Err is set when Status is StatusFailed or StatusCanceled.
+	// Err is set when the run failed or the sweep was canceled before
+	// or during it.
 	Err error
-	// Elapsed is the run's wall time; zero for cache hits.
-	Elapsed time.Duration
-}
-
-// OK reports whether the result carries a usable governor.Result.
-func (r Result) OK() bool {
-	switch r.Status {
-	case StatusOK, StatusCached:
-		return true
-	case StatusFailed, StatusCanceled:
-		return false
-	default:
-		return false
-	}
-}
-
-// FirstError returns the lowest-index failure in a result set, or nil
-// when every run succeeded. Deterministic regardless of the order the
-// results streamed in.
-func FirstError(results []Result) error {
-	var first *Result
-	for i := range results {
-		r := &results[i]
-		if r.OK() || r.Err == nil {
-			continue
-		}
-		if first == nil || r.Index < first.Index {
-			first = r
-		}
-	}
-	if first == nil {
-		return nil
-	}
-	return fmt.Errorf("fleet: spec %d (%s under %s): %w",
-		first.Index, first.Spec.Workload, first.Spec.Policy, first.Err)
 }

@@ -17,15 +17,13 @@ type enumType struct{ pkg, typ string }
 
 // enforcedEnums are the taxonomies a new bin must never silently fall
 // out of: the six phase classes (Table 1), the SpeedStep operating
-// points (Table 2), the telemetry journal's event kinds, the fleet
-// engine's run statuses, the serving protocol's frame kinds, the
-// phased session lifecycle, and the rollup pipeline's sample
-// outcomes.
+// points (Table 2), the telemetry journal's event kinds, the serving
+// protocol's frame kinds, the phased session lifecycle, and the rollup
+// pipeline's sample outcomes.
 var enforcedEnums = []enumType{
 	{"phase", "Class"},
 	{"dvfs", "Setting"},
 	{"telemetry", "EventKind"},
-	{"fleet", "Status"},
 	{"wire", "FrameKind"},
 	{"phased", "SessionState"},
 	{"agg", "Outcome"},
@@ -40,7 +38,7 @@ var enforcedEnums = []enumType{
 var ExhaustiveAnalyzer = &Analyzer{
 	Name: "exhaustive",
 	Doc: "switches over phase.Class, dvfs.Setting, telemetry.EventKind, " +
-		"fleet.Status, wire.FrameKind, phased.SessionState, agg.Outcome and " +
+		"wire.FrameKind, phased.SessionState, agg.Outcome and " +
 		"lint.LockMode must cover all constants or reject unknowns in a default",
 	Run: runExhaustive,
 }

@@ -4,7 +4,6 @@ package exhaustive
 import (
 	"exhaustive/agg"
 	"exhaustive/dvfs"
-	"exhaustive/fleet"
 	"exhaustive/lint"
 	"exhaustive/phase"
 	"exhaustive/phased"
@@ -28,14 +27,6 @@ func emptyDefault(s dvfs.Setting) int {
 	default: // want `switch over dvfs.Setting has an empty default`
 	}
 	return -1
-}
-
-func missingStatus(s fleet.Status) bool {
-	switch s { // want `switch over fleet.Status is not exhaustive: missing StatusFailed, StatusCanceled`
-	case fleet.StatusOK, fleet.StatusCached:
-		return true
-	}
-	return false
 }
 
 func missingFrameKinds(k wire.FrameKind) int {

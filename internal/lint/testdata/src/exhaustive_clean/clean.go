@@ -6,7 +6,6 @@ import (
 
 	"exhaustive/agg"
 	"exhaustive/dvfs"
-	"exhaustive/fleet"
 	"exhaustive/lint"
 	"exhaustive/phase"
 	"exhaustive/phased"
@@ -35,31 +34,6 @@ func partialWithRejectingDefault(s dvfs.Setting) (int, error) {
 		return 0, nil
 	default:
 		return 0, errors.New("unhandled setting")
-	}
-}
-
-// fullStatus covers every fleet run status; no default needed.
-func fullStatus(s fleet.Status) string {
-	switch s {
-	case fleet.StatusOK:
-		return "ok"
-	case fleet.StatusCached:
-		return "cached"
-	case fleet.StatusFailed:
-		return "failed"
-	case fleet.StatusCanceled:
-		return "canceled"
-	}
-	return "unknown"
-}
-
-// partialStatusWithDefault rejects unknown statuses explicitly.
-func partialStatusWithDefault(s fleet.Status) (bool, error) {
-	switch s {
-	case fleet.StatusOK, fleet.StatusCached:
-		return true, nil
-	default:
-		return false, errors.New("run did not succeed")
 	}
 }
 

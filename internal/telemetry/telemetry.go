@@ -37,7 +37,6 @@ const (
 	MetricFleetStarted     = "phasemon_fleet_runs_started_total"
 	MetricFleetCompleted   = "phasemon_fleet_runs_completed_total"
 	MetricFleetFailed      = "phasemon_fleet_runs_failed_total"
-	MetricFleetCacheHits   = "phasemon_fleet_cache_hits_total"
 	MetricWorkloadHits     = "phasemon_workload_cache_hits_total"
 	MetricWorkloadMisses   = "phasemon_workload_cache_misses_total"
 	MetricWorkloadEvicted  = "phasemon_workload_cache_evictions_total"
@@ -149,11 +148,10 @@ type Hub struct {
 	BudgetViolations *Counter
 	GovernorRuns     *Counter
 
-	// Fleet-engine counters: run lifecycle and cache effectiveness.
+	// Fleet-engine counters: run lifecycle.
 	FleetStarted   *Counter
 	FleetCompleted *Counter
 	FleetFailed    *Counter
-	FleetCacheHits *Counter
 
 	// Workload-trace cache counters (the wcache package).
 	WorkloadCacheHits      *Counter
@@ -235,7 +233,6 @@ func NewHub(numPhases int, opts ...HubOption) *Hub {
 		FleetStarted:     reg.Counter(MetricFleetStarted),
 		FleetCompleted:   reg.Counter(MetricFleetCompleted),
 		FleetFailed:      reg.Counter(MetricFleetFailed),
-		FleetCacheHits:   reg.Counter(MetricFleetCacheHits),
 
 		WorkloadCacheHits:      reg.Counter(MetricWorkloadHits),
 		WorkloadCacheMisses:    reg.Counter(MetricWorkloadMisses),
