@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint fleet-race race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint fleet-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -41,11 +41,26 @@ fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament
 	$(GO) test -race -count=1 -run TestFiguresWorkerInvariance ./internal/experiments
 
-# The strict gate: lint, the fleet determinism suite, the full suite
-# under the race detector, then a live client/server smoke over real
-# sockets. The telemetry hot paths are lock-free atomics shared with
-# HTTP readers, so -race is part of the default bar, not an extra.
-check: lint fleet-race
+# A short fuzzing pass over the predictor targets: the window vote
+# against its full-rescan reference, GPHT state validity on invalid
+# IDs, and every paper predictor's output validity. Each target runs
+# for $(FUZZTIME); a failing input is written under the package's
+# testdata/fuzz and fails the target.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := FuzzWindowMajority FuzzGPHTNeverProducesInvalidState FuzzPredictorsAgreeOnValidity
+
+fuzz-smoke:
+	@for f in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/core || exit 1; \
+	done
+
+# The strict gate: lint, the fleet determinism suite, a short fuzzing
+# pass, the full suite under the race detector, then a live
+# client/server smoke over real sockets. The telemetry hot paths are
+# lock-free atomics shared with HTTP readers, so -race is part of the
+# default bar, not an extra.
+check: lint fleet-race fuzz-smoke
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
 	$(MAKE) tournament-smoke

@@ -60,3 +60,41 @@ func FuzzPredictorsAgreeOnValidity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWindowMajority checks the incremental window vote against the
+// full-rescan reference on arbitrary streams: window sizes 1–200,
+// flush thresholds 0–0.015, phase IDs spanning zero, negatives, >15
+// and >255, with Reset and snapshot/restore interleaved. Each op is
+// two bytes: a selector and a value.
+func FuzzWindowMajority(f *testing.F) {
+	f.Add(uint8(3), uint8(1), []byte{2, 1, 2, 1, 2, 2, 2, 5, 2, 5, 1, 0, 2, 5})
+	f.Add(uint8(127), uint8(2), []byte{0x42, 7, 0x82, 9, 0xC2, 3, 0x12, 255, 0x02, 0, 0x40, 0})
+	f.Add(uint8(0), uint8(0), []byte{0x23, 1, 0x33, 1, 0x03, 1})
+	f.Fuzz(func(t *testing.T, size, thr uint8, data []byte) {
+		ops := make([]windowOp, 0, len(data)/2)
+		for i := 0; i+1 < len(data); i += 2 {
+			sel, v := data[i], data[i+1]
+			switch sel & 0x0F {
+			case 0:
+				ops = append(ops, windowOp{kind: opReset})
+			case 1:
+				ops = append(ops, windowOp{kind: opRestore})
+			default:
+				var id phase.ID
+				switch sel >> 6 {
+				case 0:
+					id = phase.ID(v % 8)
+				case 1:
+					id = phase.ID(int8(v))
+				case 2:
+					id = phase.ID(int(v) + 200)
+				default:
+					id = phase.ID(-1000 * int(v))
+				}
+				mem := float64(sel>>4&3) * 0.004
+				ops = append(ops, windowOp{obs: Observation{Sample: phase.Sample{MemPerUop: mem}, Phase: id}})
+			}
+		}
+		checkWindowsAgainstRescan(t, 1+int(size)%200, float64(thr%4)*0.005, ops)
+	})
+}

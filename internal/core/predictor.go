@@ -103,7 +103,7 @@ type fixedWindow struct {
 	size    int
 	mode    WindowMode
 	cls     phase.Classifier
-	phases  []phase.ID
+	votes   windowTally
 	mems    []float64
 	ema     float64
 	emaInit bool
@@ -124,15 +124,19 @@ func NewFixedWindow(size int, mode WindowMode, cls phase.Classifier) (StatefulPr
 		return nil, fmt.Errorf("core: unknown window mode %d", int(mode))
 	}
 	return &fixedWindow{
-		name: fmt.Sprintf("FixWindow_%d", size),
-		size: size,
-		mode: mode,
-		cls:  cls,
+		name:  fmt.Sprintf("FixWindow_%d", size),
+		size:  size,
+		mode:  mode,
+		cls:   cls,
+		votes: windowTally{size: size},
 	}, nil
 }
 
 func (p *fixedWindow) Name() string { return p.name }
 
+// Observe implements Predictor.
+//
+//lint:hotpath
 func (p *fixedWindow) Observe(o Observation) phase.ID {
 	p.last = o.Phase
 	switch p.mode {
@@ -153,13 +157,13 @@ func (p *fixedWindow) Observe(o Observation) phase.ID {
 		}
 		return p.cls.Classify(phase.Sample{MemPerUop: sum / float64(len(p.mems))})
 	default: // ModeMajority
-		p.phases = appendWindowID(p.phases, o.Phase, p.size)
-		return majority(p.phases, p.last)
+		p.votes.push(o.Phase)
+		return p.votes.vote(p.last)
 	}
 }
 
 func (p *fixedWindow) Reset() {
-	p.phases = p.phases[:0]
+	p.votes.reset()
 	p.mems = p.mems[:0]
 	p.ema = 0
 	p.emaInit = false
@@ -173,7 +177,7 @@ type variableWindow struct {
 	name      string
 	size      int
 	threshold float64
-	phases    []phase.ID
+	votes     windowTally
 	lastMem   float64
 	havePrev  bool
 	last      phase.ID
@@ -193,25 +197,29 @@ func NewVariableWindow(size int, threshold float64) (StatefulPredictor, error) {
 		name:      fmt.Sprintf("VarWindow_%d_%.3f", size, threshold),
 		size:      size,
 		threshold: threshold,
+		votes:     windowTally{size: size},
 	}, nil
 }
 
 func (p *variableWindow) Name() string { return p.name }
 
+// Observe implements Predictor.
+//
+//lint:hotpath
 func (p *variableWindow) Observe(o Observation) phase.ID {
 	if p.havePrev && math.Abs(o.Sample.MemPerUop-p.lastMem) > p.threshold {
 		// Phase transition: previous history is obsolete.
-		p.phases = p.phases[:0]
+		p.votes.reset()
 	}
 	p.lastMem = o.Sample.MemPerUop
 	p.havePrev = true
 	p.last = o.Phase
-	p.phases = appendWindowID(p.phases, o.Phase, p.size)
-	return majority(p.phases, p.last)
+	p.votes.push(o.Phase)
+	return p.votes.vote(p.last)
 }
 
 func (p *variableWindow) Reset() {
-	p.phases = p.phases[:0]
+	p.votes.reset()
 	p.lastMem = 0
 	p.havePrev = false
 	p.last = phase.None
@@ -228,38 +236,127 @@ func appendWindow(w []float64, v float64, size int) []float64 {
 	return w
 }
 
-func appendWindowID(w []phase.ID, v phase.ID, size int) []phase.ID {
-	w = append(w, v)
-	if len(w) > size {
-		copy(w, w[1:])
-		w = w[:size]
-	}
-	return w
+// windowTally is the majority vote over a sliding window of the last
+// size phase IDs, kept incrementally so each push costs O(distinct
+// phases in the window) instead of a rescan of the whole window.
+//
+// ring holds the window; once it is full, head indexes the oldest ID,
+// which the next push overwrites. entries has one row per distinct
+// phase in the window: its count and the stream position of its latest
+// occurrence. The vote is the argmax of (count, latest) over entries.
+//
+// That argmax is the rule a full rescan of the window applies (the
+// tests keep one as the reference): most frequent phase, ties broken
+// toward the most recent occurrence. They agree because a window index
+// is the stream position minus one offset shared by every phase, so
+// latest positions order phases exactly as window indices do. Distinct
+// phases have distinct latest positions, which makes (count, latest) a
+// strict total order with a unique maximum.
+type windowTally struct {
+	size    int
+	ring    []phase.ID
+	head    int
+	pos     uint64
+	entries []tallyEntry
 }
 
-// majority returns the most frequent phase in w, breaking ties toward
-// the phase whose latest occurrence is most recent; fallback is
-// returned for an empty window.
-func majority(w []phase.ID, fallback phase.ID) phase.ID {
-	if len(w) == 0 {
-		return fallback
-	}
-	counts := map[phase.ID]int{}
-	lastSeen := map[phase.ID]int{}
-	for i, p := range w {
-		counts[p]++
-		lastSeen[p] = i
-	}
-	best := w[len(w)-1]
-	for p, c := range counts {
-		switch {
-		case c > counts[best]:
-			best = p
-		case c == counts[best] && lastSeen[p] > lastSeen[best]:
-			best = p
+// tallyEntry is one distinct phase's row in a windowTally.
+type tallyEntry struct {
+	id     phase.ID
+	count  int
+	latest uint64
+}
+
+// push appends id as the newest window entry, evicting the oldest once
+// the window holds size IDs.
+func (t *windowTally) push(id phase.ID) {
+	if len(t.ring) < t.size {
+		t.ring = append(t.ring, id)
+	} else {
+		t.evict(t.ring[t.head])
+		t.ring[t.head] = id
+		t.head++
+		if t.head == t.size {
+			t.head = 0
 		}
 	}
-	return best
+	t.pos++
+	i := t.find(id)
+	if i < 0 {
+		t.entries = append(t.entries, tallyEntry{id: id})
+		i = len(t.entries) - 1
+	}
+	t.entries[i].count++
+	t.entries[i].latest = t.pos
+}
+
+// evict drops one occurrence of id, removing its row at count zero.
+// The evicted occurrence is id's oldest, so a surviving row's latest
+// position is unchanged.
+func (t *windowTally) evict(id phase.ID) {
+	i := t.find(id)
+	t.entries[i].count--
+	if t.entries[i].count == 0 {
+		last := len(t.entries) - 1
+		t.entries[i] = t.entries[last]
+		t.entries = t.entries[:last]
+	}
+}
+
+func (t *windowTally) find(id phase.ID) int {
+	for i := range t.entries {
+		if t.entries[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// vote returns the window's majority phase, or fallback for an empty
+// window.
+func (t *windowTally) vote(fallback phase.ID) phase.ID {
+	if len(t.entries) == 0 {
+		return fallback
+	}
+	best := t.entries[0]
+	for _, e := range t.entries[1:] {
+		if e.count > best.count || (e.count == best.count && e.latest > best.latest) {
+			best = e
+		}
+	}
+	return best.id
+}
+
+// len returns the number of IDs in the window.
+func (t *windowTally) len() int { return len(t.ring) }
+
+// appendIDs appends the window's IDs to dst oldest first, one byte
+// each: the snapshot encoding of a phase window.
+func (t *windowTally) appendIDs(dst []byte) []byte {
+	for _, id := range t.ring[t.head:] {
+		dst = append(dst, byte(id))
+	}
+	for _, id := range t.ring[:t.head] {
+		dst = append(dst, byte(id))
+	}
+	return dst
+}
+
+// loadIDs replaces the window with ids, oldest first: the inverse of
+// appendIDs.
+func (t *windowTally) loadIDs(ids []byte) {
+	t.reset()
+	for _, b := range ids {
+		t.push(phase.ID(b))
+	}
+}
+
+// reset empties the window, keeping its storage.
+func (t *windowTally) reset() {
+	t.ring = t.ring[:0]
+	t.head = 0
+	t.pos = 0
+	t.entries = t.entries[:0]
 }
 
 // ErrNoObservations reports an evaluation over an empty trace.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -319,5 +320,179 @@ func TestStatisticalPredictorsOnRandomSequences(t *testing.T) {
 	}
 	if g < lv-0.05 {
 		t.Errorf("GPHT (%v) materially worse than last value (%v) on noise", g, lv)
+	}
+}
+
+// majority is the window vote as a full rescan: the most frequent
+// phase in w, ties broken toward the phase whose latest occurrence is
+// most recent, fallback for an empty window. It is the reference the
+// incremental windowTally is checked against.
+func majority(w []phase.ID, fallback phase.ID) phase.ID {
+	if len(w) == 0 {
+		return fallback
+	}
+	counts := map[phase.ID]int{}
+	lastSeen := map[phase.ID]int{}
+	for i, p := range w {
+		counts[p]++
+		lastSeen[p] = i
+	}
+	best := w[len(w)-1]
+	for p, c := range counts {
+		switch {
+		case c > counts[best]:
+			best = p
+		case c == counts[best] && lastSeen[p] > lastSeen[best]:
+			best = p
+		}
+	}
+	return best
+}
+
+// rescanWindow is a window predictor voted by majority: a variable
+// window with the given flush threshold, or a fixed window when the
+// threshold is +Inf.
+type rescanWindow struct {
+	size      int
+	threshold float64
+	w         []phase.ID
+	lastMem   float64
+	havePrev  bool
+	last      phase.ID
+}
+
+func (r *rescanWindow) observe(o Observation) phase.ID {
+	if r.havePrev && math.Abs(o.Sample.MemPerUop-r.lastMem) > r.threshold {
+		r.w = r.w[:0]
+	}
+	r.lastMem = o.Sample.MemPerUop
+	r.havePrev = true
+	r.last = o.Phase
+	r.w = append(r.w, o.Phase)
+	if len(r.w) > r.size {
+		r.w = r.w[1:]
+	}
+	return majority(r.w, r.last)
+}
+
+func (r *rescanWindow) reset() {
+	r.w = r.w[:0]
+	r.lastMem = 0
+	r.havePrev = false
+	r.last = phase.None
+}
+
+// restored applies a snapshot round trip's one lossy step: phase IDs
+// travel as single bytes.
+func (r *rescanWindow) restored() {
+	for i, id := range r.w {
+		r.w[i] = phase.ID(byte(id))
+	}
+	r.last = phase.ID(byte(r.last))
+}
+
+type windowOpKind int
+
+const (
+	opObserve windowOpKind = iota
+	opReset
+	opRestore // snapshot, then continue on a fresh predictor restored from it
+)
+
+type windowOp struct {
+	kind windowOpKind
+	obs  Observation
+}
+
+// checkWindowsAgainstRescan runs ops through a majority fixwindow and a
+// varwindow of the given size and threshold, requiring every Observe
+// to equal the rescan reference's prediction.
+func checkWindowsAgainstRescan(t *testing.T, size int, threshold float64, ops []windowOp) {
+	t.Helper()
+	builds := []struct {
+		ref *rescanWindow
+		new func() (StatefulPredictor, error)
+	}{
+		{&rescanWindow{size: size, threshold: math.Inf(1)},
+			func() (StatefulPredictor, error) { return NewFixedWindow(size, ModeMajority, nil) }},
+		{&rescanWindow{size: size, threshold: threshold},
+			func() (StatefulPredictor, error) { return NewVariableWindow(size, threshold) }},
+	}
+	for _, b := range builds {
+		p, err := b.new()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			switch op.kind {
+			case opReset:
+				p.Reset()
+				b.ref.reset()
+			case opRestore:
+				fresh, err := b.new()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.Restore(p.Snapshot(nil)); err != nil {
+					t.Fatalf("%s op %d: Restore: %v", p.Name(), i, err)
+				}
+				p = fresh
+				b.ref.restored()
+			default:
+				if got, want := p.Observe(op.obs), b.ref.observe(op.obs); got != want {
+					t.Fatalf("%s op %d: Observe(%v) = %v, rescan says %v over window %v",
+						p.Name(), i, op.obs.Phase, got, want, b.ref.w)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowTallyMatchesRescan: on seeded streams over several ID
+// ranges, with Reset and snapshot/restore interleaved, every fixwindow
+// and varwindow prediction equals the full-rescan majority.
+func TestWindowTallyMatchesRescan(t *testing.T) {
+	idRanges := []struct {
+		name string
+		id   func(rng *rand.Rand) phase.ID
+	}{
+		{"paper", func(rng *rand.Rand) phase.ID { return phase.ID(1 + rng.Intn(6)) }},
+		{"with-none", func(rng *rand.Rand) phase.ID { return phase.ID(rng.Intn(3)) }},
+		{"signed", func(rng *rand.Rand) phase.ID { return phase.ID(rng.Intn(40) - 20) }},
+		{"wide", func(rng *rand.Rand) phase.ID { return phase.ID(rng.Intn(600) - 100) }},
+		{"byte-aliases", func(rng *rand.Rand) phase.ID { return phase.ID(rng.Intn(4) * 256) }},
+	}
+	sizes := []int{1, 2, 3, 8, 17, 128, 200}
+	thresholds := []float64{0, 0.005, 0.030}
+	seed := int64(0)
+	for _, r := range idRanges {
+		for k, size := range sizes {
+			seed++
+			threshold := thresholds[k%len(thresholds)]
+			rng := rand.New(rand.NewSource(seed))
+			ops := make([]windowOp, 3000)
+			var id phase.ID
+			for i := range ops {
+				switch n := rng.Intn(1000); {
+				case n < 2:
+					ops[i].kind = opReset
+				case n < 7:
+					ops[i].kind = opRestore
+				default:
+					// Sticky runs, so windows hold ties and clear
+					// majorities alike.
+					if i == 0 || rng.Intn(3) == 0 {
+						id = r.id(rng)
+					}
+					ops[i].obs = Observation{
+						Sample: phase.Sample{MemPerUop: float64(rng.Intn(8)) * 0.002},
+						Phase:  id,
+					}
+				}
+			}
+			t.Run(fmt.Sprintf("%s/size%d", r.name, size), func(t *testing.T) {
+				checkWindowsAgainstRescan(t, size, threshold, ops)
+			})
+		}
 	}
 }

@@ -187,7 +187,7 @@ func (p *lastValue) Restore(src []byte) error {
 
 // SnapshotLen implements StatefulPredictor.
 func (p *fixedWindow) SnapshotLen() int {
-	return 25 + len(p.phases) + 8*len(p.mems)
+	return 25 + p.votes.len() + 8*len(p.mems)
 }
 
 // Snapshot implements StatefulPredictor.
@@ -198,10 +198,8 @@ func (p *fixedWindow) Snapshot(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(p.size))
 	dst = append(dst, byte(p.last), boolByte(p.emaInit))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.ema))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.phases)))
-	for _, id := range p.phases {
-		dst = append(dst, byte(id))
-	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(p.votes.len()))
+	dst = p.votes.appendIDs(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.mems)))
 	for _, m := range p.mems {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m))
@@ -236,13 +234,16 @@ func (p *fixedWindow) Restore(src []byte) error {
 		return fmt.Errorf("%w: fixwindow snapshot windows (%d phases, %d mems) exceed size %d",
 			ErrSnapshot, nPhases, nMems, size)
 	}
+	// Each mode keeps at most one window: majority the phase IDs, mean
+	// the Mem/Uop values, EMA neither.
+	if (nPhases > 0 && mode != ModeMajority) || (nMems > 0 && mode != ModeMean) {
+		return fmt.Errorf("%w: fixwindow snapshot in %v mode carries %d phases and %d mems",
+			ErrSnapshot, mode, nPhases, nMems)
+	}
 	p.last = last
 	p.emaInit = emaInit
 	p.ema = ema
-	p.phases = p.phases[:0]
-	for _, b := range phaseBytes {
-		p.phases = append(p.phases, phase.ID(b))
-	}
+	p.votes.loadIDs(phaseBytes)
 	p.mems = p.mems[:0]
 	for i := 0; i < nMems; i++ {
 		p.mems = append(p.mems, math.Float64frombits(binary.BigEndian.Uint64(src[memOff+8*i:])))
@@ -253,7 +254,7 @@ func (p *fixedWindow) Restore(src []byte) error {
 // --- variableWindow ------------------------------------------------
 
 // SnapshotLen implements StatefulPredictor.
-func (p *variableWindow) SnapshotLen() int { return 28 + len(p.phases) }
+func (p *variableWindow) SnapshotLen() int { return 28 + p.votes.len() }
 
 // Snapshot implements StatefulPredictor.
 //
@@ -264,11 +265,8 @@ func (p *variableWindow) Snapshot(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.threshold))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.lastMem))
 	dst = append(dst, boolByte(p.havePrev), byte(p.last))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.phases)))
-	for _, id := range p.phases {
-		dst = append(dst, byte(id))
-	}
-	return dst
+	dst = binary.BigEndian.AppendUint32(dst, uint32(p.votes.len()))
+	return p.votes.appendIDs(dst)
 }
 
 // Restore implements StatefulPredictor.
@@ -297,10 +295,7 @@ func (p *variableWindow) Restore(src []byte) error {
 	p.lastMem = lastMem
 	p.havePrev = havePrev
 	p.last = last
-	p.phases = p.phases[:0]
-	for _, b := range phaseBytes {
-		p.phases = append(p.phases, phase.ID(b))
-	}
+	p.votes.loadIDs(phaseBytes)
 	return nil
 }
 

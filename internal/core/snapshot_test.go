@@ -1,7 +1,14 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"phasemon/internal/phase"
@@ -267,6 +274,145 @@ func TestSnapshotGeometryMismatch(t *testing.T) {
 			}
 			if err := dst.Restore(src.Snapshot(nil)); err == nil {
 				t.Errorf("restoring %q state into %q succeeded", pair[0], pair[1])
+			}
+		})
+	}
+}
+
+// TestFixWindowSnapshotModeMismatch: each fixwindow mode keeps at most
+// one window — majority the phase IDs, mean the Mem/Uop values, EMA
+// neither — so Snapshot never writes a window its mode does not use.
+// A snapshot that carries one anyway (here, a real snapshot with its
+// mode byte rewritten to the receiver's) must be rejected, and the
+// receiver left unchanged.
+func TestFixWindowSnapshotModeMismatch(t *testing.T) {
+	env := snapshotEnv()
+	const modeByte = 2 // after [tag][ver]
+	cases := []struct{ src, dst string }{
+		{"fixwindow_16", "fixwindow_16_mean"},
+		{"fixwindow_16", "fixwindow_16_ema"},
+		{"fixwindow_16_mean", "fixwindow_16"},
+		{"fixwindow_16_mean", "fixwindow_16_ema"},
+	}
+	for _, c := range cases {
+		t.Run(c.src+"->"+c.dst, func(t *testing.T) {
+			src, err := NewPredictorFromSpec(c.src, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := NewPredictorFromSpec(c.dst, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range snapshotStimulus(100) {
+				src.Observe(o)
+				dst.Observe(o)
+			}
+			before := dst.Snapshot(nil)
+			bad := src.Snapshot(nil)
+			bad[modeByte] = before[modeByte]
+			if err := dst.Restore(bad); !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("Restore of a %s window into %s: err = %v, want ErrSnapshot", c.src, c.dst, err)
+			}
+			if !bytes.Equal(dst.Snapshot(nil), before) {
+				t.Error("rejected Restore changed the receiver")
+			}
+		})
+	}
+}
+
+// windowGoldenStimulus is the seeded stream behind the window snapshot
+// golden: sticky phase runs whose Mem/Uop jitters within and jumps
+// between runs, so majority windows see ties and varwindows see both
+// flushes and kept history.
+func windowGoldenStimulus(n int) []Observation {
+	rng := rand.New(rand.NewSource(14))
+	cls := phase.Default()
+	out := make([]Observation, 0, n)
+	for len(out) < n {
+		base := rng.Float64() * 0.04
+		for run := 1 + rng.Intn(12); run > 0 && len(out) < n; run-- {
+			mem := base + (rng.Float64()-0.5)*0.004
+			out = append(out, Observation{
+				Sample: phase.Sample{MemPerUop: mem, UPC: 1.1},
+				Phase:  cls.Classify(phase.Sample{MemPerUop: mem}),
+			})
+		}
+	}
+	return out
+}
+
+// readWindowGolden parses testdata/window_snapshots.golden into
+// spec -> snapshot bytes.
+func readWindowGolden(t *testing.T) map[string][]byte {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "window_snapshots.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden := map[string][]byte{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		spec, hx, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("golden line %q is not \"spec hex\"", line)
+		}
+		b, err := hex.DecodeString(hx)
+		if err != nil {
+			t.Fatalf("golden %s: %v", spec, err)
+		}
+		golden[spec] = b
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
+// TestWindowSnapshotGolden pins the version-1 window snapshot layout:
+// for every fixwindow and varwindow spec in snapshotSpecs, the bytes
+// after a seeded stream equal the committed golden, and the golden
+// bytes restore into a fresh predictor that continues bit-identically
+// with an uninterrupted run.
+func TestWindowSnapshotGolden(t *testing.T) {
+	golden := readWindowGolden(t)
+	stim := windowGoldenStimulus(400)
+	for _, spec := range snapshotSpecs {
+		if !strings.HasPrefix(spec, "fixwindow") && !strings.HasPrefix(spec, "varwindow") {
+			continue
+		}
+		t.Run(spec, func(t *testing.T) {
+			want, ok := golden[spec]
+			if !ok {
+				t.Fatalf("no golden snapshot for %s", spec)
+			}
+			orig, err := NewPredictorFromSpec(spec, snapshotEnv())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range stim[:300] {
+				orig.Observe(o)
+			}
+			if got := orig.Snapshot(nil); !bytes.Equal(got, want) {
+				t.Fatalf("snapshot drifted from golden:\n got %x\nwant %x", got, want)
+			}
+			resumed, err := NewPredictorFromSpec(spec, snapshotEnv())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Restore(want); err != nil {
+				t.Fatalf("Restore golden: %v", err)
+			}
+			for i, o := range stim[300:] {
+				if a, b := orig.Observe(o), resumed.Observe(o); a != b {
+					t.Fatalf("step %d after restoring the golden diverged: uninterrupted %v, resumed %v", i, a, b)
+				}
 			}
 		})
 	}

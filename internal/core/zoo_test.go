@@ -164,14 +164,18 @@ func TestLinRegWindowBounds(t *testing.T) {
 	}
 }
 
+// windowSpecs are the window predictors' Observe witnesses: majority
+// at both paper sizes, the mean mode, and a varwindow that flushes.
+var windowSpecs = []string{"fixwindow_8", "fixwindow_128", "fixwindow_16_mean", "varwindow_128_0.005"}
+
 // TestZooObserveZeroAlloc is the hot-path memory contract for every
-// zoo family: after warm-up, Observe performs zero heap allocations.
-// This is the AllocsPerRun witness behind each family's
-// //lint:hotpath annotation.
+// zoo family and the window predictors: after warm-up, Observe
+// performs zero heap allocations. This is the AllocsPerRun witness
+// behind each family's //lint:hotpath annotation.
 func TestZooObserveZeroAlloc(t *testing.T) {
 	env := SpecEnv{Classifier: phase.Default()}
 	stim := zooStimulus(1024)
-	for _, spec := range zooSpecs {
+	for _, spec := range append(windowSpecs, zooSpecs...) {
 		t.Run(spec, func(t *testing.T) {
 			p, err := NewPredictorFromSpec(spec, env)
 			if err != nil {
@@ -223,7 +227,7 @@ func TestZooSnapshotZeroAlloc(t *testing.T) {
 // set: allocs/op is the CI gate (0 everywhere), ns/op ranks the
 // per-interval cost each brain adds to the PMI path.
 func BenchmarkPredictorObserve(b *testing.B) {
-	specs := append([]string{"lastvalue", "gpht_8_128", "fixwindow_128", "duration"}, zooSpecs...)
+	specs := append([]string{"lastvalue", "gpht_8_128", "fixwindow_8", "fixwindow_128", "varwindow_128_0.005", "duration"}, zooSpecs...)
 	env := SpecEnv{Classifier: phase.Default()}
 	stim := zooStimulus(4096)
 	for _, spec := range specs {
