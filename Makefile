@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint fleet-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint perfbench-check fleet-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -30,6 +30,12 @@ else ifneq ($(CI),)
 else
 	@echo "staticcheck not found; skipping (CI runs $(STATICCHECK_VERSION))"
 endif
+
+# perfbench is a module of its own (replace phasemon => ../), so the
+# root `go build ./...` never compiles it: an API break there would go
+# unnoticed until a benchmark run. Vet and test it against this tree.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The fleet engine's determinism contract (bit-identical results at
 # any worker count) is the most concurrency-sensitive surface in the
@@ -55,12 +61,12 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/core || exit 1; \
 	done
 
-# The strict gate: lint, the fleet determinism suite, a short fuzzing
-# pass, the full suite under the race detector, then a live
-# client/server smoke over real sockets. The telemetry hot paths are
+# The strict gate: lint, the benchmark module's build and tests, the
+# fleet determinism suite, a short fuzzing pass, the full suite under
+# the race detector, then a live client/server smoke over real sockets. The telemetry hot paths are
 # lock-free atomics shared with HTTP readers, so -race is part of the
 # default bar, not an extra.
-check: lint fleet-race fuzz-smoke
+check: lint perfbench-check fleet-race fuzz-smoke
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
 	$(MAKE) tournament-smoke

@@ -50,8 +50,8 @@ func main() {
 		nodeID       = flag.Uint64("node-id", 0, "node id stamped on emitted Rollup frames")
 		rollupBucket = flag.Duration("rollup-bucket", 0, "rollup time-bucket length (0 = default 1s)")
 		rollupFlush  = flag.Duration("rollup-flush", 0, "rollup flusher period (0 = default 1s)")
-		flushIvl     = flag.Duration("flush-interval", 0, "batched-connection reply coalescing latency bound (0 = default 500µs, negative = flush every prediction)")
-		flushBytes   = flag.Int("flush-bytes", 0, "batched-connection reply coalescing size threshold (0 = default 32KiB)")
+		flushIvl     = flag.Duration("flush-interval", 0, "longest a buffered reply waits while other samples on its connection are in flight; with none in flight it is sent at once (0 = default 500µs)")
+		flushBytes   = flag.Int("flush-bytes", 0, "reply coalescing size threshold (0 = default 32KiB)")
 	)
 	flag.Parse()
 	cfg := phased.Config{

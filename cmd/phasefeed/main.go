@@ -16,10 +16,10 @@
 // unprocessed interval — and -check still demands bit-identity across
 // the migration, making phasefeed the live rolling-restart harness.
 //
-// With -batch N the nodes negotiate the batched wire protocol
-// (wire.FlagBatch): samples pack N to a frame and the server coalesces
-// its prediction replies. The prediction stream is bit-identical
-// either way, so -check composes with -batch.
+// With -batch N each node packs its samples N to a Batch frame (by
+// default every sample is sent at once, as a batch of one); the server
+// coalesces its prediction replies either way. The prediction stream
+// is bit-identical at any batch size, so -check composes with -batch.
 //
 // With -open the harness switches from windowed lockstep to a true
 // open-loop load generator: nodes stream at the -target aggregate rate
@@ -70,8 +70,8 @@ func main() {
 		check     = flag.Bool("check", true, "verify streamed predictions are bit-identical to the local run")
 		resume    = flag.Bool("resume", false, "open resumable sessions and ride out server drains via snapshot/resume")
 		timeout   = flag.Duration("timeout", 60*time.Second, "overall run deadline")
-		batch     = flag.Int("batch", 0, "samples per batch frame (0 or 1 = per-frame wire protocol)")
-		flush     = flag.Duration("flush", 0, "batch flush latency bound (0 = client default 500us)")
+		batch     = flag.Int("batch", 0, "samples per batch frame (0 or 1 = send each sample at once, as a batch of one)")
+		flush     = flag.Duration("flush", 0, "longest a partly filled batch waits before it is sent (0 = client default 500us)")
 		open      = flag.Bool("open", false, "open-loop mode: no send window; report achieved rate, shed count, reply latency")
 		target    = flag.Float64("target", 0, "open-loop aggregate samples/sec across all nodes (0 = full speed)")
 	)

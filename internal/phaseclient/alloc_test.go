@@ -1,7 +1,10 @@
 package phaseclient
 
 import (
+	"fmt"
+	"net"
 	"testing"
+	"time"
 
 	"phasemon/internal/wire"
 )
@@ -24,8 +27,8 @@ func (r *replayReader) Read(p []byte) (int, error) {
 
 // TestDemuxZeroAlloc proves the client's frame demux — stream decode,
 // payload parse, route to the session's channel — allocates nothing in
-// steady state, for both the per-sample Prediction path and the
-// per-bucket Rollup path. The decoder's frame buffer and the session
+// steady state, for both the prediction Batch path (here a batch of
+// one) and the per-bucket Rollup path. The decoder's frame buffer and the session
 // channels are the only storage, and both are reused across frames.
 func TestDemuxZeroAlloc(t *testing.T) {
 	c := New(Config{Addr: "127.0.0.1:0", Window: 1})
@@ -46,7 +49,10 @@ func TestDemuxZeroAlloc(t *testing.T) {
 
 	p := wire.Prediction{SessionID: 7, Seq: 1, Actual: 2, Next: 3, Class: 1, Setting: 2}
 	r := wire.Rollup{NodeID: 42, Shard: 1, BucketStart: 1e9, BucketLenNs: 1e9}
-	frames := wire.AppendPrediction(nil, &p)
+	frames, err := wire.AppendBatchPredictions(nil, []wire.Prediction{p})
+	if err != nil {
+		t.Fatal(err)
+	}
 	frames = wire.AppendRollup(frames, &r)
 	dec := wire.NewDecoder(&replayReader{frames: frames})
 
@@ -69,5 +75,47 @@ func TestDemuxZeroAlloc(t *testing.T) {
 
 	if n := testing.AllocsPerRun(1000, step); n != 0 {
 		t.Errorf("demux allocs/op = %v, want 0", n)
+	}
+}
+
+// discardConn is a net.Conn that swallows writes: Send's flush path
+// runs for real with no peer.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)        { return len(p), nil }
+func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
+func (discardConn) Close() error                       { return nil }
+
+// TestSendZeroAlloc is Session.Send's steady-state allocation witness:
+// buffering a sample, arming the flush timer, and writing the batch
+// must not allocate, whether every Send flushes (BatchSize 1) or one
+// in 64 does.
+func TestSendZeroAlloc(t *testing.T) {
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			// The hour-long interval keeps the timer armed but silent, so
+			// its callback never runs inside AllocsPerRun's accounting.
+			c := New(Config{Addr: "127.0.0.1:0", BatchSize: batch, FlushInterval: time.Hour})
+			defer c.Close()
+			s := &Session{c: c, id: 7, done: make(chan struct{})}
+			c.mu.Lock()
+			c.conn = discardConn{}
+			c.sessions[s.id] = s
+			c.mu.Unlock()
+
+			smp := wire.Sample{Uops: 1e8, MemTx: 42, Cycles: 9e7}
+			send := func() {
+				for i := 0; i < 64; i++ {
+					smp.Seq++
+					if err := s.Send(smp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			send() // warm the pending slice and encode buffer
+			if n := testing.AllocsPerRun(200, send); n != 0 {
+				t.Errorf("Send allocs per 64 samples = %v, want 0", n)
+			}
+		})
 	}
 }

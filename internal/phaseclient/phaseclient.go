@@ -4,7 +4,8 @@
 // session a simple Send/Recv/Drain surface. A monitored node embeds a
 // Client, opens a session naming its predictor spec, and streams one
 // Sample per sampling interval; predictions come back asynchronously
-// so the node can pipeline sends ahead of receives.
+// so the node can pipeline sends ahead of receives. Samples travel in
+// wire.KindBatch frames of up to Config.BatchSize samples each.
 //
 // The client reconnects between sessions, not within one: a dropped
 // connection fails every open session with ErrDisconnected (the
@@ -85,24 +86,17 @@ type Config struct {
 	// Window is each session's prediction receive buffer (frames the
 	// reader can stay ahead of Recv). Zero selects 1024.
 	Window int
-	// BatchSize enables sample batching when above 1: Send buffers
-	// samples and writes one wire.KindBatch frame per BatchSize
-	// samples — or sooner, when FlushInterval expires or a control
-	// frame needs the wire. The client asks for wire.FlagBatch in its
-	// Hello and batches only after the server's Ack echoes the flag,
-	// so v1 servers keep seeing per-frame samples. Values above
-	// wire.MaxBatchSamples are clamped; 0 or 1 means per-frame sends
-	// (OpenBatched then batches at DefaultBatchSize).
+	// BatchSize is the number of samples Send packs into one
+	// wire.KindBatch frame: the batch is written when it reaches
+	// BatchSize samples — or sooner, when FlushInterval expires or a
+	// control frame needs the wire. Values above wire.MaxBatchSamples
+	// are clamped; 0 or 1 writes every sample at once, as a batch of
+	// one.
 	BatchSize int
 	// FlushInterval bounds how long a buffered sample may wait before
-	// its batch flushes. Zero selects 500µs; negative flushes on
-	// every Send (batch framing without added latency).
+	// its batch flushes. Non-positive selects 500µs.
 	FlushInterval time.Duration
 }
-
-// DefaultBatchSize is the samples-per-batch threshold used by a
-// batching session when Config.BatchSize does not name one.
-const DefaultBatchSize = 64
 
 func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
@@ -120,10 +114,13 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 1024
 	}
+	if c.BatchSize < 1 {
+		c.BatchSize = 1
+	}
 	if c.BatchSize > wire.MaxBatchSamples {
 		c.BatchSize = wire.MaxBatchSamples
 	}
-	if c.FlushInterval == 0 {
+	if c.FlushInterval <= 0 {
 		c.FlushInterval = 500 * time.Microsecond
 	}
 	return c
@@ -135,10 +132,6 @@ func (c Config) withDefaults() Config {
 type Client struct {
 	cfg Config
 
-	// batchLimit is the effective samples-per-batch flush threshold,
-	// fixed at construction.
-	batchLimit int
-
 	mu       sync.Mutex
 	conn     net.Conn            // guarded by mu
 	wbuf     []byte              // guarded by mu
@@ -146,15 +139,11 @@ type Client struct {
 	closed   bool                // guarded by mu
 	rng      *rand.Rand          // guarded by mu
 
-	// Sample-batching state. batched flips on when an Ack echoes
-	// wire.FlagBatch for the current connection and off at teardown;
 	// pend holds buffered samples awaiting the size threshold, the
-	// flush timer, or a control write. wantBatch records that some
-	// session negotiated batching, so Resume re-asks for it.
-	batched   bool          // guarded by mu
-	wantBatch bool          // guarded by mu
+	// flush timer, or a control write.
 	pend      []wire.Sample // guarded by mu
 	pendTimer *time.Timer   // guarded by mu; fires flushExpired
+	pendArmed bool          // guarded by mu; pendTimer is running
 
 	// Rollup frames carry a node id, not a session id, so the reader
 	// routes them to the connection's single subscription rather than
@@ -165,20 +154,18 @@ type Client struct {
 
 // New builds a client; no connection is made until the first Open.
 func New(cfg Config) *Client {
-	cfg = cfg.withDefaults()
-	limit := cfg.BatchSize
-	if limit <= 1 {
-		limit = DefaultBatchSize
-	}
-	return &Client{
-		cfg:        cfg,
-		batchLimit: limit,
-		sessions:   make(map[uint64]*Session),
+	c := &Client{
+		cfg:      cfg.withDefaults(),
+		sessions: make(map[uint64]*Session),
 		// Jitter decorrelates a fleet of reconnecting clients; it has
 		// no bearing on prediction determinism, which lives entirely
 		// server-side.
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	// Created stopped: Send only ever Resets it.
+	c.pendTimer = time.AfterFunc(time.Hour, c.flushExpired)
+	c.pendTimer.Stop()
+	return c
 }
 
 // Session is one open prediction stream.
@@ -241,25 +228,7 @@ func (c *Client) OpenResumable(ctx context.Context, id uint64, spec string, gran
 	return c.open(ctx, id, spec, granularityUops, wire.FlagSnapshot)
 }
 
-// OpenBatched is Open with wire.FlagBatch set: once the server's Ack
-// echoes the flag, Send packs samples into batch frames (Config.
-// BatchSize per frame, DefaultBatchSize when unset) and the server
-// coalesces its prediction replies the same way. The prediction
-// stream is bit-identical to an unbatched session's; only the framing
-// and syscall count change.
-func (c *Client) OpenBatched(ctx context.Context, id uint64, spec string, granularityUops uint64) (sess *Session, numPhases int, err error) {
-	return c.open(ctx, id, spec, granularityUops, wire.FlagBatch)
-}
-
 func (c *Client) open(ctx context.Context, id uint64, spec string, granularityUops uint64, flags uint16) (*Session, int, error) {
-	if c.cfg.BatchSize > 1 {
-		flags |= wire.FlagBatch
-	}
-	if flags&wire.FlagBatch != 0 {
-		c.mu.Lock()
-		c.wantBatch = true
-		c.mu.Unlock()
-	}
 	s, err := c.handshake(ctx, id, granularityUops, func(b []byte) ([]byte, error) {
 		return wire.AppendHello(b, &wire.Hello{
 			SessionID:       id,
@@ -281,18 +250,11 @@ func (c *Client) open(ctx context.Context, id uint64, spec string, granularityUo
 // happened, including on a different node or worker layout. The
 // resumed session is itself resumable on the next drain.
 func (c *Client) Resume(ctx context.Context, snap SessionSnapshot) (sess *Session, numPhases int, err error) {
-	flags := uint16(wire.FlagSnapshot)
-	c.mu.Lock()
-	if c.wantBatch || c.cfg.BatchSize > 1 {
-		c.wantBatch = true
-		flags |= wire.FlagBatch
-	}
-	c.mu.Unlock()
 	s, err := c.handshake(ctx, snap.SessionID, snap.GranularityUops, func(b []byte) ([]byte, error) {
 		return wire.AppendRestore(b, &wire.Restore{
 			SessionID:       snap.SessionID,
 			GranularityUops: snap.GranularityUops,
-			Flags:           flags,
+			Flags:           wire.FlagSnapshot,
 			LastSeq:         snap.LastSeq,
 			Processed:       snap.Processed,
 			Dropped:         snap.Dropped,
@@ -364,9 +326,22 @@ func (c *Client) awaitAck(ctx context.Context, s *Session) (*Session, int, error
 	select {
 	case ack := <-s.acks:
 		return s, int(ack.NumPhases), nil
-	case rerr := <-s.errs:
+	case <-s.done:
+		// The reader handles frames in order, so an Ack that came before
+		// the failure is already buffered: the session opened, and Recv
+		// reports the failure that followed.
+		select {
+		case ack := <-s.acks:
+			return s, int(ack.NumPhases), nil
+		default:
+		}
 		c.forget(s)
-		return nil, 0, rerr
+		select {
+		case rerr := <-s.errs:
+			return nil, 0, rerr
+		default:
+			return nil, 0, ErrDisconnected
+		}
 	case <-ctx.Done():
 		c.forget(s)
 		return nil, 0, ctx.Err()
@@ -381,9 +356,9 @@ func (c *Client) dialLocked(ctx context.Context) (net.Conn, error) {
 	for attempt := 1; ; attempt++ {
 		conn, err := d.DialContext(ctx, "tcp", c.cfg.Addr)
 		if err == nil {
-			// The batching path coalesces explicitly under FlushInterval;
-			// Nagle's algorithm would stack a second, unaccounted delay
-			// on top of it (and on every per-frame send).
+			// Send coalesces explicitly under FlushInterval; Nagle's
+			// algorithm would stack a second, unaccounted delay on top
+			// of it (and on every batch of one).
 			if tc, ok := conn.(*net.TCPConn); ok {
 				_ = tc.SetNoDelay(true)
 			}
@@ -434,14 +409,15 @@ func (c *Client) writeLocked(encode func([]byte) []byte) error {
 
 // flushPendLocked writes the buffered sample batch as one KindBatch
 // frame under the write deadline; callers hold c.mu. A write failure
-// tears the connection down, exactly as a per-frame send would.
+// tears the connection down, exactly as a control write's would.
 //
 //lint:hotpath
 func (c *Client) flushPendLocked() error {
 	if len(c.pend) == 0 || c.conn == nil {
 		return nil
 	}
-	if c.pendTimer != nil {
+	if c.pendArmed {
+		c.pendArmed = false
 		c.pendTimer.Stop()
 	}
 	buf, err := wire.AppendBatchSamples(c.wbuf[:0], c.pend)
@@ -468,6 +444,7 @@ func (c *Client) flushPendLocked() error {
 // connection down inside flushPendLocked.
 func (c *Client) flushExpired() {
 	c.mu.Lock()
+	c.pendArmed = false
 	_ = c.flushPendLocked()
 	c.mu.Unlock()
 }
@@ -501,31 +478,10 @@ func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool 
 	case wire.KindAck:
 		var a wire.Ack
 		if wire.DecodeAck(payload, &a) == nil {
-			// The batch flag must be live before the Ack is delivered:
-			// the opener's first Send races this frame, and a sample
-			// sent per-frame after a batched Ack is legal while the
-			// reverse (batch frame before negotiation) is not.
-			if a.Flags&wire.FlagBatch != 0 {
-				c.mu.Lock()
-				if c.conn == conn {
-					c.batched = true
-				}
-				c.mu.Unlock()
-			}
 			if s := c.lookup(a.SessionID); s != nil {
 				select {
 				case s.acks <- a:
 				default:
-				}
-			}
-		}
-	case wire.KindPrediction:
-		var p wire.Prediction
-		if wire.DecodePrediction(payload, &p) == nil {
-			if s := c.lookup(p.SessionID); s != nil {
-				select {
-				case s.preds <- p:
-				case <-s.done:
 				}
 			}
 		}
@@ -557,6 +513,11 @@ func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool 
 		if wire.DecodeError(payload, &e) == nil {
 			serr := &ServerError{Code: e.Code, SessionID: e.SessionID, Msg: string(e.Msg)}
 			if s := c.lookup(e.SessionID); s != nil {
+				// A session-scoped error is terminal for that session on
+				// the server; unregister it so the same id can be
+				// reopened or resumed on this client — before failing
+				// it, so a caller woken by the error finds the id free.
+				c.forget(s)
 				// A server error landing after the session's snapshot
 				// (e.g. unknown-session for a sample sent while the
 				// server was draining it) still ends a resumable stream:
@@ -567,10 +528,6 @@ func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool 
 				} else {
 					s.fail(serr)
 				}
-				// A session-scoped error is terminal for that session on
-				// the server; unregister it so the same id can be
-				// reopened or resumed on this client.
-				c.forget(s)
 			}
 		}
 	case wire.KindSnapshot:
@@ -612,9 +569,9 @@ func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool 
 				}
 			}
 		}
-	case wire.KindHello, wire.KindSample, wire.KindRestore, wire.KindInvalid:
-		// Client-to-server kinds (or the unreachable zero kind)
-		// coming back mean a broken peer; drop the connection.
+	case wire.KindHello, wire.KindSample, wire.KindPrediction, wire.KindRestore, wire.KindInvalid:
+		// Client-to-server kinds, predictions outside a Batch, or the
+		// unreachable zero kind mean a broken peer; drop the connection.
 		c.mu.Lock()
 		if c.conn == conn {
 			c.teardownLocked(fmt.Errorf("phaseclient: unexpected %v frame from server", kind))
@@ -639,12 +596,11 @@ func (c *Client) teardownLocked(cause error) {
 		_ = c.conn.Close()
 		c.conn = nil
 	}
-	// Batching is per-connection state: buffered samples die with the
-	// conn (their sessions are failing below), and the next connection
-	// renegotiates from scratch.
+	// Buffered samples die with the conn (their sessions are failing
+	// below).
 	c.pend = c.pend[:0]
-	c.batched = false
-	if c.pendTimer != nil {
+	if c.pendArmed {
+		c.pendArmed = false
 		c.pendTimer.Stop()
 	}
 	err := ErrDisconnected
@@ -707,44 +663,27 @@ func (s *Session) fail(err error) {
 }
 
 // Send streams one sample. The session id is stamped by the client.
-// On a connection that negotiated batching, the sample is buffered
-// and flushed with its batch (size threshold, FlushInterval, or the
-// next control frame — whichever comes first); otherwise it is
-// written as its own frame immediately.
+// The sample is buffered and flushed with its batch: at once when the
+// batch reaches Config.BatchSize, otherwise on FlushInterval or the
+// next control frame, whichever comes first.
+//
+//lint:hotpath
 func (s *Session) Send(smp wire.Sample) error {
 	smp.SessionID = s.id
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	if s.c.sessions[s.id] != s {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sessions[s.id] != s || c.conn == nil {
 		return ErrDisconnected
 	}
-	if s.c.batched {
-		return s.c.sendBatchedLocked(&smp)
-	}
-	return s.c.writeLocked(func(b []byte) []byte { return wire.AppendSample(b, &smp) })
-}
-
-// sendBatchedLocked buffers one sample toward the next batch flush;
-// callers hold c.mu. The flush timer is created stopped, once, on the
-// first batched send of the client's lifetime; afterwards the path is
-// append, compare, and (on a fresh batch) one timer Reset.
-func (c *Client) sendBatchedLocked(smp *wire.Sample) error {
-	if c.conn == nil {
-		return ErrDisconnected
-	}
-	c.pend = append(c.pend, *smp)
-	if len(c.pend) == 1 {
-		if c.pendTimer == nil {
-			t := time.AfterFunc(time.Hour, c.flushExpired)
-			t.Stop()
-			c.pendTimer = t
-		}
-		if iv := c.cfg.FlushInterval; iv > 0 {
-			c.pendTimer.Reset(iv)
-		}
-	}
-	if len(c.pend) >= c.batchLimit || c.cfg.FlushInterval < 0 {
+	c.pend = append(c.pend, smp)
+	if len(c.pend) >= c.cfg.BatchSize {
 		return c.flushPendLocked()
+	}
+	// The batch stays pending: bound its wait.
+	if !c.pendArmed {
+		c.pendArmed = true
+		c.pendTimer.Reset(c.cfg.FlushInterval)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func TestSessionScopedErrorFreesID(t *testing.T) {
 
 	const id = 5
 	srvErr := make(chan error, 1)
-	go func() { srvErr <- scriptedDrainServer(ln, id) }()
+	go func() { srvErr <- scriptedDrainServer(t, ln, id) }()
 
 	cl := New(Config{Addr: ln.Addr().String(), MaxAttempts: 2})
 	defer cl.Close()
@@ -70,13 +70,15 @@ func TestSessionScopedErrorFreesID(t *testing.T) {
 // scriptedDrainServer speaks just enough wire protocol for the test:
 // Ack the resumable Hello, hand back a Snapshot, fail the session with
 // a scoped unknown-session error (the draining-server race), then Ack
-// the Restore that a correct client sends next.
-func scriptedDrainServer(ln net.Listener, id uint64) error {
+// the Restore that a correct client sends next. The connection stays
+// open until the test ends: closing it right after the last Ack would
+// race the client's delivery of that Ack against its EOF teardown.
+func scriptedDrainServer(t *testing.T, ln net.Listener, id uint64) error {
 	conn, err := ln.Accept()
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
+	t.Cleanup(func() { _ = conn.Close() })
 	dec := wire.NewDecoder(conn)
 
 	kind, payload, err := dec.Next()

@@ -14,11 +14,10 @@ import (
 )
 
 // TestBatchedBitIdentityMixedClients streams the same workload through
-// one batched and one unbatched client concurrently, against one
-// server: both prediction streams must be bit-identical to the local
-// governed run. This is the batching tentpole's contract — FlagBatch
-// changes framing and write scheduling, never results — plus the
-// mixed-fleet reality that old and new clients share a server.
+// a client sending batches of one and a client sending batches of 64
+// concurrently, against one server: both prediction streams must be
+// bit-identical to the local governed run. Batch size changes framing
+// and write scheduling, never results.
 func TestBatchedBitIdentityMixedClients(t *testing.T) {
 	const spec = "gpht_8_128"
 	want := localRun(t, spec, "mcf_inp", 600)
@@ -73,7 +72,7 @@ func TestBatchedBitIdentityMixedClients(t *testing.T) {
 	for _, c := range []struct {
 		id    uint64
 		batch int
-	}{{1, 64}, {2, 0}} {
+	}{{1, 64}, {2, 1}} {
 		wg.Add(1)
 		go func(id uint64, batch int) {
 			defer wg.Done()
@@ -86,7 +85,7 @@ func TestBatchedBitIdentityMixedClients(t *testing.T) {
 		t.Errorf("protocol errors = %d, want 0", n)
 	}
 	if n := hub.PhasedFlushes.Value(); n == 0 {
-		t.Error("coalescer flush counter = 0 after a batched session; batching never engaged")
+		t.Error("coalescer flush counter = 0 after two sessions; replies never went through it")
 	}
 }
 
@@ -94,7 +93,7 @@ func TestBatchedBitIdentityMixedClients(t *testing.T) {
 // batching on both sides of the drain: a batched resumable session
 // streams half the workload, the server is killed, and a batched client
 // resumes from the snapshot on a fresh server — the stitched stream
-// must stay bit-identical, with coalescing re-negotiated on Restore.
+// must stay bit-identical.
 func TestBatchedDrainResumeMigration(t *testing.T) {
 	const spec = "gpht_8_128"
 	want := localRun(t, spec, "mcf_inp", 400)
@@ -176,7 +175,7 @@ func TestBatchedDrainResumeMigration(t *testing.T) {
 		t.Fatalf("server B protocol errors = %d, want 0", n)
 	}
 	if n := hubB.PhasedFlushes.Value(); n == 0 {
-		t.Fatal("server B never coalesced; Restore lost the batch negotiation")
+		t.Fatal("server B never flushed a reply batch")
 	}
 }
 
@@ -189,9 +188,10 @@ func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
 func (discardConn) Close() error                       { return nil }
 
 // TestCoalescerFlushZeroAlloc is the steady-state allocation witness
-// for the server's write coalescer: once enableBatch has sized the
-// buffers, buffering predictions and flushing full batches — encode,
-// writev, telemetry — must not allocate.
+// for the server's write coalescer: with the buffers newServerConn
+// sized, buffering predictions and flushing batches — full ones on the
+// size threshold, partial ones when settle retires the last in-flight
+// sample; encode, writev, telemetry — must not allocate.
 func TestCoalescerFlushZeroAlloc(t *testing.T) {
 	hub := telemetry.NewHub(6)
 	srv, err := New(Config{
@@ -205,24 +205,30 @@ func TestCoalescerFlushZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &serverConn{srv: srv, c: discardConn{}}
-	sc.enableBatch()
+	sc := newServerConn(srv, discardConn{})
 
 	p := wire.Prediction{SessionID: 9, Seq: 1, Actual: 2, Next: 3, Class: 1, Setting: 4}
+	fills := 0
 	fill := func() {
-		for i := 0; i < srv.flushThreshold; i++ {
+		fills++
+		n := srv.flushThreshold + 3
+		sc.inflight.Add(int64(n))
+		for i := 0; i < n; i++ {
 			p.Seq++
 			if err := sc.writePrediction(&p); err != nil {
 				t.Fatalf("writePrediction: %v", err)
 			}
+		}
+		if err := sc.settle(n); err != nil {
+			t.Fatalf("settle: %v", err)
 		}
 	}
 	fill() // warm up lazily-grown internals
 	if got := testing.AllocsPerRun(200, fill); got != 0 {
 		t.Fatalf("coalescer buffer+flush allocates %v times per full batch, want 0", got)
 	}
-	if n := hub.PhasedFlushes.Value(); n == 0 {
-		t.Fatal("flush counter did not move; the threshold path never flushed")
+	if n, want := hub.PhasedFlushes.Value(), uint64(2*fills); n != want {
+		t.Fatalf("flush counter = %d, want %d: a threshold and a settle flush per fill", n, want)
 	}
 }
 
@@ -236,7 +242,7 @@ func BenchmarkSamplesPerSecPerCore(b *testing.B) {
 		name  string
 		batch int
 	}{
-		{"perframe", 0},
+		{"batch1", 1},
 		{"batched", wire.MaxBatchSamples},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -288,7 +294,7 @@ func BenchmarkSamplesPerSecPerCore(b *testing.B) {
 				<-done
 			}
 
-			stream(2000) // warm the path: buffers sized, batch negotiated
+			stream(2000) // warm the path: buffers sized
 			b.ReportAllocs()
 			b.ResetTimer()
 			stream(b.N)

@@ -3,6 +3,7 @@ package phased
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"phasemon/internal/wire"
@@ -14,10 +15,10 @@ import (
 // reused across frames so the steady-state write path allocates
 // nothing.
 //
-// On a connection that negotiated FlagBatch, predictions are not
-// written one frame at a time: they accumulate in preds and flush as
-// one KindBatch frame when the batch reaches the server's size
-// threshold, when the FlushInterval timer expires, or when a control
+// Predictions are never written one frame at a time: they accumulate
+// in preds and flush as one KindBatch frame when the batch reaches the
+// server's size threshold, when the connection has no sample left in
+// flight, when the FlushInterval timer expires, or when a control
 // frame (Ack, Drain, Snapshot, Error, Rollup) needs the wire — the
 // control write first flushes the pending batch in the same writev,
 // so frame order on the wire matches write order. TCP_NODELAY is set
@@ -28,26 +29,50 @@ type serverConn struct {
 	srv *Server
 	c   net.Conn
 
+	// inflight counts the samples the reader has taken off the wire
+	// that are not yet settled: answered into preds, shed, or dropped.
+	// When it reaches zero no worker is about to add to the pending
+	// batch, so waiting for the timer would only add latency (see
+	// settle).
+	inflight atomic.Int64
+
 	wmu sync.Mutex
 	// wbuf holds the pending control frame.
 	wbuf []byte // guarded by wmu
 
 	// Write coalescer state, all under wmu. The buffers are allocated
-	// once in enableBatch (cold) and reused by every flush; preds is
-	// the pending reply batch, bbuf its frame encode buffer, vecs the
-	// reusable writev vector, firstPendNs when preds[0] was buffered.
-	batched     bool              // guarded by wmu
+	// once in newServerConn and reused by every flush; preds is the
+	// pending reply batch, bbuf its frame encode buffer, vecs the
+	// reusable writev vector, firstPendNs when preds[0] was buffered,
+	// armed whether flushTimer is running.
 	preds       []wire.Prediction // guarded by wmu
 	bbuf        []byte            // guarded by wmu
 	vecs        net.Buffers       // guarded by wmu
 	wvec        net.Buffers       // guarded by wmu
 	flushTimer  *time.Timer       // guarded by wmu
+	armed       bool              // guarded by wmu
 	firstPendNs int64             // guarded by wmu
 
 	smu      sync.Mutex
 	sessions []*session // guarded by smu
 
 	closeOnce sync.Once
+}
+
+// newServerConn wraps an accepted connection with its coalescer
+// buffers sized off the server's flush threshold. The flush timer is
+// created stopped; the hot path only ever Resets it.
+func newServerConn(srv *Server, c net.Conn) *serverConn {
+	sc := &serverConn{
+		srv:   srv,
+		c:     c,
+		preds: make([]wire.Prediction, 0, srv.flushThreshold),
+		bbuf:  make([]byte, 0, srv.flushThreshold*wire.PredictionRecordSize+wire.BatchOverhead),
+		vecs:  make(net.Buffers, 0, 2),
+	}
+	sc.flushTimer = time.AfterFunc(time.Hour, sc.flushExpired)
+	sc.flushTimer.Stop()
+	return sc
 }
 
 // ipKey is the per-IP accounting key (host without port).
@@ -66,9 +91,7 @@ func (sc *serverConn) close() {
 		// stalled peer.
 		_ = sc.c.Close()
 		sc.wmu.Lock()
-		if sc.flushTimer != nil {
-			sc.flushTimer.Stop()
-		}
+		sc.flushTimer.Stop()
 		sc.wmu.Unlock()
 	})
 }
@@ -100,30 +123,13 @@ func (sc *serverConn) takeSessions() []*session {
 	return out
 }
 
-// enableBatch switches the connection to coalesced reply writes; it
-// runs once, from the Hello/Restore handshake, before any prediction
-// can be pending. The flush timer is created stopped — the hot path
-// only ever Resets it.
-func (sc *serverConn) enableBatch() {
-	sc.wmu.Lock()
-	if !sc.batched {
-		sc.batched = true
-		sc.preds = make([]wire.Prediction, 0, sc.srv.flushThreshold)
-		sc.bbuf = make([]byte, 0, sc.srv.flushThreshold*wire.PredictionRecordSize+wire.BatchOverhead)
-		sc.vecs = make(net.Buffers, 0, 2)
-		t := time.AfterFunc(time.Hour, sc.flushExpired)
-		t.Stop()
-		sc.flushTimer = t
-	}
-	sc.wmu.Unlock()
-}
-
 // flushExpired is the flush timer's callback: the latency bound on a
 // partially filled batch has expired, so write it out now. A write
 // failure tears the connection down exactly as it would on the worker
 // path (dropConn must run outside wmu).
 func (sc *serverConn) flushExpired() {
 	sc.wmu.Lock()
+	sc.armed = false
 	err := sc.flushLocked()
 	sc.wmu.Unlock()
 	if err != nil {
@@ -176,7 +182,10 @@ func (sc *serverConn) flushLocked() error {
 	sc.wbuf = sc.wbuf[:0]
 	if nb > 0 {
 		sc.preds = sc.preds[:0]
-		sc.flushTimer.Stop()
+		if sc.armed {
+			sc.armed = false
+			sc.flushTimer.Stop()
+		}
 		sc.srv.flushes.Inc()
 		sc.srv.flushFrames.Observe(float64(nb))
 		sc.srv.flushSeconds.Observe(float64(time.Now().UnixNano()-sc.firstPendNs) / 1e9)
@@ -191,28 +200,44 @@ func (sc *serverConn) writeAck(a *wire.Ack) error {
 	return sc.flushLocked()
 }
 
-// writePrediction is the worker pool's reply path. Unbatched
-// connections get the v1 behavior: one frame, one write. Batched
-// connections buffer the prediction and flush on the size threshold;
-// the latency bound is the flush timer armed when the batch opens.
+// writePrediction is the worker pool's reply path: it buffers the
+// prediction and flushes only on the size threshold. The other flush
+// triggers run from settle, once the worker has buffered its whole
+// session batch.
 //
 //lint:hotpath
 func (sc *serverConn) writePrediction(p *wire.Prediction) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	if !sc.batched {
-		sc.wbuf = wire.AppendPrediction(sc.wbuf[:0], p)
-		return sc.flushLocked()
-	}
 	sc.preds = append(sc.preds, *p)
 	if len(sc.preds) == 1 {
 		sc.firstPendNs = time.Now().UnixNano()
-		if iv := sc.srv.cfg.FlushInterval; iv > 0 {
-			sc.flushTimer.Reset(iv)
-		}
 	}
-	if len(sc.preds) >= sc.srv.flushThreshold || sc.srv.cfg.FlushInterval < 0 {
+	if len(sc.preds) >= sc.srv.flushThreshold {
 		return sc.flushLocked()
+	}
+	return nil
+}
+
+// settle retires n in-flight samples. If they were the last, no reply
+// this connection owes is still queued or being computed, so the
+// pending batch flushes now: a client sending one sample at a time is
+// answered without waiting out the timer. Otherwise a pending batch
+// arms the FlushInterval timer, which bounds replies held back by
+// other in-flight samples. Arming only after that decision keeps the
+// timer off every batch that flushes at once.
+//
+//lint:hotpath
+func (sc *serverConn) settle(n int) error {
+	left := sc.inflight.Add(-int64(n))
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	if left <= 0 {
+		return sc.flushLocked()
+	}
+	if len(sc.preds) > 0 && !sc.armed {
+		sc.armed = true
+		sc.flushTimer.Reset(sc.srv.cfg.FlushInterval)
 	}
 	return nil
 }

@@ -7,14 +7,15 @@
 // Hello frame naming a predictor spec (core.PredictorSpec grammar,
 // optionally with governor's "mon:" prefix) and the sampling
 // granularity; the server builds that predictor, answers with an Ack,
-// and from then on every Sample frame (raw PMC counters for one
-// interval: uops, memory transactions, cycles, wall time) is answered
-// by a Prediction frame carrying the classified actual phase, the
-// predicted next phase, its phase.Class, and the DVFS setting the
-// paper's Table 2 translation assigns it. The arithmetic feeding the
-// monitor is byte-for-byte the kernel module's, so a streamed session
-// is bit-identical to a local simulated run over the same counters —
-// the property the loopback tests and cmd/phasefeed -check enforce.
+// and from then on every sample (raw PMC counters for one interval:
+// uops, memory transactions, cycles, wall time) is answered by a
+// prediction carrying the classified actual phase, the predicted next
+// phase, its phase.Class, and the DVFS setting the paper's Table 2
+// translation assigns it. Both travel packed in Batch frames; a single
+// sample is a batch of one. The arithmetic feeding the monitor is
+// byte-for-byte the kernel module's, so a streamed session is
+// bit-identical to a local simulated run over the same counters — the
+// property the loopback tests and cmd/phasefeed -check enforce.
 //
 // Scheduling mirrors the fleet engine's determinism discipline:
 // sessions are pinned to a fixed worker pool by FNV-1a hash of the
@@ -69,12 +70,10 @@ type Config struct {
 	// their predictions are disconnected. Zero selects 5s; negative
 	// disables the deadline.
 	WriteTimeout time.Duration
-	// FlushInterval bounds how long a batching connection's write
-	// coalescer may hold a buffered prediction before flushing — the
-	// reply-latency budget batching trades throughput against. Zero
-	// selects 500µs; negative disables coalescing-by-time entirely
-	// (every prediction flushes immediately, still batch-framed).
-	// Connections that never negotiate wire.FlagBatch are unaffected.
+	// FlushInterval bounds how long a connection's write coalescer may
+	// hold a buffered prediction while other samples on the connection
+	// are still in flight; a connection with nothing left in flight
+	// flushes at once. Non-positive selects 500µs.
 	FlushInterval time.Duration
 	// FlushBytes is the coalescer's size threshold: a pending reply
 	// batch whose encoded size reaches it flushes without waiting for
@@ -114,7 +113,7 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 5 * time.Second
 	}
-	if c.FlushInterval == 0 {
+	if c.FlushInterval <= 0 {
 		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.FlushBytes <= 0 {
@@ -277,7 +276,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		if tc, ok := c.(*net.TCPConn); ok {
 			_ = tc.SetNoDelay(true)
 		}
-		sc := &serverConn{srv: s, c: c}
+		sc := newServerConn(s, c)
 		s.mu.Lock()
 		if s.draining || s.closed {
 			s.mu.Unlock()
@@ -475,9 +474,9 @@ func (s *Server) workerFor(id uint64) *worker {
 }
 
 // readLoop is the per-connection reader: it decodes frames and routes
-// them — Hellos to session setup, Samples onto worker queues, Drains
-// to the flush path. Fatal protocol errors answer with an Error frame
-// and close the connection.
+// them — Hellos to session setup, sample Batches onto worker queues,
+// Drains to the flush path. Fatal protocol errors answer with an Error
+// frame and close the connection.
 func (s *Server) readLoop(sc *serverConn) {
 	defer s.connWG.Done()
 	defer s.dropConn(sc)
@@ -486,8 +485,11 @@ func (s *Server) readLoop(sc *serverConn) {
 		kind, payload, err := dec.Next()
 		if err != nil {
 			if errors.Is(err, wire.ErrBadFrame) {
-				s.protoErrs.Inc()
-				_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
+				code := wire.CodeBadFrame
+				if errors.Is(err, wire.ErrBadVersion) {
+					code = wire.CodeVersion
+				}
+				s.protoError(sc, code, 0, err.Error())
 			}
 			return
 		}
@@ -495,10 +497,6 @@ func (s *Server) readLoop(sc *serverConn) {
 		switch kind {
 		case wire.KindHello:
 			if !s.handleHello(sc, payload) {
-				return
-			}
-		case wire.KindSample:
-			if !s.handleSample(sc, payload) {
 				return
 			}
 		case wire.KindBatch:
@@ -513,43 +511,38 @@ func (s *Server) readLoop(sc *serverConn) {
 			if !s.handleRestore(sc, payload) {
 				return
 			}
-		case wire.KindAck, wire.KindPrediction, wire.KindRollup, wire.KindError, wire.KindSnapshot, wire.KindInvalid:
-			// Server-to-client kinds arriving here mean a confused
-			// peer; KindInvalid cannot leave the decoder.
-			s.protoErrs.Inc()
-			_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame,
-				Msg: []byte("unexpected " + kind.String() + " frame")})
+		case wire.KindAck, wire.KindSample, wire.KindPrediction, wire.KindRollup, wire.KindError,
+			wire.KindSnapshot, wire.KindInvalid:
+			// Server-to-client kinds, and samples outside a Batch,
+			// arriving here mean a confused peer; KindInvalid cannot
+			// leave the decoder.
+			s.protoError(sc, wire.CodeBadFrame, 0, "unexpected "+kind.String()+" frame")
 			return
 		default:
-			s.protoErrs.Inc()
-			_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame,
-				Msg: []byte("unknown frame kind")})
+			s.protoError(sc, wire.CodeBadFrame, 0, "unknown frame kind")
 			return
 		}
 	}
 }
 
-// handleHello opens a session: builds the negotiated predictor,
-// registers the session, and answers Ack. It reports whether the
-// connection should stay open.
-func (s *Server) handleHello(sc *serverConn, payload []byte) bool {
-	var h wire.Hello
-	if err := wire.DecodeHello(payload, &h); err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
-		return false
-	}
-	if h.Flags&wire.FlagRollup != 0 {
-		return s.handleRollupHello(sc, &h)
-	}
-	spec := string(h.Spec)
-	spec = strings.TrimPrefix(spec, governor.MonitorPrefix)
-	pred, err := core.NewPredictorFromSpec(spec, core.SpecEnv{Classifier: s.cfg.Classifier})
+// protoError counts a protocol error and answers it with an Error
+// frame; the caller decides whether the connection survives.
+func (s *Server) protoError(sc *serverConn, code wire.ErrorCode, id uint64, msg string) {
+	s.protoErrs.Inc()
+	_ = sc.writeError(&wire.ErrorFrame{Code: code, SessionID: id, Msg: []byte(msg)})
+}
+
+// newSession builds a negotiating session serving spec (core grammar,
+// governor's "mon:" prefix allowed): the one construction path Hello
+// and Restore share, so a restored session is rebuilt exactly as it
+// was first opened. A non-nil r restores the monitor's state and seeds
+// the stream position and accounting from it; a restored session is
+// always re-migratable. A failure returns the Error code to answer.
+func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, r *wire.Restore) (*session, wire.ErrorCode, error) {
+	pred, err := core.NewPredictorFromSpec(strings.TrimPrefix(string(spec), governor.MonitorPrefix),
+		core.SpecEnv{Classifier: s.cfg.Classifier})
 	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: h.SessionID, Msg: []byte(err.Error())})
-		return true // spec rejection is recoverable; the conn survives
+		return nil, wire.CodeBadSpec, err
 	}
 	var opts []core.Option
 	if tel := s.cfg.Telemetry; tel != nil {
@@ -557,55 +550,71 @@ func (s *Server) handleHello(sc *serverConn, payload []byte) bool {
 	}
 	mon, err := core.NewMonitor(s.cfg.Classifier, pred, opts...)
 	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: h.SessionID, Msg: []byte(err.Error())})
-		return true
+		return nil, wire.CodeBadSpec, err
 	}
 	sess := &session{
-		id:           h.SessionID,
-		conn:         sc,
-		mon:          mon,
-		trans:        s.trans,
-		numPhases:    s.cfg.Classifier.NumPhases(),
-		queue:        newSampleRing(s.cfg.QueueDepth),
-		state:        StateNegotiating,
-		wantSnapshot: h.Flags&wire.FlagSnapshot != 0,
-		spec:         append([]byte(nil), h.Spec...),
+		id:        id,
+		conn:      sc,
+		mon:       mon,
+		trans:     s.trans,
+		numPhases: s.cfg.Classifier.NumPhases(),
+		queue:     newSampleRing(s.cfg.QueueDepth),
+		state:     StateNegotiating,
+		spec:      append([]byte(nil), spec...),
 	}
+	if r != nil {
+		if err := mon.Restore(r.State); err != nil {
+			return nil, wire.CodeBadSnapshot, err
+		}
+		sess.wantSnapshot = true
+		sess.dropped, sess.processed = r.Dropped, r.Processed
+		if r.LastSeq != wire.NoSamples {
+			sess.lastSeq = r.LastSeq
+		}
+	}
+	return sess, 0, nil
+}
 
-	ackFlags := h.Flags & (wire.FlagSnapshot | wire.FlagBatch)
-	if ackFlags&wire.FlagBatch != 0 {
-		sc.enableBatch()
+// handleHello opens a session: builds the requested predictor,
+// registers the session, and answers Ack. It reports whether the
+// connection should stay open.
+func (s *Server) handleHello(sc *serverConn, payload []byte) bool {
+	var h wire.Hello
+	if err := wire.DecodeHello(payload, &h); err != nil {
+		s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
+		return false
 	}
-	return s.registerAndAck(sc, sess, ackFlags)
+	if h.Flags&wire.FlagRollup != 0 {
+		return s.handleRollupHello(sc, &h)
+	}
+	sess, code, err := s.newSession(sc, h.SessionID, h.Spec, nil)
+	if err != nil {
+		s.protoError(sc, code, h.SessionID, err.Error())
+		return true // spec rejection is recoverable; the conn survives
+	}
+	sess.wantSnapshot = h.Flags&wire.FlagSnapshot != 0
+	return s.registerAndAck(sc, sess)
 }
 
 // registerAndAck inserts a negotiated session into the server tables —
 // enforcing the draining gate, duplicate-id, and per-IP limits — then
-// answers the Ack, echoing the accepted feature flags, and opens it.
-// Shared by the Hello and Restore paths; it reports whether the
-// connection should stay open.
-func (s *Server) registerAndAck(sc *serverConn, sess *session, ackFlags uint16) bool {
+// answers the Ack, echoing FlagSnapshot when the session will hand
+// back its state on drain, and opens it. Shared by the Hello and
+// Restore paths; it reports whether the connection should stay open.
+func (s *Server) registerAndAck(sc *serverConn, sess *session) bool {
 	s.mu.Lock()
 	switch {
 	case s.draining || s.closed:
 		s.mu.Unlock()
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeOverloaded,
-			SessionID: sess.id, Msg: []byte("server draining")})
+		s.protoError(sc, wire.CodeOverloaded, sess.id, "server draining")
 		return false
 	case s.sessions[sess.id] != nil:
 		s.mu.Unlock()
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeDuplicateSession,
-			SessionID: sess.id, Msg: []byte("session id in use")})
+		s.protoError(sc, wire.CodeDuplicateSession, sess.id, "session id in use")
 		return true
 	case s.cfg.MaxSessionsPerIP > 0 && s.perIP[sc.ipKey()] >= s.cfg.MaxSessionsPerIP:
 		s.mu.Unlock()
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeSessionLimit,
-			SessionID: sess.id, Msg: []byte("per-IP session limit reached")})
+		s.protoError(sc, wire.CodeSessionLimit, sess.id, "per-IP session limit reached")
 		return true
 	}
 	s.sessions[sess.id] = sess
@@ -614,6 +623,10 @@ func (s *Server) registerAndAck(sc *serverConn, sess *session, ackFlags uint16) 
 	s.mu.Unlock()
 	sc.addSession(sess)
 
+	var ackFlags uint16
+	if sess.wantSnapshot {
+		ackFlags = wire.FlagSnapshot
+	}
 	if err := sc.writeAck(&wire.Ack{SessionID: sess.id,
 		NumPhases: uint8(s.cfg.Classifier.NumPhases()), Flags: ackFlags}); err != nil {
 		return false
@@ -639,62 +652,15 @@ func (s *Server) registerAndAck(sc *serverConn, sess *session, ackFlags uint16) 
 func (s *Server) handleRestore(sc *serverConn, payload []byte) bool {
 	var r wire.Restore
 	if err := wire.DecodeRestore(payload, &r); err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
+		s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
 		return false
 	}
-	spec := string(r.Spec)
-	spec = strings.TrimPrefix(spec, governor.MonitorPrefix)
-	pred, err := core.NewPredictorFromSpec(spec, core.SpecEnv{Classifier: s.cfg.Classifier})
+	sess, code, err := s.newSession(sc, r.SessionID, r.Spec, &r)
 	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: r.SessionID, Msg: []byte(err.Error())})
+		s.protoError(sc, code, r.SessionID, err.Error())
 		return true
 	}
-	var opts []core.Option
-	if tel := s.cfg.Telemetry; tel != nil {
-		opts = append(opts, core.WithTelemetry(tel))
-	}
-	mon, err := core.NewMonitor(s.cfg.Classifier, pred, opts...)
-	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSpec,
-			SessionID: r.SessionID, Msg: []byte(err.Error())})
-		return true
-	}
-	if err := mon.Restore(r.State); err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadSnapshot,
-			SessionID: r.SessionID, Msg: []byte(err.Error())})
-		return true
-	}
-	lastSeq := r.LastSeq
-	if lastSeq == wire.NoSamples {
-		lastSeq = 0
-	}
-	sess := &session{
-		id:           r.SessionID,
-		conn:         sc,
-		mon:          mon,
-		trans:        s.trans,
-		numPhases:    s.cfg.Classifier.NumPhases(),
-		queue:        newSampleRing(s.cfg.QueueDepth),
-		state:        StateNegotiating,
-		wantSnapshot: true, // a restored session is always re-migratable
-		spec:         append([]byte(nil), r.Spec...),
-		dropped:      r.Dropped,
-		lastSeq:      lastSeq,
-		processed:    r.Processed,
-	}
-	// A restored session always re-snapshots; batching carries over
-	// only if the restoring client still asks for it (it may have
-	// migrated to a build without the batch path).
-	ackFlags := wire.FlagSnapshot | r.Flags&wire.FlagBatch
-	if ackFlags&wire.FlagBatch != 0 {
-		sc.enableBatch()
-	}
-	return s.registerAndAck(sc, sess, ackFlags)
+	return s.registerAndAck(sc, sess)
 }
 
 // handleRollupHello subscribes the connection to the rollup stream: no
@@ -705,9 +671,7 @@ func (s *Server) handleRollupHello(sc *serverConn, h *wire.Hello) bool {
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeOverloaded,
-			SessionID: h.SessionID, Msg: []byte("server draining")})
+		s.protoError(sc, wire.CodeOverloaded, h.SessionID, "server draining")
 		return false
 	}
 	s.rollupSubs[sc] = struct{}{}
@@ -717,40 +681,27 @@ func (s *Server) handleRollupHello(sc *serverConn, h *wire.Hello) bool {
 		Flags:     wire.FlagRollup}) == nil
 }
 
-// handleSample queues one sample on its session's pinned worker.
-func (s *Server) handleSample(sc *serverConn, payload []byte) bool {
-	var smp wire.Sample
-	if err := wire.DecodeSample(payload, &smp); err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
-		return false
-	}
-	return s.queueSample(sc, &smp)
-}
-
 // handleBatch unpacks a client sample batch straight into the worker
-// queues — each record takes the same path a per-frame Sample would,
-// so batched and unbatched clients are indistinguishable past this
-// point. A prediction batch arriving here is a confused peer
-// (predictions only flow server→client) and is connection-fatal.
+// queues. The whole batch counts as in flight on the connection before
+// its first record is queued, so no worker can see the count reach zero
+// — and flush early — while the rest of the batch is still unqueued. A
+// prediction batch arriving here is a confused peer (predictions only
+// flow server→client) and is connection-fatal.
 func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 	elem, n, recs, err := wire.DecodeBatch(payload)
 	if err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
+		s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
 		return false
 	}
 	if elem != wire.KindSample {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame,
-			Msg: []byte("unexpected " + elem.String() + " batch")})
+		s.protoError(sc, wire.CodeBadFrame, 0, "unexpected "+elem.String()+" batch")
 		return false
 	}
+	sc.inflight.Add(int64(n))
 	for i := 0; i < n; i++ {
 		var smp wire.Sample
 		if err := wire.DecodeSample(recs[i*wire.SampleRecordSize:(i+1)*wire.SampleRecordSize], &smp); err != nil {
-			s.protoErrs.Inc()
-			_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
+			s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
 			return false
 		}
 		if !s.queueSample(sc, &smp) {
@@ -761,25 +712,33 @@ func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 }
 
 // queueSample routes one decoded sample to its session's pinned
-// worker, accounting evictions; shared by the per-frame and batch
-// read paths. It reports whether the connection should stay open.
+// worker, accounting evictions. A sample that will never be answered —
+// evicted, or addressed to an unknown, draining or closed session —
+// is settled here instead of by the worker. It reports whether the
+// connection should stay open.
 func (s *Server) queueSample(sc *serverConn, smp *wire.Sample) bool {
 	s.mu.Lock()
 	sess := s.sessions[smp.SessionID]
 	s.mu.Unlock()
 	if sess == nil || sess.conn != sc {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeUnknownSession,
-			SessionID: smp.SessionID, Msg: []byte("no such session on this connection")})
+		// The Error frame write flushes any pending replies itself.
+		sc.inflight.Add(-1)
+		s.protoError(sc, wire.CodeUnknownSession, smp.SessionID, "no such session on this connection")
 		return true
 	}
 	w := s.workerFor(sess.id)
 	w.mu.Lock()
 	if sess.state != StateOpen && sess.state != StateNegotiating {
 		w.mu.Unlock()
-		return true // draining/closed: late samples are dropped silently
+		// Late samples for a draining or closed session are dropped
+		// silently.
+		return sc.settle(1) == nil
 	}
 	if d := sess.queue.push(*smp); d > 0 {
+		// Settled under w.mu, before the worker can pop (and settle)
+		// the sample that evicted it, so the count cannot reach zero
+		// here with a reply still pending.
+		sc.inflight.Add(-int64(d))
 		sess.dropped += uint64(d)
 		s.drops.Add(uint64(d))
 		// A shed sample was never served, so it has no class or setting;
@@ -796,17 +755,14 @@ func (s *Server) queueSample(sc *serverConn, smp *wire.Sample) bool {
 func (s *Server) handleClientDrain(sc *serverConn, payload []byte) bool {
 	var d wire.Drain
 	if err := wire.DecodeDrain(payload, &d); err != nil {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeBadFrame, Msg: []byte(err.Error())})
+		s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
 		return false
 	}
 	s.mu.Lock()
 	sess := s.sessions[d.SessionID]
 	s.mu.Unlock()
 	if sess == nil || sess.conn != sc {
-		s.protoErrs.Inc()
-		_ = sc.writeError(&wire.ErrorFrame{Code: wire.CodeUnknownSession,
-			SessionID: d.SessionID, Msg: []byte("no such session on this connection")})
+		s.protoError(sc, wire.CodeUnknownSession, d.SessionID, "no such session on this connection")
 		return true
 	}
 	s.requestDrain(sess)
@@ -816,17 +772,25 @@ func (s *Server) handleClientDrain(sc *serverConn, payload []byte) bool {
 // unregisterSession removes a flushed session from the server tables.
 func (s *Server) unregisterSession(sess *session) {
 	s.mu.Lock()
-	if s.sessions[sess.id] == sess {
-		delete(s.sessions, sess.id)
-		if n := s.perIP[sess.conn.ipKey()] - 1; n > 0 {
-			s.perIP[sess.conn.ipKey()] = n
-		} else {
-			delete(s.perIP, sess.conn.ipKey())
-		}
-		s.sessionsGauge.Set(float64(len(s.sessions)))
-	}
+	s.forgetLocked(sess)
 	s.mu.Unlock()
 	sess.conn.removeSession(sess)
+}
+
+// forgetLocked removes sess from the session table and its client IP's
+// session count, if it is still registered; callers hold s.mu.
+func (s *Server) forgetLocked(sess *session) {
+	if s.sessions[sess.id] != sess {
+		return
+	}
+	delete(s.sessions, sess.id)
+	key := sess.conn.ipKey()
+	if n := s.perIP[key] - 1; n > 0 {
+		s.perIP[key] = n
+	} else {
+		delete(s.perIP, key)
+	}
+	s.sessionsGauge.Set(float64(len(s.sessions)))
 }
 
 // dropConn tears a connection down along with every session it owns.
@@ -844,15 +808,7 @@ func (s *Server) dropConn(sc *serverConn) {
 		sess.state = StateClosed
 		w.mu.Unlock()
 		s.mu.Lock()
-		if s.sessions[sess.id] == sess {
-			delete(s.sessions, sess.id)
-			if n := s.perIP[sc.ipKey()] - 1; n > 0 {
-				s.perIP[sc.ipKey()] = n
-			} else {
-				delete(s.perIP, sc.ipKey())
-			}
-			s.sessionsGauge.Set(float64(len(s.sessions)))
-		}
+		s.forgetLocked(sess)
 		s.mu.Unlock()
 	}
 }

@@ -152,7 +152,7 @@ func TestConcurrentSessionsSoak(t *testing.T) {
 		sessionsPerConn  = 8
 		samplesPerStream = 200
 	)
-	_, addr, hub := startServer(t, Config{Workers: 4})
+	srv, addr, hub := startServer(t, Config{Workers: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -233,6 +233,7 @@ func TestConcurrentSessionsSoak(t *testing.T) {
 	if got := hub.PhasedSessions.Value(); got != 0 {
 		t.Errorf("sessions gauge = %v after all drains, want 0", got)
 	}
+	assertSettled(t, srv)
 }
 
 // TestGracefulShutdownDrainsSessions: a server-side Shutdown must
@@ -306,6 +307,56 @@ func appendHello(t *testing.T, dst []byte, h *wire.Hello) []byte {
 	return buf
 }
 
+// appendSamples encodes smps as one Batch frame, failing the test on
+// the (here impossible) batch-bounds error.
+func appendSamples(t *testing.T, dst []byte, smps ...wire.Sample) []byte {
+	t.Helper()
+	buf, err := wire.AppendBatchSamples(dst, smps)
+	if err != nil {
+		t.Fatalf("AppendBatchSamples: %v", err)
+	}
+	return buf
+}
+
+// nextPredictions reads the next frame, which must be a prediction
+// Batch, and returns its records appended to dst.
+func nextPredictions(t *testing.T, dec *wire.Decoder, dst []wire.Prediction) []wire.Prediction {
+	t.Helper()
+	kind, payload, err := dec.Next()
+	if err != nil {
+		t.Fatalf("read predictions: %v", err)
+	}
+	if kind != wire.KindBatch {
+		t.Fatalf("got %v frame, want a prediction batch", kind)
+	}
+	elem, n, recs, err := wire.DecodeBatch(payload)
+	if err != nil || elem != wire.KindPrediction {
+		t.Fatalf("DecodeBatch: %v batch, %v", elem, err)
+	}
+	for i := 0; i < n; i++ {
+		var p wire.Prediction
+		if err := wire.DecodePrediction(recs[i*wire.PredictionRecordSize:(i+1)*wire.PredictionRecordSize], &p); err != nil {
+			t.Fatal(err)
+		}
+		dst = append(dst, p)
+	}
+	return dst
+}
+
+// assertSettled checks that no connection still counts a sample in
+// flight once every sample sent has been answered or shed: a leaked
+// count would hold every later reply until the flush timer.
+func assertSettled(t *testing.T, srv *Server) {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for sc := range srv.conns {
+		if n := sc.inflight.Load(); n != 0 {
+			t.Errorf("connection still counts %d samples in flight after every sample was answered or shed", n)
+		}
+	}
+}
+
 // awaitCounter polls a telemetry counter until it reaches want.
 func awaitCounter(t *testing.T, c *telemetry.Counter, want uint64, what string) {
 	t.Helper()
@@ -348,6 +399,84 @@ func TestMalformedFrameRejected(t *testing.T) {
 	awaitCounter(t, hub.PhasedProtocolErrors, 1, "protocol error counter")
 }
 
+// TestVersionMismatchAnswersCodeVersion: a frame header carrying an
+// older protocol version — here a version-1 Hello — is answered with
+// CodeVersion, not the generic CodeBadFrame, and closes the
+// connection.
+func TestVersionMismatchAnswersCodeVersion(t *testing.T) {
+	_, addr, hub := startServer(t, Config{})
+	c := dialRaw(t, addr)
+	hello := appendHello(t, nil, &wire.Hello{SessionID: 1, Spec: []byte("lastvalue")})
+	hello[2] = 1
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	dec := wire.NewDecoder(c)
+	expectError(t, dec, wire.CodeVersion)
+	if _, _, err := dec.Next(); err == nil {
+		t.Fatal("connection still open after a version mismatch")
+	}
+	awaitCounter(t, hub.PhasedProtocolErrors, 1, "protocol error counter")
+}
+
+// TestStandaloneSampleRejected: samples travel only inside Batch
+// frames, so a standalone Sample frame — even for an open session — is
+// an unexpected frame and closes the connection.
+func TestStandaloneSampleRejected(t *testing.T) {
+	_, addr, _ := startServer(t, Config{})
+	c := dialRaw(t, addr)
+	dec := wire.NewDecoder(c)
+	if _, err := c.Write(appendHello(t, nil, &wire.Hello{SessionID: 1, Spec: []byte("lastvalue")})); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := dec.Next(); err != nil || kind != wire.KindAck {
+		t.Fatalf("handshake: (%v, %v)", kind, err)
+	}
+	if _, err := c.Write(wire.AppendSample(nil, &wire.Sample{SessionID: 1, Uops: 1e8, Cycles: 9e7})); err != nil {
+		t.Fatal(err)
+	}
+	expectError(t, dec, wire.CodeBadFrame)
+	if _, _, err := dec.Next(); err == nil {
+		t.Fatal("connection still open after a standalone Sample frame")
+	}
+}
+
+// TestOneAtATimeRepliesPromptly: a client that sends one sample and
+// waits for its answer before the next leaves the server nothing else
+// in flight, so each reply must flush at once rather than wait out the
+// coalescing timer — set here to an hour, so only the in-flight flush
+// can answer within the test's deadline. Two sessions share the
+// connection, so the count spans sessions.
+func TestOneAtATimeRepliesPromptly(t *testing.T) {
+	_, addr, _ := startServer(t, Config{FlushInterval: time.Hour})
+	c := dialRaw(t, addr)
+	dec := wire.NewDecoder(c)
+	var buf []byte
+	for id := uint64(1); id <= 2; id++ {
+		buf = appendHello(t, buf[:0], &wire.Hello{SessionID: id, Spec: []byte("gpht_8_128")})
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if kind, _, err := dec.Next(); err != nil || kind != wire.KindAck {
+			t.Fatalf("handshake %d: (%v, %v)", id, kind, err)
+		}
+	}
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var preds []wire.Prediction
+	for i := 0; i < 40; i++ {
+		id := uint64(1 + i%2)
+		seq := uint64(i / 2)
+		buf = appendSamples(t, buf[:0], wire.Sample{SessionID: id, Seq: seq, Uops: 1e8, MemTx: uint64(i%5) * 1e6, Cycles: 9e7})
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		preds = nextPredictions(t, dec, preds[:0])
+		if len(preds) != 1 || preds[0].SessionID != id || preds[0].Seq != seq {
+			t.Fatalf("sample %d of session %d answered with %+v, want its one prediction", seq, id, preds)
+		}
+	}
+}
+
 // TestShortReadCountsProtocolError: a frame truncated mid-payload by a
 // dying client is a protocol error, not a crash and not a clean EOF.
 func TestShortReadCountsProtocolError(t *testing.T) {
@@ -370,7 +499,7 @@ func TestUnknownSessionAndBadSpecSurvivable(t *testing.T) {
 	dec := wire.NewDecoder(c)
 
 	// Sample for a session that was never opened.
-	buf := wire.AppendSample(nil, &wire.Sample{SessionID: 99, Uops: 1, Cycles: 1})
+	buf := appendSamples(t, nil, wire.Sample{SessionID: 99, Uops: 1, Cycles: 1})
 	if _, err := c.Write(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +667,7 @@ func TestSlowClientDisconnected(t *testing.T) {
 	}
 	// One sample, then never read: the pipe is unbuffered, so the
 	// prediction write blocks immediately and the deadline fires.
-	buf = wire.AppendSample(buf[:0], &wire.Sample{SessionID: 1, Seq: 0, Uops: 1e8, Cycles: 9e7})
+	buf = appendSamples(t, buf[:0], wire.Sample{SessionID: 1, Seq: 0, Uops: 1e8, Cycles: 9e7})
 	if _, err := c.Write(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -591,11 +720,12 @@ func TestBackpressureDropsOldest(t *testing.T) {
 		t.Fatalf("handshake: (%v, %v)", kind, err)
 	}
 
-	// Write a burst without reading: the worker blocks on its first
-	// prediction write (unbuffered pipe), so the queue must overflow.
+	// Write a burst of batches of one without reading: the worker
+	// blocks on its first reply flush (unbuffered pipe), so the queue
+	// must overflow.
 	const burst = 20
 	for i := 0; i < burst; i++ {
-		buf = wire.AppendSample(buf[:0], &wire.Sample{SessionID: 1, Seq: uint64(i), Uops: 1e8, Cycles: 9e7})
+		buf = appendSamples(t, buf[:0], wire.Sample{SessionID: 1, Seq: uint64(i), Uops: 1e8, Cycles: 9e7})
 		if _, err := c.Write(buf); err != nil {
 			t.Fatalf("sample #%d: %v", i, err)
 		}
@@ -616,14 +746,18 @@ func TestBackpressureDropsOldest(t *testing.T) {
 		if kind == wire.KindDrain {
 			break
 		}
-		if kind != wire.KindPrediction {
+		if kind != wire.KindBatch {
 			t.Fatalf("unexpected %v frame", kind)
 		}
+		elem, n, recs, err := wire.DecodeBatch(payload)
+		if err != nil || elem != wire.KindPrediction {
+			t.Fatalf("DecodeBatch: %v batch, %v", elem, err)
+		}
 		var p wire.Prediction
-		if err := wire.DecodePrediction(payload, &p); err != nil {
+		if err := wire.DecodePrediction(recs[(n-1)*wire.PredictionRecordSize:], &p); err != nil {
 			t.Fatal(err)
 		}
-		preds++
+		preds += n
 		lastDropped = p.Dropped
 	}
 	if lastDropped == 0 {
@@ -635,6 +769,7 @@ func TestBackpressureDropsOldest(t *testing.T) {
 	if got := hub.PhasedDroppedSamples.Value(); got != lastDropped {
 		t.Fatalf("drop counter = %d, echoed drops = %d; must agree", got, lastDropped)
 	}
+	assertSettled(t, srv)
 }
 
 // TestSessionStateStrings pins the SessionState taxonomy.

@@ -51,7 +51,9 @@ func (w *worker) stop() {
 }
 
 // run is the worker loop: pop a session, take its whole pending batch,
-// step each sample through the monitor, and write the predictions.
+// step each sample through the monitor, buffer the predictions, and
+// settle the batch on the connection (which flushes the replies if
+// nothing else is in flight there).
 // Batches keep lock hold times short — the reader can keep queueing
 // while this goroutine computes — and a session re-queues itself if
 // more samples arrive mid-batch, preserving FIFO order because it is
@@ -106,6 +108,12 @@ func (w *worker) run() {
 					w.srv.dropConn(sess.conn)
 					closed = true
 					break
+				}
+			}
+			if !closed && len(batch) > 0 {
+				if err := sess.conn.settle(len(batch)); err != nil {
+					w.srv.dropConn(sess.conn)
+					closed = true
 				}
 			}
 		}

@@ -110,7 +110,7 @@ var DefaultHandlerBounds = []float64{1e-6, 2e-6, 5e-6, 10e-6, 20e-6, 50e-6}
 // spanning cache-hit-fast replays through multi-second sweeps.
 var DefaultFleetRunBounds = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 30}
 
-// DefaultFrameBounds bucket the phased server's per-frame handling
+// DefaultFrameBounds bucket the phased server's per-sample handling
 // latency in seconds: arrival to prediction written. The low buckets
 // resolve the in-process step cost; the top ones catch queueing under
 // load.
@@ -189,7 +189,7 @@ type Hub struct {
 	HandlerCost *Histogram
 	// FleetRunSeconds distributes per-run wall time in the fleet engine.
 	FleetRunSeconds *Histogram
-	// PhasedFrameSeconds distributes the phased server's per-frame
+	// PhasedFrameSeconds distributes the phased server's per-sample
 	// handling latency (sample arrival to prediction written).
 	PhasedFrameSeconds *Histogram
 	// PhasedFlushFrames distributes reply frames per coalesced flush.

@@ -26,7 +26,7 @@ func TestBatchGoldenBytes(t *testing.T) {
 
 	var want []byte
 	want = binary.BigEndian.AppendUint16(want, Magic)
-	want = append(want, Version1, byte(KindBatch))
+	want = append(want, Version, byte(KindBatch))
 	want = binary.BigEndian.AppendUint32(want, uint32(batchFixed+SampleRecordSize))
 	want = append(want, BatchVersion1, byte(KindSample))
 	want = binary.BigEndian.AppendUint16(want, 1)
@@ -47,7 +47,7 @@ func TestBatchGoldenBytes(t *testing.T) {
 	}
 	want = want[:0]
 	want = binary.BigEndian.AppendUint16(want, Magic)
-	want = append(want, Version1, byte(KindBatch))
+	want = append(want, Version, byte(KindBatch))
 	want = binary.BigEndian.AppendUint32(want, uint32(batchFixed+PredictionRecordSize))
 	want = append(want, BatchVersion1, byte(KindPrediction))
 	want = binary.BigEndian.AppendUint16(want, 1)

@@ -15,7 +15,7 @@ func FuzzDecoder(f *testing.F) {
 	if b, err := AppendHello(nil, &Hello{SessionID: 1, GranularityUops: 1e8, Spec: []byte("gpht_8_128")}); err == nil {
 		f.Add(b)
 	}
-	f.Add(AppendAck(nil, &Ack{SessionID: 1, NumPhases: 6, Flags: FlagBatch}))
+	f.Add(AppendAck(nil, &Ack{SessionID: 1, NumPhases: 6, Flags: FlagSnapshot}))
 	f.Add(AppendSample(nil, &Sample{SessionID: 1, Seq: 0, Uops: 1e8, MemTx: 42, Cycles: 9e7}))
 	f.Add(AppendPrediction(nil, &Prediction{SessionID: 1, Seq: 0, Actual: 1, Next: 2, Class: 2, Setting: 1}))
 	f.Add(AppendDrain(nil, &Drain{SessionID: 1, LastSeq: 99}))

@@ -6,17 +6,16 @@
 // The protocol is deliberately minimal — ten frame kinds over one
 // TCP stream, multiplexing any number of sessions by an explicit
 // session id — and deliberately cheap: every frame is a fixed 8-byte
-// header,
-// a payload, and a CRC-32 trailer, and both directions of the hot
-// path (Sample in, Prediction out, batched or per-frame) encode and
-// decode without allocating, which the package's testing.AllocsPerRun
-// tests prove.
+// header, a payload, and a CRC-32 trailer. Samples and predictions
+// travel only inside KindBatch frames (a single sample is a batch of
+// one), and both directions of that hot path encode and decode without
+// allocating, which the package's testing.AllocsPerRun tests prove.
 //
 // Frame layout (all integers big-endian):
 //
 //	offset  size  field
 //	0       2     magic 0x5068 ("Ph")
-//	2       1     protocol version (currently 1)
+//	2       1     protocol version (currently 2)
 //	3       1     frame kind
 //	4       4     payload length N (bounded by MaxPayload)
 //	8       N     payload (kind-specific, see the typed structs)
@@ -39,16 +38,18 @@ import (
 // Magic is the two-byte frame preamble ("Ph").
 const Magic uint16 = 0x5068
 
-// Version1 is the first (and current) protocol version. Hello frames
-// carry the client's version in the frame header; the server answers
-// with an Error frame of code CodeVersion when it cannot speak it.
-const Version1 uint8 = 1
+// Version is the protocol version every frame header carries. Version
+// 2 made KindBatch the only carrier of samples and predictions; a
+// version-1 peer, which may send standalone Sample frames, fails at the
+// header, and the server answers it with an Error frame of code
+// CodeVersion.
+const Version uint8 = 2
 
-// MaxPayload bounds a single frame's payload. The largest hot-path
-// frame (Sample) is 48 bytes; the bound exists so a corrupted or
-// hostile length field cannot make a reader allocate gigabytes. It is
-// sized for the largest legitimate frame, a Snapshot carrying a deep
-// GPHT monitor (gpht_8_1024 is ~18.5 KiB of predictor state).
+// MaxPayload bounds a single frame's payload. The bound exists so a
+// corrupted or hostile length field cannot make a reader allocate
+// gigabytes. It is sized for the largest legitimate frames: a full
+// Batch, and a Snapshot carrying a deep GPHT monitor (gpht_8_1024 is
+// ~18.5 KiB of predictor state).
 const MaxPayload = 1 << 16
 
 // Header and trailer sizes of the framing.
@@ -59,7 +60,7 @@ const (
 	MaxFrameSize = HeaderSize + MaxPayload + TrailerSize
 )
 
-// FrameKind enumerates the frame types of protocol version 1.
+// FrameKind enumerates the frame types of the protocol.
 // Switches over FrameKind are checked for exhaustiveness by
 // phasemonlint, so a new frame kind forces every dispatcher to decide
 // how to handle it.
@@ -75,12 +76,15 @@ const (
 	// KindAck accepts a session (server → client), echoing the session
 	// id and fixing the phase count predictions will use.
 	KindAck
-	// KindSample carries one sampling interval's raw PMC counters
-	// (client → server).
+	// KindSample is the element kind of a client → server Batch: one
+	// sampling interval's raw PMC counters. A standalone Sample frame
+	// is a protocol error.
 	KindSample
-	// KindPrediction answers one sample (server → client): the
-	// interval's classified phase, the predicted next phase, its
-	// Table 1 class, and the DVFS setting the translation selects.
+	// KindPrediction is the element kind of a server → client Batch:
+	// the answer to one sample — the interval's classified phase, the
+	// predicted next phase, its Table 1 class, and the DVFS setting the
+	// translation selects. A standalone Prediction frame is a protocol
+	// error.
 	KindPrediction
 	// KindDrain flushes a session: sent by a client to end a session
 	// cleanly, and by a draining server after the last prediction of
@@ -106,10 +110,10 @@ const (
 	// and answers with an Ack, after which prediction continues
 	// bit-identically with the pre-drain stream.
 	KindRestore
-	// KindBatch packs N Sample or Prediction records into one frame
-	// (either direction; the element kind is explicit in the payload).
-	// Batching is negotiated per connection via FlagBatch, so peers
-	// that never set the flag never see a batch frame.
+	// KindBatch packs N ≥ 1 Sample or Prediction records into one
+	// frame (either direction; the element kind is explicit in the
+	// payload). It is the only frame that carries samples and
+	// predictions: a single sample is a batch of one.
 	KindBatch
 )
 
@@ -143,7 +147,7 @@ func (k FrameKind) String() string {
 	}
 }
 
-// Valid reports whether k is a kind defined by protocol version 1.
+// Valid reports whether k is a kind defined by the protocol.
 func (k FrameKind) Valid() bool { return k >= KindHello && k <= KindBatch }
 
 // ErrorCode classifies Error frames.
@@ -230,8 +234,7 @@ type Hello struct {
 	// (informational; the paper's deployment uses 100M).
 	GranularityUops uint64
 	// Flags modifies the session being opened; undefined bits must be
-	// sent as 0. Version 1 defines FlagRollup, FlagSnapshot, and
-	// FlagBatch.
+	// sent as 0. The protocol defines FlagRollup and FlagSnapshot.
 	Flags uint16
 	// Spec is the predictor spec string (core.PredictorSpec grammar,
 	// e.g. "gpht_8_128") the session's predictor is built from.
@@ -250,14 +253,6 @@ const FlagRollup uint16 = 1 << 0
 // opened without it drain stateless, exactly as in earlier releases.
 const FlagSnapshot uint16 = 1 << 1
 
-// FlagBatch, set on a Hello or Restore, negotiates Batch frames on the
-// connection: the sender may pack its Samples into KindBatch frames,
-// and the server may coalesce Predictions likewise. The server echoes
-// the flag in the Ack's Flags when it will do so; a peer that never
-// sees the flag echoed must keep sending per-frame, so unaware v1
-// peers are unaffected.
-const FlagBatch uint16 = 1 << 2
-
 // Ack accepts a session.
 type Ack struct {
 	SessionID uint64
@@ -265,8 +260,8 @@ type Ack struct {
 	// ids in Prediction frames are in [1, NumPhases].
 	NumPhases uint8
 	// Flags echoes the flag bits of the Hello/Restore the server
-	// accepted and will honor (FlagRollup, FlagSnapshot, FlagBatch);
-	// bits the server does not understand come back 0.
+	// accepted and will honor (FlagRollup, FlagSnapshot); bits the
+	// server does not understand come back 0.
 	Flags uint16
 }
 
@@ -373,7 +368,7 @@ type ErrorFrame struct {
 	Msg       []byte
 }
 
-// Rollup grid dimensions. They are part of the version-1 wire format:
+// Rollup grid dimensions. They are part of the wire format:
 // changing any of them changes the Rollup payload size and therefore
 // requires a protocol version bump.
 const (
@@ -460,8 +455,8 @@ const (
 
 // Batch frame layout. The payload is a 4-byte envelope — batch format
 // version, element kind, record count — followed by the records packed
-// back to back in exactly the encoding their per-frame payloads use,
-// so the per-record codecs are shared between both paths.
+// back to back in exactly the encoding AppendSample/AppendPrediction
+// give a frame payload, so the per-record codecs are shared.
 const (
 	// BatchVersion1 is the batch envelope's format version (independent
 	// of the framing version, so the packing can evolve without a
@@ -470,8 +465,8 @@ const (
 	// batchFixed: version(u8) + element kind(u8) + count(u16).
 	batchFixed = 4
 	// SampleRecordSize and PredictionRecordSize are the packed
-	// per-record sizes inside a batch (identical to the per-frame
-	// payload sizes); record i of a decoded batch spans
+	// per-record sizes inside a batch (identical to the Sample and
+	// Prediction payload sizes); record i of a decoded batch spans
 	// records[i*size : (i+1)*size].
 	SampleRecordSize     = sampleSize
 	PredictionRecordSize = predictionSize
@@ -490,7 +485,7 @@ const (
 // appendHeader writes the 8-byte header for a payload of length n.
 func appendHeader(dst []byte, kind FrameKind, n int) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, Magic)
-	dst = append(dst, Version1, byte(kind))
+	dst = append(dst, Version, byte(kind))
 	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
@@ -532,7 +527,7 @@ func AppendAck(dst []byte, a *Ack) []byte {
 }
 
 // appendSampleRecord packs one Sample body (no framing) onto dst;
-// shared by the per-frame and batch encoders.
+// shared by AppendSample and the batch encoder.
 //
 //lint:hotpath
 func appendSampleRecord(dst []byte, s *Sample) []byte {
@@ -545,7 +540,7 @@ func appendSampleRecord(dst []byte, s *Sample) []byte {
 }
 
 // appendPredictionRecord packs one Prediction body (no framing) onto
-// dst; shared by the per-frame and batch encoders.
+// dst; shared by AppendPrediction and the batch encoder.
 //
 //lint:hotpath
 func appendPredictionRecord(dst []byte, p *Prediction) []byte {
@@ -555,7 +550,9 @@ func appendPredictionRecord(dst []byte, p *Prediction) []byte {
 	return binary.BigEndian.AppendUint64(dst, p.Dropped)
 }
 
-// AppendSample encodes a Sample frame onto dst.
+// AppendSample encodes a standalone Sample frame onto dst. Servers
+// reject such frames (samples travel in Batch frames); it remains for
+// frame-level tests and benchmarks.
 //
 //lint:hotpath
 func AppendSample(dst []byte, s *Sample) []byte {
@@ -565,7 +562,9 @@ func AppendSample(dst []byte, s *Sample) []byte {
 	return appendCRC(dst, start)
 }
 
-// AppendPrediction encodes a Prediction frame onto dst.
+// AppendPrediction encodes a standalone Prediction frame onto dst.
+// Clients reject such frames (predictions travel in Batch frames); it
+// remains for frame-level tests and benchmarks.
 //
 //lint:hotpath
 func AppendPrediction(dst []byte, p *Prediction) []byte {
@@ -733,7 +732,7 @@ func DecodeHeader(hdr []byte) (FrameKind, int, error) {
 	if binary.BigEndian.Uint16(hdr) != Magic {
 		return KindInvalid, 0, ErrBadMagic
 	}
-	if hdr[2] != Version1 {
+	if hdr[2] != Version {
 		return KindInvalid, 0, fmt.Errorf("%w: %d", ErrBadVersion, hdr[2])
 	}
 	kind := FrameKind(hdr[3])
@@ -899,8 +898,9 @@ func DecodeRestore(payload []byte, r *Restore) error {
 // element kind (KindSample or KindPrediction), the record count, and
 // the raw records region, which aliases the payload. Record i spans
 // records[i*size : (i+1)*size] (size per SampleRecordSize /
-// PredictionRecordSize) and decodes with the element kind's per-frame
-// decoder; the exact-length slices satisfy their strict length checks.
+// PredictionRecordSize) and decodes with DecodeSample /
+// DecodePrediction; the exact-length slices satisfy their strict
+// length checks.
 //
 //lint:hotpath
 func DecodeBatch(payload []byte) (elem FrameKind, n int, records []byte, err error) {

@@ -11,7 +11,7 @@ import (
 func TestRoundTripAllKinds(t *testing.T) {
 	var buf []byte
 	hello := Hello{SessionID: 7, GranularityUops: 100_000_000, Spec: []byte("gpht_8_128")}
-	ack := Ack{SessionID: 7, NumPhases: 6, Flags: FlagSnapshot | FlagBatch}
+	ack := Ack{SessionID: 7, NumPhases: 6, Flags: FlagSnapshot | FlagRollup}
 	sample := Sample{SessionID: 7, Seq: 41, Uops: 100_000_000, MemTx: 123456, Cycles: 98765432, WallNs: 7_000_111}
 	pred := Prediction{SessionID: 7, Seq: 41, Actual: 3, Next: 5, Class: 5, Setting: 4, Dropped: 2}
 	drain := Drain{SessionID: 7, LastSeq: 41}
@@ -373,7 +373,7 @@ func TestRollupGoldenBytes(t *testing.T) {
 	if len(buf) != HeaderSize+rollupSize+TrailerSize {
 		t.Fatalf("frame size = %d, want %d", len(buf), HeaderSize+rollupSize+TrailerSize)
 	}
-	wantHdr := []byte{0x50, 0x68, 1, byte(KindRollup), 0x00, 0x00, 0x04, 0xE4}
+	wantHdr := []byte{0x50, 0x68, 2, byte(KindRollup), 0x00, 0x00, 0x04, 0xE4}
 	if !bytes.Equal(buf[:HeaderSize], wantHdr) {
 		t.Errorf("header = % x, want % x", buf[:HeaderSize], wantHdr)
 	}
