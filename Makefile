@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint perfbench-check fleet-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint perfbench-check fleet-race serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -47,6 +47,14 @@ fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament
 	$(GO) test -race -count=1 -run TestFiguresWorkerInvariance ./internal/experiments
 
+# The serving path's reader/worker locking — per-frame session lookup,
+# per-worker ring pushes, in-flight settle accounting, the write
+# coalescer — and the rollup shards it ingests into, under the race
+# detector uncached, so a schedule-dependent bug can't hide behind the
+# test cache.
+serve-race:
+	$(GO) test -race -count=1 ./internal/phased ./internal/phaseclient ./internal/agg
+
 # A short fuzzing pass over the predictor targets: the window vote
 # against its full-rescan reference, GPHT state validity on invalid
 # IDs, and every paper predictor's output validity. Each target runs
@@ -62,11 +70,12 @@ fuzz-smoke:
 	done
 
 # The strict gate: lint, the benchmark module's build and tests, the
-# fleet determinism suite, a short fuzzing pass, the full suite under
-# the race detector, then a live client/server smoke over real sockets. The telemetry hot paths are
-# lock-free atomics shared with HTTP readers, so -race is part of the
-# default bar, not an extra.
-check: lint perfbench-check fleet-race fuzz-smoke
+# fleet determinism and serving race suites, a short fuzzing pass, the
+# full suite under the race detector, then a live client/server smoke
+# over real sockets. The telemetry hot paths are lock-free atomics
+# shared with HTTP readers, so -race is part of the default bar, not
+# an extra.
+check: lint perfbench-check fleet-race serve-race fuzz-smoke
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
 	$(MAKE) tournament-smoke

@@ -93,7 +93,8 @@ type Config struct {
 	NumBuckets int
 	// Clock is the time source of the clocked Ingest convenience; nil
 	// selects Telemetry's clock (the wall clock on a plain hub).
-	// IngestAt callers pass explicit times and never consult it.
+	// IngestAt and IngestBatchAt callers pass explicit times and never
+	// consult it.
 	Clock telemetry.Clock
 	// Telemetry receives the pipeline's self-telemetry
 	// (phasemon_agg_*); nil disables it.
@@ -136,9 +137,9 @@ type shard struct {
 }
 
 // Aggregator accumulates per-sample outcomes into time-bucketed,
-// per-shard rollups. IngestAt is safe for concurrent use across (and
-// within) shards; FlushBefore/FlushAll serialize against ingest per
-// shard and against each other.
+// per-shard rollups. IngestAt and IngestBatchAt are safe for
+// concurrent use across (and within) shards; FlushBefore/FlushAll
+// serialize against ingest per shard and against each other.
 type Aggregator struct {
 	nodeID      uint64
 	bucketLenNs int64
@@ -204,9 +205,9 @@ func (a *Aggregator) Shards() int { return len(a.shards) }
 // BucketLenNs returns the configured bucket length.
 func (a *Aggregator) BucketLenNs() int64 { return a.bucketLenNs }
 
-// ShardFor pins a session id onto a shard with the same FNV-1a hash
-// the phased server pins sessions to workers with, so feeding samples
-// by ShardFor reproduces a server's shard assignment exactly.
+// ShardFor pins a session id onto a shard by FNV-1a hash. The phased
+// server pins each session to the worker ShardFor names, so feeding
+// samples by ShardFor reproduces a server's shard assignment exactly.
 func (a *Aggregator) ShardFor(sessionID uint64) int {
 	const (
 		offset64 = 14695981039346656037
@@ -236,8 +237,8 @@ func cellFor(class phase.Class, setting dvfs.Setting) int {
 }
 
 // Ingest is IngestAt at the aggregator's clock. The hot path of a
-// live phased server uses IngestAt with the latency measurement's own
-// start time to avoid a second clock read.
+// live phased server uses IngestBatchAt with its batch's own start
+// time instead, to avoid a clock read per sample.
 func (a *Aggregator) Ingest(shard int, sessionID uint64, class phase.Class, setting dvfs.Setting, outcome Outcome, latNs int64) {
 	a.IngestAt(shard, a.clock().UnixNano(), sessionID, class, setting, outcome, latNs)
 }
@@ -253,68 +254,128 @@ func (a *Aggregator) Ingest(shard int, sessionID uint64, class phase.Class, sett
 //lint:hotpath
 func (a *Aggregator) IngestAt(shardIdx int, nowNs int64, sessionID uint64, class phase.Class, setting dvfs.Setting, outcome Outcome, latNs int64) {
 	a.ingested.Inc()
+	sh := &a.shards[shardIdx]
+	sh.mu.Lock()
+	b := sh.bucketLocked(a, nowNs)
+	if b == nil {
+		sh.mu.Unlock()
+		a.lateSamples.Inc()
+		return
+	}
+	if b.count(class, setting, outcome) {
+		b.observeLatency(a, latNs, 1)
+		b.sess.add(sessionID, 1)
+	}
+	sh.mu.Unlock()
+}
+
+// Record is one sample outcome of an IngestBatchAt batch: the
+// (class, setting) pair the serving path answered with, and what it
+// did with the sample.
+type Record struct {
+	Class   phase.Class
+	Setting dvfs.Setting
+	Outcome Outcome
+}
+
+// IngestBatchAt accumulates a batch of one session's sample outcomes,
+// all observed at nowNs and each carrying serving latency latNs. The
+// result is exactly that of calling IngestAt once per record with the
+// same arguments — every cell, tally, latency bucket, session count
+// and self-telemetry counter — but the shard lock is taken, the bucket
+// resolved and the session counted once per batch instead of once per
+// sample.
+//
+//lint:hotpath
+func (a *Aggregator) IngestBatchAt(shardIdx int, nowNs int64, sessionID uint64, recs []Record, latNs int64) {
+	if len(recs) == 0 {
+		return
+	}
+	a.ingested.Add(uint64(len(recs)))
+	sh := &a.shards[shardIdx]
+	sh.mu.Lock()
+	b := sh.bucketLocked(a, nowNs)
+	if b == nil {
+		sh.mu.Unlock()
+		a.lateSamples.Add(uint64(len(recs)))
+		return
+	}
+	served := uint64(0)
+	for i := range recs {
+		if b.count(recs[i].Class, recs[i].Setting, recs[i].Outcome) {
+			served++
+		}
+	}
+	if served > 0 {
+		b.observeLatency(a, latNs, served)
+		b.sess.add(sessionID, served)
+	}
+	sh.mu.Unlock()
+}
+
+// bucketLocked resolves the bucket covering nowNs, claiming a free
+// slot or reclaiming one that still holds an older, unflushed window
+// (counted as a dropped bucket). It returns nil when the sample
+// predates the window its slot has moved on to: that bucket is gone,
+// and the caller counts the sample late. Callers hold sh.mu.
+func (sh *shard) bucketLocked(a *Aggregator, nowNs int64) *bucket {
 	startNs := nowNs - floorMod(nowNs, a.bucketLenNs)
 	slot := int(floorMod(floorDiv(startNs, a.bucketLenNs), int64(a.numBuckets)))
-	sh := &a.shards[shardIdx]
-
-	sh.mu.Lock()
 	b := &sh.buckets[slot]
-	if !b.used {
+	switch {
+	case !b.used:
 		b.reset(startNs)
 		sh.open++
-	} else if b.startNs != startNs {
-		if startNs < b.startNs {
-			// The sample predates the window this slot has moved on to:
-			// its bucket is gone.
-			sh.mu.Unlock()
-			a.lateSamples.Inc()
-			return
-		}
+	case startNs < b.startNs:
+		return nil
+	case startNs > b.startNs:
 		// The slot still holds an unflushed older window: ingest has
 		// lapped the flusher. Reclaim the slot, counting the loss.
 		b.reset(startNs)
 		a.bucketsDropped.Inc()
 	}
+	return b
+}
+
+// count adds one sample's outcome to the bucket's tallies and reports
+// whether the sample was served — only served samples carry a latency
+// and count toward their session's top-K share.
+func (b *bucket) count(class phase.Class, setting dvfs.Setting, outcome Outcome) bool {
+	cell := cellFor(class, setting)
 	switch outcome {
 	case OutcomeUnscored:
 		b.starts++
-		b.samples[cellFor(class, setting)]++
-		b.observeLatency(a, latNs)
-		b.sess.add(sessionID)
 	case OutcomeHit:
-		cell := cellFor(class, setting)
-		b.samples[cell]++
 		b.hits[cell]++
-		b.observeLatency(a, latNs)
-		b.sess.add(sessionID)
 	case OutcomeMiss:
-		cell := cellFor(class, setting)
-		b.samples[cell]++
 		b.misses[cell]++
-		b.observeLatency(a, latNs)
-		b.sess.add(sessionID)
 	case OutcomeShed:
 		b.shed++
+		return false
 	default:
 		// Unknown outcomes are counted as shed: the sample existed but
 		// was not served.
 		b.shed++
+		return false
 	}
-	sh.mu.Unlock()
+	b.samples[cell]++
+	return true
 }
 
-// observeLatency adds one served sample's latency to the bucket's
-// histogram (telemetry.DefaultFrameBounds, in nanoseconds).
-func (b *bucket) observeLatency(a *Aggregator, latNs int64) {
+// observeLatency adds n served samples of latency latNs to the
+// bucket's histogram (telemetry.DefaultFrameBounds, in nanoseconds).
+// Counts and the sum are integers, so one call with n equals n calls
+// with 1.
+func (b *bucket) observeLatency(a *Aggregator, latNs int64, n uint64) {
 	if latNs < 0 {
 		latNs = 0
 	}
-	b.latSum += uint64(latNs)
+	b.latSum += n * uint64(latNs)
 	i := 0
 	for i < len(a.boundsNs) && latNs > a.boundsNs[i] {
 		i++
 	}
-	b.lat[i]++
+	b.lat[i] += n
 }
 
 // FlushBefore emits every bucket whose window closed strictly before

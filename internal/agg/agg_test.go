@@ -1,7 +1,9 @@
 package agg
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"phasemon/internal/dvfs"
@@ -230,6 +232,98 @@ func TestMergerTotalsMatchFeed(t *testing.T) {
 	}
 }
 
+// TestBatchIngestEqualsSingle is the batch ingest's equivalence
+// property: a seeded stream of random batches fed through
+// IngestBatchAt flushes byte-identical Rollup frames, and leaves
+// identical self-telemetry, to the same samples fed one at a time
+// through IngestAt at the same instant and latency. The batches mix
+// every outcome, out-of-grid classes and settings (the cellFor clamp),
+// session id 0 (the table's sentinel key), negative and overflow
+// latencies, and instants that fall behind the ring (late) or jump
+// past an unflushed window (lapped slot).
+func TestBatchIngestEqualsSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const (
+		shards    = 3
+		bucketLen = 1000
+		ring      = 3
+	)
+	mk := func() (*Aggregator, *telemetry.Hub) {
+		hub := telemetry.NewHub(6)
+		return New(Config{NodeID: 4, Shards: shards, BucketLenNs: bucketLen, NumBuckets: ring, Telemetry: hub}), hub
+	}
+	batched, batchHub := mk()
+	single, singleHub := mk()
+	var gotBuf, wantBuf []byte
+	flush := func(nowNs int64, all bool) {
+		got, want := gotBuf[:0], wantBuf[:0]
+		collect := func(dst *[]byte) func(*wire.Rollup) {
+			return func(r *wire.Rollup) { *dst = wire.AppendRollup(*dst, r) }
+		}
+		if all {
+			batched.FlushAll(collect(&got))
+			single.FlushAll(collect(&want))
+		} else {
+			batched.FlushBefore(nowNs, collect(&got))
+			single.FlushBefore(nowNs, collect(&want))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("flush at %d: batch ingest rollups (%d bytes) differ from single ingest (%d bytes)",
+				nowNs, len(got), len(want))
+		}
+		gotBuf, wantBuf = got, want
+	}
+
+	outcomes := []Outcome{OutcomeUnscored, OutcomeHit, OutcomeHit, OutcomeMiss, OutcomeMiss, OutcomeShed, Outcome(9)}
+	var recs []Record
+	nowNs := int64(50_000)
+	for batch := 0; batch < 3000; batch++ {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			nowNs -= int64(rng.Intn(6 * bucketLen)) // possibly behind the ring: late
+		case r == 1:
+			nowNs += int64(ring+rng.Intn(3)) * bucketLen // lands on an unflushed slot: lapped
+		default:
+			nowNs += int64(rng.Intn(bucketLen / 4))
+		}
+		shard := rng.Intn(shards)
+		sid := uint64(rng.Intn(40))
+		latNs := int64(rng.Intn(300_000)) - 1000 // negative through the overflow bucket
+		recs = recs[:0]
+		for n := 1 + rng.Intn(80); n > 0; n-- {
+			recs = append(recs, Record{
+				Class:   phase.Class(rng.Intn(wire.RollupClasses + 3)),
+				Setting: dvfs.Setting(rng.Intn(wire.RollupSettings+4) - 2),
+				Outcome: outcomes[rng.Intn(len(outcomes))],
+			})
+		}
+		batched.IngestBatchAt(shard, nowNs, sid, recs, latNs)
+		for _, r := range recs {
+			single.IngestAt(shard, nowNs, sid, r.Class, r.Setting, r.Outcome, latNs)
+		}
+		if rng.Intn(25) == 0 {
+			flush(nowNs-int64(rng.Intn(2*bucketLen)), false)
+		}
+	}
+	flush(0, true)
+
+	for _, name := range []string{telemetry.MetricAggIngested, telemetry.MetricAggLateSamples,
+		telemetry.MetricAggBucketsDropped, telemetry.MetricAggRollups} {
+		got, want := batchHub.Registry.Counter(name).Value(), singleHub.Registry.Counter(name).Value()
+		if got != want {
+			t.Errorf("%s = %d after batch ingest, %d after single ingest", name, got, want)
+		}
+	}
+	late := singleHub.Registry.Counter(telemetry.MetricAggLateSamples).Value()
+	lapped := singleHub.Registry.Counter(telemetry.MetricAggBucketsDropped).Value()
+	if late == 0 || lapped == 0 {
+		t.Errorf("stream exercised late=%d lapped=%d; want both paths covered", late, lapped)
+	}
+	if got := batchHub.Registry.Counter(telemetry.MetricAggRollups).Value(); got == 0 {
+		t.Error("no rollups flushed")
+	}
+}
+
 // TestIngestZeroAlloc proves the accumulate path allocates nothing in
 // steady state, and the flush path allocates nothing once the encode
 // buffer exists — the bounded-memory half of the acceptance bar.
@@ -245,6 +339,16 @@ func TestIngestZeroAlloc(t *testing.T) {
 		a.IngestAt(0, 500_000, sid, phase.ClassMemoryHeavy, dvfs.SpeedStep800, OutcomeHit, 1234)
 	}); n != 0 {
 		t.Errorf("ingest allocs/op = %v, want 0", n)
+	}
+	recs := make([]Record, 64)
+	for i := range recs {
+		recs[i] = Record{Class: phase.Class(i % wire.RollupClasses), Setting: dvfs.Setting(i % wire.RollupSettings), Outcome: Outcome(1 + i%2)}
+	}
+	if n := testing.AllocsPerRun(10_000, func() {
+		sid = sid%64 + 1
+		a.IngestBatchAt(1, 500_000, sid, recs, 1234)
+	}); n != 0 {
+		t.Errorf("batch ingest allocs/op = %v, want 0", n)
 	}
 
 	buf := make([]byte, 0, wire.MaxFrameSize)
@@ -295,10 +399,10 @@ func TestSessTableExact(t *testing.T) {
 	const n = 1000
 	for round := 0; round < 3; round++ {
 		for id := uint64(1); id <= n; id++ {
-			tab.add(id)
+			tab.add(id, 1)
 		}
 	}
-	tab.add(0) // sentinel-key session
+	tab.add(0, 1) // sentinel-key session
 	if tab.n != n {
 		t.Fatalf("table holds %d sessions, want %d", tab.n, n)
 	}
@@ -318,25 +422,47 @@ func TestSessTableExact(t *testing.T) {
 	}
 	cap0 := len(tab.keys)
 	for id := uint64(1); id <= n; id++ {
-		tab.add(id)
+		tab.add(id, 1)
 	}
 	if len(tab.keys) != cap0 {
 		t.Errorf("refill regrew table to %d slots from %d; capacity should be reused", len(tab.keys), cap0)
 	}
 }
 
-// BenchmarkRollupIngest measures the accumulate hot path: one
-// IngestAt into a warm bucket. This is the per-sample overhead a
-// phased worker pays to make the fleet observable.
+// BenchmarkRollupIngest measures the accumulate hot path into a warm
+// bucket, per sample: single is one IngestAt per sample (the shed path
+// and perfbench's replay); batch64 is IngestBatchAt over one session's
+// 64-sample batch, the served path of a phased worker. This is the
+// per-sample overhead a phased worker pays to make the fleet
+// observable.
 func BenchmarkRollupIngest(b *testing.B) {
-	a := New(Config{Shards: 1, BucketLenNs: int64(1e18), NumBuckets: 2})
-	for sid := uint64(1); sid <= 256; sid++ {
-		a.IngestAt(0, 0, sid, phase.ClassBalanced, dvfs.SpeedStep1200, OutcomeUnscored, 10)
+	warm := func() *Aggregator {
+		a := New(Config{Shards: 1, BucketLenNs: int64(1e18), NumBuckets: 2})
+		for sid := uint64(1); sid <= 256; sid++ {
+			a.IngestAt(0, 0, sid, phase.ClassBalanced, dvfs.SpeedStep1200, OutcomeUnscored, 10)
+		}
+		return a
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sid := uint64(i)%256 + 1
-		a.IngestAt(0, 1000, sid, phase.ClassMemoryHeavy, dvfs.SpeedStep800, OutcomeHit, 1234)
-	}
+	b.Run("single", func(b *testing.B) {
+		a := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sid := uint64(i)%256 + 1
+			a.IngestAt(0, 1000, sid, phase.ClassMemoryHeavy, dvfs.SpeedStep800, OutcomeHit, 1234)
+		}
+	})
+	b.Run("batch64", func(b *testing.B) {
+		a := warm()
+		recs := make([]Record, 64)
+		for i := range recs {
+			recs[i] = Record{Class: phase.ClassMemoryHeavy, Setting: dvfs.SpeedStep800, Outcome: OutcomeHit}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(recs) {
+			sid := uint64(i/len(recs))%256 + 1
+			a.IngestBatchAt(0, 1000, sid, recs[:min(len(recs), b.N-i)], 1234)
+		}
+	})
 }

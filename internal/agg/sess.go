@@ -44,10 +44,10 @@ func (t *sessTable) reset() {
 	t.zero = 0
 }
 
-// add counts one sample for a session.
-func (t *sessTable) add(id uint64) {
+// add counts n samples for a session.
+func (t *sessTable) add(id, n uint64) {
 	if id == 0 {
-		t.zero++
+		t.zero += n
 		return
 	}
 	if len(t.keys) == 0 {
@@ -58,7 +58,7 @@ func (t *sessTable) add(id uint64) {
 	i := mix(id) & mask
 	for t.keys[i] != 0 {
 		if t.keys[i] == id {
-			t.counts[i]++
+			t.counts[i] += n
 			return
 		}
 		i = (i + 1) & mask
@@ -73,7 +73,7 @@ func (t *sessTable) add(id uint64) {
 		}
 	}
 	t.keys[i] = id
-	t.counts[i] = 1
+	t.counts[i] = n
 	t.n++
 }
 

@@ -76,10 +76,30 @@ func (m *Monitor) Predictor() Predictor { return m.pred }
 // Step processes one completed sampling interval: it classifies the
 // sample, scores the pending prediction against it, and produces the
 // next prediction. The first interval is not scored (there was nothing
-// to predict it from).
+// to predict it from). An observed monitor reads the hub clock once
+// per scored step and stamps the step's journal events with it.
 //
 //lint:hotpath
 func (m *Monitor) Step(s phase.Sample) (actual, next phase.ID) {
+	return m.step(s, 0, true)
+}
+
+// StepAt is Step with the journal timestamp supplied by the caller:
+// unixNs (Unix nanoseconds, normally a hub clock reading) stamps the
+// prediction verdict and phase transition the step journals, so a
+// caller stepping a batch of samples reads the clock once per batch.
+// The timestamp never touches classification or prediction; an
+// unobserved monitor ignores it.
+//
+//lint:hotpath
+func (m *Monitor) StepAt(s phase.Sample, unixNs int64) (actual, next phase.ID) {
+	return m.step(s, unixNs, false)
+}
+
+// step is Step and StepAt: with readClock set it stamps the step's
+// journal events with one fresh hub clock reading instead of unixNs.
+// Both exported forms inline to a single call of this one.
+func (m *Monitor) step(s phase.Sample, unixNs int64, readClock bool) (actual, next phase.ID) {
 	actual = m.cls.Classify(s)
 	scored := m.steps > 0
 	if scored {
@@ -97,9 +117,12 @@ func (m *Monitor) Step(s phase.Sample) (actual, next phase.ID) {
 			m.tel.PredictedPhase.Set(float64(next))
 		}
 		if scored {
-			m.tel.RecordPrediction(m.steps, int(m.lastPrediction), int(actual))
+			if readClock {
+				unixNs = m.tel.Now().UnixNano()
+			}
+			m.tel.RecordPrediction(m.steps, int(m.lastPrediction), int(actual), unixNs)
 			if actual != m.lastActual {
-				m.tel.RecordPhaseTransition(m.steps, int(m.lastActual), int(actual))
+				m.tel.RecordPhaseTransition(m.steps, int(m.lastActual), int(actual), unixNs)
 			}
 		}
 	}

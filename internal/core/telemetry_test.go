@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
@@ -100,5 +102,71 @@ func TestMonitorStepsMatchWithAndWithoutTelemetry(t *testing.T) {
 	}
 	if plain.Tally() != wired.Tally() {
 		t.Errorf("tallies diverged: %+v vs %+v", plain.Tally(), wired.Tally())
+	}
+}
+
+// TestStepAtStampsCallerTime pins the clock contract of the observed
+// step: StepAt never reads the hub clock and stamps every event it
+// journals with the caller's timestamp, while Step reads the clock at
+// most once per step — however many events that step journals. Both
+// predict identically and leave identical hub counters and confusion
+// matrices.
+func TestStepAtStampsCallerTime(t *testing.T) {
+	cls := phase.Default()
+	reads := 0
+	clock := telemetry.WithClock(func() time.Time {
+		reads++
+		return time.Unix(0, int64(reads)*1000)
+	})
+	atHub, stepHub := telemetry.NewHub(cls.NumPhases(), clock), telemetry.NewHub(cls.NumPhases(), clock)
+	mk := func(hub *telemetry.Hub) *Monitor {
+		m, err := NewMonitor(cls, MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()}), WithTelemetry(hub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	at, stepped := mk(atHub), mk(stepHub)
+	// Cycle phases 1, 6, 6 so scored steps journal verdicts, hits and
+	// misses, with and without a transition.
+	samples := []phase.Sample{{MemPerUop: 0.001, UPC: 1.5}, {MemPerUop: 0.050, UPC: 0.4}, {MemPerUop: 0.050, UPC: 0.4}}
+	const steps = 30
+	for i := 0; i < steps; i++ {
+		s := samples[i%len(samples)]
+		a1, n1 := at.StepAt(s, 777)
+		if reads != 0 {
+			t.Fatalf("StepAt read the hub clock %d times, want 0", reads)
+		}
+		a2, n2 := stepped.Step(s)
+		if a1 != a2 || n1 != n2 {
+			t.Fatalf("step %d: StepAt (%v,%v) diverged from Step (%v,%v)", i, a1, n1, a2, n2)
+		}
+		if want := min(i, 1); reads != want {
+			t.Fatalf("step %d: Step read the hub clock %d times, want %d (once per scored step)", i, reads, want)
+		}
+		reads = 0
+	}
+	for _, e := range atHub.Journal.Recent(0) {
+		if e.UnixNs != 777 {
+			t.Fatalf("%v event stamped %d, want the caller's 777", e.Kind, e.UnixNs)
+		}
+	}
+	if got, want := atHub.Journal.Len(), stepHub.Journal.Len(); got != want || got == 0 {
+		t.Errorf("journal holds %d events after StepAt, %d after Step", got, want)
+	}
+	for _, c := range []struct {
+		name     string
+		at, step *telemetry.Counter
+	}{
+		{"mispredictions", atHub.Mispredictions, stepHub.Mispredictions},
+		{"phase transitions", atHub.PhaseTransitions, stepHub.PhaseTransitions},
+		{"steps", atHub.Steps, stepHub.Steps},
+	} {
+		if c.at.Value() != c.step.Value() {
+			t.Errorf("%s: %d after StepAt, %d after Step", c.name, c.at.Value(), c.step.Value())
+		}
+	}
+	if got, want := fmt.Sprint(atHub.Accuracy().Confusion), fmt.Sprint(stepHub.Accuracy().Confusion); got != want {
+		t.Errorf("confusion after StepAt %s, after Step %s", got, want)
 	}
 }

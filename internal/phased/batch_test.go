@@ -189,9 +189,11 @@ func (discardConn) Close() error                       { return nil }
 
 // TestCoalescerFlushZeroAlloc is the steady-state allocation witness
 // for the server's write coalescer: with the buffers newServerConn
-// sized, buffering predictions and flushing batches — full ones on the
-// size threshold, partial ones when settle retires the last in-flight
-// sample; encode, writev, telemetry — must not allocate.
+// sized, handing over session batches of predictions and flushing —
+// full batches on the size threshold, including one crossed in the
+// middle of a handed-over batch, and partial ones when settle retires
+// the last in-flight sample; encode, writev, telemetry — must not
+// allocate.
 func TestCoalescerFlushZeroAlloc(t *testing.T) {
 	hub := telemetry.NewHub(6)
 	srv, err := New(Config{
@@ -207,16 +209,21 @@ func TestCoalescerFlushZeroAlloc(t *testing.T) {
 	}
 	sc := newServerConn(srv, discardConn{})
 
-	p := wire.Prediction{SessionID: 9, Seq: 1, Actual: 2, Next: 3, Class: 1, Setting: 4}
+	// Two session batches per fill: 5 then 6 predictions, so the size
+	// threshold (8) is crossed inside the second hand-over and 3
+	// replies are left for the settle flush.
+	ps := make([]wire.Prediction, srv.flushThreshold+3)
+	for i := range ps {
+		ps[i] = wire.Prediction{SessionID: 9, Seq: uint64(i), Actual: 2, Next: 3, Class: 1, Setting: 4}
+	}
 	fills := 0
 	fill := func() {
 		fills++
-		n := srv.flushThreshold + 3
+		n := len(ps)
 		sc.inflight.Add(int64(n))
-		for i := 0; i < n; i++ {
-			p.Seq++
-			if err := sc.writePrediction(&p); err != nil {
-				t.Fatalf("writePrediction: %v", err)
+		for _, part := range [][]wire.Prediction{ps[:5], ps[5:]} {
+			if err := sc.writePredictions(part, 1); err != nil {
+				t.Fatalf("writePredictions: %v", err)
 			}
 		}
 		if err := sc.settle(n); err != nil {
@@ -229,6 +236,9 @@ func TestCoalescerFlushZeroAlloc(t *testing.T) {
 	}
 	if n, want := hub.PhasedFlushes.Value(), uint64(2*fills); n != want {
 		t.Fatalf("flush counter = %d, want %d: a threshold and a settle flush per fill", n, want)
+	}
+	if got, want := hub.PhasedFlushFrames.Snapshot().Sum, float64(fills*len(ps)); got != want {
+		t.Fatalf("flushed %v predictions over %d fills, want %v", got, fills, want)
 	}
 }
 

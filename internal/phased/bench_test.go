@@ -3,9 +3,7 @@ package phased
 import (
 	"testing"
 
-	"phasemon/internal/core"
-	"phasemon/internal/dvfs"
-	"phasemon/internal/phase"
+	"phasemon/internal/telemetry"
 	"phasemon/internal/wire"
 )
 
@@ -13,27 +11,40 @@ import (
 // serving path — counter arithmetic, monitor step, classification,
 // translation, prediction assembly — with the transport excluded.
 // Together with BenchmarkWireRoundTrip it bounds the server's
-// per-frame CPU cost; the steady state must not allocate.
+// per-sample CPU cost; the steady state must not allocate. Sessions
+// are built by newSession, exactly as the server builds them: bare
+// serves unobserved, hub attaches a telemetry hub as cmd/phased always
+// does (step counters, gauges, accuracy matrix and journal), and reads
+// the hub clock once per 64 samples, as a worker does once per batch.
 func BenchmarkSessionStep(b *testing.B) {
-	trans, err := dvfs.Identity(dvfs.PentiumM(), 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred, err := core.NewPredictorFromSpec("gpht_8_128", core.SpecEnv{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mon, err := core.NewMonitor(phase.Default(), pred)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := &session{id: 1, mon: mon, trans: trans, numPhases: 6}
-	smp := wire.Sample{SessionID: 1, Uops: 100e6, Cycles: 90e6}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		smp.Seq = uint64(i)
-		smp.MemTx = uint64(i%7) * 1e6
-		_, _ = sess.step(&smp, 0)
+	for _, bc := range []struct {
+		name string
+		hub  *telemetry.Hub
+	}{
+		{"bare", nil},
+		{"hub", telemetry.NewHub(6)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv, err := New(Config{Telemetry: bc.hub})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, _, err := srv.newSession(nil, 1, []byte("gpht_8_128"), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			smp := wire.Sample{SessionID: 1, Uops: 100e6, Cycles: 90e6}
+			var nowNs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					nowNs = srv.clock().UnixNano()
+				}
+				smp.Seq = uint64(i)
+				smp.MemTx = uint64(i%7) * 1e6
+				_, _ = sess.step(&smp, 0, nowNs)
+			}
+		})
 	}
 }

@@ -53,6 +53,12 @@ type serverConn struct {
 	armed       bool              // guarded by wmu
 	firstPendNs int64             // guarded by wmu
 
+	// Reader scratch, owned by the connection's reader goroutine:
+	// handleBatch decodes a frame's records into rsmp and resolves
+	// their sessions into rsess, reusing both across frames.
+	rsmp  []wire.Sample
+	rsess []*session
+
 	smu      sync.Mutex
 	sessions []*session // guarded by smu
 
@@ -200,21 +206,31 @@ func (sc *serverConn) writeAck(a *wire.Ack) error {
 	return sc.flushLocked()
 }
 
-// writePrediction is the worker pool's reply path: it buffers the
-// prediction and flushes only on the size threshold. The other flush
-// triggers run from settle, once the worker has buffered its whole
-// session batch.
+// writePredictions is the worker pool's reply path: it buffers a
+// session batch's predictions in one wmu section and flushes only on
+// the size threshold — at exactly the record a per-prediction append
+// would have, so the wire framing does not depend on how replies were
+// handed over. nowNs, the worker's batch-start clock reading, marks
+// when a newly opened pending batch began (flush_seconds). The other
+// flush triggers run from settle, once the worker has buffered its
+// whole session batch.
 //
 //lint:hotpath
-func (sc *serverConn) writePrediction(p *wire.Prediction) error {
+func (sc *serverConn) writePredictions(ps []wire.Prediction, nowNs int64) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	sc.preds = append(sc.preds, *p)
-	if len(sc.preds) == 1 {
-		sc.firstPendNs = time.Now().UnixNano()
-	}
-	if len(sc.preds) >= sc.srv.flushThreshold {
-		return sc.flushLocked()
+	for len(ps) > 0 {
+		if len(sc.preds) == 0 {
+			sc.firstPendNs = nowNs
+		}
+		k := min(sc.srv.flushThreshold-len(sc.preds), len(ps))
+		sc.preds = append(sc.preds, ps[:k]...)
+		ps = ps[k:]
+		if len(sc.preds) >= sc.srv.flushThreshold {
+			if err := sc.flushLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

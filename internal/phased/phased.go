@@ -448,29 +448,13 @@ func (s *Server) awaitSessions(ctx context.Context) error {
 // requestDrain marks the session draining and schedules it so its
 // worker flushes the queue and emits the Drain reply.
 func (s *Server) requestDrain(sess *session) {
-	w := s.workerFor(sess.id)
+	w := sess.w
 	w.mu.Lock()
 	if sess.state == StateOpen || sess.state == StateNegotiating {
 		sess.draining = true
 		w.scheduleLocked(sess)
 	}
 	w.mu.Unlock()
-}
-
-// workerFor pins a session id to a worker by FNV-1a hash, the same
-// static-sharding determinism the fleet engine uses: a session's
-// samples are always processed in order by one goroutine.
-func (s *Server) workerFor(id uint64) *worker {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= (id >> (8 * i)) & 0xff
-		h *= prime64
-	}
-	return s.workers[h%uint64(len(s.workers))]
 }
 
 // readLoop is the per-connection reader: it decodes frames and routes
@@ -553,8 +537,12 @@ func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, r *wire.Rest
 		return nil, wire.CodeBadSpec, err
 	}
 	sess := &session{
-		id:        id,
-		conn:      sc,
+		id:   id,
+		conn: sc,
+		// Pinned once, by the hash that shards the rollup pipeline: a
+		// session's samples are always processed in order by one
+		// goroutine, and its outcomes land in that worker's agg shard.
+		w:         s.workers[s.agg.ShardFor(id)],
 		mon:       mon,
 		trans:     s.trans,
 		numPhases: s.cfg.Classifier.NumPhases(),
@@ -631,7 +619,7 @@ func (s *Server) registerAndAck(sc *serverConn, sess *session) bool {
 		NumPhases: uint8(s.cfg.Classifier.NumPhases()), Flags: ackFlags}); err != nil {
 		return false
 	}
-	w := s.workerFor(sess.id)
+	w := sess.w
 	w.mu.Lock()
 	if sess.state == StateNegotiating {
 		sess.state = StateOpen
@@ -681,12 +669,21 @@ func (s *Server) handleRollupHello(sc *serverConn, h *wire.Hello) bool {
 		Flags:     wire.FlagRollup}) == nil
 }
 
-// handleBatch unpacks a client sample batch straight into the worker
-// queues. The whole batch counts as in flight on the connection before
-// its first record is queued, so no worker can see the count reach zero
-// — and flush early — while the rest of the batch is still unqueued. A
-// prediction batch arriving here is a confused peer (predictions only
-// flow server→client) and is connection-fatal.
+// handleBatch unpacks a client sample batch into the worker queues
+// with per-frame, not per-record, bookkeeping: the whole frame is
+// decoded first, every record's session is looked up in one s.mu
+// section, and each worker's rings are filled in one w.mu section, in
+// record order, so each session's samples keep their order. The
+// frame's records count as in flight on the connection before the
+// first is queued, so no worker can see the count reach zero — and
+// flush early — while the rest of the frame is still unqueued. Records
+// that will never be answered are settled here instead of by a worker:
+// a record for an unknown session (or one owned by another connection)
+// never enters flight and draws its own Error frame; evictions settle
+// under the evicting worker's lock; late records for draining or
+// closed sessions are dropped silently and settle in one call after
+// the last push. A prediction batch arriving here is a confused peer
+// (predictions only flow server→client) and is connection-fatal.
 func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 	elem, n, recs, err := wire.DecodeBatch(payload)
 	if err != nil {
@@ -697,57 +694,94 @@ func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 		s.protoError(sc, wire.CodeBadFrame, 0, "unexpected "+elem.String()+" batch")
 		return false
 	}
-	sc.inflight.Add(int64(n))
+	smps := sc.rsmp[:0]
 	for i := 0; i < n; i++ {
 		var smp wire.Sample
 		if err := wire.DecodeSample(recs[i*wire.SampleRecordSize:(i+1)*wire.SampleRecordSize], &smp); err != nil {
 			s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
 			return false
 		}
-		if !s.queueSample(sc, &smp) {
-			return false
+		smps = append(smps, smp)
+	}
+	sc.rsmp = smps
+
+	sessions := sc.rsess[:0]
+	unknown := 0
+	var last *session
+	s.mu.Lock()
+	for i := range smps {
+		// A run of records for one session reuses its lookup.
+		if id := smps[i].SessionID; last == nil || last.id != id {
+			last = s.sessions[id]
+			if last != nil && last.conn != sc {
+				last = nil
+			}
+		}
+		if last == nil {
+			unknown++
+		}
+		sessions = append(sessions, last)
+	}
+	s.mu.Unlock()
+	sc.rsess = sessions
+
+	if unknown > 0 {
+		// The Error frame write flushes any pending replies itself.
+		for i := range smps {
+			if sessions[i] == nil {
+				s.protoError(sc, wire.CodeUnknownSession, smps[i].SessionID, "no such session on this connection")
+			}
 		}
 	}
-	return true
-}
-
-// queueSample routes one decoded sample to its session's pinned
-// worker, accounting evictions. A sample that will never be answered —
-// evicted, or addressed to an unknown, draining or closed session —
-// is settled here instead of by the worker. It reports whether the
-// connection should stay open.
-func (s *Server) queueSample(sc *serverConn, smp *wire.Sample) bool {
-	s.mu.Lock()
-	sess := s.sessions[smp.SessionID]
-	s.mu.Unlock()
-	if sess == nil || sess.conn != sc {
-		// The Error frame write flushes any pending replies itself.
-		sc.inflight.Add(-1)
-		s.protoError(sc, wire.CodeUnknownSession, smp.SessionID, "no such session on this connection")
-		return true
-	}
-	w := s.workerFor(sess.id)
-	w.mu.Lock()
-	if sess.state != StateOpen && sess.state != StateNegotiating {
+	sc.inflight.Add(int64(n - unknown))
+	late := 0
+	var shedNs int64 // read once, at the frame's first eviction
+	for i := range sessions {
+		if sessions[i] == nil {
+			continue
+		}
+		// One section per worker: take every remaining record pinned to
+		// it, clearing each slot so the scratch holds no session
+		// pointers once the frame is queued.
+		w := sessions[i].w
+		evicted := 0
+		w.mu.Lock()
+		for j := i; j < len(sessions); j++ {
+			sess := sessions[j]
+			if sess == nil || sess.w != w {
+				continue
+			}
+			sessions[j] = nil
+			if sess.state != StateOpen && sess.state != StateNegotiating {
+				late++
+				continue
+			}
+			if d := sess.queue.push(smps[j]); d > 0 {
+				evicted += d
+				sess.dropped += uint64(d)
+				// A shed sample was never served, so it has no class or
+				// setting; the rollup counts it against the fleet's shed
+				// rate only.
+				if shedNs == 0 {
+					shedNs = s.clock().UnixNano()
+				}
+				s.agg.IngestAt(w.idx, shedNs, sess.id,
+					phase.ClassUnknown, 0, agg.OutcomeShed, 0)
+			}
+			w.scheduleLocked(sess)
+		}
+		if evicted > 0 {
+			// Settled under w.mu, before the worker can pop (and settle)
+			// the samples that evicted them, so the count cannot reach
+			// zero here with a reply still pending.
+			sc.inflight.Add(-int64(evicted))
+			s.drops.Add(uint64(evicted))
+		}
 		w.mu.Unlock()
-		// Late samples for a draining or closed session are dropped
-		// silently.
-		return sc.settle(1) == nil
 	}
-	if d := sess.queue.push(*smp); d > 0 {
-		// Settled under w.mu, before the worker can pop (and settle)
-		// the sample that evicted it, so the count cannot reach zero
-		// here with a reply still pending.
-		sc.inflight.Add(-int64(d))
-		sess.dropped += uint64(d)
-		s.drops.Add(uint64(d))
-		// A shed sample was never served, so it has no class or setting;
-		// the rollup counts it against the fleet's shed rate only.
-		s.agg.IngestAt(w.idx, s.clock().UnixNano(), sess.id,
-			phase.ClassUnknown, 0, agg.OutcomeShed, 0)
+	if late > 0 {
+		return sc.settle(late) == nil
 	}
-	w.scheduleLocked(sess)
-	w.mu.Unlock()
 	return true
 }
 
@@ -803,7 +837,7 @@ func (s *Server) dropConn(sc *serverConn) {
 	delete(s.rollupSubs, sc)
 	s.mu.Unlock()
 	for _, sess := range sc.takeSessions() {
-		w := s.workerFor(sess.id)
+		w := sess.w
 		w.mu.Lock()
 		sess.state = StateClosed
 		w.mu.Unlock()

@@ -527,6 +527,144 @@ func TestUnknownSessionAndBadSpecSurvivable(t *testing.T) {
 	}
 }
 
+// TestBatchFrameMixedRecords drives handleBatch's per-frame grouping
+// with one Batch frame whose records interleave two open sessions
+// pinned to different workers, an unknown session, and a session in
+// the middle of draining. Each open session's replies must come back
+// complete and in order, each unknown record must draw exactly one
+// CodeUnknownSession Error, the draining session's records must be
+// dropped silently, and the in-flight count must settle. The
+// coalescing timer is an hour, so the replies can only arrive through
+// the in-flight flush: a record left unsettled would hang the read.
+func TestBatchFrameMixedRecords(t *testing.T) {
+	srv, addr, hub := startServer(t, Config{Workers: 4, FlushInterval: time.Hour})
+	var ids []uint64 // two open sessions and a draining one, on three workers
+	onWorker := map[int]bool{}
+	for id := uint64(1); len(ids) < 3; id++ {
+		if w := srv.agg.ShardFor(id); !onWorker[w] {
+			onWorker[w] = true
+			ids = append(ids, id)
+		}
+	}
+	const unknownID = 1 << 40
+	c := dialRaw(t, addr)
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	dec := wire.NewDecoder(c)
+	var buf []byte
+	for _, id := range ids {
+		buf = appendHello(t, buf[:0], &wire.Hello{SessionID: id, Spec: []byte("gpht_8_128")})
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if kind, _, err := dec.Next(); err != nil || kind != wire.KindAck {
+			t.Fatalf("handshake %d: (%v, %v)", id, kind, err)
+		}
+	}
+	srv.mu.Lock()
+	sessA, sessB, sessD := srv.sessions[ids[0]], srv.sessions[ids[1]], srv.sessions[ids[2]]
+	srv.mu.Unlock()
+	for _, sess := range []*session{sessA, sessB, sessD} {
+		if sess.w.idx != srv.agg.ShardFor(sess.id) {
+			t.Fatalf("session %d pinned to worker %d, its agg shard is %d", sess.id, sess.w.idx, srv.agg.ShardFor(sess.id))
+		}
+	}
+	// Hold the third session where a worker leaves a draining session
+	// while it flushes: draining, but not yet closed and unregistered.
+	sessD.w.mu.Lock()
+	sessD.draining = true
+	sessD.state = StateDraining
+	sessD.w.mu.Unlock()
+
+	a, b, d := ids[0], ids[1], ids[2]
+	order := []uint64{a, b, unknownID, d, a, a, unknownID, b, d, a, b, unknownID, b, a, b}
+	var smps []wire.Sample
+	next := map[uint64]uint64{}
+	for i, id := range order {
+		smps = append(smps, wire.Sample{SessionID: id, Seq: next[id], Uops: 1e8, MemTx: uint64(i%5) * 1e6, Cycles: 9e7})
+		next[id]++
+	}
+	buf = appendSamples(t, buf[:0], smps...)
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+
+	got := map[uint64][]uint64{}
+	answered, errs := 0, 0
+	for answered < int(next[a]+next[b]) || errs < int(next[unknownID]) {
+		kind, payload, err := dec.Next()
+		if err != nil {
+			t.Fatalf("after %d replies and %d errors: %v", answered, errs, err)
+		}
+		switch kind {
+		case wire.KindError:
+			var e wire.ErrorFrame
+			if err := wire.DecodeError(payload, &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Code != wire.CodeUnknownSession || e.SessionID != unknownID {
+				t.Fatalf("error %v for session %d, want CodeUnknownSession for %d", e.Code, e.SessionID, uint64(unknownID))
+			}
+			errs++
+		case wire.KindBatch:
+			elem, n, recs, err := wire.DecodeBatch(payload)
+			if err != nil || elem != wire.KindPrediction {
+				t.Fatalf("DecodeBatch: %v batch, %v", elem, err)
+			}
+			for i := 0; i < n; i++ {
+				var p wire.Prediction
+				if err := wire.DecodePrediction(recs[i*wire.PredictionRecordSize:(i+1)*wire.PredictionRecordSize], &p); err != nil {
+					t.Fatal(err)
+				}
+				got[p.SessionID] = append(got[p.SessionID], p.Seq)
+				answered++
+			}
+		default:
+			t.Fatalf("unexpected %v frame", kind)
+		}
+	}
+	if errs != int(next[unknownID]) {
+		t.Fatalf("%d CodeUnknownSession errors, want one per unknown record (%d)", errs, next[unknownID])
+	}
+	for _, id := range []uint64{a, b} {
+		if len(got[id]) != int(next[id]) {
+			t.Fatalf("session %d: %d replies, want %d", id, len(got[id]), next[id])
+		}
+		for i, seq := range got[id] {
+			if seq != uint64(i) {
+				t.Fatalf("session %d replies out of order: %v", id, got[id])
+			}
+		}
+	}
+	if len(got[d]) != 0 {
+		t.Fatalf("draining session %d answered %v; its late records must be dropped", d, got[d])
+	}
+	assertSettled(t, srv)
+	if n := hub.PhasedProtocolErrors.Value(); n != next[unknownID] {
+		t.Errorf("protocol errors = %d, want %d", n, next[unknownID])
+	}
+	// Per-batch bookkeeping keeps per-sample counts exact.
+	if n := hub.PhasedFrameSeconds.Snapshot().Count; n != uint64(answered) {
+		t.Errorf("frame_seconds count = %d, want one per answered sample (%d)", n, answered)
+	}
+	if n := hub.Registry.Counter(telemetry.MetricAggIngested).Value(); n != uint64(answered) {
+		t.Errorf("agg ingested = %d, want %d", n, answered)
+	}
+
+	// Let the worker finish the drain: the session closes with a Drain
+	// that reports no samples processed.
+	sessD.w.mu.Lock()
+	sessD.w.scheduleLocked(sessD)
+	sessD.w.mu.Unlock()
+	kind, payload, err := dec.Next()
+	if err != nil || kind != wire.KindDrain {
+		t.Fatalf("after release: (%v, %v), want the draining session's Drain", kind, err)
+	}
+	var dr wire.Drain
+	if err := wire.DecodeDrain(payload, &dr); err != nil || dr.SessionID != d || dr.LastSeq != wire.NoSamples {
+		t.Fatalf("Drain = %+v (%v), want session %d with no samples", dr, err, d)
+	}
+}
+
 // TestDuplicateSessionRejected: one session id cannot be claimed twice
 // while open, and becomes claimable again after a drain.
 func TestDuplicateSessionRejected(t *testing.T) {

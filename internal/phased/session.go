@@ -100,6 +100,9 @@ func (r *sampleRing) len() int { return r.n }
 type session struct {
 	id   uint64
 	conn *serverConn
+	// w is the worker the session is pinned to, resolved once at open
+	// by agg.ShardFor: the worker's index is the session's agg shard.
+	w *worker
 
 	mon       *core.Monitor
 	trans     *dvfs.Translation
@@ -133,20 +136,21 @@ type session struct {
 // exactly so a streamed session is bit-identical to a local simulated
 // run over the same counters. dropped is the worker's snapshot of the
 // session's cumulative eviction count (taken under the worker lock, so
-// step itself stays lock-free).
+// step itself stays lock-free). nowNs, the worker's clock reading at
+// batch start, stamps the monitor's journal events (core.StepAt).
 //
 // The returned Outcome scores the prediction that was pending for this
 // interval, by the monitor's own rule (core.Monitor.Step): the first
 // interval is unscored, after that the pending prediction either hit
 // or missed the classified phase. It feeds the rollup pipeline, so a
 // bucket's hit/miss counts agree exactly with the monitors' tallies.
-func (s *session) step(smp *wire.Sample, dropped uint64) (wire.Prediction, agg.Outcome) {
+func (s *session) step(smp *wire.Sample, dropped uint64, nowNs int64) (wire.Prediction, agg.Outcome) {
 	in := phase.Sample{
 		MemPerUop: safeDiv(float64(smp.MemTx), float64(smp.Uops)),
 		UPC:       safeDiv(float64(smp.Uops), float64(smp.Cycles)),
 	}
 	pending := s.mon.LastPrediction()
-	actual, next := s.mon.Step(in)
+	actual, next := s.mon.StepAt(in, nowNs)
 	outcome := agg.OutcomeUnscored
 	if s.processed > 0 {
 		if pending == actual {

@@ -2,8 +2,8 @@ package phased
 
 import (
 	"sync"
-	"time"
 
+	"phasemon/internal/agg"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/phase"
 	"phasemon/internal/wire"
@@ -17,8 +17,8 @@ import (
 type worker struct {
 	srv *Server
 	// idx is the worker's position in the pool and its shard index in
-	// the rollup aggregator: the two are pinned by the same FNV-1a
-	// hash, so a session's outcomes always land in one agg shard.
+	// the rollup aggregator: newSession pins a session to the worker
+	// agg.ShardFor names, so its outcomes always land in one agg shard.
 	idx     int
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -51,17 +51,23 @@ func (w *worker) stop() {
 }
 
 // run is the worker loop: pop a session, take its whole pending batch,
-// step each sample through the monitor, buffer the predictions, and
-// settle the batch on the connection (which flushes the replies if
-// nothing else is in flight there).
+// step each sample through the monitor, hand the batch's predictions
+// to the connection's coalescer, and settle the batch (which flushes
+// the replies if nothing else is in flight there).
 // Batches keep lock hold times short — the reader can keep queueing
 // while this goroutine computes — and a session re-queues itself if
 // more samples arrive mid-batch, preserving FIFO order because it is
-// always this one goroutine that processes it.
+// always this one goroutine that processes it. Bookkeeping is per
+// batch: two clock reads, one coalescer section, one histogram update
+// and one rollup ingest, however many samples the batch holds.
 //
 //lint:hotpath
 func (w *worker) run() {
-	var batch []wire.Sample
+	var (
+		batch []wire.Sample
+		preds []wire.Prediction
+		recs  []agg.Record
+	)
 	w.mu.Lock()
 	for {
 		for len(w.runq) == 0 && !w.stopped {
@@ -90,31 +96,32 @@ func (w *worker) run() {
 		}
 		w.mu.Unlock()
 
-		if !closed {
+		if !closed && len(batch) > 0 {
+			start := w.srv.clock()
+			startNs := start.UnixNano()
+			preds, recs = preds[:0], recs[:0]
 			for i := range batch {
-				start := time.Now()
-				p, outcome := sess.step(&batch[i], dropped)
-				err := sess.conn.writePrediction(&p)
-				elapsed := time.Since(start)
-				w.srv.frameSeconds.Observe(elapsed.Seconds())
-				// The rollup reuses the latency measurement's own start
-				// time, so the hot path reads the clock exactly twice.
+				p, outcome := sess.step(&batch[i], dropped, startNs)
+				preds = append(preds, p)
 				// Class/Setting come from the prediction: the pair the
 				// translation will actually apply next interval.
-				w.srv.agg.IngestAt(w.idx, start.UnixNano(), sess.id,
-					phase.Class(p.Class), dvfs.Setting(p.Setting), outcome,
-					elapsed.Nanoseconds())
-				if err != nil {
-					w.srv.dropConn(sess.conn)
-					closed = true
-					break
-				}
+				recs = append(recs, agg.Record{Class: phase.Class(p.Class),
+					Setting: dvfs.Setting(p.Setting), Outcome: outcome})
 			}
-			if !closed && len(batch) > 0 {
-				if err := sess.conn.settle(len(batch)); err != nil {
-					w.srv.dropConn(sess.conn)
-					closed = true
-				}
+			err := sess.conn.writePredictions(preds, startNs)
+			// Every sample of the batch is recorded at the batch's mean
+			// latency: counts and sums stay exact with one clock read
+			// at each end of the batch.
+			n := len(batch)
+			elapsed := w.srv.clock().Sub(start)
+			w.srv.frameSeconds.ObserveN(elapsed.Seconds()/float64(n), n)
+			w.srv.agg.IngestBatchAt(w.idx, startNs, sess.id, recs, elapsed.Nanoseconds()/int64(n))
+			if err == nil {
+				err = sess.conn.settle(n)
+			}
+			if err != nil {
+				w.srv.dropConn(sess.conn)
+				closed = true
 			}
 		}
 		if draining && !closed {

@@ -60,7 +60,7 @@ func BenchmarkHubRecordPrediction(b *testing.B) {
 	h := NewHub(6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.RecordPrediction(i, i%6+1, (i/2)%6+1)
+		h.RecordPrediction(i, i%6+1, (i/2)%6+1, int64(i))
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -8,7 +9,8 @@ import (
 
 // TestWithClockStampsEvents proves an injected clock makes journal
 // timestamps deterministic: every Record* path stamps UnixNs from the
-// hub's clock, not the wall clock.
+// hub's clock, not the wall clock — read by the hub itself, or, for
+// the verdict and transition events, by the caller through Hub.Now.
 func TestWithClockStampsEvents(t *testing.T) {
 	var ticks int64
 	clock := func() time.Time {
@@ -17,8 +19,8 @@ func TestWithClockStampsEvents(t *testing.T) {
 	}
 	h := NewHub(6, WithClock(clock))
 
-	h.RecordPrediction(0, 2, 2)
-	h.RecordPhaseTransition(1, 2, 3)
+	h.RecordPrediction(0, 2, 2, h.Now().UnixNano())
+	h.RecordPhaseTransition(1, 2, 3, h.Now().UnixNano())
 	h.RecordDVFSChange(1, 0, 4)
 	h.RecordPMISample(2, 0.01, 1.5)
 
@@ -100,6 +102,52 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 			t.Errorf("trial %d: merged sum %v, combined %v", trial, merged.Sum, want.Sum)
 		}
 	}
+}
+
+// TestObserveNEqualsRepeatedObserve is the batch-equals-single
+// property of the per-batch histogram path: ObserveN(v, n) leaves the
+// snapshot — buckets, count and the float sum, bit for bit — that n
+// Observe(v) calls leave, on top of any prior state; n ≤ 0 and NaN
+// change nothing.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	batch := MustNewHistogram(DefaultFrameBounds)
+	single := MustNewHistogram(DefaultFrameBounds)
+	for trial := 0; trial < 300; trial++ {
+		v := rng.Float64() * 0.2 // spans all buckets incl. +Inf
+		switch trial % 10 {
+		case 0:
+			v = DefaultFrameBounds[rng.Intn(len(DefaultFrameBounds))] // exact bound: "le"
+		case 1:
+			v = 0
+		}
+		n := 1 + rng.Intn(130)
+		batch.ObserveN(v, n)
+		for k := 0; k < n; k++ {
+			single.Observe(v)
+		}
+		got, want := batch.Snapshot(), single.Snapshot()
+		if got.Count != want.Count || got.Sum != want.Sum {
+			t.Fatalf("trial %d (v=%v n=%d): count/sum %d/%v, want %d/%v",
+				trial, v, n, got.Count, got.Sum, want.Count, want.Sum)
+		}
+		for i := range want.Counts {
+			if got.Counts[i] != want.Counts[i] {
+				t.Fatalf("trial %d bucket %d: %d, want %d", trial, i, got.Counts[i], want.Counts[i])
+			}
+		}
+	}
+
+	before := batch.Snapshot()
+	batch.ObserveN(1e-6, 0)
+	batch.ObserveN(1e-6, -5)
+	batch.ObserveN(math.NaN(), 7)
+	after := batch.Snapshot()
+	if after.Count != before.Count || after.Sum != before.Sum {
+		t.Fatalf("no-op ObserveN calls changed the histogram: %+v, want %+v", after, before)
+	}
+	var nilHist *Histogram
+	nilHist.ObserveN(1, 3) // must not panic
 }
 
 // TestHistogramMergeRejectsMismatchedBounds pins the error contract:

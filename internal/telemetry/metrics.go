@@ -105,19 +105,30 @@ func MustNewHistogram(bounds []float64) *Histogram {
 // Observe records one sample. A sample lands in the first bucket whose
 // upper bound is >= v (Prometheus "le" semantics); values above every
 // bound land in the +Inf bucket.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value v with one bucket add
+// and one sum CAS: the per-batch form of Observe. The sum adds v n
+// times in turn rather than adding v*n, so the snapshot is bit-for-bit
+// the one n Observe(v) calls would leave. n ≤ 0 and NaN are no-ops.
+//
+//lint:hotpath
+func (h *Histogram) ObserveN(v float64, n int) {
+	if h == nil || n <= 0 || math.IsNaN(v) {
 		return
 	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
+	h.counts[i].Add(uint64(n))
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
+		sum := math.Float64frombits(old)
+		for k := 0; k < n; k++ {
+			sum += v
+		}
+		if h.sum.CompareAndSwap(old, math.Float64bits(sum)) {
 			return
 		}
 	}

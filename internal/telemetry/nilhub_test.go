@@ -12,8 +12,8 @@ import (
 // *Hub and call through it without guarding every site.
 func TestNilReceiversAreNoOps(t *testing.T) {
 	var h *Hub
-	h.RecordPrediction(1, 2, 2)
-	h.RecordPhaseTransition(1, 1, 2)
+	h.RecordPrediction(1, 2, 2, 0)
+	h.RecordPhaseTransition(1, 1, 2, 0)
 	h.RecordDVFSChange(1, 0, 3)
 	h.RecordPMISample(1, 0.01, 1.2)
 	if acc := h.Accuracy(); acc.Total != 0 {

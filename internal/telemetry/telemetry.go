@@ -190,7 +190,10 @@ type Hub struct {
 	// FleetRunSeconds distributes per-run wall time in the fleet engine.
 	FleetRunSeconds *Histogram
 	// PhasedFrameSeconds distributes the phased server's per-sample
-	// handling latency (sample arrival to prediction written).
+	// handling latency: a worker times each session batch it steps —
+	// monitor steps plus handing the replies to the write coalescer —
+	// and records every sample of the batch at the batch's mean, so
+	// the count and sum are exact and the buckets are per-batch.
 	PhasedFrameSeconds *Histogram
 	// PhasedFlushFrames distributes reply frames per coalesced flush.
 	PhasedFlushFrames *Histogram
@@ -300,8 +303,13 @@ func (h *Hub) confCell(id int) int {
 
 // RecordPrediction scores one prediction verdict: it updates the
 // misprediction counter, the live accuracy view, and journals the
-// verdict. step is the monitor step the verdict belongs to.
-func (h *Hub) RecordPrediction(step, predicted, actual int) {
+// verdict. step is the monitor step the verdict belongs to; unixNs
+// (Unix nanoseconds, normally a hub clock reading the caller already
+// took) stamps the event, so a caller journaling several events per
+// step — or per batch — reads the clock once.
+//
+//lint:hotpath
+func (h *Hub) RecordPrediction(step, predicted, actual int, unixNs int64) {
 	if h == nil {
 		return
 	}
@@ -311,19 +319,22 @@ func (h *Hub) RecordPrediction(step, predicted, actual int) {
 	}
 	h.conf[h.confCell(actual)*(h.numPhases+1)+h.confCell(predicted)].Add(1)
 	h.Journal.Record(Event{
-		Kind: KindPrediction, Step: step, UnixNs: h.Now().UnixNano(),
+		Kind: KindPrediction, Step: step, UnixNs: unixNs,
 		Predicted: predicted, Actual: actual, Correct: correct,
 	})
 }
 
-// RecordPhaseTransition journals a change of the classified phase and
-// bumps the transition counter.
-func (h *Hub) RecordPhaseTransition(step, from, to int) {
+// RecordPhaseTransition journals a change of the classified phase,
+// stamped unixNs (as RecordPrediction), and bumps the transition
+// counter.
+//
+//lint:hotpath
+func (h *Hub) RecordPhaseTransition(step, from, to int, unixNs int64) {
 	if h == nil {
 		return
 	}
 	h.PhaseTransitions.Inc()
-	h.Journal.Record(Event{Kind: KindPhaseTransition, Step: step, UnixNs: h.Now().UnixNano(), From: from, To: to})
+	h.Journal.Record(Event{Kind: KindPhaseTransition, Step: step, UnixNs: unixNs, From: from, To: to})
 }
 
 // RecordDVFSChange journals an operating-point change and bumps the
