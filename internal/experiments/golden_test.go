@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -29,6 +30,39 @@ func TestTableRendersMatchGolden(t *testing.T) {
 		if got := bytes.TrimRight(buf.Bytes(), "\n"); !bytes.Equal(got, bytes.TrimRight(want, "\n")) {
 			t.Errorf("%s render drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s",
 				c.name, got, want)
+		}
+	}
+}
+
+// goldenIntervals keeps the simulated-figure goldens short enough for
+// the race suite while still crossing every phase of every benchmark.
+const goldenIntervals = 512
+
+// TestSimulatedFiguresMatchGolden pins the management figures (and the
+// thermal extension, the only one whose leakage depends on die
+// temperature) byte-for-byte, so a change that moves one simulated
+// watt, cycle or joule shows up as a diff. Other architectures may
+// fuse multiply-adds and round differently, so the pin holds on amd64
+// only.
+func TestSimulatedFiguresMatchGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden floats are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	for _, name := range []string{"fig11", "fig12", "fig13", "ext-dtm"} {
+		r, err := LookupAny(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := r.Run(Options{Intervals: goldenIntervals, Workers: 2}, &buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s render drifted from testdata/%s.golden:\n--- got ---\n%s", name, name, buf.Bytes())
 		}
 	}
 }
