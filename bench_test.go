@@ -17,7 +17,9 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/experiments"
 	"phasemon/internal/governor"
+	"phasemon/internal/machine"
 	"phasemon/internal/phase"
+	"phasemon/internal/thermal"
 	"phasemon/internal/workload"
 )
 
@@ -293,18 +295,33 @@ func appluObservations(b *testing.B, n int) []core.Observation {
 
 // BenchmarkGovernorRun measures full managed-run simulation throughput
 // (intervals per op reported as time; the suite's scalability knob).
+// /paper is the paper's platform; /thermal runs the same workload with
+// a die-temperature model attached, so leakage is scaled per interval.
 func BenchmarkGovernorRun(b *testing.B) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {
 		b.Fatal(err)
 	}
 	gen := p.Generator(workload.Params{Seed: 1, Intervals: 200})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := governor.Run(gen, governor.Proactive(8, 128), governor.Config{}); err != nil {
-			b.Fatal(err)
+	b.Run("paper", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := governor.Run(gen, governor.Proactive(8, 128), governor.Config{}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("thermal", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			th, err := thermal.New(thermal.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := governor.Config{Machine: machine.Config{Thermal: th}}
+			if _, err := governor.Run(gen, governor.Proactive(8, 128), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkGranularityAblation sweeps the sampling granularity: finer

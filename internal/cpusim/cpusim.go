@@ -59,17 +59,19 @@ type Work struct {
 var ErrBadWork = errors.New("cpusim: invalid work interval")
 
 // Validate checks the interval description for physical plausibility.
+// Each field is one range comparison; NaN fails every comparison, so
+// it is rejected with the infinities.
 func (w Work) Validate() error {
 	switch {
-	case !(w.Uops > 0) || math.IsInf(w.Uops, 0):
+	case !(w.Uops > 0 && w.Uops <= math.MaxFloat64):
 		return fmt.Errorf("%w: uops %v", ErrBadWork, w.Uops)
-	case w.Instructions < 0 || math.IsNaN(w.Instructions) || math.IsInf(w.Instructions, 0):
+	case !(w.Instructions >= 0 && w.Instructions <= math.MaxFloat64):
 		return fmt.Errorf("%w: instructions %v", ErrBadWork, w.Instructions)
-	case !(w.MemPerUop >= 0) || math.IsInf(w.MemPerUop, 0):
+	case !(w.MemPerUop >= 0 && w.MemPerUop <= math.MaxFloat64):
 		return fmt.Errorf("%w: mem/uop %v", ErrBadWork, w.MemPerUop)
-	case !(w.CoreUPC > 0) || math.IsInf(w.CoreUPC, 0):
+	case !(w.CoreUPC > 0 && w.CoreUPC <= math.MaxFloat64):
 		return fmt.Errorf("%w: core UPC %v", ErrBadWork, w.CoreUPC)
-	case w.MLP < 0 || math.IsNaN(w.MLP) || math.IsInf(w.MLP, 0):
+	case !(w.MLP >= 0 && w.MLP <= math.MaxFloat64):
 		return fmt.Errorf("%w: MLP %v", ErrBadWork, w.MLP)
 	}
 	return nil

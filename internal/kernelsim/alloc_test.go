@@ -1,6 +1,7 @@
 package kernelsim
 
 import (
+	"reflect"
 	"testing"
 
 	"phasemon/internal/core"
@@ -106,7 +107,7 @@ func TestDrainLogMatchesReadLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			mod.appendLog(Entry{Index: i})
+			*mod.logSlot() = Entry{Index: i}
 		}
 		want := mod.ReadLog()
 		got := mod.DrainLog()
@@ -122,7 +123,7 @@ func TestDrainLogMatchesReadLog(t *testing.T) {
 			t.Fatalf("n=%d: log not empty after drain", n)
 		}
 		// The module keeps working after a drain.
-		mod.appendLog(Entry{Index: 99})
+		*mod.logSlot() = Entry{Index: 99}
 		if l := mod.ReadLog(); len(l) != 1 || l[0].Index != 99 {
 			t.Fatalf("n=%d: post-drain append lost: %+v", n, l)
 		}
@@ -145,10 +146,21 @@ func TestExplicitLogCapacityPreallocates(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2048, func() {
-		mod.appendLog(Entry{Index: i})
+		*mod.logSlot() = Entry{Index: i}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("appendLog with explicit capacity allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("logSlot with explicit capacity allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestHandlePMIWritesEveryEntryField guards the field-by-field log
+// write in HandlePMI: a reused ring slot keeps whatever a field the
+// handler does not assign held before, so a new Entry field must be
+// added there too.
+func TestHandlePMIWritesEveryEntryField(t *testing.T) {
+	const written = 9 // the assignments after logSlot in HandlePMI
+	if n := reflect.TypeOf(Entry{}).NumField(); n != written {
+		t.Fatalf("Entry has %d fields but HandlePMI writes %d; assign the new ones there", n, written)
 	}
 }

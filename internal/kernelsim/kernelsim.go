@@ -127,6 +127,10 @@ type Module struct {
 	log      []Entry
 	logStart int // ring buffer start when saturated
 
+	// handlerCostS is the modeled per-invocation handler cost, fixed
+	// at NewModule because the monitor's predictor never changes.
+	handlerCostS float64
+
 	budgetViolations int
 }
 
@@ -143,7 +147,7 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.GranularityUops >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
-	mod := &Module{cfg: cfg}
+	mod := &Module{cfg: cfg, handlerCostS: handlerCost(cfg)}
 	if prealloc {
 		mod.log = make([]Entry, 0, cfg.LogCapacity)
 	}
@@ -233,18 +237,19 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 		_, _ = m.DVFS().Set(mod.cfg.Translation.Setting(next))
 	}
 
-	// Log the sample for user-level evaluation tools.
-	mod.appendLog(Entry{
-		Index:     mod.index,
-		Uops:      uops,
-		MemTx:     memTx,
-		Cycles:    cycles,
-		MemPerUop: s.MemPerUop,
-		UPC:       s.UPC,
-		Actual:    actual,
-		Predicted: next,
-		Setting:   ranAt,
-	})
+	// Log the sample for user-level evaluation tools. The fields are
+	// written straight into the log slot, every one of them (a
+	// composite literal would be built on the stack and copied in).
+	e := mod.logSlot()
+	e.Index = mod.index
+	e.Uops = uops
+	e.MemTx = memTx
+	e.Cycles = cycles
+	e.MemPerUop = s.MemPerUop
+	e.UPC = s.UPC
+	e.Actual = actual
+	e.Predicted = next
+	e.Setting = ranAt
 	mod.index++
 
 	// Flip the phase marker so the DAQ can attribute the next interval.
@@ -263,7 +268,7 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	mod.lastTSC = 0
 	b.Start()
 
-	cost := mod.handlerCost()
+	cost := mod.handlerCostS
 	if cost > mod.cfg.BudgetS {
 		mod.budgetViolations++
 	}
@@ -279,17 +284,17 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 
 // handlerCost models the handler's execution time: a fixed base plus a
 // per-entry associative search charge for table-based predictors.
-func (mod *Module) handlerCost() float64 {
-	cost := mod.cfg.BaseHandlerCostS
+func handlerCost(cfg Config) float64 {
+	cost := cfg.BaseHandlerCostS
 	type sized interface{ TableEntries() int }
-	if s, ok := mod.cfg.Monitor.Predictor().(sized); ok {
-		cost += float64(s.TableEntries()) * mod.cfg.PerEntrySearchCostS
+	if s, ok := cfg.Monitor.Predictor().(sized); ok {
+		cost += float64(s.TableEntries()) * cfg.PerEntrySearchCostS
 	}
 	return cost
 }
 
 // HandlerCostS exposes the modeled per-invocation cost.
-func (mod *Module) HandlerCostS() float64 { return mod.handlerCost() }
+func (mod *Module) HandlerCostS() float64 { return mod.handlerCostS }
 
 // BudgetViolations counts handler invocations that exceeded the
 // interrupt time budget.
@@ -351,13 +356,26 @@ func (mod *Module) Reconfigure(tr *dvfs.Translation) {
 	mod.cfg.Translation = tr
 }
 
-func (mod *Module) appendLog(e Entry) {
-	if len(mod.log) < mod.cfg.LogCapacity {
-		mod.log = append(mod.log, e)
-		return
+// logSlot returns the slot the next log entry is written into: a new
+// one at the end while the log is below capacity (reslicing within the
+// backing array, growing it only when it is full), else the oldest,
+// which the ring start then moves past. The caller overwrites every
+// field.
+func (mod *Module) logSlot() *Entry {
+	n := len(mod.log)
+	if n < mod.cfg.LogCapacity {
+		if n < cap(mod.log) {
+			mod.log = mod.log[:n+1]
+		} else {
+			mod.log = append(mod.log, Entry{})
+		}
+		return &mod.log[n]
 	}
-	mod.log[mod.logStart] = e
-	mod.logStart = (mod.logStart + 1) % len(mod.log)
+	e := &mod.log[mod.logStart]
+	if mod.logStart++; mod.logStart == n {
+		mod.logStart = 0
+	}
+	return e
 }
 
 func safeDiv(a, b float64) float64 {

@@ -111,6 +111,11 @@ type Machine struct {
 	rec   Recorder
 	therm *thermal.Model
 
+	// settings is the power model tabulated per ladder setting,
+	// indexed by dvfs.Setting; baseW is the model's rail floor.
+	settings []settingPower
+	baseW    float64
+
 	nowS    float64
 	energyJ float64
 
@@ -135,14 +140,40 @@ func New(cfg Config) *Machine {
 	if cfg.TransitionLatencyS <= 0 {
 		cfg.TransitionLatencyS = dvfs.DefaultTransitionLatency
 	}
-	return &Machine{
-		cpu:   cfg.CPU,
-		power: cfg.Power,
-		pmcs:  pmc.NewBank(),
-		ctrl:  dvfs.NewControllerWithTelemetry(cfg.Ladder, cfg.TransitionLatencyS, cfg.Telemetry),
-		rec:   cfg.Recorder,
-		therm: cfg.Thermal,
+	settings := make([]settingPower, cfg.Ladder.Len())
+	for i := range settings {
+		p := cfg.Ladder.Point(dvfs.Setting(i))
+		settings[i] = settingPower{
+			point:    p,
+			leakW:    cfg.Power.Leakage(p.VoltageV),
+			handlerW: cfg.Power.Power(p.VoltageV, p.FrequencyHz, handlerUPC),
+		}
 	}
+	return &Machine{
+		cpu:      cfg.CPU,
+		power:    cfg.Power,
+		pmcs:     pmc.NewBank(),
+		ctrl:     dvfs.NewControllerWithTelemetry(cfg.Ladder, cfg.TransitionLatencyS, cfg.Telemetry),
+		rec:      cfg.Recorder,
+		therm:    cfg.Thermal,
+		settings: settings,
+		baseW:    cfg.Power.Config().BaseW,
+	}
+}
+
+// handlerUPC is the nominal UPC the PMI handler is charged at: handler
+// code is branchy kernel work.
+const handlerUPC = 1.0
+
+// settingPower is the power model evaluated once at one ladder
+// setting. Leakage depends on voltage alone and the handler runs at a
+// fixed UPC, so both are constants of the setting; New computes them
+// with the model's own functions, so a table read is bit-for-bit the
+// value the model would return.
+type settingPower struct {
+	point    dvfs.OperatingPoint
+	leakW    float64 // Leakage(V)
+	handlerW float64 // Power(V, f, handlerUPC)
 }
 
 // CPU returns the timing model.
@@ -192,13 +223,27 @@ func (m *Machine) Instructions() float64 { return m.instructions }
 // Uops returns total retired uops.
 func (m *Machine) Uops() float64 { return m.uops }
 
-// powerNow evaluates the power model at the current die temperature
-// when a thermal model is attached, so leakage feeds back into heat.
-func (m *Machine) powerNow(point dvfs.OperatingPoint, upc float64) float64 {
+// powerNow is the rail power at setting sp for an observed UPC. It
+// adds the same operands in the same order as power.Model.Power, with
+// the tabulated leakage in place of Leakage(V). With a thermal model
+// attached it is PowerAt at the current die temperature instead —
+// the leakage scaled exactly as LeakageAt scales it — so leakage
+// feeds back into heat.
+func (m *Machine) powerNow(sp *settingPower, upc float64) float64 {
+	leak := sp.leakW
 	if m.therm != nil {
-		return m.power.PowerAt(point.VoltageV, point.FrequencyHz, upc, m.therm.TemperatureC())
+		leak *= m.power.LeakageScale(m.therm.TemperatureC())
 	}
-	return m.power.Power(point.VoltageV, point.FrequencyHz, upc)
+	return m.power.Dynamic(sp.point.VoltageV, sp.point.FrequencyHz, upc) + leak + m.baseW
+}
+
+// handlerPower is powerNow at the handler's nominal UPC, read straight
+// from the table when no die temperature scales the leakage.
+func (m *Machine) handlerPower(sp *settingPower) float64 {
+	if m.therm != nil {
+		return m.powerNow(sp, handlerUPC)
+	}
+	return sp.handlerW
 }
 
 // emit records one waveform span and advances time/energy.
@@ -297,13 +342,12 @@ func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error
 			chunk.Uops = chunkUops
 			chunk.Instructions = w.Instructions * frac
 
-			point := m.ctrl.Point()
-			res, err := m.cpu.Execute(chunk, point.FrequencyHz)
+			sp := &m.settings[m.ctrl.Current()]
+			res, err := m.cpu.Execute(chunk, sp.point.FrequencyHz)
 			if err != nil {
 				return RunResult{}, fmt.Errorf("machine: executing chunk: %w", err)
 			}
-			watts := m.powerNow(point, res.UPC)
-			m.emit(res.Time, watts, point.VoltageV)
+			m.emit(res.Time, m.powerNow(sp, res.UPC), sp.point.VoltageV)
 			m.appTimeS += res.Time
 			m.instructions += res.Instructions
 			m.uops += res.Uops
@@ -325,11 +369,8 @@ func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error
 					overhead = 0
 				}
 				overhead += m.ctrl.TimeInTransition() - preTrans
-				point := m.ctrl.Point()
-				// Handler code is branchy kernel work: charge it at a
-				// nominal UPC of 1.
-				watts := m.powerNow(point, 1.0)
-				m.emit(overhead, watts, point.VoltageV)
+				sp := &m.settings[m.ctrl.Current()]
+				m.emit(overhead, m.handlerPower(sp), sp.point.VoltageV)
 				m.handlerTimeS += overhead
 				m.port.Clear(PortBitHandler)
 			}

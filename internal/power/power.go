@@ -70,26 +70,38 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration for physical plausibility.
+// Validate checks the configuration for physical plausibility. Every
+// parameter must be finite: a machine tabulates leakage per operating
+// point once, so a NaN or infinite parameter would poison every
+// interval it runs.
 func (c Config) Validate() error {
 	switch {
-	case !(c.CeffF > 0):
-		return fmt.Errorf("power: Ceff %v must be positive", c.CeffF)
-	case !(c.ActivityMin > 0):
-		return fmt.Errorf("power: ActivityMin %v must be positive", c.ActivityMin)
-	case c.ActivitySlope < 0:
-		return fmt.Errorf("power: ActivitySlope %v must be non-negative", c.ActivitySlope)
-	case !(c.ActivityMax >= c.ActivityMin):
-		return fmt.Errorf("power: ActivityMax %v below ActivityMin %v", c.ActivityMax, c.ActivityMin)
-	case !(c.LeakW >= 0):
-		return fmt.Errorf("power: LeakW %v must be non-negative", c.LeakW)
-	case !(c.VRefV > 0):
-		return fmt.Errorf("power: VRef %v must be positive", c.VRefV)
-	case c.BaseW < 0 || math.IsNaN(c.BaseW):
-		return fmt.Errorf("power: BaseW %v must be non-negative", c.BaseW)
+	case !(c.CeffF > 0 && c.CeffF <= math.MaxFloat64):
+		return fmt.Errorf("power: Ceff %v must be positive and finite", c.CeffF)
+	case !(c.ActivityMin > 0 && c.ActivityMin <= math.MaxFloat64):
+		return fmt.Errorf("power: ActivityMin %v must be positive and finite", c.ActivityMin)
+	case !(c.ActivitySlope >= 0 && c.ActivitySlope <= math.MaxFloat64):
+		return fmt.Errorf("power: ActivitySlope %v must be non-negative and finite", c.ActivitySlope)
+	case !(c.ActivityMax >= c.ActivityMin && c.ActivityMax <= math.MaxFloat64):
+		return fmt.Errorf("power: ActivityMax %v must be finite and at least ActivityMin %v", c.ActivityMax, c.ActivityMin)
+	case !(c.LeakW >= 0 && c.LeakW <= math.MaxFloat64):
+		return fmt.Errorf("power: LeakW %v must be non-negative and finite", c.LeakW)
+	case !finite(c.LeakAlpha):
+		return fmt.Errorf("power: LeakAlpha %v must be finite", c.LeakAlpha)
+	case !(c.VRefV > 0 && c.VRefV <= math.MaxFloat64):
+		return fmt.Errorf("power: VRef %v must be positive and finite", c.VRefV)
+	case !(c.BaseW >= 0 && c.BaseW <= math.MaxFloat64):
+		return fmt.Errorf("power: BaseW %v must be non-negative and finite", c.BaseW)
+	case !finite(c.LeakTempCoeffPerC):
+		return fmt.Errorf("power: LeakTempCoeffPerC %v must be finite", c.LeakTempCoeffPerC)
+	case !finite(c.LeakTempRefC):
+		return fmt.Errorf("power: LeakTempRefC %v must be finite", c.LeakTempRefC)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return x >= -math.MaxFloat64 && x <= math.MaxFloat64 }
 
 // Model computes power from operating conditions.
 type Model struct {
@@ -153,11 +165,17 @@ func (m *Model) Power(voltageV, freqHz, upc float64) float64 {
 // makes hot chips hotter and gives thermal management a superlinear
 // energy payoff.
 func (m *Model) LeakageAt(voltageV, tempC float64) float64 {
-	scale := 1.0
-	if m.cfg.LeakTempCoeffPerC != 0 {
-		scale = math.Exp(m.cfg.LeakTempCoeffPerC * (tempC - m.cfg.LeakTempRefC))
+	return m.Leakage(voltageV) * m.LeakageScale(tempC)
+}
+
+// LeakageScale returns the factor LeakageAt applies to Leakage at a
+// die temperature: exp(LeakTempCoeffPerC·(T − LeakTempRefC)), or
+// exactly 1 when the coupling is disabled.
+func (m *Model) LeakageScale(tempC float64) float64 {
+	if m.cfg.LeakTempCoeffPerC == 0 {
+		return 1
 	}
-	return m.Leakage(voltageV) * scale
+	return math.Exp(m.cfg.LeakTempCoeffPerC * (tempC - m.cfg.LeakTempRefC))
 }
 
 // PowerAt is Power with temperature-dependent leakage.

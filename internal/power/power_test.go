@@ -106,6 +106,52 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite sets each parameter in turn to NaN and to
+// ±Inf: a machine freezes leakage into a per-setting table, so a
+// non-finite parameter must fail at New rather than poison every
+// interval. Finite extremes of the signed parameters stay accepted.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		ptr  func(*Config) *float64
+	}{
+		{"CeffF", func(c *Config) *float64 { return &c.CeffF }},
+		{"ActivityMin", func(c *Config) *float64 { return &c.ActivityMin }},
+		{"ActivitySlope", func(c *Config) *float64 { return &c.ActivitySlope }},
+		{"ActivityMax", func(c *Config) *float64 { return &c.ActivityMax }},
+		{"LeakW", func(c *Config) *float64 { return &c.LeakW }},
+		{"LeakAlpha", func(c *Config) *float64 { return &c.LeakAlpha }},
+		{"VRefV", func(c *Config) *float64 { return &c.VRefV }},
+		{"BaseW", func(c *Config) *float64 { return &c.BaseW }},
+		{"LeakTempCoeffPerC", func(c *Config) *float64 { return &c.LeakTempCoeffPerC }},
+		{"LeakTempRefC", func(c *Config) *float64 { return &c.LeakTempRefC }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := DefaultConfig()
+			*f.ptr(&c) = v
+			if _, err := New(c); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+	}
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.LeakAlpha = -3 },
+		func(c *Config) { c.LeakTempCoeffPerC = 0 },
+		func(c *Config) { c.LeakTempCoeffPerC = -0.01 },
+		func(c *Config) { c.LeakTempRefC = -40 },
+		func(c *Config) { c.ActivitySlope = 0 },
+		func(c *Config) { c.LeakW = 0 },
+		func(c *Config) { c.BaseW = 0 },
+	} {
+		c := DefaultConfig()
+		mut(&c)
+		if _, err := New(c); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
