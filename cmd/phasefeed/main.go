@@ -336,16 +336,21 @@ func feedNode(ctx context.Context, cfg feedConfig, id uint64, prof *workload.Pro
 			res.err = err
 			return res
 		}
-		fmt.Fprintf(os.Stderr, "phasefeed: node %d: server drained at seq %d; resuming\n", id, snap.LastSeq)
+		state, err := snap.Decode()
+		if err != nil {
+			res.err = fmt.Errorf("snapshot: %w", err)
+			return res
+		}
+		fmt.Fprintf(os.Stderr, "phasefeed: node %d: server drained at seq %d; resuming\n", id, state.LastSeq)
 		sess, err = resumeSession(ctx, cl, snap)
 		if err != nil {
 			res.err = fmt.Errorf("resume: %w", err)
 			return res
 		}
-		if snap.LastSeq == wire.NoSamples {
+		if state.LastSeq == wire.NoSamples {
 			start = 0
 		} else {
-			start = int(snap.LastSeq) + 1
+			start = int(state.LastSeq) + 1
 		}
 	}
 	if d, err := sess.Drain(ctx); err != nil {

@@ -62,8 +62,8 @@ func TestDemuxZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !c.demux(nil, kind, payload) {
-				t.Fatalf("demux treated %v as fatal", kind)
+			if err := c.demux(kind, payload); err != nil {
+				t.Fatalf("demux treated %v as fatal: %v", kind, err)
 			}
 		}
 		<-s.preds

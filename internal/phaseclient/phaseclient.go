@@ -191,24 +191,29 @@ type Session struct {
 
 // SessionSnapshot is a drained session's portable state: everything
 // Client.Resume needs to continue the prediction stream bit-identically
-// on any phased node. Spec and State are owned copies, safe to hold
-// across reconnects (or serialize to disk) after the client is gone.
+// on any phased node. Payload is an owned copy, safe to hold across
+// reconnects (or write to disk) after the client is gone.
 type SessionSnapshot struct {
-	SessionID       uint64
+	// GranularityUops echoes the session's Hello, so Resume reopens
+	// with the same value.
 	GranularityUops uint64
-	// Spec is the predictor spec the session was serving.
-	Spec string
-	// LastSeq is the highest sample sequence number the server
-	// processed (wire.NoSamples if none); resuming callers send the
-	// next interval with Seq = LastSeq+1.
-	LastSeq uint64
-	// Processed and Dropped are the session's cumulative counts; the
-	// resumed session continues both.
-	Processed uint64
-	Dropped   uint64
-	// State is the opaque monitor state blob (integrity-checked on the
-	// wire in both directions).
-	State []byte
+	// Payload is the Snapshot frame payload exactly as the server sent
+	// it — session id, spec, stream position, accounting, and the
+	// monitor state under its own CRC — and Resume sends it back
+	// verbatim. Decode reads it.
+	Payload []byte
+}
+
+// Decode reads the snapshot's fields through wire.DecodeSnapshot,
+// which re-verifies the state CRC; Spec and State alias Payload.
+// LastSeq is the highest sample sequence number the server processed
+// (wire.NoSamples if none): resuming callers send the next interval
+// with Seq = LastSeq+1. The resumed session continues the Processed
+// and Dropped counts.
+func (s SessionSnapshot) Decode() (wire.Snapshot, error) {
+	var sn wire.Snapshot
+	err := wire.DecodeSnapshot(s.Payload, &sn)
+	return sn, err
 }
 
 // Open dials if necessary (retrying with jittered exponential backoff
@@ -244,23 +249,19 @@ func (c *Client) open(ctx context.Context, id uint64, spec string, granularityUo
 }
 
 // Resume reopens a drained session from its snapshot, dialing (with
-// backoff) if necessary. The server rebuilds the predictor from
-// snap.Spec, restores its state, and continues the prediction stream
-// bit-identically — the resumed session behaves as if the drain never
-// happened, including on a different node or worker layout. The
-// resumed session is itself resumable on the next drain.
+// backoff) if necessary. The Restore frame carries snap.Payload
+// verbatim; the server rebuilds the predictor from its spec, restores
+// its state, and continues the prediction stream bit-identically — the
+// resumed session behaves as if the drain never happened, including on
+// a different node or worker layout. The resumed session is itself
+// resumable on the next drain.
 func (c *Client) Resume(ctx context.Context, snap SessionSnapshot) (sess *Session, numPhases int, err error) {
-	s, err := c.handshake(ctx, snap.SessionID, snap.GranularityUops, func(b []byte) ([]byte, error) {
-		return wire.AppendRestore(b, &wire.Restore{
-			SessionID:       snap.SessionID,
-			GranularityUops: snap.GranularityUops,
-			Flags:           wire.FlagSnapshot,
-			LastSeq:         snap.LastSeq,
-			Processed:       snap.Processed,
-			Dropped:         snap.Dropped,
-			Spec:            []byte(snap.Spec),
-			State:           snap.State,
-		})
+	sn, err := snap.Decode()
+	if err != nil {
+		return nil, 0, fmt.Errorf("phaseclient: resume: %w", err)
+	}
+	s, err := c.handshake(ctx, sn.SessionID, snap.GranularityUops, func(b []byte) ([]byte, error) {
+		return wire.AppendRestore(b, snap.GranularityUops, snap.Payload)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -450,11 +451,17 @@ func (c *Client) flushExpired() {
 }
 
 // readLoop demultiplexes server frames to sessions until the
-// connection dies, then fails every open session.
+// connection dies — a transport error, or a frame that fails to decode
+// or that no server sends — then fails every open session.
 func (c *Client) readLoop(conn net.Conn) {
 	dec := wire.NewDecoder(conn)
 	for {
 		kind, payload, err := dec.Next()
+		if err == nil {
+			if err = c.demux(kind, payload); err != nil {
+				err = fmt.Errorf("phaseclient: bad %v frame from server: %w", kind, err)
+			}
+		}
 		if err != nil {
 			c.mu.Lock()
 			if c.conn == conn {
@@ -463,104 +470,97 @@ func (c *Client) readLoop(conn net.Conn) {
 			c.mu.Unlock()
 			return
 		}
-		if !c.demux(conn, kind, payload) {
-			return
-		}
 	}
 }
 
-// demux routes one decoded frame to its session. It reports false when
-// the frame is fatal to the connection (after tearing it down), which
-// ends the read loop. Factored out of readLoop so the steady-state
-// path has a synchronous zero-allocation witness (TestDemuxZeroAlloc).
-func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool {
+// demux decodes one frame and routes it to its session; every error it
+// returns is fatal to the connection. Factored out of readLoop so the
+// steady-state path has a synchronous zero-allocation witness
+// (TestDemuxZeroAlloc).
+func (c *Client) demux(kind wire.FrameKind, payload []byte) error {
 	switch kind {
 	case wire.KindAck:
 		var a wire.Ack
-		if wire.DecodeAck(payload, &a) == nil {
-			if s := c.lookup(a.SessionID); s != nil {
-				select {
-				case s.acks <- a:
-				default:
-				}
+		if err := wire.DecodeAck(payload, &a); err != nil {
+			return err
+		}
+		if s := c.lookup(a.SessionID); s != nil {
+			select {
+			case s.acks <- a:
+			default:
 			}
 		}
 	case wire.KindDrain:
 		var d wire.Drain
-		if wire.DecodeDrain(payload, &d) == nil {
-			if s := c.lookup(d.SessionID); s != nil {
-				select {
-				case s.drain <- d:
-				default:
-				}
+		if err := wire.DecodeDrain(payload, &d); err != nil {
+			return err
+		}
+		if s := c.lookup(d.SessionID); s != nil {
+			select {
+			case s.drain <- d:
+			default:
 			}
 		}
 	case wire.KindRollup:
 		var r wire.Rollup
-		if wire.DecodeRollup(payload, &r) == nil {
-			c.mu.Lock()
-			s, ch := c.rollupSess, c.rollupCh
-			c.mu.Unlock()
-			if s != nil {
-				select {
-				case ch <- r:
-				case <-s.done:
-				}
+		if err := wire.DecodeRollup(payload, &r); err != nil {
+			return err
+		}
+		c.mu.Lock()
+		s, ch := c.rollupSess, c.rollupCh
+		c.mu.Unlock()
+		if s != nil {
+			select {
+			case ch <- r:
+			case <-s.done:
 			}
 		}
 	case wire.KindError:
 		var e wire.ErrorFrame
-		if wire.DecodeError(payload, &e) == nil {
-			serr := &ServerError{Code: e.Code, SessionID: e.SessionID, Msg: string(e.Msg)}
-			if s := c.lookup(e.SessionID); s != nil {
-				// A session-scoped error is terminal for that session on
-				// the server; unregister it so the same id can be
-				// reopened or resumed on this client — before failing
-				// it, so a caller woken by the error finds the id free.
-				c.forget(s)
-				// A server error landing after the session's snapshot
-				// (e.g. unknown-session for a sample sent while the
-				// server was draining it) still ends a resumable stream:
-				// frames arrive in order, so the snapshot is already
-				// stored, and the terminal error should say so.
-				if _, ok := s.Snapshot(); ok {
-					s.fail(fmt.Errorf("%w: %w", ErrResumable, serr))
-				} else {
-					s.fail(serr)
-				}
+		if err := wire.DecodeError(payload, &e); err != nil {
+			return err
+		}
+		serr := &ServerError{Code: e.Code, SessionID: e.SessionID, Msg: string(e.Msg)}
+		if s := c.lookup(e.SessionID); s != nil {
+			// A session-scoped error is terminal for that session on
+			// the server; unregister it so the same id can be
+			// reopened or resumed on this client — before failing
+			// it, so a caller woken by the error finds the id free.
+			c.forget(s)
+			// A server error landing after the session's snapshot
+			// (e.g. unknown-session for a sample sent while the
+			// server was draining it) still ends a resumable stream:
+			// frames arrive in order, so the snapshot is already
+			// stored, and the terminal error should say so.
+			if _, ok := s.Snapshot(); ok {
+				s.fail(fmt.Errorf("%w: %w", ErrResumable, serr))
+			} else {
+				s.fail(serr)
 			}
 		}
 	case wire.KindSnapshot:
 		var sn wire.Snapshot
-		if wire.DecodeSnapshot(payload, &sn) == nil {
-			if s := c.lookup(sn.SessionID); s != nil {
-				// Copy out of the decode buffer: the snapshot outlives
-				// the frame (that is its entire purpose).
-				s.storeSnapshot(&SessionSnapshot{
-					SessionID:       sn.SessionID,
-					GranularityUops: s.granularity,
-					Spec:            string(sn.Spec),
-					LastSeq:         sn.LastSeq,
-					Processed:       sn.Processed,
-					Dropped:         sn.Dropped,
-					State:           append([]byte(nil), sn.State...),
-				})
-			}
+		if err := wire.DecodeSnapshot(payload, &sn); err != nil {
+			return err
+		}
+		if s := c.lookup(sn.SessionID); s != nil {
+			// Copy out of the decode buffer: the snapshot outlives
+			// the frame (that is its entire purpose).
+			s.storeSnapshot(&SessionSnapshot{GranularityUops: s.granularity,
+				Payload: append([]byte(nil), payload...)})
 		}
 	case wire.KindBatch:
 		elem, n, recs, err := wire.DecodeBatch(payload)
-		if err != nil || elem != wire.KindPrediction {
-			c.mu.Lock()
-			if c.conn == conn {
-				c.teardownLocked(fmt.Errorf("phaseclient: bad %v batch from server: %v", elem, err))
-			}
-			c.mu.Unlock()
-			return false
+		if err != nil {
+			return err
+		}
+		if elem != wire.KindPrediction {
+			return fmt.Errorf("%w: %v records from server", wire.ErrBadKind, elem)
 		}
 		for i := 0; i < n; i++ {
 			var p wire.Prediction
-			if wire.DecodePrediction(recs[i*wire.PredictionRecordSize:(i+1)*wire.PredictionRecordSize], &p) != nil {
-				continue
+			if err := wire.DecodePrediction(recs[i*wire.PredictionRecordSize:(i+1)*wire.PredictionRecordSize], &p); err != nil {
+				return err
 			}
 			if s := c.lookup(p.SessionID); s != nil {
 				select {
@@ -569,24 +569,13 @@ func (c *Client) demux(conn net.Conn, kind wire.FrameKind, payload []byte) bool 
 				}
 			}
 		}
-	case wire.KindHello, wire.KindSample, wire.KindPrediction, wire.KindRestore, wire.KindInvalid:
-		// Client-to-server kinds, predictions outside a Batch, or the
-		// unreachable zero kind mean a broken peer; drop the connection.
-		c.mu.Lock()
-		if c.conn == conn {
-			c.teardownLocked(fmt.Errorf("phaseclient: unexpected %v frame from server", kind))
-		}
-		c.mu.Unlock()
-		return false
 	default:
-		c.mu.Lock()
-		if c.conn == conn {
-			c.teardownLocked(fmt.Errorf("phaseclient: unknown frame kind %v", kind))
-		}
-		c.mu.Unlock()
-		return false
+		// Client-to-server kinds (Hello, Restore, standalone Samples),
+		// predictions outside a Batch, or the unreachable zero kind
+		// mean a broken peer.
+		return errors.New("not a server-to-client frame")
 	}
-	return true
+	return nil
 }
 
 // teardownLocked drops the connection and fails every session; callers
@@ -605,7 +594,7 @@ func (c *Client) teardownLocked(cause error) {
 	}
 	err := ErrDisconnected
 	if cause != nil {
-		err = fmt.Errorf("%w: %v", ErrDisconnected, cause)
+		err = fmt.Errorf("%w: %w", ErrDisconnected, cause)
 	}
 	for id, s := range c.sessions {
 		// A session whose snapshot already landed ended by graceful

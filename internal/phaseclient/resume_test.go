@@ -1,8 +1,12 @@
 package phaseclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
 	"testing"
 	"time"
@@ -49,8 +53,11 @@ func TestSessionScopedErrorFreesID(t *testing.T) {
 	if !ok {
 		t.Fatal("Snapshot: want stored snapshot after resumable failure")
 	}
-	if snap.SessionID != id || snap.Spec != "gpht_8_128" {
-		t.Fatalf("snapshot = %+v, want session %d spec gpht_8_128", snap, id)
+	if sn, err := snap.Decode(); err != nil || sn.SessionID != id || string(sn.Spec) != "gpht_8_128" {
+		t.Fatalf("snapshot = %+v, %v, want session %d spec gpht_8_128", sn, err, id)
+	}
+	if snap.GranularityUops != 100e6 {
+		t.Fatalf("snapshot granularity = %d, want 100e6", snap.GranularityUops)
 	}
 
 	// Same client, same id: the failed session must already be
@@ -70,7 +77,9 @@ func TestSessionScopedErrorFreesID(t *testing.T) {
 // scriptedDrainServer speaks just enough wire protocol for the test:
 // Ack the resumable Hello, hand back a Snapshot, fail the session with
 // a scoped unknown-session error (the draining-server race), then Ack
-// the Restore that a correct client sends next. The connection stays
+// the Restore that a correct client sends next — after checking that
+// it carries the Hello's granularity and then the Snapshot payload the
+// client received, byte for byte. The connection stays
 // open until the test ends: closing it right after the last Ack would
 // race the client's delivery of that Ack against its EOF teardown.
 func scriptedDrainServer(t *testing.T, ln net.Listener, id uint64) error {
@@ -93,9 +102,7 @@ func scriptedDrainServer(t *testing.T, ln net.Listener, id uint64) error {
 		return err
 	}
 
-	var buf []byte
-	buf = wire.AppendAck(buf, &wire.Ack{SessionID: id, NumPhases: 6})
-	buf, err = wire.AppendSnapshot(buf, &wire.Snapshot{
+	snap, err := wire.AppendSnapshot(nil, &wire.Snapshot{
 		SessionID: id,
 		LastSeq:   wire.NoSamples,
 		Spec:      h.Spec,
@@ -104,6 +111,9 @@ func scriptedDrainServer(t *testing.T, ln net.Listener, id uint64) error {
 	if err != nil {
 		return err
 	}
+	sent := snap[wire.HeaderSize : len(snap)-wire.TrailerSize]
+	buf := wire.AppendAck(nil, &wire.Ack{SessionID: id, NumPhases: 6})
+	buf = append(buf, snap...)
 	buf, err = wire.AppendError(buf, &wire.ErrorFrame{
 		Code:      wire.CodeUnknownSession,
 		SessionID: id,
@@ -123,13 +133,63 @@ func scriptedDrainServer(t *testing.T, ln net.Listener, id uint64) error {
 	if kind != wire.KindRestore {
 		return errors.New("want Restore after resumable failure")
 	}
-	var r wire.Restore
-	if err := wire.DecodeRestore(payload, &r); err != nil {
-		return err
+	if len(payload) < 8 || binary.BigEndian.Uint64(payload) != h.GranularityUops {
+		return errors.New("Restore does not lead with the Hello's granularity")
 	}
-	if r.SessionID != id {
-		return errors.New("Restore carries wrong session id")
+	if !bytes.Equal(payload[8:], sent) {
+		return fmt.Errorf("Restore payload[8:] = %x, want the Snapshot payload %x", payload[8:], sent)
 	}
 	_, err = conn.Write(wire.AppendAck(nil, &wire.Ack{SessionID: id, NumPhases: 6}))
 	return err
+}
+
+// TestCorruptSnapshotFailsLoudly: a Snapshot frame whose inner state
+// CRC fails — one state byte flipped, the frame trailer resealed so
+// only the inner check can tell — must tear the connection down like
+// any undecodable frame, not be dropped so the session merely looks
+// non-resumable.
+func TestCorruptSnapshotFailsLoudly(t *testing.T) {
+	frame, err := wire.AppendSnapshot(nil, &wire.Snapshot{SessionID: 3, LastSeq: 9, Processed: 10,
+		Spec: []byte("gpht_8_128"), State: []byte{0x4D, 1, 6, 0, 0, 7, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[:len(frame)-wire.TrailerSize]
+	body[len(body)-1] ^= 0x01 // the last state byte
+	binary.BigEndian.PutUint32(frame[len(body):], crc32.ChecksumIEEE(body))
+
+	// A fake server on the far end of a pipe: take the Hello, Ack it,
+	// then send the damaged Snapshot.
+	cliConn, srvConn := net.Pipe()
+	defer srvConn.Close()
+	go func() {
+		if _, _, err := wire.NewDecoder(srvConn).Next(); err != nil {
+			return
+		}
+		ack := wire.AppendAck(nil, &wire.Ack{SessionID: 3, NumPhases: 6, Flags: wire.FlagSnapshot})
+		_, _ = srvConn.Write(append(ack, frame...))
+	}()
+	c := New(Config{Addr: "pipe"})
+	defer c.Close()
+	c.mu.Lock()
+	c.conn = cliConn
+	c.mu.Unlock()
+	go c.readLoop(cliConn)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sess, _, err := c.OpenResumable(ctx, 3, "gpht_8_128", 100e6)
+	if err != nil {
+		t.Fatalf("OpenResumable: %v", err)
+	}
+	_, rerr := sess.Recv(ctx)
+	if !errors.Is(rerr, wire.ErrBadFrame) || !errors.Is(rerr, ErrDisconnected) {
+		t.Fatalf("terminal error = %v, want ErrDisconnected wrapping wire.ErrBadFrame", rerr)
+	}
+	if errors.Is(rerr, ErrResumable) {
+		t.Fatalf("terminal error = %v claims resumability", rerr)
+	}
+	if _, ok := sess.Snapshot(); ok {
+		t.Fatal("corrupt snapshot was stored")
+	}
 }

@@ -134,8 +134,8 @@ func TestBatchedDrainResumeMigration(t *testing.T) {
 	if !ok {
 		t.Fatal("no snapshot after server drain of a resumable batched session")
 	}
-	if snap.LastSeq != uint64(half-1) {
-		t.Fatalf("snapshot LastSeq = %d, want %d", snap.LastSeq, half-1)
+	if last := decodeSnap(t, snap).LastSeq; last != uint64(half-1) {
+		t.Fatalf("snapshot LastSeq = %d, want %d", last, half-1)
 	}
 
 	_, addrB, hubB := startServer(t, Config{Workers: 2, QueueDepth: 1024})

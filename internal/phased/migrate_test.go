@@ -76,10 +76,10 @@ func TestKillAndResumeMigration(t *testing.T) {
 			if !ok {
 				t.Fatal("no snapshot after server drain of a resumable session")
 			}
-			if snap.SessionID != 42 || snap.LastSeq != uint64(half-1) ||
-				snap.Processed != uint64(half) || snap.Spec != spec ||
+			if sn := decodeSnap(t, snap); sn.SessionID != 42 || sn.LastSeq != uint64(half-1) ||
+				sn.Processed != uint64(half) || string(sn.Spec) != spec ||
 				snap.GranularityUops != 100e6 {
-				t.Fatalf("snapshot metadata = %+v", snap)
+				t.Fatalf("snapshot metadata = %+v, granularity %d", sn, snap.GranularityUops)
 			}
 			// The session's terminal error advertises resumability. The
 			// dead connection may take a moment to surface.
@@ -133,15 +133,25 @@ func TestKillAndResumeMigration(t *testing.T) {
 			if !ok {
 				t.Fatal("resumed session drained without a snapshot")
 			}
-			if snap2.Processed != uint64(len(want)) || snap2.LastSeq != uint64(len(want)-1) {
+			if sn := decodeSnap(t, snap2); sn.Processed != uint64(len(want)) || sn.LastSeq != uint64(len(want)-1) {
 				t.Fatalf("second snapshot accounting = %+v, want processed=%d lastSeq=%d",
-					snap2, len(want), len(want)-1)
+					sn, len(want), len(want)-1)
 			}
 			if n := hubB.PhasedProtocolErrors.Value(); n != 0 {
 				t.Fatalf("server B protocol errors = %d, want 0", n)
 			}
 		})
 	}
+}
+
+// decodeSnap reads a client-held snapshot's fields.
+func decodeSnap(t *testing.T, snap phaseclient.SessionSnapshot) wire.Snapshot {
+	t.Helper()
+	sn, err := snap.Decode()
+	if err != nil {
+		t.Fatalf("snapshot does not decode: %v", err)
+	}
+	return sn
 }
 
 // TestResumeRejectsCorruptState: a Restore whose state blob fails the
@@ -186,12 +196,17 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 	clB := phaseclient.New(phaseclient.Config{Addr: addrB})
 	defer clB.Close()
 
-	// Corrupt the monitor state semantically (the client re-seals the
-	// wire CRC over whatever it sends, so only the server's predictor
-	// validation can catch this).
-	bad := snap
-	bad.State = append([]byte(nil), snap.State...)
-	bad.State[0] ^= 0xFF // destroy the envelope tag
+	// Corrupt the monitor state semantically and reseal its inner CRC,
+	// so only the server's predictor validation can catch it.
+	sn := decodeSnap(t, snap)
+	sn.State = append([]byte(nil), sn.State...)
+	sn.State[0] ^= 0xFF // destroy the envelope tag
+	frame, err := wire.AppendSnapshot(nil, &sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := phaseclient.SessionSnapshot{GranularityUops: snap.GranularityUops,
+		Payload: frame[wire.HeaderSize : len(frame)-wire.TrailerSize]}
 	if _, _, err := clB.Resume(ctx, bad); err == nil {
 		t.Fatal("Resume accepted corrupt state")
 	} else {
@@ -252,5 +267,51 @@ func TestPlainSessionDrainsStateless(t *testing.T) {
 	}
 	if !errors.Is(rerr, phaseclient.ErrDisconnected) {
 		t.Fatalf("terminal error = %v, want ErrDisconnected", rerr)
+	}
+}
+
+// TestOversizeSnapshotFailsLoudly: a resumable session whose monitor
+// state is too large for one frame (gpht_8_4096 is ~72 KiB) cannot be
+// handed back on drain. The server must say so with a session-scoped
+// CodeBadSnapshot error before the Drain, so the client fails the
+// session loudly instead of treating it as a stateless one.
+func TestOversizeSnapshotFailsLoudly(t *testing.T) {
+	const spec = "gpht_8_4096"
+	want := localRun(t, spec, "mcf_inp", 10)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	srv, addr, _ := startServer(t, Config{QueueDepth: 256})
+	cl := phaseclient.New(phaseclient.Config{Addr: addr})
+	defer cl.Close()
+	sess, _, err := cl.OpenResumable(ctx, 11, spec, 100e6)
+	if err != nil {
+		t.Fatalf("OpenResumable: %v", err)
+	}
+	for i, e := range want {
+		if err := sess.Send(wire.Sample{Seq: uint64(i), Uops: e.Uops, MemTx: e.MemTx, Cycles: e.Cycles}); err != nil {
+			t.Fatalf("Send #%d: %v", i, err)
+		}
+	}
+	for range want {
+		if _, err := sess.Recv(ctx); err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+	}
+	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer shutCancel()
+	if err := srv.Shutdown(shutCtx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	_, rerr := sess.Recv(ctx)
+	var serr *phaseclient.ServerError
+	if !errors.As(rerr, &serr) || serr.Code != wire.CodeBadSnapshot || serr.SessionID != 11 {
+		t.Fatalf("terminal error = %v, want a session-scoped ServerError with CodeBadSnapshot", rerr)
+	}
+	if errors.Is(rerr, phaseclient.ErrResumable) {
+		t.Fatalf("terminal error = %v claims resumability", rerr)
+	}
+	if _, ok := sess.Snapshot(); ok {
+		t.Fatal("oversize session produced a snapshot")
 	}
 }

@@ -519,10 +519,10 @@ func (s *Server) protoError(sc *serverConn, code wire.ErrorCode, id uint64, msg 
 // newSession builds a negotiating session serving spec (core grammar,
 // governor's "mon:" prefix allowed): the one construction path Hello
 // and Restore share, so a restored session is rebuilt exactly as it
-// was first opened. A non-nil r restores the monitor's state and seeds
-// the stream position and accounting from it; a restored session is
-// always re-migratable. A failure returns the Error code to answer.
-func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, r *wire.Restore) (*session, wire.ErrorCode, error) {
+// was first opened. A non-nil snap restores the monitor's state and
+// seeds the stream position and accounting from it; a restored session
+// is always re-migratable. A failure returns the Error code to answer.
+func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, snap *wire.Snapshot) (*session, wire.ErrorCode, error) {
 	pred, err := core.NewPredictorFromSpec(strings.TrimPrefix(string(spec), governor.MonitorPrefix),
 		core.SpecEnv{Classifier: s.cfg.Classifier})
 	if err != nil {
@@ -550,14 +550,14 @@ func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, r *wire.Rest
 		state:     StateNegotiating,
 		spec:      append([]byte(nil), spec...),
 	}
-	if r != nil {
-		if err := mon.Restore(r.State); err != nil {
+	if snap != nil {
+		if err := mon.Restore(snap.State); err != nil {
 			return nil, wire.CodeBadSnapshot, err
 		}
 		sess.wantSnapshot = true
-		sess.dropped, sess.processed = r.Dropped, r.Processed
-		if r.LastSeq != wire.NoSamples {
-			sess.lastSeq = r.LastSeq
+		sess.dropped, sess.processed = snap.Dropped, snap.Processed
+		if snap.LastSeq != wire.NoSamples {
+			sess.lastSeq = snap.LastSeq
 		}
 	}
 	return sess, 0, nil
@@ -628,24 +628,26 @@ func (s *Server) registerAndAck(sc *serverConn, sess *session) bool {
 	return true
 }
 
-// handleRestore resumes a session from a client-held snapshot: the
-// predictor is rebuilt from the echoed spec exactly as handleHello
-// would, the monitor's state is restored from the (inner-CRC-verified)
-// blob, the stream position and accounting are seeded from the
-// snapshot, and the session is registered and acked like any other.
+// handleRestore resumes a session from a client-held snapshot — the
+// Snapshot payload a draining server sent, decoded by the same
+// DecodeSnapshot that verifies its inner CRC: the predictor is rebuilt
+// from the echoed spec exactly as handleHello would, the monitor's
+// state is restored from the blob, the stream position and accounting
+// are seeded from the snapshot, and the session is registered and
+// acked like any other.
 // From the first post-Ack sample the prediction stream continues
 // bit-identically with the drained session's — possibly on a different
 // node, a different worker count, a different worker. A rejected state
 // blob answers CodeBadSnapshot; the connection survives.
 func (s *Server) handleRestore(sc *serverConn, payload []byte) bool {
-	var r wire.Restore
-	if err := wire.DecodeRestore(payload, &r); err != nil {
+	var snap wire.Snapshot
+	if _, err := wire.DecodeRestore(payload, &snap); err != nil {
 		s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
 		return false
 	}
-	sess, code, err := s.newSession(sc, r.SessionID, r.Spec, &r)
+	sess, code, err := s.newSession(sc, snap.SessionID, snap.Spec, &snap)
 	if err != nil {
-		s.protoError(sc, code, r.SessionID, err.Error())
+		s.protoError(sc, code, snap.SessionID, err.Error())
 		return true
 	}
 	return s.registerAndAck(sc, sess)

@@ -399,24 +399,26 @@ func TestMalformedFrameRejected(t *testing.T) {
 	awaitCounter(t, hub.PhasedProtocolErrors, 1, "protocol error counter")
 }
 
-// TestVersionMismatchAnswersCodeVersion: a frame header carrying an
-// older protocol version — here a version-1 Hello — is answered with
-// CodeVersion, not the generic CodeBadFrame, and closes the
-// connection.
+// TestVersionMismatchAnswersCodeVersion: a frame header carrying any
+// older protocol version — here a Hello of every version from 1 to
+// wire.Version-1 — is answered with CodeVersion, not the generic
+// CodeBadFrame, and closes the connection.
 func TestVersionMismatchAnswersCodeVersion(t *testing.T) {
 	_, addr, hub := startServer(t, Config{})
-	c := dialRaw(t, addr)
-	hello := appendHello(t, nil, &wire.Hello{SessionID: 1, Spec: []byte("lastvalue")})
-	hello[2] = 1
-	if _, err := c.Write(hello); err != nil {
-		t.Fatal(err)
+	for v := uint8(1); v < wire.Version; v++ {
+		c := dialRaw(t, addr)
+		hello := appendHello(t, nil, &wire.Hello{SessionID: 1, Spec: []byte("lastvalue")})
+		hello[2] = v
+		if _, err := c.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		dec := wire.NewDecoder(c)
+		expectError(t, dec, wire.CodeVersion)
+		if _, _, err := dec.Next(); err == nil {
+			t.Fatalf("connection still open after a version-%d Hello", v)
+		}
+		awaitCounter(t, hub.PhasedProtocolErrors, uint64(v), "protocol error counter")
 	}
-	dec := wire.NewDecoder(c)
-	expectError(t, dec, wire.CodeVersion)
-	if _, _, err := dec.Next(); err == nil {
-		t.Fatal("connection still open after a version mismatch")
-	}
-	awaitCounter(t, hub.PhasedProtocolErrors, 1, "protocol error counter")
 }
 
 // TestStandaloneSampleRejected: samples travel only inside Batch

@@ -141,12 +141,20 @@ func (w *worker) run() {
 			// its hands. The queue is empty and the state is Closed, so
 			// the monitor is quiescent; the worker goroutine owns it.
 			if sess.wantSnapshot {
-				if state, err := sess.mon.Snapshot(w.snapBuf[:0]); err == nil {
+				state, err := sess.mon.Snapshot(w.snapBuf[:0])
+				if err == nil {
 					w.snapBuf = state
 					snap := wire.Snapshot{SessionID: sess.id, LastSeq: last,
 						Processed: sess.processed, Dropped: droppedNow,
 						Spec: sess.spec, State: state}
-					_ = sess.conn.writeSnapshot(&snap)
+					err = sess.conn.writeSnapshot(&snap)
+				}
+				if err != nil {
+					// State that cannot be handed back (say, a table too
+					// large for one frame) fails the session loudly; a
+					// bare Drain would pass it off as stateless.
+					_ = sess.conn.writeError(&wire.ErrorFrame{Code: wire.CodeBadSnapshot,
+						SessionID: sess.id, Msg: []byte("snapshot: " + err.Error())})
 				}
 			}
 			w.srv.unregisterSession(sess)

@@ -10,12 +10,16 @@
 // travel only inside KindBatch frames (a single sample is a batch of
 // one), and both directions of that hot path encode and decode without
 // allocating, which the package's testing.AllocsPerRun tests prove.
+// A session's migratable state has one codec as well: a Restore frame
+// is the sampling granularity followed by the Snapshot payload the
+// draining server sent, byte for byte, and DecodeSnapshot is the only
+// decoder of that value in either direction.
 //
 // Frame layout (all integers big-endian):
 //
 //	offset  size  field
 //	0       2     magic 0x5068 ("Ph")
-//	2       1     protocol version (currently 2)
+//	2       1     protocol version (currently 3)
 //	3       1     frame kind
 //	4       4     payload length N (bounded by MaxPayload)
 //	8       N     payload (kind-specific, see the typed structs)
@@ -39,11 +43,11 @@ import (
 const Magic uint16 = 0x5068
 
 // Version is the protocol version every frame header carries. Version
-// 2 made KindBatch the only carrier of samples and predictions; a
-// version-1 peer, which may send standalone Sample frames, fails at the
-// header, and the server answers it with an Error frame of code
-// CodeVersion.
-const Version uint8 = 2
+// 2 made KindBatch the only carrier of samples and predictions; version
+// 3 made a Restore payload a granularity followed by a Snapshot payload
+// verbatim. An older peer fails at the header, and the server answers
+// it with an Error frame of code CodeVersion.
+const Version uint8 = 3
 
 // MaxPayload bounds a single frame's payload. The bound exists so a
 // corrupted or hostile length field cannot make a reader allocate
@@ -105,10 +109,11 @@ const (
 	// snapshot stays verifiable after the framing trailer is gone.
 	KindSnapshot
 	// KindRestore reopens a session from a snapshot (client → server):
-	// a Hello plus the saved predictor state and stream position. The
-	// server rebuilds the predictor from the spec, restores its state,
-	// and answers with an Ack, after which prediction continues
-	// bit-identically with the pre-drain stream.
+	// the sampling granularity followed by a Snapshot payload exactly as
+	// the draining server sent it. The server rebuilds the predictor
+	// from the spec, restores its state, and answers with an Ack, after
+	// which prediction continues bit-identically with the pre-drain
+	// stream.
 	KindRestore
 	// KindBatch packs N ≥ 1 Sample or Prediction records into one
 	// frame (either direction; the element kind is explicit in the
@@ -179,7 +184,10 @@ const (
 	CodeOverloaded
 	// CodeBadSnapshot reports a Restore whose state blob the rebuilt
 	// predictor refused (wrong family, version skew, geometry mismatch,
-	// corruption). The session is not opened; the connection lives.
+	// corruption) — the session is not opened — or a resumable session
+	// whose state the draining server could not hand back (a Snapshot
+	// over MaxSnapshotPayload), sent in place of the Snapshot frame.
+	// The connection lives.
 	CodeBadSnapshot
 )
 
@@ -247,10 +255,10 @@ type Hello struct {
 // flushed aggregation bucket. The Hello's Spec is ignored.
 const FlagRollup uint16 = 1 << 0
 
-// FlagSnapshot, set on a Hello or Restore, asks the server to emit a
-// Snapshot frame for the session — carrying its full predictor state —
-// before the Drain frame when the server drains the session. Sessions
-// opened without it drain stateless, exactly as in earlier releases.
+// FlagSnapshot, set on a Hello, asks the server to emit a Snapshot
+// frame for the session — carrying its full predictor state — before
+// the Drain frame when the server drains the session. Sessions opened
+// without it drain stateless; a restored session always has it.
 const FlagSnapshot uint16 = 1 << 1
 
 // Ack accepts a session.
@@ -259,9 +267,9 @@ type Ack struct {
 	// NumPhases is the phase count of the server's classifier; phase
 	// ids in Prediction frames are in [1, NumPhases].
 	NumPhases uint8
-	// Flags echoes the flag bits of the Hello/Restore the server
-	// accepted and will honor (FlagRollup, FlagSnapshot); bits the
-	// server does not understand come back 0.
+	// Flags echoes the flag bits the server accepted and will honor
+	// (FlagRollup, FlagSnapshot; FlagSnapshot for every Restore); bits
+	// the server does not understand come back 0.
 	Flags uint16
 }
 
@@ -314,16 +322,19 @@ type Drain struct {
 // processed a sample.
 const NoSamples = ^uint64(0)
 
-// Snapshot hands a drained session's state back to the client so it
-// can be resumed elsewhere. Spec and State reference the decode buffer
-// when produced by DecodeSnapshot; copy them before the next read if
+// Snapshot is a session's portable state: the payload of a Snapshot
+// frame, and the tail of a Restore frame that resumes the session.
+// Spec and State reference the decode buffer when produced by
+// DecodeSnapshot or DecodeRestore; copy them before the next read if
 // they must outlive the frame.
 //
 // State is opaque to the wire layer — it is the monitor envelope
 // produced by core.(*Monitor).Snapshot — and carries its own CRC-32 in
-// the frame (distinct from the framing trailer), so a snapshot that is
-// stored and replayed later in a Restore is still integrity-checked
-// even though the original frame's trailer is gone.
+// the payload (distinct from the framing trailer), so a snapshot that
+// is stored and replayed later in a Restore is still integrity-checked
+// even though the original frame's trailer is gone. An encoded
+// Snapshot payload is at most MaxSnapshotPayload bytes, so every
+// snapshot fits a Restore frame.
 type Snapshot struct {
 	SessionID uint64
 	// LastSeq is the highest sample sequence number processed
@@ -339,24 +350,6 @@ type Snapshot struct {
 	// State is the opaque monitor state blob (core snapshot format,
 	// DESIGN.md §14).
 	State []byte
-}
-
-// Restore reopens a session from a Snapshot: Hello's fields plus the
-// saved state and stream position. Spec and State reference the decode
-// buffer when produced by DecodeRestore.
-type Restore struct {
-	SessionID       uint64
-	GranularityUops uint64
-	// Flags is as in Hello; FlagSnapshot is implied (a restored session
-	// is always snapshot-eligible on its next drain) but may be sent.
-	Flags uint16
-	// LastSeq, Processed, Dropped seed the resumed session's stream
-	// position and accounting from the Snapshot.
-	LastSeq   uint64
-	Processed uint64
-	Dropped   uint64
-	Spec      []byte
-	State     []byte
 }
 
 // ErrorFrame reports a failure. Msg references the decode buffer when
@@ -446,8 +439,12 @@ const (
 	// snapshotFixed: sessionID + lastSeq + processed + dropped +
 	// specLen(u16) + stateLen(u32) + stateCRC(u32).
 	snapshotFixed = 42
-	// restoreFixed: snapshotFixed + granularity(u64) + flags(u16).
-	restoreFixed = 52
+	// restorePrefix: the granularity(u64) a Restore payload carries
+	// ahead of the Snapshot payload.
+	restorePrefix = 8
+	// MaxSnapshotPayload bounds an encoded Snapshot payload so that it
+	// still fits a frame behind the Restore prefix.
+	MaxSnapshotPayload = MaxPayload - restorePrefix
 	// rollupSize: 7 scalar fields (NodeID..LatSumNs, Shard packed as 4
 	// bytes) + 3 cell grids + latency buckets + top-K pairs.
 	rollupSize = 52 + 3*8*RollupCells + 8*RollupLatBuckets + 16*RollupTopK
@@ -638,14 +635,13 @@ func AppendError(dst []byte, e *ErrorFrame) ([]byte, error) {
 	return appendCRC(dst, start), nil
 }
 
-// AppendSnapshot encodes a Snapshot frame onto dst. Unlike the
-// truncating Append functions, an oversized snapshot is an error — a
-// truncated state blob is worse than no snapshot — so the extended
-// slice is returned together with one.
+// AppendSnapshot encodes a Snapshot frame onto dst. A snapshot whose
+// payload would exceed MaxSnapshotPayload is an error, never a
+// truncation: a truncated state blob is worse than no snapshot.
 //
 //lint:hotpath
 func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
-	if len(s.Spec) > int(^uint16(0)) || snapshotFixed+len(s.Spec)+len(s.State) > MaxPayload {
+	if len(s.Spec) > int(^uint16(0)) || snapshotFixed+len(s.Spec)+len(s.State) > MaxSnapshotPayload {
 		return dst, fmt.Errorf("%w: snapshot spec %d + state %d bytes", ErrTooLarge, len(s.Spec), len(s.State))
 	}
 	start := len(dst)
@@ -662,27 +658,21 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	return appendCRC(dst, start), nil
 }
 
-// AppendRestore encodes a Restore frame onto dst. Oversized snapshots
-// are an error, as in AppendSnapshot.
+// AppendRestore encodes a Restore frame onto dst: the sampling
+// granularity followed by snapshot, a Snapshot payload as the draining
+// server sent it. The payload is copied verbatim, not re-encoded or
+// checked — the resuming server's DecodeRestore validates it — so the
+// only encode-side error is an oversized one.
 //
 //lint:hotpath
-func AppendRestore(dst []byte, r *Restore) ([]byte, error) {
-	if len(r.Spec) > int(^uint16(0)) || restoreFixed+len(r.Spec)+len(r.State) > MaxPayload {
-		return dst, fmt.Errorf("%w: restore spec %d + state %d bytes", ErrTooLarge, len(r.Spec), len(r.State))
+func AppendRestore(dst []byte, granularityUops uint64, snapshot []byte) ([]byte, error) {
+	if len(snapshot) > MaxSnapshotPayload {
+		return dst, fmt.Errorf("%w: restore snapshot %d bytes", ErrTooLarge, len(snapshot))
 	}
 	start := len(dst)
-	dst = appendHeader(dst, KindRestore, restoreFixed+len(r.Spec)+len(r.State))
-	dst = binary.BigEndian.AppendUint64(dst, r.SessionID)
-	dst = binary.BigEndian.AppendUint64(dst, r.GranularityUops)
-	dst = binary.BigEndian.AppendUint16(dst, r.Flags)
-	dst = binary.BigEndian.AppendUint64(dst, r.LastSeq)
-	dst = binary.BigEndian.AppendUint64(dst, r.Processed)
-	dst = binary.BigEndian.AppendUint64(dst, r.Dropped)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Spec)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.State)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(r.State))
-	dst = append(dst, r.Spec...)
-	dst = append(dst, r.State...)
+	dst = appendHeader(dst, KindRestore, restorePrefix+len(snapshot))
+	dst = binary.BigEndian.AppendUint64(dst, granularityUops)
+	dst = append(dst, snapshot...)
 	return appendCRC(dst, start), nil
 }
 
@@ -841,12 +831,17 @@ func DecodeError(payload []byte, e *ErrorFrame) error {
 }
 
 // DecodeSnapshot parses a Snapshot payload and verifies the state
-// blob's inner CRC. s.Spec and s.State alias the payload.
+// blob's inner CRC; it is the one decoder of a session's state, for
+// Snapshot and Restore frames alike. s.Spec and s.State alias the
+// payload.
 //
 //lint:hotpath
 func DecodeSnapshot(payload []byte, s *Snapshot) error {
 	if len(payload) < snapshotFixed {
 		return fmt.Errorf("%w: snapshot %d bytes", ErrShort, len(payload))
+	}
+	if len(payload) > MaxSnapshotPayload {
+		return fmt.Errorf("%w: snapshot %d bytes", ErrTooLarge, len(payload))
 	}
 	s.SessionID = binary.BigEndian.Uint64(payload)
 	s.LastSeq = binary.BigEndian.Uint64(payload[8:])
@@ -866,32 +861,15 @@ func DecodeSnapshot(payload []byte, s *Snapshot) error {
 	return nil
 }
 
-// DecodeRestore parses a Restore payload and verifies the state blob's
-// inner CRC. r.Spec and r.State alias the payload.
+// DecodeRestore parses a Restore payload: it returns the granularity
+// prefix and decodes the rest into s with DecodeSnapshot.
 //
 //lint:hotpath
-func DecodeRestore(payload []byte, r *Restore) error {
-	if len(payload) < restoreFixed {
-		return fmt.Errorf("%w: restore %d bytes", ErrShort, len(payload))
+func DecodeRestore(payload []byte, s *Snapshot) (granularityUops uint64, err error) {
+	if len(payload) < restorePrefix {
+		return 0, fmt.Errorf("%w: restore %d bytes", ErrShort, len(payload))
 	}
-	r.SessionID = binary.BigEndian.Uint64(payload)
-	r.GranularityUops = binary.BigEndian.Uint64(payload[8:])
-	r.Flags = binary.BigEndian.Uint16(payload[16:])
-	r.LastSeq = binary.BigEndian.Uint64(payload[18:])
-	r.Processed = binary.BigEndian.Uint64(payload[26:])
-	r.Dropped = binary.BigEndian.Uint64(payload[34:])
-	specLen := int(binary.BigEndian.Uint16(payload[42:]))
-	stateLen := int(binary.BigEndian.Uint32(payload[44:]))
-	stateCRC := binary.BigEndian.Uint32(payload[48:])
-	if len(payload) != restoreFixed+specLen+stateLen {
-		return fmt.Errorf("%w: restore spec %d + state %d in %d-byte payload", ErrShort, specLen, stateLen, len(payload))
-	}
-	r.Spec = payload[restoreFixed : restoreFixed+specLen]
-	r.State = payload[restoreFixed+specLen:]
-	if crc32.ChecksumIEEE(r.State) != stateCRC {
-		return fmt.Errorf("%w: restore state checksum", ErrBadCRC)
-	}
-	return nil
+	return binary.BigEndian.Uint64(payload), DecodeSnapshot(payload[restorePrefix:], s)
 }
 
 // DecodeBatch parses a Batch payload's envelope, returning the packed

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"strings"
@@ -18,9 +19,6 @@ func TestRoundTripAllKinds(t *testing.T) {
 	errf := ErrorFrame{Code: CodeBadSpec, SessionID: 7, Msg: []byte("no such predictor")}
 	rollup := testRollup()
 	snap := Snapshot{SessionID: 7, LastSeq: 41, Processed: 40, Dropped: 2,
-		Spec: []byte("gpht_8_128"), State: []byte{0x4D, 1, 6, 0, 0}}
-	restore := Restore{SessionID: 7, GranularityUops: 100_000_000, Flags: FlagSnapshot,
-		LastSeq: 41, Processed: 40, Dropped: 2,
 		Spec: []byte("gpht_8_128"), State: []byte{0x4D, 1, 6, 0, 0}}
 
 	batch := []Sample{
@@ -43,7 +41,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	if buf, err = AppendSnapshot(buf, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if buf, err = AppendRestore(buf, &restore); err != nil {
+	if buf, err = AppendRestore(buf, 100_000_000, snapshotPayload(t, &snap)); err != nil {
 		t.Fatal(err)
 	}
 	if buf, err = AppendBatchSamples(buf, batch); err != nil {
@@ -128,15 +126,15 @@ func TestRoundTripAllKinds(t *testing.T) {
 				t.Errorf("snapshot round trip = %+v, want %+v", s, snap)
 			}
 		case KindRestore:
-			var r Restore
-			if err := DecodeRestore(payload, &r); err != nil {
+			var s Snapshot
+			g, err := DecodeRestore(payload, &s)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if r.SessionID != restore.SessionID || r.GranularityUops != restore.GranularityUops ||
-				r.Flags != restore.Flags || r.LastSeq != restore.LastSeq ||
-				r.Processed != restore.Processed || r.Dropped != restore.Dropped ||
-				string(r.Spec) != string(restore.Spec) || !bytes.Equal(r.State, restore.State) {
-				t.Errorf("restore round trip = %+v, want %+v", r, restore)
+			if g != 100_000_000 || s.SessionID != snap.SessionID || s.LastSeq != snap.LastSeq ||
+				s.Processed != snap.Processed || s.Dropped != snap.Dropped ||
+				string(s.Spec) != string(snap.Spec) || !bytes.Equal(s.State, snap.State) {
+				t.Errorf("restore round trip = %d, %+v, want %+v", g, s, snap)
 			}
 		case KindBatch:
 			elem, n, recs, err := DecodeBatch(payload)
@@ -241,6 +239,38 @@ func testSnapshot() *Snapshot {
 		Spec: []byte("gpht_8_128"), State: state}
 }
 
+// snapshotPayload encodes s and returns its Snapshot frame payload.
+func snapshotPayload(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	b, err := AppendSnapshot(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b[HeaderSize : len(b)-TrailerSize]
+}
+
+// TestRestoreEmbedsSnapshot pins the one-codec layout: a Restore
+// payload is the 8-byte granularity followed by the Snapshot payload
+// for the same value, byte for byte.
+func TestRestoreEmbedsSnapshot(t *testing.T) {
+	snap := testSnapshot()
+	want := snapshotPayload(t, snap)
+	buf, err := AppendRestore(nil, 100_000_000, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := NewDecoder(bytes.NewReader(buf)).Next()
+	if err != nil || kind != KindRestore {
+		t.Fatalf("Next = %v, %v", kind, err)
+	}
+	if g := binary.BigEndian.Uint64(payload); g != 100_000_000 {
+		t.Fatalf("granularity prefix = %d, want 100000000", g)
+	}
+	if !bytes.Equal(payload[8:], want) {
+		t.Fatalf("restore payload[8:] differs from the snapshot payload:\n got %x\nwant %x", payload[8:], want)
+	}
+}
+
 // TestSnapshotRestoreCorruption drives the two migration frames
 // through the corruption classes that matter for stored state:
 // framing damage, inner state-CRC damage (with the outer CRC
@@ -281,6 +311,20 @@ func TestSnapshotRestoreCorruption(t *testing.T) {
 		if err := DecodeSnapshot(payload, &s); !errors.Is(err, ErrBadCRC) {
 			t.Fatalf("err = %v, want ErrBadCRC", err)
 		}
+		// The same damage replayed in a Restore: the frame trailer is
+		// sealed over the corrupt bytes, so the inner CRC is all that
+		// catches it.
+		buf, err := AppendRestore(nil, 1e8, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, rp, err := NewDecoder(bytes.NewReader(buf)).Next()
+		if err != nil || kind != KindRestore {
+			t.Fatalf("Next = %v, %v", kind, err)
+		}
+		if _, err := DecodeRestore(rp, &s); !errors.Is(err, ErrBadCRC) {
+			t.Fatalf("restore err = %v, want ErrBadCRC", err)
+		}
 	})
 
 	// Length lies: declared spec/state lengths disagreeing with the
@@ -292,9 +336,11 @@ func TestSnapshotRestoreCorruption(t *testing.T) {
 		if err := DecodeSnapshot(payload, &s); !errors.Is(err, ErrShort) {
 			t.Fatalf("lying spec length: err = %v, want ErrShort", err)
 		}
-		var r Restore
-		if err := DecodeRestore(make([]byte, restoreFixed-1), &r); !errors.Is(err, ErrShort) {
+		if _, err := DecodeRestore(make([]byte, restorePrefix-1), &s); !errors.Is(err, ErrShort) {
 			t.Fatalf("short restore: err = %v, want ErrShort", err)
+		}
+		if _, err := DecodeRestore(make([]byte, restorePrefix+snapshotFixed-1), &s); !errors.Is(err, ErrShort) {
+			t.Fatalf("restore with short snapshot: err = %v, want ErrShort", err)
 		}
 		if err := DecodeSnapshot(make([]byte, snapshotFixed-1), &s); !errors.Is(err, ErrShort) {
 			t.Fatalf("short snapshot: err = %v, want ErrShort", err)
@@ -307,16 +353,23 @@ func TestSnapshotRestoreCorruption(t *testing.T) {
 		if _, err := AppendSnapshot(nil, big); !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("AppendSnapshot oversize: err = %v, want ErrTooLarge", err)
 		}
-		if _, err := AppendRestore(nil, &Restore{Spec: big.Spec, State: big.State}); !errors.Is(err, ErrTooLarge) {
+		if _, err := AppendRestore(nil, 1e8, big.State[:MaxSnapshotPayload+1]); !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("AppendRestore oversize: err = %v, want ErrTooLarge", err)
+		}
+		// The largest snapshot still fits a Restore frame.
+		edge := &Snapshot{Spec: big.Spec, State: big.State[:MaxSnapshotPayload-snapshotFixed-len(big.Spec)]}
+		if _, err := AppendRestore(nil, 1e8, snapshotPayload(t, edge)); err != nil {
+			t.Fatalf("AppendRestore of a maximal snapshot: %v", err)
+		}
+		var s Snapshot
+		if err := DecodeSnapshot(make([]byte, MaxSnapshotPayload+1), &s); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("DecodeSnapshot oversize: err = %v, want ErrTooLarge", err)
 		}
 	})
 
 	// Restore framing round-trips through the decoder too.
 	t.Run("restore round trip", func(t *testing.T) {
-		res := &Restore{SessionID: 9, GranularityUops: 1e8, Flags: FlagSnapshot,
-			LastSeq: 299, Processed: 300, Dropped: 1, Spec: snap.Spec, State: snap.State}
-		buf, err := AppendRestore(nil, res)
+		buf, err := AppendRestore(nil, 1e8, valid[HeaderSize:len(valid)-TrailerSize])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,12 +377,12 @@ func TestSnapshotRestoreCorruption(t *testing.T) {
 		if err != nil || kind != KindRestore {
 			t.Fatalf("Next = %v, %v", kind, err)
 		}
-		var r Restore
-		if err := DecodeRestore(payload, &r); err != nil {
-			t.Fatal(err)
+		var r Snapshot
+		if g, err := DecodeRestore(payload, &r); err != nil || g != 1e8 {
+			t.Fatalf("DecodeRestore = %d, %v", g, err)
 		}
-		if !bytes.Equal(r.State, res.State) || string(r.Spec) != string(res.Spec) {
-			t.Fatal("restore round trip lost spec or state")
+		if r.LastSeq != snap.LastSeq || !bytes.Equal(r.State, snap.State) || string(r.Spec) != string(snap.Spec) {
+			t.Fatal("restore round trip lost the snapshot value")
 		}
 	})
 }
@@ -373,7 +426,7 @@ func TestRollupGoldenBytes(t *testing.T) {
 	if len(buf) != HeaderSize+rollupSize+TrailerSize {
 		t.Fatalf("frame size = %d, want %d", len(buf), HeaderSize+rollupSize+TrailerSize)
 	}
-	wantHdr := []byte{0x50, 0x68, 2, byte(KindRollup), 0x00, 0x00, 0x04, 0xE4}
+	wantHdr := []byte{0x50, 0x68, 3, byte(KindRollup), 0x00, 0x00, 0x04, 0xE4}
 	if !bytes.Equal(buf[:HeaderSize], wantHdr) {
 		t.Errorf("header = % x, want % x", buf[:HeaderSize], wantHdr)
 	}
