@@ -131,9 +131,12 @@ func synthMerge(o options) (*agg.Merger, uint64, error) {
 	var buf []byte
 	var count uint64
 	var derr error
+	var rd bytes.Reader
+	dec := wire.NewDecoder(&rd)
 	a.FlushAll(func(r *wire.Rollup) {
 		buf = wire.AppendRollup(buf[:0], r)
-		kind, payload, err := wire.NewDecoder(bytes.NewReader(buf)).Next()
+		rd.Reset(buf)
+		kind, payload, err := dec.Next()
 		if err != nil || kind != wire.KindRollup {
 			derr = fmt.Errorf("rollup frame round-trip: kind %v, %v", kind, err)
 			return

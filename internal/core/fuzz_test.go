@@ -22,6 +22,10 @@ func FuzzGPHTNeverProducesInvalidState(f *testing.F) {
 			if u := g.Utilization(); u < 0 || u > 1 {
 				t.Fatalf("utilization %v out of range", u)
 			}
+			checkGPHTRecency(t, g)
+			if got, want := g.victim(), victimScan(g); got != want {
+				t.Fatalf("victim %d, scan picks %d", got, want)
+			}
 		}
 		if g.Hits()+g.Misses() != uint64(len(data)) {
 			t.Fatalf("hit/miss accounting lost samples")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"phasemon/internal/phase"
-	"phasemon/internal/telemetry"
 )
 
 // GPHTConfig parameterizes the Global Phase History Table predictor.
@@ -48,9 +47,10 @@ func DefaultGPHTConfig() GPHTConfig {
 // used for LRU replacement (the paper's "Age / Invalid" column; -1
 // there corresponds to valid=false here).
 type phtEntry struct {
-	tag   uint64
-	pred  phase.ID
-	age   uint64
+	tag uint64
+	age uint64
+	// pred is the stored phase.ID; phase IDs fit 4 bits (Validate).
+	pred  uint8
 	valid bool
 	// conf is the hysteresis bit: a stored prediction with conf=true
 	// survives one disagreeing outcome before being replaced. Unused
@@ -80,6 +80,15 @@ type GPHT struct {
 	pht   []phtEntry
 	index *phtIndex // tag -> slot, mirrors associative search
 	clock uint64    // LRU age source
+	// links[i] places slot i in one of two intrusive lists. A valid
+	// slot sits in the recency list, oldest first, which is circular
+	// through the sentinel links[len(pht)]: the sentinel's next is the
+	// LRU entry, its prev the MRU one. Valid ages are unique, so the
+	// list is the valid entries in age order. An invalid slot sits in
+	// the free list through next, in ascending slot order, with free
+	// its head and -1 its end.
+	links []phtLink
+	free  int32
 
 	// lastSlot is the PHT slot consulted (or installed) by the most
 	// recent prediction; its stored prediction is trained by the next
@@ -87,15 +96,13 @@ type GPHT struct {
 	lastSlot int
 
 	hits, misses uint64
-
-	tel *telemetry.Hub
 }
 
 var _ StatefulPredictor = (*GPHT)(nil)
 
-// NewGPHT builds the predictor. WithTelemetry attaches a hub at
-// construction.
-func NewGPHT(cfg GPHTConfig, opts ...Option) (*GPHT, error) {
+// NewGPHT builds the predictor. A monitor that steps it with
+// telemetry attached reports its PHT lookup outcomes to the hub.
+func NewGPHT(cfg GPHTConfig) (*GPHT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,17 +111,18 @@ func NewGPHT(cfg GPHTConfig, opts ...Option) (*GPHT, error) {
 		name:     fmt.Sprintf("GPHT_%d_%d", cfg.GPHRDepth, cfg.PHTEntries),
 		gphr:     make([]phase.ID, cfg.GPHRDepth),
 		pht:      make([]phtEntry, cfg.PHTEntries),
+		links:    make([]phtLink, cfg.PHTEntries+1),
 		index:    newPHTIndex(cfg.PHTEntries),
 		lastSlot: -1,
 	}
-	g.tel = applyOptions(opts).tel
+	g.resetRecency()
 	return g, nil
 }
 
 // MustNewGPHT is NewGPHT that panics on config errors; for defaults
 // and tests.
-func MustNewGPHT(cfg GPHTConfig, opts ...Option) *GPHT {
-	g, err := NewGPHT(cfg, opts...)
+func MustNewGPHT(cfg GPHTConfig) *GPHT {
+	g, err := NewGPHT(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -136,13 +144,6 @@ func (g *GPHT) Hits() uint64 { return g.hits }
 
 // Misses reports PHT lookup misses since the last Reset.
 func (g *GPHT) Misses() uint64 { return g.misses }
-
-// setTelemetry implements the package-internal telemetrySetter hook:
-// a monitor built with WithTelemetry forwards its hub here so PHT
-// lookup outcomes mirror into the hub's hit/miss counters. External
-// callers wire a hub with WithTelemetry at construction; the old
-// exported SetTelemetry mutator is gone.
-func (g *GPHT) setTelemetry(h *telemetry.Hub) { g.tel = h }
 
 // Observe implements Predictor: it trains the previously consulted PHT
 // entry with the observed outcome, shifts the GPHR, and looks up the
@@ -168,15 +169,15 @@ func (g *GPHT) Observe(o Observation) phase.ID {
 		e := &g.pht[g.lastSlot]
 		if e.valid {
 			switch {
-			case e.pred == phase.None || !g.cfg.Hysteresis:
-				e.pred = actual
+			case phase.ID(e.pred) == phase.None || !g.cfg.Hysteresis:
+				e.pred = uint8(actual)
 				e.conf = false
-			case e.pred == actual:
+			case phase.ID(e.pred) == actual:
 				e.conf = true
 			case e.conf:
 				e.conf = false // tolerate the first disagreement
 			default:
-				e.pred = actual
+				e.pred = uint8(actual)
 			}
 		}
 		g.lastSlot = -1
@@ -190,13 +191,11 @@ func (g *GPHT) Observe(o Observation) phase.ID {
 	tag := g.packTag()
 	if slot, ok := g.index.get(tag); ok {
 		g.hits++
-		if g.tel != nil {
-			g.tel.GPHTHits.Inc()
-		}
 		g.clock++
 		g.pht[slot].age = g.clock
+		g.touch(int32(slot))
 		g.lastSlot = slot
-		pred := g.pht[slot].pred
+		pred := phase.ID(g.pht[slot].pred)
 		if pred == phase.None {
 			pred = actual // untrained entry: last-value fallback
 		}
@@ -206,16 +205,17 @@ func (g *GPHT) Observe(o Observation) phase.ID {
 	// Miss: install the pattern (LRU victim) and fall back to
 	// last-value prediction.
 	g.misses++
-	if g.tel != nil {
-		g.tel.GPHTMisses.Inc()
-	}
 	slot := g.victim()
 	old := &g.pht[slot]
 	if old.valid {
 		g.index.del(old.tag)
+		g.unlink(int32(slot))
+	} else {
+		g.free = g.links[slot].next
 	}
 	g.clock++
-	*old = phtEntry{tag: tag, pred: phase.None, age: g.clock, valid: true}
+	*old = phtEntry{tag: tag, age: g.clock, valid: true}
+	g.pushMRU(int32(slot))
 	g.index.put(tag, slot)
 	g.lastSlot = slot
 	return actual
@@ -232,21 +232,101 @@ func (g *GPHT) packTag() uint64 {
 	return t
 }
 
-// victim picks an invalid slot if one exists, otherwise the least
-// recently used entry.
+// phtLink is one slot's place in a GPHT list: the neighbouring slots.
+type phtLink struct{ prev, next int32 }
+
+// victim picks the first invalid slot by index if one exists,
+// otherwise the least recently used entry: the head of the free list,
+// else the head of the recency list.
 func (g *GPHT) victim() int {
-	best := 0
-	bestAge := ^uint64(0)
-	for i := range g.pht {
-		if !g.pht[i].valid {
-			return i
-		}
-		if g.pht[i].age < bestAge {
-			bestAge = g.pht[i].age
-			best = i
+	if g.free >= 0 {
+		return int(g.free)
+	}
+	return int(g.links[len(g.pht)].next)
+}
+
+// unlink removes slot i from the recency list.
+func (g *GPHT) unlink(i int32) {
+	l := g.links
+	p, n := l[i].prev, l[i].next
+	l[p].next = n
+	l[n].prev = p
+}
+
+// pushMRU appends slot i, on no list, to the recency list as its newest
+// entry.
+func (g *GPHT) pushMRU(i int32) {
+	l := g.links
+	s := int32(len(g.pht))
+	p := l[s].prev
+	l[i] = phtLink{prev: p, next: s}
+	l[p].next = i
+	l[s].prev = i
+}
+
+// touch makes slot i, in the recency list, its newest entry.
+func (g *GPHT) touch(i int32) {
+	if g.links[len(g.pht)].prev != i {
+		g.unlink(i)
+		g.pushMRU(i)
+	}
+}
+
+// resetRecency rebuilds both lists from the table's valid bits and
+// ages: invalid slots in ascending order, valid ones in ascending age
+// (ties by slot, which only a snapshot Restore rejects could produce).
+func (g *GPHT) resetRecency() {
+	l := g.links
+	g.free = -1
+	valid := int32(-1) // the valid slots, chained through next by index
+	for i := int32(len(g.pht)) - 1; i >= 0; i-- {
+		if g.pht[i].valid {
+			l[i].next, valid = valid, i
+		} else {
+			l[i].next, g.free = g.free, i
 		}
 	}
-	return best
+	s := int32(len(g.pht))
+	l[s] = phtLink{prev: s, next: s}
+	for i := g.sortByAge(valid); i >= 0; {
+		next := l[i].next
+		g.pushMRU(i)
+		i = next
+	}
+}
+
+// sortByAge merge-sorts the list of slots chained through next from
+// head (-1 ends it) by ascending age, stably and without allocating,
+// and returns its new head.
+func (g *GPHT) sortByAge(head int32) int32 {
+	l := g.links
+	if head < 0 || l[head].next < 0 {
+		return head
+	}
+	slow, fast := head, l[head].next
+	for fast >= 0 && l[fast].next >= 0 {
+		slow, fast = l[slow].next, l[l[fast].next].next
+	}
+	second := l[slow].next
+	l[slow].next = -1
+	a, b := g.sortByAge(head), g.sortByAge(second)
+	first, last := int32(-1), int32(-1)
+	for a >= 0 || b >= 0 {
+		take := b
+		if b < 0 || (a >= 0 && g.pht[a].age <= g.pht[b].age) {
+			take, a = a, l[a].next
+		} else {
+			b = l[b].next
+		}
+		if last < 0 {
+			first = take
+		} else {
+			l[last].next = take
+		}
+		last = take
+	}
+	l[last].next = -1
+	return first
 }
 
 // Utilization returns the fraction of PHT entries currently valid.
@@ -269,6 +349,7 @@ func (g *GPHT) Reset() {
 		g.pht[i] = phtEntry{}
 	}
 	g.index.reset()
+	g.resetRecency()
 	g.clock = 0
 	g.seen = 0
 	g.lastSlot = -1

@@ -261,3 +261,160 @@ func TestGPHTDepthOneIsLastPhaseContext(t *testing.T) {
 		t.Errorf("depth-1 GPHT on strict alternation: %v", a)
 	}
 }
+
+// victimScan is the full-table scan the GPHT's recency list
+// replaced — the first invalid slot by index, else the valid entry
+// with the smallest age — kept as the reference they are checked
+// against.
+func victimScan(g *GPHT) int {
+	best := 0
+	bestAge := ^uint64(0)
+	for i := range g.pht {
+		if !g.pht[i].valid {
+			return i
+		}
+		if g.pht[i].age < bestAge {
+			bestAge = g.pht[i].age
+			best = i
+		}
+	}
+	return best
+}
+
+// checkGPHTRecency verifies the recency structures against the
+// table: the recency list links every valid entry exactly once, in
+// strictly increasing age, with consistent back links around its
+// sentinel, and the free list links every invalid slot exactly once in
+// ascending order.
+func checkGPHTRecency(t *testing.T, g *GPHT) {
+	t.Helper()
+	sentinel := int32(len(g.pht))
+	valid, free := 0, 0
+	prev := sentinel
+	var lastAge uint64
+	for i := g.links[sentinel].next; i != sentinel; i = g.links[i].next {
+		if i < 0 || i > sentinel || !g.pht[i].valid {
+			t.Fatalf("recency list reaches slot %d", i)
+		}
+		if g.links[i].prev != prev {
+			t.Fatalf("slot %d back link %d, want %d", i, g.links[i].prev, prev)
+		}
+		if age := g.pht[i].age; valid > 0 && age <= lastAge {
+			t.Fatalf("recency list not in age order at slot %d: age %d after %d", i, age, lastAge)
+		}
+		lastAge, prev = g.pht[i].age, i
+		if valid++; valid > len(g.pht) {
+			t.Fatal("recency list cycles")
+		}
+	}
+	if g.links[sentinel].prev != prev {
+		t.Fatalf("sentinel back link %d, want the list tail %d", g.links[sentinel].prev, prev)
+	}
+	last := int32(-1)
+	for i := g.free; i >= 0; i = g.links[i].next {
+		if g.pht[i].valid {
+			t.Fatalf("free list holds valid slot %d", i)
+		}
+		if i <= last {
+			t.Fatalf("free list not ascending: %d after %d", i, last)
+		}
+		last = i
+		free++
+	}
+	if valid+free != len(g.pht) {
+		t.Fatalf("lists cover %d valid + %d free slots of %d", valid, free, len(g.pht))
+	}
+	if u := float64(valid) / float64(len(g.pht)); u != g.Utilization() {
+		t.Fatalf("recency list holds %d entries, utilization %v", valid, g.Utilization())
+	}
+}
+
+// randomGPHTTable fills g's table with random holes, distinct tags and
+// distinct ages drawn from [1, clock], the state Snapshot can encode
+// and Restore must rebuild the recency list from.
+func randomGPHTTable(rng *rand.Rand, g *GPHT) {
+	clock := uint64(len(g.pht) + rng.Intn(1000))
+	ages := rng.Perm(int(clock))
+	tags := map[uint64]bool{}
+	space := 1 << (4 * g.cfg.GPHRDepth)
+	for i := range g.pht {
+		if rng.Intn(3) == 0 || len(tags) == space {
+			g.pht[i] = phtEntry{}
+			continue
+		}
+		tag := uint64(rng.Intn(space))
+		for tags[tag] {
+			tag = uint64(rng.Intn(space))
+		}
+		tags[tag] = true
+		g.pht[i] = phtEntry{tag: tag, pred: uint8(rng.Intn(g.cfg.NumPhases + 1)),
+			age: uint64(ages[i]) + 1, valid: true, conf: rng.Intn(2) == 0}
+	}
+	g.clock = clock
+}
+
+// TestGPHTVictimMatchesScan drives the recency list differentially
+// against the full-table scan it replaced, over random streams from
+// a fresh table and from random restored tables with holes: after
+// every observation the victim must be the slot the scan picks, and
+// the recency structures must stay intact.
+func TestGPHTVictimMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		cfg := GPHTConfig{GPHRDepth: 1 + rng.Intn(4), PHTEntries: 1 + rng.Intn(64),
+			NumPhases: 2 + rng.Intn(5), Hysteresis: rng.Intn(2) == 0}
+		g := MustNewGPHT(cfg)
+		if trial%2 == 1 {
+			src := MustNewGPHT(cfg)
+			randomGPHTTable(rng, src)
+			if err := g.Restore(src.Snapshot(nil)); err != nil {
+				t.Fatalf("trial %d: restoring a random table: %v", trial, err)
+			}
+		}
+		checkGPHTRecency(t, g)
+		for i := 0; i < 300; i++ {
+			if got, want := g.victim(), victimScan(g); got != want {
+				t.Fatalf("trial %d step %d (%+v): victim %d, scan picks %d", trial, i, cfg, got, want)
+			}
+			g.Observe(Observation{Phase: phase.ID(1 + rng.Intn(cfg.NumPhases))})
+			checkGPHTRecency(t, g)
+		}
+		g.Reset()
+		checkGPHTRecency(t, g)
+		if g.victim() != 0 {
+			t.Fatalf("trial %d: victim after Reset = %d, want slot 0", trial, g.victim())
+		}
+	}
+}
+
+// TestGPHTRestoreRejectsBadAges: the recency list is rebuilt from
+// the snapshot's ages, so valid rows whose ages are not distinct and
+// within [1, clock] — which no Snapshot produces — must fail Restore
+// loudly and leave the predictor Reset.
+func TestGPHTRestoreRejectsBadAges(t *testing.T) {
+	cfg := GPHTConfig{GPHRDepth: 2, PHTEntries: 4, NumPhases: 6}
+	for _, tc := range []struct {
+		name  string
+		ages  []uint64
+		clock uint64
+	}{
+		{"duplicate", []uint64{3, 1, 3, 2}, 5},
+		{"zero", []uint64{0, 1, 2, 3}, 5},
+		{"past clock", []uint64{1, 2, 3, 9}, 5},
+	} {
+		src := MustNewGPHT(cfg)
+		for i, age := range tc.ages {
+			src.pht[i] = phtEntry{tag: uint64(i + 1), age: age, valid: true}
+		}
+		src.clock = tc.clock
+		g := MustNewGPHT(cfg)
+		g.Observe(Observation{Phase: 2})
+		if err := g.Restore(src.Snapshot(nil)); err == nil {
+			t.Errorf("%s: Restore accepted ages %v with clock %d", tc.name, tc.ages, tc.clock)
+		}
+		if g.Hits()+g.Misses() != 0 || g.Utilization() != 0 {
+			t.Errorf("%s: a rejected Restore left state behind", tc.name)
+		}
+		checkGPHTRecency(t, g)
+	}
+}

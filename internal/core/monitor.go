@@ -17,6 +17,9 @@ import (
 type Monitor struct {
 	cls  phase.Classifier
 	pred Predictor
+	// gpht is pred when it is a *GPHT: an observed step reports its
+	// PHT lookup outcome.
+	gpht *GPHT
 
 	lastPrediction phase.ID
 	lastActual     phase.ID
@@ -25,24 +28,9 @@ type Monitor struct {
 	steps          int
 
 	tel *telemetry.Hub
-}
-
-// telemetrySetter is implemented by predictors that can report into a
-// telemetry hub (the GPHT's hit/miss counters). The method is
-// unexported: observation wiring is decided at construction
-// (WithTelemetry) and forwarded to the predictor by the monitor's own
-// constructor — there is no post-hoc mutation surface.
-type telemetrySetter interface {
-	setTelemetry(*telemetry.Hub)
-}
-
-// attachTelemetry forwards the construction-time hub to the monitor
-// and its predictor.
-func (m *Monitor) attachTelemetry(h *telemetry.Hub) {
-	m.tel = h
-	if ts, ok := m.pred.(telemetrySetter); ok {
-		ts.setTelemetry(h)
-	}
+	// own is the batch Step records into and publishes after every
+	// step; nil when tel is.
+	own *telemetry.StepBatch
 }
 
 // NewMonitor builds a monitor around a classifier and predictor.
@@ -55,10 +43,9 @@ func NewMonitor(cls phase.Classifier, pred Predictor, opts ...Option) (*Monitor,
 	if err != nil {
 		return nil, err
 	}
-	m := &Monitor{cls: cls, pred: pred, confusion: conf}
-	if o := applyOptions(opts); o.tel != nil {
-		m.attachTelemetry(o.tel)
-	}
+	m := &Monitor{cls: cls, pred: pred, confusion: conf, tel: applyOptions(opts).tel}
+	m.own = m.tel.NewStepBatch()
+	m.gpht, _ = pred.(*GPHT)
 	return m, nil
 }
 
@@ -76,60 +63,83 @@ func (m *Monitor) Predictor() Predictor { return m.pred }
 // Step processes one completed sampling interval: it classifies the
 // sample, scores the pending prediction against it, and produces the
 // next prediction. The first interval is not scored (there was nothing
-// to predict it from). An observed monitor reads the hub clock once
-// per scored step and stamps the step's journal events with it.
+// to predict it from). An observed monitor publishes the step's
+// telemetry to its hub before returning, as a batch of one whose
+// journal events carry one hub clock reading, taken on scored steps
+// only (unscored ones journal nothing).
 //
 //lint:hotpath
 func (m *Monitor) Step(s phase.Sample) (actual, next phase.ID) {
-	return m.step(s, 0, true)
+	return m.step(s, m.own, 0, true)
 }
 
-// StepAt is Step with the journal timestamp supplied by the caller:
-// unixNs (Unix nanoseconds, normally a hub clock reading) stamps the
-// prediction verdict and phase transition the step journals, so a
-// caller stepping a batch of samples reads the clock once per batch.
-// The timestamp never touches classification or prediction; an
-// unobserved monitor ignores it.
+// StepAt is the batched form of Step: it records the step's telemetry
+// into b, a batch the caller owns and publishes, stamping the step's
+// journal events with unixNs (Unix nanoseconds, normally a hub clock
+// reading), so a caller stepping a batch of samples reads the clock
+// and touches the shared hub once per batch. A nil b records nothing.
+// Neither b nor the stamp touches classification or prediction.
 //
 //lint:hotpath
-func (m *Monitor) StepAt(s phase.Sample, unixNs int64) (actual, next phase.ID) {
-	return m.step(s, unixNs, false)
+func (m *Monitor) StepAt(s phase.Sample, b *telemetry.StepBatch, unixNs int64) (actual, next phase.ID) {
+	return m.step(s, b, unixNs, false)
 }
 
-// step is Step and StepAt: with readClock set it stamps the step's
-// journal events with one fresh hub clock reading instead of unixNs.
-// Both exported forms inline to a single call of this one.
-func (m *Monitor) step(s phase.Sample, unixNs int64, readClock bool) (actual, next phase.ID) {
+// step is Step's and StepAt's one body: the monitor update, plus the
+// step's telemetry recorded into b when b is non-nil. Both exported
+// forms inline to a single call of it.
+func (m *Monitor) step(s phase.Sample, b *telemetry.StepBatch, unixNs int64, publish bool) (actual, next phase.ID) {
 	actual = m.cls.Classify(s)
 	scored := m.steps > 0
 	if scored {
 		m.tally.Record(m.lastPrediction, actual)
 		m.confusion.Record(m.lastPrediction, actual)
 	}
-	next = m.pred.Observe(Observation{Sample: s, Phase: actual})
-	if m.tel != nil {
-		m.tel.Steps.Inc()
-		m.tel.MemPerUop.Observe(s.MemPerUop)
-		if actual != m.lastActual {
-			m.tel.CurrentPhase.Set(float64(actual))
-		}
-		if next != m.lastPrediction {
-			m.tel.PredictedPhase.Set(float64(next))
-		}
-		if scored {
-			if readClock {
-				unixNs = m.tel.Now().UnixNano()
-			}
-			m.tel.RecordPrediction(m.steps, int(m.lastPrediction), int(actual), unixNs)
-			if actual != m.lastActual {
-				m.tel.RecordPhaseTransition(m.steps, int(m.lastActual), int(actual), unixNs)
-			}
-		}
+	if b == nil {
+		next = m.pred.Observe(Observation{Sample: s, Phase: actual})
+	} else {
+		next = m.observeInto(b, s, actual, scored, unixNs, publish)
 	}
 	m.lastActual = actual
 	m.lastPrediction = next
 	m.steps++
 	return actual, next
+}
+
+// observeInto is the observed half of step: it runs the predictor and
+// records the step — Mem/Uop reading, gauges that moved, the scored
+// verdict and any phase transition, the PHT lookup outcome — into b.
+// With publish set (Step) a scored step is stamped with a fresh hub
+// clock reading, and b is published before returning.
+func (m *Monitor) observeInto(b *telemetry.StepBatch, s phase.Sample, actual phase.ID, scored bool, unixNs int64, publish bool) phase.ID {
+	var hits uint64
+	if m.gpht != nil {
+		hits = m.gpht.hits
+	}
+	next := m.pred.Observe(Observation{Sample: s, Phase: actual})
+	if m.gpht != nil {
+		b.GPHTLookup(m.gpht.hits != hits)
+	}
+	b.Step(s.MemPerUop)
+	if actual != m.lastActual {
+		b.Current(int(actual))
+	}
+	if next != m.lastPrediction {
+		b.Predicted(int(next))
+	}
+	if scored {
+		if publish && m.tel != nil {
+			unixNs = m.tel.Now().UnixNano()
+		}
+		b.Prediction(m.steps, int(m.lastPrediction), int(actual), unixNs)
+		if actual != m.lastActual {
+			b.Transition(m.steps, int(m.lastActual), int(actual), unixNs)
+		}
+	}
+	if publish {
+		b.Publish()
+	}
+	return next
 }
 
 // LastPrediction returns the prediction pending for the interval

@@ -515,12 +515,12 @@ func (g *GPHT) Restore(src []byte) error {
 		e := phtEntry{
 			tag:   binary.BigEndian.Uint64(row),
 			age:   binary.BigEndian.Uint64(row[8:]),
-			pred:  phase.ID(row[16]),
+			pred:  row[16],
 			valid: row[17]&1 != 0,
 			conf:  row[17]&2 != 0,
 		}
 		if e.valid {
-			if e.pred != phase.None && !e.pred.Valid(numPhases) {
+			if p := phase.ID(e.pred); p != phase.None && !p.Valid(numPhases) {
 				g.Reset()
 				return fmt.Errorf("%w: gpht snapshot row %d predicts invalid phase %d", ErrSnapshot, i, e.pred)
 			}
@@ -531,6 +531,18 @@ func (g *GPHT) Restore(src []byte) error {
 			g.index.put(e.tag, i)
 		}
 		g.pht[i] = e
+	}
+	// Every install stamps a fresh age from the clock, so the valid
+	// rows' ages are distinct and in [1, clock]; the recency list is
+	// only the LRU order under that invariant.
+	g.resetRecency()
+	prev := uint64(0)
+	for slot := g.links[entries].next; slot != int32(entries); slot = g.links[slot].next {
+		if age := g.pht[slot].age; age <= prev || age > clock {
+			g.Reset()
+			return fmt.Errorf("%w: gpht snapshot row %d has age %d, not a distinct age in [1, clock %d]", ErrSnapshot, slot, age, clock)
+		}
+		prev = g.pht[slot].age
 	}
 	return nil
 }

@@ -192,7 +192,7 @@ func TestRegisteredPredictorsSorted(t *testing.T) {
 
 func TestWithTelemetryOption(t *testing.T) {
 	hub := telemetry.NewHub(6)
-	g := MustNewGPHT(DefaultGPHTConfig(), WithTelemetry(hub))
+	g := MustNewGPHT(DefaultGPHTConfig())
 	mon, err := NewMonitor(phase.Default(), g, WithTelemetry(hub))
 	if err != nil {
 		t.Fatal(err)
@@ -203,22 +203,38 @@ func TestWithTelemetryOption(t *testing.T) {
 		t.Errorf("Steps = %d, want 2 (option did not attach the hub)", hub.Steps.Value())
 	}
 	if hub.GPHTHits.Value()+hub.GPHTMisses.Value() == 0 {
-		t.Error("GPHT lookups unobserved; WithTelemetry did not reach the predictor")
+		t.Error("GPHT lookups unobserved; the observed monitor did not report them")
 	}
 }
 
 func TestWithTelemetryViaMonitorForwards(t *testing.T) {
-	// Attaching through the monitor alone must still reach the
-	// predictor, exactly as the deprecated setter did.
+	// The GPHT takes no hub of its own: the observed monitor that
+	// steps it reports each PHT lookup, so the hub's counters mirror
+	// the predictor's own accounting exactly, and a predictor without
+	// a PHT reports none.
 	hub := telemetry.NewHub(6)
 	g := MustNewGPHT(DefaultGPHTConfig())
 	mon, err := NewMonitor(phase.Default(), g, WithTelemetry(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.0})
-	if hub.GPHTHits.Value()+hub.GPHTMisses.Value() == 0 {
-		t.Error("monitor option did not forward the hub to the predictor")
+	// A period-3 phase pattern: misses while the depth-8 history
+	// warms up, hits once it repeats.
+	for i := 0; i < 60; i++ {
+		mon.Step(phase.Sample{MemPerUop: []float64{0.001, 0.001, 0.05}[i%3], UPC: 1.0})
+	}
+	if hub.GPHTHits.Value() != g.Hits() || hub.GPHTMisses.Value() != g.Misses() || g.Hits() == 0 {
+		t.Errorf("hub counted %d hits + %d misses, the GPHT %d + %d",
+			hub.GPHTHits.Value(), hub.GPHTMisses.Value(), g.Hits(), g.Misses())
+	}
+	plain, err := NewMonitor(phase.Default(), NewLastValue(), WithTelemetry(hub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := hub.GPHTHits.Value() + hub.GPHTMisses.Value()
+	plain.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.0})
+	if after := hub.GPHTHits.Value() + hub.GPHTMisses.Value(); after != before {
+		t.Errorf("a last-value monitor reported %d PHT lookups", after-before)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // (WithTelemetry) — the only wiring surface since the deprecated
 // SetTelemetry retrofit setters were removed — and verifies the
 // instrument flow end to end, including the GPHT hit/miss counters the
-// monitor forwards the hub to.
+// monitor reports for its predictor.
 func TestMonitorStepInstrumentation(t *testing.T) {
 	cls := phase.Default()
 	gpht := MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()})
@@ -105,12 +105,14 @@ func TestMonitorStepsMatchWithAndWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// TestStepAtStampsCallerTime pins the clock contract of the observed
-// step: StepAt never reads the hub clock and stamps every event it
-// journals with the caller's timestamp, while Step reads the clock at
-// most once per step — however many events that step journals. Both
-// predict identically and leave identical hub counters and confusion
-// matrices.
+// TestStepAtStampsCallerTime pins the clock and publication contract
+// of the observed step: StepAt never reads the hub clock, records into
+// the caller's batch — the hub sees nothing until the caller publishes
+// — and stamps every event it journals with the caller's timestamp,
+// while Step reads the clock at most once per step, however many
+// events that step journals, and publishes before it returns. Both
+// predict identically and, once the batch is published, leave
+// identical hub counters and confusion matrices.
 func TestStepAtStampsCallerTime(t *testing.T) {
 	cls := phase.Default()
 	reads := 0
@@ -127,15 +129,19 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 		return m
 	}
 	at, stepped := mk(atHub), mk(stepHub)
+	batch := atHub.NewStepBatch()
 	// Cycle phases 1, 6, 6 so scored steps journal verdicts, hits and
 	// misses, with and without a transition.
 	samples := []phase.Sample{{MemPerUop: 0.001, UPC: 1.5}, {MemPerUop: 0.050, UPC: 0.4}, {MemPerUop: 0.050, UPC: 0.4}}
 	const steps = 30
 	for i := 0; i < steps; i++ {
 		s := samples[i%len(samples)]
-		a1, n1 := at.StepAt(s, 777)
+		a1, n1 := at.StepAt(s, batch, 777)
 		if reads != 0 {
 			t.Fatalf("StepAt read the hub clock %d times, want 0", reads)
+		}
+		if got := atHub.Steps.Value(); got != 0 {
+			t.Fatalf("step %d: StepAt reached the hub before publication (steps = %d)", i, got)
 		}
 		a2, n2 := stepped.Step(s)
 		if a1 != a2 || n1 != n2 {
@@ -144,8 +150,15 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 		if want := min(i, 1); reads != want {
 			t.Fatalf("step %d: Step read the hub clock %d times, want %d (once per scored step)", i, reads, want)
 		}
+		if got := stepHub.Steps.Value(); got != uint64(i+1) {
+			t.Fatalf("step %d: Step left the hub at %d steps, want %d (publish per step)", i, got, i+1)
+		}
 		reads = 0
 	}
+	if atHub.Journal.Len() != 0 {
+		t.Fatal("StepAt journaled before publication")
+	}
+	batch.Publish()
 	for _, e := range atHub.Journal.Recent(0) {
 		if e.UnixNs != 777 {
 			t.Fatalf("%v event stamped %d, want the caller's 777", e.Kind, e.UnixNs)
@@ -161,6 +174,8 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 		{"mispredictions", atHub.Mispredictions, stepHub.Mispredictions},
 		{"phase transitions", atHub.PhaseTransitions, stepHub.PhaseTransitions},
 		{"steps", atHub.Steps, stepHub.Steps},
+		{"GPHT hits", atHub.GPHTHits, stepHub.GPHTHits},
+		{"GPHT misses", atHub.GPHTMisses, stepHub.GPHTMisses},
 	} {
 		if c.at.Value() != c.step.Value() {
 			t.Errorf("%s: %d after StepAt, %d after Step", c.name, c.at.Value(), c.step.Value())

@@ -13,9 +13,11 @@ import (
 // Together with BenchmarkWireRoundTrip it bounds the server's
 // per-sample CPU cost; the steady state must not allocate. Sessions
 // are built by newSession, exactly as the server builds them: bare
-// serves unobserved, hub attaches a telemetry hub as cmd/phased always
-// does (step counters, gauges, accuracy matrix and journal), and reads
-// the hub clock once per 64 samples, as a worker does once per batch.
+// serves unobserved, hub serves with a telemetry hub as cmd/phased
+// always does (step counters, gauges, accuracy matrix and journal):
+// each step records into a worker-style StepBatch that is published,
+// and the hub clock read, once per 64 samples, as a worker does once
+// per session batch.
 func BenchmarkSessionStep(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -34,6 +36,7 @@ func BenchmarkSessionStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			smp := wire.Sample{SessionID: 1, Uops: 100e6, Cycles: 90e6}
+			tel := bc.hub.NewStepBatch()
 			var nowNs int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -43,8 +46,12 @@ func BenchmarkSessionStep(b *testing.B) {
 				}
 				smp.Seq = uint64(i)
 				smp.MemTx = uint64(i%7) * 1e6
-				_, _ = sess.step(&smp, 0, nowNs)
+				_, _ = sess.step(&smp, 0, tel, nowNs)
+				if i%64 == 63 {
+					tel.Publish()
+				}
 			}
+			tel.Publish()
 		})
 	}
 }

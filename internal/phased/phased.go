@@ -228,7 +228,7 @@ func New(cfg Config) (*Server, error) {
 		s.flushThreshold = wire.MaxBatchPredictions
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{srv: s, idx: i}
+		w := &worker{srv: s, idx: i, tel: cfg.Telemetry.NewStepBatch()}
 		w.cond = sync.NewCond(&w.mu)
 		s.workers = append(s.workers, w)
 	}
@@ -528,11 +528,9 @@ func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, snap *wire.S
 	if err != nil {
 		return nil, wire.CodeBadSpec, err
 	}
-	var opts []core.Option
-	if tel := s.cfg.Telemetry; tel != nil {
-		opts = append(opts, core.WithTelemetry(tel))
-	}
-	mon, err := core.NewMonitor(s.cfg.Classifier, pred, opts...)
+	// The monitor carries no hub: served steps record their telemetry
+	// into the stepping worker's batch (worker.tel).
+	mon, err := core.NewMonitor(s.cfg.Classifier, pred)
 	if err != nil {
 		return nil, wire.CodeBadSpec, err
 	}
@@ -850,8 +848,9 @@ func (s *Server) dropConn(sc *serverConn) {
 }
 
 // deadlineReader arms the connection's read deadline before every
-// read, so the timeout bounds inter-frame gaps rather than whole-
-// connection lifetime.
+// read syscall, so the timeout bounds the gaps between reads rather
+// than the whole connection's lifetime. The frame decoder reads ahead
+// a chunk at a time, so that is one deadline per chunk, not per frame.
 type deadlineReader struct {
 	c net.Conn
 	d time.Duration

@@ -450,7 +450,7 @@ func TestStandaloneSampleRejected(t *testing.T) {
 // can answer within the test's deadline. Two sessions share the
 // connection, so the count spans sessions.
 func TestOneAtATimeRepliesPromptly(t *testing.T) {
-	_, addr, _ := startServer(t, Config{FlushInterval: time.Hour})
+	_, addr, hub := startServer(t, Config{FlushInterval: time.Hour})
 	c := dialRaw(t, addr)
 	dec := wire.NewDecoder(c)
 	var buf []byte
@@ -475,6 +475,11 @@ func TestOneAtATimeRepliesPromptly(t *testing.T) {
 		preds = nextPredictions(t, dec, preds[:0])
 		if len(preds) != 1 || preds[0].SessionID != id || preds[0].Seq != seq {
 			t.Fatalf("sample %d of session %d answered with %+v, want its one prediction", seq, id, preds)
+		}
+		// The worker publishes a batch's telemetry before handing its
+		// replies over: a reply's step is already counted.
+		if got := hub.Steps.Value(); got != uint64(i+1) {
+			t.Fatalf("after reply %d the hub counts %d steps, want %d", i, got, i+1)
 		}
 	}
 }
@@ -975,5 +980,41 @@ func TestDrainerRunsOnceInOrder(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("drain order = %v, want [a b] exactly once", order)
+	}
+}
+
+// TestReadTimeoutClosesIdleConn: ReadTimeout bounds the gap between
+// reads whatever the decoder holds — nothing, or part of a frame it
+// read ahead — so a client that goes quiet is disconnected.
+func TestReadTimeoutClosesIdleConn(t *testing.T) {
+	_, addr, _ := startServer(t, Config{ReadTimeout: 100 * time.Millisecond})
+	for _, tc := range []struct {
+		name string
+		send func(c net.Conn) error
+	}{
+		{"silent", func(net.Conn) error { return nil }},
+		{"mid-frame", func(c net.Conn) error {
+			frames := appendHello(t, nil, &wire.Hello{SessionID: 1, GranularityUops: 1e8, Spec: []byte("gpht_8_128")})
+			batch := appendSamples(t, nil, wire.Sample{SessionID: 1, Uops: 1e8, Cycles: 9e7})
+			_, err := c.Write(append(frames, batch[:len(batch)/2]...))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := dialRaw(t, addr)
+			if err := tc.send(c); err != nil {
+				t.Fatal(err)
+			}
+			_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			start := time.Now()
+			if _, err := io.Copy(io.Discard, c); err != nil {
+				t.Fatalf("idle connection not closed by the server: %v", err)
+			}
+			// The server armed its deadline just before start; half
+			// the timeout is a safe lower bound.
+			if waited := time.Since(start); waited < 50*time.Millisecond {
+				t.Errorf("closed after %v, well before the 100ms read timeout", waited)
+			}
+		})
 	}
 }

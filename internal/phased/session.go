@@ -7,6 +7,7 @@ import (
 	"phasemon/internal/core"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/phase"
+	"phasemon/internal/telemetry"
 	"phasemon/internal/wire"
 )
 
@@ -136,21 +137,22 @@ type session struct {
 // exactly so a streamed session is bit-identical to a local simulated
 // run over the same counters. dropped is the worker's snapshot of the
 // session's cumulative eviction count (taken under the worker lock, so
-// step itself stays lock-free). nowNs, the worker's clock reading at
-// batch start, stamps the monitor's journal events (core.StepAt).
+// step itself stays lock-free). The step's telemetry goes into tel,
+// the worker's batch, its journal events stamped nowNs, the worker's
+// clock reading at batch start (core.Monitor.StepAt).
 //
 // The returned Outcome scores the prediction that was pending for this
 // interval, by the monitor's own rule (core.Monitor.Step): the first
 // interval is unscored, after that the pending prediction either hit
 // or missed the classified phase. It feeds the rollup pipeline, so a
 // bucket's hit/miss counts agree exactly with the monitors' tallies.
-func (s *session) step(smp *wire.Sample, dropped uint64, nowNs int64) (wire.Prediction, agg.Outcome) {
+func (s *session) step(smp *wire.Sample, dropped uint64, tel *telemetry.StepBatch, nowNs int64) (wire.Prediction, agg.Outcome) {
 	in := phase.Sample{
 		MemPerUop: safeDiv(float64(smp.MemTx), float64(smp.Uops)),
 		UPC:       safeDiv(float64(smp.Uops), float64(smp.Cycles)),
 	}
 	pending := s.mon.LastPrediction()
-	actual, next := s.mon.StepAt(in, nowNs)
+	actual, next := s.mon.StepAt(in, tel, nowNs)
 	outcome := agg.OutcomeUnscored
 	if s.processed > 0 {
 		if pending == actual {

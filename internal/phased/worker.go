@@ -6,6 +6,7 @@ import (
 	"phasemon/internal/agg"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/phase"
+	"phasemon/internal/telemetry"
 	"phasemon/internal/wire"
 )
 
@@ -30,6 +31,10 @@ type worker struct {
 	// buffer: draining a worker's whole session shard snapshots into
 	// one allocation-amortized scratch slice.
 	snapBuf []byte // owned by the run goroutine
+	// tel collects the monitor-step telemetry of the session batch
+	// being stepped and publishes it to the server's hub once per
+	// batch; nil when the server is unobserved.
+	tel *telemetry.StepBatch // owned by the run goroutine
 }
 
 // scheduleLocked puts the session on the runqueue if it is not already
@@ -58,8 +63,11 @@ func (w *worker) stop() {
 // while this goroutine computes — and a session re-queues itself if
 // more samples arrive mid-batch, preserving FIFO order because it is
 // always this one goroutine that processes it. Bookkeeping is per
-// batch: two clock reads, one coalescer section, one histogram update
-// and one rollup ingest, however many samples the batch holds.
+// batch: two clock reads, one hub publication, one coalescer section,
+// one histogram update and one rollup ingest, however many samples the
+// batch holds. The hub publication precedes the hand-off to the
+// coalescer, so anything that has seen a reply also sees its step
+// counted in the hub.
 //
 //lint:hotpath
 func (w *worker) run() {
@@ -101,13 +109,14 @@ func (w *worker) run() {
 			startNs := start.UnixNano()
 			preds, recs = preds[:0], recs[:0]
 			for i := range batch {
-				p, outcome := sess.step(&batch[i], dropped, startNs)
+				p, outcome := sess.step(&batch[i], dropped, w.tel, startNs)
 				preds = append(preds, p)
 				// Class/Setting come from the prediction: the pair the
 				// translation will actually apply next interval.
 				recs = append(recs, agg.Record{Class: phase.Class(p.Class),
 					Setting: dvfs.Setting(p.Setting), Outcome: outcome})
 			}
+			w.tel.Publish()
 			err := sess.conn.writePredictions(preds, startNs)
 			// Every sample of the batch is recorded at the batch's mean
 			// latency: counts and sums stay exact with one clock read

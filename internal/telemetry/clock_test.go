@@ -8,9 +8,10 @@ import (
 )
 
 // TestWithClockStampsEvents proves an injected clock makes journal
-// timestamps deterministic: every Record* path stamps UnixNs from the
+// timestamps deterministic: every journal path stamps UnixNs from the
 // hub's clock, not the wall clock — read by the hub itself, or, for
-// the verdict and transition events, by the caller through Hub.Now.
+// the StepBatch verdict and transition events, by the caller through
+// Hub.Now.
 func TestWithClockStampsEvents(t *testing.T) {
 	var ticks int64
 	clock := func() time.Time {
@@ -19,8 +20,11 @@ func TestWithClockStampsEvents(t *testing.T) {
 	}
 	h := NewHub(6, WithClock(clock))
 
-	h.RecordPrediction(0, 2, 2, h.Now().UnixNano())
-	h.RecordPhaseTransition(1, 2, 3, h.Now().UnixNano())
+	b := h.NewStepBatch()
+	b.Prediction(0, 2, 2, h.Now().UnixNano())
+	b.Publish()
+	b.Transition(1, 2, 3, h.Now().UnixNano())
+	b.Publish()
 	h.RecordDVFSChange(1, 0, 4)
 	h.RecordPMISample(2, 0.01, 1.5)
 

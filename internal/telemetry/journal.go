@@ -122,13 +122,42 @@ func (j *Journal) Record(e Event) {
 	j.mu.Lock()
 	e.Seq = j.seq
 	j.seq++
+	*j.slotLocked() = e
+	j.mu.Unlock()
+}
+
+// slotLocked claims the ring slot of the next event, evicting the
+// oldest one when the ring is full. Callers hold mu.
+func (j *Journal) slotLocked() *Event {
 	if j.n < len(j.buf) {
-		j.buf[(j.start+j.n)%len(j.buf)] = e
 		j.n++
-	} else {
-		j.buf[j.start] = e
-		j.start = (j.start + 1) % len(j.buf)
-		j.dropped++
+		return &j.buf[(j.start+j.n-1)%len(j.buf)]
+	}
+	slot := &j.buf[j.start]
+	j.start = (j.start + 1) % len(j.buf)
+	j.dropped++
+	return slot
+}
+
+// appendSteps journals a batch of monitor-step events in one lock
+// section, assigning consecutive sequence numbers, so a batch's events
+// sit contiguously in the ring. Each event is built directly in its
+// slot.
+func (j *Journal) appendSteps(evs []stepEvent) {
+	if j == nil || len(evs) == 0 {
+		return
+	}
+	j.mu.Lock()
+	for i := range evs {
+		e := &evs[i]
+		slot := j.slotLocked()
+		*slot = Event{Seq: j.seq, Kind: e.kind, Step: e.step, UnixNs: e.unixNs}
+		if e.kind == KindPrediction {
+			slot.Predicted, slot.Actual, slot.Correct = e.a, e.b, e.a == e.b
+		} else {
+			slot.From, slot.To = e.a, e.b
+		}
+		j.seq++
 	}
 	j.mu.Unlock()
 }

@@ -117,11 +117,7 @@ func (h *Histogram) ObserveN(v float64, n int) {
 	if h == nil || n <= 0 || math.IsNaN(v) {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(uint64(n))
+	h.counts[h.bucket(v)].Add(uint64(n))
 	for {
 		old := h.sum.Load()
 		sum := math.Float64frombits(old)
@@ -129,6 +125,37 @@ func (h *Histogram) ObserveN(v float64, n int) {
 			sum += v
 		}
 		if h.sum.CompareAndSwap(old, math.Float64bits(sum)) {
+			return
+		}
+	}
+}
+
+// bucket returns the index of the bucket v lands in.
+func (h *Histogram) bucket(v float64) int {
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	return i
+}
+
+// addBatch merges pre-bucketed observations — per-bucket counts in
+// the histogram's layout and their sum — with one atomic add per
+// non-zero bucket and one sum CAS: StepBatch.Publish's path.
+func (h *Histogram) addBatch(counts []uint64, sum float64) {
+	seen := false
+	for i, n := range counts {
+		if n != 0 {
+			h.counts[i].Add(n)
+			seen = true
+		}
+	}
+	if !seen {
+		return
+	}
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
 			return
 		}
 	}

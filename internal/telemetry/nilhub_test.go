@@ -12,8 +12,17 @@ import (
 // *Hub and call through it without guarding every site.
 func TestNilReceiversAreNoOps(t *testing.T) {
 	var h *Hub
-	h.RecordPrediction(1, 2, 2, 0)
-	h.RecordPhaseTransition(1, 1, 2, 0)
+	b := h.NewStepBatch()
+	if b != nil {
+		t.Error("nil Hub NewStepBatch() non-nil")
+	}
+	b.Step(0.01)
+	b.Current(2)
+	b.Predicted(2)
+	b.GPHTLookup(true)
+	b.Prediction(1, 2, 2, 0)
+	b.Transition(1, 1, 2, 0)
+	b.Publish()
 	h.RecordDVFSChange(1, 0, 3)
 	h.RecordPMISample(1, 0.01, 1.2)
 	if acc := h.Accuracy(); acc.Total != 0 {

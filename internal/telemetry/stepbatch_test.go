@@ -1,0 +1,104 @@
+package telemetry
+
+import (
+	"math"
+	"testing"
+)
+
+// TestStepBatchPublish pins what one Publish applies: the counters,
+// the confusion cells, the Mem/Uop buckets and sum, the last gauge
+// values, and the batch's events journaled contiguously with
+// consecutive sequence numbers — past the ring's capacity too, where
+// the oldest are evicted and counted as dropped. A published batch is
+// empty: publishing it again changes nothing.
+func TestStepBatchPublish(t *testing.T) {
+	h := NewHub(3)
+	h.Journal = NewJournal(4)
+	h.Journal.Record(Event{Kind: KindPMISample, Step: -1})
+	b := h.NewStepBatch()
+	for i, mem := range []float64{0.001, 0.012, 0.05, math.NaN()} {
+		b.Step(mem)
+		b.Prediction(i, 1, i%3+1, int64(100+i))
+		b.Transition(i, i, i+1, int64(100+i))
+		b.GPHTLookup(i%2 == 0)
+	}
+	b.Current(3)
+	b.Predicted(2)
+	b.Current(1)
+	for _, again := range []bool{false, true} {
+		b.Publish()
+		for _, c := range []struct {
+			name string
+			got  uint64
+			want uint64
+		}{
+			{"steps", h.Steps.Value(), 4},
+			{"mispredictions", h.Mispredictions.Value(), 2},
+			{"transitions", h.PhaseTransitions.Value(), 4},
+			{"GPHT hits", h.GPHTHits.Value(), 2},
+			{"GPHT misses", h.GPHTMisses.Value(), 2},
+			{"journal seq", h.Journal.Seq(), 9},
+			{"journal dropped", h.Journal.Dropped(), 5},
+		} {
+			if c.got != c.want {
+				t.Errorf("again=%v: %s = %d, want %d", again, c.name, c.got, c.want)
+			}
+		}
+		if h.CurrentPhase.Value() != 1 || h.PredictedPhase.Value() != 2 {
+			t.Errorf("gauges = %v/%v, want the last recorded 1/2", h.CurrentPhase.Value(), h.PredictedPhase.Value())
+		}
+		m := h.MemPerUop.Snapshot()
+		if m.Count != 3 || m.Counts[0] != 1 || m.Counts[2] != 1 || m.Counts[5] != 1 {
+			t.Errorf("Mem/Uop buckets = %v, want one each in buckets 0, 2 and +Inf (NaN dropped)", m.Counts)
+		}
+		if math.Abs(m.Sum-0.063) > 1e-15 {
+			t.Errorf("Mem/Uop sum = %v, want 0.063", m.Sum)
+		}
+		v := h.Accuracy()
+		if v.Total != 4 || v.Confusion[1][1] != 2 || v.Confusion[2][1] != 1 || v.Confusion[3][1] != 1 {
+			t.Errorf("confusion = %v", v.Confusion)
+		}
+	}
+	evs := h.Journal.Recent(0)
+	if len(evs) != 4 {
+		t.Fatalf("journal holds %d events, want its capacity 4", len(evs))
+	}
+	// The newest four of the batch's eight events: steps 2 and 3, each
+	// a verdict then a transition, with consecutive sequence numbers.
+	for i, e := range evs {
+		step := 2 + i/2
+		if e.Seq != uint64(5+i) || e.Step != step || e.UnixNs != int64(100+step) {
+			t.Errorf("event %d = %+v, want seq %d step %d", i, e, 5+i, step)
+		}
+		if i%2 == 0 {
+			want := Event{Seq: e.Seq, Kind: KindPrediction, Step: step, UnixNs: e.UnixNs,
+				Predicted: 1, Actual: step%3 + 1, Correct: step%3 == 0}
+			if e != want {
+				t.Errorf("event %d = %+v, want %+v", i, e, want)
+			}
+		} else if e.Kind != KindPhaseTransition || e.From != step || e.To != step+1 {
+			t.Errorf("event %d = %+v, want transition %d→%d", i, e, step, step+1)
+		}
+	}
+}
+
+// TestStepBatchZeroAlloc: once its buffers have grown to a batch's
+// size, recording and publishing a batch allocates nothing.
+func TestStepBatchZeroAlloc(t *testing.T) {
+	h := NewHub(6)
+	b := h.NewStepBatch()
+	run := func() {
+		for i := 0; i < 64; i++ {
+			b.Step(float64(i%7) * 0.006)
+			b.Prediction(i, i%6+1, (i/2)%6+1, int64(i))
+			b.Transition(i, i%6+1, (i+1)%6+1, int64(i))
+			b.GPHTLookup(i%3 == 0)
+			b.Current(i%6 + 1)
+		}
+		b.Publish()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("a 64-step batch allocates %.1f times, want 0", allocs)
+	}
+}

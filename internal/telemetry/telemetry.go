@@ -292,51 +292,6 @@ func (h *Hub) Clock() Clock {
 	return time.Now
 }
 
-// confCell maps a phase ID onto a matrix index, clamping
-// None/out-of-range IDs to 0 exactly as stats.Confusion does.
-func (h *Hub) confCell(id int) int {
-	if id < 1 || id > h.numPhases {
-		return 0
-	}
-	return id
-}
-
-// RecordPrediction scores one prediction verdict: it updates the
-// misprediction counter, the live accuracy view, and journals the
-// verdict. step is the monitor step the verdict belongs to; unixNs
-// (Unix nanoseconds, normally a hub clock reading the caller already
-// took) stamps the event, so a caller journaling several events per
-// step — or per batch — reads the clock once.
-//
-//lint:hotpath
-func (h *Hub) RecordPrediction(step, predicted, actual int, unixNs int64) {
-	if h == nil {
-		return
-	}
-	correct := predicted == actual
-	if !correct {
-		h.Mispredictions.Inc()
-	}
-	h.conf[h.confCell(actual)*(h.numPhases+1)+h.confCell(predicted)].Add(1)
-	h.Journal.Record(Event{
-		Kind: KindPrediction, Step: step, UnixNs: unixNs,
-		Predicted: predicted, Actual: actual, Correct: correct,
-	})
-}
-
-// RecordPhaseTransition journals a change of the classified phase,
-// stamped unixNs (as RecordPrediction), and bumps the transition
-// counter.
-//
-//lint:hotpath
-func (h *Hub) RecordPhaseTransition(step, from, to int, unixNs int64) {
-	if h == nil {
-		return
-	}
-	h.PhaseTransitions.Inc()
-	h.Journal.Record(Event{Kind: KindPhaseTransition, Step: step, UnixNs: unixNs, From: from, To: to})
-}
-
 // RecordDVFSChange journals an operating-point change and bumps the
 // transition counter. Pass step -1 from sites without interval
 // context (the DVFS controller does not know the interval index).

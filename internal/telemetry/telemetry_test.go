@@ -39,8 +39,11 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 		t.Error("nil registry snapshot should be empty")
 	}
 	var hub *Hub
-	hub.RecordPrediction(0, 1, 2, 0)
-	hub.RecordPhaseTransition(0, 1, 2, 0)
+	b := hub.NewStepBatch()
+	b.Step(0.01)
+	b.Prediction(0, 1, 2, 0)
+	b.Transition(0, 1, 2, 0)
+	b.Publish()
 	hub.RecordDVFSChange(0, 1, 2)
 	hub.RecordPMISample(0, 0.1, 1)
 	if hub.Summary() != "telemetry off" {
@@ -147,9 +150,7 @@ func TestJournalRingSemantics(t *testing.T) {
 
 func TestHubAccuracyView(t *testing.T) {
 	h := NewHub(3)
-	h.RecordPrediction(1, 1, 1, 0)
-	h.RecordPrediction(2, 1, 2, 0)
-	h.RecordPrediction(3, 2, 2, 0)
+	recordVerdicts(h, [3]int{1, 1, 1}, [3]int{2, 1, 2}, [3]int{3, 2, 2})
 	v := h.Accuracy()
 	if v.Total != 3 || v.Correct != 2 {
 		t.Fatalf("total=%d correct=%d", v.Total, v.Correct)
@@ -179,7 +180,7 @@ func TestHubSummaryLine(t *testing.T) {
 	}
 	h.Steps.Inc()
 	h.CurrentPhase.Set(4)
-	h.RecordPrediction(1, 2, 2, 0)
+	recordVerdicts(h, [3]int{1, 2, 2})
 	line := h.Summary()
 	for _, want := range []string{"steps=1", "acc=100.0%(1)", "phase=P4", "journal="} {
 		if !strings.Contains(line, want) {
@@ -221,7 +222,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestHTTPHandlers(t *testing.T) {
 	h := NewHub(6)
 	h.Steps.Inc()
-	h.RecordPrediction(1, 3, 3, 0)
+	recordVerdicts(h, [3]int{1, 3, 3})
 	h.RecordPMISample(1, 0.012, 0.8)
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
@@ -327,7 +328,7 @@ func TestConcurrentUse(t *testing.T) {
 				h.Steps.Inc()
 				h.CurrentPhase.Set(float64(i % 6))
 				h.MemPerUop.Observe(float64(i%40) / 1000)
-				h.RecordPrediction(i, i%6+1, (i+w)%6+1, 0)
+				recordVerdicts(h, [3]int{i, i%6 + 1, (i+w)%6 + 1})
 				h.RecordPMISample(i, 0.01, 1)
 				if i%17 == 0 {
 					h.RecordDVFSChange(i, 0, i%6)
@@ -354,4 +355,14 @@ func TestConcurrentUse(t *testing.T) {
 	if got := h.Accuracy().Total; got != writers*perWriter {
 		t.Errorf("scored predictions = %d, want %d", got, writers*perWriter)
 	}
+}
+
+// recordVerdicts publishes {step, predicted, actual} prediction
+// verdicts through a StepBatch, the hub's one verdict path.
+func recordVerdicts(h *Hub, verdicts ...[3]int) {
+	b := h.NewStepBatch()
+	for _, v := range verdicts {
+		b.Prediction(v[0], v[1], v[2], 0)
+	}
+	b.Publish()
 }

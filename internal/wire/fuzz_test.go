@@ -43,6 +43,9 @@ func FuzzDecoder(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	// A multi-frame stream, so mutations land at every position of
+	// the decoder's read-ahead buffer.
+	f.Add(testStream(f, 2))
 	f.Add([]byte{0x50, 0x68, 1, 3, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{0x50}, 64))
 

@@ -947,49 +947,94 @@ func DecodeRollup(payload []byte, r *Rollup) error {
 
 // --- streaming decoder ---------------------------------------------
 
-// Decoder reads frames off a stream into an internal buffer that is
-// reused across frames, so steady-state decoding allocates nothing.
-// The payload returned by Next is valid only until the following Next
+// readChunk is the most a Decoder asks its transport for in one Read
+// when it needs more bytes (more when a single frame needs more): a
+// stream of batch frames is read a chunk at a time, not a header and a
+// body per frame.
+const readChunk = 16 << 10
+
+// Decoder reads frames off a stream. It reads ahead: each Read asks
+// the transport for a whole chunk, and frames are parsed in place in
+// the decoder's own buffer, which is reused across frames and grown
+// only when the unparsed bytes plus a chunk (or one large frame) do
+// not fit, so steady-state decoding allocates nothing and an
+// unbuffered transport such as a net.Conn needs no wrapping. The
+// payload returned by Next is valid only until the following Next
 // call.
 type Decoder struct {
 	r   io.Reader
 	buf []byte
+	// buf[off:end] holds the bytes read but not yet consumed.
+	off, end int
+	// err is a transport error that arrived with bytes still to
+	// decode; fill returns it once those bytes run out.
+	err error
 }
 
-// NewDecoder wraps r. The decoder does its own buffering of exactly
-// one frame; r does not need to be buffered for correctness, though a
-// bufio.Reader avoids tiny reads on unbuffered transports.
+// NewDecoder wraps r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, buf: make([]byte, HeaderSize+TrailerSize, 256)}
+	return &Decoder{r: r}
+}
+
+// fill reads until at least need bytes are buffered, asking the
+// transport for at least a chunk per Read, and returns the transport's
+// error when it ends the stream short of need.
+func (d *Decoder) fill(need int) error {
+	if d.off == d.end {
+		d.off, d.end = 0, 0
+	}
+	for d.end-d.off < need {
+		if d.err != nil {
+			err := d.err
+			d.err = nil
+			return err
+		}
+		want := max(readChunk, need-(d.end-d.off))
+		if len(d.buf)-d.end < want {
+			n := copy(d.buf, d.buf[d.off:d.end])
+			d.off, d.end = 0, n
+			if len(d.buf)-n < want {
+				// Room for twice the unparsed bytes, so growth is rare.
+				buf := make([]byte, 2*n+want)
+				copy(buf, d.buf[:n])
+				d.buf = buf
+			}
+		}
+		n, err := d.r.Read(d.buf[d.end : d.end+want])
+		d.end += n
+		d.err = err
+	}
+	return nil
 }
 
 // Next reads one frame and returns its kind and payload. Framing
 // failures return an error wrapping ErrBadFrame; transport failures
 // return the underlying read error (io.EOF at a clean frame boundary).
 func (d *Decoder) Next() (FrameKind, []byte, error) {
-	hdr := d.buf[:HeaderSize]
-	if _, err := io.ReadFull(d.r, hdr); err != nil {
+	if err := d.fill(HeaderSize); err != nil {
+		if d.end > d.off && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return KindInvalid, nil, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
 		}
 		return KindInvalid, nil, err
 	}
-	kind, n, err := DecodeHeader(hdr)
+	kind, n, err := DecodeHeader(d.buf[d.off : d.off+HeaderSize])
 	if err != nil {
 		return KindInvalid, nil, err
 	}
 	total := HeaderSize + n + TrailerSize
-	if cap(d.buf) < total {
-		buf := make([]byte, total)
-		copy(buf, d.buf[:HeaderSize])
-		d.buf = buf
-	}
-	d.buf = d.buf[:total]
-	if _, err := io.ReadFull(d.r, d.buf[HeaderSize:total]); err != nil {
+	if err := d.fill(total); err != nil {
+		if d.end-d.off > HeaderSize && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return KindInvalid, nil, fmt.Errorf("%w: truncated frame: %v", ErrBadFrame, err)
 	}
-	body := d.buf[:HeaderSize+n]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(d.buf[HeaderSize+n:]) {
+	frame := d.buf[d.off : d.off+total]
+	d.off += total
+	body := frame[:HeaderSize+n]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(frame[HeaderSize+n:]) {
 		return KindInvalid, nil, ErrBadCRC
 	}
 	return kind, body[HeaderSize:], nil
