@@ -96,8 +96,9 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # End-to-end smoke of the predictor tournament (DESIGN.md §16): run
-# phasearena on a 3-workload x 6-spec grid with 2 elimination rounds
-# at -workers 1, 2 and 4 and require byte-identical leaderboard JSON.
+# phasearena on a 3-workload x 6-spec x 2-granularity grid with 2
+# elimination rounds at -workers 1, 2 and 4 and require byte-identical
+# leaderboard JSON.
 tournament-smoke:
 	./scripts/tournament_smoke.sh
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
+	"phasemon/internal/machine"
 	"phasemon/internal/phase"
 	"phasemon/internal/phased"
 	"phasemon/internal/profiling"
@@ -57,7 +59,7 @@ func main() {
 	if *live > 0 {
 		err = runLive(*live, *liveEvery, *livePid, *depth, *entries, *telAddr, *telEvery)
 	} else {
-		err = run(*bench, *policy, *depth, *entries, *intervals, *seed, *compare, *bound, *telAddr, *workers)
+		err = run(os.Stdout, *bench, *policy, *depth, *entries, *intervals, *seed, *compare, *bound, *telAddr, *workers)
 	}
 	// Flush the profiles before exiting: os.Exit skips defers, so the
 	// stop call sits on the shared path of both outcomes.
@@ -89,7 +91,7 @@ func startTelemetry(addr string, numPhases int) (*telemetry.Hub, func(), error) 
 	return hub, func() { _ = drainer.Drain() }, nil
 }
 
-func run(bench, policy string, depth, entries, intervals int, seed int64, compare bool, bound float64, telemetryAddr string, workers int) error {
+func run(w io.Writer, bench, policy string, depth, entries, intervals int, seed int64, compare bool, bound float64, telemetryAddr string, workers int) error {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return err
@@ -112,7 +114,7 @@ func run(bench, policy string, depth, entries, intervals int, seed int64, compar
 		if err != nil {
 			return err
 		}
-		fmt.Printf("conservative translation for a %.0f%% degradation bound:\n%s\n",
+		fmt.Fprintf(w, "conservative translation for a %.0f%% degradation bound:\n%s\n",
 			bound*100, tr.Describe(phase.Default()))
 	}
 
@@ -146,33 +148,49 @@ func run(bench, policy string, depth, entries, intervals int, seed int64, compar
 		}
 	}
 	engine := fleet.New(fleet.Config{Workers: workers, Telemetry: hub})
-	runs, err := engine.RunAll(context.Background(), specs)
+	rows, err := fleet.Reduce(context.Background(), engine, specs, tableRow)
 	if err != nil {
 		return err
 	}
-	results := make([]*governor.Result, len(runs))
-	for i, r := range runs {
-		results[i] = r.Res
-	}
-
-	base := results[0]
-	fmt.Printf("benchmark: %s (%s)\n\n", prof.Name, prof.Quadrant)
-	fmt.Printf("%-16s %10s %10s %8s %12s %9s %9s %9s %8s\n",
-		"policy", "time[s]", "energy[J]", "BIPS", "EDP[Js]", "EDPimpr", "perfdeg", "powersav", "acc")
-	for _, r := range results {
-		acc := "-"
-		if a, err := r.Accuracy.Accuracy(); err == nil {
-			acc = fmt.Sprintf("%.1f%%", a*100)
-		}
-		fmt.Printf("%-16s %10.3f %10.2f %8.3f %12.2f %8.1f%% %8.1f%% %8.1f%% %8s\n",
-			r.Policy, r.Run.TimeS, r.Run.EnergyJ, r.Run.BIPS(), r.EDP(),
-			governor.EDPImprovement(base, r)*100,
-			governor.PerformanceDegradation(base, r)*100,
-			governor.PowerSavings(base, r)*100,
-			acc)
-	}
+	fmt.Fprintf(w, "benchmark: %s (%s)\n\n", prof.Name, prof.Quadrant)
+	writeTable(w, rows)
 	if hub != nil {
-		fmt.Println("\ntelemetry:", hub.Summary())
+		fmt.Fprintln(w, "\ntelemetry:", hub.Summary())
 	}
 	return nil
+}
+
+// row is what the results table prints of one run. Each run is reduced
+// to its row on the fleet worker that ran it, so no kernel log is kept.
+type row struct {
+	policy string
+	run    machine.RunResult
+	acc    string
+}
+
+func tableRow(r fleet.Result) row {
+	if r.Res == nil {
+		return row{}
+	}
+	acc := "-"
+	if a, err := r.Res.Accuracy.Accuracy(); err == nil {
+		acc = fmt.Sprintf("%.1f%%", a*100)
+	}
+	return row{policy: r.Res.Policy, run: r.Res.Run, acc: acc}
+}
+
+// writeTable prints every row against the first, the baseline.
+func writeTable(w io.Writer, rows []row) {
+	base := &governor.Result{Run: rows[0].run}
+	fmt.Fprintf(w, "%-16s %10s %10s %8s %12s %9s %9s %9s %8s\n",
+		"policy", "time[s]", "energy[J]", "BIPS", "EDP[Js]", "EDPimpr", "perfdeg", "powersav", "acc")
+	for _, r := range rows {
+		managed := &governor.Result{Run: r.run}
+		fmt.Fprintf(w, "%-16s %10.3f %10.2f %8.3f %12.2f %8.1f%% %8.1f%% %8.1f%% %8s\n",
+			r.policy, r.run.TimeS, r.run.EnergyJ, r.run.BIPS(), r.run.EDP(),
+			governor.EDPImprovement(base, managed)*100,
+			governor.PerformanceDegradation(base, managed)*100,
+			governor.PowerSavings(base, managed)*100,
+			r.acc)
+	}
 }

@@ -1,39 +1,102 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
+	"phasemon/internal/fleet"
+	"phasemon/internal/governor"
 	"phasemon/internal/phase"
+	"phasemon/internal/workload"
 )
 
 func TestRunPolicies(t *testing.T) {
 	for _, policy := range []string{"gpht", "reactive", "oracle"} {
-		if err := run("applu_in", policy, 8, 128, 40, 1, false, 0, "", 0); err != nil {
+		if err := run(io.Discard, "applu_in", policy, 8, 128, 40, 1, false, 0, "", 0); err != nil {
 			t.Errorf("policy %s: %v", policy, err)
 		}
 	}
 }
 
 func TestRunCompareMode(t *testing.T) {
-	if err := run("swim_in", "gpht", 8, 128, 40, 1, true, 0, "", 0); err != nil {
+	if err := run(io.Discard, "swim_in", "gpht", 8, 128, 40, 1, true, 0, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// referenceTable prints the compare-mode table the way it was built
+// before runs were reduced to rows on the fleet workers: from the full
+// governor results of a RunAll sweep.
+func referenceTable(t *testing.T, bench string, intervals int, seed int64, bound float64) string {
+	t.Helper()
+	var specs []fleet.Spec
+	for _, ps := range []string{"baseline", "reactive", "gpht_8_128"} {
+		specs = append(specs, fleet.Spec{Workload: bench, Policy: ps, Intervals: intervals, Seed: seed, Bound: bound})
+	}
+	runs, err := fleet.New(fleet.Config{Workers: 1}).RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	base := runs[0].Res
+	fmt.Fprintf(&b, "benchmark: %s (%s)\n\n", prof.Name, prof.Quadrant)
+	fmt.Fprintf(&b, "%-16s %10s %10s %8s %12s %9s %9s %9s %8s\n",
+		"policy", "time[s]", "energy[J]", "BIPS", "EDP[Js]", "EDPimpr", "perfdeg", "powersav", "acc")
+	for _, run := range runs {
+		r := run.Res
+		acc := "-"
+		if a, err := r.Accuracy.Accuracy(); err == nil {
+			acc = fmt.Sprintf("%.1f%%", a*100)
+		}
+		fmt.Fprintf(&b, "%-16s %10.3f %10.2f %8.3f %12.2f %8.1f%% %8.1f%% %8.1f%% %8s\n",
+			r.Policy, r.Run.TimeS, r.Run.EnergyJ, r.Run.BIPS(), r.EDP(),
+			governor.EDPImprovement(base, r)*100,
+			governor.PerformanceDegradation(base, r)*100,
+			governor.PowerSavings(base, r)*100,
+			acc)
+	}
+	return b.String()
+}
+
+// TestCompareTableMatchesFullResults: the compare-mode table, built
+// from per-run rows, is byte-identical to one built from full results.
+func TestCompareTableMatchesFullResults(t *testing.T) {
+	for _, bound := range []float64{0, 0.05} {
+		for _, workers := range []int{1, 3} {
+			var got bytes.Buffer
+			if err := run(&got, "swim_in", "gpht", 8, 128, 300, 7, true, bound, "", workers); err != nil {
+				t.Fatal(err)
+			}
+			want := referenceTable(t, "swim_in", 300, 7, bound)
+			if !strings.HasSuffix(got.String(), want) {
+				t.Errorf("bound=%v workers=%d: table differs\n--- got\n%s--- want (suffix)\n%s", bound, workers, got.String(), want)
+			}
+		}
+	}
+}
+
 func TestRunBoundedMode(t *testing.T) {
-	if err := run("applu_in", "gpht", 8, 128, 40, 1, false, 0.05, "", 0); err != nil {
+	if err := run(io.Discard, "applu_in", "gpht", 8, 128, 40, 1, false, 0.05, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("no_such", "gpht", 8, 128, 10, 1, false, 0, "", 0); err == nil {
+	if err := run(io.Discard, "no_such", "gpht", 8, 128, 10, 1, false, 0, "", 0); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if err := run("applu_in", "bogus", 8, 128, 10, 1, false, 0, "", 0); err == nil {
+	if err := run(io.Discard, "applu_in", "bogus", 8, 128, 10, 1, false, 0, "", 0); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := run("applu_in", "gpht", 0, 128, 10, 1, false, 0, "", 0); err == nil {
+	if err := run(io.Discard, "applu_in", "gpht", 0, 128, 10, 1, false, 0, "", 0); err == nil {
 		t.Error("invalid GPHT geometry accepted")
 	}
 }

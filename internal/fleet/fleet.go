@@ -3,6 +3,11 @@
 // returns typed results in spec order, while guaranteeing that the
 // numbers are bit-identical to a serial execution.
 //
+// Reduce is the engine's one path: it applies a caller's reduction to
+// each run on the worker that ran it, so a sweep that keeps only a
+// summary of each run holds at most Workers kernel logs at once.
+// RunAll is Reduce with the identity reduction.
+//
 // The determinism contract has three legs:
 //
 //   - per-spec seeding: every spec resolves its own generator seed
@@ -75,32 +80,44 @@ func New(cfg Config) *Engine {
 }
 
 // RunAll runs every spec on the worker pool and returns one Result
-// per spec, in spec order. The returned error is ctx.Err() if the
-// sweep was canceled, else the lowest-index run failure, else nil; the
-// full result slice is returned either way so partial sweeps stay
-// inspectable.
+// per spec, in spec order. It is Reduce with the identity reduction,
+// so every run's full governor.Result, kernel log included, is kept;
+// callers that need only a summary of each run should Reduce instead.
 func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
+	return Reduce(ctx, e, specs, func(r Result) Result { return r })
+}
+
+// Reduce runs every spec on the engine's worker pool and applies f to
+// each spec's Result on the worker that produced it, so a run's
+// governor.Result (and its kernel log) becomes garbage as soon as f
+// returns, before the worker takes its next spec. f is called exactly
+// once per spec, failed and canceled runs included (their Result
+// carries Err and a nil Res), and must be safe to call concurrently.
+//
+// The reductions come back in spec order. The returned error is
+// ctx.Err() if the sweep was canceled, else the lowest-index run
+// failure, else nil; the full reduction slice is returned either way
+// so partial sweeps stay inspectable.
+func Reduce[T any](ctx context.Context, e *Engine, specs []Spec, f func(Result) T) ([]T, error) {
 	resolved := make([]Spec, len(specs))
 	for i, sp := range specs {
 		resolved[i] = e.resolve(sp)
 	}
 	e.addPending(len(specs))
-	// runOne reports failures in Result.Err, so Map's error is always
-	// nil; the lowest-index failure is picked below, with its index.
-	results, _ := Map(e.cfg.Workers, resolved, func(sp Spec) (Result, error) {
+	out, err := mapIndex(e.cfg.Workers, len(resolved), func(i int) (T, error) {
 		defer e.addPending(-1)
-		return e.runOne(ctx, sp), nil
-	})
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	for i, r := range results {
+		r := e.runOne(ctx, resolved[i])
+		var err error
 		if r.Err != nil {
-			return results, fmt.Errorf("fleet: spec %d (%s under %s): %w",
+			err = fmt.Errorf("fleet: spec %d (%s under %s): %w",
 				i, r.Spec.Workload, r.Spec.Policy, r.Err)
 		}
+		return f(r), err
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return out, cerr
 	}
-	return results, nil
+	return out, err
 }
 
 // resolve fills a spec's derived fields so seeding and execution see

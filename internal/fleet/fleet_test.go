@@ -267,13 +267,19 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 	if canceled == 0 {
 		t.Error("cancellation mid-sweep produced no canceled runs")
 	}
-	// Workers must all exit; poll briefly for the scheduler to retire
-	// them.
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back
+// to before: every worker must exit, so poll briefly for the scheduler
+// to retire them.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		if runtime.NumGoroutine() <= before {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked after cancellation: %d before, %d after",

@@ -17,12 +17,18 @@ import (
 // has len(items) entries, and the error is the lowest-index one, so it
 // too is independent of the worker count.
 func Map[T, R any](workers int, items []T, f func(T) (R, error)) ([]R, error) {
+	return mapIndex(workers, len(items), func(i int) (R, error) { return f(items[i]) })
+}
+
+// mapIndex is Map over the indices 0..n-1: the one worker pool behind
+// Map and Reduce.
+func mapIndex[R any](workers, n int, f func(int) (R, error)) ([]R, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(items))
-	out := make([]R, len(items))
-	errs := make([]error, len(items))
+	workers = min(workers, n)
+	out := make([]R, n)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range workers {
@@ -31,10 +37,10 @@ func Map[T, R any](workers int, items []T, f func(T) (R, error)) ([]R, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(items) {
+				if i >= n {
 					return
 				}
-				out[i], errs[i] = f(items[i])
+				out[i], errs[i] = f(i)
 			}
 		}()
 	}

@@ -3,7 +3,9 @@ package tournament
 import (
 	"math"
 
+	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
+	"phasemon/internal/machine"
 	"phasemon/internal/phase"
 )
 
@@ -47,33 +49,66 @@ type CellScore struct {
 	Score float64 `json:"score"`
 }
 
-// scoreCell reduces one managed run against its baseline into a
-// CellScore. Pure arithmetic over the two results: nothing here may
-// read the clock or depend on scheduling, or the leaderboard's
-// byte-identity contract breaks.
-func scoreCell(cell Cell, intervals, numPhases int, managed, baseline *governor.Result) CellScore {
+// runSummary is everything scoring reads of one governed run.
+// playRound reduces each run to one on the fleet worker that ran it,
+// so the run's kernel log is garbage before that worker takes its next
+// spec.
+type runSummary struct {
+	run         machine.RunResult
+	accuracy    float64
+	cpiError    float64
+	mispredicts []ClassTally
+}
+
+// summarize reduces a fleet result to its runSummary. A baseline
+// contributes only its RunResult to scoring (Grid.Validate keeps
+// "baseline" out of the contestants), so its log is not walked.
+func summarize(numPhases int) func(fleet.Result) runSummary {
+	return func(r fleet.Result) runSummary {
+		if r.Res == nil {
+			return runSummary{}
+		}
+		s := runSummary{run: r.Res.Run}
+		if r.Spec.Policy == "baseline" {
+			return s
+		}
+		if acc, err := r.Res.Accuracy.Accuracy(); err == nil {
+			s.accuracy = acc
+		}
+		s.cpiError = cpiError(r.Res, numPhases)
+		breakdown := governor.MispredictBreakdown(r.Res, numPhases)
+		s.mispredicts = make([]ClassTally, len(breakdown))
+		for i, c := range breakdown {
+			s.mispredicts[i] = ClassTally{
+				Class:      c.Class.String(),
+				Intervals:  c.Intervals,
+				Total:      c.Total,
+				Transition: c.Transition,
+				Steady:     c.Steady,
+			}
+		}
+		return s
+	}
+}
+
+// scoreCell scores one managed run's summary against its baseline's.
+// Pure arithmetic over the two summaries: nothing here may read the
+// clock or depend on scheduling, or the leaderboard's byte-identity
+// contract breaks.
+func scoreCell(cell Cell, intervals int, managed, baseline runSummary) CellScore {
 	cs := CellScore{
 		Workload:        cell.Workload,
 		Spec:            cell.Spec,
 		GranularityUops: cell.GranularityUops,
 		Intervals:       intervals,
+		Accuracy:        managed.accuracy,
+		CPIError:        managed.cpiError,
+		Mispredicts:     managed.mispredicts,
 	}
-	if acc, err := managed.Accuracy.Accuracy(); err == nil {
-		cs.Accuracy = acc
-	}
-	cs.CPIError = cpiError(managed, numPhases)
-	cs.EDPImprovement = governor.EDPImprovement(baseline, managed)
-	cs.EnergySavings = governor.EnergySavings(baseline, managed)
-	cs.PerfDegradation = governor.PerformanceDegradation(baseline, managed)
-	for _, c := range governor.MispredictBreakdown(managed, numPhases) {
-		cs.Mispredicts = append(cs.Mispredicts, ClassTally{
-			Class:      c.Class.String(),
-			Intervals:  c.Intervals,
-			Total:      c.Total,
-			Transition: c.Transition,
-			Steady:     c.Steady,
-		})
-	}
+	base, man := &governor.Result{Run: baseline.run}, &governor.Result{Run: managed.run}
+	cs.EDPImprovement = governor.EDPImprovement(base, man)
+	cs.EnergySavings = governor.EnergySavings(base, man)
+	cs.PerfDegradation = governor.PerformanceDegradation(base, man)
 	cs.Score = score(cs)
 	return cs
 }

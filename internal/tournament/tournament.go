@@ -3,10 +3,10 @@ package tournament
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"phasemon/internal/fleet"
-	"phasemon/internal/governor"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
 )
@@ -122,10 +122,27 @@ func Run(ctx context.Context, cfg Config) (*Leaderboard, error) {
 }
 
 // playRound executes one round's grid and scores every managed cell
-// against its (workload, granularity) baseline.
+// against its (workload, granularity) baseline. Each run is reduced to
+// its runSummary on the fleet worker that ran it, so no run's kernel
+// log outlives the run.
 func playRound(ctx context.Context, engine *fleet.Engine, g Grid, alive []string, intervals, numPhases int) ([]Cell, []CellScore, error) {
-	// Baselines lead the spec list: one per (workload, granularity),
-	// positionally addressable as w*len(gran)+gi.
+	specs, cells := roundSpecs(g, alive, intervals)
+	nBase := len(specs) - len(cells)
+	runs, err := fleet.Reduce(ctx, engine, specs, summarize(numPhases))
+	if err != nil {
+		return nil, nil, err
+	}
+	scores := make([]CellScore, len(cells))
+	for i, cell := range cells {
+		scores[i] = scoreCell(cell, intervals, runs[nBase+i], runs[baselineIndex(g, cell)])
+	}
+	return cells, scores, nil
+}
+
+// roundSpecs lays out one round's fleet specs: one baseline per
+// (workload, granularity) first, at baselineIndex, then one managed
+// run per cell, in cell order.
+func roundSpecs(g Grid, alive []string, intervals int) ([]fleet.Spec, []Cell) {
 	var specs []fleet.Spec
 	for _, w := range g.Workloads {
 		for _, gr := range g.Granularities {
@@ -137,7 +154,6 @@ func playRound(ctx context.Context, engine *fleet.Engine, g Grid, alive []string
 			})
 		}
 	}
-	nBase := len(specs)
 	cells := make([]Cell, 0, len(g.Workloads)*len(alive)*len(g.Granularities))
 	for _, w := range g.Workloads {
 		for _, s := range alive {
@@ -152,33 +168,15 @@ func playRound(ctx context.Context, engine *fleet.Engine, g Grid, alive []string
 			}
 		}
 	}
-	results, err := engine.RunAll(ctx, specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	baseline := func(workload string, gran uint64) *governor.Result {
-		for wi, w := range g.Workloads {
-			if w != workload {
-				continue
-			}
-			for gi, gr := range g.Granularities {
-				if gr == gran {
-					return results[wi*len(g.Granularities)+gi].Res
-				}
-			}
-		}
-		return nil
-	}
-	scores := make([]CellScore, len(cells))
-	for i, cell := range cells {
-		r := results[nBase+i]
-		base := baseline(cell.Workload, cell.GranularityUops)
-		if r.Res == nil || base == nil {
-			return nil, nil, fmt.Errorf("cell (%s, %s, %d) missing results", cell.Workload, cell.Spec, cell.GranularityUops)
-		}
-		scores[i] = scoreCell(cell, intervals, numPhases, r.Res, base)
-	}
-	return cells, scores, nil
+	return specs, cells
+}
+
+// baselineIndex is the position in roundSpecs of the cell's
+// (workload, granularity) baseline.
+func baselineIndex(g Grid, cell Cell) int {
+	wi := slices.Index(g.Workloads, cell.Workload)
+	gi := slices.Index(g.Granularities, cell.GranularityUops)
+	return wi*len(g.Granularities) + gi
 }
 
 // rank reduces cell scores to per-spec standings: mean score,

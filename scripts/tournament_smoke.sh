@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # tournament-smoke: end-to-end determinism check of the predictor
 # tournament. Runs phasearena twice on a small but real grid (3
-# workloads x 6 specs, 2 elimination rounds) — once serial, once with
-# 4 workers — and requires the leaderboard JSON artifacts to be
-# byte-identical: the tournament's reduction must be a pure function
-# of the grid, independent of scheduling. A third run at -workers 2
+# workloads x 6 specs x 2 granularities, 2 elimination rounds) — once
+# serial, once with 4 workers — and requires the leaderboard JSON
+# artifacts to be byte-identical: the tournament's reduction must be a
+# pure function of the grid, independent of scheduling. A third run at -workers 2
 # re-confirms against the same reference. `make tournament-smoke` runs
 # this and `make check` / CI include it.
 set -euo pipefail
@@ -14,7 +14,9 @@ OUT=${OUT:-out/tournament-smoke}
 mkdir -p "$OUT"
 go build -o "$OUT/phasearena" ./cmd/phasearena
 
-GRID='workloads=applu_in,gzip_graphic,swim_in;specs=lastvalue,gpht_4_64,runlength,markov_2,dtree_4,linreg_16;intervals=48'
+# Two granularities, so every managed cell must find its own
+# (workload, granularity) baseline.
+GRID='workloads=applu_in,gzip_graphic,swim_in;specs=lastvalue,gpht_4_64,runlength,markov_2,dtree_4,linreg_16;gran=100000000,50000000;intervals=48'
 
 "$OUT/phasearena" -grid "$GRID" -rounds 2 -top 3 -workers 1 \
   -o "$OUT/leaderboard_w1.json" >"$OUT/table_w1.txt"
