@@ -40,12 +40,13 @@ perfbench-check:
 # The fleet engine's determinism contract (bit-identical results at
 # any worker count) is the most concurrency-sensitive surface in the
 # repo: run it, the governor it drives, and the callers that fan out
-# on fleet.Map (the tournament and the experiment figures) under the
-# race detector uncached, so a schedule-dependent bug can't hide
-# behind the test cache.
+# on fleet.Map (the tournament and the experiment figures, including
+# the fleet workers filling a shared experiments.Cache) under the race
+# detector uncached, so a schedule-dependent bug can't hide behind the
+# test cache.
 fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament
-	$(GO) test -race -count=1 -run TestFiguresWorkerInvariance ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestFiguresWorkerInvariance|TestSharedCacheWork|TestCacheKeyCompleteness|TestMemoSingleFlight' ./internal/experiments
 
 # The serving path's reader/worker locking — per-frame session lookup,
 # per-worker ring pushes, in-flight settle accounting, the write

@@ -63,7 +63,10 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Intervals: *intervals, Seed: *seed, Workers: *workers}
+	// One Cache serves every experiment and the CSV export, so no
+	// trace, observation stream, governed run or figure is computed
+	// twice in one invocation.
+	opts := experiments.Options{Intervals: *intervals, Seed: *seed, Workers: *workers, Cache: experiments.NewCache()}
 
 	runners, err := selectRunners(*run)
 	if err != nil {

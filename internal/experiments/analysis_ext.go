@@ -79,7 +79,7 @@ func runExtLearnedPhases(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gen := prof.Generator(o.params())
+	gen := generator(prof, o)
 	mems := workload.MemSeries(workload.Collect(gen, 0))
 	learned, err := analysis.QuantileTable("learned6", mems, 6)
 	if err != nil {
@@ -219,7 +219,7 @@ func runExtOracle(o Options, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "benchmark           EDP improvement:   GPHT    Oracle   headroom")
 	for _, p := range workload.VariableSet() {
-		gen := p.Generator(o.params())
+		gen := generator(p, o)
 		future, err := governor.FuturePhases(gen, nil, machine.New(machine.Config{}))
 		if err != nil {
 			return err

@@ -36,6 +36,11 @@ type Options struct {
 	// on them; 0 selects GOMAXPROCS. The worker count never changes
 	// results, only wall time.
 	Workers int
+	// Cache shares traces, observation streams, governed runs and
+	// figure results between the experiments of one invocation, so
+	// none is computed twice; nil gives each call a private Cache.
+	// Sharing never changes a result, only how much work is redone.
+	Cache *Cache
 }
 
 func (o Options) withDefaults() Options {
@@ -44,6 +49,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Granularity <= 0 {
 		o.Granularity = 100e6
+	}
+	if o.Cache == nil {
+		o.Cache = NewCache()
 	}
 	return o
 }
@@ -103,19 +111,23 @@ func model() *cpusim.Model { return cpusim.New(cpusim.DefaultConfig()) }
 // reconstruct per-interval powers from kernel-log entries.
 func defaultPowerModel() *power.Model { return power.Default() }
 
-// traces is the shared workload-trace cache: several experiments walk
-// the same benchmark/seed/length streams (fig2 and fig4 both replay
-// applu; fig4, fig5 and the headline all sweep the full suite), so
-// materializing each trace once serves them all.
-var traces = wcache.New(wcache.Config{})
+// generator returns a replay cursor over p's trace under o, shared
+// through o's Cache.
+func generator(p *workload.Profile, o Options) workload.Generator {
+	return o.Cache.traces.Get(p, o.params()).Generator()
+}
 
 // observations collects a benchmark's observation stream at the top
-// frequency under the default phase definitions. Because the phase
-// metric is DVFS-invariant, this stream is what any predictor would
-// see regardless of management.
+// frequency under the default phase definitions, once per o.Cache.
+// Because the phase metric is DVFS-invariant, this stream is what any
+// predictor would see regardless of management. The stream is shared:
+// callers must not modify it.
 func observations(p *workload.Profile, o Options) ([]core.Observation, error) {
-	works := traces.Get(p, o.params()).Works()
-	return core.ObservationsFromWork(model(), works, phase.Default(), 1.5e9)
+	params := o.params()
+	return o.Cache.streams.get(wcache.KeyFor(p, params), func() ([]core.Observation, error) {
+		works := o.Cache.traces.Get(p, params).Works()
+		return core.ObservationsFromWork(model(), works, phase.Default(), 1.5e9)
+	})
 }
 
 // pct renders a fraction as a percentage.

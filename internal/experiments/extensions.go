@@ -61,7 +61,7 @@ func runExtDTM(o Options, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "limit[C]   peak[C]  perf.degradation   (crafty_in, CPU-bound)")
-	gen := prof.Generator(o.params())
+	gen := generator(prof, o)
 	baseTh, err := thermal.New(thermal.DefaultConfig())
 	if err != nil {
 		return err
@@ -104,7 +104,7 @@ func runExtPowerCap(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		gen := prof.Generator(o.params())
+		gen := generator(prof, o)
 		base, err := governor.Run(gen, governor.Unmanaged(), governor.Config{})
 		if err != nil {
 			return err
@@ -182,8 +182,8 @@ func runExtMultiprogram(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "quantum   LastValue acc   GPHT acc   GPHT EDP improvement")
 	for _, quantum := range []int{2, 5, 10} {
 		gen, err := workload.Interleave(
-			pa.Generator(o.params()),
-			pb.Generator(o.params()),
+			generator(pa, o),
+			generator(pb, o),
 			quantum,
 		)
 		if err != nil {
@@ -295,7 +295,7 @@ func runAblationGranularity(o Options, w io.Writer) error {
 	for _, gran := range []uint64{10_000_000, 50_000_000, 100_000_000, 500_000_000} {
 		params := o.params()
 		params.GranularityUops = float64(gran)
-		gen := prof.Generator(params)
+		gen := o.Cache.traces.Get(prof, params).Generator()
 		cfg := governor.Config{GranularityUops: gran}
 		base, err := governor.Run(gen, governor.Unmanaged(), cfg)
 		if err != nil {

@@ -66,3 +66,22 @@ func TestSimulatedFiguresMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFiguresJobMatchesGolden renders the benchmark's figures job
+// through one shared Cache, as cmd/experiments does, and pins the text
+// byte-for-byte. testdata/figures-job.golden was written by a build in
+// which every figure computed its own runs and streams, so it also
+// proves that sharing them changes nothing.
+func TestFiguresJobMatchesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden floats are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	got := render(t, figuresJob, Options{Intervals: goldenIntervals, Workers: 2, Cache: NewCache()})
+	want, err := os.ReadFile(filepath.Join("testdata", "figures-job.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("figures job drifted from testdata/figures-job.golden:\n--- got ---\n%s", got)
+	}
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -21,12 +20,6 @@ const deployedSpec = "gpht_8_128"
 // deployedPolicy is deployedSpec as an assembled policy, for the
 // measured (non-fleet) runs.
 func deployedPolicy() governor.Policy { return governor.Proactive(8, 128) }
-
-// engine builds the fleet engine the management experiments share for
-// one invocation.
-func engine(o Options) *fleet.Engine {
-	return fleet.New(fleet.Config{Workers: o.Workers})
-}
 
 // spec builds the fleet spec for one benchmark/policy pair under the
 // experiment options. The explicit seed keeps the streams identical to
@@ -77,12 +70,15 @@ type Fig10Result struct {
 // series the paper's three charts plot: Mem/Uop and phases (top),
 // measured power (middle), BIPS (bottom).
 func Figure10(o Options) (*Fig10Result, error) {
-	o = o.withDefaults()
+	return figure(o, "fig10", figure10)
+}
+
+func figure10(o Options) (*Fig10Result, error) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {
 		return nil, err
 	}
-	gen := p.Generator(o.params())
+	gen := generator(p, o)
 	base, err := governor.RunMeasured(gen, governor.Unmanaged(), governor.Config{}, daq.Config{})
 	if err != nil {
 		return nil, err
@@ -206,7 +202,10 @@ type Fig11Row struct {
 // baseline/managed run pairs execute on the fleet engine, o.Workers
 // at a time.
 func Figure11(o Options) ([]Fig11Row, error) {
-	o = o.withDefaults()
+	return figure(o, "fig11", figure11)
+}
+
+func figure11(o Options) ([]Fig11Row, error) {
 	profiles := workload.All()
 	specs := make([]fleet.Spec, 0, 2*len(profiles))
 	for _, p := range profiles {
@@ -214,13 +213,13 @@ func Figure11(o Options) ([]Fig11Row, error) {
 			spec(o, p.Name, "baseline"),
 			spec(o, p.Name, deployedSpec))
 	}
-	results, err := engine(o).RunAll(context.Background(), specs)
+	results, err := o.Cache.run(o, specs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Fig11Row, len(profiles))
 	for i, p := range profiles {
-		base, man := results[2*i].Res, results[2*i+1].Res
+		base, man := results[2*i], results[2*i+1]
 		out[i] = Fig11Row{
 			Name:           p.Name,
 			NormalizedBIPS: governor.NormalizedBIPS(base, man),
@@ -263,8 +262,13 @@ type Fig12Row struct {
 
 // Figure12 reproduces the proactive-vs-reactive comparison over the
 // paper's Q2/Q3/Q4 benchmark set, three fleet runs per benchmark.
+// Its baseline and GPHT runs are Figure 11's, so a shared Cache runs
+// only the reactive ones.
 func Figure12(o Options) ([]Fig12Row, error) {
-	o = o.withDefaults()
+	return figure(o, "fig12", figure12)
+}
+
+func figure12(o Options) ([]Fig12Row, error) {
 	profiles := workload.Figure12Set()
 	specs := make([]fleet.Spec, 0, 3*len(profiles))
 	for _, p := range profiles {
@@ -273,13 +277,13 @@ func Figure12(o Options) ([]Fig12Row, error) {
 			spec(o, p.Name, "reactive"),
 			spec(o, p.Name, deployedSpec))
 	}
-	results, err := engine(o).RunAll(context.Background(), specs)
+	results, err := o.Cache.run(o, specs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Fig12Row, len(profiles))
 	for i, p := range profiles {
-		base, lv, gp := results[3*i].Res, results[3*i+1].Res, results[3*i+2].Res
+		base, lv, gp := results[3*i], results[3*i+1], results[3*i+2]
 		out[i] = Fig12Row{
 			Name: p.Name,
 			EDPImprovement: map[string]float64{
@@ -339,20 +343,23 @@ type Fig13Row struct {
 // Bound field — at a pessimistic memory-level parallelism of 2, so the
 // static bound covers the whole suite.
 func Figure13(o Options) ([]Fig13Row, error) {
-	o = o.withDefaults()
+	return figure(o, "fig13", figure13)
+}
+
+func figure13(o Options) ([]Fig13Row, error) {
 	specs := make([]fleet.Spec, 0, 2*len(Fig13Benchmarks))
 	for _, name := range Fig13Benchmarks {
 		bounded := spec(o, name, deployedSpec)
 		bounded.Bound = 0.05
 		specs = append(specs, spec(o, name, "baseline"), bounded)
 	}
-	results, err := engine(o).RunAll(context.Background(), specs)
+	results, err := o.Cache.run(o, specs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Fig13Row, len(Fig13Benchmarks))
 	for i, name := range Fig13Benchmarks {
-		base, bounded := results[2*i].Res, results[2*i+1].Res
+		base, bounded := results[2*i], results[2*i+1]
 		out[i] = Fig13Row{
 			Name:           name,
 			Degradation:    governor.PerformanceDegradation(base, bounded),
@@ -402,7 +409,8 @@ type HeadlineResult struct {
 	GPHTOverReactive float64
 }
 
-// Headline computes the abstract's quoted numbers from fresh runs.
+// Headline computes the abstract's quoted numbers from the Figure 4
+// and Figure 12 results, reusing those o.Cache already holds.
 func Headline(o Options) (*HeadlineResult, error) {
 	o = o.withDefaults()
 	res := &HeadlineResult{}

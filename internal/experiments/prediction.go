@@ -59,6 +59,12 @@ func Figure2(o Options, warmup, window int) ([]Fig2Point, error) {
 	if o.Intervals < warmup+window {
 		return nil, fmt.Errorf("experiments: fig2 needs at least %d intervals, have %d", warmup+window, o.Intervals)
 	}
+	return figure(o, fmt.Sprintf("fig2/%d+%d", warmup, window), func(o Options) ([]Fig2Point, error) {
+		return figure2(p, o, warmup, window)
+	})
+}
+
+func figure2(p *workload.Profile, o Options, warmup, window int) ([]Fig2Point, error) {
 	obs, err := observations(p, o)
 	if err != nil {
 		return nil, err
@@ -142,12 +148,14 @@ type Fig3Point struct {
 
 // Figure3 computes the benchmark-category scatter. Benchmarks are
 // evaluated o.Workers at a time; each result depends only on its own
-// seeded generator, so the output is deterministic.
+// seeded trace, so the output is deterministic.
 func Figure3(o Options) ([]Fig3Point, error) {
-	o = o.withDefaults()
+	return figure(o, "fig3", figure3)
+}
+
+func figure3(o Options) ([]Fig3Point, error) {
 	return fleet.Map(o.Workers, workload.All(), func(p *workload.Profile) (Fig3Point, error) {
-		gen := p.Generator(o.params())
-		mem := workload.MemSeries(workload.Collect(gen, 0))
+		mem := workload.MemSeries(o.Cache.traces.Get(p, o.params()).Works())
 		avg := stats.Mean(mem)
 		vari := stats.Variation(mem, 0.005)
 		return Fig3Point{
@@ -190,7 +198,10 @@ var Fig4Predictors = []string{
 // Figure4 evaluates the six predictors over every benchmark. Rows are
 // sorted by decreasing last-value accuracy, like the paper's x axis.
 func Figure4(o Options) ([]Fig4Row, error) {
-	o = o.withDefaults()
+	return figure(o, "fig4", figure4)
+}
+
+func figure4(o Options) ([]Fig4Row, error) {
 	out, err := fleet.Map(o.Workers, workload.All(), func(p *workload.Profile) (Fig4Row, error) {
 		obs, err := observations(p, o)
 		if err != nil {
@@ -266,7 +277,10 @@ type Fig5Row struct {
 // Figure5 sweeps the PHT capacity over the paper's 18 least-stable
 // benchmarks.
 func Figure5(o Options) ([]Fig5Row, error) {
-	o = o.withDefaults()
+	return figure(o, "fig5", figure5)
+}
+
+func figure5(o Options) ([]Fig5Row, error) {
 	return fleet.Map(o.Workers, workload.Figure5Set(), func(p *workload.Profile) (Fig5Row, error) {
 		obs, err := observations(p, o)
 		if err != nil {

@@ -27,7 +27,10 @@ type Fig6Result struct {
 // manageable it samples every benchmark's observation stream at a
 // stride.
 func Figure6(o Options) (*Fig6Result, error) {
-	o = o.withDefaults()
+	return figure(o, "fig6", figure6)
+}
+
+func figure6(o Options) (*Fig6Result, error) {
 	res := &Fig6Result{Grid: workload.IPCxMEMGrid()}
 	const stride = 25
 	for _, p := range workload.All() {
@@ -89,7 +92,10 @@ type Fig7Row struct {
 // the paper's demonstration that Mem/Uop is DVFS-invariant while UPC
 // is not.
 func Figure7(o Options) ([]Fig7Row, error) {
-	o = o.withDefaults()
+	return figure(o, "fig7", figure7)
+}
+
+func figure7(o Options) ([]Fig7Row, error) {
 	m := model()
 	const fmax = 1.5e9
 	freqs := []float64{1500e6, 1400e6, 1200e6, 1000e6, 800e6, 600e6}

@@ -20,11 +20,12 @@ func TestFiguresWorkerInvariance(t *testing.T) {
 		{"fig12", func(o Options) (any, error) { return Figure12(o) }},
 		{"fig13", func(o Options) (any, error) { return Figure13(o) }},
 	}
+	// The parallel runs share one Cache, which their workers fill
+	// concurrently; the serial runs are cold.
+	shared := NewCache()
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
-			// The parallel run goes first, so it is the one filling the
-			// package trace cache concurrently.
-			parallel, err := fig.run(Options{Intervals: 120, Seed: 3, Workers: 4})
+			parallel, err := fig.run(Options{Intervals: 120, Seed: 3, Workers: 4, Cache: shared})
 			if err != nil {
 				t.Fatal(err)
 			}

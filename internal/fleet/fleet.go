@@ -55,6 +55,11 @@ type Config struct {
 	// the usual monitor/DVFS instrumentation inside each run. Nil runs
 	// unobserved.
 	Telemetry *telemetry.Hub
+	// Traces, when non-nil, is the workload-trace cache the engine's
+	// runs read, so several engines (or other consumers of the same
+	// traces) can share one. Nil gives the engine a cache of its own,
+	// reporting to Telemetry.
+	Traces *wcache.Cache
 }
 
 // Engine executes spec sweeps. An Engine is safe for concurrent use.
@@ -62,8 +67,9 @@ type Engine struct {
 	cfg Config
 
 	// traces shares materialized workload streams across the engine's
-	// runs. A cached trace is exactly what the generator would emit, so
-	// results are bit-identical to synthesizing per run.
+	// runs (Config.Traces, or a cache of its own). A cached trace is
+	// exactly what the generator would emit, so results are
+	// bit-identical to synthesizing per run.
 	traces *wcache.Cache
 
 	// pending counts accepted-but-unfinished specs for the queue-depth
@@ -73,10 +79,11 @@ type Engine struct {
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	return &Engine{
-		cfg:    cfg,
-		traces: wcache.New(wcache.Config{Telemetry: cfg.Telemetry}),
+	traces := cfg.Traces
+	if traces == nil {
+		traces = wcache.New(wcache.Config{Telemetry: cfg.Telemetry})
 	}
+	return &Engine{cfg: cfg, traces: traces}
 }
 
 // RunAll runs every spec on the worker pool and returns one Result

@@ -13,6 +13,7 @@ import (
 	"phasemon/internal/governor"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
+	"phasemon/internal/wcache"
 	"phasemon/internal/workload"
 )
 
@@ -159,6 +160,25 @@ func TestWorkloadCacheShares(t *testing.T) {
 	}
 	if got := hub.WorkloadCacheHits.Value(); got != 2 {
 		t.Errorf("WorkloadCacheHits = %d, want 2", got)
+	}
+}
+
+// TestCallerTraceCache: engines given one Config.Traces share it, so a
+// trace one engine synthesized is a hit for the next.
+func TestCallerTraceCache(t *testing.T) {
+	hub := telemetry.NewHub(6)
+	traces := wcache.New(wcache.Config{Telemetry: hub})
+	specs := []Spec{{Workload: "applu_in", Policy: "baseline", Intervals: 40, Seed: 5}}
+	for range 2 {
+		if _, err := New(Config{Workers: 1, Traces: traces}).RunAll(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hub.WorkloadCacheMisses.Value(); got != 1 {
+		t.Errorf("WorkloadCacheMisses = %d, want 1 (second engine reads the first's trace)", got)
+	}
+	if got := hub.WorkloadCacheHits.Value(); got != 1 {
+		t.Errorf("WorkloadCacheHits = %d, want 1", got)
 	}
 }
 
