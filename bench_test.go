@@ -19,6 +19,7 @@ import (
 	"phasemon/internal/governor"
 	"phasemon/internal/machine"
 	"phasemon/internal/phase"
+	"phasemon/internal/telemetry"
 	"phasemon/internal/thermal"
 	"phasemon/internal/workload"
 )
@@ -296,7 +297,9 @@ func appluObservations(b *testing.B, n int) []core.Observation {
 // BenchmarkGovernorRun measures full managed-run simulation throughput
 // (intervals per op reported as time; the suite's scalability knob).
 // /paper is the paper's platform; /thermal runs the same workload with
-// a die-temperature model attached, so leakage is scaled per interval.
+// a die-temperature model attached, so leakage is scaled per interval;
+// /hub is /paper observed by a telemetry hub, so each interval also
+// reads the hub clock once and publishes the PMI handler's batch.
 func BenchmarkGovernorRun(b *testing.B) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {
@@ -306,6 +309,14 @@ func BenchmarkGovernorRun(b *testing.B) {
 	b.Run("paper", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := governor.Run(gen, governor.Proactive(8, 128), governor.Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hub", func(b *testing.B) {
+		cfg := governor.Config{Telemetry: telemetry.NewHub(phase.Default().NumPhases())}
+		for i := 0; i < b.N; i++ {
+			if _, err := governor.Run(gen, governor.Proactive(8, 128), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

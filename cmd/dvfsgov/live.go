@@ -15,10 +15,11 @@ import (
 // (perf_event_open), live frequency settings out (cpufreq sysfs) —
 // the paper's complete loop in userspace. It needs counter access and
 // a writable `userspace` cpufreq governor; each missing capability is
-// reported plainly. Telemetry always observes the loop: a one-line
-// hub summary prints every telemetryEvery intervals (0 disables), and
-// telemetryAddr, when non-empty, additionally serves the hub over
-// HTTP for the duration of the run.
+// reported plainly. Telemetry always observes the loop, which records
+// each interval into its own StepBatch under one clock reading and
+// publishes it: a one-line hub summary prints every telemetryEvery
+// intervals (0 disables), and telemetryAddr, when non-empty,
+// additionally serves the hub over HTTP for the duration of the run.
 func runLive(dur, period time.Duration, pid, depth, entries int, telemetryAddr string, telemetryEvery int) error {
 	if err := perfevent.Available(); err != nil {
 		return fmt.Errorf("live mode needs hardware counters: %w", err)
@@ -42,18 +43,17 @@ func runLive(dur, period time.Duration, pid, depth, entries int, telemetryAddr s
 	if err != nil {
 		return err
 	}
-	hub := telemetry.NewHub(cls.NumPhases())
-	mon, err := core.NewMonitor(cls, pred, core.WithTelemetry(hub))
+	mon, err := core.NewMonitor(cls, pred)
 	if err != nil {
 		return err
 	}
+	hub := telemetry.NewHub(cls.NumPhases())
 	if telemetryAddr != "" {
-		bound, shutdown, err := hub.Serve(telemetryAddr)
+		stop, err := serveTelemetry(hub, telemetryAddr)
 		if err != nil {
-			return fmt.Errorf("telemetry: %w", err)
+			return err
 		}
-		defer shutdown()
-		fmt.Printf("telemetry: serving http://%s (/metrics, /snapshot, /events)\n", bound)
+		defer stop()
 	}
 
 	g, err := perfevent.Open(pid)
@@ -71,17 +71,20 @@ func runLive(dur, period time.Duration, pid, depth, entries int, telemetryAddr s
 
 	fmt.Printf("live governing pid %d for %v over %d frequency settings\n", pid, dur, act.Len())
 	fmt.Println("interval  miss/instr   phase   next   setting[kHz]")
+	tel := hub.NewStepBatch()
 	i := 0
 	lastSetting := -1
 	for s := range samples {
-		hub.RecordPMISample(i, s.MemPerUop, s.UPC)
-		actual, next := mon.Step(s)
+		nowNs := hub.Now().UnixNano()
+		actual, next := mon.StepAt(s, tel, nowNs)
 		setting := settingFor(next, cls.NumPhases(), act.Len())
 		applyErr := act.Set(setting)
 		if applyErr == nil && setting != lastSetting {
-			hub.RecordDVFSChange(i, lastSetting, setting)
+			tel.DVFSChange(i, lastSetting, setting, nowNs)
 			lastSetting = setting
 		}
+		tel.PMISample(i, s.MemPerUop, s.UPC, nowNs)
+		tel.Publish()
 		khz, _ := act.FrequencyKHz(setting)
 		status := ""
 		if applyErr != nil {

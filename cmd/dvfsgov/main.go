@@ -80,15 +80,24 @@ func startTelemetry(addr string, numPhases int) (*telemetry.Hub, func(), error) 
 		return nil, func() {}, nil
 	}
 	hub := telemetry.NewHub(numPhases)
+	stop, err := serveTelemetry(hub, addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return hub, stop, nil
+}
+
+// serveTelemetry serves hub's HTTP endpoints on addr. The returned
+// stop exits gracefully and bounded: in-flight scrapes finish instead
+// of being cut off mid-response, and repeated stops are safe.
+func serveTelemetry(hub *telemetry.Hub, addr string) (stop func(), err error) {
 	bound, shutdown, err := hub.ServePrefix(addr, "")
 	if err != nil {
-		return nil, nil, fmt.Errorf("telemetry: %w", err)
+		return nil, fmt.Errorf("telemetry: %w", err)
 	}
 	fmt.Printf("telemetry: serving http://%s (/metrics, /snapshot, /events)\n", bound)
-	// Graceful, bounded exit: in-flight scrapes finish instead of
-	// being cut off mid-response, and repeated stops are safe.
 	drainer := phased.NewDrainer(2*time.Second, phased.DrainFunc(shutdown))
-	return hub, func() { _ = drainer.Drain() }, nil
+	return func() { _ = drainer.Drain() }, nil
 }
 
 func run(w io.Writer, bench, policy string, depth, entries, intervals int, seed int64, compare bool, bound float64, telemetryAddr string, workers int) error {

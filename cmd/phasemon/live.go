@@ -15,8 +15,10 @@ import (
 // paper's phases and predicting live — the paper's deployment mode, on
 // whatever machine this runs on. pid 0 monitors this process; withLoad
 // adds a synthetic memory-walking load so a bare invocation has
-// something to observe. A non-nil hub observes every interval and is
-// typically served over HTTP for the duration of the run.
+// something to observe. A non-nil hub observes every interval — the
+// loop records each into its own StepBatch under one clock reading and
+// publishes it — and is typically served over HTTP for the duration of
+// the run.
 func runLive(pred core.Predictor, dur, period time.Duration, pid int, withLoad bool, hub *telemetry.Hub) error {
 	if err := perfevent.Available(); err != nil {
 		return fmt.Errorf("live mode needs hardware counter access (try the simulated mode instead): %w", err)
@@ -27,7 +29,7 @@ func runLive(pred core.Predictor, dur, period time.Duration, pid int, withLoad b
 	}
 	defer g.Close()
 
-	mon, err := core.NewMonitor(phase.Default(), pred, core.WithTelemetry(hub))
+	mon, err := core.NewMonitor(phase.Default(), pred)
 	if err != nil {
 		return err
 	}
@@ -49,10 +51,16 @@ func runLive(pred core.Predictor, dur, period time.Duration, pid int, withLoad b
 
 	fmt.Printf("live monitoring pid %d for %v (sampling every %v)\n", pid, dur, period)
 	fmt.Println("interval  miss/instr   phase   predicted-next")
+	tel := hub.NewStepBatch()
 	i := 0
 	for s := range samples {
-		hub.RecordPMISample(i, s.MemPerUop, s.UPC)
-		actual, next := mon.Step(s)
+		var nowNs int64
+		if hub != nil {
+			nowNs = hub.Now().UnixNano()
+		}
+		actual, next := mon.StepAt(s, tel, nowNs)
+		tel.PMISample(i, s.MemPerUop, s.UPC, nowNs)
+		tel.Publish()
 		fmt.Printf("%8d  %10.5f   %-5s   %s\n", i, s.MemPerUop, actual, next)
 		i++
 	}

@@ -167,18 +167,13 @@ func run(bench, predictor, phases string, depth, entries, window int, threshold 
 	if err != nil {
 		return err
 	}
-	// The hub exists before the monitor and machine so observation is
-	// wired at construction; there is no post-hoc telemetry retrofit.
+	// The kernel module's PMI handler is the run's only hub holder.
 	hub, stopTel, err := startTelemetry(telemetryAddr, cls.NumPhases())
 	if err != nil {
 		return err
 	}
 	defer stopTel()
-	var monOpts []core.Option
-	if hub != nil {
-		monOpts = append(monOpts, core.WithTelemetry(hub))
-	}
-	mon, err := core.NewMonitor(cls, pred, monOpts...)
+	mon, err := core.NewMonitor(cls, pred)
 	if err != nil {
 		return err
 	}
@@ -186,7 +181,7 @@ func run(bench, predictor, phases string, depth, entries, window int, threshold 
 	if err != nil {
 		return err
 	}
-	m := machine.New(machine.Config{Telemetry: hub})
+	m := machine.New(machine.Config{})
 	if err := mod.Load(m); err != nil {
 		return err
 	}

@@ -26,16 +26,12 @@ type Monitor struct {
 	tally          stats.Tally
 	confusion      *stats.Confusion
 	steps          int
-
-	tel *telemetry.Hub
-	// own is the batch Step records into and publishes after every
-	// step; nil when tel is.
-	own *telemetry.StepBatch
 }
 
-// NewMonitor builds a monitor around a classifier and predictor.
-// WithTelemetry attaches a hub at construction.
-func NewMonitor(cls phase.Classifier, pred Predictor, opts ...Option) (*Monitor, error) {
+// NewMonitor builds a monitor around a classifier and predictor. The
+// monitor holds no telemetry hub: the stepping loop that drives it
+// owns one and passes its batch to StepAt.
+func NewMonitor(cls phase.Classifier, pred Predictor) (*Monitor, error) {
 	if cls == nil || pred == nil {
 		return nil, fmt.Errorf("core: monitor needs a classifier and a predictor")
 	}
@@ -43,16 +39,10 @@ func NewMonitor(cls phase.Classifier, pred Predictor, opts ...Option) (*Monitor,
 	if err != nil {
 		return nil, err
 	}
-	m := &Monitor{cls: cls, pred: pred, confusion: conf, tel: applyOptions(opts).tel}
-	m.own = m.tel.NewStepBatch()
+	m := &Monitor{cls: cls, pred: pred, confusion: conf}
 	m.gpht, _ = pred.(*GPHT)
 	return m, nil
 }
-
-// Telemetry returns the hub the monitor reports into, or nil when the
-// run is unobserved. Construction-time wiring (WithTelemetry) makes
-// this stable for the monitor's lifetime.
-func (m *Monitor) Telemetry() *telemetry.Hub { return m.tel }
 
 // Classifier returns the monitor's classifier.
 func (m *Monitor) Classifier() phase.Classifier { return m.cls }
@@ -63,32 +53,22 @@ func (m *Monitor) Predictor() Predictor { return m.pred }
 // Step processes one completed sampling interval: it classifies the
 // sample, scores the pending prediction against it, and produces the
 // next prediction. The first interval is not scored (there was nothing
-// to predict it from). An observed monitor publishes the step's
-// telemetry to its hub before returning, as a batch of one whose
-// journal events carry one hub clock reading, taken on scored steps
-// only (unscored ones journal nothing).
+// to predict it from). It records no telemetry; an observed loop steps
+// through StepAt.
 //
 //lint:hotpath
 func (m *Monitor) Step(s phase.Sample) (actual, next phase.ID) {
-	return m.step(s, m.own, 0, true)
+	return m.StepAt(s, nil, 0)
 }
 
-// StepAt is the batched form of Step: it records the step's telemetry
-// into b, a batch the caller owns and publishes, stamping the step's
-// journal events with unixNs (Unix nanoseconds, normally a hub clock
-// reading), so a caller stepping a batch of samples reads the clock
-// and touches the shared hub once per batch. A nil b records nothing.
-// Neither b nor the stamp touches classification or prediction.
+// StepAt is Step with the step's telemetry recorded into b, a batch
+// the calling loop owns and publishes, its journal events stamped
+// unixNs (Unix nanoseconds, normally the loop's hub clock reading for
+// the interval or batch). A nil b records nothing. Neither b nor the
+// stamp touches classification or prediction.
 //
 //lint:hotpath
 func (m *Monitor) StepAt(s phase.Sample, b *telemetry.StepBatch, unixNs int64) (actual, next phase.ID) {
-	return m.step(s, b, unixNs, false)
-}
-
-// step is Step's and StepAt's one body: the monitor update, plus the
-// step's telemetry recorded into b when b is non-nil. Both exported
-// forms inline to a single call of it.
-func (m *Monitor) step(s phase.Sample, b *telemetry.StepBatch, unixNs int64, publish bool) (actual, next phase.ID) {
 	actual = m.cls.Classify(s)
 	scored := m.steps > 0
 	if scored {
@@ -98,7 +78,7 @@ func (m *Monitor) step(s phase.Sample, b *telemetry.StepBatch, unixNs int64, pub
 	if b == nil {
 		next = m.pred.Observe(Observation{Sample: s, Phase: actual})
 	} else {
-		next = m.observeInto(b, s, actual, scored, unixNs, publish)
+		next = m.observeInto(b, s, actual, scored, unixNs)
 	}
 	m.lastActual = actual
 	m.lastPrediction = next
@@ -106,12 +86,11 @@ func (m *Monitor) step(s phase.Sample, b *telemetry.StepBatch, unixNs int64, pub
 	return actual, next
 }
 
-// observeInto is the observed half of step: it runs the predictor and
-// records the step — Mem/Uop reading, gauges that moved, the scored
-// verdict and any phase transition, the PHT lookup outcome — into b.
-// With publish set (Step) a scored step is stamped with a fresh hub
-// clock reading, and b is published before returning.
-func (m *Monitor) observeInto(b *telemetry.StepBatch, s phase.Sample, actual phase.ID, scored bool, unixNs int64, publish bool) phase.ID {
+// observeInto is the observed half of StepAt: it runs the predictor
+// and records the step — Mem/Uop reading, gauges that moved, the
+// scored verdict and any phase transition, the PHT lookup outcome —
+// into b.
+func (m *Monitor) observeInto(b *telemetry.StepBatch, s phase.Sample, actual phase.ID, scored bool, unixNs int64) phase.ID {
 	var hits uint64
 	if m.gpht != nil {
 		hits = m.gpht.hits
@@ -128,16 +107,10 @@ func (m *Monitor) observeInto(b *telemetry.StepBatch, s phase.Sample, actual pha
 		b.Predicted(int(next))
 	}
 	if scored {
-		if publish && m.tel != nil {
-			unixNs = m.tel.Now().UnixNano()
-		}
 		b.Prediction(m.steps, int(m.lastPrediction), int(actual), unixNs)
 		if actual != m.lastActual {
 			b.Transition(m.steps, int(m.lastActual), int(actual), unixNs)
 		}
-	}
-	if publish {
-		b.Publish()
 	}
 	return next
 }

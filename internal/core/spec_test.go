@@ -190,56 +190,34 @@ func TestRegisteredPredictorsSorted(t *testing.T) {
 	}
 }
 
-func TestWithTelemetryOption(t *testing.T) {
-	hub := telemetry.NewHub(6)
-	g := MustNewGPHT(DefaultGPHTConfig())
-	mon, err := NewMonitor(phase.Default(), g, WithTelemetry(hub))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.0})
-	mon.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.0})
-	if hub.Steps.Value() != 2 {
-		t.Errorf("Steps = %d, want 2 (option did not attach the hub)", hub.Steps.Value())
-	}
-	if hub.GPHTHits.Value()+hub.GPHTMisses.Value() == 0 {
-		t.Error("GPHT lookups unobserved; the observed monitor did not report them")
-	}
-}
-
 func TestWithTelemetryViaMonitorForwards(t *testing.T) {
-	// The GPHT takes no hub of its own: the observed monitor that
-	// steps it reports each PHT lookup, so the hub's counters mirror
-	// the predictor's own accounting exactly, and a predictor without
-	// a PHT reports none.
+	// The GPHT takes no hub of its own: the observed step that drives
+	// it reports each PHT lookup, so the hub's counters mirror the
+	// predictor's own accounting exactly, and a predictor without a
+	// PHT reports none.
 	hub := telemetry.NewHub(6)
 	g := MustNewGPHT(DefaultGPHTConfig())
-	mon, err := NewMonitor(phase.Default(), g, WithTelemetry(hub))
+	mon, err := NewMonitor(phase.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	step := observedStep(mon, hub)
 	// A period-3 phase pattern: misses while the depth-8 history
 	// warms up, hits once it repeats.
 	for i := 0; i < 60; i++ {
-		mon.Step(phase.Sample{MemPerUop: []float64{0.001, 0.001, 0.05}[i%3], UPC: 1.0})
+		step(phase.Sample{MemPerUop: []float64{0.001, 0.001, 0.05}[i%3], UPC: 1.0})
 	}
 	if hub.GPHTHits.Value() != g.Hits() || hub.GPHTMisses.Value() != g.Misses() || g.Hits() == 0 {
 		t.Errorf("hub counted %d hits + %d misses, the GPHT %d + %d",
 			hub.GPHTHits.Value(), hub.GPHTMisses.Value(), g.Hits(), g.Misses())
 	}
-	plain, err := NewMonitor(phase.Default(), NewLastValue(), WithTelemetry(hub))
+	plain, err := NewMonitor(phase.Default(), NewLastValue())
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := hub.GPHTHits.Value() + hub.GPHTMisses.Value()
-	plain.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.0})
+	observedStep(plain, hub)(phase.Sample{MemPerUop: 0.001, UPC: 1.0})
 	if after := hub.GPHTHits.Value() + hub.GPHTMisses.Value(); after != before {
 		t.Errorf("a last-value monitor reported %d PHT lookups", after-before)
-	}
-}
-
-func TestNilOptionIgnored(t *testing.T) {
-	if _, err := NewMonitor(phase.Default(), NewLastValue(), nil, WithTelemetry(nil)); err != nil {
-		t.Fatalf("nil option: %v", err)
 	}
 }

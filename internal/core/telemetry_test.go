@@ -3,33 +3,41 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
 )
 
-// TestMonitorStepInstrumentation wires the hub at construction
-// (WithTelemetry) — the only wiring surface since the deprecated
-// SetTelemetry retrofit setters were removed — and verifies the
-// instrument flow end to end, including the GPHT hit/miss counters the
+// observedStep returns a step function that drives mon the way an
+// observed stepping loop does: each step recorded into the loop's own
+// StepBatch, stamped with one hub clock reading, and published before
+// the next.
+func observedStep(mon *Monitor, hub *telemetry.Hub) func(phase.Sample) (phase.ID, phase.ID) {
+	b := hub.NewStepBatch()
+	return func(s phase.Sample) (phase.ID, phase.ID) {
+		actual, next := mon.StepAt(s, b, hub.Now().UnixNano())
+		b.Publish()
+		return actual, next
+	}
+}
+
+// TestMonitorStepInstrumentation verifies the instrument flow of an
+// observed step end to end, including the GPHT hit/miss counters the
 // monitor reports for its predictor.
 func TestMonitorStepInstrumentation(t *testing.T) {
 	cls := phase.Default()
 	gpht := MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()})
 	hub := telemetry.NewHub(cls.NumPhases())
-	mon, err := NewMonitor(cls, gpht, WithTelemetry(hub))
+	mon, err := NewMonitor(cls, gpht)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mon.Telemetry() != hub {
-		t.Fatal("Telemetry() does not report the construction-time hub")
-	}
+	step := observedStep(mon, hub)
 
 	// Phase 1 (Mem/Uop < 0.005), then phase 6 (> 0.030): one
 	// transition, one scored (mis)prediction.
-	mon.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.5})
-	mon.Step(phase.Sample{MemPerUop: 0.050, UPC: 0.4})
+	step(phase.Sample{MemPerUop: 0.001, UPC: 1.5})
+	step(phase.Sample{MemPerUop: 0.050, UPC: 0.4})
 
 	if got := hub.Steps.Value(); got != 2 {
 		t.Errorf("steps counter = %d, want 2", got)
@@ -65,37 +73,29 @@ func TestMonitorStepInstrumentation(t *testing.T) {
 		t.Errorf("monitor accounting disturbed: steps=%d tally=%d", mon.Steps(), mon.Tally().Total())
 	}
 
-	// A monitor built without a hub never instruments: construction
-	// decides observability for the monitor's lifetime.
-	plain, err := NewMonitor(cls, MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.5})
+	// Step records nothing: the monitor holds no hub.
+	mon.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.5})
 	if got := hub.Steps.Value(); got != 2 {
-		t.Errorf("unobserved monitor leaked into the hub: steps = %d", got)
+		t.Errorf("Step leaked into the hub: steps = %d", got)
 	}
 }
 
 func TestMonitorStepsMatchWithAndWithoutTelemetry(t *testing.T) {
 	cls := phase.Default()
-	mkMon := func(tel bool) *Monitor {
+	mkMon := func() *Monitor {
 		g := MustNewGPHT(GPHTConfig{GPHRDepth: 4, PHTEntries: 32, NumPhases: cls.NumPhases()})
-		var opts []Option
-		if tel {
-			opts = append(opts, WithTelemetry(telemetry.NewHub(cls.NumPhases())))
-		}
-		m, err := NewMonitor(cls, g, opts...)
+		m, err := NewMonitor(cls, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	plain, wired := mkMon(false), mkMon(true)
+	plain, wired := mkMon(), mkMon()
+	step := observedStep(wired, telemetry.NewHub(cls.NumPhases()))
 	for i := 0; i < 500; i++ {
 		s := phase.Sample{MemPerUop: float64(i%7) * 0.006, UPC: 1}
 		a1, n1 := plain.Step(s)
-		a2, n2 := wired.Step(s)
+		a2, n2 := step(s)
 		if a1 != a2 || n1 != n2 {
 			t.Fatalf("step %d diverged: (%v,%v) vs (%v,%v)", i, a1, n1, a2, n2)
 		}
@@ -105,31 +105,25 @@ func TestMonitorStepsMatchWithAndWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// TestStepAtStampsCallerTime pins the clock and publication contract
-// of the observed step: StepAt never reads the hub clock, records into
-// the caller's batch — the hub sees nothing until the caller publishes
-// — and stamps every event it journals with the caller's timestamp,
-// while Step reads the clock at most once per step, however many
-// events that step journals, and publishes before it returns. Both
-// predict identically and, once the batch is published, leave
-// identical hub counters and confusion matrices.
+// TestStepAtStampsCallerTime pins the publication contract of the
+// observed step: StepAt records into the caller's batch — the hub sees
+// nothing until the caller publishes — and stamps every event it
+// journals with the caller's timestamp. A batch of many steps
+// published once and a batch published after every step predict
+// identically and leave identical hub counters, journals and
+// confusion matrices.
 func TestStepAtStampsCallerTime(t *testing.T) {
 	cls := phase.Default()
-	reads := 0
-	clock := telemetry.WithClock(func() time.Time {
-		reads++
-		return time.Unix(0, int64(reads)*1000)
-	})
-	atHub, stepHub := telemetry.NewHub(cls.NumPhases(), clock), telemetry.NewHub(cls.NumPhases(), clock)
-	mk := func(hub *telemetry.Hub) *Monitor {
-		m, err := NewMonitor(cls, MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()}), WithTelemetry(hub))
+	atHub, stepHub := telemetry.NewHub(cls.NumPhases()), telemetry.NewHub(cls.NumPhases())
+	mk := func() *Monitor {
+		m, err := NewMonitor(cls, MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	at, stepped := mk(atHub), mk(stepHub)
-	batch := atHub.NewStepBatch()
+	at, stepped := mk(), mk()
+	batch, own := atHub.NewStepBatch(), stepHub.NewStepBatch()
 	// Cycle phases 1, 6, 6 so scored steps journal verdicts, hits and
 	// misses, with and without a transition.
 	samples := []phase.Sample{{MemPerUop: 0.001, UPC: 1.5}, {MemPerUop: 0.050, UPC: 0.4}, {MemPerUop: 0.050, UPC: 0.4}}
@@ -137,23 +131,17 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		s := samples[i%len(samples)]
 		a1, n1 := at.StepAt(s, batch, 777)
-		if reads != 0 {
-			t.Fatalf("StepAt read the hub clock %d times, want 0", reads)
-		}
 		if got := atHub.Steps.Value(); got != 0 {
 			t.Fatalf("step %d: StepAt reached the hub before publication (steps = %d)", i, got)
 		}
-		a2, n2 := stepped.Step(s)
+		a2, n2 := stepped.StepAt(s, own, 777)
+		own.Publish()
 		if a1 != a2 || n1 != n2 {
-			t.Fatalf("step %d: StepAt (%v,%v) diverged from Step (%v,%v)", i, a1, n1, a2, n2)
-		}
-		if want := min(i, 1); reads != want {
-			t.Fatalf("step %d: Step read the hub clock %d times, want %d (once per scored step)", i, reads, want)
+			t.Fatalf("step %d: batched (%v,%v) diverged from per-step (%v,%v)", i, a1, n1, a2, n2)
 		}
 		if got := stepHub.Steps.Value(); got != uint64(i+1) {
-			t.Fatalf("step %d: Step left the hub at %d steps, want %d (publish per step)", i, got, i+1)
+			t.Fatalf("step %d: per-step publication left the hub at %d steps, want %d", i, got, i+1)
 		}
-		reads = 0
 	}
 	if atHub.Journal.Len() != 0 {
 		t.Fatal("StepAt journaled before publication")
@@ -164,8 +152,8 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 			t.Fatalf("%v event stamped %d, want the caller's 777", e.Kind, e.UnixNs)
 		}
 	}
-	if got, want := atHub.Journal.Len(), stepHub.Journal.Len(); got != want || got == 0 {
-		t.Errorf("journal holds %d events after StepAt, %d after Step", got, want)
+	if got, want := fmt.Sprint(atHub.Journal.Recent(0)), fmt.Sprint(stepHub.Journal.Recent(0)); got != want || atHub.Journal.Len() == 0 {
+		t.Errorf("journal after one publication:\n%s\nafter per-step publication:\n%s", got, want)
 	}
 	for _, c := range []struct {
 		name     string
@@ -178,10 +166,10 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 		{"GPHT misses", atHub.GPHTMisses, stepHub.GPHTMisses},
 	} {
 		if c.at.Value() != c.step.Value() {
-			t.Errorf("%s: %d after StepAt, %d after Step", c.name, c.at.Value(), c.step.Value())
+			t.Errorf("%s: %d after one publication, %d after per-step publication", c.name, c.at.Value(), c.step.Value())
 		}
 	}
 	if got, want := fmt.Sprint(atHub.Accuracy().Confusion), fmt.Sprint(stepHub.Accuracy().Confusion); got != want {
-		t.Errorf("confusion after StepAt %s, after Step %s", got, want)
+		t.Errorf("confusion after one publication %s, after per-step publication %s", got, want)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"phasemon/internal/phase"
-	"phasemon/internal/telemetry"
 )
 
 // OperatingPoint is one DVFS setting: a core frequency and the supply
@@ -298,8 +297,6 @@ type Controller struct {
 
 	transitions      int
 	timeInTransition float64
-
-	tel *telemetry.Hub
 }
 
 // DefaultTransitionLatency is the modeled cost of one SpeedStep
@@ -314,22 +311,6 @@ func NewController(l *Ladder, transitionLatency float64) *Controller {
 	}
 	return &Controller{ladder: l, current: l.Fastest(), transitionLatency: transitionLatency}
 }
-
-// NewControllerWithTelemetry is NewController with a hub attached at
-// construction, so operating-point changes are counted from the first
-// transition and no post-hoc setter is needed. A nil hub is the same
-// as NewController.
-func NewControllerWithTelemetry(l *Ladder, transitionLatency float64, h *telemetry.Hub) *Controller {
-	c := NewController(l, transitionLatency)
-	if h != nil {
-		c.tel = h
-		h.CurrentSetting.Set(float64(c.current))
-	}
-	return c
-}
-
-// Telemetry returns the hub the controller reports into, or nil.
-func (c *Controller) Telemetry() *telemetry.Hub { return c.tel }
 
 // Ladder returns the controller's ladder.
 func (c *Controller) Ladder() *Ladder { return c.ladder }
@@ -350,9 +331,6 @@ func (c *Controller) Set(s Setting) (cost float64, err error) {
 	}
 	if s == c.current {
 		return 0, nil
-	}
-	if c.tel != nil {
-		c.tel.RecordDVFSChange(-1, int(c.current), int(s))
 	}
 	c.current = s
 	c.transitions++

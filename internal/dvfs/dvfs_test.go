@@ -7,7 +7,6 @@ import (
 
 	"phasemon/internal/cpusim"
 	"phasemon/internal/phase"
-	"phasemon/internal/telemetry"
 )
 
 func TestPentiumMMatchesPaperTable2(t *testing.T) {
@@ -348,26 +347,5 @@ func TestLadderFromFrequencies(t *testing.T) {
 	}
 	if single.Point(0).VoltageV != 1.4 {
 		t.Errorf("single-point voltage %v", single.Point(0).VoltageV)
-	}
-}
-
-func TestNewControllerWithTelemetry(t *testing.T) {
-	hub := telemetry.NewHub(6)
-	c := NewControllerWithTelemetry(PentiumM(), 0, hub)
-	if c.Telemetry() != hub {
-		t.Fatal("construction-time hub not attached")
-	}
-	if got := hub.CurrentSetting.Value(); got != float64(c.Current()) {
-		t.Errorf("setting gauge = %v, want %v at construction", got, c.Current())
-	}
-	if _, err := c.Set(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := hub.DVFSTransitions.Value(); got != 1 {
-		t.Errorf("transitions counter = %d, want 1", got)
-	}
-	// A nil hub degrades to the plain constructor.
-	if c := NewControllerWithTelemetry(PentiumM(), 0, nil); c.Telemetry() != nil {
-		t.Error("nil hub attached something")
 	}
 }

@@ -140,9 +140,10 @@ type Config struct {
 	// the interval count (the fleet engine) pass it so the PMI path
 	// never grows the log mid-run.
 	LogCapacity int
-	// Telemetry, when non-nil, observes the run live: the kernel
-	// module wires it through the monitor, predictor, and DVFS
-	// controller, and the governor counts runs. Nil runs unobserved.
+	// Telemetry, when non-nil, observes the run live: it becomes the
+	// kernel module's Config.Telemetry — the PMI handler is the run's
+	// only hub holder — and the governor counts runs. Nil runs
+	// unobserved.
 	Telemetry *telemetry.Hub
 }
 
@@ -263,7 +264,7 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 	if err != nil {
 		return nil, fmt.Errorf("governor: building predictor for %s: %w", pol.Name(), err)
 	}
-	mon, err := core.NewMonitor(cfg.Classifier, pred, core.WithTelemetry(cfg.Telemetry))
+	mon, err := core.NewMonitor(cfg.Classifier, pred)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +283,6 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 		return nil, err
 	}
 
-	if mcfg.Telemetry == nil {
-		// Wire the hub into the DVFS controller at construction so the
-		// module's Load never needs the deprecated retrofit setters.
-		mcfg.Telemetry = cfg.Telemetry
-	}
 	m := machine.New(mcfg)
 	if err := mod.Load(m); err != nil {
 		return nil, err

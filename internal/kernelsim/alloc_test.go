@@ -9,6 +9,7 @@ import (
 	"phasemon/internal/machine"
 	"phasemon/internal/phase"
 	"phasemon/internal/pmc"
+	"phasemon/internal/telemetry"
 )
 
 // TestHandlePMIZeroAlloc is the kernel-path memory contract: once the
@@ -17,8 +18,21 @@ import (
 // classify, predict, actuate DVFS, log, rearm — performs zero heap
 // allocations. This is the simulated analogue of the paper's
 // interrupt-context constraint: a PMI handler must not call into the
-// allocator at all.
+// allocator at all. An observed handler — its interval recorded into
+// its StepBatch and published — keeps the contract too.
 func TestHandlePMIZeroAlloc(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "bare", true: "observed"}[observed], func(t *testing.T) {
+			var hub *telemetry.Hub
+			if observed {
+				hub = telemetry.NewHub(phase.Default().NumPhases())
+			}
+			testHandlePMIZeroAlloc(t, hub)
+		})
+	}
+}
+
+func testHandlePMIZeroAlloc(t *testing.T, hub *telemetry.Hub) {
 	cls := phase.Default()
 	g := core.MustNewGPHT(core.GPHTConfig{GPHRDepth: 8, PHTEntries: 128, NumPhases: cls.NumPhases()})
 	mon, err := core.NewMonitor(cls, g)
@@ -33,6 +47,7 @@ func TestHandlePMIZeroAlloc(t *testing.T) {
 		Monitor:     mon,
 		Translation: tr,
 		LogCapacity: 256, // explicit: preallocated in full, ring thereafter
+		Telemetry:   hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +83,9 @@ func TestHandlePMIZeroAlloc(t *testing.T) {
 	}
 	if mod.Samples() < 1012 {
 		t.Fatalf("handler did not run: %d samples", mod.Samples())
+	}
+	if hub != nil && hub.PMISamples.Value() != uint64(mod.Samples()) {
+		t.Fatalf("hub saw %d PMI samples, the module logged %d", hub.PMISamples.Value(), mod.Samples())
 	}
 }
 

@@ -65,9 +65,11 @@ type Config struct {
 	// log grows geometrically on demand up to the bound, which is
 	// amortized-free but not allocation-free until it stops growing.
 	LogCapacity int
-	// Telemetry, when non-nil, receives live instrumentation from the
-	// PMI path; Load also wires it into the monitor, predictor, and
-	// DVFS controller. Nil (the default) leaves the run unobserved at
+	// Telemetry, when non-nil, observes the run live. The PMI handler
+	// is its only holder: it records each interval's verdict, phase
+	// transition, DVFS change and PMI sample into its own StepBatch
+	// under one hub clock reading and publishes the batch once per
+	// interval. Nil (the default) leaves the run unobserved at
 	// near-zero cost.
 	Telemetry *telemetry.Hub
 }
@@ -131,6 +133,9 @@ type Module struct {
 	// at NewModule because the monitor's predictor never changes.
 	handlerCostS float64
 
+	// tel is the handler's batch on cfg.Telemetry; nil when unobserved.
+	tel *telemetry.StepBatch
+
 	budgetViolations int
 }
 
@@ -147,7 +152,7 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.GranularityUops >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
-	mod := &Module{cfg: cfg, handlerCostS: handlerCost(cfg)}
+	mod := &Module{cfg: cfg, handlerCostS: handlerCost(cfg), tel: cfg.Telemetry.NewStepBatch()}
 	if prealloc {
 		mod.log = make([]Entry, 0, cfg.LogCapacity)
 	}
@@ -157,19 +162,6 @@ func NewModule(cfg Config) (*Module, error) {
 // Load installs the module on the machine: it configures and arms the
 // counters (the one-time initialization of Figure 8) and starts them.
 func (mod *Module) Load(m *machine.Machine) error {
-	if tel := mod.cfg.Telemetry; tel != nil {
-		// Observation is wired at construction (the monitor via
-		// core.WithTelemetry, the machine/controller via their configs'
-		// Telemetry field); the deprecated retrofit setters are gone.
-		// A module hub that differs from the components' is a wiring
-		// bug, caught here instead of silently splitting the metrics.
-		if mod.cfg.Monitor.Telemetry() != tel {
-			return fmt.Errorf("kernelsim: module telemetry differs from monitor's; build the monitor with core.WithTelemetry")
-		}
-		if m.DVFS().Telemetry() != tel {
-			return fmt.Errorf("kernelsim: module telemetry differs from DVFS controller's; set machine.Config.Telemetry")
-		}
-	}
 	b := m.PMCs()
 	if err := b.Configure(SlotUops, pmc.EventUopsRetired, true); err != nil {
 		return err
@@ -187,6 +179,9 @@ func (mod *Module) Load(m *machine.Machine) error {
 	mod.lastTSC = 0
 	b.Start()
 	mod.loaded = true
+	if tel := mod.cfg.Telemetry; tel != nil {
+		tel.CurrentSetting.Set(float64(m.DVFS().Current()))
+	}
 	return nil
 }
 
@@ -216,13 +211,16 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	cycles := tsc - mod.lastTSC
 	uops := mod.cfg.GranularityUops // the PMI fires exactly at the granularity
 
+	// One hub clock reading stamps all of the interval's events.
+	var nowNs int64
+	if tel := mod.cfg.Telemetry; tel != nil {
+		nowNs = tel.Now().UnixNano()
+	}
+
 	// Translate counter readings to the corresponding phase and update
 	// the predictor state / predict the next phase.
-	s := phase.Sample{
-		MemPerUop: safeDiv(float64(memTx), float64(uops)),
-		UPC:       safeDiv(float64(uops), float64(cycles)),
-	}
-	actual, next := mod.cfg.Monitor.Step(s)
+	s := phase.FromCounters(uops, memTx, cycles)
+	actual, next := mod.cfg.Monitor.StepAt(s, mod.tel, nowNs)
 
 	// The logged interval ran at the setting current *before* this
 	// handler's actuation.
@@ -250,6 +248,16 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	e.Actual = actual
 	e.Predicted = next
 	e.Setting = ranAt
+
+	// Journal the actuation and the sample after the monitor's verdict
+	// and transition, and publish the interval's telemetry at once.
+	if mod.tel != nil {
+		if set := m.DVFS().Current(); set != ranAt {
+			mod.tel.DVFSChange(mod.index, int(ranAt), int(set), nowNs)
+		}
+		mod.tel.PMISample(mod.index, s.MemPerUop, s.UPC, nowNs)
+		mod.tel.Publish()
+	}
 	mod.index++
 
 	// Flip the phase marker so the DAQ can attribute the next interval.
@@ -273,7 +281,6 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 		mod.budgetViolations++
 	}
 	if tel := mod.cfg.Telemetry; tel != nil {
-		tel.RecordPMISample(mod.index-1, s.MemPerUop, s.UPC)
 		tel.HandlerCost.Observe(cost)
 		if cost > mod.cfg.BudgetS {
 			tel.BudgetViolations.Inc()
@@ -376,13 +383,6 @@ func (mod *Module) logSlot() *Entry {
 		mod.logStart = 0
 	}
 	return e
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // ToTrace converts kernel-log entries into the trace package's record

@@ -21,7 +21,6 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/pmc"
 	"phasemon/internal/power"
-	"phasemon/internal/telemetry"
 	"phasemon/internal/thermal"
 	"phasemon/internal/workload"
 )
@@ -95,10 +94,6 @@ type Config struct {
 	// Thermal attaches a die-temperature model; nil disables thermal
 	// tracking (Temperature then reports ambient-less zero state).
 	Thermal *thermal.Model
-	// Telemetry, when non-nil, is wired into the DVFS controller at
-	// construction so mode changes are observable without retrofitting
-	// a hub through the deprecated setter.
-	Telemetry *telemetry.Hub
 }
 
 // Machine is the assembled platform.
@@ -153,7 +148,7 @@ func New(cfg Config) *Machine {
 		cpu:      cfg.CPU,
 		power:    cfg.Power,
 		pmcs:     pmc.NewBank(),
-		ctrl:     dvfs.NewControllerWithTelemetry(cfg.Ladder, cfg.TransitionLatencyS, cfg.Telemetry),
+		ctrl:     dvfs.NewController(cfg.Ladder, cfg.TransitionLatencyS),
 		rec:      cfg.Recorder,
 		therm:    cfg.Thermal,
 		settings: settings,

@@ -59,6 +59,24 @@ type Sample struct {
 	UPC float64
 }
 
+// FromCounters turns one interval's counter deltas into its Sample:
+// Mem/Uop is memTx/uops and UPC is uops/cycles, each 0 when its
+// divisor is. Every consumer of raw counters (the simulated PMI
+// handler, the phased server) converts through it, so a streamed
+// interval and a simulated one classify from bit-identical samples.
+//
+//lint:hotpath
+func FromCounters(uops, memTx, cycles uint64) Sample {
+	var s Sample
+	if uops != 0 {
+		s.MemPerUop = float64(memTx) / float64(uops)
+	}
+	if cycles != 0 {
+		s.UPC = float64(uops) / float64(cycles)
+	}
+	return s
+}
+
 // Classifier maps an observed Sample to a phase ID.
 type Classifier interface {
 	// Classify returns the phase for the observation. The result is

@@ -268,3 +268,21 @@ func TestParseTable(t *testing.T) {
 		t.Errorf("trailing comma rejected: %v", err)
 	}
 }
+
+// TestFromCounters pins the counter-to-sample conversion: plain
+// division, and a zero divisor reads as 0 instead of NaN or Inf.
+func TestFromCounters(t *testing.T) {
+	for _, c := range []struct {
+		uops, memTx, cycles uint64
+		want                Sample
+	}{
+		{100, 1, 50, Sample{MemPerUop: 0.01, UPC: 2}},
+		{0, 7, 50, Sample{MemPerUop: 0, UPC: 0}},
+		{100, 3, 0, Sample{MemPerUop: 0.03, UPC: 0}},
+		{0, 0, 0, Sample{}},
+	} {
+		if got := FromCounters(c.uops, c.memTx, c.cycles); got != c.want {
+			t.Errorf("FromCounters(%d, %d, %d) = %+v, want %+v", c.uops, c.memTx, c.cycles, got, c.want)
+		}
+	}
+}

@@ -12,10 +12,11 @@
 // prediction carrying the classified actual phase, the predicted next
 // phase, its phase.Class, and the DVFS setting the paper's Table 2
 // translation assigns it. Both travel packed in Batch frames; a single
-// sample is a batch of one. The arithmetic feeding the monitor is
-// byte-for-byte the kernel module's, so a streamed session is
-// bit-identical to a local simulated run over the same counters — the
-// property the loopback tests and cmd/phasefeed -check enforce.
+// sample is a batch of one. The monitor is fed through the kernel
+// module's own counter conversion (phase.FromCounters), so a streamed
+// session is bit-identical to a local simulated run over the same
+// counters — the property the loopback tests and cmd/phasefeed -check
+// enforce.
 //
 // Scheduling mirrors the fleet engine's determinism discipline:
 // sessions are pinned to a fixed worker pool by FNV-1a hash of the

@@ -133,11 +133,11 @@ type session struct {
 
 // step runs one sample through the session's monitor and builds the
 // prediction reply. It is the pure compute core of the serving path —
-// no locks, no I/O — and mirrors kernelsim.HandlePMI's arithmetic
-// exactly so a streamed session is bit-identical to a local simulated
-// run over the same counters. dropped is the worker's snapshot of the
-// session's cumulative eviction count (taken under the worker lock, so
-// step itself stays lock-free). The step's telemetry goes into tel,
+// no locks, no I/O — and converts counters through phase.FromCounters,
+// as kernelsim.HandlePMI does, so a streamed session is bit-identical
+// to a local simulated run over the same counters. dropped is the
+// worker's snapshot of the session's cumulative eviction count (taken
+// under the worker lock, so step itself stays lock-free). The step's telemetry goes into tel,
 // the worker's batch, its journal events stamped nowNs, the worker's
 // clock reading at batch start (core.Monitor.StepAt).
 //
@@ -147,10 +147,7 @@ type session struct {
 // or missed the classified phase. It feeds the rollup pipeline, so a
 // bucket's hit/miss counts agree exactly with the monitors' tallies.
 func (s *session) step(smp *wire.Sample, dropped uint64, tel *telemetry.StepBatch, nowNs int64) (wire.Prediction, agg.Outcome) {
-	in := phase.Sample{
-		MemPerUop: safeDiv(float64(smp.MemTx), float64(smp.Uops)),
-		UPC:       safeDiv(float64(smp.Uops), float64(smp.Cycles)),
-	}
+	in := phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles)
 	pending := s.mon.LastPrediction()
 	actual, next := s.mon.StepAt(in, tel, nowNs)
 	outcome := agg.OutcomeUnscored
@@ -172,13 +169,4 @@ func (s *session) step(smp *wire.Sample, dropped uint64, tel *telemetry.StepBatc
 		Setting:   uint8(s.trans.Setting(next)),
 		Dropped:   dropped,
 	}, outcome
-}
-
-// safeDiv mirrors kernelsim's division guard: identical arithmetic is
-// what makes streamed predictions bit-identical to simulated ones.
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -42,10 +42,11 @@ func telStreams(sessions, samples int) [][]wire.Sample {
 // several sessions share.
 func telStamp(s, b int) int64 { return int64(s+1)*1e9 + int64(b) }
 
-// stepReference steps every stream through core.Monitor.Step — one
-// publication per step — into a hub whose clock reads the stamp of the
-// batch a worker would have stepped the sample in, visiting the
-// session batches in the given order.
+// stepReference steps every stream through core.Monitor.StepAt with
+// one publication per step — the simulated PMI handler's shape — into
+// a hub whose clock reads the stamp of the batch a worker would have
+// stepped the sample in, visiting the session batches in the given
+// order.
 func stepReference(t *testing.T, streams [][]wire.Sample, k int, order [][2]int) *telemetry.Hub {
 	t.Helper()
 	cls := phase.Default()
@@ -57,18 +58,17 @@ func stepReference(t *testing.T, streams [][]wire.Sample, k int, order [][2]int)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mons[s], err = core.NewMonitor(cls, pred, core.WithTelemetry(hub)); err != nil {
+		if mons[s], err = core.NewMonitor(cls, pred); err != nil {
 			t.Fatal(err)
 		}
 	}
+	tel := hub.NewStepBatch()
 	for _, sb := range order {
 		s, b := sb[0], sb[1]
 		now = telStamp(s, b)
 		for _, smp := range streams[s][b*k : min((b+1)*k, len(streams[s]))] {
-			mons[s].Step(phase.Sample{
-				MemPerUop: safeDiv(float64(smp.MemTx), float64(smp.Uops)),
-				UPC:       safeDiv(float64(smp.Uops), float64(smp.Cycles)),
-			})
+			mons[s].StepAt(phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles), tel, hub.Now().UnixNano())
+			tel.Publish()
 		}
 	}
 	return hub

@@ -46,13 +46,15 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkJournalRecord costs journaling one event through the one
+// journal write path: a PMI sample recorded into a StepBatch and
+// published as a batch of one.
 func BenchmarkJournalRecord(b *testing.B) {
-	j := NewJournal(DefaultJournalCapacity)
-	e := Event{Kind: KindPMISample, MemPerUop: 0.012, UPC: 0.8}
+	sb := NewHub(6).NewStepBatch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Step = i
-		j.Record(e)
+		sb.PMISample(i, 0.012, 0.8, int64(i))
+		sb.Publish()
 	}
 }
 

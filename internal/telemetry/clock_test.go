@@ -8,10 +8,9 @@ import (
 )
 
 // TestWithClockStampsEvents proves an injected clock makes journal
-// timestamps deterministic: every journal path stamps UnixNs from the
-// hub's clock, not the wall clock — read by the hub itself, or, for
-// the StepBatch verdict and transition events, by the caller through
-// Hub.Now.
+// timestamps deterministic: a stepping loop stamps every event it
+// records into its StepBatch with a reading of the hub's clock through
+// Hub.Now, not the wall clock.
 func TestWithClockStampsEvents(t *testing.T) {
 	var ticks int64
 	clock := func() time.Time {
@@ -25,8 +24,9 @@ func TestWithClockStampsEvents(t *testing.T) {
 	b.Publish()
 	b.Transition(1, 2, 3, h.Now().UnixNano())
 	b.Publish()
-	h.RecordDVFSChange(1, 0, 4)
-	h.RecordPMISample(2, 0.01, 1.5)
+	b.DVFSChange(1, 0, 4, h.Now().UnixNano())
+	b.PMISample(2, 0.01, 1.5, h.Now().UnixNano())
+	b.Publish()
 
 	events := h.Journal.Recent(0)
 	if len(events) != 4 {

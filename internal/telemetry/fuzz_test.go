@@ -92,9 +92,7 @@ func FuzzJournalRecent(f *testing.F) {
 		cap_ := int(capacity%32) + 1
 		j := NewJournal(cap_)
 		n := int(records % 64)
-		for i := 0; i < n; i++ {
-			j.Record(Event{Kind: KindPMISample, Step: i})
-		}
+		journalPMIs(j, n)
 		if j.Seq() != uint64(n) {
 			t.Fatalf("seq = %d, want %d", j.Seq(), n)
 		}

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // Handler returns the hub's HTTP surface:
@@ -101,29 +100,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// Serve starts an HTTP server for the hub on addr (e.g. ":9100" or
-// "127.0.0.1:0") in a background goroutine. It returns the bound
-// address — useful when addr requested port 0 — and a function that
-// shuts the server down. Errors binding the listener are returned
-// immediately; errors after startup are dropped (the server exists to
-// observe the run, never to abort it).
-//
-// The returned shutdown is abrupt (in-flight scrapes are cut); callers
-// that drain on SIGTERM should use ServePrefix, whose shutdown is
-// graceful and context-bounded.
-func (h *Hub) Serve(addr string) (bound net.Addr, shutdown func(), err error) {
-	bound, stop, err := h.ServePrefix(addr, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	return bound, func() {
-		// Bound the drain so legacy callers cannot hang on a stuck scrape.
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = stop(ctx)
-	}, nil
 }
 
 // ServePrefix starts an HTTP server exposing PrefixHandler(prefixes)

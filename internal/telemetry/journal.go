@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 )
@@ -67,11 +68,15 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Kind discriminates the remaining fields.
 	Kind EventKind `json:"kind"`
-	// Step is the monitor step (sampling interval index) the event
-	// belongs to; -1 when the emitting site has no interval context.
+	// Step is the sampling interval index the event belongs to: the
+	// monitor step, which in a simulated run is also the kernel-log
+	// index. A DVFS change carries the index of the interval whose
+	// actuation made it.
 	Step int `json:"step"`
-	// UnixNs is the hub clock's reading when the event was recorded,
-	// in Unix nanoseconds; 0 when the event was built without a hub.
+	// UnixNs is the stepping loop's hub clock reading for the
+	// interval (or, on the serving path, the session batch) the event
+	// belongs to, in Unix nanoseconds; all of one interval's events
+	// share it.
 	UnixNs int64 `json:"unix_ns,omitempty"`
 	// From and To describe a transition (phase or setting, per Kind).
 	From int `json:"from,omitempty"`
@@ -113,19 +118,6 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{buf: make([]Event, capacity)}
 }
 
-// Record appends an event, assigning its sequence number. The oldest
-// event is evicted when the buffer is full.
-func (j *Journal) Record(e Event) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	e.Seq = j.seq
-	j.seq++
-	*j.slotLocked() = e
-	j.mu.Unlock()
-}
-
 // slotLocked claims the ring slot of the next event, evicting the
 // oldest one when the ring is full. Callers hold mu.
 func (j *Journal) slotLocked() *Event {
@@ -139,10 +131,10 @@ func (j *Journal) slotLocked() *Event {
 	return slot
 }
 
-// appendSteps journals a batch of monitor-step events in one lock
-// section, assigning consecutive sequence numbers, so a batch's events
-// sit contiguously in the ring. Each event is built directly in its
-// slot.
+// appendSteps journals a batch of step events in one lock section,
+// assigning consecutive sequence numbers, so a batch's events sit
+// contiguously in the ring. Each event is built directly in its slot.
+// StepBatch.Publish is its only caller: the one journal write path.
 func (j *Journal) appendSteps(evs []stepEvent) {
 	if j == nil || len(evs) == 0 {
 		return
@@ -152,10 +144,13 @@ func (j *Journal) appendSteps(evs []stepEvent) {
 		e := &evs[i]
 		slot := j.slotLocked()
 		*slot = Event{Seq: j.seq, Kind: e.kind, Step: e.step, UnixNs: e.unixNs}
-		if e.kind == KindPrediction {
-			slot.Predicted, slot.Actual, slot.Correct = e.a, e.b, e.a == e.b
-		} else {
-			slot.From, slot.To = e.a, e.b
+		switch e.kind {
+		case KindPrediction:
+			slot.Predicted, slot.Actual, slot.Correct = int(e.a), int(e.b), e.a == e.b
+		case KindPMISample:
+			slot.MemPerUop, slot.UPC = math.Float64frombits(uint64(e.a)), math.Float64frombits(uint64(e.b))
+		default:
+			slot.From, slot.To = int(e.a), int(e.b)
 		}
 		j.seq++
 	}

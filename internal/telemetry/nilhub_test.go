@@ -22,9 +22,9 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	b.GPHTLookup(true)
 	b.Prediction(1, 2, 2, 0)
 	b.Transition(1, 1, 2, 0)
+	b.DVFSChange(1, 0, 3, 0)
+	b.PMISample(1, 0.01, 1.2, 0)
 	b.Publish()
-	h.RecordDVFSChange(1, 0, 3)
-	h.RecordPMISample(1, 0.01, 1.2)
 	if acc := h.Accuracy(); acc.Total != 0 {
 		t.Errorf("nil Hub Accuracy().Total = %d, want 0", acc.Total)
 	}
@@ -65,7 +65,14 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	}
 
 	var j *Journal
-	j.Record(Event{Kind: KindPrediction})
+	jh := NewHub(6)
+	jh.Journal = j
+	jb := jh.NewStepBatch()
+	jb.PMISample(0, 0.01, 1.2, 0)
+	jb.Publish() // journals into the nil journal: a no-op
+	if jh.PMISamples.Value() != 1 {
+		t.Error("a hub without a journal dropped the batch's counters")
+	}
 	if got := j.Recent(10); len(got) != 0 {
 		t.Errorf("nil Journal Recent() = %v, want empty", got)
 	}

@@ -2,26 +2,30 @@ package telemetry
 
 import "math"
 
-// stepEvent is one journal event a monitor step produced, held
+// stepEvent is one journal event a stepping loop produced, held
 // compactly until Publish builds it in its journal slot: a prediction
-// verdict (a = predicted, b = actual) or a phase transition (a = from,
-// b = to).
+// verdict (a = predicted, b = actual), a phase or DVFS transition
+// (a = from, b = to), or a PMI sample (a, b = the Mem/Uop and UPC
+// readings' math.Float64bits). It stays 40 bytes: the serving path
+// appends one per served verdict.
 type stepEvent struct {
 	step   int
 	unixNs int64
-	a, b   int
+	a, b   int64
 	kind   EventKind
 }
 
-// StepBatch collects the telemetry of a run of monitor steps so it
-// reaches the hub in one Publish: the step count, the Mem/Uop bucket
-// counts and partial sum, the misprediction and phase-transition
-// counts, the confusion cells, the GPHT hit/miss counts, the last
-// current and predicted phase, and the batch's journal events.
+// StepBatch collects the telemetry of a run of monitored intervals so
+// it reaches the hub in one Publish: the step count, the Mem/Uop
+// bucket counts and partial sum, the misprediction, phase-transition,
+// DVFS-transition and PMI-sample counts, the confusion cells, the GPHT
+// hit/miss counts, the last current and predicted phase and DVFS
+// setting, and the batch's journal events.
 //
-// A StepBatch is owned by one goroutine — core.Monitor.Step keeps one
-// for its batches of one, a phased worker keeps one for the session
-// batches it steps — and only Publish touches the shared hub: one
+// A StepBatch is owned by one stepping loop — the simulated PMI
+// handler and the live loops publish theirs once per interval, a
+// phased worker once per session batch — and Publish is the only
+// writer of the journal and of the step, PMI and DVFS instruments: one
 // atomic add per non-zero cell, one store per gauge that moved and one
 // journal lock section for the whole batch. Like every hub handle it
 // is nil-safe: NewStepBatch on a nil hub returns nil, and every method
@@ -33,6 +37,7 @@ type StepBatch struct {
 
 	steps, mispredictions, transitions uint64
 	gphtHits, gphtMisses               uint64
+	dvfsTransitions, pmiSamples        uint64
 
 	mem    []uint64 // Mem/Uop bucket counts, the hub histogram's layout
 	memSum float64
@@ -40,8 +45,8 @@ type StepBatch struct {
 	conf  []uint64 // confusion cells, the hub's row-major layout
 	dirty []int    // indices of the non-zero conf cells
 
-	current, predicted       int
-	currentSet, predictedSet bool
+	current, predicted, setting          int
+	currentSet, predictedSet, settingSet bool
 
 	events []stepEvent
 }
@@ -58,10 +63,10 @@ func (h *Hub) NewStepBatch() *StepBatch {
 		numPhases: h.numPhases,
 		mem:       make([]uint64, h.MemPerUop.NumBuckets()),
 		conf:      make([]uint64, len(h.conf)),
-		// Room for one step's events and cell: a batch of one never
-		// grows; a longer batch grows its buffers once.
+		// Room for one interval's events and cell: a batch of one
+		// interval never grows; a longer batch grows its buffers once.
 		dirty:  make([]int, 0, 1),
-		events: make([]stepEvent, 0, 2),
+		events: make([]stepEvent, 0, 4),
 	}
 }
 
@@ -98,7 +103,7 @@ func (b *StepBatch) Prediction(step, predicted, actual int, unixNs int64) {
 		b.dirty = append(b.dirty, c)
 	}
 	b.conf[c]++
-	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: predicted, b: actual, kind: KindPrediction})
+	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: int64(predicted), b: int64(actual), kind: KindPrediction})
 }
 
 // Transition counts and journals a change of the classified phase.
@@ -109,7 +114,34 @@ func (b *StepBatch) Transition(step, from, to int, unixNs int64) {
 		return
 	}
 	b.transitions++
-	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: from, b: to, kind: KindPhaseTransition})
+	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: int64(from), b: int64(to), kind: KindPhaseTransition})
+}
+
+// DVFSChange counts and journals an operating-point change the given
+// step's actuation made; Publish moves the current-setting gauge to
+// the batch's last one.
+//
+//lint:hotpath
+func (b *StepBatch) DVFSChange(step, from, to int, unixNs int64) {
+	if b == nil {
+		return
+	}
+	b.dvfsTransitions++
+	b.setting, b.settingSet = to, true
+	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: int64(from), b: int64(to), kind: KindDVFSChange})
+}
+
+// PMISample counts and journals one PMI delivery with its
+// counter-derived readings.
+//
+//lint:hotpath
+func (b *StepBatch) PMISample(step int, memPerUop, upc float64, unixNs int64) {
+	if b == nil {
+		return
+	}
+	b.pmiSamples++
+	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs,
+		a: int64(math.Float64bits(memPerUop)), b: int64(math.Float64bits(upc)), kind: KindPMISample})
 }
 
 // Current records the classified phase for the current-phase gauge;
@@ -162,6 +194,8 @@ func (b *StepBatch) Publish() {
 	addNonZero(h.PhaseTransitions, b.transitions)
 	addNonZero(h.GPHTHits, b.gphtHits)
 	addNonZero(h.GPHTMisses, b.gphtMisses)
+	addNonZero(h.DVFSTransitions, b.dvfsTransitions)
+	addNonZero(h.PMISamples, b.pmiSamples)
 	h.MemPerUop.addBatch(b.mem, b.memSum)
 	for _, c := range b.dirty {
 		h.conf[c].Add(b.conf[c])
@@ -173,14 +207,18 @@ func (b *StepBatch) Publish() {
 	if b.predictedSet {
 		h.PredictedPhase.Set(float64(b.predicted))
 	}
+	if b.settingSet {
+		h.CurrentSetting.Set(float64(b.setting))
+	}
 	h.Journal.appendSteps(b.events)
 
 	b.steps, b.mispredictions, b.transitions = 0, 0, 0
 	b.gphtHits, b.gphtMisses = 0, 0
+	b.dvfsTransitions, b.pmiSamples = 0, 0
 	clear(b.mem)
 	b.memSum = 0
 	b.dirty = b.dirty[:0]
-	b.currentSet, b.predictedSet = false, false
+	b.currentSet, b.predictedSet, b.settingSet = false, false, false
 	b.events = b.events[:0]
 }
 

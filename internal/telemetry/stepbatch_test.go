@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // TestStepBatchPublish pins what one Publish applies: the counters,
@@ -14,7 +15,7 @@ import (
 func TestStepBatchPublish(t *testing.T) {
 	h := NewHub(3)
 	h.Journal = NewJournal(4)
-	h.Journal.Record(Event{Kind: KindPMISample, Step: -1})
+	journalPMIs(h.Journal, 1)
 	b := h.NewStepBatch()
 	for i, mem := range []float64{0.001, 0.012, 0.05, math.NaN()} {
 		b.Step(mem)
@@ -82,6 +83,62 @@ func TestStepBatchPublish(t *testing.T) {
 	}
 }
 
+// TestStepBatchIntervalEvents pins the DVFS-change and PMI-sample
+// half of a batch: the transition and sample counters, the
+// current-setting gauge at the batch's last change (untouched by a
+// batch without one), and the events journaled in recording order
+// with their step, stamp and operands — the PMI readings exactly,
+// NaN and negative zero included.
+func TestStepBatchIntervalEvents(t *testing.T) {
+	h := NewHub(6)
+	h.CurrentSetting.Set(5)
+	b := h.NewStepBatch()
+	b.PMISample(0, math.NaN(), math.Copysign(0, -1), 10)
+	b.Publish()
+	if h.CurrentSetting.Value() != 5 {
+		t.Errorf("a batch without a DVFS change moved the setting gauge to %v", h.CurrentSetting.Value())
+	}
+	b.Prediction(1, 2, 3, 20)
+	b.DVFSChange(1, 0, 3, 20)
+	b.PMISample(1, 0.012, 0.8, 20)
+	b.DVFSChange(2, 3, 1, 30)
+	b.Publish()
+	if h.DVFSTransitions.Value() != 2 || h.PMISamples.Value() != 2 {
+		t.Errorf("DVFS transitions %d, PMI samples %d, want 2 and 2", h.DVFSTransitions.Value(), h.PMISamples.Value())
+	}
+	if h.CurrentSetting.Value() != 1 {
+		t.Errorf("setting gauge = %v, want the last change's 1", h.CurrentSetting.Value())
+	}
+	evs := h.Journal.Recent(0)
+	if len(evs) != 5 {
+		t.Fatalf("journal holds %d events, want 5", len(evs))
+	}
+	if e := evs[0]; e.Kind != KindPMISample || !math.IsNaN(e.MemPerUop) || math.Float64bits(e.UPC) != 1<<63 {
+		t.Errorf("event 0 = %+v, want a pmi_sample of NaN and -0", e)
+	}
+	for i, want := range []Event{
+		{Seq: 1, Kind: KindPrediction, Step: 1, UnixNs: 20, Predicted: 2, Actual: 3},
+		{Seq: 2, Kind: KindDVFSChange, Step: 1, UnixNs: 20, From: 0, To: 3},
+		{Seq: 3, Kind: KindPMISample, Step: 1, UnixNs: 20, MemPerUop: 0.012, UPC: 0.8},
+		{Seq: 4, Kind: KindDVFSChange, Step: 2, UnixNs: 30, From: 3, To: 1},
+	} {
+		if evs[i+1] != want {
+			t.Errorf("event %d = %+v, want %+v", i+1, evs[i+1], want)
+		}
+	}
+}
+
+// TestStepEventSize guards the batch's per-event footprint: the
+// serving path appends one stepEvent per served verdict.
+func TestStepEventSize(t *testing.T) {
+	if unsafe.Sizeof(0) != 8 {
+		t.Skip("sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(stepEvent{}); got != 40 {
+		t.Errorf("stepEvent is %d bytes, want 40", got)
+	}
+}
+
 // TestStepBatchZeroAlloc: once its buffers have grown to a batch's
 // size, recording and publishing a batch allocates nothing.
 func TestStepBatchZeroAlloc(t *testing.T) {
@@ -94,6 +151,8 @@ func TestStepBatchZeroAlloc(t *testing.T) {
 			b.Transition(i, i%6+1, (i+1)%6+1, int64(i))
 			b.GPHTLookup(i%3 == 0)
 			b.Current(i%6 + 1)
+			b.DVFSChange(i, i%6, (i+1)%6, int64(i))
+			b.PMISample(i, 0.01, 1.2, int64(i))
 		}
 		b.Publish()
 	}

@@ -128,9 +128,9 @@ var DefaultFlushFrameBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 var DefaultFlushBounds = []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 5e-3, 20e-3}
 
 // Hub bundles the instruments and journal for one monitored pipeline.
-// Every Record* method and every instrument handle is safe on a nil
-// *Hub, so components hold a Hub pointer that defaults to nil and
-// instrument unconditionally.
+// Every method and every instrument handle is safe on a nil *Hub, so
+// components hold a Hub pointer that defaults to nil and instrument
+// unconditionally.
 type Hub struct {
 	// Registry holds every instrument below, for export.
 	Registry *Registry
@@ -290,28 +290,6 @@ func (h *Hub) Clock() Clock {
 		return h.clock
 	}
 	return time.Now
-}
-
-// RecordDVFSChange journals an operating-point change and bumps the
-// transition counter. Pass step -1 from sites without interval
-// context (the DVFS controller does not know the interval index).
-func (h *Hub) RecordDVFSChange(step, from, to int) {
-	if h == nil {
-		return
-	}
-	h.DVFSTransitions.Inc()
-	h.CurrentSetting.Set(float64(to))
-	h.Journal.Record(Event{Kind: KindDVFSChange, Step: step, UnixNs: h.Now().UnixNano(), From: from, To: to})
-}
-
-// RecordPMISample journals one PMI delivery and feeds the sample
-// distributions.
-func (h *Hub) RecordPMISample(step int, memPerUop, upc float64) {
-	if h == nil {
-		return
-	}
-	h.PMISamples.Inc()
-	h.Journal.Record(Event{Kind: KindPMISample, Step: step, UnixNs: h.Now().UnixNano(), MemPerUop: memPerUop, UPC: upc})
 }
 
 // AccuracyView is the live prediction-accuracy summary served by

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -29,7 +30,7 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 		t.Error("nil histogram should be inert")
 	}
 	var j *Journal
-	j.Record(Event{Kind: KindPMISample})
+	journalPMIs(j, 1)
 	if j.Len() != 0 || j.Recent(0) != nil {
 		t.Error("nil journal should be inert")
 	}
@@ -43,9 +44,9 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	b.Step(0.01)
 	b.Prediction(0, 1, 2, 0)
 	b.Transition(0, 1, 2, 0)
+	b.DVFSChange(0, 1, 2, 0)
+	b.PMISample(0, 0.1, 1, 0)
 	b.Publish()
-	hub.RecordDVFSChange(0, 1, 2)
-	hub.RecordPMISample(0, 0.1, 1)
 	if hub.Summary() != "telemetry off" {
 		t.Errorf("nil hub summary = %q", hub.Summary())
 	}
@@ -124,9 +125,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestJournalRingSemantics(t *testing.T) {
 	j := NewJournal(3)
-	for i := 0; i < 5; i++ {
-		j.Record(Event{Kind: KindPMISample, Step: i})
-	}
+	journalPMIs(j, 5)
 	if j.Len() != 3 || j.Cap() != 3 {
 		t.Fatalf("len=%d cap=%d", j.Len(), j.Cap())
 	}
@@ -223,7 +222,9 @@ func TestHTTPHandlers(t *testing.T) {
 	h := NewHub(6)
 	h.Steps.Inc()
 	recordVerdicts(h, [3]int{1, 3, 3})
-	h.RecordPMISample(1, 0.012, 0.8)
+	b := h.NewStepBatch()
+	b.PMISample(1, 0.012, 0.8, 0)
+	b.Publish()
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 
@@ -294,7 +295,7 @@ func TestHTTPHandlers(t *testing.T) {
 
 func TestServeBindsAndShutsDown(t *testing.T) {
 	h := NewHub(6)
-	addr, shutdown, err := h.Serve("127.0.0.1:0")
+	addr, shutdown, err := h.ServePrefix("127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,9 @@ func TestServeBindsAndShutsDown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
-	shutdown()
+	if err := shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := http.Get("http://" + addr.String() + "/metrics"); err == nil {
 		t.Error("server should be down after shutdown")
 	}
@@ -324,15 +327,17 @@ func TestConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			b := h.NewStepBatch()
 			for i := 0; i < perWriter; i++ {
 				h.Steps.Inc()
 				h.CurrentPhase.Set(float64(i % 6))
 				h.MemPerUop.Observe(float64(i%40) / 1000)
 				recordVerdicts(h, [3]int{i, i%6 + 1, (i+w)%6 + 1})
-				h.RecordPMISample(i, 0.01, 1)
 				if i%17 == 0 {
-					h.RecordDVFSChange(i, 0, i%6)
+					b.DVFSChange(i, 0, i%6, 0)
 				}
+				b.PMISample(i, 0.01, 1, 0)
+				b.Publish()
 			}
 		}(w)
 	}
@@ -359,6 +364,18 @@ func TestConcurrentUse(t *testing.T) {
 
 // recordVerdicts publishes {step, predicted, actual} prediction
 // verdicts through a StepBatch, the hub's one verdict path.
+// journalPMIs journals n PMI-sample events, steps 0 to n-1, into j
+// through the one journal write path: StepBatch publication.
+func journalPMIs(j *Journal, n int) {
+	h := NewHub(6)
+	h.Journal = j
+	b := h.NewStepBatch()
+	for i := 0; i < n; i++ {
+		b.PMISample(i, 0.01, 1, 0)
+		b.Publish()
+	}
+}
+
 func recordVerdicts(h *Hub, verdicts ...[3]int) {
 	b := h.NewStepBatch()
 	for _, v := range verdicts {
