@@ -58,9 +58,10 @@ serve-race:
 
 # A short fuzzing pass: over the predictor targets (the window vote
 # against its full-rescan reference, GPHT state validity on invalid
-# IDs, every paper predictor's output validity) and over the wire
+# IDs, every paper predictor's output validity), over the wire
 # decoders (the streaming frame decoder, and the session-state codec
-# that Snapshot and Restore frames share). Each target is named
+# that Snapshot and Restore frames share) and over the telemetry
+# journal ring against its slot-by-slot reference. Each target is named
 # package:Fuzz and runs for $(FUZZTIME); a failing input is written
 # under the package's testdata/fuzz and fails the target.
 FUZZTIME ?= 10s
@@ -70,7 +71,8 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzPredictorsAgreeOnValidity \
 	./internal/wire:FuzzDecoder \
 	./internal/wire:FuzzSnapshotDecode \
-	./internal/wire:FuzzRestoreDecode
+	./internal/wire:FuzzRestoreDecode \
+	./internal/telemetry:FuzzJournalRecent
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

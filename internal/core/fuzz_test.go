@@ -11,13 +11,32 @@ func FuzzGPHTNeverProducesInvalidState(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{255, 7, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := MustNewGPHT(GPHTConfig{GPHRDepth: 4, PHTEntries: 8, NumPhases: 6})
-		for _, b := range data {
+		cfg := GPHTConfig{GPHRDepth: 4, PHTEntries: 8, NumPhases: 6}
+		g := MustNewGPHT(cfg)
+		checkTag := func(when string) {
+			t.Helper()
+			if g.tag != g.packTag() {
+				t.Fatalf("%s: incremental tag %#x, packTag %#x (gphr %v)", when, g.tag, g.packTag(), g.gphr)
+			}
+		}
+		checkTag("new")
+		for i, b := range data {
 			// Deliberately include invalid IDs.
 			id := phase.ID(int(b) - 3)
 			got := g.Observe(Observation{Phase: id})
 			if !got.Valid(6) {
 				t.Fatalf("Observe(%v) predicted invalid %v", id, got)
+			}
+			checkTag("Observe")
+			if i == len(data)/2 {
+				// Restore recomputes the tag from the snapshot's GPHR
+				// bytes: a fresh table resumes with the same pattern.
+				snap := g.Snapshot(nil)
+				g = MustNewGPHT(cfg)
+				if err := g.Restore(snap); err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				checkTag("Restore")
 			}
 			if u := g.Utilization(); u < 0 || u > 1 {
 				t.Fatalf("utilization %v out of range", u)
@@ -30,6 +49,8 @@ func FuzzGPHTNeverProducesInvalidState(f *testing.F) {
 		if g.Hits()+g.Misses() != uint64(len(data)) {
 			t.Fatalf("hit/miss accounting lost samples")
 		}
+		g.Reset()
+		checkTag("Reset")
 	})
 }
 

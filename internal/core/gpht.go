@@ -75,7 +75,10 @@ type GPHT struct {
 	name string
 
 	gphr []phase.ID // gphr[0] is the most recent phase
-	seen int        // observations so far (for warm-up accounting)
+	// tag is packTag() of gphr, kept incrementally by Observe and
+	// recomputed by Reset and Restore.
+	tag  uint64
+	seen int // observations so far (for warm-up accounting)
 
 	pht   []phtEntry
 	index *phtIndex // tag -> slot, mirrors associative search
@@ -183,12 +186,14 @@ func (g *GPHT) Observe(o Observation) phase.ID {
 		g.lastSlot = -1
 	}
 
-	// Shift the GPHR: newest phase enters at index 0.
+	// Shift the GPHR: newest phase enters at index 0, and its nibble
+	// enters the tag at the top as the oldest one shifts out.
 	copy(g.gphr[1:], g.gphr)
 	g.gphr[0] = actual
 	g.seen++
+	g.tag = g.tag>>4 | uint64(actual)<<(4*(len(g.gphr)-1))
 
-	tag := g.packTag()
+	tag := g.tag
 	if slot, ok := g.index.get(tag); ok {
 		g.hits++
 		g.clock++
@@ -221,9 +226,10 @@ func (g *GPHT) Observe(o Observation) phase.ID {
 	return actual
 }
 
-// packTag encodes the GPHR contents 4 bits per phase, oldest in the
-// high bits. Unfilled (warm-up) positions encode as 0, which cannot
-// collide with a valid phase.
+// packTag encodes the GPHR contents 4 bits per phase, newest
+// (gphr[0]) in the high bits and oldest in the low nibble. Unfilled
+// (warm-up) positions encode as 0, which cannot collide with a valid
+// phase. Observe keeps the same value in g.tag incrementally.
 func (g *GPHT) packTag() uint64 {
 	var t uint64
 	for _, p := range g.gphr {
@@ -345,6 +351,7 @@ func (g *GPHT) Reset() {
 	for i := range g.gphr {
 		g.gphr[i] = phase.None
 	}
+	g.tag = g.packTag()
 	for i := range g.pht {
 		g.pht[i] = phtEntry{}
 	}

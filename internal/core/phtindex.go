@@ -2,10 +2,14 @@ package core
 
 // phtIndex maps PHT tags to slots with open addressing so a steady-state
 // Observe never touches the heap: lookups, inserts after an eviction,
-// and deletes all work in the two fixed arrays allocated at
+// and deletes all work in the one fixed array allocated at
 // construction. It replaces the map the GPHT used to mirror its
 // associative search with — a map insert can grow buckets mid-run,
 // which shows up as per-interval allocations inside the PMI handler.
+// Each cell holds a key beside its slot, so a probe touches one cache
+// line rather than one in each of two parallel arrays: with many
+// sessions' tables interleaved on one worker, the probe is a cold miss
+// more often than not.
 //
 // The table is sized to the next power of two at or above twice the
 // PHT capacity, so the load factor never exceeds one half and linear
@@ -13,9 +17,15 @@ package core
 // (rather than tombstones), which keeps probe chains canonical no
 // matter how many evictions a long run performs.
 type phtIndex struct {
-	keys  []uint64
-	slots []int32 // slot+1; 0 marks an empty cell
+	cells []phtCell
 	mask  uint64
+}
+
+// phtCell is one open-addressing cell: 16 bytes, so four share a cache
+// line and none straddles one.
+type phtCell struct {
+	key  uint64
+	slot int32 // slot+1; 0 marks an empty cell
 }
 
 // newPHTIndex builds an index able to hold capacity entries.
@@ -25,8 +35,7 @@ func newPHTIndex(capacity int) *phtIndex {
 		n <<= 1
 	}
 	return &phtIndex{
-		keys:  make([]uint64, n),
-		slots: make([]int32, n),
+		cells: make([]phtCell, n),
 		mask:  uint64(n - 1),
 	}
 }
@@ -47,9 +56,9 @@ func hashTag(t uint64) uint64 {
 // get returns the slot stored for tag.
 func (ix *phtIndex) get(tag uint64) (slot int, ok bool) {
 	i := hashTag(tag) & ix.mask
-	for ix.slots[i] != 0 {
-		if ix.keys[i] == tag {
-			return int(ix.slots[i] - 1), true
+	for c := &ix.cells[i]; c.slot != 0; c = &ix.cells[i] {
+		if c.key == tag {
+			return int(c.slot - 1), true
 		}
 		i = (i + 1) & ix.mask
 	}
@@ -59,15 +68,10 @@ func (ix *phtIndex) get(tag uint64) (slot int, ok bool) {
 // put inserts or replaces the slot stored for tag.
 func (ix *phtIndex) put(tag uint64, slot int) {
 	i := hashTag(tag) & ix.mask
-	for ix.slots[i] != 0 {
-		if ix.keys[i] == tag {
-			ix.slots[i] = int32(slot + 1)
-			return
-		}
+	for ix.cells[i].slot != 0 && ix.cells[i].key != tag {
 		i = (i + 1) & ix.mask
 	}
-	ix.keys[i] = tag
-	ix.slots[i] = int32(slot + 1)
+	ix.cells[i] = phtCell{key: tag, slot: int32(slot + 1)}
 }
 
 // del removes tag, compacting the probe chain behind it so later
@@ -75,10 +79,10 @@ func (ix *phtIndex) put(tag uint64, slot int) {
 func (ix *phtIndex) del(tag uint64) {
 	i := hashTag(tag) & ix.mask
 	for {
-		if ix.slots[i] == 0 {
+		if ix.cells[i].slot == 0 {
 			return
 		}
-		if ix.keys[i] == tag {
+		if ix.cells[i].key == tag {
 			break
 		}
 		i = (i + 1) & ix.mask
@@ -89,27 +93,20 @@ func (ix *phtIndex) del(tag uint64) {
 	j := i
 	for {
 		j = (j + 1) & ix.mask
-		if ix.slots[j] == 0 {
+		if ix.cells[j].slot == 0 {
 			break
 		}
-		home := hashTag(ix.keys[j]) & ix.mask
+		home := hashTag(ix.cells[j].key) & ix.mask
 		// The entry at j may fill the hole iff the hole lies within
 		// [home, j] cyclically — i.e. probing from home reaches the hole
 		// no later than j.
 		if (j-home)&ix.mask >= (j-hole)&ix.mask {
-			ix.keys[hole] = ix.keys[j]
-			ix.slots[hole] = ix.slots[j]
+			ix.cells[hole] = ix.cells[j]
 			hole = j
 		}
 	}
-	ix.keys[hole] = 0
-	ix.slots[hole] = 0
+	ix.cells[hole] = phtCell{}
 }
 
 // reset empties the index in place, without reallocating.
-func (ix *phtIndex) reset() {
-	for i := range ix.slots {
-		ix.keys[i] = 0
-		ix.slots[i] = 0
-	}
-}
+func (ix *phtIndex) reset() { clear(ix.cells) }

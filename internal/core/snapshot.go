@@ -501,6 +501,7 @@ func (g *GPHT) Restore(src []byte) error {
 	for i, b := range gphrBytes {
 		g.gphr[i] = phase.ID(b)
 	}
+	g.tag = g.packTag()
 	g.seen = int(seen)
 	g.clock = clock
 	g.hits = hits

@@ -162,6 +162,14 @@ func (m *Model) Execute(w Work, freqHz float64) (Result, error) {
 	if !(freqHz > 0) || math.IsInf(freqHz, 0) {
 		return Result{}, fmt.Errorf("cpusim: invalid frequency %v", freqHz)
 	}
+	return m.ExecuteValid(w, freqHz), nil
+}
+
+// ExecuteValid is Execute without the input checks, for a caller that
+// has already made them: w passes Validate and freqHz is positive and
+// finite. It returns exactly Execute's result. machine.Run validates
+// each generator item once and runs every PMI-sized chunk of it here.
+func (m *Model) ExecuteValid(w Work, freqHz float64) Result {
 	w = w.normalized()
 
 	memTx := w.MemPerUop * w.Uops
@@ -181,7 +189,7 @@ func (m *Model) Execute(w Work, freqHz float64) (Result, error) {
 		ComputeTime:     computeTime,
 		MemTime:         memTime,
 		FrequencyHz:     freqHz,
-	}, nil
+	}
 }
 
 // ObservedUPC returns the UPC the counters would report for code with

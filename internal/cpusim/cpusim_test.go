@@ -80,6 +80,28 @@ func TestExecuteValidation(t *testing.T) {
 	}
 }
 
+// TestExecuteValidMatchesExecute: on inputs that pass Execute's
+// checks, the unchecked path returns Execute's result bit for bit.
+func TestExecuteValidMatchesExecute(t *testing.T) {
+	m := New(DefaultConfig())
+	for _, w := range []Work{
+		{Uops: 1e6, CoreUPC: 1},
+		{Uops: 1e8, Instructions: 7e7, MemPerUop: 0.02, CoreUPC: 1.7, MLP: 2.5},
+		{Uops: math.SmallestNonzeroFloat64, CoreUPC: 0.3, MemPerUop: 0.5, MLP: 0.5},
+		{Uops: 3e12, Instructions: 1e12, MemPerUop: 1e-4, CoreUPC: 3},
+	} {
+		for _, f := range []float64{600e6, 1.5e9, math.MaxFloat64} {
+			want, err := m.Execute(w, f)
+			if err != nil {
+				t.Fatalf("Execute(%+v, %v): %v", w, f, err)
+			}
+			if got := m.ExecuteValid(w, f); got != want {
+				t.Errorf("ExecuteValid(%+v, %v) = %+v, Execute gives %+v", w, f, got, want)
+			}
+		}
+	}
+}
+
 func TestMemPerUopIsDVFSInvariant(t *testing.T) {
 	// The paper's central Section 4 claim: the phase metric must not
 	// change with the frequency setting.

@@ -138,6 +138,11 @@ func New(cfg Config) *Machine {
 	settings := make([]settingPower, cfg.Ladder.Len())
 	for i := range settings {
 		p := cfg.Ladder.Point(dvfs.Setting(i))
+		if f := p.FrequencyHz; !(f > 0) || math.IsInf(f, 0) {
+			// dvfs.NewLadder rejects such a point; Run executes its
+			// chunks unchecked on the strength of this one check.
+			panic(fmt.Sprintf("machine: ladder point %v has no valid frequency", p))
+		}
 		settings[i] = settingPower{
 			point:    p,
 			leakW:    cfg.Power.Leakage(p.VoltageV),
@@ -337,11 +342,11 @@ func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error
 			chunk.Uops = chunkUops
 			chunk.Instructions = w.Instructions * frac
 
+			// The chunk is w with its uops cut to (0, w.Uops] and its
+			// instructions scaled alike, so it is as valid as w, and New
+			// checked every ladder frequency: execute it unchecked.
 			sp := &m.settings[m.ctrl.Current()]
-			res, err := m.cpu.Execute(chunk, sp.point.FrequencyHz)
-			if err != nil {
-				return RunResult{}, fmt.Errorf("machine: executing chunk: %w", err)
-			}
+			res := m.cpu.ExecuteValid(chunk, sp.point.FrequencyHz)
 			m.emit(res.Time, m.powerNow(sp, res.UPC), sp.point.VoltageV)
 			m.appTimeS += res.Time
 			m.instructions += res.Instructions

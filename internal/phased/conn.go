@@ -53,10 +53,9 @@ type serverConn struct {
 	armed       bool              // guarded by wmu
 	firstPendNs int64             // guarded by wmu
 
-	// Reader scratch, owned by the connection's reader goroutine:
-	// handleBatch decodes a frame's records into rsmp and resolves
-	// their sessions into rsess, reusing both across frames.
-	rsmp  []wire.Sample
+	// rsess is reader scratch, owned by the connection's reader
+	// goroutine: handleBatch resolves a frame's records' sessions into
+	// it, reusing it across frames.
 	rsess []*session
 
 	smu      sync.Mutex

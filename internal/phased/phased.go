@@ -229,7 +229,8 @@ func New(cfg Config) (*Server, error) {
 		s.flushThreshold = wire.MaxBatchPredictions
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{srv: s, idx: i, tel: cfg.Telemetry.NewStepBatch()}
+		w := &worker{srv: s, idx: i, spare: newSampleRing(cfg.QueueDepth),
+			tel: cfg.Telemetry.NewStepBatch()}
 		w.cond = sync.NewCond(&w.mu)
 		s.workers = append(s.workers, w)
 	}
@@ -671,20 +672,22 @@ func (s *Server) handleRollupHello(sc *serverConn, h *wire.Hello) bool {
 }
 
 // handleBatch unpacks a client sample batch into the worker queues
-// with per-frame, not per-record, bookkeeping: the whole frame is
-// decoded first, every record's session is looked up in one s.mu
-// section, and each worker's rings are filled in one w.mu section, in
-// record order, so each session's samples keep their order. The
-// frame's records count as in flight on the connection before the
-// first is queued, so no worker can see the count reach zero — and
-// flush early — while the rest of the frame is still unqueued. Records
-// that will never be answered are settled here instead of by a worker:
-// a record for an unknown session (or one owned by another connection)
-// never enters flight and draws its own Error frame; evictions settle
-// under the evicting worker's lock; late records for draining or
-// closed sessions are dropped silently and settle in one call after
-// the last push. A prediction batch arriving here is a confused peer
-// (predictions only flow server→client) and is connection-fatal.
+// with per-frame, not per-record, bookkeeping: every record's session
+// is looked up, by the SessionID read straight from the record, in one
+// s.mu section, and each worker's rings are filled in one w.mu
+// section, in record order, so each session's samples keep their
+// order. Each record is decoded once, directly into its session
+// ring's next slot. The frame's records count as in flight on the
+// connection before the first is queued, so no worker can see the
+// count reach zero — and flush early — while the rest of the frame is
+// still unqueued. Records that will never be answered are settled
+// here instead of by a worker: a record for an unknown session (or
+// one owned by another connection) never enters flight and draws its
+// own Error frame; evictions settle under the evicting worker's lock;
+// late records for draining or closed sessions are dropped silently
+// and settle in one call after the last push. A prediction batch
+// arriving here is a confused peer (predictions only flow
+// server→client) and is connection-fatal.
 func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 	elem, n, recs, err := wire.DecodeBatch(payload)
 	if err != nil {
@@ -695,24 +698,14 @@ func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 		s.protoError(sc, wire.CodeBadFrame, 0, "unexpected "+elem.String()+" batch")
 		return false
 	}
-	smps := sc.rsmp[:0]
-	for i := 0; i < n; i++ {
-		var smp wire.Sample
-		if err := wire.DecodeSample(recs[i*wire.SampleRecordSize:(i+1)*wire.SampleRecordSize], &smp); err != nil {
-			s.protoError(sc, wire.CodeBadFrame, 0, err.Error())
-			return false
-		}
-		smps = append(smps, smp)
-	}
-	sc.rsmp = smps
-
+	const size = wire.SampleRecordSize
 	sessions := sc.rsess[:0]
 	unknown := 0
 	var last *session
 	s.mu.Lock()
-	for i := range smps {
+	for i := 0; i < n; i++ {
 		// A run of records for one session reuses its lookup.
-		if id := smps[i].SessionID; last == nil || last.id != id {
+		if id := wire.SampleSessionID(recs[i*size:]); last == nil || last.id != id {
 			last = s.sessions[id]
 			if last != nil && last.conn != sc {
 				last = nil
@@ -728,9 +721,9 @@ func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 
 	if unknown > 0 {
 		// The Error frame write flushes any pending replies itself.
-		for i := range smps {
+		for i := range sessions {
 			if sessions[i] == nil {
-				s.protoError(sc, wire.CodeUnknownSession, smps[i].SessionID, "no such session on this connection")
+				s.protoError(sc, wire.CodeUnknownSession, wire.SampleSessionID(recs[i*size:]), "no such session on this connection")
 			}
 		}
 	}
@@ -757,7 +750,11 @@ func (s *Server) handleBatch(sc *serverConn, payload []byte) bool {
 				late++
 				continue
 			}
-			if d := sess.queue.push(smps[j]); d > 0 {
+			// Decode the record straight into its ring slot. DecodeBatch
+			// sized every record exactly, so the decode cannot fail.
+			slot, d := sess.queue.pushSlot()
+			_ = wire.DecodeSample(recs[j*size:(j+1)*size], slot)
+			if d > 0 {
 				evicted += d
 				sess.dropped += uint64(d)
 				// A shed sample was never served, so it has no class or

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string, *telemetry.Hub) {
 // localRun executes the workload locally under a monitoring-only
 // policy and returns the governed run's kernel log: the raw counters
 // to stream and the predictions a bit-identical server must reproduce.
-func localRun(t *testing.T, spec, profileName string, intervals int) []struct {
+func localRun(t testing.TB, spec, profileName string, intervals int) []struct {
 	Uops, MemTx, Cycles uint64
 	Actual, Predicted   phase.ID
 } {
@@ -329,6 +331,13 @@ func nextPredictions(t *testing.T, dec *wire.Decoder, dst []wire.Prediction) []w
 	if kind != wire.KindBatch {
 		t.Fatalf("got %v frame, want a prediction batch", kind)
 	}
+	return decodePredictions(t, payload, dst)
+}
+
+// decodePredictions returns the records of a prediction Batch payload
+// appended to dst.
+func decodePredictions(t *testing.T, payload []byte, dst []wire.Prediction) []wire.Prediction {
+	t.Helper()
 	elem, n, recs, err := wire.DecodeBatch(payload)
 	if err != nil || elem != wire.KindPrediction {
 		t.Fatalf("DecodeBatch: %v batch, %v", elem, err)
@@ -543,8 +552,38 @@ func TestUnknownSessionAndBadSpecSurvivable(t *testing.T) {
 // dropped silently, and the in-flight count must settle. The
 // coalescing timer is an hour, so the replies can only arrive through
 // the in-flight flush: a record left unsettled would hang the read.
+//
+// A second frame then exercises the ring hand-off while a worker is
+// stepping a session's previous ring: records for the two open sessions
+// on their two workers, an unknown id, and more records for one session
+// than QueueDepth, so drop-oldest fires inside the frame. The Dropped
+// echoes, the shed rollup count, the Error frames, the per-session
+// order and the settled in-flight count must be exactly those of
+// pop-all queues.
 func TestBatchFrameMixedRecords(t *testing.T) {
-	srv, addr, hub := startServer(t, Config{Workers: 4, FlushInterval: time.Hour})
+	// The hub clock is fixed, so no rollup bucket ever closes and the
+	// test can read every shed count back with FlushAll; it can also be
+	// armed to hold the next caller — a worker starting a batch — until
+	// released.
+	var (
+		armed   atomic.Bool
+		entered = make(chan struct{})
+		release = make(chan struct{})
+	)
+	clock := func() time.Time {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return time.Unix(1_000_000, 0)
+	}
+	const depth = 8
+	srv, addr, hub := startServer(t, Config{Workers: 4, QueueDepth: depth, FlushInterval: time.Hour,
+		RollupFlush: time.Hour, Telemetry: telemetry.NewHub(6, telemetry.WithClock(clock))})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // before the server's shutdown, should the test fail mid-batch
+
 	var ids []uint64 // two open sessions and a draining one, on three workers
 	onWorker := map[int]bool{}
 	for id := uint64(1); len(ids) < 3; id++ {
@@ -669,6 +708,92 @@ func TestBatchFrameMixedRecords(t *testing.T) {
 	var dr wire.Drain
 	if err := wire.DecodeDrain(payload, &dr); err != nil || dr.SessionID != d || dr.LastSeq != wire.NoSamples {
 		t.Fatalf("Drain = %+v (%v), want session %d with no samples", dr, err, d)
+	}
+
+	// Every reply of the first frame is out, so no clock read is
+	// pending: the next one is the worker starting session a's batch.
+	armed.Store(true)
+	const held = 3
+	var smpsA []wire.Sample
+	for i := 0; i < held; i++ {
+		smpsA = append(smpsA, wire.Sample{SessionID: a, Seq: next[a], Uops: 1e8, MemTx: 2e6, Cycles: 9e7})
+		next[a]++
+	}
+	buf = appendSamples(t, buf[:0], smpsA...)
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // a's worker holds its previous ring, mid-batch
+
+	// The second frame: a overflows its fresh ring by evict records.
+	const evict = 3
+	firstA := next[a]
+	smps = smps[:0]
+	for i, id := range []uint64{a, a, b, unknownID, a, a, a, b, a, unknownID, a, a, a, b, a, a} {
+		smps = append(smps, wire.Sample{SessionID: id, Seq: next[id], Uops: 1e8, MemTx: uint64(i%5) * 1e6, Cycles: 9e7})
+		next[id]++
+	}
+	if n := next[a] - firstA; n != depth+evict {
+		t.Fatalf("frame holds %d records for session a, want %d", n, depth+evict)
+	}
+	errsBefore := hub.PhasedProtocolErrors.Value()
+	buf = appendSamples(t, buf[:0], smps...)
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	awaitCounter(t, hub.PhasedDroppedSamples, evict, "evictions inside the frame")
+	unblock()
+
+	type reply struct{ seq, dropped uint64 }
+	replies := map[uint64][]reply{}
+	answered, errs = 0, 0
+	for answered < held+depth+3 || errs < 2 {
+		kind, payload, err := dec.Next()
+		if err != nil {
+			t.Fatalf("after %d replies and %d errors: %v", answered, errs, err)
+		}
+		switch kind {
+		case wire.KindError:
+			var e wire.ErrorFrame
+			if err := wire.DecodeError(payload, &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Code != wire.CodeUnknownSession || e.SessionID != unknownID {
+				t.Fatalf("error %v for session %d, want CodeUnknownSession for %d", e.Code, e.SessionID, uint64(unknownID))
+			}
+			errs++
+		case wire.KindBatch:
+			for _, p := range decodePredictions(t, payload, nil) {
+				replies[p.SessionID] = append(replies[p.SessionID], reply{p.Seq, p.Dropped})
+				answered++
+			}
+		default:
+			t.Fatalf("unexpected %v frame", kind)
+		}
+	}
+	// a: its held batch, stepped before the frame's evictions were
+	// counted, then the frame's newest depth records, echoing them.
+	var want []reply
+	for seq := firstA - held; seq < firstA; seq++ {
+		want = append(want, reply{seq, 0})
+	}
+	for seq := firstA + evict; seq < next[a]; seq++ {
+		want = append(want, reply{seq, evict})
+	}
+	if !slices.Equal(replies[a], want) {
+		t.Errorf("session a replies (seq, dropped) = %v, want %v", replies[a], want)
+	}
+	if want := []reply{{next[b] - 3, 0}, {next[b] - 2, 0}, {next[b] - 1, 0}}; !slices.Equal(replies[b], want) {
+		t.Errorf("session b replies (seq, dropped) = %v, want %v", replies[b], want)
+	}
+	if n := hub.PhasedProtocolErrors.Value() - errsBefore; n != 2 {
+		t.Errorf("second frame drew %d protocol errors, want 2", n)
+	}
+	assertSettled(t, srv)
+	var shed uint64
+	srv.agg.FlushAll(func(r *wire.Rollup) { shed += r.Shed })
+	if shed != evict {
+		t.Errorf("rollup shed = %d, want %d", shed, evict)
 	}
 }
 
@@ -938,26 +1063,42 @@ func TestSessionStateStrings(t *testing.T) {
 	}
 }
 
-// TestSampleRingDropOldest pins the eviction policy at the unit level.
+// TestSampleRingDropOldest pins the eviction policy at the unit level,
+// and the worker's view of a wrapped ring: its two segments hold the
+// survivors oldest first, and a drained ring refills from empty.
 func TestSampleRingDropOldest(t *testing.T) {
 	r := newSampleRing(3)
 	var dropped int
 	for i := 0; i < 5; i++ {
-		dropped += r.push(wire.Sample{Seq: uint64(i)})
+		slot, d := r.pushSlot()
+		*slot = wire.Sample{Seq: uint64(i)}
+		dropped += d
 	}
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
-	var got []uint64
-	for {
-		s, ok := r.pop()
-		if !ok {
-			break
+	seqs := func() []uint64 {
+		var got []uint64
+		first, wrapped := r.segments()
+		for _, s := range append(first, wrapped...) {
+			got = append(got, s.Seq)
 		}
-		got = append(got, s.Seq)
+		return got
 	}
-	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
+	if got := seqs(); len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
 		t.Fatalf("surviving seqs = %v, want [2 3 4] (oldest evicted first)", got)
+	}
+	if first, wrapped := r.segments(); len(first) != 1 || len(wrapped) != 2 {
+		t.Fatalf("segments of a wrapped ring = %d + %d samples, want 1 + 2", len(first), len(wrapped))
+	}
+	r = sampleRing{buf: r.buf}
+	if got := seqs(); len(got) != 0 {
+		t.Fatalf("drained ring holds %v", got)
+	}
+	slot, d := r.pushSlot()
+	*slot = wire.Sample{Seq: 9}
+	if got := seqs(); d != 0 || len(got) != 1 || got[0] != 9 {
+		t.Fatalf("after draining and one push: seqs %v, dropped %d", got, d)
 	}
 }
 

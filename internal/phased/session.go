@@ -56,7 +56,8 @@ func (s SessionState) Valid() bool { return s <= StateClosed }
 // overflow policy: under backpressure the freshest window of samples
 // survives, which is the right call for phase monitoring — predictions
 // about the recent past are worthless, predictions about now are not.
-// Access is guarded by the owning worker's mutex.
+// A session's ring is guarded by its worker's mutex; the worker takes
+// it whole, swapping in an empty one (worker.run).
 type sampleRing struct {
 	buf     []wire.Sample
 	head, n int
@@ -66,31 +67,29 @@ func newSampleRing(capacity int) sampleRing {
 	return sampleRing{buf: make([]wire.Sample, capacity)}
 }
 
-// push appends s, evicting the oldest queued sample when full. It
-// reports how many samples were dropped (0 or 1).
-func (r *sampleRing) push(s wire.Sample) (dropped int) {
+// pushSlot claims the slot of a new newest sample for the caller to
+// fill, evicting the oldest queued sample when full. It reports how
+// many samples were dropped (0 or 1).
+func (r *sampleRing) pushSlot() (slot *wire.Sample, dropped int) {
 	if r.n == len(r.buf) {
 		r.head = (r.head + 1) % len(r.buf)
 		r.n--
 		dropped = 1
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = s
+	slot = &r.buf[(r.head+r.n)%len(r.buf)]
 	r.n++
-	return dropped
+	return slot, dropped
 }
 
-// pop removes and returns the oldest sample; ok is false when empty.
-func (r *sampleRing) pop() (s wire.Sample, ok bool) {
-	if r.n == 0 {
-		return wire.Sample{}, false
+// segments returns the queued samples, oldest first, as the ring's two
+// contiguous runs: from head to the buffer's end, then the wrapped run.
+func (r *sampleRing) segments() (first, wrapped []wire.Sample) {
+	end := r.head + r.n
+	if end <= len(r.buf) {
+		return r.buf[r.head:end], nil
 	}
-	s = r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return s, true
+	return r.buf[r.head:], r.buf[:end-len(r.buf)]
 }
-
-func (r *sampleRing) len() int { return r.n }
 
 // session is one monitored node's stream. Mutable fields are owned by
 // exactly one party at a time: queue/queued/state/draining are guarded
@@ -131,22 +130,24 @@ type session struct {
 	processed uint64 // samples stepped through the monitor
 }
 
-// step runs one sample through the session's monitor and builds the
-// prediction reply. It is the pure compute core of the serving path —
-// no locks, no I/O — and converts counters through phase.FromCounters,
-// as kernelsim.HandlePMI does, so a streamed session is bit-identical
-// to a local simulated run over the same counters. dropped is the
-// worker's snapshot of the session's cumulative eviction count (taken
-// under the worker lock, so step itself stays lock-free). The step's telemetry goes into tel,
-// the worker's batch, its journal events stamped nowNs, the worker's
-// clock reading at batch start (core.Monitor.StepAt).
+// step runs one sample through the session's monitor and fills p with
+// the prediction reply. It is the pure compute core of the serving
+// path — no locks, no I/O — and converts counters through
+// phase.FromCounters, as kernelsim.HandlePMI does, so a streamed
+// session is bit-identical to a local simulated run over the same
+// counters. dropped is the worker's snapshot of the session's
+// cumulative eviction count (taken under the worker lock, so step
+// itself stays lock-free). The step's telemetry goes into tel, the
+// worker's batch, its journal events stamped nowNs, the worker's clock
+// reading at batch start (core.Monitor.StepAt). p is written field by
+// field: a composed copy stalls on store forwarding.
 //
 // The returned Outcome scores the prediction that was pending for this
 // interval, by the monitor's own rule (core.Monitor.Step): the first
 // interval is unscored, after that the pending prediction either hit
 // or missed the classified phase. It feeds the rollup pipeline, so a
 // bucket's hit/miss counts agree exactly with the monitors' tallies.
-func (s *session) step(smp *wire.Sample, dropped uint64, tel *telemetry.StepBatch, nowNs int64) (wire.Prediction, agg.Outcome) {
+func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64, tel *telemetry.StepBatch, nowNs int64) agg.Outcome {
 	in := phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles)
 	pending := s.mon.LastPrediction()
 	actual, next := s.mon.StepAt(in, tel, nowNs)
@@ -160,13 +161,12 @@ func (s *session) step(smp *wire.Sample, dropped uint64, tel *telemetry.StepBatc
 	}
 	s.lastSeq = smp.Seq
 	s.processed++
-	return wire.Prediction{
-		SessionID: s.id,
-		Seq:       smp.Seq,
-		Actual:    uint8(actual),
-		Next:      uint8(next),
-		Class:     uint8(phase.ClassOf(next, s.numPhases)),
-		Setting:   uint8(s.trans.Setting(next)),
-		Dropped:   dropped,
-	}, outcome
+	p.SessionID = s.id
+	p.Seq = smp.Seq
+	p.Actual = uint8(actual)
+	p.Next = uint8(next)
+	p.Class = uint8(phase.ClassOf(next, s.numPhases))
+	p.Setting = uint8(s.trans.Setting(next))
+	p.Dropped = dropped
+	return outcome
 }

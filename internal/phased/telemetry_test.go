@@ -96,8 +96,9 @@ func telSessions(t *testing.T, streams [][]wire.Sample, workers int) (*Server, [
 // every step records into the worker's StepBatch, stamped with the
 // batch's time, and the batch is published once.
 func stepBatch(sess *session, tel *telemetry.StepBatch, stream []wire.Sample, s, b, k int) {
+	var p wire.Prediction
 	for i := b * k; i < min((b+1)*k, len(stream)); i++ {
-		sess.step(&stream[i], 0, tel, telStamp(s, b))
+		sess.step(&stream[i], &p, 0, tel, telStamp(s, b))
 	}
 	tel.Publish()
 }

@@ -1,6 +1,7 @@
 package phased
 
 import (
+	"slices"
 	"sync"
 
 	"phasemon/internal/agg"
@@ -31,6 +32,8 @@ type worker struct {
 	// buffer: draining a worker's whole session shard snapshots into
 	// one allocation-amortized scratch slice.
 	snapBuf []byte // owned by the run goroutine
+	// spare is the empty ring run swaps in for a session's.
+	spare sampleRing // owned by the run goroutine
 	// tel collects the monitor-step telemetry of the session batch
 	// being stepped and publishes it to the server's hub once per
 	// batch; nil when the server is unobserved.
@@ -58,10 +61,12 @@ func (w *worker) stop() {
 // run is the worker loop: pop a session, take its whole pending batch,
 // step each sample through the monitor, hand the batch's predictions
 // to the connection's coalescer, and settle the batch (which flushes
-// the replies if nothing else is in flight there).
-// Batches keep lock hold times short — the reader can keep queueing
-// while this goroutine computes — and a session re-queues itself if
-// more samples arrive mid-batch, preserving FIFO order because it is
+// the replies if nothing else is in flight there). The batch is taken
+// in one swap of the session's ring for the worker's empty spare
+// (every ring has QueueDepth slots) and stepped where the reader
+// decoded it; the reader refills the new ring meanwhile, and the
+// drained ring is the next spare. A session re-queues itself if more
+// samples arrive mid-batch, preserving FIFO order because it is
 // always this one goroutine that processes it. Bookkeeping is per
 // batch: two clock reads, one hub publication, one coalescer section,
 // one histogram update and one rollup ingest, however many samples the
@@ -72,7 +77,6 @@ func (w *worker) stop() {
 //lint:hotpath
 func (w *worker) run() {
 	var (
-		batch []wire.Sample
 		preds []wire.Prediction
 		recs  []agg.Record
 	)
@@ -87,14 +91,8 @@ func (w *worker) run() {
 		}
 		sess := w.runq[0]
 		w.runq = w.runq[1:]
-		batch = batch[:0]
-		for {
-			smp, ok := sess.queue.pop()
-			if !ok {
-				break
-			}
-			batch = append(batch, smp)
-		}
+		ring := sess.queue
+		sess.queue = w.spare
 		sess.queued = false
 		draining := sess.draining
 		dropped := sess.dropped
@@ -104,24 +102,27 @@ func (w *worker) run() {
 		}
 		w.mu.Unlock()
 
-		if !closed && len(batch) > 0 {
+		first, wrapped := ring.segments()
+		if n := len(first) + len(wrapped); !closed && n > 0 {
 			start := w.srv.clock()
 			startNs := start.UnixNano()
-			preds, recs = preds[:0], recs[:0]
-			for i := range batch {
-				p, outcome := sess.step(&batch[i], dropped, w.tel, startNs)
-				preds = append(preds, p)
-				// Class/Setting come from the prediction: the pair the
-				// translation will actually apply next interval.
-				recs = append(recs, agg.Record{Class: phase.Class(p.Class),
-					Setting: dvfs.Setting(p.Setting), Outcome: outcome})
+			preds, recs = slices.Grow(preds[:0], n)[:n], slices.Grow(recs[:0], n)[:n]
+			j := 0
+			for _, seg := range [...][]wire.Sample{first, wrapped} {
+				for i := range seg {
+					p, r := &preds[j], &recs[j]
+					r.Outcome = sess.step(&seg[i], p, dropped, w.tel, startNs)
+					// Class/Setting come from the prediction: the pair the
+					// translation will actually apply next interval.
+					r.Class, r.Setting = phase.Class(p.Class), dvfs.Setting(p.Setting)
+					j++
+				}
 			}
 			w.tel.Publish()
 			err := sess.conn.writePredictions(preds, startNs)
 			// Every sample of the batch is recorded at the batch's mean
 			// latency: counts and sums stay exact with one clock read
 			// at each end of the batch.
-			n := len(batch)
 			elapsed := w.srv.clock().Sub(start)
 			w.srv.frameSeconds.ObserveN(elapsed.Seconds()/float64(n), n)
 			w.srv.agg.IngestBatchAt(w.idx, startNs, sess.id, recs, elapsed.Nanoseconds()/int64(n))
@@ -133,6 +134,7 @@ func (w *worker) run() {
 				closed = true
 			}
 		}
+		w.spare = sampleRing{buf: ring.buf} // drained: empty again
 		if draining && !closed {
 			last := sess.lastSeq
 			if sess.processed == 0 {

@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 )
 
@@ -80,45 +83,123 @@ func FuzzHistogramObserve(f *testing.F) {
 	})
 }
 
-// FuzzJournalRecent checks ring-buffer integrity under arbitrary
-// capacity/record/read patterns: Recent never returns more than
-// requested or held, events come back oldest-first with contiguous
-// sequence numbers, and seq == held + dropped.
+// FuzzJournalRecent checks the journal ring differentially: a hub's
+// step batches publish random-size batches of all four event kinds —
+// batches larger than the capacity, batches that straddle the wrap —
+// and after every Publish the journal must answer Len, Cap, Seq,
+// Dropped, Recent and the /events JSON export exactly as refJournal,
+// the slot-by-slot ring of built Events the journal used to be, fed
+// the same records. It also keeps the ring's own invariants: Recent
+// never returns more than requested or held, events come back
+// oldest-first with contiguous sequence numbers, and seq == held +
+// dropped.
 func FuzzJournalRecent(f *testing.F) {
-	f.Add(uint8(3), uint8(5), uint8(2))
-	f.Add(uint8(1), uint8(9), uint8(0))
-	f.Add(uint8(8), uint8(8), uint8(8))
-	f.Fuzz(func(t *testing.T, capacity, records, ask uint8) {
+	f.Add(uint8(3), int64(1), []byte{5, 2, 0, 7})
+	f.Add(uint8(1), int64(2), []byte{9})
+	f.Add(uint8(8), int64(3), []byte{8, 8, 8, 17, 3})
+	f.Add(uint8(31), int64(4), []byte{40, 70, 1, 29, 64})
+	f.Fuzz(func(t *testing.T, capacity uint8, seed int64, sizes []byte) {
 		cap_ := int(capacity%32) + 1
-		j := NewJournal(cap_)
-		n := int(records % 64)
-		journalPMIs(j, n)
-		if j.Seq() != uint64(n) {
-			t.Fatalf("seq = %d, want %d", j.Seq(), n)
-		}
-		held := n
-		if held > cap_ {
-			held = cap_
-		}
-		if j.Len() != held {
-			t.Fatalf("len = %d, want %d", j.Len(), held)
-		}
-		if j.Dropped() != uint64(n-held) {
-			t.Fatalf("dropped = %d, want %d", j.Dropped(), n-held)
-		}
-		got := j.Recent(int(ask))
-		wantLen := held
-		if a := int(ask); a > 0 && a < wantLen {
-			wantLen = a
-		}
-		if len(got) != wantLen {
-			t.Fatalf("Recent(%d) returned %d events, want %d", ask, len(got), wantLen)
-		}
-		for i, e := range got {
-			wantSeq := uint64(n - wantLen + i)
-			if e.Seq != wantSeq || e.Step != int(wantSeq) {
-				t.Fatalf("event %d = %+v, want seq %d", i, e, wantSeq)
+		h := NewHub(6)
+		h.Journal = NewJournal(cap_)
+		j := h.Journal
+		ref := &refJournal{buf: make([]Event, cap_)}
+		b := h.NewStepBatch()
+		events := h.Handler()
+		rng := rand.New(rand.NewSource(seed))
+		step := 0
+		for round, sz := range sizes {
+			// Up to twice the capacity plus a few, so batches both fit,
+			// wrap and overflow the ring.
+			for n := int(sz) % (2*cap_ + 4); n > 0; n-- {
+				x, y := rng.Intn(8), rng.Intn(8)
+				ns := rng.Int63()
+				switch rng.Intn(4) {
+				case 0:
+					b.Prediction(step, x, y, ns)
+				case 1:
+					b.Transition(step, x, y, ns)
+				case 2:
+					b.DVFSChange(step, x, y, ns)
+				default:
+					b.PMISample(step, rng.Float64(), 2*rng.Float64(), ns)
+				}
+				step++
+			}
+			ref.append(b.events)
+			b.Publish()
+
+			if j.Len() != ref.n || j.Cap() != len(ref.buf) || j.Seq() != ref.seq || j.Dropped() != ref.dropped {
+				t.Fatalf("round %d: len/cap/seq/dropped = %d/%d/%d/%d, reference %d/%d/%d/%d", round,
+					j.Len(), j.Cap(), j.Seq(), j.Dropped(), ref.n, len(ref.buf), ref.seq, ref.dropped)
+			}
+			if j.Seq() != uint64(j.Len())+j.Dropped() {
+				t.Fatalf("round %d: seq %d != held %d + dropped %d", round, j.Seq(), j.Len(), j.Dropped())
+			}
+			ask := rng.Intn(cap_ + 2)
+			got, want := j.Recent(ask), ref.recent(ask)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: Recent(%d) = %+v, reference %+v", round, ask, got, want)
+			}
+			for i, e := range got {
+				if e.Seq != j.Seq()-uint64(len(got)-i) {
+					t.Fatalf("round %d: event %d has seq %d; want contiguous up to %d", round, i, e.Seq, j.Seq()-1)
+				}
+			}
+			rec := httptest.NewRecorder()
+			events.ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
+			wantJSON := httptest.NewRecorder()
+			writeJSON(wantJSON, ref.recent(0))
+			if rec.Body.String() != wantJSON.Body.String() {
+				t.Fatalf("round %d: /events = %s, reference %s", round, rec.Body, wantJSON.Body)
 			}
 		}
 	})
+}
+
+// refJournal is the reference ring for FuzzJournalRecent: the journal
+// as it was when it held built Events, claiming one slot per event
+// and evicting the oldest when full.
+type refJournal struct {
+	buf          []Event
+	start, n     int
+	seq, dropped uint64
+}
+
+func (r *refJournal) append(evs []stepEvent) {
+	for i := range evs {
+		e := &evs[i]
+		var slot *Event
+		if r.n < len(r.buf) {
+			r.n++
+			slot = &r.buf[(r.start+r.n-1)%len(r.buf)]
+		} else {
+			slot = &r.buf[r.start]
+			r.start = (r.start + 1) % len(r.buf)
+			r.dropped++
+		}
+		*slot = Event{Seq: r.seq, Kind: e.kind, Step: e.step, UnixNs: e.unixNs}
+		switch e.kind {
+		case KindPrediction:
+			slot.Predicted, slot.Actual, slot.Correct = int(e.a), int(e.b), e.a == e.b
+		case KindPMISample:
+			slot.MemPerUop, slot.UPC = math.Float64frombits(uint64(e.a)), math.Float64frombits(uint64(e.b))
+		default:
+			slot.From, slot.To = int(e.a), int(e.b)
+		}
+		r.seq++
+	}
+}
+
+func (r *refJournal) recent(max int) []Event {
+	n := r.n
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]Event, n)
+	first := r.start + (r.n - n)
+	for i := 0; i < n; i++ {
+		out[i] = r.buf[(first+i)%len(r.buf)]
+	}
+	return out
 }

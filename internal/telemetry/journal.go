@@ -98,15 +98,19 @@ const DefaultJournalCapacity = 4096
 // Journal is a bounded ring buffer of recent events. When full, the
 // oldest event is overwritten and the dropped count incremented — the
 // journal is a window onto the recent past, never a complete log (the
-// kernelsim log keeps the complete per-interval record). All methods
-// are safe for concurrent use and no-ops on a nil receiver.
+// kernelsim log keeps the complete per-interval record). The ring
+// holds the stepping loops' compact 40-byte records; Recent builds
+// each Event, with its Seq derived from the record's position, so
+// journaling a batch is a copy and only the events that are read are
+// ever built. All methods are safe for concurrent use and no-ops on a
+// nil receiver.
 type Journal struct {
 	mu      sync.Mutex
-	buf     []Event // guarded by mu
-	start   int     // guarded by mu; index of the oldest event when len(buf) == cap
-	n       int     // guarded by mu; events currently held
-	seq     uint64  // guarded by mu
-	dropped uint64  // guarded by mu
+	buf     []stepEvent // guarded by mu
+	start   int         // guarded by mu; index of the oldest event
+	n       int         // guarded by mu; events currently held
+	seq     uint64      // guarded by mu
+	dropped uint64      // guarded by mu
 }
 
 // NewJournal builds a journal holding at most capacity events;
@@ -115,46 +119,53 @@ func NewJournal(capacity int) *Journal {
 	if capacity < 1 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{buf: make([]Event, capacity)}
+	return &Journal{buf: make([]stepEvent, capacity)}
 }
 
-// slotLocked claims the ring slot of the next event, evicting the
-// oldest one when the ring is full. Callers hold mu.
-func (j *Journal) slotLocked() *Event {
-	if j.n < len(j.buf) {
-		j.n++
-		return &j.buf[(j.start+j.n-1)%len(j.buf)]
-	}
-	slot := &j.buf[j.start]
-	j.start = (j.start + 1) % len(j.buf)
-	j.dropped++
-	return slot
-}
-
-// appendSteps journals a batch of step events in one lock section,
-// assigning consecutive sequence numbers, so a batch's events sit
-// contiguously in the ring. Each event is built directly in its slot.
+// appendSteps journals a batch of step events in one lock section, so
+// a batch's events sit contiguously in the ring with consecutive
+// sequence numbers: at most two copies (the ring's tail, then its
+// head), then the counts. Of a batch larger than the ring only its
+// newest cap events are kept; the rest count as dropped.
 // StepBatch.Publish is its only caller: the one journal write path.
+//
+//lint:hotpath
 func (j *Journal) appendSteps(evs []stepEvent) {
 	if j == nil || len(evs) == 0 {
 		return
 	}
 	j.mu.Lock()
-	for i := range evs {
-		e := &evs[i]
-		slot := j.slotLocked()
-		*slot = Event{Seq: j.seq, Kind: e.kind, Step: e.step, UnixNs: e.unixNs}
-		switch e.kind {
-		case KindPrediction:
-			slot.Predicted, slot.Actual, slot.Correct = int(e.a), int(e.b), e.a == e.b
-		case KindPMISample:
-			slot.MemPerUop, slot.UPC = math.Float64frombits(uint64(e.a)), math.Float64frombits(uint64(e.b))
-		default:
-			slot.From, slot.To = int(e.a), int(e.b)
-		}
-		j.seq++
+	c := len(j.buf)
+	total := len(evs)
+	if len(evs) > c {
+		evs = evs[len(evs)-c:]
 	}
+	// The write position is one past the newest held event; events
+	// past the ring's free room evict the oldest ones.
+	at := (j.start + j.n) % c
+	k := copy(j.buf[at:], evs)
+	copy(j.buf, evs[k:])
+	evicted := max(j.n+total-c, 0)
+	j.n = min(j.n+total, c)
+	j.start = (at + len(evs) - j.n + c) % c
+	j.seq += uint64(total)
+	j.dropped += uint64(evicted)
 	j.mu.Unlock()
+}
+
+// event builds the Event of a journaled record with sequence number
+// seq.
+func (e *stepEvent) event(seq uint64) Event {
+	ev := Event{Seq: seq, Kind: e.kind, Step: e.step, UnixNs: e.unixNs}
+	switch e.kind {
+	case KindPrediction:
+		ev.Predicted, ev.Actual, ev.Correct = int(e.a), int(e.b), e.a == e.b
+	case KindPMISample:
+		ev.MemPerUop, ev.UPC = math.Float64frombits(uint64(e.a)), math.Float64frombits(uint64(e.b))
+	default:
+		ev.From, ev.To = int(e.a), int(e.b)
+	}
+	return ev
 }
 
 // Recent returns up to max of the newest events, oldest first. max < 1
@@ -171,8 +182,9 @@ func (j *Journal) Recent(max int) []Event {
 	}
 	out := make([]Event, n)
 	first := j.start + (j.n - n) // skip the oldest j.n-n events
-	for i := 0; i < n; i++ {
-		out[i] = j.buf[(first+i)%len(j.buf)]
+	seq := j.seq - uint64(n)     // the newest event's Seq is j.seq-1
+	for i := range out {
+		out[i] = j.buf[(first+i)%len(j.buf)].event(seq + uint64(i))
 	}
 	return out
 }

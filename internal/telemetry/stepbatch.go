@@ -3,11 +3,11 @@ package telemetry
 import "math"
 
 // stepEvent is one journal event a stepping loop produced, held
-// compactly until Publish builds it in its journal slot: a prediction
-// verdict (a = predicted, b = actual), a phase or DVFS transition
-// (a = from, b = to), or a PMI sample (a, b = the Mem/Uop and UPC
-// readings' math.Float64bits). It stays 40 bytes: the serving path
-// appends one per served verdict.
+// compactly in the batch and then in the journal ring, until Recent
+// builds its Event: a prediction verdict (a = predicted, b = actual),
+// a phase or DVFS transition (a = from, b = to), or a PMI sample
+// (a, b = the Mem/Uop and UPC readings' math.Float64bits). It stays 40
+// bytes: the serving path journals one per served verdict.
 type stepEvent struct {
 	step   int
 	unixNs int64
@@ -103,7 +103,7 @@ func (b *StepBatch) Prediction(step, predicted, actual int, unixNs int64) {
 		b.dirty = append(b.dirty, c)
 	}
 	b.conf[c]++
-	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: int64(predicted), b: int64(actual), kind: KindPrediction})
+	b.record(KindPrediction, step, int64(predicted), int64(actual), unixNs)
 }
 
 // Transition counts and journals a change of the classified phase.
@@ -114,7 +114,7 @@ func (b *StepBatch) Transition(step, from, to int, unixNs int64) {
 		return
 	}
 	b.transitions++
-	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: int64(from), b: int64(to), kind: KindPhaseTransition})
+	b.record(KindPhaseTransition, step, int64(from), int64(to), unixNs)
 }
 
 // DVFSChange counts and journals an operating-point change the given
@@ -128,7 +128,7 @@ func (b *StepBatch) DVFSChange(step, from, to int, unixNs int64) {
 	}
 	b.dvfsTransitions++
 	b.setting, b.settingSet = to, true
-	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs, a: int64(from), b: int64(to), kind: KindDVFSChange})
+	b.record(KindDVFSChange, step, int64(from), int64(to), unixNs)
 }
 
 // PMISample counts and journals one PMI delivery with its
@@ -140,8 +140,18 @@ func (b *StepBatch) PMISample(step int, memPerUop, upc float64, unixNs int64) {
 		return
 	}
 	b.pmiSamples++
-	b.events = append(b.events, stepEvent{step: step, unixNs: unixNs,
-		a: int64(math.Float64bits(memPerUop)), b: int64(math.Float64bits(upc)), kind: KindPMISample})
+	b.record(KindPMISample, step, int64(math.Float64bits(memPerUop)), int64(math.Float64bits(upc)), unixNs)
+}
+
+// record appends one journal event. Its fields are written in place:
+// composing the event whole and copying it in costs a store-forwarding
+// stall per event.
+//
+//lint:hotpath
+func (b *StepBatch) record(kind EventKind, step int, x, y, unixNs int64) {
+	b.events = append(b.events, stepEvent{})
+	e := &b.events[len(b.events)-1]
+	e.step, e.unixNs, e.a, e.b, e.kind = step, unixNs, x, y, kind
 }
 
 // Current records the classified phase for the current-phase gauge;

@@ -248,3 +248,22 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 		b.Fatal("bad final seq")
 	}
 }
+
+// TestSampleSessionID: the routing read agrees with the full decode on
+// every record of a batch.
+func TestSampleSessionID(t *testing.T) {
+	samples := []Sample{{SessionID: 7, Seq: 1}, {SessionID: 1 << 63, Seq: 2}, {SessionID: 0, Seq: 3}}
+	frame, err := AppendBatchSamples(nil, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, recs, err := DecodeBatch(frame[HeaderSize : len(frame)-TrailerSize])
+	if err != nil || n != len(samples) {
+		t.Fatal(n, err)
+	}
+	for i, want := range samples {
+		if got := SampleSessionID(recs[i*SampleRecordSize:]); got != want.SessionID {
+			t.Errorf("record %d: SampleSessionID = %d, want %d", i, got, want.SessionID)
+		}
+	}
+}

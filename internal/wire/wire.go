@@ -783,6 +783,13 @@ func DecodeSample(payload []byte, s *Sample) error {
 	return nil
 }
 
+// SampleSessionID returns the SessionID of the Sample record rec (a
+// Sample payload, or one record of a sample batch) without decoding
+// the rest, so a reader can route a record before it decodes it.
+//
+//lint:hotpath
+func SampleSessionID(rec []byte) uint64 { return binary.BigEndian.Uint64(rec) }
+
 // DecodePrediction parses a Prediction payload into p without
 // allocating.
 //
