@@ -100,8 +100,9 @@ serve-smoke:
 
 # End-to-end smoke of the predictor tournament (DESIGN.md §16): run
 # phasearena on a 3-workload x 6-spec x 2-granularity grid with 2
-# elimination rounds at -workers 1, 2 and 4 and require byte-identical
-# leaderboard JSON.
+# elimination rounds at -workers 1, 2 and 4, and for 3 rounds without
+# elimination (-top 0, one run per cell) at -workers 1 and 4, and
+# require byte-identical leaderboard JSON within each set.
 tournament-smoke:
 	./scripts/tournament_smoke.sh
 
@@ -135,7 +136,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkGovernorRun$$|BenchmarkGPHTObserve$$|BenchmarkHeadline$$' -benchmem -benchtime=$(BENCHTIME) . > out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep$$' -benchmem -benchtime=$(BENCHTIME) ./internal/fleet >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMonitorStepAllocs$$|BenchmarkSnapshotRoundTrip$$|BenchmarkPredictorObserve$$' -benchmem -benchtime=$(BENCHTIME) ./internal/core >> out/bench.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkTournamentRound$$' -benchmem -benchtime=$(SMOKE_BENCHTIME) ./internal/tournament >> out/bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTournamentRounds?$$' -benchmem -benchtime=$(SMOKE_BENCHTIME) ./internal/tournament >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWorkloadCache$$' -benchmem -benchtime=$(BENCHTIME) ./internal/wcache >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRoundTrip$$|BenchmarkRollupEncode$$|BenchmarkBatchRoundTrip$$' -benchmem -benchtime=$(BENCHTIME) ./internal/wire >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionStep$$|BenchmarkSamplesPerSecPerCore$$' -benchmem -benchtime=$(BENCHTIME) ./internal/phased >> out/bench.txt

@@ -34,6 +34,7 @@ import (
 	"phasemon/internal/cpusim"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/governor"
+	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
@@ -201,8 +202,9 @@ func runSpec(ctx context.Context, sp Spec, tel *telemetry.Hub, traces *wcache.Ca
 		// The run logs exactly one entry per interval; sizing the kernel
 		// log to that count (clamped to the module's default bound, so
 		// ring semantics are unchanged) makes the PMI path allocation-free.
-		LogCapacity: min(intervals, 65536),
+		LogCapacity: min(intervals, kernelsim.DefaultLogCapacity),
 		Telemetry:   tel,
+		Prefixes:    sp.prefixes(intervals),
 	}
 	if tab != nil {
 		cfg.Classifier = tab

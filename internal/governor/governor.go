@@ -145,6 +145,13 @@ type Config struct {
 	// only hub holder — and the governor counts runs. Nil runs
 	// unobserved.
 	Telemetry *telemetry.Hub
+	// Prefixes lists ascending, positive interval counts at which the
+	// run also reports a prefix result (Result.Prefixes): what a run of
+	// exactly that many intervals, under this same Config, returns. The
+	// workload stream is one seeded sequence and every policy but the
+	// oracle decides from the past alone, so one long run stands in for
+	// each shorter one. Empty takes no prefixes.
+	Prefixes []int
 }
 
 // Default classifier and translation are immutable after construction,
@@ -192,6 +199,9 @@ type Result struct {
 	// BudgetViolations counts handler invocations over the interrupt
 	// budget.
 	BudgetViolations int
+	// Prefixes holds one result per Config.Prefixes count, in the same
+	// order. Each Log is a view of this result's Log, not a copy.
+	Prefixes []*Result
 }
 
 // EDP returns the run's energy-delay product.
@@ -234,6 +244,9 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkPrefixes(cfg.Prefixes, pol); err != nil {
 		return nil, err
 	}
 	if cfg.Classifier == nil {
@@ -295,7 +308,28 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 	if ctx.Done() != nil {
 		src = &ctxGenerator{Generator: gen, ctx: ctx}
 	}
-	run, err := m.Run(src, mod)
+	var prefixes []*Result
+	var logLens []int
+	var mark func(machine.RunResult)
+	if len(cfg.Prefixes) > 0 {
+		prefixes = make([]*Result, 0, len(cfg.Prefixes))
+		logLens = make([]int, 0, len(cfg.Prefixes))
+		// At a mark the machine, monitor tally, budget count and log hold
+		// exactly the end state of the shorter run (Unload changes none
+		// of them). The prefix's Log is sliced from the run's once it is
+		// drained.
+		mark = func(r machine.RunResult) {
+			prefixes = append(prefixes, &Result{
+				Policy:           pol.Name(),
+				Run:              r,
+				Accuracy:         mon.Tally(),
+				OverheadFraction: m.OverheadFraction(),
+				BudgetViolations: mod.BudgetViolations(),
+			})
+			logLens = append(logLens, mod.Samples())
+		}
+	}
+	run, err := m.RunMarked(src, mod, cfg.Prefixes, mark)
 	if err != nil {
 		return nil, fmt.Errorf("governor: running %s under %s: %w", gen.Name(), pol.Name(), err)
 	}
@@ -306,7 +340,7 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 		return nil, err
 	}
 
-	return &Result{
+	res := &Result{
 		Policy: pol.Name(),
 		Run:    run,
 		// The module is discarded after this; DrainLog transfers the
@@ -315,7 +349,51 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 		Log:              mod.DrainLog(),
 		OverheadFraction: m.OverheadFraction(),
 		BudgetViolations: mod.BudgetViolations(),
-	}, nil
+		Prefixes:         prefixes,
+	}
+	if err := res.slicePrefixLogs(cfg.Prefixes, logLens, mod.Samples()); err != nil {
+		return nil, fmt.Errorf("governor: %s under %s: %w", gen.Name(), pol.Name(), err)
+	}
+	return res, nil
+}
+
+// checkPrefixes refuses prefix counts that are not positive and
+// ascending, and any prefix of a policy that reads the future: the
+// oracle's last decision in a run of N intervals reads the phase of
+// interval N+1, which only the longer run has.
+func checkPrefixes(prefixes []int, pol Policy) error {
+	if len(prefixes) == 0 {
+		return nil
+	}
+	if _, ok := pol.(oracle); ok {
+		return fmt.Errorf("governor: %s reads the future, so a prefix of its run is not a shorter run", pol.Name())
+	}
+	for i, n := range prefixes {
+		if n < 1 || (i > 0 && n <= prefixes[i-1]) {
+			return fmt.Errorf("governor: prefixes %v are not positive and ascending", prefixes)
+		}
+	}
+	return nil
+}
+
+// slicePrefixLogs points each prefix's Log at the head of the run's
+// Log, as Log[:n:n] for the n entries logged by its mark. It fails when
+// the stream ended before a prefix, or when the kernel-log ring
+// wrapped: the oldest entries, which every prefix log begins with, are
+// then gone.
+func (r *Result) slicePrefixLogs(want, logLens []int, samples int) error {
+	if len(r.Prefixes) < len(want) {
+		return fmt.Errorf("run ended after %d intervals, before its %d-interval prefix", samples, want[len(r.Prefixes)])
+	}
+	if len(want) > 0 && len(r.Log) < samples {
+		return fmt.Errorf("kernel log kept %d of %d entries, so prefix logs are lost", len(r.Log), samples)
+	}
+	for i, p := range r.Prefixes {
+		if n := logLens[i]; n > 0 {
+			p.Log = r.Log[:n:n]
+		}
+	}
+	return nil
 }
 
 // Compare runs the same workload under several policies and returns

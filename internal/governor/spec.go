@@ -48,12 +48,7 @@ const MonitorPrefix = "mon:"
 // sweep over policies is a slice of strings rather than a slice of
 // hand-assembled Policy values.
 func PolicyFromSpec(spec string) (Policy, error) {
-	s := strings.TrimSpace(spec)
-	managed := true
-	if rest, ok := strings.CutPrefix(s, MonitorPrefix); ok {
-		managed = false
-		s = strings.TrimSpace(rest)
-	}
+	s, managed := splitSpec(spec)
 	switch strings.ToLower(s) {
 	case "", "baseline", "unmanaged":
 		return Unmanaged(), nil
@@ -73,6 +68,25 @@ func PolicyFromSpec(spec string) (Policy, error) {
 		return nil, fmt.Errorf("governor: policy spec %q: %w", spec, err)
 	}
 	return specPolicy{raw: s, name: p.Name(), managed: managed}, nil
+}
+
+// ReadsFuture reports whether a policy spec names the oracle, whose
+// decisions read phases the run has not reached yet. It is the spec
+// PolicyFromSpec rejects with ErrOracleFuture, checked without building
+// a predictor.
+func ReadsFuture(spec string) bool {
+	s, _ := splitSpec(spec)
+	return strings.EqualFold(s, "oracle")
+}
+
+// splitSpec trims a policy spec and cuts its monitoring prefix,
+// reporting whether the policy actuates DVFS.
+func splitSpec(spec string) (s string, managed bool) {
+	s = strings.TrimSpace(spec)
+	if rest, ok := strings.CutPrefix(s, MonitorPrefix); ok {
+		return strings.TrimSpace(rest), false
+	}
+	return s, true
 }
 
 // specPolicy is a Policy whose predictor is rebuilt from its spec

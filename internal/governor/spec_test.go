@@ -96,3 +96,15 @@ func TestMonitoringOnlyPolicyStaysFast(t *testing.T) {
 		t.Error("monitoring-only run recorded no predictions")
 	}
 }
+
+// TestReadsFutureMatchesPolicyFromSpec checks ReadsFuture against the
+// spec parser: it holds exactly for the specs PolicyFromSpec rejects
+// with ErrOracleFuture.
+func TestReadsFutureMatchesPolicyFromSpec(t *testing.T) {
+	for _, spec := range []string{"oracle", " Oracle ", "mon:oracle", "mon: ORACLE", "baseline", "", "reactive", "mon:lastvalue", "gpht_8_128", "markov_2"} {
+		_, err := governor.PolicyFromSpec(spec)
+		if got, want := governor.ReadsFuture(spec), errors.Is(err, governor.ErrOracleFuture); got != want {
+			t.Errorf("ReadsFuture(%q) = %v, PolicyFromSpec error %v", spec, got, err)
+		}
+	}
+}

@@ -57,7 +57,7 @@ type Config struct {
 	// the module's constraint violation counter. Zero selects 50 µs.
 	BudgetS float64
 	// LogCapacity bounds the kernel log (ring buffer); zero selects
-	// 65536 entries. An explicit capacity is also a sizing promise: the
+	// DefaultLogCapacity. An explicit capacity is also a sizing promise: the
 	// log's backing array is preallocated in full at NewModule, so the
 	// PMI path never grows it — callers that know the run length (the
 	// governor, the fleet engine) pass it and get an allocation-free
@@ -74,6 +74,10 @@ type Config struct {
 	Telemetry *telemetry.Hub
 }
 
+// DefaultLogCapacity is the kernel log's default bound, in entries
+// (one per interval).
+const DefaultLogCapacity = 65536
+
 func (c Config) withDefaults() Config {
 	if c.GranularityUops == 0 {
 		c.GranularityUops = 100_000_000
@@ -88,7 +92,7 @@ func (c Config) withDefaults() Config {
 		c.BudgetS = 50e-6
 	}
 	if c.LogCapacity <= 0 {
-		c.LogCapacity = 65536
+		c.LogCapacity = DefaultLogCapacity
 	}
 	return c
 }

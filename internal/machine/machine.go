@@ -306,20 +306,38 @@ func (r RunResult) EDP() float64 { return r.EnergyJ * r.TimeS }
 // items whose uop counts exceed the PMI granularity are split across
 // interrupts exactly as real hardware would.
 func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error) {
+	return m.RunMarked(gen, handler, nil, nil)
+}
+
+// RunMarked is Run that also reports the run's totals part way: just
+// before the generator is asked for item n, for each n in marks (so
+// after exactly n items have executed, their interrupts included), it
+// calls mark with the RunResult a Run over only those items would have
+// returned. Marks must be positive and ascending; a mark the stream
+// ends before is never reported. A mark costs O(1); a run without
+// marks pays one integer compare per item.
+func (m *Machine) RunMarked(gen workload.Generator, handler Handler, marks []int, mark func(RunResult)) (RunResult, error) {
 	slot, err := m.uopSlot()
 	if err != nil {
 		return RunResult{}, err
 	}
-	start := struct {
-		t, e, a, h, i, u float64
-		pmis             uint64
-		trans            int
-	}{m.nowS, m.energyJ, m.appTimeS, m.handlerTimeS, m.instructions, m.uops, m.pmcs.PMICount(), m.ctrl.Transitions()}
+	start := m.totals()
 
 	m.port.Set(PortBitApp)
 	defer m.port.Clear(PortBitApp)
 
-	for {
+	next := -1 // item count of the next mark
+	if len(marks) > 0 {
+		next, marks = marks[0], marks[1:]
+	}
+	for n := 0; ; n++ {
+		if n == next {
+			mark(m.totals().since(start))
+			next = -1
+			if len(marks) > 0 {
+				next, marks = marks[0], marks[1:]
+			}
+		}
 		w, ok := gen.Next()
 		if !ok {
 			break
@@ -377,13 +395,30 @@ func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error
 		}
 	}
 
+	return m.totals().since(start), nil
+}
+
+// totals is the machine's cumulative accounting, from which a run's
+// RunResult is the difference between its end and start.
+type totals struct {
+	t, e, h, i, u float64
+	pmis          uint64
+	trans         int
+}
+
+func (m *Machine) totals() totals {
+	return totals{m.nowS, m.energyJ, m.handlerTimeS, m.instructions, m.uops, m.pmcs.PMICount(), m.ctrl.Transitions()}
+}
+
+// since is the RunResult of a run that began at start and ended at now.
+func (now totals) since(start totals) RunResult {
 	return RunResult{
-		TimeS:        m.nowS - start.t,
-		EnergyJ:      m.energyJ - start.e,
-		Instructions: m.instructions - start.i,
-		Uops:         m.uops - start.u,
-		PMIs:         m.pmcs.PMICount() - start.pmis,
-		OverheadS:    m.handlerTimeS - start.h,
-		Transitions:  m.ctrl.Transitions() - start.trans,
-	}, nil
+		TimeS:        now.t - start.t,
+		EnergyJ:      now.e - start.e,
+		Instructions: now.i - start.i,
+		Uops:         now.u - start.u,
+		PMIs:         now.pmis - start.pmis,
+		OverheadS:    now.h - start.h,
+		Transitions:  now.trans - start.trans,
+	}
 }

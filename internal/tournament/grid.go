@@ -152,7 +152,7 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("%w: spec %q listed twice", ErrGrid, s)
 		}
 		seenS[s] = true
-		if s == "baseline" {
+		if s == baselineSpec {
 			return fmt.Errorf("%w: %q is the scoring anchor, not a contestant", ErrGrid, s)
 		}
 		if _, err := governor.PolicyFromSpec(s); err != nil && !errors.Is(err, governor.ErrOracleFuture) {

@@ -49,10 +49,10 @@ type CellScore struct {
 	Score float64 `json:"score"`
 }
 
-// runSummary is everything scoring reads of one governed run.
-// playRound reduces each run to one on the fleet worker that ran it,
-// so the run's kernel log is garbage before that worker takes its next
-// spec.
+// runSummary is everything scoring reads of one governed run (or of a
+// prefix of one). playRound reduces each run to its summaries on the
+// fleet worker that ran it, so the run's kernel log is garbage before
+// that worker takes its next spec.
 type runSummary struct {
 	run         machine.RunResult
 	accuracy    float64
@@ -60,23 +60,21 @@ type runSummary struct {
 	mispredicts []ClassTally
 }
 
-// summarize reduces a fleet result to its runSummary. A baseline
-// contributes only its RunResult to scoring (Grid.Validate keeps
-// "baseline" out of the contestants), so its log is not walked.
-func summarize(numPhases int) func(fleet.Result) runSummary {
-	return func(r fleet.Result) runSummary {
-		if r.Res == nil {
-			return runSummary{}
-		}
-		s := runSummary{run: r.Res.Run}
-		if r.Spec.Policy == "baseline" {
+// summarize reduces a fleet result to one runSummary per round it
+// covers: its prefixes, shortest first, then the run itself. A
+// baseline contributes only its RunResult to scoring (Grid.Validate
+// keeps "baseline" out of the contestants), so its log is not walked.
+func summarize(numPhases int) func(fleet.Result) []runSummary {
+	one := func(policy string, res *governor.Result) runSummary {
+		s := runSummary{run: res.Run}
+		if policy == baselineSpec {
 			return s
 		}
-		if acc, err := r.Res.Accuracy.Accuracy(); err == nil {
+		if acc, err := res.Accuracy.Accuracy(); err == nil {
 			s.accuracy = acc
 		}
-		s.cpiError = cpiError(r.Res, numPhases)
-		breakdown := governor.MispredictBreakdown(r.Res, numPhases)
+		s.cpiError = cpiError(res, numPhases)
+		breakdown := governor.MispredictBreakdown(res, numPhases)
 		s.mispredicts = make([]ClassTally, len(breakdown))
 		for i, c := range breakdown {
 			s.mispredicts[i] = ClassTally{
@@ -88,6 +86,16 @@ func summarize(numPhases int) func(fleet.Result) runSummary {
 			}
 		}
 		return s
+	}
+	return func(r fleet.Result) []runSummary {
+		if r.Res == nil {
+			return nil
+		}
+		out := make([]runSummary, 0, len(r.Res.Prefixes)+1)
+		for _, p := range r.Res.Prefixes {
+			out = append(out, one(r.Spec.Policy, p))
+		}
+		return append(out, one(r.Spec.Policy, r.Res))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"phasemon/internal/fleet"
@@ -42,10 +41,12 @@ func referenceScoreCell(cell Cell, intervals, numPhases int, managed, baseline *
 	return cs
 }
 
-// TestSummaryScoringMatchesFullResults replays every round of a
-// two-granularity, elimination tournament with full governor results
-// and scores each cell with referenceScoreCell: every CellScore field
-// must equal the tournament's, floats compared bit for bit.
+// TestSummaryScoringMatchesFullResults replays every round of two
+// two-granularity tournaments — one with elimination, one keeping the
+// whole field, whose cells score their early rounds on run prefixes —
+// with full, standalone governor results for each round, and scores
+// each cell with referenceScoreCell: every CellScore field must equal
+// the tournament's, floats compared bit for bit.
 func TestSummaryScoringMatchesFullResults(t *testing.T) {
 	g := Grid{
 		Workloads:     []string{"applu_in", "gzip_graphic"},
@@ -53,30 +54,45 @@ func TestSummaryScoringMatchesFullResults(t *testing.T) {
 		Granularities: []uint64{100_000_000, 50_000_000},
 		Intervals:     48,
 	}
-	lb := runTournament(t, Config{Grid: g, Rounds: 2, TopK: 3, Workers: 2})
-	if len(lb.Rounds) != 2 || len(lb.Rounds[1].Cells) != 2*3*2 {
-		t.Fatalf("want 2 rounds with 12 cells in the second, got %d rounds", len(lb.Rounds))
+	for _, cfg := range []Config{
+		{Grid: g, Rounds: 2, TopK: 3, Workers: 2},
+		{Grid: g, Rounds: 3, TopK: 0, Workers: 2},
+	} {
+		lb := runTournament(t, cfg)
+		if len(lb.Rounds) != cfg.Rounds {
+			t.Fatalf("top %d: %d rounds, want %d", cfg.TopK, len(lb.Rounds), cfg.Rounds)
+		}
+		if cfg.TopK > 0 && len(lb.Rounds[1].Cells) != 2*3*2 {
+			t.Fatalf("top %d: %d cells in the second round, want 12", cfg.TopK, len(lb.Rounds[1].Cells))
+		}
+		replayRounds(t, cfg.Grid.withDefaults(), lb)
 	}
-	g = g.withDefaults()
+}
+
+// replayRounds runs each of the leaderboard's rounds standalone, one
+// full governor result per baseline and cell, and checks the round's
+// scores against referenceScoreCell.
+func replayRounds(t *testing.T, g Grid, lb *Leaderboard) {
+	t.Helper()
 	numPhases := phase.Default().NumPhases()
 	engine := fleet.New(fleet.Config{Workers: 2, BaseSeed: g.Seed})
 	for _, round := range lb.Rounds {
-		var alive []string
-		for _, cs := range round.Cells {
-			if !slices.Contains(alive, cs.Spec) {
-				alive = append(alive, cs.Spec)
+		var specs []fleet.Spec
+		for _, w := range g.Workloads {
+			for _, gr := range g.Granularities {
+				specs = append(specs, fleet.Spec{Workload: w, Policy: "baseline", Intervals: round.Intervals, GranularityUops: gr})
 			}
 		}
-		specs, cells := roundSpecs(g, alive, round.Intervals)
+		nBase := len(specs)
+		for _, cs := range round.Cells {
+			specs = append(specs, fleet.Spec{Workload: cs.Workload, Policy: cs.Spec, Intervals: round.Intervals, GranularityUops: cs.GranularityUops})
+		}
 		full, err := engine.RunAll(context.Background(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cells) != len(round.Cells) {
-			t.Fatalf("round %d: %d cells replayed, %d scored", round.Round, len(cells), len(round.Cells))
-		}
-		nBase := len(specs) - len(cells)
-		for i, cell := range cells {
+		for i, cs := range round.Cells {
+			cell := Cell{Workload: cs.Workload, Spec: cs.Spec, GranularityUops: cs.GranularityUops}
 			var base *governor.Result
 			for _, r := range full[:nBase] {
 				if r.Spec.Workload == cell.Workload && r.Spec.GranularityUops == cell.GranularityUops {
@@ -84,9 +100,8 @@ func TestSummaryScoringMatchesFullResults(t *testing.T) {
 				}
 			}
 			want := referenceScoreCell(cell, round.Intervals, numPhases, full[nBase+i].Res, base)
-			got := round.Cells[i]
-			if !sameCellScore(got, want) {
-				t.Errorf("round %d cell %+v:\n got  %+v\n want %+v", round.Round, cell, got, want)
+			if !sameCellScore(cs, want) {
+				t.Errorf("round %d cell %+v:\n got  %+v\n want %+v", round.Round, cell, cs, want)
 			}
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"sort"
 
 	"phasemon/internal/fleet"
+	"phasemon/internal/governor"
+	"phasemon/internal/kernelsim"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
 )
@@ -37,17 +39,24 @@ type Config struct {
 
 // Run plays the tournament to completion and returns its leaderboard.
 //
-// Each round runs one baseline cell per (workload, granularity) plus
-// one managed cell per (workload, surviving spec, granularity) through
-// the fleet engine, scores every managed cell against its baseline,
-// ranks the specs by mean composite score, and eliminates all but the
-// top K. The next round doubles the interval count, so survivors are
-// re-examined on longer, harder streams.
+// Each round scores one managed cell per (workload, surviving spec,
+// granularity) against its (workload, granularity) baseline, ranks the
+// specs by mean composite score, and eliminates all but the top K. The
+// next round doubles the interval count, so survivors are re-examined
+// on longer, harder streams.
+//
+// The rounds share runs: the workload stream is one seeded sequence
+// and every policy but the oracle decides from the past alone, so the
+// first N intervals of a 2N-interval run are an N-interval run. Each
+// cell therefore runs once, at the length of the last round it is sure
+// to reach, and scores its earlier rounds on that run's prefixes (see
+// player.cover).
 //
 // Determinism: the fleet engine makes every run bit-identical at any
-// worker count, and the reduction here is pure arithmetic over
-// deterministically ordered slices, so Run's leaderboard — and its
-// Encode bytes — are a function of the grid alone.
+// worker count, a prefix is bit-identical to the shorter run, and the
+// reduction here is pure arithmetic over deterministically ordered
+// slices, so Run's leaderboard — and its Encode bytes — are a function
+// of the grid alone.
 func Run(ctx context.Context, cfg Config) (*Leaderboard, error) {
 	if err := cfg.Grid.Validate(); err != nil {
 		return nil, err
@@ -57,12 +66,18 @@ func Run(ctx context.Context, cfg Config) (*Leaderboard, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
-	numPhases := phase.Default().NumPhases()
-	engine := fleet.New(fleet.Config{
-		Workers:   cfg.Workers,
-		BaseSeed:  g.Seed,
-		Telemetry: cfg.Telemetry,
-	})
+	p := &player{
+		engine: fleet.New(fleet.Config{
+			Workers:   cfg.Workers,
+			BaseSeed:  g.Seed,
+			Telemetry: cfg.Telemetry,
+		}),
+		g:         g,
+		rounds:    rounds,
+		topK:      cfg.TopK,
+		numPhases: phase.Default().NumPhases(),
+		pending:   make([][]runSummary, len(g.Workloads)*len(g.Granularities)*(1+len(g.Specs))),
+	}
 
 	lb := &Leaderboard{
 		SchemaVersion: SchemaVersion,
@@ -79,7 +94,7 @@ func Run(ctx context.Context, cfg Config) (*Leaderboard, error) {
 	intervals := g.Intervals
 	var finalCells []CellScore
 	for round := 1; round <= rounds; round++ {
-		cells, scores, err := playRound(ctx, engine, g, alive, intervals, numPhases)
+		cells, scores, err := p.playRound(ctx, round, alive, intervals)
 		if err != nil {
 			return nil, fmt.Errorf("tournament: round %d: %w", round, err)
 		}
@@ -121,62 +136,108 @@ func Run(ctx context.Context, cfg Config) (*Leaderboard, error) {
 	return lb, nil
 }
 
-// playRound executes one round's grid and scores every managed cell
-// against its (workload, granularity) baseline. Each run is reduced to
-// its runSummary on the fleet worker that ran it, so no run's kernel
-// log outlives the run.
-func playRound(ctx context.Context, engine *fleet.Engine, g Grid, alive []string, intervals, numPhases int) ([]Cell, []CellScore, error) {
-	specs, cells := roundSpecs(g, alive, intervals)
-	nBase := len(specs) - len(cells)
-	runs, err := fleet.Reduce(ctx, engine, specs, summarize(numPhases))
-	if err != nil {
-		return nil, nil, err
-	}
-	scores := make([]CellScore, len(cells))
-	for i, cell := range cells {
-		scores[i] = scoreCell(cell, intervals, runs[nBase+i], runs[baselineIndex(g, cell)])
-	}
-	return cells, scores, nil
+// baselineSpec is the policy of the (workload, granularity) runs every
+// managed cell is scored against.
+const baselineSpec = "baseline"
+
+// player plays a tournament's rounds on one fleet engine.
+type player struct {
+	engine    *fleet.Engine
+	g         Grid
+	rounds    int
+	topK      int
+	numPhases int
+	// pending holds, per slot (see playRound), the summaries of the
+	// rounds still ahead that the slot's last run covered, the next
+	// round's first.
+	pending [][]runSummary
 }
 
-// roundSpecs lays out one round's fleet specs: one baseline per
-// (workload, granularity) first, at baselineIndex, then one managed
-// run per cell, in cell order.
-func roundSpecs(g Grid, alive []string, intervals int) ([]fleet.Spec, []Cell) {
-	var specs []fleet.Spec
-	for _, w := range g.Workloads {
-		for _, gr := range g.Granularities {
-			specs = append(specs, fleet.Spec{
-				Workload:        w,
-				Policy:          "baseline",
-				Intervals:       intervals,
-				GranularityUops: gr,
-			})
+// cover is how many rounds, from round on, one run of a cell with the
+// given spec plays: every round the cell is sure to reach, up to the
+// kernel-log bound. A baseline is never eliminated; a managed cell is
+// sure to reach the next round only when nothing can be eliminated.
+// The oracle reads the future, so a prefix of its run is not a shorter
+// run, and a round past the log bound would lose its prefixes' log
+// entries: both play one round per run.
+func (p *player) cover(round, intervals, alive int, spec string) int {
+	if spec != baselineSpec && (governor.ReadsFuture(spec) || (p.topK >= 1 && p.topK < alive)) {
+		return 1
+	}
+	c := 1
+	for round+c <= p.rounds && intervals<<c <= kernelsim.DefaultLogCapacity {
+		c++
+	}
+	return c
+}
+
+// playRound scores one round's cells, in alive's order, each against
+// its (workload, granularity) baseline. Cells and baselines whose
+// pending summaries ran out run now, each through the fleet engine at
+// the length of the last round it covers, and each is reduced on the
+// fleet worker that ran it to one runSummary per covered round, so no
+// run's kernel log outlives the run.
+func (p *player) playRound(ctx context.Context, round int, alive []string, intervals int) ([]Cell, []CellScore, error) {
+	g := p.g
+	nw, ng := len(g.Workloads), len(g.Granularities)
+	nBase := nw * ng
+	// A run's slot: one per (workload, granularity) baseline, then one
+	// per (workload, spec, granularity) cell with the specs in the
+	// grid's order, so a cell keeps its slot whatever the standings.
+	keys := make([]Cell, 0, nBase*(1+len(alive)))
+	slots := make([]int, 0, cap(keys))
+	for wi, w := range g.Workloads {
+		for gi, gr := range g.Granularities {
+			keys = append(keys, Cell{Workload: w, Spec: baselineSpec, GranularityUops: gr})
+			slots = append(slots, wi*ng+gi)
 		}
 	}
-	cells := make([]Cell, 0, len(g.Workloads)*len(alive)*len(g.Granularities))
-	for _, w := range g.Workloads {
+	for wi, w := range g.Workloads {
 		for _, s := range alive {
-			for _, gr := range g.Granularities {
-				cells = append(cells, Cell{Workload: w, Spec: s, GranularityUops: gr})
-				specs = append(specs, fleet.Spec{
-					Workload:        w,
-					Policy:          s,
-					Intervals:       intervals,
-					GranularityUops: gr,
-				})
+			si := slices.Index(g.Specs, s)
+			for gi, gr := range g.Granularities {
+				keys = append(keys, Cell{Workload: w, Spec: s, GranularityUops: gr})
+				slots = append(slots, nBase+(wi*len(g.Specs)+si)*ng+gi)
 			}
 		}
 	}
-	return specs, cells
-}
 
-// baselineIndex is the position in roundSpecs of the cell's
-// (workload, granularity) baseline.
-func baselineIndex(g Grid, cell Cell) int {
-	wi := slices.Index(g.Workloads, cell.Workload)
-	gi := slices.Index(g.Granularities, cell.GranularityUops)
-	return wi*len(g.Granularities) + gi
+	var ran []int
+	var specs []fleet.Spec
+	for i, k := range keys {
+		if len(p.pending[slots[i]]) > 0 {
+			continue
+		}
+		c := p.cover(round, intervals, len(alive), k.Spec)
+		ran = append(ran, slots[i])
+		specs = append(specs, fleet.Spec{
+			Workload:        k.Workload,
+			Policy:          k.Spec,
+			Intervals:       intervals << (c - 1),
+			GranularityUops: k.GranularityUops,
+			Halvings:        c - 1,
+		})
+	}
+	if len(specs) > 0 {
+		sums, err := fleet.Reduce(ctx, p.engine, specs, summarize(p.numPhases))
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, slot := range ran {
+			p.pending[slot] = sums[i]
+		}
+	}
+
+	cells := keys[nBase:]
+	scores := make([]CellScore, len(cells))
+	for i, cell := range cells {
+		wi, gi := i/(len(alive)*ng), i%ng
+		scores[i] = scoreCell(cell, intervals, p.pending[slots[nBase+i]][0], p.pending[wi*ng+gi][0])
+	}
+	for _, slot := range slots {
+		p.pending[slot] = p.pending[slot][1:]
+	}
+	return cells, scores, nil
 }
 
 // rank reduces cell scores to per-spec standings: mean score,

@@ -218,3 +218,71 @@ func BenchmarkTournamentRound(b *testing.B) {
 		}
 	}
 }
+
+// TestRoundGrouping pins which rounds one run covers: every round a
+// cell is sure to reach, up to the kernel-log bound. Baselines always
+// look ahead; managed cells only when nothing can be eliminated; the
+// oracle and rounds past the bound play one round per run.
+func TestRoundGrouping(t *testing.T) {
+	p := &player{rounds: 4}
+	cases := []struct {
+		name                   string
+		topK, round, intervals int
+		alive                  int
+		spec                   string
+		want                   int
+	}{
+		{"keep all", 0, 1, 48, 6, "gpht_8_64", 4},
+		{"keep all from round 2", 0, 2, 96, 6, "gpht_8_64", 3},
+		{"top k covers the field", 6, 1, 48, 6, "gpht_8_64", 4},
+		{"elimination", 3, 1, 48, 6, "gpht_8_64", 1},
+		{"baseline under elimination", 3, 1, 48, 6, baselineSpec, 4},
+		{"oracle", 0, 1, 48, 6, "oracle", 1},
+		{"final round past the log bound", 0, 1, 16384, 6, "gpht_8_64", 3},
+		{"round past the log bound", 0, 4, 131072, 6, "gpht_8_64", 1},
+		{"baseline past the log bound", 0, 1, 65536, 6, baselineSpec, 1},
+		{"last round", 0, 4, 48, 6, baselineSpec, 1},
+	}
+	for _, c := range cases {
+		p.topK = c.topK
+		if got := p.cover(c.round, c.intervals, c.alive, c.spec); got != c.want {
+			t.Errorf("%s: cover = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestKeepAllRunsOncePerCell counts the governed runs of a tournament
+// that eliminates nothing: one per baseline and per non-oracle cell
+// for all three rounds, and one per oracle cell per round.
+func TestKeepAllRunsOncePerCell(t *testing.T) {
+	hub := telemetry.NewHub(6)
+	cfg := keepAllConfig()
+	cfg.Telemetry = hub
+	runTournament(t, cfg)
+	pairs := len(cfg.Grid.Workloads) * len(cfg.Grid.Granularities)
+	want := uint64(pairs + pairs*(len(cfg.Grid.Specs)-1) + pairs*cfg.Rounds)
+	if got := hub.FleetStarted.Value(); got != want {
+		t.Errorf("FleetStarted = %d, want %d", got, want)
+	}
+	if got := hub.GovernorRuns.Value(); got != want {
+		t.Errorf("GovernorRuns = %d, want %d", got, want)
+	}
+	if got, want := hub.TournamentCells.Value(), uint64(cfg.Rounds*pairs*len(cfg.Grid.Specs)); got != want {
+		t.Errorf("TournamentCells = %d, want %d", got, want)
+	}
+}
+
+// BenchmarkTournamentRounds measures a two-round tournament that
+// eliminates nothing on the CI grid — the shape of the perfbench grid
+// job, where each cell plays both rounds from one run. Caching is
+// defeated by varying the seed per iteration.
+func BenchmarkTournamentRounds(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := testGrid(48)
+		g.Seed = int64(i + 1)
+		if _, err := Run(context.Background(), Config{Grid: g, Rounds: 2, TopK: 0, Workers: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,8 +5,11 @@
 # serial, once with 4 workers — and requires the leaderboard JSON
 # artifacts to be byte-identical: the tournament's reduction must be a
 # pure function of the grid, independent of scheduling. A third run at -workers 2
-# re-confirms against the same reference. `make tournament-smoke` runs
-# this and `make check` / CI include it.
+# re-confirms against the same reference. A second pair plays the same
+# grid for 3 rounds with no elimination (-top 0) at -workers 1 and 4:
+# there each cell runs once and scores its earlier rounds on the run's
+# prefixes. `make tournament-smoke` runs this and `make check` / CI
+# include it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,13 +28,23 @@ GRID='workloads=applu_in,gzip_graphic,swim_in;specs=lastvalue,gpht_4_64,runlengt
 "$OUT/phasearena" -grid "$GRID" -rounds 2 -top 3 -workers 2 \
   -o "$OUT/leaderboard_w2.json" >"$OUT/table_w2.txt"
 
-for w in 4 2; do
-  if ! cmp -s "$OUT/leaderboard_w1.json" "$OUT/leaderboard_w$w.json"; then
-    echo "tournament-smoke: leaderboard differs between -workers 1 and -workers $w" >&2
-    diff "$OUT/leaderboard_w1.json" "$OUT/leaderboard_w$w.json" | head -40 >&2 || true
+"$OUT/phasearena" -grid "$GRID" -rounds 3 -top 0 -workers 1 \
+  -o "$OUT/leaderboard_keepall_w1.json" >"$OUT/table_keepall_w1.txt"
+"$OUT/phasearena" -grid "$GRID" -rounds 3 -top 0 -workers 4 \
+  -o "$OUT/leaderboard_keepall_w4.json" >"$OUT/table_keepall_w4.txt"
+
+for pair in w1:w4 w1:w2 keepall_w1:keepall_w4; do
+  a=${pair%%:*} b=${pair##*:}
+  if ! cmp -s "$OUT/leaderboard_$a.json" "$OUT/leaderboard_$b.json"; then
+    echo "tournament-smoke: leaderboard differs between runs $a and $b" >&2
+    diff "$OUT/leaderboard_$a.json" "$OUT/leaderboard_$b.json" | head -40 >&2 || true
     exit 1
   fi
 done
+if [ "$(grep -c '"round": ' "$OUT/leaderboard_keepall_w1.json")" -ne 3 ]; then
+  echo "tournament-smoke: keep-all artifact does not record 3 rounds" >&2
+  exit 1
+fi
 
 # The artifact must be a ranked leaderboard, not an empty shell.
 if ! grep -q '"schema_version": 1' "$OUT/leaderboard_w1.json"; then
