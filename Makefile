@@ -60,10 +60,11 @@ serve-race:
 # against its full-rescan reference, GPHT state validity on invalid
 # IDs, every paper predictor's output validity), over the wire
 # decoders (the streaming frame decoder, and the session-state codec
-# that Snapshot and Restore frames share) and over the telemetry
-# journal ring against its slot-by-slot reference. Each target is named
-# package:Fuzz and runs for $(FUZZTIME); a failing input is written
-# under the package's testdata/fuzz and fails the target.
+# that Snapshot and Restore frames share), over the telemetry journal
+# ring against its slot-by-slot reference and over the phase table's
+# cut-point Classify against its search-based reference. Each target is
+# named package:Fuzz and runs for $(FUZZTIME); a failing input is
+# written under the package's testdata/fuzz and fails the target.
 FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	./internal/core:FuzzWindowMajority \
@@ -72,7 +73,8 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzDecoder \
 	./internal/wire:FuzzSnapshotDecode \
 	./internal/wire:FuzzRestoreDecode \
-	./internal/telemetry:FuzzJournalRecent
+	./internal/telemetry:FuzzJournalRecent \
+	./internal/phase:FuzzClassifyMatchesReference
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -4,9 +4,10 @@
 // numbers are bit-identical to a serial execution.
 //
 // Reduce is the engine's one path: it applies a caller's reduction to
-// each run on the worker that ran it, so a sweep that keeps only a
-// summary of each run holds at most Workers kernel logs at once.
-// RunAll is Reduce with the identity reduction.
+// each run on the worker that ran it, and the run's kernel log is
+// storage the engine reuses for its next run, so a sweep holds at most
+// Workers kernel logs however many specs it has. RunAll is Reduce with
+// a reduction that copies each log out.
 //
 // The determinism contract has three legs:
 //
@@ -28,6 +29,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,6 +79,14 @@ type Engine struct {
 	// pending counts accepted-but-unfinished specs for the queue-depth
 	// gauge.
 	pending atomic.Int64
+
+	// logs is the engine's free list of kernel-log storage: a worker
+	// takes one buffer per run and returns it once the run's reduction
+	// has returned, so the engine allocates a log only when every
+	// buffer it has is in use (or too small) and never zeroes, frees
+	// and re-faults one per run.
+	logsMu sync.Mutex
+	logs   []*[]kernelsim.Entry
 }
 
 // New builds an engine.
@@ -88,19 +99,36 @@ func New(cfg Config) *Engine {
 }
 
 // RunAll runs every spec on the worker pool and returns one Result
-// per spec, in spec order. It is Reduce with the identity reduction,
-// so every run's full governor.Result, kernel log included, is kept;
-// callers that need only a summary of each run should Reduce instead.
+// per spec, in spec order, each with its full governor.Result. It is
+// the one caller that keeps kernel logs past its reduction, so it
+// copies each run's log out of the engine's storage, once, and
+// re-slices the run's prefix logs as views of the copy. Callers that
+// need only a summary of each run should Reduce instead.
 func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
-	return Reduce(ctx, e, specs, func(r Result) Result { return r })
+	return Reduce(ctx, e, specs, func(r Result) Result {
+		if r.Res != nil && r.Res.Log != nil {
+			log := slices.Clone(r.Res.Log)
+			for _, p := range r.Res.Prefixes {
+				if p.Log != nil {
+					p.Log = log[:len(p.Log):len(p.Log)]
+				}
+			}
+			r.Res.Log = log
+		}
+		return r
+	})
 }
 
 // Reduce runs every spec on the engine's worker pool and applies f to
-// each spec's Result on the worker that produced it, so a run's
-// governor.Result (and its kernel log) becomes garbage as soon as f
-// returns, before the worker takes its next spec. f is called exactly
-// once per spec, failed and canceled runs included (their Result
-// carries Err and a nil Res), and must be safe to call concurrently.
+// each spec's Result on the worker that produced it. f is called
+// exactly once per spec, failed and canceled runs included (their
+// Result carries Err and a nil Res), and must be safe to call
+// concurrently.
+//
+// The run's kernel log is storage the engine reuses for a later run
+// once f returns, so Res.Log and every prefix Log are valid only
+// inside f, like bufio.Scanner.Bytes: f must copy what it keeps of
+// them. The rest of the Result stays valid.
 //
 // The reductions come back in spec order. The returned error is
 // ctx.Err() if the sweep was canceled, else the lowest-index run
@@ -114,7 +142,9 @@ func Reduce[T any](ctx context.Context, e *Engine, specs []Spec, f func(Result) 
 	e.addPending(len(specs))
 	out, err := mapIndex(e.cfg.Workers, len(resolved), func(i int) (T, error) {
 		defer e.addPending(-1)
-		r := e.runOne(ctx, resolved[i])
+		log := e.takeLog()
+		defer e.returnLog(log)
+		r := e.runOne(ctx, resolved[i], log)
 		var err error
 		if r.Err != nil {
 			err = fmt.Errorf("fleet: spec %d (%s under %s): %w",
@@ -126,6 +156,27 @@ func Reduce[T any](ctx context.Context, e *Engine, specs []Spec, f func(Result) 
 		return out, cerr
 	}
 	return out, err
+}
+
+// takeLog hands a worker a kernel-log buffer from the free list, or a
+// new empty one when every buffer is in use.
+func (e *Engine) takeLog() *[]kernelsim.Entry {
+	e.logsMu.Lock()
+	defer e.logsMu.Unlock()
+	n := len(e.logs)
+	if n == 0 {
+		return new([]kernelsim.Entry)
+	}
+	log := e.logs[n-1]
+	e.logs = e.logs[:n-1]
+	return log
+}
+
+// returnLog puts a worker's buffer back on the free list.
+func (e *Engine) returnLog(log *[]kernelsim.Entry) {
+	e.logsMu.Lock()
+	e.logs = append(e.logs, log)
+	e.logsMu.Unlock()
 }
 
 // resolve fills a spec's derived fields so seeding and execution see
@@ -146,9 +197,9 @@ func (e *Engine) addPending(delta int) {
 	}
 }
 
-// runOne executes one resolved spec, unless the sweep is already
-// canceled.
-func (e *Engine) runOne(ctx context.Context, sp Spec) Result {
+// runOne executes one resolved spec on the kernel-log buffer log,
+// unless the sweep is already canceled.
+func (e *Engine) runOne(ctx context.Context, sp Spec, log *[]kernelsim.Entry) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Spec: sp, Err: err}
 	}
@@ -157,7 +208,7 @@ func (e *Engine) runOne(ctx context.Context, sp Spec) Result {
 		tel.FleetStarted.Inc()
 	}
 	start := time.Now()
-	res, err := runSpec(ctx, sp, tel, e.traces)
+	res, err := runSpec(ctx, sp, tel, e.traces, log)
 	if tel != nil {
 		tel.FleetRunSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -174,8 +225,9 @@ func (e *Engine) runOne(ctx context.Context, sp Spec) Result {
 
 // runSpec materializes and executes one resolved spec: workload
 // profile, classifier, generator, translation, policy, governed run.
-// The trace cache supplies the shared, read-only workload stream.
-func runSpec(ctx context.Context, sp Spec, tel *telemetry.Hub, traces *wcache.Cache) (*governor.Result, error) {
+// The trace cache supplies the shared, read-only workload stream, and
+// *log the kernel log's storage, grown first if the run needs more.
+func runSpec(ctx context.Context, sp Spec, tel *telemetry.Hub, traces *wcache.Cache, log *[]kernelsim.Entry) (*governor.Result, error) {
 	prof, err := workload.ByName(sp.Workload)
 	if err != nil {
 		return nil, err
@@ -197,14 +249,19 @@ func runSpec(ctx context.Context, sp Spec, tel *telemetry.Hub, traces *wcache.Ca
 		intervals = prof.DefaultIntervals
 	}
 	gen := traces.Get(prof, params).Generator()
+	// The run logs exactly one entry per interval; bounding the kernel
+	// log at that count (clamped to the module's default bound, so ring
+	// semantics are unchanged) makes the PMI path allocation-free. A
+	// larger reused buffer is re-sliced to the bound, which stays exact.
+	n := min(intervals, kernelsim.DefaultLogCapacity)
+	if cap(*log) < n {
+		*log = make([]kernelsim.Entry, 0, n)
+	}
 	cfg := governor.Config{
 		GranularityUops: sp.GranularityUops,
-		// The run logs exactly one entry per interval; sizing the kernel
-		// log to that count (clamped to the module's default bound, so
-		// ring semantics are unchanged) makes the PMI path allocation-free.
-		LogCapacity: min(intervals, kernelsim.DefaultLogCapacity),
-		Telemetry:   tel,
-		Prefixes:    sp.prefixes(intervals),
+		Log:             (*log)[:0:n],
+		Telemetry:       tel,
+		Prefixes:        sp.prefixes(intervals),
 	}
 	if tab != nil {
 		cfg.Classifier = tab

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"phasemon/internal/governor"
+	"phasemon/internal/kernelsim"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
 	"phasemon/internal/wcache"
@@ -117,7 +118,7 @@ func referenceRun(t *testing.T, sp Spec) *governor.Result {
 	})
 	cfg := governor.Config{
 		GranularityUops: sp.GranularityUops,
-		LogCapacity:     sp.Intervals,
+		Log:             make([]kernelsim.Entry, 0, sp.Intervals),
 	}
 	var tab *phase.Table
 	if sp.Phases != "" {

@@ -134,12 +134,14 @@ type Config struct {
 	// Machine configures the platform; the zero value selects all
 	// defaults. Set Machine.Recorder to capture the power waveform.
 	Machine machine.Config
-	// LogCapacity sizes the kernel log. Zero keeps the kernel module's
-	// default (65536-entry bound, grow on demand); a positive value is
-	// both the bound and a preallocation promise — callers that know
-	// the interval count (the fleet engine) pass it so the PMI path
-	// never grows the log mid-run.
-	LogCapacity int
+	// Log is the kernel log's storage (kernelsim.Config.Log): when it
+	// has capacity, cap(Log) is the log's bound and the run writes from
+	// Log[:0], so the PMI path never grows the log mid-run and the
+	// result's Log, every prefix Log included, aliases this storage.
+	// Callers that know the interval count (the fleet engine) pass
+	// storage of that capacity, reused from run to run. Nil keeps the
+	// kernel module's default (65536-entry bound, grow on demand).
+	Log []kernelsim.Entry
 	// Telemetry, when non-nil, observes the run live: it becomes the
 	// kernel module's Config.Telemetry — the PMI handler is the run's
 	// only hub holder — and the governor counts runs. Nil runs
@@ -154,30 +156,21 @@ type Config struct {
 	Prefixes []int
 }
 
-// Default classifier and translation are immutable after construction,
-// so concurrent runs (the fleet engine's workers) share one instance
-// instead of rebuilding them per run — two fewer allocations and one
-// fewer validation pass on every governed run.
+// The default translation is immutable after construction, so
+// concurrent runs (the fleet engine's workers) share one instance
+// instead of rebuilding it per run, as they share phase.Default().
 var (
-	defaultClsOnce sync.Once
-	defaultCls     phase.Classifier
-
 	defaultTrOnce sync.Once
 	defaultTr     *dvfs.Translation
 	defaultTrErr  error
 )
-
-func defaultClassifier() phase.Classifier {
-	defaultClsOnce.Do(func() { defaultCls = phase.Default() })
-	return defaultCls
-}
 
 // defaultTranslation returns the identity translation over the
 // Pentium-M ladder for numPhases phases. The common case — the default
 // classifier's phase count — is cached; other counts (custom
 // classifiers with Translation left nil) build fresh.
 func defaultTranslation(numPhases int) (*dvfs.Translation, error) {
-	if numPhases == defaultClassifier().NumPhases() {
+	if numPhases == phase.Default().NumPhases() {
 		defaultTrOnce.Do(func() { defaultTr, defaultTrErr = dvfs.Identity(dvfs.PentiumM(), numPhases) })
 		return defaultTr, defaultTrErr
 	}
@@ -192,7 +185,9 @@ type Result struct {
 	Run machine.RunResult
 	// Accuracy is the prediction tally over the run.
 	Accuracy stats.Tally
-	// Log is the kernel log (per-interval records).
+	// Log is the kernel log (per-interval records). It is
+	// Config.Log's storage when the run was given some, and then valid
+	// only until the caller reuses that storage.
 	Log []kernelsim.Entry
 	// OverheadFraction is handler time over total time.
 	OverheadFraction float64
@@ -250,7 +245,7 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 		return nil, err
 	}
 	if cfg.Classifier == nil {
-		cfg.Classifier = defaultClassifier()
+		cfg.Classifier = phase.Default()
 	}
 	if cfg.Translation == nil {
 		tr, err := defaultTranslation(cfg.Classifier.NumPhases())
@@ -284,7 +279,7 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 	modCfg := kernelsim.Config{
 		GranularityUops: cfg.GranularityUops,
 		Monitor:         mon,
-		LogCapacity:     cfg.LogCapacity,
+		Log:             cfg.Log,
 		Telemetry:       cfg.Telemetry,
 	}
 	if pol.Managed() {

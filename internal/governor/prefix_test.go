@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phasemon/internal/dvfs"
+	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
 	"phasemon/internal/thermal"
 )
@@ -130,7 +131,7 @@ func TestPrefixRefusals(t *testing.T) {
 		want string
 	}{
 		{"oracle", Oracle(future), Config{Prefixes: []int{100}}, "reads the future"},
-		{"log wrap", Proactive(8, 128), Config{LogCapacity: 64, Prefixes: []int{100}}, "kernel log kept 64 of 200"},
+		{"log wrap", Proactive(8, 128), Config{Log: make([]kernelsim.Entry, 0, 64), Prefixes: []int{100}}, "kernel log kept 64 of 200"},
 		{"past the end", Proactive(8, 128), Config{Prefixes: []int{100, 300}}, "before its 300-interval prefix"},
 		{"descending", Proactive(8, 128), Config{Prefixes: []int{100, 50}}, "ascending"},
 		{"zero", Proactive(8, 128), Config{Prefixes: []int{0}}, "positive"},

@@ -46,7 +46,7 @@ func testHandlePMIZeroAlloc(t *testing.T, hub *telemetry.Hub) {
 	mod, err := NewModule(Config{
 		Monitor:     mon,
 		Translation: tr,
-		LogCapacity: 256, // explicit: preallocated in full, ring thereafter
+		Log:         make([]Entry, 0, 256), // explicit storage: no growth, ring thereafter
 		Telemetry:   hub,
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestDrainLogMatchesReadLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := NewModule(Config{Monitor: mon, LogCapacity: 8})
+		mod, err := NewModule(Config{Monitor: mon, Log: make([]Entry, 0, 8)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,14 +148,16 @@ func TestDrainLogMatchesReadLog(t *testing.T) {
 	}
 }
 
-// TestExplicitLogCapacityPreallocates: an explicit LogCapacity is a
-// sizing promise — appends up to the bound never reallocate.
+// TestExplicitLogCapacityPreallocates: storage passed as Config.Log is
+// the log itself — its capacity is the bound, appends up to it never
+// reallocate, and the drained log is that storage.
 func TestExplicitLogCapacityPreallocates(t *testing.T) {
 	mon, err := core.NewMonitor(phase.Default(), core.NewLastValue())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := NewModule(Config{Monitor: mon, LogCapacity: 1024})
+	buf := make([]Entry, 0, 1024)
+	mod, err := NewModule(Config{Monitor: mon, Log: buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +171,9 @@ func TestExplicitLogCapacityPreallocates(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("logSlot with explicit capacity allocates %.1f allocs/op, want 0", allocs)
+	}
+	if got := mod.DrainLog(); len(got) != 1024 || &got[0] != &buf[:1][0] {
+		t.Errorf("drained log is not the storage passed as Config.Log")
 	}
 }
 

@@ -56,15 +56,18 @@ type Config struct {
 	// BudgetS is the interrupt-context time budget; exceeding it trips
 	// the module's constraint violation counter. Zero selects 50 µs.
 	BudgetS float64
-	// LogCapacity bounds the kernel log (ring buffer); zero selects
-	// DefaultLogCapacity. An explicit capacity is also a sizing promise: the
-	// log's backing array is preallocated in full at NewModule, so the
-	// PMI path never grows it — callers that know the run length (the
-	// governor, the fleet engine) pass it and get an allocation-free
-	// steady state from the first interval. With the zero default the
-	// log grows geometrically on demand up to the bound, which is
-	// amortized-free but not allocation-free until it stops growing.
-	LogCapacity int
+	// Log, when it has capacity, is the kernel log's storage: cap(Log)
+	// bounds the log (ring buffer) and the module writes from Log[:0],
+	// so the PMI path never grows it. Callers that know the run length
+	// (the fleet engine, through the governor) pass storage of exactly
+	// that capacity and get an allocation-free steady state from the
+	// first interval; a caller that runs many modules one after another
+	// can hand each the same storage, since HandlePMI writes every field
+	// of every entry it logs. The drained log (DrainLog) aliases it. With
+	// no capacity the bound is DefaultLogCapacity and the log grows
+	// geometrically on demand, which is amortized-free but not
+	// allocation-free until it stops growing.
+	Log []Entry
 	// Telemetry, when non-nil, observes the run live. The PMI handler
 	// is its only holder: it records each interval's verdict, phase
 	// transition, DVFS change and PMI sample into its own StepBatch
@@ -90,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BudgetS <= 0 {
 		c.BudgetS = 50e-6
-	}
-	if c.LogCapacity <= 0 {
-		c.LogCapacity = DefaultLogCapacity
 	}
 	return c
 }
@@ -132,6 +132,7 @@ type Module struct {
 
 	log      []Entry
 	logStart int // ring buffer start when saturated
+	logBound int // entries the ring holds before it wraps
 
 	// handlerCostS is the modeled per-invocation handler cost, fixed
 	// at NewModule because the monitor's predictor never changes.
@@ -151,14 +152,13 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.Monitor == nil {
 		return nil, fmt.Errorf("kernelsim: config requires a Monitor")
 	}
-	prealloc := cfg.LogCapacity > 0
 	cfg = cfg.withDefaults()
 	if cfg.GranularityUops >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
-	mod := &Module{cfg: cfg, handlerCostS: handlerCost(cfg), tel: cfg.Telemetry.NewStepBatch()}
-	if prealloc {
-		mod.log = make([]Entry, 0, cfg.LogCapacity)
+	mod := &Module{cfg: cfg, handlerCostS: handlerCost(cfg), tel: cfg.Telemetry.NewStepBatch(), logBound: DefaultLogCapacity}
+	if n := cap(cfg.Log); n > 0 {
+		mod.log, mod.logBound = cfg.Log[:0], n
 	}
 	return mod, nil
 }
@@ -328,12 +328,13 @@ func (mod *Module) ReadLog() []Entry {
 }
 
 // DrainLog hands the kernel log to the caller without copying: the
-// module's backing array is rotated in place to oldest-first order,
-// detached, and returned; the module starts a fresh (empty) log. This
-// is the post-run path for owners that discard the module afterwards —
-// the governor reads the log exactly once into its Result, so the
-// system-call copy ReadLog models would be pure garbage. Use ReadLog
-// when the module keeps running.
+// module's backing array (Config.Log's storage, when one was given) is
+// rotated in place to oldest-first order, detached, and returned; the
+// module starts a fresh (empty) log. This is the post-run path for
+// owners that discard the module afterwards — the governor reads the
+// log exactly once into its Result, so the system-call copy ReadLog
+// models would be pure garbage. Use ReadLog when the module keeps
+// running.
 func (mod *Module) DrainLog() []Entry {
 	out := mod.log
 	if mod.logStart > 0 {
@@ -374,7 +375,7 @@ func (mod *Module) Reconfigure(tr *dvfs.Translation) {
 // field.
 func (mod *Module) logSlot() *Entry {
 	n := len(mod.log)
-	if n < mod.cfg.LogCapacity {
+	if n < mod.logBound {
 		if n < cap(mod.log) {
 			mod.log = mod.log[:n+1]
 		} else {

@@ -266,7 +266,7 @@ func TestReconfigure(t *testing.T) {
 
 func TestLogRingBufferSaturation(t *testing.T) {
 	mon, _ := core.NewMonitor(phase.Default(), core.NewLastValue())
-	mod, err := NewModule(Config{Monitor: mon, LogCapacity: 16})
+	mod, err := NewModule(Config{Monitor: mon, Log: make([]Entry, 0, 16)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ID identifies a phase category. Valid phases are numbered from 1 to
@@ -95,6 +96,10 @@ type Classifier interface {
 type Table struct {
 	name   string
 	bounds []float64
+	// cuts[i] is the smallest Mem/Uop that classifies above bounds[i]:
+	// the smallest value within tolerance of the bound, clamped above
+	// bounds[i-1] (see cutPoints).
+	cuts []float64
 }
 
 var _ Classifier = (*Table)(nil)
@@ -121,7 +126,38 @@ func NewTable(name string, bounds []float64) (*Table, error) {
 	}
 	cp := make([]float64, len(bounds))
 	copy(cp, bounds)
-	return &Table{name: name, bounds: cp}, nil
+	return &Table{name: name, bounds: cp, cuts: cutPoints(cp)}, nil
+}
+
+// cutPoints precomputes Classify's rule — a sample belongs to the
+// phase above every bound below it, and above the next bound too when
+// it is within ApproxEqual tolerance of it — as one cut per bound, so
+// Classify only compares. For positive floats the bit patterns order
+// like the values, and the samples within tolerance below a bound are
+// a contiguous run ending at the bound, so bisecting over the bits
+// between 0 (never within tolerance of a positive bound) and the bound
+// (always) finds the smallest. The old rule consulted only the first
+// bound at or above the sample, so a cut is clamped above the previous
+// bound: bounds closer together than the tolerance still classify as
+// they did.
+func cutPoints(bounds []float64) []float64 {
+	cuts := make([]float64, len(bounds))
+	for i, b := range bounds {
+		lo, hi := uint64(0), math.Float64bits(b)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if ApproxEqual(b, math.Float64frombits(mid)) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		cuts[i] = math.Float64frombits(hi)
+		if i > 0 {
+			cuts[i] = math.Max(cuts[i], math.Nextafter(bounds[i-1], math.Inf(1)))
+		}
+	}
+	return cuts
 }
 
 // MustNewTable is NewTable that panics on invalid boundaries. It is
@@ -135,10 +171,14 @@ func MustNewTable(name string, bounds []float64) *Table {
 }
 
 // Default returns the paper's Table 1 classifier: six phases over
-// Mem/Uop with boundaries 0.005, 0.010, 0.015, 0.020 and 0.030.
-func Default() *Table {
+// Mem/Uop with boundaries 0.005, 0.010, 0.015, 0.020 and 0.030. A
+// Table is immutable, so every caller shares one instance, built (cut
+// points included) on first use rather than once per run or session.
+func Default() *Table { return defaultTable() }
+
+var defaultTable = sync.OnceValue(func() *Table {
 	return MustNewTable("memuop6", []float64{0.005, 0.010, 0.015, 0.020, 0.030})
-}
+})
 
 // Name implements Classifier.
 func (t *Table) Name() string { return t.name }
@@ -149,20 +189,24 @@ func (t *Table) NumPhases() int { return len(t.bounds) + 1 }
 // Classify implements Classifier. Negative or NaN Mem/Uop observations
 // (which can only arise from counter glitches) are clamped into
 // phase 1.
+//
+// Ranges are [lo, hi), so a sample on a boundary belongs to the higher
+// phase, and so does one within ApproxEqual tolerance below it (the
+// sample may have gone through different arithmetic than the table):
+// the phase is 1 + the number of precomputed cut points at or below
+// the sample. Tables are short, so a linear scan beats a search.
+//
+//lint:hotpath
 func (t *Table) Classify(s Sample) ID {
 	m := s.MemPerUop
-	if math.IsNaN(m) || m < 0 {
-		return 1
+	id := ID(1)
+	for _, c := range t.cuts {
+		if !(m >= c) { // false for NaN, which stays in phase 1
+			break
+		}
+		id++
 	}
-	// sort.SearchFloat64s returns the number of boundaries <= m when m
-	// equals a boundary; ranges are [lo, hi), so a sample on a boundary
-	// (within tolerance — the sample may have gone through different
-	// arithmetic than the table) belongs to the higher phase.
-	i := sort.SearchFloat64s(t.bounds, m)
-	if i < len(t.bounds) && ApproxEqual(t.bounds[i], m) {
-		i++
-	}
-	return ID(i + 1)
+	return id
 }
 
 // Range returns the half-open Mem/Uop interval [lo, hi) covered by the
