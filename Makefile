@@ -61,10 +61,13 @@ serve-race:
 # IDs, every paper predictor's output validity), over the wire
 # decoders (the streaming frame decoder, and the session-state codec
 # that Snapshot and Restore frames share), over the telemetry journal
-# ring against its slot-by-slot reference and over the phase table's
-# cut-point Classify against its search-based reference. Each target is
-# named package:Fuzz and runs for $(FUZZTIME); a failing input is
-# written under the package's testdata/fuzz and fails the target.
+# ring against its slot-by-slot reference, over the phase table's
+# cut-point Classify against its search-based reference, and over
+# Classify against each phase's nominal Table 1 range (a sample within
+# ApproxEqual tolerance below a bound belongs to the phase above it).
+# Each target is named package:Fuzz and runs for $(FUZZTIME); a failing
+# input is written under the package's testdata/fuzz and fails the
+# target.
 FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	./internal/core:FuzzWindowMajority \
@@ -74,7 +77,8 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzSnapshotDecode \
 	./internal/wire:FuzzRestoreDecode \
 	./internal/telemetry:FuzzJournalRecent \
-	./internal/phase:FuzzClassifyMatchesReference
+	./internal/phase:FuzzClassifyMatchesReference \
+	./internal/phase:FuzzTableClassify
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

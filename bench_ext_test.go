@@ -12,7 +12,6 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/governor"
 	"phasemon/internal/machine"
-	"phasemon/internal/memhier"
 	"phasemon/internal/phase"
 	"phasemon/internal/power"
 	"phasemon/internal/thermal"
@@ -102,20 +101,6 @@ func BenchmarkKMeans1D(b *testing.B) {
 	}
 }
 
-func BenchmarkCrossFrequencyFit(b *testing.B) {
-	samples := []analysis.FreqSample{
-		{FrequencyHz: 1500e6, UPC: 0.42},
-		{FrequencyHz: 1200e6, UPC: 0.47},
-		{FrequencyHz: 800e6, UPC: 0.55},
-		{FrequencyHz: 600e6, UPC: 0.61},
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := analysis.FitCrossFrequency(samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDAQPipeline(b *testing.B) {
 	// Build one waveform, then measure the acquire+analyze pipeline.
 	wave := daq.NewWaveform()
@@ -141,15 +126,6 @@ func BenchmarkDAQPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := daq.Analyze(samples, daq.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMemHierLoadedFixedPoint(b *testing.B) {
-	m := memhier.Default()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.LoadedTimePerUop(1e-9, 0.03); err != nil {
 			b.Fatal(err)
 		}
 	}

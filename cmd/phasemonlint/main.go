@@ -78,14 +78,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.Load(".", patterns...)
+	prog, err := lint.LoadProgram(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "phasemonlint: %v\n", err)
 		return 2
 	}
 
 	var findings []finding
-	for _, pkg := range pkgs {
+	for _, pkg := range prog.Packages {
 		for _, a := range analyzers {
 			if a.Match != nil && !a.Match(pkg.PkgPath) {
 				continue
@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *verbose {
 				fmt.Fprintf(stderr, "phasemonlint: %s %s\n", a.Name, pkg.PkgPath)
 			}
-			diags, err := lint.RunAnalyzer(a, pkg)
+			diags, err := lint.RunAnalyzer(a, prog, pkg)
 			if err != nil {
 				fmt.Fprintf(stderr, "phasemonlint: %v\n", err)
 				return 2

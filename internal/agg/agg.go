@@ -68,9 +68,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Valid reports whether o is a declared outcome.
-func (o Outcome) Valid() bool { return o <= OutcomeShed }
-
 // Defaults for Config fields left zero.
 const (
 	DefaultBucketLenNs = int64(1_000_000_000) // 1s buckets
@@ -199,12 +196,6 @@ func New(cfg Config) *Aggregator {
 	return a
 }
 
-// Shards returns the number of accumulation shards.
-func (a *Aggregator) Shards() int { return len(a.shards) }
-
-// BucketLenNs returns the configured bucket length.
-func (a *Aggregator) BucketLenNs() int64 { return a.bucketLenNs }
-
 // ShardFor pins a session id onto a shard by FNV-1a hash. The phased
 // server pins each session to the worker ShardFor names, so feeding
 // samples by ShardFor reproduces a server's shard assignment exactly.
@@ -234,13 +225,6 @@ func cellFor(class phase.Class, setting dvfs.Setting) int {
 		s = 0
 	}
 	return c*wire.RollupSettings + s
-}
-
-// Ingest is IngestAt at the aggregator's clock. The hot path of a
-// live phased server uses IngestBatchAt with its batch's own start
-// time instead, to avoid a clock read per sample.
-func (a *Aggregator) Ingest(shard int, sessionID uint64, class phase.Class, setting dvfs.Setting, outcome Outcome, latNs int64) {
-	a.IngestAt(shard, a.clock().UnixNano(), sessionID, class, setting, outcome, latNs)
 }
 
 // IngestAt accumulates one sample outcome observed at nowNs (Unix

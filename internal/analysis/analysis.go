@@ -80,25 +80,6 @@ func NewTransitions(ids []phase.ID, numPhases int) (*Transitions, error) {
 	return t, nil
 }
 
-// Count returns how often the stream moved from one phase to another.
-func (t *Transitions) Count(from, to phase.ID) int {
-	return t.counts[clampID(from, t.n)][clampID(to, t.n)]
-}
-
-// Prob returns the conditional probability P(next = to | current = from),
-// or 0 when the source phase never occurred.
-func (t *Transitions) Prob(from, to phase.ID) float64 {
-	row := t.counts[clampID(from, t.n)]
-	sum := 0
-	for _, c := range row {
-		sum += c
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(t.counts[clampID(from, t.n)][clampID(to, t.n)]) / float64(sum)
-}
-
 // SelfLoopFraction returns the fraction of all transitions that stay
 // in the same phase — exactly the accuracy a last-value predictor
 // achieves on the stream.

@@ -43,21 +43,15 @@ func TestTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Count(1, 1); got != 1 {
-		t.Errorf("Count(1,1) = %d", got)
+	// counts is indexed by phase ID − 1.
+	if got := tr.counts[0][0]; got != 1 {
+		t.Errorf("count(1,1) = %d", got)
 	}
-	if got := tr.Count(1, 2); got != 2 {
-		t.Errorf("Count(1,2) = %d", got)
+	if got := tr.counts[0][1]; got != 2 {
+		t.Errorf("count(1,2) = %d", got)
 	}
-	if got := tr.Count(2, 1); got != 1 {
-		t.Errorf("Count(2,1) = %d", got)
-	}
-	// From phase 1: 3 departures, 1 self.
-	if got := tr.Prob(1, 1); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("Prob(1,1) = %v", got)
-	}
-	if got := tr.Prob(5, 1); got != 0 {
-		t.Errorf("Prob from unseen phase = %v", got)
+	if got := tr.counts[1][0]; got != 1 {
+		t.Errorf("count(2,1) = %d", got)
 	}
 	// Self loops: (1,1) and (2,2) of 5 transitions.
 	if got := tr.SelfLoopFraction(); math.Abs(got-0.4) > 1e-12 {

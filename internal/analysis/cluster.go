@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"phasemon/internal/phase"
 )
 
 // This file derives phase definitions from data by clustering the
@@ -72,30 +70,6 @@ func KMeans1D(values []float64, k int) (centers []float64, wcss float64, err err
 		wcss += d * d
 	}
 	return centers, wcss, nil
-}
-
-// ClusterTable converts k-means centers into a phase classifier whose
-// boundaries sit at the midpoints between adjacent cluster centers.
-// It fails when centers collapse (degenerate distributions).
-func ClusterTable(name string, values []float64, k int) (*phase.Table, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("analysis: a classifier needs at least 2 clusters, got %d", k)
-	}
-	centers, _, err := KMeans1D(values, k)
-	if err != nil {
-		return nil, err
-	}
-	bounds := make([]float64, 0, k-1)
-	prev := 0.0
-	for i := 0; i+1 < len(centers); i++ {
-		b := (centers[i] + centers[i+1]) / 2
-		if b <= prev || b <= 0 {
-			return nil, fmt.Errorf("analysis: clusters collapse at boundary %d (%v); distribution supports fewer than %d phases", i, b, k)
-		}
-		bounds = append(bounds, b)
-		prev = b
-	}
-	return phase.NewTable(name, bounds)
 }
 
 // SuggestPhaseCount picks a phase count by the elbow criterion: the

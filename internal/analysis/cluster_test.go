@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"phasemon/internal/phase"
 	"phasemon/internal/workload"
 )
 
@@ -70,30 +69,6 @@ func TestKMeans1DWCSSDecreasesWithK(t *testing.T) {
 			t.Fatalf("WCSS increased at k=%d: %v after %v", k, w, prev)
 		}
 		prev = w
-	}
-}
-
-func TestClusterTableClassifiesModes(t *testing.T) {
-	vals := threeModes(3000, 3)
-	tab, err := ClusterTable("modes", vals, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.NumPhases() != 3 {
-		t.Fatalf("NumPhases = %d", tab.NumPhases())
-	}
-	// Each mode center lands in its own phase.
-	for i, m := range []float64{0.003, 0.018, 0.035} {
-		if got := tab.Classify(phase.Sample{MemPerUop: m}); got != phase.ID(i+1) {
-			t.Errorf("mode %v classified as %v, want %v", m, got, i+1)
-		}
-	}
-	// Degenerate (constant) data fails loudly.
-	if _, err := ClusterTable("x", []float64{0.01, 0.01, 0.01, 0.01}, 3); err == nil {
-		t.Error("constant distribution accepted")
-	}
-	if _, err := ClusterTable("x", vals, 1); err == nil {
-		t.Error("single-cluster classifier accepted")
 	}
 }
 

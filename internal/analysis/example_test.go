@@ -23,23 +23,3 @@ func ExamplePredictabilityBound() {
 	// order-0 ceiling: 50%
 	// order-1 ceiling: 100%
 }
-
-// Cross-frequency performance prediction from two operating points.
-func ExampleFitCrossFrequency() {
-	// UPC observed at the Pentium-M extremes for a memory-bound loop.
-	c, err := analysis.FitCrossFrequency([]analysis.FreqSample{
-		{FrequencyHz: 1500e6, UPC: 0.25},
-		{FrequencyHz: 600e6, UPC: 0.40},
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	slow, _ := c.SlowdownTo(1500e6, 600e6)
-	mb, _ := c.MemBoundedness(1500e6)
-	fmt.Printf("predicted slowdown at 600 MHz: %.2fx\n", slow)
-	fmt.Printf("memory-bound fraction at 1.5 GHz: %.0f%%\n", mb*100)
-	// Output:
-	// predicted slowdown at 600 MHz: 1.56x
-	// memory-bound fraction at 1.5 GHz: 62%
-}

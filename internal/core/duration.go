@@ -100,22 +100,6 @@ func (p *DurationPredictor) Observe(o Observation) phase.ID {
 	return next
 }
 
-// ExpectedRemaining returns the predicted remaining run length of the
-// current phase in sampling intervals (0 when a transition is due or
-// nothing is known) — the "duration prediction" output of the lineage
-// this predictor models.
-func (p *DurationPredictor) ExpectedRemaining() float64 {
-	if p.current == phase.None {
-		return 0
-	}
-	expected := p.avgRun[int(p.current)-1]
-	rem := expected - float64(p.runLen)
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
 func (p *DurationPredictor) bestSuccessor(i int) phase.ID {
 	best, bestN := phase.None, 0
 	for q, n := range p.succ[i] {

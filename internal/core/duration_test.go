@@ -73,27 +73,6 @@ func TestDurationPredictorWeakerThanGPHTOnPatterns(t *testing.T) {
 	}
 }
 
-func TestDurationPredictorExpectedRemaining(t *testing.T) {
-	p, err := NewDurationPredictor(6, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ExpectedRemaining() != 0 {
-		t.Error("fresh predictor should expect 0 remaining")
-	}
-	// Two complete runs of phase 2 with length 4 teach the duration.
-	feed := []phase.ID{2, 2, 2, 2, 3, 2, 2, 2, 2, 3}
-	for _, id := range feed {
-		p.Observe(Observation{Phase: id})
-	}
-	// Now start a new run of phase 2: one interval in, expect ~3 left.
-	p.Observe(Observation{Phase: 2})
-	rem := p.ExpectedRemaining()
-	if rem < 2 || rem > 4 {
-		t.Errorf("ExpectedRemaining = %v, want ~3", rem)
-	}
-}
-
 func TestDurationPredictorClampsInvalidPhases(t *testing.T) {
 	p, err := NewDurationPredictor(6, 0.25)
 	if err != nil {

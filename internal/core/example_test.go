@@ -37,18 +37,15 @@ func ExampleMonitor_Step() {
 
 // Predictors share one interface; evaluation is uniform.
 func ExampleEvaluate() {
-	tab := phase.Default()
-	// A stream that strictly alternates phases 1 and 6.
+	// A stream that strictly alternates phases 1 and 6 (Mem/Uop
+	// 0.0025 and 0.04 under the default table).
 	var obs []core.Observation
 	for i := 0; i < 200; i++ {
-		id := phase.ID(1)
+		o := core.Observation{Sample: phase.Sample{MemPerUop: 0.0025}, Phase: 1}
 		if i%2 == 1 {
-			id = 6
+			o = core.Observation{Sample: phase.Sample{MemPerUop: 0.04}, Phase: 6}
 		}
-		obs = append(obs, core.Observation{
-			Sample: phase.Sample{MemPerUop: tab.Midpoint(id)},
-			Phase:  id,
-		})
+		obs = append(obs, o)
 	}
 
 	lv, err := core.Evaluate(core.NewLastValue(), obs)

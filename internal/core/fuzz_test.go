@@ -46,7 +46,7 @@ func FuzzGPHTNeverProducesInvalidState(f *testing.F) {
 				t.Fatalf("victim %d, scan picks %d", got, want)
 			}
 		}
-		if g.Hits()+g.Misses() != uint64(len(data)) {
+		if g.hits+g.misses != uint64(len(data)) {
 			t.Fatalf("hit/miss accounting lost samples")
 		}
 		g.Reset()
@@ -75,7 +75,7 @@ func FuzzPredictorsAgreeOnValidity(f *testing.F) {
 			for _, b := range data {
 				id := phase.ID(1 + int(b)%6)
 				o := Observation{
-					Sample: phase.Sample{MemPerUop: tab.Midpoint(id)},
+					Sample: phase.Sample{MemPerUop: midpoint(tab, id)},
 					Phase:  id,
 				}
 				if got := p.Observe(o); !got.Valid(6) {

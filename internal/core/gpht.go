@@ -135,18 +135,9 @@ func MustNewGPHT(cfg GPHTConfig) *GPHT {
 // Name implements Predictor.
 func (g *GPHT) Name() string { return g.name }
 
-// Config returns the predictor's configuration.
-func (g *GPHT) Config() GPHTConfig { return g.cfg }
-
 // TableEntries reports the PHT capacity; the kernel module uses it to
 // model the handler's associative-search cost.
 func (g *GPHT) TableEntries() int { return g.cfg.PHTEntries }
-
-// Hits and Misses report PHT lookup outcomes since the last Reset.
-func (g *GPHT) Hits() uint64 { return g.hits }
-
-// Misses reports PHT lookup misses since the last Reset.
-func (g *GPHT) Misses() uint64 { return g.misses }
 
 // Observe implements Predictor: it trains the previously consulted PHT
 // entry with the observed outcome, shifts the GPHR, and looks up the

@@ -31,8 +31,8 @@ func TestGPHTConfigValidation(t *testing.T) {
 	if g.TableEntries() != 128 {
 		t.Errorf("TableEntries = %d", g.TableEntries())
 	}
-	if g.Config() != DefaultGPHTConfig() {
-		t.Errorf("Config = %+v", g.Config())
+	if g.cfg != DefaultGPHTConfig() {
+		t.Errorf("Config = %+v", g.cfg)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestGPHTLRUEviction(t *testing.T) {
 	if g.Utilization() != 1 {
 		t.Errorf("PHT should be full after 1000 random observations, utilization %v", g.Utilization())
 	}
-	if g.Hits()+g.Misses() != 1000 {
-		t.Errorf("hits %d + misses %d != 1000", g.Hits(), g.Misses())
+	if g.hits+g.misses != 1000 {
+		t.Errorf("hits %d + misses %d != 1000", g.hits, g.misses)
 	}
 }
 
@@ -197,7 +197,7 @@ func TestGPHTReset(t *testing.T) {
 		g.Observe(Observation{Phase: phase.ID(1 + i%6)})
 	}
 	g.Reset()
-	if g.Hits() != 0 || g.Misses() != 0 || g.Utilization() != 0 {
+	if g.hits != 0 || g.misses != 0 || g.Utilization() != 0 {
 		t.Error("Reset incomplete")
 	}
 	// Behaves identically to a fresh predictor.
@@ -412,7 +412,7 @@ func TestGPHTRestoreRejectsBadAges(t *testing.T) {
 		if err := g.Restore(src.Snapshot(nil)); err == nil {
 			t.Errorf("%s: Restore accepted ages %v with clock %d", tc.name, tc.ages, tc.clock)
 		}
-		if g.Hits()+g.Misses() != 0 || g.Utilization() != 0 {
+		if g.hits+g.misses != 0 || g.Utilization() != 0 {
 			t.Errorf("%s: a rejected Restore left state behind", tc.name)
 		}
 		checkGPHTRecency(t, g)

@@ -44,9 +44,6 @@ func NewMonitor(cls phase.Classifier, pred Predictor) (*Monitor, error) {
 	return m, nil
 }
 
-// Classifier returns the monitor's classifier.
-func (m *Monitor) Classifier() phase.Classifier { return m.cls }
-
 // Predictor returns the monitor's predictor.
 func (m *Monitor) Predictor() Predictor { return m.pred }
 
@@ -118,9 +115,6 @@ func (m *Monitor) observeInto(b *telemetry.StepBatch, s phase.Sample, actual pha
 // LastPrediction returns the prediction pending for the interval
 // currently executing.
 func (m *Monitor) LastPrediction() phase.ID { return m.lastPrediction }
-
-// Steps returns how many intervals have been processed.
-func (m *Monitor) Steps() int { return m.steps }
 
 // Tally returns a copy of the prediction accounting.
 func (m *Monitor) Tally() stats.Tally { return m.tally }

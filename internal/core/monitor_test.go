@@ -20,7 +20,7 @@ func TestNewMonitorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Classifier() != phase.Classifier(tab) || m.Predictor() == nil {
+	if m.cls != phase.Classifier(tab) || m.Predictor() == nil {
 		t.Error("accessors broken")
 	}
 }
@@ -56,8 +56,8 @@ func TestMonitorStepSemantics(t *testing.T) {
 	if got := m.Tally(); got.Total() != 2 || got.Correct() != 1 {
 		t.Errorf("tally = %d/%d", got.Correct(), got.Total())
 	}
-	if m.Steps() != 3 {
-		t.Errorf("Steps = %d", m.Steps())
+	if m.steps != 3 {
+		t.Errorf("Steps = %d", m.steps)
 	}
 	if m.LastPrediction() != 6 {
 		t.Errorf("LastPrediction = %v", m.LastPrediction())
@@ -76,7 +76,7 @@ func TestMonitorReset(t *testing.T) {
 	m.Step(phase.Sample{MemPerUop: 0.002})
 	m.Step(phase.Sample{MemPerUop: 0.03})
 	m.Reset()
-	if m.Steps() != 0 || m.Tally().Total() != 0 || m.LastPrediction() != phase.None {
+	if m.steps != 0 || m.Tally().Total() != 0 || m.LastPrediction() != phase.None {
 		t.Error("Reset incomplete")
 	}
 }

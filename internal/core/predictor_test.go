@@ -15,11 +15,22 @@ func obsFromPhases(tab *phase.Table, ids []phase.ID) []Observation {
 	out := make([]Observation, len(ids))
 	for i, id := range ids {
 		out[i] = Observation{
-			Sample: phase.Sample{MemPerUop: tab.Midpoint(id)},
+			Sample: phase.Sample{MemPerUop: midpoint(tab, id)},
 			Phase:  id,
 		}
 	}
 	return out
+}
+
+// midpoint returns a representative Mem/Uop value for the phase: the
+// middle of its range, or for the unbounded top phase, 4/3 of its
+// lower boundary.
+func midpoint(tab *phase.Table, id phase.ID) float64 {
+	lo, hi := tab.Range(id)
+	if math.IsInf(hi, 1) {
+		return lo * 4 / 3
+	}
+	return (lo + hi) / 2
 }
 
 func accuracy(t *testing.T, p Predictor, obs []Observation) float64 {

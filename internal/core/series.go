@@ -33,23 +33,3 @@ func AccuracySeries(p Predictor, obs []Observation, window int) ([]float64, erro
 	}
 	return out, nil
 }
-
-// WarmupWindows returns how many leading windows of the accuracy
-// series fall below the given fraction of the series' final (last
-// window) accuracy — a predictor-agnostic warm-up measure. A predictor
-// that starts at full accuracy returns 0.
-func WarmupWindows(series []float64, fraction float64) (int, error) {
-	if len(series) == 0 {
-		return 0, fmt.Errorf("core: empty accuracy series")
-	}
-	if fraction <= 0 || fraction > 1 {
-		return 0, fmt.Errorf("core: fraction %v outside (0,1]", fraction)
-	}
-	target := series[len(series)-1] * fraction
-	for i, a := range series {
-		if a >= target {
-			return i, nil
-		}
-	}
-	return len(series), nil
-}

@@ -555,22 +555,11 @@ func (g *GPHT) Restore(src []byte) error {
 // total/correct, and the predictor-state length prefix.
 const monitorFixed = 2 + 1 + 1 + 1 + 8 + 8 + 8 + 4
 
-// SnapshotLen returns the exact byte length Snapshot will append, or
-// ErrNotStateful when the monitor's predictor cannot be snapshotted.
-func (m *Monitor) SnapshotLen() (int, error) {
-	sp, ok := m.pred.(StatefulPredictor)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotStateful, m.pred.Name())
-	}
-	n := m.cls.NumPhases()
-	return monitorFixed + 8*(n+1)*(n+1) + sp.SnapshotLen(), nil
-}
-
 // Snapshot appends the monitor's complete serving state — prediction
 // pipeline registers, accuracy tally, confusion matrix, and the
-// embedded predictor's state — to dst. With enough capacity (see
-// SnapshotLen) it does not allocate. This is the encode path of
-// phased's snapshot-on-drain.
+// embedded predictor's state — to dst. With the capacity of an
+// earlier snapshot of the same monitor it does not allocate. This is
+// the encode path of phased's snapshot-on-drain.
 //
 //lint:hotpath
 func (m *Monitor) Snapshot(dst []byte) ([]byte, error) {

@@ -145,7 +145,7 @@ func TestGPHTSnapshotRoundTrip(t *testing.T) {
 	if err := restored.Restore(trained.Snapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Hits() != trained.Hits() || restored.Misses() != trained.Misses() {
+	if restored.hits != trained.hits || restored.misses != trained.misses {
 		t.Errorf("statistics not restored")
 	}
 
@@ -443,26 +443,19 @@ func TestMonitorSnapshotRoundTrip(t *testing.T) {
 				orig.Step(o.Sample)
 			}
 
-			wantLen, err := orig.SnapshotLen()
-			if err != nil {
-				t.Fatal(err)
-			}
 			snap, err := orig.Snapshot(nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if len(snap) != wantLen {
-				t.Fatalf("Snapshot appended %d bytes, SnapshotLen says %d", len(snap), wantLen)
 			}
 
 			resumed := mkMon()
 			if err := resumed.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			if resumed.Steps() != orig.Steps() || resumed.Tally() != orig.Tally() ||
+			if resumed.steps != orig.steps || resumed.Tally() != orig.Tally() ||
 				resumed.LastPrediction() != orig.LastPrediction() {
 				t.Fatalf("restored monitor accounting differs: steps %d/%d tally %+v/%+v",
-					resumed.Steps(), orig.Steps(), resumed.Tally(), orig.Tally())
+					resumed.steps, orig.steps, resumed.Tally(), orig.Tally())
 			}
 			for p := 0; p <= cls.NumPhases(); p++ {
 				for q := 0; q <= cls.NumPhases(); q++ {
@@ -492,9 +485,6 @@ func TestMonitorSnapshotNotStateful(t *testing.T) {
 	mon, err := NewMonitor(phase.Default(), plainPredictor{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := mon.SnapshotLen(); err == nil {
-		t.Error("SnapshotLen accepted a non-stateful predictor")
 	}
 	if _, err := mon.Snapshot(nil); err == nil {
 		t.Error("Snapshot accepted a non-stateful predictor")
@@ -542,11 +532,10 @@ func TestMonitorSnapshotZeroAlloc(t *testing.T) {
 	for _, s := range allocSamples(4096) {
 		mon.Step(s)
 	}
-	n, err := mon.SnapshotLen()
+	buf, err := mon.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, n)
 	allocs := testing.AllocsPerRun(1000, func() {
 		buf, _ = mon.Snapshot(buf[:0])
 	})
@@ -575,11 +564,10 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := mon.SnapshotLen()
+	buf, err := mon.Snapshot(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, 0, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

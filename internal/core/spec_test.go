@@ -140,7 +140,7 @@ func TestSpecEnvClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.(*GPHT).Config().NumPhases; got != 2 {
+	if got := p.(*GPHT).cfg.NumPhases; got != 2 {
 		t.Errorf("NumPhases = %d, want 2 (from env classifier)", got)
 	}
 	// NumPhases alone works too.
@@ -148,7 +148,7 @@ func TestSpecEnvClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.(*GPHT).Config().NumPhases; got != 3 {
+	if got := p.(*GPHT).cfg.NumPhases; got != 3 {
 		t.Errorf("NumPhases = %d, want 3", got)
 	}
 }
@@ -207,9 +207,9 @@ func TestWithTelemetryViaMonitorForwards(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		step(phase.Sample{MemPerUop: []float64{0.001, 0.001, 0.05}[i%3], UPC: 1.0})
 	}
-	if hub.GPHTHits.Value() != g.Hits() || hub.GPHTMisses.Value() != g.Misses() || g.Hits() == 0 {
+	if hub.GPHTHits.Value() != g.hits || hub.GPHTMisses.Value() != g.misses || g.hits == 0 {
 		t.Errorf("hub counted %d hits + %d misses, the GPHT %d + %d",
-			hub.GPHTHits.Value(), hub.GPHTMisses.Value(), g.Hits(), g.Misses())
+			hub.GPHTHits.Value(), hub.GPHTMisses.Value(), g.hits, g.misses)
 	}
 	plain, err := NewMonitor(phase.Default(), NewLastValue())
 	if err != nil {

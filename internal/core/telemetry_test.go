@@ -69,8 +69,8 @@ func TestMonitorStepInstrumentation(t *testing.T) {
 	}
 
 	// Telemetry must not change the monitor's own accounting.
-	if mon.Steps() != 2 || mon.Tally().Total() != 1 {
-		t.Errorf("monitor accounting disturbed: steps=%d tally=%d", mon.Steps(), mon.Tally().Total())
+	if mon.steps != 2 || mon.Tally().Total() != 1 {
+		t.Errorf("monitor accounting disturbed: steps=%d tally=%d", mon.steps, mon.Tally().Total())
 	}
 
 	// Step records nothing: the monitor holds no hub.

@@ -119,31 +119,9 @@ func (i *Interface) AvailableKHz() ([]uint64, error) {
 	return []uint64{maxV, minV}, nil
 }
 
-// CurrentKHz returns the current scaling frequency.
-func (i *Interface) CurrentKHz() (uint64, error) {
-	s, err := i.read("scaling_cur_freq")
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("cpufreq: malformed current frequency %q: %w", s, err)
-	}
-	return v, nil
-}
-
 // Governor returns the active scaling governor.
 func (i *Interface) Governor() (string, error) {
 	return i.read("scaling_governor")
-}
-
-// SetGovernor selects a scaling governor (userspace is required for
-// SetKHz to take effect).
-func (i *Interface) SetGovernor(name string) error {
-	if name == "" {
-		return fmt.Errorf("cpufreq: empty governor name")
-	}
-	return i.write("scaling_governor", name)
 }
 
 // SetKHz requests a frequency via scaling_setspeed.
@@ -199,6 +177,3 @@ func (a *Actuator) Set(setting int) error {
 	a.cur = setting
 	return nil
 }
-
-// Current returns the last applied setting, or -1 before the first Set.
-func (a *Actuator) Current() int { return a.cur }

@@ -4,11 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"phasemon/internal/dvfs"
-	"phasemon/internal/governor"
-	"phasemon/internal/machine"
-	"phasemon/internal/workload"
 )
 
 // fakeSysfs fabricates a cpufreq policy tree and returns its root.
@@ -108,23 +103,9 @@ func TestCurrentAndGovernor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := i.CurrentKHz()
-	if err != nil || cur != 1500000 {
-		t.Errorf("CurrentKHz = %v, %v", cur, err)
-	}
 	gov, err := i.Governor()
 	if err != nil || gov != "userspace" {
 		t.Errorf("Governor = %q, %v", gov, err)
-	}
-	if err := i.SetGovernor("performance"); err != nil {
-		t.Fatal(err)
-	}
-	gov, err = i.Governor()
-	if err != nil || gov != "performance" {
-		t.Errorf("after SetGovernor: %q, %v", gov, err)
-	}
-	if err := i.SetGovernor(""); err == nil {
-		t.Error("empty governor accepted")
 	}
 }
 
@@ -159,8 +140,8 @@ func TestActuator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 6 || a.Current() != -1 {
-		t.Fatalf("fresh actuator: len=%d cur=%d", a.Len(), a.Current())
+	if a.Len() != 6 || a.cur != -1 {
+		t.Fatalf("fresh actuator: len=%d cur=%d", a.Len(), a.cur)
 	}
 	if f, _ := a.FrequencyKHz(0); f != 1500000 {
 		t.Errorf("setting 0 = %d kHz", f)
@@ -171,8 +152,8 @@ func TestActuator(t *testing.T) {
 	if err := a.Set(5); err != nil {
 		t.Fatal(err)
 	}
-	if a.Current() != 5 {
-		t.Errorf("Current = %d", a.Current())
+	if a.cur != 5 {
+		t.Errorf("Current = %d", a.cur)
 	}
 	// Redundant Set must not rewrite: plant a sentinel and set the
 	// same setting again — the sentinel survives.
@@ -204,50 +185,5 @@ func TestOpenRealSysfs(t *testing.T) {
 	}
 	if _, err := i.AvailableKHz(); err != nil {
 		t.Logf("real ladder unavailable: %v", err)
-	}
-}
-
-func TestRealLadderDrivesSimulatedGovernor(t *testing.T) {
-	// End to end across the hardware bridge: read a (fake) machine's
-	// cpufreq frequency list, build a power-modeled ladder from it, and
-	// run the full simulated governor stack on that ladder — what a
-	// deployment on unknown hardware would do.
-	root := fakeSysfs(t, pentiumMFiles())
-	iface, err := Open(Config{Root: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	khz, err := iface.AvailableKHz()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hz := make([]float64, len(khz))
-	for i, f := range khz {
-		hz[i] = float64(f) * 1e3
-	}
-	ladder, err := dvfs.LadderFromFrequencies("fake-machine", hz, 0.956, 1.484)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := dvfs.Identity(ladder, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := workload.ByName("applu_in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := prof.Generator(workload.Params{Seed: 1, Intervals: 300})
-	cfg := governor.Config{Translation: tr, Machine: machine.Config{Ladder: ladder}}
-	base, err := governor.Run(gen, governor.Unmanaged(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	managed, err := governor.Run(gen, governor.Proactive(8, 128), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp := governor.EDPImprovement(base, managed); imp < 0.15 {
-		t.Errorf("EDP improvement %v on the hardware-derived ladder, want > 15%%", imp)
 	}
 }

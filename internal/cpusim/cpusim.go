@@ -114,15 +114,6 @@ type Result struct {
 	FrequencyHz float64
 }
 
-// BIPS returns billions of instructions per second for the interval,
-// the performance measure of the paper's Figures 10 and 11.
-func (r Result) BIPS() float64 {
-	if r.Time <= 0 {
-		return 0
-	}
-	return r.Instructions / r.Time / 1e9
-}
-
 // Config holds the platform parameters of the timing model.
 type Config struct {
 	// MemLatencyS is the effective per-transaction memory stall
@@ -149,9 +140,6 @@ func New(cfg Config) *Model {
 	}
 	return &Model{cfg: cfg}
 }
-
-// Config returns the model's parameters.
-func (m *Model) Config() Config { return m.cfg }
 
 // Execute runs one interval at the given core frequency and returns
 // the observable result.
@@ -202,20 +190,15 @@ func (m *Model) ObservedUPC(memPerUop, coreUPC, mlp, f float64) float64 {
 	return 1 / (1/coreUPC + memPerUop*m.cfg.MemLatencyS*f/mlp)
 }
 
-// Slowdown predicts T(f)/T(fmax) for code with the given Mem/Uop rate
-// and core UPC (MLP 1). It satisfies the dvfs.SlowdownModel contract
-// and is what the conservative phase-definition derivation of the
-// paper's Section 6.3 uses in place of IPCxMEM measurements.
-func (m *Model) Slowdown(memPerUop, coreUPC, f, fmax float64) float64 {
-	return m.SlowdownMLP(memPerUop, coreUPC, 1, f, fmax)
-}
-
-// SlowdownMLP is Slowdown with an explicit memory-level parallelism.
-// Higher MLP shrinks the memory (frequency-insensitive) share of
-// execution time, so a bound derived at a pessimistic (high) MLP holds
-// for all workloads at or below it — which is how the conservative
-// phase definitions of Section 6.3 stay safe for prefetch-friendly
-// codes.
+// SlowdownMLP predicts T(f)/T(fmax) for code with the given Mem/Uop
+// rate, core UPC and memory-level parallelism; at a fixed MLP it is a
+// dvfs.SlowdownModel, which the conservative phase-definition
+// derivation of the paper's Section 6.3 uses in place of IPCxMEM
+// measurements. Higher MLP shrinks the memory (frequency-insensitive)
+// share of execution time, so a bound derived at a pessimistic (high)
+// MLP holds for all workloads at or below it — which is how the
+// conservative phase definitions of Section 6.3 stay safe for
+// prefetch-friendly codes.
 func (m *Model) SlowdownMLP(memPerUop, coreUPC, mlp, f, fmax float64) float64 {
 	w := Work{Uops: 1e6, MemPerUop: memPerUop, CoreUPC: coreUPC, MLP: mlp}
 	at, err1 := m.Execute(w, f)
@@ -224,24 +207,6 @@ func (m *Model) SlowdownMLP(memPerUop, coreUPC, mlp, f, fmax float64) float64 {
 		return math.Inf(1)
 	}
 	return at.Time / ref.Time
-}
-
-// CoreUPCForTarget inverts the model: it returns the intrinsic core
-// UPC needed so that code with the given Mem/Uop observes targetUPC at
-// frequency f (MLP 1). It returns an error when the target is
-// unreachable (the memory component alone already caps observed UPC
-// below the target). This is how the IPCxMEM suite pins grid points.
-func (m *Model) CoreUPCForTarget(targetUPC, memPerUop, f float64) (float64, error) {
-	if !(targetUPC > 0) {
-		return 0, fmt.Errorf("cpusim: target UPC %v must be positive", targetUPC)
-	}
-	memCyclesPerUop := memPerUop * m.cfg.MemLatencyS * f
-	inv := 1/targetUPC - memCyclesPerUop
-	if inv <= 0 {
-		return 0, fmt.Errorf("cpusim: UPC %v unreachable with mem/uop %v at %v Hz (memory floor %v cycles/uop)",
-			targetUPC, memPerUop, f, memCyclesPerUop)
-	}
-	return 1 / inv, nil
 }
 
 // memBoundedFraction is the heuristic fraction of cycle budget that
@@ -292,12 +257,4 @@ func (m *Model) GridWork(targetUPC, memPerUop, refFreq, uops float64) (Work, err
 	coreUPC := targetUPC / (1 - beta)
 	mlp := memPerUop * m.cfg.MemLatencyS * refFreq * targetUPC / beta
 	return Work{Uops: uops, MemPerUop: memPerUop, CoreUPC: coreUPC, MLP: mlp}, nil
-}
-
-// MaxUPC returns the highest observable UPC for a given Mem/Uop at
-// frequency f, assuming the core's intrinsic UPC is capped at
-// coreUPCMax. This traces the paper's Figure 6 "SPEC boundary": high
-// memory intensity bounds achievable UPC from above.
-func (m *Model) MaxUPC(memPerUop, coreUPCMax, f float64) float64 {
-	return m.ObservedUPC(memPerUop, coreUPCMax, 1, f)
 }

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,7 +164,7 @@ func TestMemoryBoundUPCShiftMagnitude(t *testing.T) {
 	// memory-bound Figure 7 configuration lands in that regime
 	// (at least 50%, at most 120%).
 	m := New(DefaultConfig())
-	core, err := m.CoreUPCForTarget(0.1, 0.0475, 1.5e9)
+	core, err := coreUPCForTarget(m, 0.1, 0.0475, 1.5e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,22 +200,22 @@ func TestSlowdownProperties(t *testing.T) {
 	m := New(DefaultConfig())
 	fmax := 1.5e9
 	// Slowdown at fmax is exactly 1.
-	if s := m.Slowdown(0.01, 1.0, fmax, fmax); math.Abs(s-1) > 1e-12 {
+	if s := m.SlowdownMLP(0.01, 1.0, 1, fmax, fmax); math.Abs(s-1) > 1e-12 {
 		t.Errorf("Slowdown(fmax) = %v, want 1", s)
 	}
 	// CPU-bound slowdown is the full frequency ratio.
-	if s := m.Slowdown(0, 1.0, 600e6, fmax); math.Abs(s-fmax/600e6) > 1e-9 {
+	if s := m.SlowdownMLP(0, 1.0, 1, 600e6, fmax); math.Abs(s-fmax/600e6) > 1e-9 {
 		t.Errorf("CPU-bound slowdown = %v, want %v", s, fmax/600e6)
 	}
 	// Memory-bound slowdown approaches 1.
-	s := m.Slowdown(0.1, 1.0, 600e6, fmax)
+	s := m.SlowdownMLP(0.1, 1.0, 1, 600e6, fmax)
 	if s > 1.15 {
 		t.Errorf("highly memory-bound slowdown = %v, want near 1", s)
 	}
 	// Slowdown decreases as memory intensity rises.
 	prev := math.Inf(1)
 	for _, mem := range []float64{0, 0.005, 0.01, 0.02, 0.03, 0.05} {
-		s := m.Slowdown(mem, 1.0, 600e6, fmax)
+		s := m.SlowdownMLP(mem, 1.0, 1, 600e6, fmax)
 		if s > prev {
 			t.Errorf("slowdown not monotone in mem/uop: %v after %v", s, prev)
 		}
@@ -229,9 +230,9 @@ func TestCoreUPCForTargetRoundTrip(t *testing.T) {
 		{1.9, 0.0}, {0.9, 0.0}, {0.5, 0.0025}, {0.3, 0.0075}, {0.1, 0.0475},
 	}
 	for _, tc := range targets {
-		core, err := m.CoreUPCForTarget(tc.upc, tc.mem, f)
+		core, err := coreUPCForTarget(m, tc.upc, tc.mem, f)
 		if err != nil {
-			t.Fatalf("CoreUPCForTarget(%v,%v): %v", tc.upc, tc.mem, err)
+			t.Fatalf("coreUPCForTarget(%v,%v): %v", tc.upc, tc.mem, err)
 		}
 		w := Work{Uops: 100e6, MemPerUop: tc.mem, CoreUPC: core}
 		r, err := m.Execute(w, f)
@@ -333,32 +334,18 @@ func TestCoreUPCForTargetUnreachable(t *testing.T) {
 	m := New(DefaultConfig())
 	// mem/uop 0.05 at 1.5GHz imposes 7.5 stall cycles per uop, so UPC
 	// can never reach 0.2 > 1/7.5.
-	if _, err := m.CoreUPCForTarget(0.2, 0.05, 1.5e9); err == nil {
+	if _, err := coreUPCForTarget(m, 0.2, 0.05, 1.5e9); err == nil {
 		t.Error("expected unreachable-target error")
 	}
-	if _, err := m.CoreUPCForTarget(0, 0.01, 1.5e9); err == nil {
+	if _, err := coreUPCForTarget(m, 0, 0.01, 1.5e9); err == nil {
 		t.Error("expected error for zero target")
-	}
-}
-
-func TestBIPS(t *testing.T) {
-	m := New(DefaultConfig())
-	w := Work{Uops: 100e6, Instructions: 80e6, MemPerUop: 0, CoreUPC: 1.0}
-	r, _ := m.Execute(w, 1e9)
-	// time = 100e6/1e9 = 0.1s; BIPS = 80e6/0.1/1e9 = 0.8
-	if math.Abs(r.BIPS()-0.8) > 1e-9 {
-		t.Errorf("BIPS = %v, want 0.8", r.BIPS())
-	}
-	var zero Result
-	if zero.BIPS() != 0 {
-		t.Error("zero result should have 0 BIPS")
 	}
 }
 
 func TestNewDefaultsBadConfig(t *testing.T) {
 	for _, lat := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		m := New(Config{MemLatencyS: lat})
-		if m.Config().MemLatencyS != DefaultConfig().MemLatencyS {
+		if m.cfg.MemLatencyS != DefaultConfig().MemLatencyS {
 			t.Errorf("latency %v not defaulted", lat)
 		}
 	}
@@ -369,9 +356,9 @@ func TestMaxUPCBoundary(t *testing.T) {
 	m := New(DefaultConfig())
 	prev := math.Inf(1)
 	for _, mem := range []float64{0, 0.01, 0.02, 0.03, 0.04, 0.05} {
-		u := m.MaxUPC(mem, 2.0, 1.5e9)
+		u := m.ObservedUPC(mem, 2.0, 1, 1.5e9)
 		if u > prev {
-			t.Errorf("MaxUPC not decreasing: %v after %v at mem %v", u, prev, mem)
+			t.Errorf("peak observable UPC not decreasing: %v after %v at mem %v", u, prev, mem)
 		}
 		prev = u
 	}
@@ -412,4 +399,23 @@ func TestExecuteTimeAdditiveUnderChunking(t *testing.T) {
 			t.Fatalf("mem transactions not additive")
 		}
 	}
+}
+
+// coreUPCForTarget inverts the model: it returns the intrinsic core
+// UPC needed so that code with the given Mem/Uop observes targetUPC at
+// frequency f (MLP 1). It returns an error when the target is
+// unreachable (the memory component alone already caps observed UPC
+// below the target). TestMemoryBoundUPCShiftMagnitude builds its
+// Figure 7 corner with it.
+func coreUPCForTarget(m *Model, targetUPC, memPerUop, f float64) (float64, error) {
+	if !(targetUPC > 0) {
+		return 0, fmt.Errorf("cpusim: target UPC %v must be positive", targetUPC)
+	}
+	memCyclesPerUop := memPerUop * m.cfg.MemLatencyS * f
+	inv := 1/targetUPC - memCyclesPerUop
+	if inv <= 0 {
+		return 0, fmt.Errorf("cpusim: UPC %v unreachable with mem/uop %v at %v Hz (memory floor %v cycles/uop)",
+			targetUPC, memPerUop, f, memCyclesPerUop)
+	}
+	return 1 / inv, nil
 }

@@ -43,15 +43,6 @@ func (w *Waveform) Record(s machine.Span) {
 // modify the slice.
 func (w *Waveform) Spans() []machine.Span { return w.spans }
 
-// Duration returns the waveform's total covered time.
-func (w *Waveform) Duration() float64 {
-	var d float64
-	for _, s := range w.spans {
-		d += s.Dur
-	}
-	return d
-}
-
 // Len returns the number of spans.
 func (w *Waveform) Len() int { return len(w.spans) }
 

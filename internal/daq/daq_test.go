@@ -37,8 +37,8 @@ func TestWaveformRecording(t *testing.T) {
 	if w.Len() != 2 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	if got := w.Duration(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("Duration = %v", got)
+	if sp := w.Spans(); sp[1].T0 != 1 || sp[1].Dur != 0.5 {
+		t.Errorf("second span = %+v", sp[1])
 	}
 }
 
@@ -121,7 +121,7 @@ func TestAnalyzeEmptyAndUnsorted(t *testing.T) {
 // runInstrumented executes a managed applu run with the full
 // measurement chain attached and returns the machine, module, and
 // acquired samples.
-func runInstrumented(t *testing.T, intervals int) (*machine.Machine, *kernelsim.Module, []Sample) {
+func runInstrumented(t *testing.T, intervals int) (machine.RunResult, *kernelsim.Module, []Sample) {
 	t.Helper()
 	wave := NewWaveform()
 	m := machine.New(machine.Config{Recorder: wave})
@@ -145,29 +145,30 @@ func runInstrumented(t *testing.T, intervals int) (*machine.Machine, *kernelsim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(p.Generator(workload.Params{Seed: 1, Intervals: intervals}), mod); err != nil {
+	res, err := m.Run(p.Generator(workload.Params{Seed: 1, Intervals: intervals}), mod)
+	if err != nil {
 		t.Fatal(err)
 	}
 	samples, err := Acquire(wave, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, mod, samples
+	return res, mod, samples
 }
 
 func TestEndToEndDAQEnergyMatchesMachine(t *testing.T) {
 	// The independent measurement path must agree with the machine's
 	// analytic energy to within sampling + noise error.
-	m, _, samples := runInstrumented(t, 40)
+	res, _, samples := runInstrumented(t, 40)
 	rep, err := Analyze(samples, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(rep.TotalEnergyJ-m.EnergyJ()) / m.EnergyJ(); rel > 0.02 {
-		t.Errorf("DAQ energy %v vs machine %v: relative error %v", rep.TotalEnergyJ, m.EnergyJ(), rel)
+	if rel := math.Abs(rep.TotalEnergyJ-res.EnergyJ) / res.EnergyJ; rel > 0.02 {
+		t.Errorf("DAQ energy %v vs machine %v: relative error %v", rep.TotalEnergyJ, res.EnergyJ, rel)
 	}
-	if rel := math.Abs(rep.TotalDurS-m.Now()) / m.Now(); rel > 0.02 {
-		t.Errorf("DAQ duration %v vs machine %v: relative error %v", rep.TotalDurS, m.Now(), rel)
+	if rel := math.Abs(rep.TotalDurS-res.TimeS) / res.TimeS; rel > 0.02 {
+		t.Errorf("DAQ duration %v vs machine %v: relative error %v", rep.TotalDurS, res.TimeS, rel)
 	}
 	if rep.AvgPowerW <= 0 {
 		t.Error("non-positive average power")

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"phasemon/internal/phase"
@@ -132,15 +131,6 @@ func (l *Ladder) Fastest() Setting { return 0 }
 
 // Slowest returns the setting of the lowest-frequency point.
 func (l *Ladder) Slowest() Setting { return Setting(len(l.points) - 1) }
-
-// Frequencies returns the ladder's frequencies in Hz, fastest first.
-func (l *Ladder) Frequencies() []float64 {
-	out := make([]float64, len(l.points))
-	for i, p := range l.points {
-		out[i] = p.FrequencyHz
-	}
-	return out
-}
 
 // ClassSetting maps a canonical six-way phase class (Table 1) to its
 // Table 2 operating point on the Pentium-M ladder: the more
@@ -318,9 +308,6 @@ func (c *Controller) Ladder() *Ladder { return c.ladder }
 // Current returns the active setting.
 func (c *Controller) Current() Setting { return c.current }
 
-// Point returns the active operating point.
-func (c *Controller) Point() OperatingPoint { return c.ladder.Point(c.current) }
-
 // Set switches to the requested setting, mirroring the handler logic
 // of the paper's Figure 8: if the setting equals the current one, the
 // mode-set registers are left untouched and no cost is incurred.
@@ -351,31 +338,3 @@ func (c *Controller) Transitions() int { return c.transitions }
 
 // TimeInTransition returns the cumulative transition cost in seconds.
 func (c *Controller) TimeInTransition() float64 { return c.timeInTransition }
-
-// LadderFromFrequencies builds a ladder from a platform's frequency
-// list (e.g. cpufreq's scaling_available_frequencies) by
-// interpolating voltages linearly between the given endpoints — the
-// practical bridge from a real machine's DVFS table (which does not
-// expose voltages) to this package's power-aware modeling. Frequencies
-// may arrive in any order; duplicates are rejected.
-func LadderFromFrequencies(name string, freqsHz []float64, vMinV, vMaxV float64) (*Ladder, error) {
-	if len(freqsHz) == 0 {
-		return nil, fmt.Errorf("%w: no frequencies", ErrBadLadder)
-	}
-	if !(vMinV > 0) || !(vMaxV >= vMinV) {
-		return nil, fmt.Errorf("dvfs: invalid voltage range [%v, %v]", vMinV, vMaxV)
-	}
-	sorted := make([]float64, len(freqsHz))
-	copy(sorted, freqsHz)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	fMax, fMin := sorted[0], sorted[len(sorted)-1]
-	points := make([]OperatingPoint, len(sorted))
-	for i, f := range sorted {
-		v := vMaxV
-		if fMax > fMin {
-			v = vMinV + (vMaxV-vMinV)*(f-fMin)/(fMax-fMin)
-		}
-		points[i] = OperatingPoint{FrequencyHz: f, VoltageV: v}
-	}
-	return NewLadder(name, points)
-}

@@ -110,18 +110,6 @@ func TestLadderPointPanicsOnBadSetting(t *testing.T) {
 	l.Point(Setting(99))
 }
 
-func TestFrequenciesCopy(t *testing.T) {
-	l := PentiumM()
-	f := l.Frequencies()
-	if len(f) != 6 || f[0] != 1500e6 || f[5] != 600e6 {
-		t.Fatalf("Frequencies = %v", f)
-	}
-	f[0] = 1
-	if l.Point(0).FrequencyHz != 1500e6 {
-		t.Error("mutating Frequencies() result affected ladder")
-	}
-}
-
 func TestIdentityTranslation(t *testing.T) {
 	l := PentiumM()
 	tr, err := Identity(l, 6)
@@ -205,8 +193,8 @@ func TestControllerTransitions(t *testing.T) {
 	if _, err := c.Set(Setting(17)); err == nil {
 		t.Error("expected error for invalid setting")
 	}
-	if c.Point() != l.Point(3) {
-		t.Errorf("Point = %v", c.Point())
+	if c.Current() != 3 {
+		t.Errorf("Current = %v", c.Current())
 	}
 	c.Reset()
 	if c.Current() != 0 || c.Transitions() != 0 || c.TimeInTransition() != 0 {
@@ -227,7 +215,7 @@ func TestDeriveBoundedRespectsBound(t *testing.T) {
 	tab := phase.Default()
 	model := cpusim.New(cpusim.DefaultConfig())
 	const maxDeg = 0.05
-	tr, err := DeriveBounded(l, tab, model.Slowdown, maxDeg, 1.5)
+	tr, err := DeriveBounded(l, tab, slowdown(model), maxDeg, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +224,7 @@ func TestDeriveBoundedRespectsBound(t *testing.T) {
 	for p := 1; p <= tab.NumPhases(); p++ {
 		s := tr.Setting(phase.ID(p))
 		lo, _ := tab.Range(phase.ID(p))
-		slow := model.Slowdown(lo, 1.5, l.Point(s).FrequencyHz, fmax)
+		slow := slowdown(model)(lo, 1.5, l.Point(s).FrequencyHz, fmax)
 		if slow > 1+maxDeg+1e-12 {
 			t.Errorf("phase %d: chosen setting %d has slowdown %.4f > bound", p, s, slow)
 		}
@@ -257,7 +245,7 @@ func TestDeriveBoundedExtremes(t *testing.T) {
 	tab := phase.Default()
 	model := cpusim.New(cpusim.DefaultConfig())
 	// Zero bound: everything runs at full speed.
-	tr, err := DeriveBounded(l, tab, model.Slowdown, 0, 1.5)
+	tr, err := DeriveBounded(l, tab, slowdown(model), 0, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +255,7 @@ func TestDeriveBoundedExtremes(t *testing.T) {
 		}
 	}
 	// Enormous bound: everything may run at the slowest point.
-	tr, err = DeriveBounded(l, tab, model.Slowdown, 10, 1.5)
+	tr, err = DeriveBounded(l, tab, slowdown(model), 10, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +264,7 @@ func TestDeriveBoundedExtremes(t *testing.T) {
 			t.Errorf("huge bound: phase %d not slowest", p)
 		}
 	}
-	if _, err := DeriveBounded(l, tab, model.Slowdown, -1, 1.5); err == nil {
+	if _, err := DeriveBounded(l, tab, slowdown(model), -1, 1.5); err == nil {
 		t.Error("expected error for negative bound")
 	}
 }
@@ -289,7 +277,7 @@ func TestDeriveBoundedLessAggressiveThanIdentity(t *testing.T) {
 	tab := phase.Default()
 	model := cpusim.New(cpusim.DefaultConfig())
 	id, _ := Identity(l, 6)
-	tr, err := DeriveBounded(l, tab, model.Slowdown, 0.05, 1.5)
+	tr, err := DeriveBounded(l, tab, slowdown(model), 0.05, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,44 +296,9 @@ func TestOperatingPointString(t *testing.T) {
 	}
 }
 
-func TestLadderFromFrequencies(t *testing.T) {
-	l, err := LadderFromFrequencies("real", []float64{600e6, 1500e6, 1000e6}, 0.95, 1.48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	// Sorted fastest first with interpolated voltages at the endpoints.
-	top, bottom := l.Point(0), l.Point(2)
-	if top.FrequencyHz != 1500e6 || math.Abs(top.VoltageV-1.48) > 1e-12 {
-		t.Errorf("top point %v", top)
-	}
-	if bottom.FrequencyHz != 600e6 || math.Abs(bottom.VoltageV-0.95) > 1e-12 {
-		t.Errorf("bottom point %v", bottom)
-	}
-	// Mid frequency interpolates linearly: (1000-600)/(1500-600) of range.
-	mid := l.Point(1)
-	want := 0.95 + (1.48-0.95)*400.0/900.0
-	if math.Abs(mid.VoltageV-want) > 1e-12 {
-		t.Errorf("mid voltage %v, want %v", mid.VoltageV, want)
-	}
-	// Validation.
-	if _, err := LadderFromFrequencies("x", nil, 0.9, 1.4); err == nil {
-		t.Error("empty frequencies accepted")
-	}
-	if _, err := LadderFromFrequencies("x", []float64{1e9, 1e9}, 0.9, 1.4); err == nil {
-		t.Error("duplicate frequencies accepted")
-	}
-	if _, err := LadderFromFrequencies("x", []float64{1e9}, 1.4, 0.9); err == nil {
-		t.Error("inverted voltage range accepted")
-	}
-	// Single frequency: voltage pinned at the maximum.
-	single, err := LadderFromFrequencies("x", []float64{1e9}, 0.9, 1.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Point(0).VoltageV != 1.4 {
-		t.Errorf("single-point voltage %v", single.Point(0).VoltageV)
+// slowdown adapts the timing model to DeriveBounded at MLP 1.
+func slowdown(m *cpusim.Model) SlowdownModel {
+	return func(mem, coreUPC, f, fmax float64) float64 {
+		return m.SlowdownMLP(mem, coreUPC, 1, f, fmax)
 	}
 }

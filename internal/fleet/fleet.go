@@ -104,6 +104,8 @@ func New(cfg Config) *Engine {
 // copies each run's log out of the engine's storage, once, and
 // re-slices the run's prefix logs as views of the copy. Callers that
 // need only a summary of each run should Reduce instead.
+//
+//lint:unusedexport the one retaining form of Reduce, which the fleet, tournament, experiments and dvfsgov tests share instead of each copying logs out of the engine
 func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
 	return Reduce(ctx, e, specs, func(r Result) Result {
 		if r.Res != nil && r.Res.Log != nil {

@@ -1,88 +1,8 @@
 package governor
 
 import (
-	"phasemon/internal/dvfs"
 	"phasemon/internal/phase"
-	"phasemon/internal/power"
 )
-
-// PhaseBreakdown aggregates a run by actual phase: where the time and
-// energy went, and how well each phase was predicted — the per-phase
-// view behind the paper's Figure 10 discussion.
-type PhaseBreakdown struct {
-	Phase phase.ID
-	// Class is the phase's position in the canonical six-way taxonomy
-	// (Table 1), for labeling and cross-classifier comparison.
-	Class phase.Class
-	// Intervals is how many sampling intervals the phase covered.
-	Intervals int
-	// TimeShare and EnergyShare are fractions of the run total.
-	TimeShare   float64
-	EnergyShare float64
-	// AvgPowerW is the phase's average power.
-	AvgPowerW float64
-	// PredictedCorrectly is the fraction of the phase's intervals that
-	// were correctly anticipated.
-	PredictedCorrectly float64
-}
-
-// Breakdown computes the per-phase aggregation of a result using the
-// default platform models (the same reconstruction the paper's
-// user-level tools perform on the kernel log).
-func Breakdown(r *Result, numPhases int) []PhaseBreakdown {
-	ladder := dvfs.PentiumM()
-	pow := power.Default()
-	type agg struct {
-		n       int
-		timeS   float64
-		energyJ float64
-		correct int
-	}
-	per := make([]agg, numPhases+1)
-	var totT, totE float64
-	for _, e := range r.Log {
-		if !ladder.ValidSetting(e.Setting) {
-			continue
-		}
-		pt := ladder.Point(e.Setting)
-		dur := float64(e.Cycles) / pt.FrequencyHz
-		energy := pow.Power(pt.VoltageV, pt.FrequencyHz, e.UPC) * dur
-		idx := 0
-		if e.Actual.Valid(numPhases) {
-			idx = int(e.Actual)
-		}
-		per[idx].n++
-		per[idx].timeS += dur
-		per[idx].energyJ += energy
-		if e.Predicted == e.Actual {
-			per[idx].correct++
-		}
-		totT += dur
-		totE += energy
-	}
-	var out []PhaseBreakdown
-	for p := 1; p <= numPhases; p++ {
-		a := per[p]
-		if a.n == 0 {
-			continue
-		}
-		b := PhaseBreakdown{
-			Phase:              phase.ID(p),
-			Class:              phase.ClassOf(phase.ID(p), numPhases),
-			Intervals:          a.n,
-			AvgPowerW:          a.energyJ / a.timeS,
-			PredictedCorrectly: float64(a.correct) / float64(a.n),
-		}
-		if totT > 0 {
-			b.TimeShare = a.timeS / totT
-		}
-		if totE > 0 {
-			b.EnergyShare = a.energyJ / totE
-		}
-		out = append(out, b)
-	}
-	return out
-}
 
 // MispredictCell tallies the mispredictions charged to one canonical
 // phase class, split by whether the missed interval sat on a phase

@@ -1,64 +1,8 @@
 package governor
 
 import (
-	"math"
 	"testing"
 )
-
-func TestBreakdownSharesSumToOne(t *testing.T) {
-	r, err := Run(gen(t, "applu_in", 400), Proactive(8, 128), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := Breakdown(r, 6)
-	if len(bd) < 2 {
-		t.Fatalf("applu breakdown has %d phases, expected several", len(bd))
-	}
-	var timeSum, energySum float64
-	var intervals int
-	for _, b := range bd {
-		if b.TimeShare < 0 || b.EnergyShare < 0 {
-			t.Fatalf("negative share: %+v", b)
-		}
-		if b.AvgPowerW <= 0 || b.AvgPowerW > 25 {
-			t.Fatalf("implausible phase power: %+v", b)
-		}
-		if b.PredictedCorrectly < 0 || b.PredictedCorrectly > 1 {
-			t.Fatalf("bad prediction fraction: %+v", b)
-		}
-		timeSum += b.TimeShare
-		energySum += b.EnergyShare
-		intervals += b.Intervals
-	}
-	if math.Abs(timeSum-1) > 1e-9 || math.Abs(energySum-1) > 1e-9 {
-		t.Errorf("shares sum to %v (time), %v (energy)", timeSum, energySum)
-	}
-	if intervals != len(r.Log) {
-		t.Errorf("breakdown covers %d intervals, log has %d", intervals, len(r.Log))
-	}
-}
-
-func TestBreakdownMemoryPhasesDrawLessPower(t *testing.T) {
-	// Under management, applu's memory phases (5/6) run at low
-	// operating points and must show distinctly lower average power
-	// than its compute phase 2.
-	r, err := Run(gen(t, "applu_in", 600), Proactive(8, 128), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPhase := map[int]PhaseBreakdown{}
-	for _, b := range Breakdown(r, 6) {
-		byPhase[int(b.Phase)] = b
-	}
-	p2, ok2 := byPhase[2]
-	p6, ok6 := byPhase[6]
-	if !ok2 || !ok6 {
-		t.Skip("run did not visit both phases")
-	}
-	if !(p6.AvgPowerW < 0.6*p2.AvgPowerW) {
-		t.Errorf("managed phase-6 power %v not well below phase-2 power %v", p6.AvgPowerW, p2.AvgPowerW)
-	}
-}
 
 func TestMispredictBreakdownAgreesWithTally(t *testing.T) {
 	r, err := Run(gen(t, "applu_in", 400), Proactive(8, 128), Config{})
@@ -111,19 +55,5 @@ func TestMispredictBreakdownTransitionSplit(t *testing.T) {
 	}
 	if transition != total {
 		t.Errorf("last-value misses: %d of %d at transitions, want all", transition, total)
-	}
-}
-
-func TestBreakdownSinglePhaseWorkload(t *testing.T) {
-	r, err := Run(gen(t, "crafty_in", 100), Unmanaged(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := Breakdown(r, 6)
-	if len(bd) != 1 || bd[0].Phase != 1 {
-		t.Fatalf("crafty breakdown = %+v", bd)
-	}
-	if math.Abs(bd[0].TimeShare-1) > 1e-9 {
-		t.Errorf("single-phase time share = %v", bd[0].TimeShare)
 	}
 }

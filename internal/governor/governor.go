@@ -69,7 +69,6 @@ func (reactive) Managed() bool                            { return true }
 
 type proactive struct {
 	depth, entries int
-	hysteresis     bool
 }
 
 // Proactive returns GPHT-guided management with the given predictor
@@ -78,16 +77,7 @@ func Proactive(gphrDepth, phtEntries int) Policy {
 	return proactive{depth: gphrDepth, entries: phtEntries}
 }
 
-// ProactiveHysteresis is Proactive with the 2-bit-style prediction
-// update extension.
-func ProactiveHysteresis(gphrDepth, phtEntries int) Policy {
-	return proactive{depth: gphrDepth, entries: phtEntries, hysteresis: true}
-}
-
 func (p proactive) Name() string {
-	if p.hysteresis {
-		return fmt.Sprintf("GPHT_%d_%d_hyst", p.depth, p.entries)
-	}
 	return fmt.Sprintf("GPHT_%d_%d", p.depth, p.entries)
 }
 
@@ -96,7 +86,6 @@ func (p proactive) NewPredictor(numPhases int) (core.Predictor, error) {
 		GPHRDepth:  p.depth,
 		PHTEntries: p.entries,
 		NumPhases:  numPhases,
-		Hysteresis: p.hysteresis,
 	})
 }
 

@@ -236,11 +236,10 @@ func TestRunValidation(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]Policy{
-		"Baseline":        Unmanaged(),
-		"LastValue":       Reactive(),
-		"GPHT_8_128":      Proactive(8, 128),
-		"GPHT_8_128_hyst": ProactiveHysteresis(8, 128),
-		"Oracle":          Oracle(nil),
+		"Baseline":   Unmanaged(),
+		"LastValue":  Reactive(),
+		"GPHT_8_128": Proactive(8, 128),
+		"Oracle":     Oracle(nil),
 	}
 	for want, pol := range cases {
 		if pol.Name() != want {

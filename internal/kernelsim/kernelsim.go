@@ -13,7 +13,6 @@
 package kernelsim
 
 import (
-	"errors"
 	"fmt"
 
 	"phasemon/internal/core"
@@ -144,9 +143,6 @@ type Module struct {
 	budgetViolations int
 }
 
-// ErrNotLoaded reports use of an unloaded module.
-var ErrNotLoaded = errors.New("kernelsim: module not loaded")
-
 // NewModule validates the configuration and returns an unloaded module.
 func NewModule(cfg Config) (*Module, error) {
 	if cfg.Monitor == nil {
@@ -195,9 +191,6 @@ func (mod *Module) Unload(m *machine.Machine) {
 	m.PMCs().Stop()
 	mod.loaded = false
 }
-
-// Loaded reports whether the module is installed.
-func (mod *Module) Loaded() bool { return mod.loaded }
 
 // HandlePMI implements machine.Handler with the exact Figure 8 flow.
 //
@@ -304,9 +297,6 @@ func handlerCost(cfg Config) float64 {
 	return cost
 }
 
-// HandlerCostS exposes the modeled per-invocation cost.
-func (mod *Module) HandlerCostS() float64 { return mod.handlerCostS }
-
 // BudgetViolations counts handler invocations that exceeded the
 // interrupt time budget.
 func (mod *Module) BudgetViolations() int { return mod.budgetViolations }
@@ -359,13 +349,6 @@ func reverse(s []Entry) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// Reconfigure swaps the phase-to-DVFS translation table — the paper's
-// post-deployment reconfiguration path (Section 6.3). A nil table
-// disables management.
-func (mod *Module) Reconfigure(tr *dvfs.Translation) {
-	mod.cfg.Translation = tr
 }
 
 // logSlot returns the slot the next log entry is written into: a new

@@ -50,5 +50,6 @@ func All() []*Analyzer {
 		GuardedAnalyzer,
 		HotAllocAnalyzer,
 		DeadlineAnalyzer,
+		UnusedExportAnalyzer,
 	}
 }

@@ -25,6 +25,12 @@
 //   - deadline: conn Read/Write in the serving packages must be
 //     dominated by the matching SetRead/SetWriteDeadline in the same
 //     function or all of its callers.
+//   - unusedexport: an exported function or method must have a caller
+//     in non-test code. It is the one whole-program pass: references
+//     are collected from every analysed package and from the perfbench
+//     module, loaded as a reference-only root because it builds its
+//     benchmark from this tree (see LoadProgram), and a method whose
+//     name and signature match an interface method counts as called.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built purely on the standard
@@ -35,8 +41,12 @@
 // (e.g. //lint:wallclock, //lint:floateq, //lint:guarded; commas
 // combine several) suppresses the corresponding finding on its own
 // line or the line below. //lint:hotpath is not an escape hatch: it
-// marks a hotalloc root. The suppression policy per package is part
-// of the repo gate: internal/agg, internal/wire, and internal/phased
+// marks a hotalloc root. //lint:unusedexport must be followed by a
+// reason, and is kept only for the cases DESIGN.md §8 lists: the
+// retaining form of an engine API its tests share, test harnesses and
+// seams, reference oracles that tests check live code against, and
+// paper pins. The suppression policy per package is part of the repo
+// gate: internal/agg, internal/wire, and internal/phased
 // admit no guarded/hotalloc/deadline suppressions at all (see
 // TestNoEscapeHatchesInHotPackages and DESIGN.md §13).
 package lint
@@ -74,6 +84,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Program is everything the run loaded; only whole-program
+	// analyzers (unusedexport) read it.
+	Program *Program
 	// Report delivers one finding.
 	Report func(Diagnostic)
 
@@ -159,9 +172,9 @@ func directiveNames(text string) []string {
 	return names
 }
 
-// RunAnalyzer applies one analyzer to one loaded package and returns
+// RunAnalyzer applies one analyzer to one package of prog and returns
 // its findings sorted by position.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+func RunAnalyzer(a *Analyzer, prog *Program, pkg *Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
@@ -169,6 +182,7 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
+		Program:   prog,
 		Report:    func(d Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {

@@ -34,7 +34,11 @@ import (
 )
 
 // Run applies the analyzer to each named fixture package and compares
-// diagnostics with the fixtures' want comments.
+// diagnostics with the fixtures' want comments. Every fixture loaded —
+// the named ones and the fixtures they import — makes up the Program a
+// whole-program analyzer sees.
+//
+//lint:unusedexport test harness: the analyzer tests are its callers
 func Run(t *testing.T, testdata string, a *lint.Analyzer, fixtures ...string) {
 	t.Helper()
 	ld := &loader{
@@ -44,17 +48,24 @@ func Run(t *testing.T, testdata string, a *lint.Analyzer, fixtures ...string) {
 	}
 	ld.std = importer.ForCompiler(ld.fset, "source", nil)
 	for _, name := range fixtures {
-		runOne(t, ld, a, name)
+		if _, err := ld.load(name); err != nil {
+			t.Fatalf("%s: loading fixture %s: %v", a.Name, name, err)
+		}
+	}
+	prog := &lint.Program{}
+	for path, pkg := range ld.pkgs {
+		prog.Packages = append(prog.Packages, &lint.Package{
+			PkgPath: path, Fset: ld.fset, Files: pkg.files, Types: pkg.types, TypesInfo: pkg.info,
+		})
+	}
+	for _, name := range fixtures {
+		runOne(t, ld, prog, a, name)
 	}
 }
 
-func runOne(t *testing.T, ld *loader, a *lint.Analyzer, fixture string) {
+func runOne(t *testing.T, ld *loader, prog *lint.Program, a *lint.Analyzer, fixture string) {
 	t.Helper()
-	pkg, err := ld.load(fixture)
-	if err != nil {
-		t.Fatalf("%s: loading fixture %s: %v", a.Name, fixture, err)
-	}
-
+	pkg := ld.pkgs[fixture]
 	var diags []lint.Diagnostic
 	pass := &lint.Pass{
 		Analyzer:  a,
@@ -62,6 +73,7 @@ func runOne(t *testing.T, ld *loader, a *lint.Analyzer, fixture string) {
 		Files:     pkg.files,
 		Pkg:       pkg.types,
 		TypesInfo: pkg.info,
+		Program:   prog,
 		Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
@@ -214,7 +226,9 @@ func (ld *loader) load(path string) (*fixturePkg, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		// Like the module loader, fixtures are type-checked from their
+		// non-test sources only.
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

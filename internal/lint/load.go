@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -24,6 +25,74 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+}
+
+// A Program is what one lint run sees: the analysed packages, and the
+// reference-only packages whose non-test code counts as a caller for
+// unusedexport but which are not themselves analysed.
+type Program struct {
+	Packages []*Package
+	Refs     []*Package
+
+	// index is unusedexport's reference index, built on first use.
+	index *programRefs
+}
+
+// referenceRoots are directories of the module holding modules of their
+// own that call into it: perfbench builds its benchmark from this tree
+// (replace phasemon => ../), so what it calls is in use.
+var referenceRoots = []string{"perfbench"}
+
+// LoadProgram loads the packages matching patterns, as Load does, and
+// their references: the rest of the module when the patterns name only
+// part of it, and each reference root that exists.
+func LoadProgram(dir string, patterns ...string) (*Program, error) {
+	pkgs, err := Load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	prog := &Program{Packages: pkgs}
+	root, err := moduleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %v", err)
+	}
+	whole := len(patterns) == 0 || (len(patterns) == 1 && patterns[0] == "./...")
+	var refDirs []string
+	if abs != root || !whole {
+		refDirs = append(refDirs, root)
+	}
+	for _, r := range referenceRoots {
+		if _, err := os.Stat(filepath.Join(root, r, "go.mod")); err == nil {
+			refDirs = append(refDirs, filepath.Join(root, r))
+		}
+	}
+	for _, d := range refDirs {
+		refs, err := Load(d, "./...")
+		if err != nil {
+			return nil, err
+		}
+		prog.Refs = append(prog.Refs, refs...)
+	}
+	return prog, nil
+}
+
+// moduleRoot returns the directory of the go.mod governing dir.
+func moduleRoot(dir string) (string, error) {
+	cmd := exec.Command("go", "env", "GOMOD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("lint: go env GOMOD: %v", err)
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return "", fmt.Errorf("lint: %s is not inside a module", dir)
+	}
+	return filepath.Dir(gomod), nil
 }
 
 // listedPackage is the subset of `go list -json` output the loader

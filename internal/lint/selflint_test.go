@@ -11,19 +11,19 @@ import (
 // must satisfy its own invariants. This is the test-suite form of the
 // acceptance gate `go run ./cmd/phasemonlint ./...` exiting 0.
 func TestRepoIsLintClean(t *testing.T) {
-	pkgs, err := lint.Load("../..", "./...")
+	prog, err := lint.LoadProgram("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("Load returned no packages")
+	if len(prog.Packages) == 0 || len(prog.Refs) == 0 {
+		t.Fatalf("LoadProgram returned %d packages and %d references", len(prog.Packages), len(prog.Refs))
 	}
-	for _, pkg := range pkgs {
+	for _, pkg := range prog.Packages {
 		for _, a := range lint.All() {
 			if a.Match != nil && !a.Match(pkg.PkgPath) {
 				continue
 			}
-			diags, err := lint.RunAnalyzer(a, pkg)
+			diags, err := lint.RunAnalyzer(a, prog, pkg)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", a.Name, pkg.PkgPath, err)
 			}

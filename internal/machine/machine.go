@@ -179,9 +179,6 @@ type settingPower struct {
 // CPU returns the timing model.
 func (m *Machine) CPU() *cpusim.Model { return m.cpu }
 
-// PowerModel returns the power model.
-func (m *Machine) PowerModel() *power.Model { return m.power }
-
 // PMCs returns the performance counter bank.
 func (m *Machine) PMCs() *pmc.Bank { return m.pmcs }
 
@@ -195,19 +192,6 @@ func (m *Machine) Port() *ParallelPort { return &m.port }
 // machine was built without one.
 func (m *Machine) Thermal() *thermal.Model { return m.therm }
 
-// Now returns the simulated time in seconds.
-func (m *Machine) Now() float64 { return m.nowS }
-
-// EnergyJ returns the cumulative CPU energy in joules.
-func (m *Machine) EnergyJ() float64 { return m.energyJ }
-
-// AppTimeS returns time spent executing application work.
-func (m *Machine) AppTimeS() float64 { return m.appTimeS }
-
-// HandlerTimeS returns time spent inside the PMI handler (plus DVFS
-// transitions) — the overhead the paper argues is invisible.
-func (m *Machine) HandlerTimeS() float64 { return m.handlerTimeS }
-
 // OverheadFraction returns handler time as a fraction of total time.
 func (m *Machine) OverheadFraction() float64 {
 	total := m.appTimeS + m.handlerTimeS
@@ -216,12 +200,6 @@ func (m *Machine) OverheadFraction() float64 {
 	}
 	return m.handlerTimeS / total
 }
-
-// Instructions returns total retired instructions.
-func (m *Machine) Instructions() float64 { return m.instructions }
-
-// Uops returns total retired uops.
-func (m *Machine) Uops() float64 { return m.uops }
 
 // powerNow is the rail power at setting sp for an observed UPC. It
 // adds the same operands in the same order as power.Model.Power, with

@@ -88,11 +88,11 @@ func TestRunSplitsOversizedSegments(t *testing.T) {
 	m := setupMachine(t, nil)
 	h := &rearmHandler{gran: 100_000_000}
 	model := cpusim.New(cpusim.DefaultConfig())
-	gen, err := workload.IPCxMEM(model, 0.5, 0.01, 1.5e9, 250e6, 2)
+	w, err := model.GridWork(0.5, 0.01, 1.5e9, 250e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(gen, h)
+	res, err := m.Run(&repeatGen{w: w, n: 2}, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +216,22 @@ func TestRunRejectsInvalidWork(t *testing.T) {
 	}
 }
 
+// repeatGen emits one work item n times.
+type repeatGen struct {
+	w    cpusim.Work
+	n, i int
+}
+
+func (g *repeatGen) Name() string { return "repeat" }
+func (g *repeatGen) Next() (cpusim.Work, bool) {
+	if g.i >= g.n {
+		return cpusim.Work{}, false
+	}
+	g.i++
+	return g.w, true
+}
+func (g *repeatGen) Reset() { g.i = 0 }
+
 type badGen struct{ done bool }
 
 func (g *badGen) Name() string { return "bad" }
@@ -230,13 +246,13 @@ func (g *badGen) Reset() { g.done = false }
 
 func TestDefaultsApplied(t *testing.T) {
 	m := New(Config{})
-	if m.CPU() == nil || m.PowerModel() == nil || m.DVFS() == nil || m.PMCs() == nil {
+	if m.CPU() == nil || m.power == nil || m.DVFS() == nil || m.PMCs() == nil {
 		t.Fatal("defaults not applied")
 	}
 	if m.DVFS().Ladder().Len() != 6 {
 		t.Errorf("default ladder has %d points", m.DVFS().Ladder().Len())
 	}
-	if m.Now() != 0 || m.EnergyJ() != 0 {
+	if m.nowS != 0 || m.energyJ != 0 {
 		t.Error("fresh machine not at origin")
 	}
 	if m.OverheadFraction() != 0 {

@@ -6,8 +6,7 @@
 // this package supplies the layer *beneath* that number: given an
 // architecture-independent locality description of an execution
 // interval (access rate, working set, reuse skew), it derives the L1
-// and L2 hit rates, the resulting bus-transaction rate, and the
-// bandwidth-dependent effective memory latency. It lets workloads be
+// and L2 hit rates and the resulting bus-transaction rate. It lets workloads be
 // specified by what the program does (how much data it touches) rather
 // than by the counter value directly, and closes the loop between
 // working-set behavior and the Mem/Uop phases of the paper's Table 1.
@@ -42,22 +41,15 @@ type Config struct {
 	// ColdMissRate is the floor miss ratio from compulsory misses and
 	// conflict noise, applied per level.
 	ColdMissRate float64
-	// BusPeakBytesPerS is the front-side bus peak bandwidth.
-	BusPeakBytesPerS float64
-	// BaseLatencyS is the unloaded memory access latency.
-	BaseLatencyS float64
 }
 
 // DefaultConfig returns a Pentium-M (Banias) class hierarchy: 32 KB
-// L1D, 1 MB L2, 64 B lines, a 400 MT/s front-side bus (~3.2 GB/s), and
-// ~90 ns unloaded latency.
+// L1D, 1 MB L2 and 64 B lines.
 func DefaultConfig() Config {
 	return Config{
-		L1:               CacheConfig{SizeBytes: 32 << 10, LineBytes: 64},
-		L2:               CacheConfig{SizeBytes: 1 << 20, LineBytes: 64},
-		ColdMissRate:     0.002,
-		BusPeakBytesPerS: 3.2e9,
-		BaseLatencyS:     90e-9,
+		L1:           CacheConfig{SizeBytes: 32 << 10, LineBytes: 64},
+		L2:           CacheConfig{SizeBytes: 1 << 20, LineBytes: 64},
+		ColdMissRate: 0.002,
 	}
 }
 
@@ -80,10 +72,6 @@ func (c Config) Validate() error {
 		return errors.New("memhier: L2 smaller than L1")
 	case c.ColdMissRate < 0 || c.ColdMissRate >= 1:
 		return fmt.Errorf("memhier: cold miss rate %v outside [0,1)", c.ColdMissRate)
-	case !(c.BusPeakBytesPerS > 0):
-		return fmt.Errorf("memhier: bus bandwidth %v must be positive", c.BusPeakBytesPerS)
-	case !(c.BaseLatencyS > 0):
-		return fmt.Errorf("memhier: base latency %v must be positive", c.BaseLatencyS)
 	}
 	return nil
 }
@@ -153,9 +141,6 @@ func Default() *Model {
 	return m
 }
 
-// Config returns the model parameters.
-func (m *Model) Config() Config { return m.cfg }
-
 // hitRate is the analytic per-level hit probability.
 func hitRate(sizeBytes, wsBytes, skew, coldMiss float64) float64 {
 	if wsBytes <= sizeBytes {
@@ -201,25 +186,4 @@ func (m *Model) MemPerUop(p AccessProfile) (float64, error) {
 	p = p.normalized()
 	missPerAccess := (1 - l1) * (1 - l2)
 	return p.AccessesPerUop * missPerAccess / p.SpatialRun, nil
-}
-
-// EffectiveLatency returns the loaded memory latency at a demanded bus
-// byte rate, with M/M/1-style queueing against the bus's peak
-// bandwidth: latency grows as utilization approaches 1 and the model
-// saturates (returns +Inf) at or beyond the peak.
-func (m *Model) EffectiveLatency(busBytesPerS float64) float64 {
-	if busBytesPerS < 0 {
-		busBytesPerS = 0
-	}
-	u := busBytesPerS / m.cfg.BusPeakBytesPerS
-	if u >= 1 {
-		return math.Inf(1)
-	}
-	return m.cfg.BaseLatencyS / (1 - u)
-}
-
-// BusBytesPerS converts a bus-transaction rate into bus traffic using
-// the L2 line size.
-func (m *Model) BusBytesPerS(txPerS float64) float64 {
-	return txPerS * m.cfg.L2.LineBytes
 }

@@ -19,8 +19,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.L2.SizeBytes = c.L1.SizeBytes / 2 },
 		func(c *Config) { c.ColdMissRate = -0.1 },
 		func(c *Config) { c.ColdMissRate = 1 },
-		func(c *Config) { c.BusPeakBytesPerS = 0 },
-		func(c *Config) { c.BaseLatencyS = 0 },
 	}
 	for i, f := range mutate {
 		c := DefaultConfig()
@@ -152,39 +150,5 @@ func TestHitRatesBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEffectiveLatencySaturation(t *testing.T) {
-	m := Default()
-	base := m.Config().BaseLatencyS
-	if got := m.EffectiveLatency(0); got != base {
-		t.Errorf("unloaded latency %v, want %v", got, base)
-	}
-	if got := m.EffectiveLatency(-5); got != base {
-		t.Errorf("negative demand latency %v, want clamped to base", got)
-	}
-	half := m.EffectiveLatency(m.Config().BusPeakBytesPerS / 2)
-	if math.Abs(half-2*base) > 1e-15 {
-		t.Errorf("latency at 50%% utilization %v, want 2x base", half)
-	}
-	if !math.IsInf(m.EffectiveLatency(m.Config().BusPeakBytesPerS), 1) {
-		t.Error("latency at saturation should be +Inf")
-	}
-	// Monotone below saturation.
-	prev := 0.0
-	for u := 0.0; u < 0.95; u += 0.05 {
-		l := m.EffectiveLatency(u * m.Config().BusPeakBytesPerS)
-		if l < prev {
-			t.Fatalf("latency not monotone at utilization %v", u)
-		}
-		prev = l
-	}
-}
-
-func TestBusBytes(t *testing.T) {
-	m := Default()
-	if got := m.BusBytesPerS(1e6); got != 64e6 {
-		t.Errorf("BusBytesPerS = %v, want 64e6", got)
 	}
 }

@@ -60,15 +60,6 @@ func ClassOf(id ID, numPhases int) Class {
 // Valid reports whether c is one of the six real categories.
 func (c Class) Valid() bool { return c >= ClassCPUBound && c <= ClassMemoryBound }
 
-// ID returns the phase ID the class corresponds to under the default
-// six-phase classifier (None for ClassUnknown).
-func (c Class) ID() ID {
-	if !c.Valid() {
-		return None
-	}
-	return ID(c)
-}
-
 // String names the class the way the paper's prose does.
 func (c Class) String() string {
 	switch c {

@@ -209,8 +209,10 @@ func (t *Table) Classify(s Sample) ID {
 	return id
 }
 
-// Range returns the half-open Mem/Uop interval [lo, hi) covered by the
-// given phase. The first phase has lo = 0 and the last hi = +Inf.
+// Range returns the nominal Table 1 bounds of the given phase: the
+// half-open Mem/Uop interval [lo, hi), with lo = 0 for the first phase
+// and hi = +Inf for the last. Classify also places a sample within
+// ApproxEqual tolerance below lo in this phase.
 func (t *Table) Range(id ID) (lo, hi float64) {
 	if !id.Valid(t.NumPhases()) {
 		return math.NaN(), math.NaN()
@@ -232,21 +234,6 @@ func (t *Table) Bounds() []float64 {
 	cp := make([]float64, len(t.bounds))
 	copy(cp, t.bounds)
 	return cp
-}
-
-// Midpoint returns a representative Mem/Uop value for the phase: the
-// middle of its range, or for the unbounded top phase, 4/3 of its
-// lower boundary. It is used when a model needs a single number per
-// phase (e.g. deriving conservative phase definitions).
-func (t *Table) Midpoint(id ID) float64 {
-	lo, hi := t.Range(id)
-	if math.IsNaN(lo) {
-		return math.NaN()
-	}
-	if math.IsInf(hi, 1) {
-		return lo * 4 / 3
-	}
-	return (lo + hi) / 2
 }
 
 // Describe renders the classifier as the paper's Table 1, one line per
@@ -315,6 +302,8 @@ func NewUPCTable(name string, bounds []float64) (*UPCTable, error) {
 
 // DefaultUPC returns a six-phase UPC classifier with boundaries chosen
 // to split the SPEC-observed UPC range (roughly 0.1 to 2.0) evenly.
+//
+//lint:unusedexport pins the paper's case for Mem/Uop: kernelsim's TestUPCClassifierIsNotDVFSInvariant shows UPC phases shift with DVFS
 func DefaultUPC() *UPCTable {
 	t, err := NewUPCTable("upc6", []float64{0.15, 0.3, 0.5, 0.8, 1.2})
 	if err != nil {

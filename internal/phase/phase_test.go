@@ -167,19 +167,6 @@ func TestMustNewTablePanics(t *testing.T) {
 	MustNewTable("bad", nil)
 }
 
-func TestMidpoint(t *testing.T) {
-	tab := Default()
-	for i := 1; i <= tab.NumPhases(); i++ {
-		m := tab.Midpoint(ID(i))
-		if got := tab.Classify(Sample{MemPerUop: m}); got != ID(i) {
-			t.Errorf("Midpoint(%d) = %v classifies as %v", i, m, got)
-		}
-	}
-	if !math.IsNaN(tab.Midpoint(None)) {
-		t.Error("Midpoint(None) should be NaN")
-	}
-}
-
 func TestDescribeMentionsEveryPhase(t *testing.T) {
 	d := Default().Describe()
 	for _, want := range []string{"< 0.005", "[0.005,0.010)", "[0.020,0.030)", "> 0.030", "cpu-bound", "memory-bound"} {

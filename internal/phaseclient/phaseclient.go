@@ -758,13 +758,12 @@ func (s *Session) Snapshot() (SessionSnapshot, bool) {
 	return *s.snap, true
 }
 
-// Pending reports buffered predictions not yet consumed by Recv.
-func (s *Session) Pending() int { return len(s.preds) }
-
 // Drained exposes server-initiated Drain frames: when the server shuts
 // down gracefully it flushes the session and sends a Drain without
 // being asked, and it arrives here. (A client-initiated Drain consumes
 // the reply itself.)
+//
+//lint:unusedexport reference oracle: the serving tests observe the server's unsolicited Drain frames through it
 func (s *Session) Drained() <-chan wire.Drain { return s.drain }
 
 // RollupSub is a live subscription to a phased node's rollup stream:

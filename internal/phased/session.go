@@ -49,9 +49,6 @@ func (s SessionState) String() string {
 	}
 }
 
-// Valid reports whether s is a declared state.
-func (s SessionState) Valid() bool { return s <= StateClosed }
-
 // sampleRing is a fixed-capacity FIFO of samples with a drop-oldest
 // overflow policy: under backpressure the freshest window of samples
 // survives, which is the right call for phase monitoring — predictions

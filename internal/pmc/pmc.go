@@ -182,6 +182,8 @@ func (b *Bank) Start() { b.running = true }
 func (b *Bank) Stop() { b.running = false }
 
 // Running reports whether the counters are counting.
+//
+//lint:unusedexport reference oracle: the kernel-module lifecycle tests check that Load and Unload start and stop the bank
 func (b *Bank) Running() bool { return b.running }
 
 // TSC returns the time stamp counter.

@@ -1,6 +1,5 @@
 // Package power models CPU power consumption as a function of supply
-// voltage, clock frequency and activity, plus the energy and
-// energy-delay-product accounting the paper's evaluation uses.
+// voltage, clock frequency and activity.
 //
 // The model is the standard CMOS decomposition
 //
@@ -18,7 +17,6 @@
 package power
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -179,114 +177,8 @@ func (m *Model) LeakageScale(tempC float64) float64 {
 }
 
 // PowerAt is Power with temperature-dependent leakage.
+//
+//lint:unusedexport reference oracle: tests check machine's precomputed power table against it
 func (m *Model) PowerAt(voltageV, freqHz, upc, tempC float64) float64 {
 	return m.Dynamic(voltageV, freqHz, upc) + m.LeakageAt(voltageV, tempC) + m.cfg.BaseW
-}
-
-// Energy returns the energy in joules dissipated over a duration at
-// constant operating conditions.
-func (m *Model) Energy(voltageV, freqHz, upc, seconds float64) float64 {
-	return m.Power(voltageV, freqHz, upc) * seconds
-}
-
-// Accumulator integrates energy and time over a run and derives the
-// summary power/performance metrics of the paper's Section 6.
-type Accumulator struct {
-	energyJ      float64
-	timeS        float64
-	instructions float64
-	samples      int
-}
-
-// ErrBadSample reports a non-physical accumulation input.
-var ErrBadSample = errors.New("power: sample time and energy must be non-negative and finite")
-
-// Add records one interval's energy, duration and retired instructions.
-func (a *Accumulator) Add(energyJ, seconds, instructions float64) error {
-	if energyJ < 0 || seconds < 0 || instructions < 0 ||
-		math.IsNaN(energyJ) || math.IsNaN(seconds) || math.IsNaN(instructions) ||
-		math.IsInf(energyJ, 0) || math.IsInf(seconds, 0) || math.IsInf(instructions, 0) {
-		return fmt.Errorf("%w: E=%v t=%v n=%v", ErrBadSample, energyJ, seconds, instructions)
-	}
-	a.energyJ += energyJ
-	a.timeS += seconds
-	a.instructions += instructions
-	a.samples++
-	return nil
-}
-
-// EnergyJ returns the total energy in joules.
-func (a *Accumulator) EnergyJ() float64 { return a.energyJ }
-
-// TimeS returns the total time in seconds.
-func (a *Accumulator) TimeS() float64 { return a.timeS }
-
-// Instructions returns the total retired instruction count.
-func (a *Accumulator) Instructions() float64 { return a.instructions }
-
-// Samples returns how many intervals were accumulated.
-func (a *Accumulator) Samples() int { return a.samples }
-
-// AvgPowerW returns the time-averaged power in watts.
-func (a *Accumulator) AvgPowerW() float64 {
-	if a.timeS <= 0 {
-		return 0
-	}
-	return a.energyJ / a.timeS
-}
-
-// BIPS returns billions of instructions per second over the run.
-func (a *Accumulator) BIPS() float64 {
-	if a.timeS <= 0 {
-		return 0
-	}
-	return a.instructions / a.timeS / 1e9
-}
-
-// EDP returns the energy-delay product (joule-seconds) over the run —
-// the paper's figure of merit.
-func (a *Accumulator) EDP() float64 { return a.energyJ * a.timeS }
-
-// Reset clears the accumulator.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
-
-// EDPImprovement returns the fractional EDP improvement of a managed
-// run over a baseline run: 1 − EDP_managed/EDP_baseline. Positive is
-// better; it matches the paper's "EDP improvement" percentages.
-func EDPImprovement(baseline, managed *Accumulator) float64 {
-	b := baseline.EDP()
-	if b <= 0 {
-		return 0
-	}
-	return 1 - managed.EDP()/b
-}
-
-// PerformanceDegradation returns the fractional slowdown of a managed
-// run over a baseline run: T_managed/T_baseline − 1.
-func PerformanceDegradation(baseline, managed *Accumulator) float64 {
-	b := baseline.TimeS()
-	if b <= 0 {
-		return 0
-	}
-	return managed.TimeS()/b - 1
-}
-
-// PowerSavings returns the fractional average-power reduction of a
-// managed run relative to a baseline run.
-func PowerSavings(baseline, managed *Accumulator) float64 {
-	b := baseline.AvgPowerW()
-	if b <= 0 {
-		return 0
-	}
-	return 1 - managed.AvgPowerW()/b
-}
-
-// EnergySavings returns the fractional energy reduction of a managed
-// run relative to a baseline run.
-func EnergySavings(baseline, managed *Accumulator) float64 {
-	b := baseline.EnergyJ()
-	if b <= 0 {
-		return 0
-	}
-	return 1 - managed.EnergyJ()/b
 }

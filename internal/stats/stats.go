@@ -25,34 +25,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min returns the smallest element; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Variation returns the fraction (0..1) of adjacent sample pairs whose
 // absolute difference exceeds threshold. With Mem/Uop samples at the
 // paper's 100M-instruction granularity and threshold 0.005, this is
@@ -153,15 +125,6 @@ func (t Tally) Accuracy() (float64, error) {
 	return float64(t.correct) / float64(t.total), nil
 }
 
-// MispredictionRate returns 1 − accuracy.
-func (t Tally) MispredictionRate() (float64, error) {
-	a, err := t.Accuracy()
-	if err != nil {
-		return 0, err
-	}
-	return 1 - a, nil
-}
-
 // Reset clears the tally.
 func (t *Tally) Reset() { *t = Tally{} }
 
@@ -172,28 +135,6 @@ func TallyFromCounts(total, correct int) (Tally, error) {
 		return Tally{}, fmt.Errorf("stats: tally counts %d/%d invalid", correct, total)
 	}
 	return Tally{total: total, correct: correct}, nil
-}
-
-// MispredictionReduction returns how many times fewer mispredictions
-// "better" makes than "worse" (the paper's "6X fewer mispredictions"
-// comparisons). It returns +Inf when better is perfect and worse is
-// not, and 1 when both are perfect.
-func MispredictionReduction(worse, better *Tally) (float64, error) {
-	mw, err := worse.MispredictionRate()
-	if err != nil {
-		return 0, err
-	}
-	mb, err := better.MispredictionRate()
-	if err != nil {
-		return 0, err
-	}
-	if mb == 0 {
-		if mw == 0 {
-			return 1, nil
-		}
-		return math.Inf(1), nil
-	}
-	return mw / mb, nil
 }
 
 // Confusion is a per-phase breakdown of predictions: rows are actual
@@ -306,21 +247,4 @@ func (c *Confusion) RowNormalized() [][]float64 {
 		}
 	}
 	return out
-}
-
-// GeoMean returns the geometric mean of xs — the conventional
-// aggregate for normalized (ratio) metrics like Figure 11's
-// BIPS/power/EDP columns. All inputs must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: GeoMean of empty slice")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if !(x > 0) {
-			return 0, fmt.Errorf("stats: GeoMean requires positive values, got %v", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
 }

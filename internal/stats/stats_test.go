@@ -13,27 +13,8 @@ func TestMeanMinMax(t *testing.T) {
 	if got := Mean(xs); math.Abs(got-2.8) > 1e-12 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Min(xs); got != 1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 5 {
-		t.Errorf("Max = %v", got)
-	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v", got)
-	}
-}
-
-func TestMinMaxPanicOnEmpty(t *testing.T) {
-	for name, f := range map[string]func([]float64) float64{"Min": Min, "Max": Max} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s(empty) did not panic", name)
-				}
-			}()
-			f(nil)
-		}()
 	}
 }
 
@@ -100,9 +81,6 @@ func TestTally(t *testing.T) {
 	if _, err := ta.Accuracy(); err == nil {
 		t.Error("empty tally should error")
 	}
-	if _, err := ta.MispredictionRate(); err == nil {
-		t.Error("empty tally should error")
-	}
 	ta.Record(1, 1)
 	ta.Record(2, 1)
 	ta.Record(3, 3)
@@ -114,49 +92,9 @@ func TestTally(t *testing.T) {
 	if err != nil || math.Abs(a-0.75) > 1e-12 {
 		t.Errorf("Accuracy = %v, %v", a, err)
 	}
-	m, err := ta.MispredictionRate()
-	if err != nil || math.Abs(m-0.25) > 1e-12 {
-		t.Errorf("MispredictionRate = %v, %v", m, err)
-	}
 	ta.Reset()
 	if ta.Total() != 0 {
 		t.Error("Reset incomplete")
-	}
-}
-
-func TestMispredictionReduction(t *testing.T) {
-	mk := func(correct, total int) *Tally {
-		var ta Tally
-		for i := 0; i < total; i++ {
-			if i < correct {
-				ta.Record(1, 1)
-			} else {
-				ta.Record(2, 1)
-			}
-		}
-		return &ta
-	}
-	// 50% wrong vs 10% wrong: 5x reduction.
-	r, err := MispredictionReduction(mk(50, 100), mk(90, 100))
-	if err != nil || math.Abs(r-5) > 1e-12 {
-		t.Errorf("reduction = %v, %v", r, err)
-	}
-	// Perfect better predictor: +Inf.
-	r, err = MispredictionReduction(mk(50, 100), mk(100, 100))
-	if err != nil || !math.IsInf(r, 1) {
-		t.Errorf("reduction vs perfect = %v, %v", r, err)
-	}
-	// Both perfect: 1.
-	r, err = MispredictionReduction(mk(10, 10), mk(10, 10))
-	if err != nil || r != 1 {
-		t.Errorf("both perfect = %v, %v", r, err)
-	}
-	var empty Tally
-	if _, err := MispredictionReduction(&empty, mk(1, 1)); err == nil {
-		t.Error("empty worse tally should error")
-	}
-	if _, err := MispredictionReduction(mk(1, 1), &empty); err == nil {
-		t.Error("empty better tally should error")
 	}
 }
 
@@ -268,26 +206,6 @@ func TestConfusionEmptyMatrixExports(t *testing.T) {
 				t.Fatalf("fresh RowNormalized not all-zero: %v", c.RowNormalized())
 			}
 		}
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean(1,4) = %v, %v", got, err)
-	}
-	got, err = GeoMean([]float64{0.5, 0.5, 0.5})
-	if err != nil || math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("GeoMean(0.5 x3) = %v, %v", got, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("zero accepted")
-	}
-	if _, err := GeoMean([]float64{1, -2}); err == nil {
-		t.Error("negative accepted")
 	}
 }
 

@@ -36,7 +36,7 @@ func BenchmarkGaugeSet(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := MustNewHistogram(DefaultMemPerUopBounds)
+	h := mustHistogram(b, DefaultMemPerUopBounds)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%40) / 1000)

@@ -66,48 +66,6 @@ func TestHubClockDefaults(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEqualsCombined is the rollup pipeline's merge
-// property: snapshotting N shard histograms and merging them must
-// equal snapshotting one histogram that observed every shard's
-// samples. Exercised over random shard counts and sample sets.
-func TestHistogramMergeEqualsCombined(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		shards := 1 + rng.Intn(8)
-		combined := MustNewHistogram(DefaultFrameBounds)
-		parts := make([]*Histogram, shards)
-		for i := range parts {
-			parts[i] = MustNewHistogram(DefaultFrameBounds)
-		}
-		for n := 0; n < 500; n++ {
-			v := rng.Float64() * 0.2 // spans all buckets incl. +Inf
-			s := rng.Intn(shards)
-			parts[s].Observe(v)
-			combined.Observe(v)
-		}
-
-		merged := parts[0].Snapshot()
-		for _, p := range parts[1:] {
-			if err := merged.Merge(p.Snapshot()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := combined.Snapshot()
-		if merged.Count != want.Count {
-			t.Fatalf("trial %d: merged count %d, combined %d", trial, merged.Count, want.Count)
-		}
-		for i := range want.Counts {
-			if merged.Counts[i] != want.Counts[i] {
-				t.Errorf("trial %d bucket %d: merged %d, combined %d", trial, i, merged.Counts[i], want.Counts[i])
-			}
-		}
-		// Sums are float adds in different orders; allow rounding slack.
-		if diff := merged.Sum - want.Sum; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("trial %d: merged sum %v, combined %v", trial, merged.Sum, want.Sum)
-		}
-	}
-}
-
 // TestObserveNEqualsRepeatedObserve is the batch-equals-single
 // property of the per-batch histogram path: ObserveN(v, n) leaves the
 // snapshot — buckets, count and the float sum, bit for bit — that n
@@ -115,8 +73,8 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 // change nothing.
 func TestObserveNEqualsRepeatedObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	batch := MustNewHistogram(DefaultFrameBounds)
-	single := MustNewHistogram(DefaultFrameBounds)
+	batch := mustHistogram(t, DefaultFrameBounds)
+	single := mustHistogram(t, DefaultFrameBounds)
 	for trial := 0; trial < 300; trial++ {
 		v := rng.Float64() * 0.2 // spans all buckets incl. +Inf
 		switch trial % 10 {
@@ -152,30 +110,6 @@ func TestObserveNEqualsRepeatedObserve(t *testing.T) {
 	}
 	var nilHist *Histogram
 	nilHist.ObserveN(1, 3) // must not panic
-}
-
-// TestHistogramMergeRejectsMismatchedBounds pins the error contract:
-// merging histograms with different bucketing fails and leaves the
-// receiver unchanged.
-func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
-	a := MustNewHistogram([]float64{1, 2, 3})
-	a.Observe(1.5)
-	b := MustNewHistogram([]float64{1, 2, 4})
-	b.Observe(1.5)
-	c := MustNewHistogram([]float64{1, 2})
-	c.Observe(1.5)
-
-	snap := a.Snapshot()
-	before := a.Snapshot()
-	if err := snap.Merge(b.Snapshot()); err == nil {
-		t.Error("merging different bounds: err = nil, want error")
-	}
-	if err := snap.Merge(c.Snapshot()); err == nil {
-		t.Error("merging different bucket counts: err = nil, want error")
-	}
-	if snap.Count != before.Count || snap.Sum != before.Sum {
-		t.Errorf("failed merge mutated receiver: %+v, want %+v", snap, before)
-	}
 }
 
 // TestSnapshotMultiPrefix proves the multi-family export filter: a

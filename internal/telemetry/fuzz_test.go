@@ -105,7 +105,7 @@ func FuzzJournalRecent(f *testing.F) {
 		j := h.Journal
 		ref := &refJournal{buf: make([]Event, cap_)}
 		b := h.NewStepBatch()
-		events := h.Handler()
+		events := h.PrefixHandler()
 		rng := rand.New(rand.NewSource(seed))
 		step := 0
 		for round, sz := range sizes {

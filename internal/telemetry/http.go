@@ -8,30 +8,27 @@ import (
 	"strconv"
 )
 
-// Handler returns the hub's HTTP surface:
+// PrefixHandler returns the hub's HTTP surface:
 //
-//	GET /metrics   Prometheus text exposition of every instrument
+//	GET /metrics   Prometheus text exposition of the instruments
 //	GET /snapshot  JSON HubSnapshot (metrics + accuracy + journal stats)
 //	GET /events    JSON array of recent journal events (?n=K limits it)
 //	GET /          plain-text index of the above
+//
+// Given prefixes, the instrument surface is restricted to names
+// beginning with one of them (see Registry.SnapshotPrefix): /metrics
+// and the metrics section of /snapshot carry only the matching
+// families, while the accuracy view and journal are served
+// unfiltered; with none it carries every instrument. This is how a
+// service built on a full hub — the phased server, whose hub also
+// carries the per-session monitor instruments — exposes exactly its
+// own phasemon_phased_* and phasemon_agg_* families without a second
+// exporter.
 //
 // The handler only reads hub state through the same synchronized
 // paths writers use, so it is safe to serve while a run is in flight.
 // On a nil hub every route answers 503, honoring the package contract
 // that a nil *Hub is usable everywhere.
-func (h *Hub) Handler() http.Handler {
-	return h.PrefixHandler("")
-}
-
-// PrefixHandler is Handler with the instrument surface restricted to
-// names beginning with one of the given prefixes (see
-// Registry.SnapshotPrefix): /metrics and the metrics section of
-// /snapshot carry only the matching families, while the accuracy view
-// and journal are served unfiltered. This is how a service built on a
-// full hub — the phased server, whose hub also carries the
-// per-session monitor instruments — exposes exactly its own
-// phasemon_phased_* and phasemon_agg_* families without a second
-// exporter.
 func (h *Hub) PrefixHandler(prefixes ...string) http.Handler {
 	if h == nil {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -92,16 +92,6 @@ func NewHistogram(bounds []float64) (*Histogram, error) {
 	return &Histogram{bounds: cp, counts: make([]atomic.Uint64, len(cp)+1)}, nil
 }
 
-// MustNewHistogram is NewHistogram that panics on invalid bounds; for
-// package-level defaults.
-func MustNewHistogram(bounds []float64) *Histogram {
-	h, err := NewHistogram(bounds)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Observe records one sample. A sample lands in the first bucket whose
 // upper bound is >= v (Prometheus "le" semantics); values above every
 // bound land in the +Inf bucket.
@@ -172,35 +162,6 @@ type HistogramSnapshot struct {
 	Count uint64 `json:"count"`
 	// Sum is the sum of all observed values.
 	Sum float64 `json:"sum"`
-}
-
-// Merge adds other's buckets, count, and sum into s. The snapshots
-// must have identical bounds — merging histograms with different
-// bucketing has no meaning — and identical Counts lengths; anything
-// else is an error and leaves s unchanged. Merging is how per-shard
-// (and per-node) latency histograms roll up into one fleet view:
-// because buckets are plain counts, merging N shard snapshots equals
-// snapshotting one histogram fed all N shards' observations.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if s == nil {
-		return fmt.Errorf("telemetry: merging into a nil snapshot")
-	}
-	if len(s.Bounds) != len(other.Bounds) || len(s.Counts) != len(other.Counts) {
-		return fmt.Errorf("telemetry: merging histograms with %d/%d bounds and %d/%d buckets",
-			len(s.Bounds), len(other.Bounds), len(s.Counts), len(other.Counts))
-	}
-	for i, b := range s.Bounds {
-		if b != other.Bounds[i] {
-			return fmt.Errorf("telemetry: merging histograms with different bounds (%v vs %v at %d)",
-				b, other.Bounds[i], i)
-		}
-	}
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	return nil
 }
 
 // Snapshot copies the histogram state. Because buckets are read one by
@@ -313,25 +274,6 @@ func (r *Registry) Histogram(name string, bounds []float64) (*Histogram, error) 
 		r.histograms[name] = h
 	}
 	return h, nil
-}
-
-// Unregister removes the named instrument from the registry (whatever
-// its kind) and reports whether anything was removed. Handles already
-// held by callers keep working — they just stop being exported — so
-// removal is safe while writers are live. No-op on a nil receiver.
-func (r *Registry) Unregister(name string) bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, c := r.counters[name]
-	_, g := r.gauges[name]
-	_, h := r.histograms[name]
-	delete(r.counters, name)
-	delete(r.gauges, name)
-	delete(r.histograms, name)
-	return c || g || h
 }
 
 // Snapshot captures all instruments at a point in time.

@@ -93,6 +93,8 @@ type HubOption func(*Hub)
 
 // WithClock sets the hub's time source. A nil clock (the default)
 // selects the wall clock.
+//
+//lint:unusedexport test seam: tests inject a fixed clock so journal stamps and rollup buckets are deterministic
 func WithClock(c Clock) HubOption {
 	return func(h *Hub) { h.clock = c }
 }

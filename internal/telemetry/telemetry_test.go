@@ -70,7 +70,7 @@ func TestCounterAndGauge(t *testing.T) {
 }
 
 func TestHistogramBucketing(t *testing.T) {
-	h := MustNewHistogram([]float64{1, 2, 5})
+	h := mustHistogram(t, []float64{1, 2, 5})
 	for _, v := range []float64{0.5, 1, 1.5, 2, 4, 100, math.Inf(1)} {
 		h.Observe(v)
 	}
@@ -225,7 +225,7 @@ func TestHTTPHandlers(t *testing.T) {
 	b := h.NewStepBatch()
 	b.PMISample(1, 0.012, 0.8, 0)
 	b.Publish()
-	srv := httptest.NewServer(h.Handler())
+	srv := httptest.NewServer(h.PrefixHandler())
 	defer srv.Close()
 
 	get := func(path string) *http.Response {
@@ -382,4 +382,13 @@ func recordVerdicts(h *Hub, verdicts ...[3]int) {
 		b.Prediction(v[0], v[1], v[2], 0)
 	}
 	b.Publish()
+}
+
+func mustHistogram(tb testing.TB, bounds []float64) *Histogram {
+	tb.Helper()
+	h, err := NewHistogram(bounds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h
 }

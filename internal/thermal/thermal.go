@@ -76,9 +76,6 @@ func New(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg, tempC: t, peakC: t}, nil
 }
 
-// Config returns the model parameters.
-func (m *Model) Config() Config { return m.cfg }
-
 // TemperatureC returns the current die temperature.
 func (m *Model) TemperatureC() float64 { return m.tempC }
 

@@ -184,22 +184,6 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// Cells expands the grid's cross product in canonical order: workload
-// major, then spec, then granularity — the order every reduction and
-// the leaderboard artifact rely on.
-func (g Grid) Cells() []Cell {
-	g = g.withDefaults()
-	out := make([]Cell, 0, len(g.Workloads)*len(g.Specs)*len(g.Granularities))
-	for _, w := range g.Workloads {
-		for _, s := range g.Specs {
-			for _, gr := range g.Granularities {
-				out = append(out, Cell{Workload: w, Spec: s, GranularityUops: gr})
-			}
-		}
-	}
-	return out
-}
-
 // ZooSpecs returns one deployable contestant per registered predictor
 // kind (skipping the oracle, which needs engine support and would win
 // every round tautologically) — the "run the whole zoo" convenience

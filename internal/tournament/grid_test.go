@@ -17,9 +17,6 @@ func TestParseGrid(t *testing.T) {
 	if g.Intervals != 64 || g.Seed != 9 {
 		t.Fatalf("intervals/seed = %d/%d, want 64/9", g.Intervals, g.Seed)
 	}
-	if got := len(g.Cells()); got != 8 {
-		t.Fatalf("Cells() = %d, want 8", got)
-	}
 }
 
 func TestParseGridShortKeys(t *testing.T) {
@@ -60,35 +57,6 @@ func TestParseGridErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("ParseGrid(%q): error %q missing %q", c.in, err, c.frag)
 		}
-	}
-}
-
-func TestCellsCanonicalOrder(t *testing.T) {
-	g := Grid{
-		Workloads:     []string{"a", "b"},
-		Specs:         []string{"x", "y"},
-		Granularities: []uint64{1, 2},
-	}
-	cells := g.Cells()
-	want := []Cell{
-		{"a", "x", 1}, {"a", "x", 2}, {"a", "y", 1}, {"a", "y", 2},
-		{"b", "x", 1}, {"b", "x", 2}, {"b", "y", 1}, {"b", "y", 2},
-	}
-	if len(cells) != len(want) {
-		t.Fatalf("got %d cells, want %d", len(cells), len(want))
-	}
-	for i := range want {
-		if cells[i] != want[i] {
-			t.Fatalf("cell %d = %+v, want %+v (workload-major order)", i, cells[i], want[i])
-		}
-	}
-}
-
-func TestCellsDefaultGranularity(t *testing.T) {
-	g := Grid{Workloads: []string{"a"}, Specs: []string{"x"}}
-	cells := g.Cells()
-	if len(cells) != 1 || cells[0].GranularityUops != DefaultGranularity {
-		t.Fatalf("cells = %+v, want one cell at the default granularity", cells)
 	}
 }
 

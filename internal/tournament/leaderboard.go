@@ -77,6 +77,8 @@ func (lb *Leaderboard) Encode(w io.Writer) error {
 
 // DecodeLeaderboard parses an artifact produced by Encode, rejecting
 // unknown schema versions.
+//
+//lint:unusedexport reference oracle: tests read Encode's and phasearena's artifacts back with it
 func DecodeLeaderboard(r io.Reader) (*Leaderboard, error) {
 	var lb Leaderboard
 	if err := json.NewDecoder(r).Decode(&lb); err != nil {

@@ -6,7 +6,6 @@ import (
 	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
 	"phasemon/internal/machine"
-	"phasemon/internal/phase"
 )
 
 // ClassTally is one canonical phase class's slice of a cell's
@@ -174,11 +173,12 @@ func cpiError(r *governor.Result, numPhases int) float64 {
 		return 0
 	}
 	gmean := gsum / float64(gn)
-	mean := func(p phase.ID) float64 {
-		if p.Valid(numPhases) && n[p] > 0 {
-			return sum[p] / float64(n[p])
+	mean := make([]float64, numPhases+1)
+	for p := 1; p <= numPhases; p++ {
+		mean[p] = gmean
+		if n[p] > 0 {
+			mean[p] = sum[p] / float64(n[p])
 		}
-		return gmean
 	}
 	// Second pass: mean |CPI − mean CPI of the phase predicted for the
 	// interval|. Entry i−1's Predicted is the call made for interval i
@@ -191,7 +191,11 @@ func cpiError(r *governor.Result, numPhases int) float64 {
 		if e.UPC <= 0 {
 			continue
 		}
-		errSum += math.Abs(1/e.UPC - mean(r.Log[i-1].Predicted))
+		m := gmean
+		if p := r.Log[i-1].Predicted; p.Valid(numPhases) {
+			m = mean[p]
+		}
+		errSum += math.Abs(1/e.UPC - m)
 		errN++
 	}
 	if errN == 0 {

@@ -8,7 +8,7 @@ import (
 
 func FuzzReadCSVNeverPanics(f *testing.F) {
 	var valid bytes.Buffer
-	l := NewLog()
+	l := &Log{}
 	l.Append(Record{Index: 0, DurS: 0.1, Uops: 1e8, Actual: 3})
 	if err := l.WriteCSV(&valid); err != nil {
 		f.Fatal(err)

@@ -55,9 +55,6 @@ type Log struct {
 	records []Record
 }
 
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
-
 // NewLogWithCap returns an empty log whose backing array holds n
 // records without growing — the grow-once path for builders that know
 // the record count up front (ToTrace, CSV import, waveform reduction).
@@ -74,41 +71,11 @@ func (l *Log) Append(r Record) { l.records = append(l.records, r) }
 // Len returns the number of records.
 func (l *Log) Len() int { return len(l.records) }
 
-// At returns the i-th record; it panics when out of range, mirroring
-// slice semantics.
-func (l *Log) At(i int) Record { return l.records[i] }
-
 // Records returns the backing slice for read-only iteration. Callers
 // must not modify it.
+//
+//lint:unusedexport the read side tests use to check ToTrace and WriteCSV output
 func (l *Log) Records() []Record { return l.records }
-
-// MemPerUopSeries extracts the per-interval phase metric, the series
-// Figures 2 and 10 plot.
-func (l *Log) MemPerUopSeries() []float64 {
-	out := make([]float64, len(l.records))
-	for i, r := range l.records {
-		out[i] = r.MemPerUop
-	}
-	return out
-}
-
-// PhaseSeries extracts the actual phase IDs.
-func (l *Log) PhaseSeries() []phase.ID {
-	out := make([]phase.ID, len(l.records))
-	for i, r := range l.records {
-		out[i] = r.Actual
-	}
-	return out
-}
-
-// PredictedSeries extracts the predicted phase IDs.
-func (l *Log) PredictedSeries() []phase.ID {
-	out := make([]phase.ID, len(l.records))
-	for i, r := range l.records {
-		out[i] = r.Predicted
-	}
-	return out
-}
 
 // csvHeader lists the exported columns, in order.
 var csvHeader = []string{
@@ -145,6 +112,8 @@ func (l *Log) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a log previously written by WriteCSV.
+//
+//lint:unusedexport reference oracle: tests read WriteCSV output back with it
 func ReadCSV(r io.Reader) (*Log, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -210,55 +179,3 @@ func parseRow(row []string) (Record, error) {
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Summary aggregates a log into run totals — the quick-look numbers a
-// user-level tool prints after reading the kernel log.
-type Summary struct {
-	Intervals    int
-	TimeS        float64
-	Uops         float64
-	Instructions float64
-	EnergyJ      float64
-	AvgPowerW    float64
-	AvgMemPerUop float64
-	// Correct counts intervals whose prediction matched (the first,
-	// unpredicted interval is excluded from Predicted).
-	Correct   int
-	Predicted int
-}
-
-// Accuracy returns the fraction of scored predictions that were
-// correct, and false when nothing was scored.
-func (s Summary) Accuracy() (float64, bool) {
-	if s.Predicted == 0 {
-		return 0, false
-	}
-	return float64(s.Correct) / float64(s.Predicted), true
-}
-
-// Summarize reduces the log.
-func (l *Log) Summarize() Summary {
-	var s Summary
-	var memSum float64
-	for _, r := range l.records {
-		s.Intervals++
-		s.TimeS += r.DurS
-		s.Uops += r.Uops
-		s.Instructions += r.Instructions
-		s.EnergyJ += r.EnergyJ
-		memSum += r.MemPerUop
-		if r.Predicted != phase.None {
-			s.Predicted++
-			if r.Predicted == r.Actual {
-				s.Correct++
-			}
-		}
-	}
-	if s.Intervals > 0 {
-		s.AvgMemPerUop = memSum / float64(s.Intervals)
-	}
-	if s.TimeS > 0 {
-		s.AvgPowerW = s.EnergyJ / s.TimeS
-	}
-	return s
-}

@@ -10,7 +10,7 @@ import (
 )
 
 func sampleLog() *Log {
-	l := NewLog()
+	l := &Log{}
 	l.Append(Record{
 		Index: 0, StartS: 0, DurS: 0.1, Uops: 100e6, Instructions: 90e6,
 		MemTransactions: 1e6, Cycles: 1.5e8, MemPerUop: 0.01, UPC: 0.67,
@@ -31,20 +31,8 @@ func TestLogAccessors(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if l.At(1).Actual != 6 {
-		t.Errorf("At(1).Actual = %v", l.At(1).Actual)
-	}
-	if got := l.MemPerUopSeries(); len(got) != 2 || got[1] != 0.032 {
-		t.Errorf("MemPerUopSeries = %v", got)
-	}
-	if got := l.PhaseSeries(); got[0] != 3 || got[1] != 6 {
-		t.Errorf("PhaseSeries = %v", got)
-	}
-	if got := l.PredictedSeries(); got[0] != phase.None || got[1] != 3 {
-		t.Errorf("PredictedSeries = %v", got)
-	}
-	if len(l.Records()) != 2 {
-		t.Errorf("Records len = %d", len(l.Records()))
+	if got := l.Records(); len(got) != 2 || got[1].Actual != 6 {
+		t.Errorf("Records = %+v", got)
 	}
 }
 
@@ -71,9 +59,9 @@ func TestCSVRoundTrip(t *testing.T) {
 	if got.Len() != l.Len() {
 		t.Fatalf("round trip Len = %d, want %d", got.Len(), l.Len())
 	}
-	for i := 0; i < l.Len(); i++ {
-		if got.At(i) != l.At(i) {
-			t.Errorf("record %d: %+v != %+v", i, got.At(i), l.At(i))
+	for i, r := range l.Records() {
+		if got.Records()[i] != r {
+			t.Errorf("record %d: %+v != %+v", i, got.Records()[i], r)
 		}
 	}
 }
@@ -113,7 +101,7 @@ func TestReadCSVErrors(t *testing.T) {
 
 func TestEmptyLogWritesHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewLog().WriteCSV(&buf); err != nil {
+	if err := (&Log{}).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -126,34 +114,5 @@ func TestEmptyLogWritesHeaderOnly(t *testing.T) {
 	}
 	if l.Len() != 0 {
 		t.Errorf("empty round trip Len = %d", l.Len())
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	l := sampleLog()
-	s := l.Summarize()
-	if s.Intervals != 2 {
-		t.Fatalf("Intervals = %d", s.Intervals)
-	}
-	if math.Abs(s.TimeS-0.22) > 1e-12 || math.Abs(s.EnergyJ-1.202) > 1e-12 {
-		t.Errorf("time %v energy %v", s.TimeS, s.EnergyJ)
-	}
-	if math.Abs(s.AvgPowerW-1.202/0.22) > 1e-9 {
-		t.Errorf("AvgPowerW = %v", s.AvgPowerW)
-	}
-	if math.Abs(s.AvgMemPerUop-(0.01+0.032)/2) > 1e-12 {
-		t.Errorf("AvgMemPerUop = %v", s.AvgMemPerUop)
-	}
-	// The first record has Predicted == None: unscored; the second was
-	// a misprediction (3 vs actual 6).
-	if s.Predicted != 1 || s.Correct != 0 {
-		t.Errorf("Predicted/Correct = %d/%d", s.Predicted, s.Correct)
-	}
-	if _, ok := s.Accuracy(); !ok {
-		t.Error("Accuracy should be available")
-	}
-	var empty Log
-	if _, ok := empty.Summarize().Accuracy(); ok {
-		t.Error("empty log should report no accuracy")
 	}
 }

@@ -71,9 +71,6 @@ type Trace struct {
 	works []cpusim.Work
 }
 
-// Key returns the trace's content key.
-func (t *Trace) Key() Key { return t.key }
-
 // Len returns the trace length in work items.
 func (t *Trace) Len() int { return len(t.works) }
 
@@ -203,29 +200,6 @@ func (c *Cache) Get(p *workload.Profile, params workload.Params) *Trace {
 		c.tel.WorkloadCacheSamples.Set(float64(samples))
 	}
 	return f.t
-}
-
-// Contains reports whether the key is currently cached (for tests and
-// introspection; racy by nature under concurrent Gets).
-func (c *Cache) Contains(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
-// Samples returns the total cached work items.
-func (c *Cache) Samples() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.samples
-}
-
-// Traces returns how many traces are cached.
-func (c *Cache) Traces() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // insertLocked adds a freshly built trace, evicting least-recently

@@ -77,21 +77,21 @@ func TestEvictionBound(t *testing.T) {
 	hub := telemetry.NewHub(6)
 	c := New(Config{MaxSamples: 250, Telemetry: hub})
 
-	k1 := c.Get(p, workload.Params{Seed: 1, Intervals: 100}).Key()
-	k2 := c.Get(p, workload.Params{Seed: 2, Intervals: 100}).Key()
-	if got := c.Samples(); got != 200 {
+	k1 := c.Get(p, workload.Params{Seed: 1, Intervals: 100}).key
+	k2 := c.Get(p, workload.Params{Seed: 2, Intervals: 100}).key
+	if got := c.samples; got != 200 {
 		t.Fatalf("samples = %d, want 200", got)
 	}
 	// Touch k1 so k2 is the LRU victim.
 	c.Get(p, workload.Params{Seed: 1, Intervals: 100})
 	c.Get(p, workload.Params{Seed: 3, Intervals: 100})
-	if c.Contains(k2) {
+	if cached(c, k2) {
 		t.Error("LRU victim k2 still cached")
 	}
-	if !c.Contains(k1) {
+	if !cached(c, k1) {
 		t.Error("recently used k1 evicted")
 	}
-	if got := c.Samples(); got > 250 {
+	if got := c.samples; got > 250 {
 		t.Errorf("samples = %d exceeds bound 250", got)
 	}
 	if got := hub.WorkloadCacheEvictions.Value(); got != 1 {
@@ -103,10 +103,10 @@ func TestEvictionBound(t *testing.T) {
 	if big.Len() != 500 {
 		t.Fatalf("oversize trace length %d", big.Len())
 	}
-	if c.Contains(big.Key()) {
+	if cached(c, big.key) {
 		t.Error("oversize trace was cached")
 	}
-	if got := c.Samples(); got > 250 {
+	if got := c.samples; got > 250 {
 		t.Errorf("samples = %d exceeds bound after oversize get", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestSingleFlight(t *testing.T) {
 	if got := hub.WorkloadCacheMisses.Value(); got != 1 {
 		t.Errorf("misses = %d, want 1 (single flight)", got)
 	}
-	if got := c.Traces(); got != 1 {
+	if got := c.lru.Len(); got != 1 {
 		t.Errorf("cached traces = %d, want 1", got)
 	}
 }
@@ -210,4 +210,12 @@ func BenchmarkWorkloadCache(b *testing.B) {
 			}
 		}
 	})
+}
+
+// cached reports whether the key is currently cached.
+func cached(c *Cache, key Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
 }

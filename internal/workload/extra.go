@@ -2,47 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"phasemon/internal/cpusim"
 	"phasemon/internal/memhier"
 )
-
-// Replay returns a generator that plays back an explicit interval
-// sequence — e.g. one captured from a previous run's kernel log or
-// constructed by hand.
-func Replay(name string, works []cpusim.Work) (Generator, error) {
-	if len(works) == 0 {
-		return nil, fmt.Errorf("workload: replay %q needs at least one interval", name)
-	}
-	cp := make([]cpusim.Work, len(works))
-	copy(cp, works)
-	for i, w := range cp {
-		if err := w.Validate(); err != nil {
-			return nil, fmt.Errorf("workload: replay %q interval %d: %w", name, i, err)
-		}
-	}
-	return &replayGen{name: name, works: cp}, nil
-}
-
-type replayGen struct {
-	name  string
-	works []cpusim.Work
-	i     int
-}
-
-func (g *replayGen) Name() string { return g.name }
-
-func (g *replayGen) Next() (cpusim.Work, bool) {
-	if g.i >= len(g.works) {
-		return cpusim.Work{}, false
-	}
-	w := g.works[g.i]
-	g.i++
-	return w, true
-}
-
-func (g *replayGen) Reset() { g.i = 0 }
 
 // Interleave time-slices two programs the way an OS scheduler does,
 // switching between them every quantum sampling intervals. From the
@@ -200,49 +163,4 @@ func (g *localityGen) Reset() {
 	g.emitted = 0
 	g.section = 0
 	g.inSec = 0
-}
-
-// Concat runs programs back to back — a batch of jobs on one machine.
-// The monitoring framework sees one continuous stream whose phase
-// behavior changes completely at each job boundary.
-func Concat(gens ...Generator) (Generator, error) {
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("workload: Concat needs at least one generator")
-	}
-	for i, g := range gens {
-		if g == nil {
-			return nil, fmt.Errorf("workload: Concat generator %d is nil", i)
-		}
-	}
-	return &concatGen{gens: gens}, nil
-}
-
-type concatGen struct {
-	gens []Generator
-	i    int
-}
-
-func (g *concatGen) Name() string {
-	names := make([]string, len(g.gens))
-	for i, sub := range g.gens {
-		names[i] = sub.Name()
-	}
-	return strings.Join(names, ";")
-}
-
-func (g *concatGen) Next() (cpusim.Work, bool) {
-	for g.i < len(g.gens) {
-		if w, ok := g.gens[g.i].Next(); ok {
-			return w, true
-		}
-		g.i++
-	}
-	return cpusim.Work{}, false
-}
-
-func (g *concatGen) Reset() {
-	for _, sub := range g.gens {
-		sub.Reset()
-	}
-	g.i = 0
 }

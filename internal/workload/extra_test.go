@@ -8,50 +8,9 @@ import (
 	"phasemon/internal/phase"
 )
 
-func TestReplay(t *testing.T) {
-	works := []cpusim.Work{
-		{Uops: 100e6, MemPerUop: 0.002, CoreUPC: 1.2},
-		{Uops: 100e6, MemPerUop: 0.033, CoreUPC: 0.8},
-	}
-	g, err := Replay("trace", works)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Name() != "trace" {
-		t.Errorf("Name = %q", g.Name())
-	}
-	got := Collect(g, 0)
-	if len(got) != 2 || got[0] != works[0] || got[1] != works[1] {
-		t.Fatalf("replay mismatch: %+v", got)
-	}
-	g.Reset()
-	if again := Collect(g, 0); len(again) != 2 {
-		t.Errorf("after Reset: %d intervals", len(again))
-	}
-	// The replayed slice is a copy: mutating the input later is safe.
-	works[0].MemPerUop = 0.9
-	g.Reset()
-	w, _ := g.Next()
-	if w.MemPerUop != 0.002 {
-		t.Error("replay aliases caller slice")
-	}
-	if _, err := Replay("x", nil); err == nil {
-		t.Error("empty replay accepted")
-	}
-	if _, err := Replay("x", []cpusim.Work{{}}); err == nil {
-		t.Error("invalid work accepted")
-	}
-}
-
 func TestInterleaveAlternatesQuanta(t *testing.T) {
-	a, err := Replay("a", repeatWork(cpusim.Work{Uops: 1e6, MemPerUop: 0.001, CoreUPC: 1}, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Replay("b", repeatWork(cpusim.Work{Uops: 1e6, MemPerUop: 0.033, CoreUPC: 1}, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := repeat("a", cpusim.Work{Uops: 1e6, MemPerUop: 0.001, CoreUPC: 1}, 6)
+	b := repeat("b", cpusim.Work{Uops: 1e6, MemPerUop: 0.033, CoreUPC: 1}, 6)
 	g, err := Interleave(a, b, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +31,8 @@ func TestInterleaveAlternatesQuanta(t *testing.T) {
 }
 
 func TestInterleaveDrainsLongerProgram(t *testing.T) {
-	a, _ := Replay("a", repeatWork(cpusim.Work{Uops: 1e6, MemPerUop: 0.001, CoreUPC: 1}, 2))
-	b, _ := Replay("b", repeatWork(cpusim.Work{Uops: 1e6, MemPerUop: 0.033, CoreUPC: 1}, 8))
+	a := repeat("a", cpusim.Work{Uops: 1e6, MemPerUop: 0.001, CoreUPC: 1}, 2)
+	b := repeat("b", cpusim.Work{Uops: 1e6, MemPerUop: 0.033, CoreUPC: 1}, 8)
 	g, err := Interleave(a, b, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +54,7 @@ func TestInterleaveDrainsLongerProgram(t *testing.T) {
 }
 
 func TestInterleaveValidation(t *testing.T) {
-	a, _ := Replay("a", repeatWork(cpusim.Work{Uops: 1e6, CoreUPC: 1}, 1))
+	a := repeat("a", cpusim.Work{Uops: 1e6, CoreUPC: 1}, 1)
 	if _, err := Interleave(nil, a, 1); err == nil {
 		t.Error("nil generator accepted")
 	}
@@ -144,14 +103,6 @@ func TestInterleavePreservesPhaseStreams(t *testing.T) {
 	if switches < 100 {
 		t.Errorf("only %d phase switches; interleave not alternating", switches)
 	}
-}
-
-func repeatWork(w cpusim.Work, n int) []cpusim.Work {
-	out := make([]cpusim.Work, n)
-	for i := range out {
-		out[i] = w
-	}
-	return out
 }
 
 func TestFromLocality(t *testing.T) {
@@ -216,37 +167,26 @@ func TestFromLocalityValidation(t *testing.T) {
 	}
 }
 
-func TestConcatRunsJobsBackToBack(t *testing.T) {
-	a, _ := Replay("a", repeatWork(cpusim.Work{Uops: 1e6, MemPerUop: 0.001, CoreUPC: 1}, 3))
-	b, _ := Replay("b", repeatWork(cpusim.Work{Uops: 1e6, MemPerUop: 0.033, CoreUPC: 1}, 2))
-	g, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Name() != "a;b" {
-		t.Errorf("Name = %q", g.Name())
-	}
-	got := Collect(g, 0)
-	if len(got) != 5 {
-		t.Fatalf("%d intervals, want 5", len(got))
-	}
-	for i, w := range got {
-		want := 0.001
-		if i >= 3 {
-			want = 0.033
-		}
-		if w.MemPerUop != want {
-			t.Fatalf("interval %d from wrong job", i)
-		}
-	}
-	g.Reset()
-	if again := Collect(g, 0); len(again) != 5 {
-		t.Errorf("after Reset: %d", len(again))
-	}
-	if _, err := Concat(); err == nil {
-		t.Error("empty Concat accepted")
-	}
-	if _, err := Concat(a, nil); err == nil {
-		t.Error("nil generator accepted")
-	}
+// repeat returns a generator that emits w n times.
+func repeat(name string, w cpusim.Work, n int) Generator {
+	return &repeatGen{name: name, work: w, total: n}
 }
+
+type repeatGen struct {
+	name    string
+	work    cpusim.Work
+	total   int
+	emitted int
+}
+
+func (g *repeatGen) Name() string { return g.name }
+
+func (g *repeatGen) Next() (cpusim.Work, bool) {
+	if g.emitted >= g.total {
+		return cpusim.Work{}, false
+	}
+	g.emitted++
+	return g.work, true
+}
+
+func (g *repeatGen) Reset() { g.emitted = 0 }

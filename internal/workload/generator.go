@@ -11,13 +11,12 @@
 // through repetitive motifs. The predictor and the DVFS governor only
 // ever observe per-interval counter values, so matching these
 // statistics and pattern shapes preserves the behavior the paper
-// measures. The package also implements the paper's IPCxMEM suite:
-// configurable microbenchmarks that pin arbitrary (UPC, Mem/Uop) grid
-// coordinates (Section 4).
+// measures. The package also defines the grid of the paper's IPCxMEM
+// suite (Section 4), whose (UPC, Mem/Uop) coordinates cpusim.GridWork
+// realizes.
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"phasemon/internal/cpusim"
@@ -329,46 +328,6 @@ func MemSeries(ws []cpusim.Work) []float64 {
 	}
 	return out
 }
-
-// IPCxMEM returns a generator that holds a single (UPC, Mem/Uop)
-// coordinate of the paper's IPCxMEM suite for n intervals: the
-// configurable microbenchmarks used to map the exploration space
-// (Figure 6) and to verify metric behavior under DVFS (Figure 7).
-// The coordinate is realized exactly at refFreqHz.
-func IPCxMEM(model *cpusim.Model, targetUPC, memPerUop, refFreqHz, granularityUops float64, n int) (Generator, error) {
-	w, err := model.GridWork(targetUPC, memPerUop, refFreqHz, granularityUops)
-	if err != nil {
-		return nil, fmt.Errorf("workload: building IPCxMEM point: %w", err)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("workload: IPCxMEM needs at least 1 interval, got %d", n)
-	}
-	return &fixedGen{
-		name:  fmt.Sprintf("ipcxmem_u%.2f_m%.4f", targetUPC, memPerUop),
-		work:  w,
-		total: n,
-	}, nil
-}
-
-// fixedGen emits the same interval n times.
-type fixedGen struct {
-	name    string
-	work    cpusim.Work
-	total   int
-	emitted int
-}
-
-func (g *fixedGen) Name() string { return g.name }
-
-func (g *fixedGen) Next() (cpusim.Work, bool) {
-	if g.emitted >= g.total {
-		return cpusim.Work{}, false
-	}
-	g.emitted++
-	return g.work, true
-}
-
-func (g *fixedGen) Reset() { g.emitted = 0 }
 
 // GridPoint is one IPCxMEM suite configuration.
 type GridPoint struct {

@@ -193,40 +193,6 @@ func TestMemSeries(t *testing.T) {
 	}
 }
 
-func TestIPCxMEMGenerator(t *testing.T) {
-	model := cpusim.New(cpusim.DefaultConfig())
-	g, err := IPCxMEM(model, 0.5, 0.0225, 1.5e9, 100e6, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := Collect(g, 0)
-	if len(ws) != 10 {
-		t.Fatalf("len = %d", len(ws))
-	}
-	for i := 1; i < len(ws); i++ {
-		if ws[i] != ws[0] {
-			t.Fatal("IPCxMEM intervals differ")
-		}
-	}
-	r, err := model.Execute(ws[0], 1.5e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.UPC-0.5) > 1e-9 || r.MemPerUop != 0.0225 {
-		t.Errorf("IPCxMEM observed (%v, %v), want (0.5, 0.0225)", r.UPC, r.MemPerUop)
-	}
-	g.Reset()
-	if again := Collect(g, 0); len(again) != 10 {
-		t.Errorf("after Reset: %d intervals", len(again))
-	}
-	if _, err := IPCxMEM(model, 0.5, 0.01, 1.5e9, 100e6, 0); err == nil {
-		t.Error("expected error for zero intervals")
-	}
-	if _, err := IPCxMEM(model, -1, 0.01, 1.5e9, 100e6, 5); err == nil {
-		t.Error("expected error for bad target")
-	}
-}
-
 func TestIPCxMEMGridShape(t *testing.T) {
 	grid := IPCxMEMGrid()
 	if len(grid) < 40 || len(grid) > 70 {
