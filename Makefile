@@ -39,13 +39,14 @@ perfbench-check:
 
 # The fleet engine's determinism contract (bit-identical results at
 # any worker count) is the most concurrency-sensitive surface in the
-# repo: run it, the governor it drives, and the callers that fan out
-# on fleet.Map (the tournament and the experiment figures, including
-# the fleet workers filling a shared experiments.Cache) under the race
-# detector uncached, so a schedule-dependent bug can't hide behind the
-# test cache.
+# repo: run it, the governor it drives, the machine tables its replays
+# fill concurrently, and the callers that fan out on fleet.Map (the
+# tournament and the experiment figures, including the fleet workers
+# filling a shared experiments.Cache) under the race detector
+# uncached, so a schedule-dependent bug can't hide behind the test
+# cache.
 fleet-race:
-	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament
+	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament ./internal/machine
 	$(GO) test -race -count=1 -run 'TestFiguresWorkerInvariance|TestSharedCacheWork|TestCacheKeyCompleteness|TestMemoSingleFlight' ./internal/experiments
 
 # The serving path's reader/worker locking — per-frame session lookup,
@@ -62,9 +63,11 @@ serve-race:
 # decoders (the streaming frame decoder, and the session-state codec
 # that Snapshot and Restore frames share), over the telemetry journal
 # ring against its slot-by-slot reference, over the phase table's
-# cut-point Classify against its search-based reference, and over
+# cut-point Classify against its search-based reference, over
 # Classify against each phase's nominal Table 1 range (a sample within
-# ApproxEqual tolerance below a bound belongs to the phase above it).
+# ApproxEqual tolerance below a bound belongs to the phase above it),
+# and over a governed run replayed over a machine table against the
+# same run on the full machine.
 # Each target is named package:Fuzz and runs for $(FUZZTIME); a failing
 # input is written under the package's testdata/fuzz and fails the
 # target.
@@ -78,7 +81,8 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzRestoreDecode \
 	./internal/telemetry:FuzzJournalRecent \
 	./internal/phase:FuzzClassifyMatchesReference \
-	./internal/phase:FuzzTableClassify
+	./internal/phase:FuzzTableClassify \
+	./internal/governor:FuzzReplayMatchesRunContext
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -107,7 +111,7 @@ serve-smoke:
 # End-to-end smoke of the predictor tournament (DESIGN.md §16): run
 # phasearena on a 3-workload x 6-spec x 2-granularity grid with 2
 # elimination rounds at -workers 1, 2 and 4, and for 3 rounds without
-# elimination (-top 0, one run per cell) at -workers 1 and 4, and
+# elimination (-top 0, one replay per cell) at -workers 1 and 4, and
 # require byte-identical leaderboard JSON within each set.
 tournament-smoke:
 	./scripts/tournament_smoke.sh
@@ -139,7 +143,7 @@ SMOKE_BENCHTIME ?= 100x
 
 bench-json:
 	@mkdir -p out
-	$(GO) test -run '^$$' -bench 'BenchmarkGovernorRun$$|BenchmarkGPHTObserve$$|BenchmarkHeadline$$' -benchmem -benchtime=$(BENCHTIME) . > out/bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGovernorRun$$|BenchmarkGovernorReplay$$|BenchmarkGPHTObserve$$|BenchmarkHeadline$$' -benchmem -benchtime=$(BENCHTIME) . > out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep$$' -benchmem -benchtime=$(BENCHTIME) ./internal/fleet >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMonitorStepAllocs$$|BenchmarkSnapshotRoundTrip$$|BenchmarkPredictorObserve$$' -benchmem -benchtime=$(BENCHTIME) ./internal/core >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTournamentRounds?$$' -benchmem -benchtime=$(SMOKE_BENCHTIME) ./internal/tournament >> out/bench.txt

@@ -8,6 +8,7 @@
 package phasemon_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -331,6 +332,40 @@ func BenchmarkGovernorRun(b *testing.B) {
 			if _, err := governor.Run(gen, governor.Proactive(8, 128), cfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkGovernorReplay is GovernorRun/paper replayed over a machine
+// table of the same 200-interval trace, filled beforehand: what each
+// tournament cell pays once its trace's table is filled. The records'
+// storage is reused from run to run, as the fleet engine reuses it.
+func BenchmarkGovernorReplay(b *testing.B) {
+	p, err := workload.ByName("applu_in")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := p.Generator(workload.Params{Seed: 1, Intervals: 200})
+	tab, err := machine.NewTable(machine.Config{}, workload.Collect(gen, 0), 100_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range tab.Len() {
+		for s := range tab.Ladder().Len() {
+			tab.At(i, dvfs.Setting(s))
+		}
+	}
+	b.Run("paper", func(b *testing.B) {
+		var recs []governor.Record
+		for i := 0; i < b.N; i++ {
+			rp, err := governor.NewReplay(tab, governor.Proactive(8, 128), governor.Config{}, recs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rp.Run(context.Background(), tab.Len()); err != nil {
+				b.Fatal(err)
+			}
+			recs = rp.Records()
 		}
 	})
 }

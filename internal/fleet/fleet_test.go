@@ -340,48 +340,3 @@ func TestTelemetryLifecycleCounters(t *testing.T) {
 		t.Errorf("FleetRunSeconds count = %d, want %d", hub.FleetRunSeconds.Snapshot().Count, len(specs))
 	}
 }
-
-// TestHalvingsMatchShorterSpecs checks Spec.Halvings end to end: each
-// prefix of a run is the result of the same spec at that length, the
-// bounded translation and custom classifier included, and an oracle
-// spec with halvings fails rather than returning a wrong prefix.
-func TestHalvingsMatchShorterSpecs(t *testing.T) {
-	e := New(Config{Workers: 2})
-	var specs []Spec
-	for _, sp := range sweepSpecs() {
-		if sp.Policy == "oracle" {
-			continue
-		}
-		sp.Intervals = 4 * sp.Intervals
-		long := sp
-		long.Halvings = 2
-		specs = append(specs, long, sp)
-		for h := 1; h <= 2; h++ {
-			short := sp
-			short.Intervals >>= h
-			specs = append(specs, short)
-		}
-	}
-	res, err := e.RunAll(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(res); i += 4 {
-		long, full, half, quarter := res[i].Res, res[i+1].Res, res[i+2].Res, res[i+3].Res
-		if len(long.Prefixes) != 2 {
-			t.Fatalf("spec %+v: %d prefixes, want 2", res[i].Spec, len(long.Prefixes))
-		}
-		if !reflect.DeepEqual(long.Prefixes[0], quarter) || !reflect.DeepEqual(long.Prefixes[1], half) {
-			t.Errorf("spec %+v: prefixes differ from the shorter specs' runs", res[i].Spec)
-		}
-		long.Prefixes = nil
-		if !reflect.DeepEqual(long, full) {
-			t.Errorf("spec %+v: halvings changed the run itself", res[i].Spec)
-		}
-	}
-
-	_, err = e.RunAll(context.Background(), []Spec{{Workload: "applu_in", Policy: "oracle", Intervals: 64, Halvings: 1}})
-	if err == nil || !strings.Contains(err.Error(), "reads the future") {
-		t.Errorf("oracle with halvings: error %v, want a refusal", err)
-	}
-}

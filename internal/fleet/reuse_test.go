@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"phasemon/internal/governor"
 	"phasemon/internal/kernelsim"
-	"phasemon/internal/wcache"
 	"phasemon/internal/workload"
 )
 
@@ -52,13 +50,9 @@ func TestReduceReusesLogs(t *testing.T) {
 }
 
 // TestRunAllLogsDoNotAlias: RunAll copies every log out of the
-// engine's storage, so no two results share a backing array, and each
-// prefix log is a view of its own result's copy.
+// engine's storage, so no two results share a backing array.
 func TestRunAllLogsDoNotAlias(t *testing.T) {
 	specs := seededSpecs(12, 64)
-	for i := range specs {
-		specs[i].Halvings = 1
-	}
 	res, err := New(Config{Workers: 2}).RunAll(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -73,16 +67,13 @@ func TestRunAllLogsDoNotAlias(t *testing.T) {
 			t.Errorf("specs %d and %d share a kernel-log array", j, i)
 		}
 		seen[&log[0]] = i
-		if p := r.Res.Prefixes[0].Log; len(p) != 32 || &p[0] != &log[0] {
-			t.Errorf("spec %d: prefix log is not a 32-entry view of the result's log", i)
-		}
 	}
 }
 
 // TestReusedLogKeepsBound: storage larger than a run's bound, holding a
 // previous run's entries, changes nothing: the engine re-slices it to
-// the run's length, a 64-entry bound still wraps at 64 (keeping the
-// newest entries), and a prefix of a wrapped log is still refused.
+// the run's length, and a 64-entry bound still wraps at 64 (keeping
+// the newest entries).
 func TestReusedLogKeepsBound(t *testing.T) {
 	dirty := func() []kernelsim.Entry {
 		buf := make([]kernelsim.Entry, 1024)
@@ -92,9 +83,10 @@ func TestReusedLogKeepsBound(t *testing.T) {
 		return buf
 	}
 
-	sp := New(Config{}).resolve(Spec{Workload: "gzip_graphic", Policy: "gpht_8_128", Intervals: 64})
+	e := New(Config{})
+	sp := e.resolve(Spec{Workload: "gzip_graphic", Policy: "gpht_8_128", Intervals: 64})
 	log := dirty()
-	res, err := runSpec(context.Background(), sp, nil, wcache.New(wcache.Config{}), &log)
+	res, err := e.runSpec(context.Background(), sp, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +113,5 @@ func TestReusedLogKeepsBound(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reused, fresh) {
 		t.Error("wrapped run on a reused buffer differs from one on fresh storage")
-	}
-	_, err = governor.Run(gen, governor.Proactive(8, 128), governor.Config{Log: dirty()[:0:64], Prefixes: []int{100}})
-	if err == nil || !strings.Contains(err.Error(), "kernel log kept 64 of 200") {
-		t.Errorf("prefix of a wrapped log on a reused buffer: error %v, want a refusal", err)
 	}
 }

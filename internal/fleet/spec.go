@@ -37,24 +37,6 @@ type Spec struct {
 	// GranularityUops is the sampling interval; 0 selects the paper's
 	// 100M uops.
 	GranularityUops uint64
-	// Halvings, when positive, also takes the run's prefixes at the
-	// run length halved 1..Halvings times (governor.Config.Prefixes):
-	// Res.Prefixes[0] is the shortest, at Intervals>>Halvings, and each
-	// is what the spec run at that length returns. 0 takes none.
-	Halvings int
-}
-
-// prefixes returns the ascending prefix lengths of a run of intervals
-// under Halvings.
-func (s Spec) prefixes(intervals int) []int {
-	if s.Halvings <= 0 {
-		return nil
-	}
-	out := make([]int, s.Halvings)
-	for i := range out {
-		out[i] = intervals >> (s.Halvings - i)
-	}
-	return out
 }
 
 // EffectiveSeed resolves the seed a run will actually use: the spec's

@@ -126,7 +126,7 @@ type Config struct {
 	// Log is the kernel log's storage (kernelsim.Config.Log): when it
 	// has capacity, cap(Log) is the log's bound and the run writes from
 	// Log[:0], so the PMI path never grows the log mid-run and the
-	// result's Log, every prefix Log included, aliases this storage.
+	// result's Log aliases this storage.
 	// Callers that know the interval count (the fleet engine) pass
 	// storage of that capacity, reused from run to run. Nil keeps the
 	// kernel module's default (65536-entry bound, grow on demand).
@@ -136,13 +136,6 @@ type Config struct {
 	// only hub holder — and the governor counts runs. Nil runs
 	// unobserved.
 	Telemetry *telemetry.Hub
-	// Prefixes lists ascending, positive interval counts at which the
-	// run also reports a prefix result (Result.Prefixes): what a run of
-	// exactly that many intervals, under this same Config, returns. The
-	// workload stream is one seeded sequence and every policy but the
-	// oracle decides from the past alone, so one long run stands in for
-	// each shorter one. Empty takes no prefixes.
-	Prefixes []int
 }
 
 // The default translation is immutable after construction, so
@@ -183,9 +176,6 @@ type Result struct {
 	// BudgetViolations counts handler invocations over the interrupt
 	// budget.
 	BudgetViolations int
-	// Prefixes holds one result per Config.Prefixes count, in the same
-	// order. Each Log is a view of this result's Log, not a copy.
-	Prefixes []*Result
 }
 
 // EDP returns the run's energy-delay product.
@@ -230,57 +220,18 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := checkPrefixes(cfg.Prefixes, pol); err != nil {
-		return nil, err
-	}
-	if cfg.Classifier == nil {
-		cfg.Classifier = phase.Default()
-	}
-	if cfg.Translation == nil {
-		tr, err := defaultTranslation(cfg.Classifier.NumPhases())
-		if err != nil {
-			return nil, fmt.Errorf("governor: default translation: %w", err)
-		}
-		cfg.Translation = tr
-	}
-	mcfg := cfg.Machine
-	if mcfg.Ladder == nil {
-		mcfg.Ladder = cfg.Translation.Ladder()
-	}
-	if mcfg.Ladder != cfg.Translation.Ladder() {
-		return nil, fmt.Errorf("governor: translation ladder differs from machine ladder")
-	}
-
-	var pred core.Predictor
-	var err error
-	if cp, ok := pol.(ClassifierPolicy); ok {
-		pred, err = cp.NewPredictorFor(cfg.Classifier)
-	} else {
-		pred, err = pol.NewPredictor(cfg.Classifier.NumPhases())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("governor: building predictor for %s: %w", pol.Name(), err)
-	}
-	mon, err := core.NewMonitor(cfg.Classifier, pred)
+	cfg, modCfg, err := setup(pol, cfg)
 	if err != nil {
 		return nil, err
 	}
-	modCfg := kernelsim.Config{
-		GranularityUops: cfg.GranularityUops,
-		Monitor:         mon,
-		Log:             cfg.Log,
-		Telemetry:       cfg.Telemetry,
-	}
-	if pol.Managed() {
-		modCfg.Translation = cfg.Translation
-		modCfg.Actuator = cfg.Actuator
-	}
+	modCfg.Log = cfg.Log
+	modCfg.Telemetry = cfg.Telemetry
 	mod, err := kernelsim.NewModule(modCfg)
 	if err != nil {
 		return nil, err
 	}
 
-	m := machine.New(mcfg)
+	m := machine.New(cfg.Machine)
 	if err := mod.Load(m); err != nil {
 		return nil, err
 	}
@@ -292,28 +243,7 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 	if ctx.Done() != nil {
 		src = &ctxGenerator{Generator: gen, ctx: ctx}
 	}
-	var prefixes []*Result
-	var logLens []int
-	var mark func(machine.RunResult)
-	if len(cfg.Prefixes) > 0 {
-		prefixes = make([]*Result, 0, len(cfg.Prefixes))
-		logLens = make([]int, 0, len(cfg.Prefixes))
-		// At a mark the machine, monitor tally, budget count and log hold
-		// exactly the end state of the shorter run (Unload changes none
-		// of them). The prefix's Log is sliced from the run's once it is
-		// drained.
-		mark = func(r machine.RunResult) {
-			prefixes = append(prefixes, &Result{
-				Policy:           pol.Name(),
-				Run:              r,
-				Accuracy:         mon.Tally(),
-				OverheadFraction: m.OverheadFraction(),
-				BudgetViolations: mod.BudgetViolations(),
-			})
-			logLens = append(logLens, mod.Samples())
-		}
-	}
-	run, err := m.RunMarked(src, mod, cfg.Prefixes, mark)
+	run, err := m.Run(src, mod)
 	if err != nil {
 		return nil, fmt.Errorf("governor: running %s under %s: %w", gen.Name(), pol.Name(), err)
 	}
@@ -324,60 +254,64 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 		return nil, err
 	}
 
-	res := &Result{
+	return &Result{
 		Policy: pol.Name(),
 		Run:    run,
 		// The module is discarded after this; DrainLog transfers the
 		// kernel log without the system-call copy ReadLog would make.
-		Accuracy:         mon.Tally(),
+		Accuracy:         modCfg.Monitor.Tally(),
 		Log:              mod.DrainLog(),
 		OverheadFraction: m.OverheadFraction(),
 		BudgetViolations: mod.BudgetViolations(),
-		Prefixes:         prefixes,
-	}
-	if err := res.slicePrefixLogs(cfg.Prefixes, logLens, mod.Samples()); err != nil {
-		return nil, fmt.Errorf("governor: %s under %s: %w", gen.Name(), pol.Name(), err)
-	}
-	return res, nil
+	}, nil
 }
 
-// checkPrefixes refuses prefix counts that are not positive and
-// ascending, and any prefix of a policy that reads the future: the
-// oracle's last decision in a run of N intervals reads the phase of
-// interval N+1, which only the longer run has.
-func checkPrefixes(prefixes []int, pol Policy) error {
-	if len(prefixes) == 0 {
-		return nil
+// setup resolves cfg's defaults for a run of pol — the classifier,
+// the translation, and the machine's ladder, which must be the
+// translation's — and builds the run's kernel-module configuration:
+// its monitor, and for a managed policy the translation and actuator.
+// RunContext and NewReplay both set runs up through it.
+func setup(pol Policy, cfg Config) (Config, kernelsim.Config, error) {
+	if cfg.Classifier == nil {
+		cfg.Classifier = phase.Default()
 	}
-	if _, ok := pol.(oracle); ok {
-		return fmt.Errorf("governor: %s reads the future, so a prefix of its run is not a shorter run", pol.Name())
-	}
-	for i, n := range prefixes {
-		if n < 1 || (i > 0 && n <= prefixes[i-1]) {
-			return fmt.Errorf("governor: prefixes %v are not positive and ascending", prefixes)
+	if cfg.Translation == nil {
+		tr, err := defaultTranslation(cfg.Classifier.NumPhases())
+		if err != nil {
+			return cfg, kernelsim.Config{}, fmt.Errorf("governor: default translation: %w", err)
 		}
+		cfg.Translation = tr
 	}
-	return nil
-}
+	if cfg.Machine.Ladder == nil {
+		cfg.Machine.Ladder = cfg.Translation.Ladder()
+	}
+	if cfg.Machine.Ladder != cfg.Translation.Ladder() {
+		return cfg, kernelsim.Config{}, fmt.Errorf("governor: translation ladder differs from machine ladder")
+	}
 
-// slicePrefixLogs points each prefix's Log at the head of the run's
-// Log, as Log[:n:n] for the n entries logged by its mark. It fails when
-// the stream ended before a prefix, or when the kernel-log ring
-// wrapped: the oldest entries, which every prefix log begins with, are
-// then gone.
-func (r *Result) slicePrefixLogs(want, logLens []int, samples int) error {
-	if len(r.Prefixes) < len(want) {
-		return fmt.Errorf("run ended after %d intervals, before its %d-interval prefix", samples, want[len(r.Prefixes)])
+	var pred core.Predictor
+	var err error
+	if cp, ok := pol.(ClassifierPolicy); ok {
+		pred, err = cp.NewPredictorFor(cfg.Classifier)
+	} else {
+		pred, err = pol.NewPredictor(cfg.Classifier.NumPhases())
 	}
-	if len(want) > 0 && len(r.Log) < samples {
-		return fmt.Errorf("kernel log kept %d of %d entries, so prefix logs are lost", len(r.Log), samples)
+	if err != nil {
+		return cfg, kernelsim.Config{}, fmt.Errorf("governor: building predictor for %s: %w", pol.Name(), err)
 	}
-	for i, p := range r.Prefixes {
-		if n := logLens[i]; n > 0 {
-			p.Log = r.Log[:n:n]
-		}
+	mon, err := core.NewMonitor(cfg.Classifier, pred)
+	if err != nil {
+		return cfg, kernelsim.Config{}, err
 	}
-	return nil
+	modCfg := kernelsim.Config{
+		GranularityUops: cfg.GranularityUops,
+		Monitor:         mon,
+	}
+	if pol.Managed() {
+		modCfg.Translation = cfg.Translation
+		modCfg.Actuator = cfg.Actuator
+	}
+	return cfg, modCfg, nil
 }
 
 // Compare runs the same workload under several policies and returns

@@ -80,9 +80,13 @@ type Config struct {
 // (one per interval).
 const DefaultLogCapacity = 65536
 
+// DefaultGranularityUops is the sampling interval a zero
+// Config.GranularityUops selects: the paper's 100M uops.
+const DefaultGranularityUops = 100_000_000
+
 func (c Config) withDefaults() Config {
 	if c.GranularityUops == 0 {
-		c.GranularityUops = 100_000_000
+		c.GranularityUops = DefaultGranularityUops
 	}
 	if c.BaseHandlerCostS <= 0 {
 		c.BaseHandlerCostS = 2e-6
@@ -152,7 +156,8 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.GranularityUops >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
-	mod := &Module{cfg: cfg, handlerCostS: handlerCost(cfg), tel: cfg.Telemetry.NewStepBatch(), logBound: DefaultLogCapacity}
+	mod := &Module{cfg: cfg, tel: cfg.Telemetry.NewStepBatch(), logBound: DefaultLogCapacity}
+	mod.handlerCostS, _ = HandlerCost(cfg)
 	if n := cap(cfg.Log); n > 0 {
 		mod.log, mod.logBound = cfg.Log[:0], n
 	}
@@ -286,15 +291,19 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	return cost
 }
 
-// handlerCost models the handler's execution time: a fixed base plus a
-// per-entry associative search charge for table-based predictors.
-func handlerCost(cfg Config) float64 {
+// HandlerCost models the PMI handler's execution time under cfg — a
+// fixed base plus a per-entry associative search charge for
+// table-based predictors — and returns it with the interrupt budget an
+// invocation over which counts as a violation. It is the cost rule of
+// HandlePMI and of the governor's table replays alike.
+func HandlerCost(cfg Config) (costS, budgetS float64) {
+	cfg = cfg.withDefaults()
 	cost := cfg.BaseHandlerCostS
 	type sized interface{ TableEntries() int }
 	if s, ok := cfg.Monitor.Predictor().(sized); ok {
 		cost += float64(s.TableEntries()) * cfg.PerEntrySearchCostS
 	}
-	return cost
+	return cost, cfg.BudgetS
 }
 
 // BudgetViolations counts handler invocations that exceeded the

@@ -111,14 +111,7 @@ type Machine struct {
 	settings []settingPower
 	baseW    float64
 
-	nowS    float64
-	energyJ float64
-
-	// run accounting
-	appTimeS     float64
-	handlerTimeS float64
-	instructions float64
-	uops         float64
+	acct Account
 }
 
 // New assembles a machine from the configuration.
@@ -193,13 +186,7 @@ func (m *Machine) Port() *ParallelPort { return &m.port }
 func (m *Machine) Thermal() *thermal.Model { return m.therm }
 
 // OverheadFraction returns handler time as a fraction of total time.
-func (m *Machine) OverheadFraction() float64 {
-	total := m.appTimeS + m.handlerTimeS
-	if total <= 0 {
-		return 0
-	}
-	return m.handlerTimeS / total
-}
+func (m *Machine) OverheadFraction() float64 { return m.acct.OverheadFraction() }
 
 // powerNow is the rail power at setting sp for an observed UPC. It
 // adds the same operands in the same order as power.Model.Power, with
@@ -224,19 +211,93 @@ func (m *Machine) handlerPower(sp *settingPower) float64 {
 	return sp.handlerW
 }
 
-// emit records one waveform span and advances time/energy.
-func (m *Machine) emit(dur, watts, volts float64) {
+// record hands one waveform span to the recorder and the thermal
+// model, ahead of the Account charge that advances time and energy.
+func (m *Machine) record(dur, watts, volts float64) {
 	if dur <= 0 {
 		return
 	}
 	if m.rec != nil {
-		m.rec.Record(Span{T0: m.nowS, Dur: dur, Watts: watts, Volts: volts, Port: m.port.Bits()})
+		m.rec.Record(Span{T0: m.acct.nowS, Dur: dur, Watts: watts, Volts: volts, Port: m.port.Bits()})
 	}
 	if m.therm != nil {
 		m.therm.Advance(watts, dur)
 	}
-	m.nowS += dur
-	m.energyJ += watts * dur
+}
+
+// Account is a run's cumulative time, energy and work accounting. It
+// is the one place a span of the power waveform is charged: Run and
+// the table replays (Table) both charge through it, so they add the
+// same floats in the same order.
+type Account struct {
+	nowS, energyJ          float64
+	appTimeS, handlerTimeS float64
+	instructions, uops     float64
+}
+
+// span advances time and energy by one waveform span; a span of no
+// duration is not emitted.
+func (a *Account) span(dur, watts float64) {
+	if dur <= 0 {
+		return
+	}
+	a.nowS += dur
+	a.energyJ += watts * dur
+}
+
+// Work charges one executed chunk: its span at watts, and the
+// instructions and uops it retired.
+func (a *Account) Work(dur, watts, instructions, uops float64) {
+	a.span(dur, watts)
+	a.appTimeS += dur
+	a.instructions += instructions
+	a.uops += uops
+}
+
+// Handler charges one PMI handler span at watts.
+func (a *Account) Handler(dur, watts float64) {
+	a.span(dur, watts)
+	a.handlerTimeS += dur
+}
+
+// OverheadFraction returns handler time as a fraction of total time.
+func (a *Account) OverheadFraction() float64 {
+	total := a.appTimeS + a.handlerTimeS
+	if total <= 0 {
+		return 0
+	}
+	return a.handlerTimeS / total
+}
+
+// Result is the RunResult of everything charged so far, with the run's
+// PMI and DVFS transition counts.
+func (a *Account) Result(pmis uint64, transitions int) RunResult {
+	return a.totals(pmis, transitions).since(totals{})
+}
+
+// execute runs chunkUops of w at setting sp: the chunk is w with its
+// uops cut to chunkUops and its instructions scaled alike. It stores
+// the timing model's result in res and returns the rail power the
+// chunk drew; Run and the table fills compute every work span through
+// it.
+func (m *Machine) execute(res *cpusim.Result, w *cpusim.Work, chunkUops float64, sp *settingPower) float64 {
+	chunk := *w
+	chunk.Instructions *= chunkUops / w.Uops
+	chunk.Uops = chunkUops
+	// A chunk with its uops cut to (0, w.Uops] is as valid as w, and
+	// New checked every ladder frequency: execute it unchecked.
+	*res = m.cpu.ExecuteValid(chunk, sp.point.FrequencyHz)
+	return m.powerNow(sp, res.UPC)
+}
+
+// delta is what the counters count for one executed chunk.
+func delta(res cpusim.Result) pmc.Delta {
+	return pmc.Delta{
+		Uops:            uint64(math.Round(res.Uops)),
+		Instructions:    uint64(math.Round(res.Instructions)),
+		MemTransactions: uint64(math.Round(res.MemTransactions)),
+		Cycles:          uint64(math.Round(res.Cycles)),
+	}
 }
 
 // ErrNoUopCounter reports a run attempted without an armed uop counter.
@@ -284,17 +345,6 @@ func (r RunResult) EDP() float64 { return r.EnergyJ * r.TimeS }
 // items whose uop counts exceed the PMI granularity are split across
 // interrupts exactly as real hardware would.
 func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error) {
-	return m.RunMarked(gen, handler, nil, nil)
-}
-
-// RunMarked is Run that also reports the run's totals part way: just
-// before the generator is asked for item n, for each n in marks (so
-// after exactly n items have executed, their interrupts included), it
-// calls mark with the RunResult a Run over only those items would have
-// returned. Marks must be positive and ascending; a mark the stream
-// ends before is never reported. A mark costs O(1); a run without
-// marks pays one integer compare per item.
-func (m *Machine) RunMarked(gen workload.Generator, handler Handler, marks []int, mark func(RunResult)) (RunResult, error) {
 	slot, err := m.uopSlot()
 	if err != nil {
 		return RunResult{}, err
@@ -304,18 +354,7 @@ func (m *Machine) RunMarked(gen workload.Generator, handler Handler, marks []int
 	m.port.Set(PortBitApp)
 	defer m.port.Clear(PortBitApp)
 
-	next := -1 // item count of the next mark
-	if len(marks) > 0 {
-		next, marks = marks[0], marks[1:]
-	}
-	for n := 0; ; n++ {
-		if n == next {
-			mark(m.totals().since(start))
-			next = -1
-			if len(marks) > 0 {
-				next, marks = marks[0], marks[1:]
-			}
-		}
+	for {
 		w, ok := gen.Next()
 		if !ok {
 			break
@@ -323,39 +362,24 @@ func (m *Machine) RunMarked(gen workload.Generator, handler Handler, marks []int
 		if err := w.Validate(); err != nil {
 			return RunResult{}, fmt.Errorf("machine: generator %q: %w", gen.Name(), err)
 		}
-		remaining := w
-		for remaining.Uops > 0 {
+		remaining := w.Uops
+		for remaining > 0 {
 			until, err := m.pmcs.UntilOverflow(slot)
 			if err != nil {
 				return RunResult{}, err
 			}
-			chunkUops := remaining.Uops
+			chunkUops := remaining
 			if f := float64(until); f < chunkUops {
 				chunkUops = f
 			}
-			frac := chunkUops / w.Uops
-			chunk := w
-			chunk.Uops = chunkUops
-			chunk.Instructions = w.Instructions * frac
-
-			// The chunk is w with its uops cut to (0, w.Uops] and its
-			// instructions scaled alike, so it is as valid as w, and New
-			// checked every ladder frequency: execute it unchecked.
 			sp := &m.settings[m.ctrl.Current()]
-			res := m.cpu.ExecuteValid(chunk, sp.point.FrequencyHz)
-			m.emit(res.Time, m.powerNow(sp, res.UPC), sp.point.VoltageV)
-			m.appTimeS += res.Time
-			m.instructions += res.Instructions
-			m.uops += res.Uops
+			var res cpusim.Result
+			watts := m.execute(&res, &w, chunkUops, sp)
+			m.record(res.Time, watts, sp.point.VoltageV)
+			m.acct.Work(res.Time, watts, res.Instructions, res.Uops)
 
-			pmi := m.pmcs.Advance(pmc.Delta{
-				Uops:            uint64(math.Round(res.Uops)),
-				Instructions:    uint64(math.Round(res.Instructions)),
-				MemTransactions: uint64(math.Round(res.MemTransactions)),
-				Cycles:          uint64(math.Round(res.Cycles)),
-			})
-			remaining.Uops -= chunkUops
-			remaining.Instructions -= chunk.Instructions
+			pmi := m.pmcs.Advance(delta(res))
+			remaining -= chunkUops
 
 			if pmi && handler != nil {
 				m.port.Set(PortBitHandler)
@@ -366,8 +390,9 @@ func (m *Machine) RunMarked(gen workload.Generator, handler Handler, marks []int
 				}
 				overhead += m.ctrl.TimeInTransition() - preTrans
 				sp := &m.settings[m.ctrl.Current()]
-				m.emit(overhead, m.handlerPower(sp), sp.point.VoltageV)
-				m.handlerTimeS += overhead
+				watts := m.handlerPower(sp)
+				m.record(overhead, watts, sp.point.VoltageV)
+				m.acct.Handler(overhead, watts)
 				m.port.Clear(PortBitHandler)
 			}
 		}
@@ -385,7 +410,11 @@ type totals struct {
 }
 
 func (m *Machine) totals() totals {
-	return totals{m.nowS, m.energyJ, m.handlerTimeS, m.instructions, m.uops, m.pmcs.PMICount(), m.ctrl.Transitions()}
+	return m.acct.totals(m.pmcs.PMICount(), m.ctrl.Transitions())
+}
+
+func (a *Account) totals(pmis uint64, trans int) totals {
+	return totals{a.nowS, a.energyJ, a.handlerTimeS, a.instructions, a.uops, pmis, trans}
 }
 
 // since is the RunResult of a run that began at start and ended at now.

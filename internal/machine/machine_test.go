@@ -252,7 +252,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if m.DVFS().Ladder().Len() != 6 {
 		t.Errorf("default ladder has %d points", m.DVFS().Ladder().Len())
 	}
-	if m.nowS != 0 || m.energyJ != 0 {
+	if m.acct.nowS != 0 || m.acct.energyJ != 0 {
 		t.Error("fresh machine not at origin")
 	}
 	if m.OverheadFraction() != 0 {

@@ -3,9 +3,10 @@ package tournament
 import (
 	"math"
 
-	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
+	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
+	"phasemon/internal/phase"
 )
 
 // ClassTally is one canonical phase class's slice of a cell's
@@ -48,10 +49,9 @@ type CellScore struct {
 	Score float64 `json:"score"`
 }
 
-// runSummary is everything scoring reads of one governed run (or of a
-// prefix of one). playRound reduces each run to its summaries on the
-// fleet worker that ran it, so the run's kernel log is garbage before
-// that worker takes its next spec.
+// runSummary is everything scoring reads of one round of a replay.
+// The tournament reduces each replay to its summaries on the fleet
+// worker that replayed it, so no replay outlives its reduction.
 type runSummary struct {
 	run         machine.RunResult
 	accuracy    float64
@@ -59,43 +59,22 @@ type runSummary struct {
 	mispredicts []ClassTally
 }
 
-// summarize reduces a fleet result to one runSummary per round it
-// covers: its prefixes, shortest first, then the run itself. A
-// baseline contributes only its RunResult to scoring (Grid.Validate
-// keeps "baseline" out of the contestants), so its log is not walked.
-func summarize(numPhases int) func(fleet.Result) []runSummary {
-	one := func(policy string, res *governor.Result) runSummary {
-		s := runSummary{run: res.Run}
-		if policy == baselineSpec {
-			return s
-		}
-		if acc, err := res.Accuracy.Accuracy(); err == nil {
-			s.accuracy = acc
-		}
-		s.cpiError = cpiError(res, numPhases)
-		breakdown := governor.MispredictBreakdown(res, numPhases)
-		s.mispredicts = make([]ClassTally, len(breakdown))
-		for i, c := range breakdown {
-			s.mispredicts[i] = ClassTally{
-				Class:      c.Class.String(),
-				Intervals:  c.Intervals,
-				Total:      c.Total,
-				Transition: c.Transition,
-				Steady:     c.Steady,
-			}
-		}
+// summarize reduces a replay's result at n intervals to what scoring
+// reads. A baseline contributes only its RunResult to scoring
+// (Grid.Validate keeps "baseline" out of the contestants), so its
+// intervals are not walked. A managed cell is scored on the kernel log
+// a run of n intervals keeps — its newest DefaultLogCapacity entries,
+// as the ring keeps them — read back from the replay.
+func summarize(policy string, res *governor.Result, rp *governor.Replay, n, numPhases int) runSummary {
+	s := runSummary{run: res.Run}
+	if policy == baselineSpec {
 		return s
 	}
-	return func(r fleet.Result) []runSummary {
-		if r.Res == nil {
-			return nil
-		}
-		out := make([]runSummary, 0, len(r.Res.Prefixes)+1)
-		for _, p := range r.Res.Prefixes {
-			out = append(out, one(r.Spec.Policy, p))
-		}
-		return append(out, one(r.Spec.Policy, r.Res))
+	if acc, err := res.Accuracy.Accuracy(); err == nil {
+		s.accuracy = acc
 	}
+	s.cpiError, s.mispredicts = scoreLog(rp.Records()[max(0, n-kernelsim.DefaultLogCapacity):n], numPhases)
+	return s
 }
 
 // scoreCell scores one managed run's summary against its baseline's.
@@ -145,61 +124,97 @@ func score(cs CellScore) float64 {
 	return s
 }
 
-// cpiError measures prediction quality in performance terms: each
-// logged interval's measured CPI against the mean CPI of the phase the
-// predictor named for it. A predictor that confuses two phases with
-// near-identical CPI is barely penalized; one that calls a memory-bound
-// interval CPU-bound pays the full CPI gap.
-func cpiError(r *governor.Result, numPhases int) float64 {
+// scoreLog walks a run's kernel log, in the compact form of a
+// replay's records, in two passes. The first finds each phase's mean measured CPI.
+// The second scores prediction quality two ways at once:
+//
+//   - in performance terms, as the mean distance between each
+//     interval's measured CPI and the mean CPI of the phase the
+//     predictor named for it (cpiErr). A predictor that confuses two
+//     phases with near-identical CPI is barely penalized; one that
+//     calls a memory-bound interval CPU-bound pays the full CPI gap;
+//   - in label terms, as the mispredictions charged to each canonical
+//     phase class, split by whether the missed interval sat on a phase
+//     transition (its actual phase differs from the previous
+//     interval's) or inside a steady run. Transition misses are the
+//     unavoidable cost of reacting one interval late; steady misses
+//     mean the predictor is wrong about a phase it has already seen.
+//     There is one tally per real class, ascending, zero-filled for
+//     classes the run never touched.
+//
+// An entry's Predicted is the call made for the following interval
+// (the handler predicts forward), so each interval is scored against
+// its predecessor's prediction and the first — which nothing predicted
+// — is not scored, matching the accuracy tally.
+func scoreLog(log []governor.Record, numPhases int) (cpiErr float64, mispredicts []ClassTally) {
+	// The passes index per-phase tables by a record's uint8 phase, so
+	// they read no bounds check and branch on no phase's validity.
+	//
 	// First pass: mean measured CPI per actual phase, plus the global
 	// mean as the stand-in for phases the run never exhibited.
-	sum := make([]float64, numPhases+1)
-	n := make([]int, numPhases+1)
+	var sum [256]float64
+	var n [256]int
 	var gsum float64
 	var gn int
-	for _, e := range r.Log {
-		if e.UPC <= 0 {
+	for _, r := range log {
+		if r.UPC <= 0 {
 			continue
 		}
-		cpi := 1 / e.UPC
+		cpi := 1 / r.UPC
 		gsum += cpi
 		gn++
-		if e.Actual.Valid(numPhases) {
-			sum[e.Actual] += cpi
-			n[e.Actual]++
+		sum[r.Actual] += cpi
+		n[r.Actual]++
+	}
+	var gmean float64
+	if gn > 0 {
+		gmean = gsum / float64(gn)
+	}
+	// mean[p] is the mean CPI of the phase a prediction p names, and
+	// class[p] the index of its tally, -1 for no real class.
+	var mean [256]float64
+	var class [256]int
+	for p := range mean {
+		mean[p], class[p] = gmean, -1
+		if id := phase.ID(p); id.Valid(numPhases) {
+			if n[p] > 0 {
+				mean[p] = sum[p] / float64(n[p])
+			}
+			if c := phase.ClassOf(id, numPhases); c.Valid() {
+				class[p] = int(c - phase.ClassCPUBound)
+			}
 		}
 	}
-	if gn == 0 {
-		return 0
+
+	// Second pass: mean |CPI − mean CPI of the predicted phase|, and
+	// the misses by class.
+	mispredicts = make([]ClassTally, phase.NumClasses)
+	for i := range mispredicts {
+		mispredicts[i].Class = (phase.ClassCPUBound + phase.Class(i)).String()
 	}
-	gmean := gsum / float64(gn)
-	mean := make([]float64, numPhases+1)
-	for p := 1; p <= numPhases; p++ {
-		mean[p] = gmean
-		if n[p] > 0 {
-			mean[p] = sum[p] / float64(n[p])
-		}
-	}
-	// Second pass: mean |CPI − mean CPI of the phase predicted for the
-	// interval|. Entry i−1's Predicted is the call made for interval i
-	// (the handler predicts forward), so the first interval — which
-	// nothing predicted — is not scored, matching the accuracy tally.
 	var errSum float64
 	var errN int
-	for i := 1; i < len(r.Log); i++ {
-		e := r.Log[i]
-		if e.UPC <= 0 {
-			continue
+	for i := 1; i < len(log); i++ {
+		r, prev := log[i], log[i-1]
+		if c := class[r.Actual]; c >= 0 {
+			ct := &mispredicts[c]
+			ct.Intervals++
+			if prev.Predicted != r.Actual {
+				ct.Total++
+				if r.Actual != prev.Actual {
+					ct.Transition++
+				} else {
+					ct.Steady++
+				}
+			}
 		}
-		m := gmean
-		if p := r.Log[i-1].Predicted; p.Valid(numPhases) {
-			m = mean[p]
+		if r.UPC > 0 {
+			errSum += math.Abs(1/r.UPC - mean[prev.Predicted])
+			errN++
 		}
-		errSum += math.Abs(1/e.UPC - m)
-		errN++
 	}
-	if errN == 0 {
-		return 0
+	if errN > 0 {
+		cpiErr = errSum / float64(errN)
 	}
-	return errSum / float64(errN)
+	return cpiErr, mispredicts
 }

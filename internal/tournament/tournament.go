@@ -8,7 +8,6 @@ import (
 
 	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
-	"phasemon/internal/kernelsim"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
 )
@@ -45,18 +44,22 @@ type Config struct {
 // next round doubles the interval count, so survivors are re-examined
 // on longer, harder streams.
 //
-// The rounds share runs: the workload stream is one seeded sequence
-// and every policy but the oracle decides from the past alone, so the
-// first N intervals of a 2N-interval run are an N-interval run. Each
-// cell therefore runs once, at the length of the last round it is sure
-// to reach, and scores its earlier rounds on that run's prefixes (see
-// player.cover).
+// Every cell plays as a replay over a machine table of its workload
+// trace (fleet.Play), shared by the cells over that trace, so the
+// machine is tabulated once per trace instead of simulated once per
+// cell. The rounds share replays too: the workload stream is one
+// seeded sequence and every policy but the oracle decides from the
+// past alone, so the first N intervals of a 2N-interval run are an
+// N-interval run. Each cell therefore replays once, to the length of
+// the last round it is sure to reach, and scores each earlier round at
+// that round's length on the way (see player.cover).
 //
-// Determinism: the fleet engine makes every run bit-identical at any
-// worker count, a prefix is bit-identical to the shorter run, and the
-// reduction here is pure arithmetic over deterministically ordered
-// slices, so Run's leaderboard — and its Encode bytes — are a function
-// of the grid alone.
+// Determinism: a replay is bit-identical to the governed run over the
+// full machine, at any worker count, a replay's first N intervals are
+// bit-identical to the N-interval run, and the reduction here is pure
+// arithmetic over deterministically ordered slices, so Run's
+// leaderboard — and its Encode bytes — are a function of the grid
+// alone.
 func Run(ctx context.Context, cfg Config) (*Leaderboard, error) {
 	if err := cfg.Grid.Validate(); err != nil {
 		return nil, err
@@ -148,78 +151,67 @@ type player struct {
 	topK      int
 	numPhases int
 	// pending holds, per slot (see playRound), the summaries of the
-	// rounds still ahead that the slot's last run covered, the next
+	// rounds still ahead that the slot's last replay covered, the next
 	// round's first.
 	pending [][]runSummary
 }
 
-// cover is how many rounds, from round on, one run of a cell with the
-// given spec plays: every round the cell is sure to reach, up to the
-// kernel-log bound. A baseline is never eliminated; a managed cell is
-// sure to reach the next round only when nothing can be eliminated.
-// The oracle reads the future, so a prefix of its run is not a shorter
-// run, and a round past the log bound would lose its prefixes' log
-// entries: both play one round per run.
-func (p *player) cover(round, intervals, alive int, spec string) int {
+// cover is how many rounds, from round on, one replay of a cell with
+// the given spec plays: every round the cell is sure to reach. A
+// baseline is never eliminated; a managed cell is sure to reach the
+// next round only when nothing can be eliminated. The oracle reads the
+// future, so a prefix of its run is not a shorter run: it replays each
+// round from interval 0 with that round's own future.
+func (p *player) cover(round, alive int, spec string) int {
 	if spec != baselineSpec && (governor.ReadsFuture(spec) || (p.topK >= 1 && p.topK < alive)) {
 		return 1
 	}
-	c := 1
-	for round+c <= p.rounds && intervals<<c <= kernelsim.DefaultLogCapacity {
-		c++
-	}
-	return c
+	return p.rounds - round + 1
 }
 
 // playRound scores one round's cells, in alive's order, each against
 // its (workload, granularity) baseline. Cells and baselines whose
-// pending summaries ran out run now, each through the fleet engine at
-// the length of the last round it covers, and each is reduced on the
-// fleet worker that ran it to one runSummary per covered round, so no
-// run's kernel log outlives the run.
+// pending summaries ran out replay now, to the length of the last
+// round they cover, each reduced on the fleet worker that replayed it
+// to one runSummary per covered round. They go to the fleet workload
+// by workload and granularity by granularity, baseline first, so the
+// replays over one trace share its table one after another and the
+// table is dropped before the next trace's is built.
 func (p *player) playRound(ctx context.Context, round int, alive []string, intervals int) ([]Cell, []CellScore, error) {
 	g := p.g
-	nw, ng := len(g.Workloads), len(g.Granularities)
-	nBase := nw * ng
+	ng := len(g.Granularities)
+	nBase := len(g.Workloads) * ng
 	// A run's slot: one per (workload, granularity) baseline, then one
 	// per (workload, spec, granularity) cell with the specs in the
 	// grid's order, so a cell keeps its slot whatever the standings.
-	keys := make([]Cell, 0, nBase*(1+len(alive)))
-	slots := make([]int, 0, cap(keys))
-	for wi, w := range g.Workloads {
-		for gi, gr := range g.Granularities {
-			keys = append(keys, Cell{Workload: w, Spec: baselineSpec, GranularityUops: gr})
-			slots = append(slots, wi*ng+gi)
-		}
-	}
-	for wi, w := range g.Workloads {
-		for _, s := range alive {
-			si := slices.Index(g.Specs, s)
-			for gi, gr := range g.Granularities {
-				keys = append(keys, Cell{Workload: w, Spec: s, GranularityUops: gr})
-				slots = append(slots, nBase+(wi*len(g.Specs)+si)*ng+gi)
-			}
-		}
+	cellSlot := func(wi int, spec string, gi int) int {
+		return nBase + (wi*len(g.Specs)+slices.Index(g.Specs, spec))*ng + gi
 	}
 
 	var ran []int
 	var specs []fleet.Spec
-	for i, k := range keys {
-		if len(p.pending[slots[i]]) > 0 {
-			continue
+	for wi, w := range g.Workloads {
+		for gi, gr := range g.Granularities {
+			for _, spec := range append([]string{baselineSpec}, alive...) {
+				slot := wi*ng + gi
+				if spec != baselineSpec {
+					slot = cellSlot(wi, spec, gi)
+				}
+				if len(p.pending[slot]) > 0 {
+					continue
+				}
+				ran = append(ran, slot)
+				specs = append(specs, fleet.Spec{
+					Workload:        w,
+					Policy:          spec,
+					Intervals:       intervals << (p.cover(round, len(alive), spec) - 1),
+					GranularityUops: gr,
+				})
+			}
 		}
-		c := p.cover(round, intervals, len(alive), k.Spec)
-		ran = append(ran, slots[i])
-		specs = append(specs, fleet.Spec{
-			Workload:        k.Workload,
-			Policy:          k.Spec,
-			Intervals:       intervals << (c - 1),
-			GranularityUops: k.GranularityUops,
-			Halvings:        c - 1,
-		})
 	}
 	if len(specs) > 0 {
-		sums, err := fleet.Reduce(ctx, p.engine, specs, summarize(p.numPhases))
+		sums, err := fleet.Play(ctx, p.engine, specs, p.play(ctx, intervals))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -228,16 +220,41 @@ func (p *player) playRound(ctx context.Context, round int, alive []string, inter
 		}
 	}
 
-	cells := keys[nBase:]
-	scores := make([]CellScore, len(cells))
-	for i, cell := range cells {
-		wi, gi := i/(len(alive)*ng), i%ng
-		scores[i] = scoreCell(cell, intervals, p.pending[slots[nBase+i]][0], p.pending[wi*ng+gi][0])
+	var cells []Cell
+	var scores []CellScore
+	for wi, w := range g.Workloads {
+		for _, spec := range alive {
+			for gi, gr := range g.Granularities {
+				cell := Cell{Workload: w, Spec: spec, GranularityUops: gr}
+				slot := cellSlot(wi, spec, gi)
+				cells = append(cells, cell)
+				scores = append(scores, scoreCell(cell, intervals, p.pending[slot][0], p.pending[wi*ng+gi][0]))
+				p.pending[slot] = p.pending[slot][1:]
+			}
+		}
 	}
-	for _, slot := range slots {
+	for slot := range nBase {
 		p.pending[slot] = p.pending[slot][1:]
 	}
 	return cells, scores, nil
+}
+
+// play is the fleet reduction of one replay: it replays through every
+// round the spec covers — intervals, doubling up to the spec's length —
+// and reduces each round to its summary while the replay's table is in
+// hand.
+func (p *player) play(ctx context.Context, intervals int) func(fleet.Spec, *governor.Replay) ([]runSummary, error) {
+	return func(sp fleet.Spec, rp *governor.Replay) ([]runSummary, error) {
+		var out []runSummary
+		for n := intervals; n <= sp.Intervals; n *= 2 {
+			res, err := rp.Run(ctx, n)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, summarize(sp.Policy, res, rp, n, p.numPhases))
+		}
+		return out, nil
+	}
 }
 
 // rank reduces cell scores to per-spec standings: mean score,

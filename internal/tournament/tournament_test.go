@@ -219,33 +219,31 @@ func BenchmarkTournamentRound(b *testing.B) {
 	}
 }
 
-// TestRoundGrouping pins which rounds one run covers: every round a
-// cell is sure to reach, up to the kernel-log bound. Baselines always
-// look ahead; managed cells only when nothing can be eliminated; the
-// oracle and rounds past the bound play one round per run.
+// TestRoundGrouping pins which rounds one replay covers: every round a
+// cell is sure to reach. Baselines always look ahead; managed cells
+// only when nothing can be eliminated; the oracle plays one round per
+// replay. A replay keeps every interval, so round length sets no
+// bound.
 func TestRoundGrouping(t *testing.T) {
 	p := &player{rounds: 4}
 	cases := []struct {
-		name                   string
-		topK, round, intervals int
-		alive                  int
-		spec                   string
-		want                   int
+		name        string
+		topK, round int
+		alive       int
+		spec        string
+		want        int
 	}{
-		{"keep all", 0, 1, 48, 6, "gpht_8_64", 4},
-		{"keep all from round 2", 0, 2, 96, 6, "gpht_8_64", 3},
-		{"top k covers the field", 6, 1, 48, 6, "gpht_8_64", 4},
-		{"elimination", 3, 1, 48, 6, "gpht_8_64", 1},
-		{"baseline under elimination", 3, 1, 48, 6, baselineSpec, 4},
-		{"oracle", 0, 1, 48, 6, "oracle", 1},
-		{"final round past the log bound", 0, 1, 16384, 6, "gpht_8_64", 3},
-		{"round past the log bound", 0, 4, 131072, 6, "gpht_8_64", 1},
-		{"baseline past the log bound", 0, 1, 65536, 6, baselineSpec, 1},
-		{"last round", 0, 4, 48, 6, baselineSpec, 1},
+		{"keep all", 0, 1, 6, "gpht_8_64", 4},
+		{"keep all from round 2", 0, 2, 6, "gpht_8_64", 3},
+		{"top k covers the field", 6, 1, 6, "gpht_8_64", 4},
+		{"elimination", 3, 1, 6, "gpht_8_64", 1},
+		{"baseline under elimination", 3, 1, 6, baselineSpec, 4},
+		{"oracle", 0, 1, 6, "oracle", 1},
+		{"last round", 0, 4, 6, baselineSpec, 1},
 	}
 	for _, c := range cases {
 		p.topK = c.topK
-		if got := p.cover(c.round, c.intervals, c.alive, c.spec); got != c.want {
+		if got := p.cover(c.round, c.alive, c.spec); got != c.want {
 			t.Errorf("%s: cover = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -274,7 +272,7 @@ func TestKeepAllRunsOncePerCell(t *testing.T) {
 
 // BenchmarkTournamentRounds measures a two-round tournament that
 // eliminates nothing on the CI grid — the shape of the perfbench grid
-// job, where each cell plays both rounds from one run. Caching is
+// job, where each cell plays both rounds from one replay. Caching is
 // defeated by varying the seed per iteration.
 func BenchmarkTournamentRounds(b *testing.B) {
 	b.ReportAllocs()

@@ -152,27 +152,6 @@ func burstsFixed(base, burst float64, meanGap float64, burstLen int, jitter floa
 	}
 }
 
-// walk emits a bounded random walk between lo and hi with the given
-// per-interval step scale — the slow drift of compiler-style codes.
-func walk(lo, hi, step float64) recipe {
-	return func(rng *rand.Rand) series {
-		v := (lo + hi) / 2
-		return func() float64 {
-			v += rng.NormFloat64() * step
-			if v < lo {
-				v = lo + (lo - v)
-			}
-			if v > hi {
-				v = hi - (v - hi)
-			}
-			if v < lo {
-				v = lo
-			}
-			return clampMem(v)
-		}
-	}
-}
-
 // square alternates between two levels with the given dwell lengths —
 // slow program-section alternation (e.g. apsi's solver sweeps).
 func square(a, b float64, dwellA, dwellB int, jitter float64) recipe {

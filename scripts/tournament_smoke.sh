@@ -7,9 +7,9 @@
 # pure function of the grid, independent of scheduling. A third run at -workers 2
 # re-confirms against the same reference. A second pair plays the same
 # grid for 3 rounds with no elimination (-top 0) at -workers 1 and 4:
-# there each cell runs once and scores its earlier rounds on the run's
-# prefixes. `make tournament-smoke` runs this and `make check` / CI
-# include it.
+# there each cell replays once and scores its earlier rounds on the
+# way. `make tournament-smoke` runs this and `make check` / CI include
+# it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
