@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint perfbench-check fleet-race serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint perfbench-check fleet-race replay-long serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -48,6 +48,13 @@ perfbench-check:
 fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament ./internal/machine
 	$(GO) test -race -count=1 -run 'TestFiguresWorkerInvariance|TestSharedCacheWork|TestCacheKeyCompleteness|TestMemoSingleFlight' ./internal/experiments
+
+# The replay's long differential cases — a kernel log that wraps the
+# ring, and replay records carried past their window — are skipped
+# under -race, where they are slow and sequential, so run them here
+# without it, uncached.
+replay-long:
+	$(GO) test -count=1 -run 'TestReplayMatchesRunContext|TestLongPrefixMatchesShorterRun' ./internal/governor
 
 # The serving path's reader/worker locking — per-frame session lookup,
 # per-worker ring pushes, in-flight settle accounting, the write
@@ -97,7 +104,7 @@ fuzz-smoke:
 # over real sockets. The telemetry hot paths are lock-free atomics
 # shared with HTTP readers, so -race is part of the default bar, not
 # an extra.
-check: lint perfbench-check fleet-race serve-race fuzz-smoke
+check: lint perfbench-check fleet-race replay-long serve-race fuzz-smoke
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
 	$(MAKE) tournament-smoke

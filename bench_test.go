@@ -346,7 +346,7 @@ func BenchmarkGovernorReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	gen := p.Generator(workload.Params{Seed: 1, Intervals: 200})
-	tab, err := machine.NewTable(machine.Config{}, workload.Collect(gen, 0), 100_000_000)
+	tab, err := machine.NewTable(workload.Collect(gen, 0), 100_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}

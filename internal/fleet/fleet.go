@@ -261,7 +261,7 @@ type sharedTable struct {
 
 // get returns the table of trace, building it on first use.
 func (st *sharedTable) get(trace *wcache.Trace, gran uint64) (*machine.Table, error) {
-	st.once.Do(func() { st.tab, st.err = machine.NewTable(machine.Config{}, trace.Works(), gran) })
+	st.once.Do(func() { st.tab, st.err = machine.NewTable(trace.Works(), gran) })
 	return st.tab, st.err
 }
 

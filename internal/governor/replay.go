@@ -40,8 +40,17 @@ type Replay struct {
 
 	acct       machine.Account
 	violations int
-	recs       []Record
+	done       int // intervals replayed
+	// recs holds the newest replayed intervals, oldest first: at most
+	// recordWindow, and at least the newest DefaultLogCapacity once
+	// that many have been replayed.
+	recs []Record
 }
+
+// recordWindow bounds a replay's records. When they fill it the newest
+// DefaultLogCapacity — all a run's kernel log keeps — move to the
+// front, one record copied per replayed interval on average.
+const recordWindow = 2 * kernelsim.DefaultLogCapacity
 
 // Record is one replayed interval in compact form: the UPC the PMI
 // handler measured, the setting the interval ran at, its phase, and
@@ -58,15 +67,15 @@ type Record struct {
 // what a table cannot replay: an Actuator (it chooses settings from
 // live machine state), a non-zero Config.Machine (the table fixes the
 // machine; the translation's ladder must match the table's), Config.Log
-// storage (a replay keeps every interval), a granularity other than the
+// storage (a replay keeps its own records), a granularity other than the
 // table's, and more phases or settings than a compact record holds.
 // With Config.Telemetry set, the replay counts one governor run; it
 // publishes no per-interval events.
 //
 // recs is the records' storage: the replay appends to recs[:0],
-// growing it only when its capacity falls short of the table, so a
-// caller that runs replays one after another can hand each the last
-// one's Records. Records aliases it.
+// growing it only when its capacity falls short of the table or of
+// recordWindow, so a caller that runs replays one after another can
+// hand each the last one's Records. Records aliases it.
 func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Replay, error) {
 	m := cfg.Machine
 	switch {
@@ -75,7 +84,7 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 	case m.CPU != nil || m.Power != nil || m.Ladder != nil || m.TransitionLatencyS != 0 || m.Recorder != nil || m.Thermal != nil:
 		return nil, fmt.Errorf("governor: a replay runs on its table's machine, so Config.Machine must be zero")
 	case cfg.Log != nil:
-		return nil, fmt.Errorf("governor: a replay keeps every interval, so it takes no kernel-log storage")
+		return nil, fmt.Errorf("governor: a replay keeps its own records, so it takes no kernel-log storage")
 	}
 	cfg, modCfg, err := setup(pol, cfg)
 	if err != nil {
@@ -109,7 +118,7 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 		costS:  cost,
 		budget: budget,
 		whole:  whole,
-		recs:   slices.Grow(recs[:0], tab.Len()),
+		recs:   slices.Grow(recs[:0], min(tab.Len(), recordWindow)),
 	}, nil
 }
 
@@ -139,8 +148,8 @@ func (r *Replay) Run(ctx context.Context, n int) (*Result, error) {
 		ctx = context.Background()
 	}
 	switch {
-	case n < len(r.recs) || n > r.tab.Len():
-		return nil, fmt.Errorf("governor: cannot replay %s to %d intervals from %d over a %d-interval table", r.policy, n, len(r.recs), r.tab.Len())
+	case n < r.done || n > r.tab.Len():
+		return nil, fmt.Errorf("governor: cannot replay %s to %d intervals from %d over a %d-interval table", r.policy, n, r.done, r.tab.Len())
 	case r.whole && n != r.tab.Len():
 		return nil, fmt.Errorf("governor: %s reads the future, so only its whole %d-interval run replays", r.policy, r.tab.Len())
 	}
@@ -159,7 +168,7 @@ func (r *Replay) Run(ctx context.Context, n int) (*Result, error) {
 	}, nil
 }
 
-// replay runs intervals len(r.recs) to n-1: the work span at the
+// replay runs intervals r.done to n-1: the work span at the
 // current setting, then the PMI handler — the monitor's step, the
 // actuation, and the handler span, charged as the handler cost plus
 // the controller's added time in transition, exactly as Run charges
@@ -168,7 +177,7 @@ func (r *Replay) Run(ctx context.Context, n int) (*Result, error) {
 //lint:hotpath
 func (r *Replay) replay(ctx context.Context, n int) error {
 	uops := float64(r.gran)
-	for i := len(r.recs); i < n; i++ {
+	for i := r.done; i < n; i++ {
 		if i%ctxPollStride == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -187,11 +196,18 @@ func (r *Replay) replay(ctx context.Context, n int) error {
 		overhead := r.costS
 		overhead += r.ctrl.TimeInTransition() - pre
 		r.acct.Handler(overhead, r.tab.HandlerWatts(r.ctrl.Current()))
+		if len(r.recs) == recordWindow {
+			r.recs = r.recs[:copy(r.recs, r.recs[recordWindow-kernelsim.DefaultLogCapacity:])]
+		}
 		r.recs = append(r.recs, Record{UPC: sample.UPC, Setting: uint8(set), Actual: uint8(actual), Predicted: uint8(next)})
+		r.done = i + 1
 	}
 	return nil
 }
 
-// Records returns the replayed intervals, oldest first. The slice is
-// valid until the next Run.
+// Records returns the newest replayed intervals, oldest first, the
+// last of them interval n-1 after Run(ctx, n): every interval of a
+// run up to recordWindow long, and at least the newest
+// DefaultLogCapacity — all the kernel log of a run of n intervals
+// keeps — of a longer one. The slice is valid until the next Run.
 func (r *Replay) Records() []Record { return r.recs }

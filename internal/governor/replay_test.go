@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"phasemon/internal/core"
+	"phasemon/internal/daq"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
@@ -42,7 +43,7 @@ func newTrace(t testing.TB, w string, gran uint64, n int) trace {
 		t.Fatal(err)
 	}
 	gen := p.Generator(workload.Params{Seed: 1, Intervals: n, GranularityUops: float64(gran)})
-	tab, err := machine.NewTable(machine.Config{}, workload.Collect(gen, 0), gran)
+	tab, err := machine.NewTable(workload.Collect(gen, 0), gran)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +69,18 @@ func (tr trace) policyFor(t testing.TB, spec string) Policy {
 }
 
 // expandLog is the kernel log RunContext keeps of a run of n
-// intervals, expanded from a replay's records and its table: the
-// newest DefaultLogCapacity entries, oldest first, as the ring keeps
-// them.
+// intervals, expanded from the records of a replay just run to n and
+// its table: the newest DefaultLogCapacity entries, oldest first, as
+// the ring keeps them.
 func expandLog(rp *Replay, n int) []kernelsim.Entry {
-	lo := max(0, n-kernelsim.DefaultLogCapacity)
-	if n == lo {
+	recs := rp.Records()
+	recs = recs[max(0, len(recs)-kernelsim.DefaultLogCapacity):]
+	if len(recs) == 0 {
 		return nil
 	}
-	log := make([]kernelsim.Entry, 0, n-lo)
-	for i, rec := range rp.Records()[lo:n] {
+	lo := n - len(recs)
+	log := make([]kernelsim.Entry, 0, len(recs))
+	for i, rec := range recs {
 		i += lo
 		set := dvfs.Setting(rec.Setting)
 		memTx, cycles := rp.tab.Counters(i, set)
@@ -130,23 +133,30 @@ func (tr trace) checkReplay(t testing.TB, spec string) {
 // TestReplayMatchesRunContext is the replay's contract: over a table
 // of the same trace, a replay's result equals RunContext's field for
 // field, floats bit for bit and the kernel log included, for every
-// spec on every paper workload at two granularities, and at a length
-// whose kernel log wraps the ring (skipped under -short and -race,
-// where it takes a minute and is sequential).
+// spec on every paper workload at two granularities; and at two
+// lengths whose kernel log wraps the ring, the longer also past the
+// replay's record window (both skipped under -short and -race, where
+// they are slow and sequential).
 func TestReplayMatchesRunContext(t *testing.T) {
 	lengths := []int{1, 37, 257, 4096}
 	if !testing.Short() && !raceEnabled {
-		lengths = append(lengths, kernelsim.DefaultLogCapacity+300)
+		lengths = append(lengths, kernelsim.DefaultLogCapacity+300, recordWindow+300)
 	}
 	for _, w := range paperWorkloads {
 		for _, gran := range []uint64{100_000_000, 50_000_000} {
 			for _, n := range lengths {
+				if n > recordWindow && gran != 100_000_000 {
+					continue
+				}
 				tr := newTrace(t, w, gran, n)
 				specs := replaySpecs()
 				if n > kernelsim.DefaultLogCapacity && gran != 100_000_000 {
 					// The wrapped ring is the same code at any
 					// granularity; one is enough at this length.
 					specs = []string{"gpht_8_128", "oracle", "baseline"}
+				}
+				if n > recordWindow {
+					specs = []string{"gpht_8_128", "oracle"}
 				}
 				for _, spec := range specs {
 					tr.checkReplay(t, spec)
@@ -183,7 +193,7 @@ func FuzzReplayMatchesRunContext(f *testing.F) {
 			t.Fatal(err)
 		}
 		gen := p.Generator(workload.Params{Seed: seed, Intervals: n, GranularityUops: float64(gran)})
-		tab, err := machine.NewTable(machine.Config{}, workload.Collect(gen, 0), gran)
+		tab, err := machine.NewTable(workload.Collect(gen, 0), gran)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,6 +229,37 @@ func TestPrefixMatchesShorterRun(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLongPrefixMatchesShorterRun is TestPrefixMatchesShorterRun at
+// the lengths of long tournament rounds: a round whose kernel log
+// wraps the ring, then one that ends one interval after the replay's
+// records first move past their window, when they hold the fewest
+// (skipped under -short and -race).
+func TestLongPrefixMatchesShorterRun(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("long sequential runs")
+	}
+	lengths := []int{kernelsim.DefaultLogCapacity + 300, recordWindow + 1}
+	long := newTrace(t, "applu_in", 100_000_000, lengths[1])
+	rp, err := NewReplay(long.tab, Proactive(8, 128), Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range lengths {
+		got, err := rp.Run(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Log = expandLog(rp, m)
+		want, err := Run(gen(t, "applu_in", m), Proactive(8, 128), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("replay of a %d-interval table at %d differs from a %d-interval run", lengths[1], m, m)
 		}
 	}
 }
@@ -272,6 +313,7 @@ func TestReplayRefusals(t *testing.T) {
 	}{
 		{"actuator", Config{Actuator: &ThermalThrottle{Translation: dtr, LimitC: 40}}, "actuator"},
 		{"thermal machine", Config{Machine: machine.Config{Thermal: th}}, "Config.Machine"},
+		{"recorder", Config{Machine: machine.Config{Recorder: daq.NewWaveform()}}, "Config.Machine"},
 		{"ladder", Config{Machine: machine.Config{Ladder: dtr.Ladder()}, Translation: dtr}, "Config.Machine"},
 		{"log", Config{Log: make([]kernelsim.Entry, 0, 50)}, "kernel-log storage"},
 		{"granularity", Config{GranularityUops: 50_000_000}, "granularity"},

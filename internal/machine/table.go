@@ -64,20 +64,14 @@ type spanBlock struct {
 }
 
 // NewTable tabulates works, executed at a PMI granularity of gran
-// uops, on the machine cfg assembles. It refuses, with an error, every
-// run a table cannot stand in for: a Recorder (replays emit no
-// waveform), a Thermal model (power would depend on the run's history,
-// not on the interval and setting alone), a granularity the uop
-// counter cannot arm, and any item that Run would reject or whose uops
-// are not exactly gran (the one-PMI-per-item premise). The table reads
-// works in place; the caller must not modify them.
-func NewTable(cfg Config, works []cpusim.Work, gran uint64) (*Table, error) {
-	switch {
-	case cfg.Recorder != nil:
-		return nil, fmt.Errorf("machine: a table replay records no waveform, so it cannot take a Recorder")
-	case cfg.Thermal != nil:
-		return nil, fmt.Errorf("machine: under a thermal model power depends on the run's history, so it cannot be tabulated")
-	case gran == 0 || gran >= 1<<pmc.CounterWidth:
+// uops, on the default machine (New(Config{})): a replay fixes the
+// machine, so governor.NewReplay takes no machine configuration. It
+// refuses, with an error, a granularity the uop counter cannot arm and
+// any item that Run would reject or whose uops are not exactly gran
+// (the one-PMI-per-item premise). The table reads works in place; the
+// caller must not modify them.
+func NewTable(works []cpusim.Work, gran uint64) (*Table, error) {
+	if gran == 0 || gran >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("machine: granularity %d cannot arm the uop counter", gran)
 	}
 	for i, w := range works {
@@ -88,7 +82,7 @@ func NewTable(cfg Config, works []cpusim.Work, gran uint64) (*Table, error) {
 			return nil, fmt.Errorf("machine: interval %d retires %v uops, not the %d-uop granularity, so it would not raise exactly one PMI", i, w.Uops, gran)
 		}
 	}
-	m := New(cfg)
+	m := New(Config{})
 	t := &Table{
 		m:       m,
 		works:   works,

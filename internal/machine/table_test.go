@@ -9,7 +9,6 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/phase"
 	"phasemon/internal/pmc"
-	"phasemon/internal/thermal"
 	"phasemon/internal/workload"
 )
 
@@ -53,7 +52,7 @@ func TestTableMatchesRun(t *testing.T) {
 	const gran = 50_000_000
 	for _, name := range []string{"applu_in", "mcf_inp"} {
 		ws := works(t, name, gran, 600)
-		tab, err := NewTable(Config{}, ws, gran)
+		tab, err := NewTable(ws, gran)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,28 +120,21 @@ func (g *sliceGen) Reset() { g.i = 0 }
 // with an error.
 func TestTableRefusals(t *testing.T) {
 	ws := works(t, "applu_in", 100_000_000, 20)
-	th, err := thermal.New(thermal.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := append([]cpusim.Work(nil), ws...)
 	bad[7].CoreUPC = -1
 	cases := []struct {
 		name  string
-		cfg   Config
 		works []cpusim.Work
 		gran  uint64
 		want  string
 	}{
-		{"recorder", Config{Recorder: &collectRecorder{}}, ws, 100_000_000, "Recorder"},
-		{"thermal", Config{Thermal: th}, ws, 100_000_000, "thermal"},
-		{"zero granularity", Config{}, ws, 0, "granularity"},
-		{"granularity past the counter", Config{}, ws, 1 << pmc.CounterWidth, "granularity"},
-		{"uops not the granularity", Config{}, ws, 50_000_000, "not the 50000000-uop granularity"},
-		{"invalid item", Config{}, bad, 100_000_000, "interval 7"},
+		{"zero granularity", ws, 0, "granularity"},
+		{"granularity past the counter", ws, 1 << pmc.CounterWidth, "granularity"},
+		{"uops not the granularity", ws, 50_000_000, "not the 50000000-uop granularity"},
+		{"invalid item", bad, 100_000_000, "interval 7"},
 	}
 	for _, c := range cases {
-		if tab, err := NewTable(c.cfg, c.works, c.gran); err == nil || !strings.Contains(err.Error(), c.want) {
+		if tab, err := NewTable(c.works, c.gran); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: table %v, error %v; want an error containing %q", c.name, tab != nil, err, c.want)
 		}
 	}
@@ -153,11 +145,11 @@ func TestTableRefusals(t *testing.T) {
 func TestTableConcurrentFill(t *testing.T) {
 	const gran = 100_000_000
 	ws := works(t, "swim_in", gran, 3*tableBlock+17)
-	shared, err := NewTable(Config{}, ws, gran)
+	shared, err := NewTable(ws, gran)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lone, err := NewTable(Config{}, ws, gran)
+	lone, err := NewTable(ws, gran)
 	if err != nil {
 		t.Fatal(err)
 	}

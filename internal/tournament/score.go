@@ -59,13 +59,13 @@ type runSummary struct {
 	mispredicts []ClassTally
 }
 
-// summarize reduces a replay's result at n intervals to what scoring
-// reads. A baseline contributes only its RunResult to scoring
+// summarize reduces the result of a replay's latest Run to what
+// scoring reads. A baseline contributes only its RunResult to scoring
 // (Grid.Validate keeps "baseline" out of the contestants), so its
 // intervals are not walked. A managed cell is scored on the kernel log
-// a run of n intervals keeps — its newest DefaultLogCapacity entries,
-// as the ring keeps them — read back from the replay.
-func summarize(policy string, res *governor.Result, rp *governor.Replay, n, numPhases int) runSummary {
+// the run keeps — its newest DefaultLogCapacity entries, as the ring
+// keeps them — read back from the replay's records.
+func summarize(policy string, res *governor.Result, rp *governor.Replay, numPhases int) runSummary {
 	s := runSummary{run: res.Run}
 	if policy == baselineSpec {
 		return s
@@ -73,7 +73,8 @@ func summarize(policy string, res *governor.Result, rp *governor.Replay, n, numP
 	if acc, err := res.Accuracy.Accuracy(); err == nil {
 		s.accuracy = acc
 	}
-	s.cpiError, s.mispredicts = scoreLog(rp.Records()[max(0, n-kernelsim.DefaultLogCapacity):n], numPhases)
+	recs := rp.Records()
+	s.cpiError, s.mispredicts = scoreLog(recs[max(0, len(recs)-kernelsim.DefaultLogCapacity):], numPhases)
 	return s
 }
 

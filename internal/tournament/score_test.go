@@ -8,6 +8,7 @@ import (
 
 	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
+	"phasemon/internal/kernelsim"
 	"phasemon/internal/phase"
 	"phasemon/internal/workload"
 )
@@ -227,6 +228,25 @@ func TestSummaryScoringMatchesFullResults(t *testing.T) {
 		}
 		replayRounds(t, cfg.Grid.withDefaults(), lb)
 	}
+}
+
+// TestLongRoundScoringMatchesFullResults is the same check for rounds
+// longer than the kernel log's bound: the first round's full runs keep
+// a wrapped ring, and the second, twice as long, also carries each
+// cell's replay past its record window. Both must score the newest
+// DefaultLogCapacity intervals as the full runs' logs hold them.
+func TestLongRoundScoringMatchesFullResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long runs")
+	}
+	g := Grid{
+		Workloads:     []string{"applu_in"},
+		Specs:         []string{"gpht_8_128", "markov_2"},
+		Granularities: []uint64{100_000_000},
+		Intervals:     kernelsim.DefaultLogCapacity + 300,
+	}
+	cfg := Config{Grid: g, Rounds: 2, TopK: 0, Workers: 2}
+	replayRounds(t, cfg.Grid.withDefaults(), runTournament(t, cfg))
 }
 
 // replayRounds runs each of the leaderboard's rounds standalone, one

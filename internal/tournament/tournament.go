@@ -251,7 +251,7 @@ func (p *player) play(ctx context.Context, intervals int) func(fleet.Spec, *gove
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, summarize(sp.Policy, res, rp, n, p.numPhases))
+			out = append(out, summarize(sp.Policy, res, rp, p.numPhases))
 		}
 		return out, nil
 	}

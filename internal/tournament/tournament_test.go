@@ -222,8 +222,8 @@ func BenchmarkTournamentRound(b *testing.B) {
 // TestRoundGrouping pins which rounds one replay covers: every round a
 // cell is sure to reach. Baselines always look ahead; managed cells
 // only when nothing can be eliminated; the oracle plays one round per
-// replay. A replay keeps every interval, so round length sets no
-// bound.
+// replay. A replay's records always hold the newest DefaultLogCapacity
+// intervals a round is scored on, so round length sets no bound.
 func TestRoundGrouping(t *testing.T) {
 	p := &player{rounds: 4}
 	cases := []struct {
