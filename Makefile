@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint perfbench-check fleet-race replay-long serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint fuzz-targets-check perfbench-check fleet-race replay-long serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -19,7 +19,7 @@ build:
 # local-only convenience: in CI (CI=... is set by every major CI
 # system) a missing staticcheck fails the target rather than silently
 # weakening the gate.
-lint:
+lint: fuzz-targets-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/phasemonlint ./...
 ifneq ($(STATICCHECK),)
@@ -72,9 +72,12 @@ serve-race:
 # ring against its slot-by-slot reference, over the phase table's
 # cut-point Classify against its search-based reference, over
 # Classify against each phase's nominal Table 1 range (a sample within
-# ApproxEqual tolerance below a bound belongs to the phase above it),
-# and over a governed run replayed over a machine table against the
-# same run on the full machine.
+# ApproxEqual tolerance below a bound belongs to the phase above it)
+# and the UPC table's Classify against its bounds, over a governed run
+# replayed over a machine table against the same run on the full
+# machine, over the telemetry histogram's bucket counts, the trace CSV
+# reader on arbitrary input, the lint directive parser, and the
+# predictability bound's range.
 # Each target is named package:Fuzz and runs for $(FUZZTIME); a failing
 # input is written under the package's testdata/fuzz and fails the
 # target.
@@ -87,11 +90,22 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzSnapshotDecode \
 	./internal/wire:FuzzRestoreDecode \
 	./internal/telemetry:FuzzJournalRecent \
+	./internal/telemetry:FuzzHistogramObserve \
 	./internal/phase:FuzzClassifyMatchesReference \
 	./internal/phase:FuzzTableClassify \
-	./internal/governor:FuzzReplayMatchesRunContext
+	./internal/phase:FuzzUPCTableClassify \
+	./internal/governor:FuzzReplayMatchesRunContext \
+	./internal/trace:FuzzReadCSVNeverPanics \
+	./internal/lint:FuzzDirectiveNames \
+	./internal/analysis:FuzzPredictabilityBoundStaysInRange
 
-fuzz-smoke:
+# Every Fuzz function in the module must be listed above, and every
+# listed target must exist: a new target cannot be left out of
+# fuzz-smoke unnoticed.
+fuzz-targets-check:
+	./scripts/fuzz_targets_check.sh $(FUZZ_TARGETS)
+
+fuzz-smoke: fuzz-targets-check
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; f=$${t#*:}; \
 		echo "fuzz-smoke: $$pkg $$f"; \

@@ -6,6 +6,7 @@ import (
 
 	"phasemon/internal/core"
 	"phasemon/internal/cpufreq"
+	"phasemon/internal/governor"
 	"phasemon/internal/perfevent"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
@@ -13,14 +14,24 @@ import (
 
 // runLive is the real-hardware deployment: live counters in
 // (perf_event_open), live frequency settings out (cpufreq sysfs) —
-// the paper's complete loop in userspace. It needs counter access and
+// the paper's complete loop in userspace. It predicts with the
+// predictor spec policy names; the oracle, which reads phases that
+// have not happened yet, is refused. It needs counter access and
 // a writable `userspace` cpufreq governor; each missing capability is
 // reported plainly. Telemetry always observes the loop, which records
 // each interval into its own StepBatch under one clock reading and
 // publishes it: a one-line hub summary prints every telemetryEvery
 // intervals (0 disables), and telemetryAddr, when non-empty,
 // additionally serves the hub over HTTP for the duration of the run.
-func runLive(dur, period time.Duration, pid, depth, entries int, telemetryAddr string, telemetryEvery int) error {
+func runLive(dur, period time.Duration, pid int, policy, telemetryAddr string, telemetryEvery int) error {
+	if governor.ReadsFuture(policy) {
+		return fmt.Errorf("live mode cannot follow the oracle: it reads phases that have not happened yet")
+	}
+	cls := phase.Default()
+	pred, err := core.NewPredictorFromSpec(policy, core.SpecEnv{Classifier: cls})
+	if err != nil {
+		return err
+	}
 	if err := perfevent.Available(); err != nil {
 		return fmt.Errorf("live mode needs hardware counters: %w", err)
 	}
@@ -36,13 +47,6 @@ func runLive(dur, period time.Duration, pid, depth, entries int, telemetryAddr s
 		fmt.Printf("note: scaling governor is %q; frequency writes need `userspace`\n", gov)
 	}
 
-	cls := phase.Default()
-	pred, err := core.NewGPHT(core.GPHTConfig{
-		GPHRDepth: depth, PHTEntries: entries, NumPhases: cls.NumPhases(),
-	})
-	if err != nil {
-		return err
-	}
 	mon, err := core.NewMonitor(cls, pred)
 	if err != nil {
 		return err

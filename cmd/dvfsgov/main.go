@@ -35,8 +35,6 @@ func main() {
 		bench     = flag.String("bench", "applu_in", "benchmark name")
 		policy    = flag.String("policy", "gpht", "management policy: gpht, reactive, oracle, or any predictor spec from the zoo (e.g. gpht_8_1024, fixwindow_8, runlength, markov_2, dtree_4, linreg_16)")
 		workers   = flag.Int("workers", 0, "concurrent runs in compare mode (0 = GOMAXPROCS)")
-		depth     = flag.Int("depth", 8, "GPHT history depth")
-		entries   = flag.Int("entries", 128, "GPHT pattern-table entries")
 		intervals = flag.Int("intervals", 0, "run length in sampling intervals (0 = benchmark default)")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		compare   = flag.Bool("compare", false, "run baseline, reactive and GPHT side by side")
@@ -57,9 +55,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *live > 0 {
-		err = runLive(*live, *liveEvery, *livePid, *depth, *entries, *telAddr, *telEvery)
+		err = runLive(*live, *liveEvery, *livePid, *policy, *telAddr, *telEvery)
 	} else {
-		err = run(os.Stdout, *bench, *policy, *depth, *entries, *intervals, *seed, *compare, *bound, *telAddr, *workers)
+		err = run(os.Stdout, *bench, *policy, *intervals, *seed, *compare, *bound, *telAddr, *workers)
 	}
 	// Flush the profiles before exiting: os.Exit skips defers, so the
 	// stop call sits on the shared path of both outcomes.
@@ -100,7 +98,7 @@ func serveTelemetry(hub *telemetry.Hub, addr string) (stop func(), err error) {
 	return func() { _ = drainer.Drain() }, nil
 }
 
-func run(w io.Writer, bench, policy string, depth, entries, intervals int, seed int64, compare bool, bound float64, telemetryAddr string, workers int) error {
+func run(w io.Writer, bench, policy string, intervals int, seed int64, compare bool, bound float64, telemetryAddr string, workers int) error {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return err
@@ -130,11 +128,7 @@ func run(w io.Writer, bench, policy string, depth, entries, intervals int, seed 
 	polSpecs := []string{"baseline"}
 	switch {
 	case compare:
-		polSpecs = append(polSpecs, "reactive", fmt.Sprintf("gpht_%d_%d", depth, entries))
-	case policy == "gpht":
-		polSpecs = append(polSpecs, fmt.Sprintf("gpht_%d_%d", depth, entries))
-	case policy == "reactive":
-		polSpecs = append(polSpecs, "reactive")
+		polSpecs = append(polSpecs, "reactive", "gpht")
 	case policy == "oracle":
 		polSpecs = append(polSpecs, "oracle")
 	default:

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
@@ -16,14 +17,14 @@ import (
 
 func TestRunPolicies(t *testing.T) {
 	for _, policy := range []string{"gpht", "reactive", "oracle"} {
-		if err := run(io.Discard, "applu_in", policy, 8, 128, 40, 1, false, 0, "", 0); err != nil {
+		if err := run(io.Discard, "applu_in", policy, 40, 1, false, 0, "", 0); err != nil {
 			t.Errorf("policy %s: %v", policy, err)
 		}
 	}
 }
 
 func TestRunCompareMode(t *testing.T) {
-	if err := run(io.Discard, "swim_in", "gpht", 8, 128, 40, 1, true, 0, "", 0); err != nil {
+	if err := run(io.Discard, "swim_in", "gpht", 40, 1, true, 0, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +73,7 @@ func TestCompareTableMatchesFullResults(t *testing.T) {
 	for _, bound := range []float64{0, 0.05} {
 		for _, workers := range []int{1, 3} {
 			var got bytes.Buffer
-			if err := run(&got, "swim_in", "gpht", 8, 128, 300, 7, true, bound, "", workers); err != nil {
+			if err := run(&got, "swim_in", "gpht", 300, 7, true, bound, "", workers); err != nil {
 				t.Fatal(err)
 			}
 			want := referenceTable(t, "swim_in", 300, 7, bound)
@@ -84,20 +85,33 @@ func TestCompareTableMatchesFullResults(t *testing.T) {
 }
 
 func TestRunBoundedMode(t *testing.T) {
-	if err := run(io.Discard, "applu_in", "gpht", 8, 128, 40, 1, false, 0.05, "", 0); err != nil {
+	if err := run(io.Discard, "applu_in", "gpht", 40, 1, false, 0.05, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(io.Discard, "no_such", "gpht", 8, 128, 10, 1, false, 0, "", 0); err == nil {
+	if err := run(io.Discard, "no_such", "gpht", 10, 1, false, 0, "", 0); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if err := run(io.Discard, "applu_in", "bogus", 8, 128, 10, 1, false, 0, "", 0); err == nil {
+	if err := run(io.Discard, "applu_in", "bogus", 10, 1, false, 0, "", 0); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := run(io.Discard, "applu_in", "gpht", 0, 128, 10, 1, false, 0, "", 0); err == nil {
+	if err := run(io.Discard, "applu_in", "gpht_0_128", 10, 1, false, 0, "", 0); err == nil {
 		t.Error("invalid GPHT geometry accepted")
+	}
+}
+
+// TestRunLiveRefusesOracle: live mode builds its predictor from the
+// -policy spec, and refuses the oracle and unknown specs before it
+// touches the hardware.
+func TestRunLiveRefusesOracle(t *testing.T) {
+	for _, policy := range []string{"oracle", "bogus"} {
+		if err := runLive(time.Millisecond, time.Millisecond, 0, policy, "", 0); err == nil {
+			t.Errorf("policy %s accepted", policy)
+		} else if strings.Contains(err.Error(), "live mode needs") {
+			t.Errorf("policy %s reached the hardware checks: %v", policy, err)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func TestStartTelemetryDisabled(t *testing.T) {
 
 func TestRunWithTelemetry(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(os.Stdout, "applu_in", "gpht", 8, 128, 40, 1, false, 0, "127.0.0.1:0", 0)
+		return run(os.Stdout, "applu_in", "gpht", 40, 1, false, 0, "127.0.0.1:0", 0)
 	})
 	if !strings.Contains(out, "telemetry: serving http://") {
 		t.Errorf("no telemetry startup line in output:\n%s", out)

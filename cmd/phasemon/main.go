@@ -34,10 +34,6 @@ func main() {
 	var (
 		bench     = flag.String("bench", "applu_in", "benchmark name")
 		predictor = flag.String("predictor", "gpht", "predictor spec: gpht, lastvalue, fixwindow, varwindow, duration, runlength, markov_<order>, dtree_<depth>, linreg_<window> (see the README's predictor grammar table)")
-		depth     = flag.Int("depth", 8, "GPHT history depth")
-		entries   = flag.Int("entries", 128, "GPHT pattern-table entries")
-		window    = flag.Int("window", 128, "fixed/variable window size")
-		threshold = flag.Float64("threshold", 0.005, "variable-window transition threshold")
 		intervals = flag.Int("intervals", 0, "run length in sampling intervals (0 = benchmark default)")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		csvPath   = flag.String("csv", "", "write the per-interval trace to this CSV file")
@@ -81,7 +77,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			pred, err := buildPredictor(*predictor, *depth, *entries, *window, *threshold, cls)
+			pred, err := core.NewPredictorFromSpec(*predictor, core.SpecEnv{Classifier: cls})
 			if err != nil {
 				return err
 			}
@@ -92,7 +88,7 @@ func main() {
 			defer stopTel()
 			return runLive(pred, *live, *liveEvery, *livePid, *liveLoad && *livePid == 0, hub)
 		default:
-			return run(*bench, *predictor, *phases, *depth, *entries, *window, *threshold, *intervals, *seed, *csvPath, *analyze, *telAddr)
+			return run(*bench, *predictor, *phases, *intervals, *seed, *csvPath, *analyze, *telAddr)
 		}
 	}()
 	if perr := stopProf(); err == nil {
@@ -123,29 +119,6 @@ func startTelemetry(addr string, numPhases int) (*telemetry.Hub, func(), error) 
 	return hub, func() { _ = drainer.Drain() }, nil
 }
 
-// buildPredictor resolves the legacy flag surface (-predictor plus
-// -depth/-entries/-window/-threshold) into a core predictor spec and
-// builds it through the registry; a -predictor value that is already a
-// full spec ("gpht_8_1024", "duration_0.5") passes through unchanged.
-func buildPredictor(kind string, depth, entries, window int, threshold float64, cls phase.Classifier) (core.Predictor, error) {
-	return core.NewPredictorFromSpec(specFor(kind, depth, entries, window, threshold), core.SpecEnv{Classifier: cls})
-}
-
-// specFor expands the legacy shorthand kinds with their geometry flags
-// into the spec grammar.
-func specFor(kind string, depth, entries, window int, threshold float64) string {
-	switch kind {
-	case "gpht":
-		return fmt.Sprintf("gpht_%d_%d", depth, entries)
-	case "fixwindow":
-		return fmt.Sprintf("fixwindow_%d", window)
-	case "varwindow":
-		return fmt.Sprintf("varwindow_%d_%g", window, threshold)
-	default:
-		return kind
-	}
-}
-
 // classifierFor resolves the -phases flag.
 func classifierFor(spec string) (*phase.Table, error) {
 	if spec == "" {
@@ -154,7 +127,7 @@ func classifierFor(spec string) (*phase.Table, error) {
 	return phase.ParseTable("custom", spec)
 }
 
-func run(bench, predictor, phases string, depth, entries, window int, threshold float64, intervals int, seed int64, csvPath string, analyze bool, telemetryAddr string) error {
+func run(bench, predictor, phases string, intervals int, seed int64, csvPath string, analyze bool, telemetryAddr string) error {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		return err
@@ -163,7 +136,7 @@ func run(bench, predictor, phases string, depth, entries, window int, threshold 
 	if err != nil {
 		return err
 	}
-	pred, err := buildPredictor(predictor, depth, entries, window, threshold, cls)
+	pred, err := core.NewPredictorFromSpec(predictor, core.SpecEnv{Classifier: cls})
 	if err != nil {
 		return err
 	}

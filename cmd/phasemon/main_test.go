@@ -6,12 +6,17 @@ import (
 	"strings"
 	"testing"
 
+	"phasemon/internal/core"
 	"phasemon/internal/phase"
 	"phasemon/internal/trace"
 )
 
+// TestBuildPredictor: the -predictor shorthand kinds build the
+// deployed geometries — the spec grammar's defaults are GPHT 8×128, a
+// 128-interval fixed window, and a 128-interval variable window with a
+// 0.005 transition threshold.
 func TestBuildPredictor(t *testing.T) {
-	cls := phase.Default()
+	env := core.SpecEnv{Classifier: phase.Default()}
 	cases := []struct {
 		kind string
 		want string
@@ -22,7 +27,7 @@ func TestBuildPredictor(t *testing.T) {
 		{"varwindow", "VarWindow_128_0.005"},
 	}
 	for _, c := range cases {
-		p, err := buildPredictor(c.kind, 8, 128, 128, 0.005, cls)
+		p, err := core.NewPredictorFromSpec(c.kind, env)
 		if err != nil {
 			t.Fatalf("%s: %v", c.kind, err)
 		}
@@ -30,17 +35,14 @@ func TestBuildPredictor(t *testing.T) {
 			t.Errorf("%s: Name = %q, want %q", c.kind, p.Name(), c.want)
 		}
 	}
-	if _, err := buildPredictor("bogus", 8, 128, 128, 0.005, cls); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-	if _, err := buildPredictor("gpht", 0, 128, 128, 0.005, cls); err == nil {
+	if err := run("applu_in", "gpht_0_128", "", 10, 1, "", false, ""); err == nil {
 		t.Error("invalid GPHT geometry accepted")
 	}
 }
 
 func TestRunEndToEndWithCSV(t *testing.T) {
 	csvPath := filepath.Join(t.TempDir(), "trace.csv")
-	if err := run("applu_in", "gpht", "", 8, 128, 128, 0.005, 50, 1, csvPath, false, ""); err != nil {
+	if err := run("applu_in", "gpht", "", 50, 1, csvPath, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(csvPath)
@@ -63,23 +65,23 @@ func TestRunEndToEndWithCSV(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("no_such", "gpht", "", 8, 128, 128, 0.005, 10, 1, "", false, ""); err == nil {
+	if err := run("no_such", "gpht", "", 10, 1, "", false, ""); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if err := run("applu_in", "bogus", "", 8, 128, 128, 0.005, 10, 1, "", false, ""); err == nil {
+	if err := run("applu_in", "bogus", "", 10, 1, "", false, ""); err == nil {
 		t.Error("unknown predictor accepted")
 	}
-	if err := run("applu_in", "gpht", "not-a-number", 8, 128, 128, 0.005, 10, 1, "", false, ""); err == nil {
+	if err := run("applu_in", "gpht", "not-a-number", 10, 1, "", false, ""); err == nil {
 		t.Error("malformed -phases accepted")
 	}
-	if err := run("applu_in", "gpht", "", 8, 128, 128, 0.005, 10, 1, "/nonexistent-dir/x.csv", false, ""); err == nil {
+	if err := run("applu_in", "gpht", "", 10, 1, "/nonexistent-dir/x.csv", false, ""); err == nil {
 		t.Error("unwritable CSV path accepted")
 	}
-	if err := run("applu_in", "gpht", "", 8, 128, 128, 0.005, 10, 1, "", false, ""); err != nil {
+	if err := run("applu_in", "gpht", "", 10, 1, "", false, ""); err != nil {
 		t.Errorf("plain run failed: %v", err)
 	}
 	// Custom phases + analysis path.
-	if err := run("applu_in", "gpht", "0.01,0.025", 8, 128, 128, 0.005, 60, 1, "", true, ""); err != nil {
+	if err := run("applu_in", "gpht", "0.01,0.025", 60, 1, "", true, ""); err != nil {
 		t.Errorf("custom-phase analyzed run failed: %v", err)
 	}
 }

@@ -86,7 +86,7 @@ func TestStartTelemetryServesEndpoints(t *testing.T) {
 
 func TestRunWithTelemetry(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("applu_in", "gpht", "", 8, 128, 128, 0.005, 50, 1, "", false, "127.0.0.1:0")
+		return run("applu_in", "gpht", "", 50, 1, "", false, "127.0.0.1:0")
 	})
 	if !strings.Contains(out, "telemetry: serving http://") {
 		t.Errorf("no telemetry startup line in output:\n%s", out)

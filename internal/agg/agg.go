@@ -5,13 +5,13 @@
 //
 // Each shard (one per phased worker) accumulates (phase.Class ×
 // dvfs.Setting) sample/hit/miss counts, shed counts, and a serving-
-// latency histogram into a fixed ring of time buckets keyed by an
-// injectable clock. A flusher drains closed buckets as wire.Rollup
-// frames; Merger (merge.go) folds rollups from any number of shards
-// and nodes back into one fleet view by pure integer addition, which
-// is what makes the pipeline deterministic: the merged state is a
-// function of the samples alone, never of how they were sharded,
-// ordered, or batched.
+// latency histogram into a fixed ring of time buckets keyed by the
+// instant the caller stamps each sample with. A flusher drains closed
+// buckets as wire.Rollup frames; Merger (merge.go) folds rollups from
+// any number of shards and nodes back into one fleet view by pure
+// integer addition, which is what makes the pipeline deterministic:
+// the merged state is a function of the samples alone, never of how
+// they were sharded, ordered, or batched.
 //
 // The accumulate path allocates nothing in steady state (proven by
 // testing.AllocsPerRun): buckets and count grids are fixed arrays,
@@ -88,11 +88,6 @@ type Config struct {
 	// far ingest may run ahead of flush before buckets are dropped.
 	// Values below 1 select DefaultNumBuckets.
 	NumBuckets int
-	// Clock is the time source of the clocked Ingest convenience; nil
-	// selects Telemetry's clock (the wall clock on a plain hub).
-	// IngestAt and IngestBatchAt callers pass explicit times and never
-	// consult it.
-	Clock telemetry.Clock
 	// Telemetry receives the pipeline's self-telemetry
 	// (phasemon_agg_*); nil disables it.
 	Telemetry *telemetry.Hub
@@ -141,7 +136,6 @@ type Aggregator struct {
 	nodeID      uint64
 	bucketLenNs int64
 	numBuckets  int
-	clock       telemetry.Clock
 	boundsNs    [wire.RollupLatBuckets - 1]int64
 	shards      []shard
 
@@ -166,15 +160,10 @@ func New(cfg Config) *Aggregator {
 	if cfg.NumBuckets < 1 {
 		cfg.NumBuckets = DefaultNumBuckets
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = cfg.Telemetry.Clock()
-	}
 	a := &Aggregator{
 		nodeID:      cfg.NodeID,
 		bucketLenNs: cfg.BucketLenNs,
 		numBuckets:  cfg.NumBuckets,
-		clock:       clock,
 		shards:      make([]shard, cfg.Shards),
 	}
 	for i, b := range telemetry.DefaultFrameBounds {

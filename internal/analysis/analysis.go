@@ -56,7 +56,6 @@ func Histogram(ids []phase.ID, numPhases int) ([]float64, error) {
 
 // Transitions is the first-order phase transition matrix.
 type Transitions struct {
-	n      int
 	counts [][]int
 	total  int
 }
@@ -69,7 +68,7 @@ func NewTransitions(ids []phase.ID, numPhases int) (*Transitions, error) {
 	if numPhases < 1 {
 		return nil, fmt.Errorf("analysis: numPhases %d must be positive", numPhases)
 	}
-	t := &Transitions{n: numPhases, counts: make([][]int, numPhases)}
+	t := &Transitions{counts: make([][]int, numPhases)}
 	for i := range t.counts {
 		t.counts[i] = make([]int, numPhases)
 	}

@@ -114,19 +114,16 @@ func work(c *Cache) [3]int {
 
 // TestCacheKeyCompleteness serves Options that differ in one key field
 // at a time from one Cache: each must see its own results, never a
-// neighbour's, and must compute all of them anew. A key missing Seed,
-// Intervals or Granularity, or a run key missing Bound (Figure 13's
-// bounded run is otherwise Figure 11's GPHT run) or Phases, would
-// serve a stale value. Observation streams do not depend on the
-// granularity (their samples are rates), so only the work count shows
-// a stream key without it.
+// neighbour's, and must compute all of them anew. A key missing Seed
+// or Intervals, or a run key missing Bound (Figure 13's bounded run is
+// otherwise Figure 11's GPHT run) or Phases, would serve a stale
+// value.
 func TestCacheKeyCompleteness(t *testing.T) {
 	c := NewCache()
 	for _, o := range []Options{
 		{Intervals: 100, Seed: 3},
 		{Intervals: 100, Seed: 4},
 		{Intervals: 130, Seed: 3},
-		{Intervals: 100, Seed: 3, Granularity: 50e6},
 	} {
 		o.Workers, o.Cache = 2, c
 		before := work(c)

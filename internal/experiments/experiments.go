@@ -27,9 +27,6 @@ type Options struct {
 	Intervals int
 	// Seed drives the workload generators.
 	Seed int64
-	// Granularity is the sampling interval in uops; 0 selects the
-	// paper's 100M.
-	Granularity float64
 	// Workers bounds how many runs a figure executes concurrently on
 	// fleet.Map: benchmarks in the prediction figures (3-5), governed
 	// runs in the management figures (11-13) and the summaries built
@@ -47,18 +44,19 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Granularity <= 0 {
-		o.Granularity = 100e6
-	}
 	if o.Cache == nil {
 		o.Cache = NewCache()
 	}
 	return o
 }
 
+// granularityUops is every experiment's sampling interval: the
+// paper's 100M uops.
+const granularityUops = 100e6
+
 func (o Options) params() workload.Params {
 	return workload.Params{
-		GranularityUops: o.Granularity,
+		GranularityUops: granularityUops,
 		Seed:            o.Seed,
 		Intervals:       o.Intervals,
 	}

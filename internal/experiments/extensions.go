@@ -231,7 +231,7 @@ func runExtLocality(o Options, w io.Writer) error {
 		fmt.Fprintf(w, "  section %d: Mem/Uop %.4f -> phase %s\n", i,
 			mem, phase.Default().Classify(phase.Sample{MemPerUop: mem}))
 	}
-	gen, err := workload.FromLocality("ws_program", hier, sections, o.Granularity, o.Intervals)
+	gen, err := workload.FromLocality("ws_program", hier, sections, granularityUops, o.Intervals)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func spec(o Options, bench, policy string) fleet.Spec {
 		Policy:          policy,
 		Intervals:       o.Intervals,
 		Seed:            o.Seed,
-		GranularityUops: uint64(o.Granularity),
+		GranularityUops: granularityUops,
 	}
 }
 

@@ -101,7 +101,7 @@ func figure7(o Options) ([]Fig7Row, error) {
 	freqs := []float64{1500e6, 1400e6, 1200e6, 1000e6, 800e6, 600e6}
 	var out []Fig7Row
 	for _, cfg := range workload.Figure7Points() {
-		work, err := m.GridWork(cfg.UPC, cfg.MemPerUop, fmax, o.Granularity)
+		work, err := m.GridWork(cfg.UPC, cfg.MemPerUop, fmax, granularityUops)
 		if err != nil {
 			return nil, err
 		}

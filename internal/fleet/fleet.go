@@ -79,8 +79,10 @@ type Engine struct {
 	traces *wcache.Cache
 
 	// pending counts accepted-but-unfinished specs for the queue-depth
-	// gauge.
-	pending atomic.Int64
+	// gauge. One lock covers the count and the gauge write, so the
+	// gauge's last write is the current count, never a stale one.
+	pendingMu sync.Mutex
+	pending   int64 // guarded by pendingMu
 
 	// logs and records are the engine's free lists of kernel-log and
 	// replay-record storage: a worker takes one buffer per run and
@@ -284,9 +286,11 @@ func (e *Engine) resolve(sp Spec) Spec {
 
 // addPending moves the queue-depth gauge.
 func (e *Engine) addPending(delta int) {
-	v := e.pending.Add(int64(delta))
+	e.pendingMu.Lock()
+	defer e.pendingMu.Unlock()
+	e.pending += int64(delta)
 	if tel := e.cfg.Telemetry; tel != nil {
-		tel.FleetQueueDepth.Set(float64(v))
+		tel.FleetQueueDepth.Set(float64(e.pending))
 	}
 }
 

@@ -33,7 +33,6 @@ type Replay struct {
 	ctrl   *dvfs.Controller
 	gran   uint64
 	costS  float64
-	budget float64
 	// whole is set for a policy that reads the future: its run is the
 	// whole table, replayed in one step.
 	whole bool
@@ -81,7 +80,7 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 	switch {
 	case cfg.Actuator != nil:
 		return nil, fmt.Errorf("governor: an actuator reads live machine state, so %s cannot replay over a table", pol.Name())
-	case m.CPU != nil || m.Power != nil || m.Ladder != nil || m.TransitionLatencyS != 0 || m.Recorder != nil || m.Thermal != nil:
+	case m.Ladder != nil || m.Recorder != nil || m.Thermal != nil:
 		return nil, fmt.Errorf("governor: a replay runs on its table's machine, so Config.Machine must be zero")
 	case cfg.Log != nil:
 		return nil, fmt.Errorf("governor: a replay keeps its own records, so it takes no kernel-log storage")
@@ -103,7 +102,6 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 	if cfg.Classifier.NumPhases() > math.MaxUint8 || tab.Ladder().Len() > math.MaxUint8+1 {
 		return nil, fmt.Errorf("governor: %d phases over %d settings do not fit a replay record", cfg.Classifier.NumPhases(), tab.Ladder().Len())
 	}
-	cost, budget := kernelsim.HandlerCost(modCfg)
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.GovernorRuns.Inc()
 	}
@@ -115,8 +113,7 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 		tr:     modCfg.Translation,
 		ctrl:   tab.NewController(),
 		gran:   gran,
-		costS:  cost,
-		budget: budget,
+		costS:  kernelsim.HandlerCost(modCfg.Monitor.Predictor()),
 		whole:  whole,
 		recs:   slices.Grow(recs[:0], min(tab.Len(), recordWindow)),
 	}, nil
@@ -190,7 +187,7 @@ func (r *Replay) replay(ctx context.Context, n int) error {
 		if r.tr != nil {
 			_, _ = r.ctrl.Set(r.tr.Setting(next))
 		}
-		if r.costS > r.budget {
+		if r.costS > kernelsim.BudgetS {
 			r.violations++
 		}
 		overhead := r.costS

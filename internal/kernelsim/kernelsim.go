@@ -44,17 +44,6 @@ type Config struct {
 	// chooses the next interval's setting dynamically, with access to
 	// platform state (e.g. die temperature for thermal throttling).
 	Actuator Actuator
-	// BaseHandlerCostS is the fixed per-invocation handler cost
-	// (counter reads, bookkeeping). Zero selects a 2 µs default.
-	BaseHandlerCostS float64
-	// PerEntrySearchCostS is the additional handler cost per PHT entry
-	// for predictors with associative tables — the reason the paper
-	// deploys a 128-entry rather than 1024-entry PHT. Zero selects a
-	// 20 ns default.
-	PerEntrySearchCostS float64
-	// BudgetS is the interrupt-context time budget; exceeding it trips
-	// the module's constraint violation counter. Zero selects 50 µs.
-	BudgetS float64
 	// Log, when it has capacity, is the kernel log's storage: cap(Log)
 	// bounds the log (ring buffer) and the module writes from Log[:0],
 	// so the PMI path never grows it. Callers that know the run length
@@ -87,15 +76,6 @@ const DefaultGranularityUops = 100_000_000
 func (c Config) withDefaults() Config {
 	if c.GranularityUops == 0 {
 		c.GranularityUops = DefaultGranularityUops
-	}
-	if c.BaseHandlerCostS <= 0 {
-		c.BaseHandlerCostS = 2e-6
-	}
-	if c.PerEntrySearchCostS <= 0 {
-		c.PerEntrySearchCostS = 20e-9
-	}
-	if c.BudgetS <= 0 {
-		c.BudgetS = 50e-6
 	}
 	return c
 }
@@ -157,7 +137,7 @@ func NewModule(cfg Config) (*Module, error) {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
 	mod := &Module{cfg: cfg, tel: cfg.Telemetry.NewStepBatch(), logBound: DefaultLogCapacity}
-	mod.handlerCostS, _ = HandlerCost(cfg)
+	mod.handlerCostS = HandlerCost(cfg.Monitor.Predictor())
 	if n := cap(cfg.Log); n > 0 {
 		mod.log, mod.logBound = cfg.Log[:0], n
 	}
@@ -269,41 +249,50 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	if err := b.Arm(SlotUops, mod.cfg.GranularityUops); err != nil {
 		// Unreachable with a validated granularity; fail safe by
 		// leaving the counters stopped.
-		return mod.cfg.BaseHandlerCostS
+		return baseHandlerCostS
 	}
 	if err := b.Write(SlotMem, 0); err != nil {
-		return mod.cfg.BaseHandlerCostS
+		return baseHandlerCostS
 	}
 	b.WriteTSC(0)
 	mod.lastTSC = 0
 	b.Start()
 
 	cost := mod.handlerCostS
-	if cost > mod.cfg.BudgetS {
+	if cost > BudgetS {
 		mod.budgetViolations++
 	}
 	if tel := mod.cfg.Telemetry; tel != nil {
 		tel.HandlerCost.Observe(cost)
-		if cost > mod.cfg.BudgetS {
+		if cost > BudgetS {
 			tel.BudgetViolations.Inc()
 		}
 	}
 	return cost
 }
 
-// HandlerCost models the PMI handler's execution time under cfg — a
-// fixed base plus a per-entry associative search charge for
-// table-based predictors — and returns it with the interrupt budget an
-// invocation over which counts as a violation. It is the cost rule of
-// HandlePMI and of the governor's table replays alike.
-func HandlerCost(cfg Config) (costS, budgetS float64) {
-	cfg = cfg.withDefaults()
-	cost := cfg.BaseHandlerCostS
-	type sized interface{ TableEntries() int }
-	if s, ok := cfg.Monitor.Predictor().(sized); ok {
-		cost += float64(s.TableEntries()) * cfg.PerEntrySearchCostS
+// The PMI handler's cost model: a fixed base for the counter reads
+// and bookkeeping, plus a charge per PHT entry for predictors with
+// associative tables — the reason the paper deploys a 128-entry rather
+// than a 1024-entry PHT.
+const (
+	baseHandlerCostS    = 2e-6
+	perEntrySearchCostS = 20e-9
+)
+
+// BudgetS is the interrupt-context time budget; an invocation that
+// costs more trips the module's constraint violation counter.
+const BudgetS = 50e-6
+
+// HandlerCost models the PMI handler's execution time with predictor
+// p. It is the cost rule of HandlePMI and of the governor's table
+// replays alike.
+func HandlerCost(p core.Predictor) float64 {
+	cost := baseHandlerCostS
+	if s, ok := p.(interface{ TableEntries() int }); ok {
+		cost += float64(s.TableEntries()) * perEntrySearchCostS
 	}
-	return cost, cfg.BudgetS
+	return cost
 }
 
 // BudgetViolations counts handler invocations that exceeded the

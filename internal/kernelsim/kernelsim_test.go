@@ -190,31 +190,36 @@ func TestUPCClassifierIsNotDVFSInvariant(t *testing.T) {
 	}
 }
 
+// TestHandlerCostScalesWithPHTEntries pins the PMI handler's modeled
+// cost: a 2 µs base plus 20 ns per PHT entry, against a 50 µs
+// interrupt budget. Even a 1024-entry table stays within the budget,
+// but it is an order of magnitude costlier than the base, which is why
+// the paper deploys 128 entries. The governor's table replays charge
+// the same figure, so a change here moves every simulated overhead,
+// power and energy number.
 func TestHandlerCostScalesWithPHTEntries(t *testing.T) {
-	mk := func(entries int) *Module {
-		g := core.MustNewGPHT(core.GPHTConfig{GPHRDepth: 8, PHTEntries: entries, NumPhases: 6})
-		mon, _ := core.NewMonitor(phase.Default(), g)
-		mod, err := NewModule(Config{Monitor: mon})
+	if BudgetS != 50e-6 {
+		t.Errorf("BudgetS = %v, want 50µs", BudgetS)
+	}
+	for _, c := range []struct {
+		spec string
+		want float64
+	}{
+		{"lastvalue", 2e-6},
+		{"gpht_8_128", 4.56e-6},
+		{"gpht_8_1024", 22.48e-6},
+	} {
+		pred, err := core.NewPredictorFromSpec(c.spec, core.SpecEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mod
-	}
-	small := mk(128).handlerCostS
-	big := mk(1024).handlerCostS
-	if !(big > small) {
-		t.Errorf("1024-entry handler cost %v not above 128-entry %v", big, small)
-	}
-	// Even the big table stays within the interrupt budget...
-	if big > 50e-6 {
-		t.Errorf("1024-entry cost %v exceeds 50µs budget", big)
-	}
-	// ...but it is an order of magnitude costlier than the base cost,
-	// which is why the paper deploys 128 entries.
-	lv, _ := core.NewMonitor(phase.Default(), core.NewLastValue())
-	modLV, _ := NewModule(Config{Monitor: lv})
-	if !(big > 5*modLV.handlerCostS) {
-		t.Errorf("search cost not visible: %v vs base %v", big, modLV.handlerCostS)
+		got := HandlerCost(pred)
+		if math.Abs(got-c.want) > 1e-15 || got > BudgetS {
+			t.Errorf("%s: HandlerCost = %v, want %v within the %v budget", c.spec, got, c.want, BudgetS)
+		}
+		if mod, _ := newModule(t, pred, nil); mod.handlerCostS != got {
+			t.Errorf("%s: module charges %v, HandlerCost %v", c.spec, mod.handlerCostS, got)
+		}
 	}
 }
 

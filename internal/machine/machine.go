@@ -81,14 +81,8 @@ type Handler interface {
 
 // Config assembles a machine.
 type Config struct {
-	// CPU is the timing model; nil selects the default.
-	CPU *cpusim.Model
-	// Power is the power model; nil selects the default.
-	Power *power.Model
 	// Ladder is the DVFS operating points; nil selects PentiumM.
 	Ladder *dvfs.Ladder
-	// TransitionLatencyS is the DVFS mode-change cost.
-	TransitionLatencyS float64
 	// Recorder taps the power waveform; nil disables.
 	Recorder Recorder
 	// Thermal attaches a die-temperature model; nil disables thermal
@@ -114,19 +108,14 @@ type Machine struct {
 	acct Account
 }
 
-// New assembles a machine from the configuration.
-func New(cfg Config) *Machine {
-	if cfg.CPU == nil {
-		cfg.CPU = cpusim.New(cpusim.DefaultConfig())
-	}
-	if cfg.Power == nil {
-		cfg.Power = power.Default()
-	}
+// New assembles a machine from the configuration, on the default
+// timing and power models.
+func New(cfg Config) *Machine { return newMachine(cfg, power.Default()) }
+
+// newMachine is New on power model pm.
+func newMachine(cfg Config, pm *power.Model) *Machine {
 	if cfg.Ladder == nil {
 		cfg.Ladder = dvfs.PentiumM()
-	}
-	if cfg.TransitionLatencyS <= 0 {
-		cfg.TransitionLatencyS = dvfs.DefaultTransitionLatency
 	}
 	settings := make([]settingPower, cfg.Ladder.Len())
 	for i := range settings {
@@ -138,19 +127,19 @@ func New(cfg Config) *Machine {
 		}
 		settings[i] = settingPower{
 			point:    p,
-			leakW:    cfg.Power.Leakage(p.VoltageV),
-			handlerW: cfg.Power.Power(p.VoltageV, p.FrequencyHz, handlerUPC),
+			leakW:    pm.Leakage(p.VoltageV),
+			handlerW: pm.Power(p.VoltageV, p.FrequencyHz, handlerUPC),
 		}
 	}
 	return &Machine{
-		cpu:      cfg.CPU,
-		power:    cfg.Power,
+		cpu:      cpusim.New(cpusim.DefaultConfig()),
+		power:    pm,
 		pmcs:     pmc.NewBank(),
-		ctrl:     dvfs.NewController(cfg.Ladder, cfg.TransitionLatencyS),
+		ctrl:     dvfs.NewController(cfg.Ladder, dvfs.DefaultTransitionLatency),
 		rec:      cfg.Recorder,
 		therm:    cfg.Thermal,
 		settings: settings,
-		baseW:    cfg.Power.Config().BaseW,
+		baseW:    pm.Config().BaseW,
 	}
 }
 

@@ -43,7 +43,7 @@ func TestPowerTableMatchesModel(t *testing.T) {
 	upcs := []float64{0, 0.3, 1, 1.5, 10, -1, math.NaN()}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, c := range cases {
-		cold := New(Config{Ladder: c.ladder, Power: c.model})
+		cold := newMachine(Config{Ladder: c.ladder}, c.model)
 		if len(cold.settings) != c.ladder.Len() {
 			t.Fatalf("%s: %d table rows for %d settings", c.name, len(cold.settings), c.ladder.Len())
 		}
@@ -64,7 +64,7 @@ func TestPowerTableMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hot := New(Config{Ladder: c.ladder, Power: c.model, Thermal: th})
+				hot := newMachine(Config{Ladder: c.ladder, Thermal: th}, c.model)
 				hsp := &hot.settings[s]
 				for _, upc := range upcs {
 					if got, want := hot.powerNow(hsp, upc), c.model.PowerAt(v, f, upc, tempC); !same(got, want) {

@@ -31,7 +31,7 @@ func (r *replayReader) Read(p []byte) (int, error) {
 // one) and the per-bucket Rollup path. The decoder's frame buffer and the session
 // channels are the only storage, and both are reused across frames.
 func TestDemuxZeroAlloc(t *testing.T) {
-	c := New(Config{Addr: "127.0.0.1:0", Window: 1})
+	c := New(Config{Addr: "127.0.0.1:0"})
 	s := &Session{
 		c:     c,
 		id:    7,

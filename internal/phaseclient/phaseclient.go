@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"phasemon/internal/wire"
@@ -73,19 +74,9 @@ type Config struct {
 	// BackoffBase is the first retry delay; it doubles per failed
 	// attempt. Zero selects 50ms.
 	BackoffBase time.Duration
-	// BackoffMax caps the retry delay. Zero selects 2s.
-	BackoffMax time.Duration
 	// MaxAttempts bounds connection attempts per dial; zero retries
 	// until the context is done.
 	MaxAttempts int
-	// WriteTimeout bounds each frame write; a server too slow to drain
-	// our frames fails the connection instead of wedging every session
-	// sharing it. Zero selects 5s (matching the server's default);
-	// negative disables the deadline.
-	WriteTimeout time.Duration
-	// Window is each session's prediction receive buffer (frames the
-	// reader can stay ahead of Recv). Zero selects 1024.
-	Window int
 	// BatchSize is the number of samples Send packs into one
 	// wire.KindBatch frame: the batch is written when it reaches
 	// BatchSize samples — or sooner, when FlushInterval expires or a
@@ -98,21 +89,24 @@ type Config struct {
 	FlushInterval time.Duration
 }
 
+const (
+	// backoffMax caps the retry delay.
+	backoffMax = 2 * time.Second
+	// writeTimeout bounds each frame write, matching the server's
+	// default: a server too slow to drain our frames fails the
+	// connection instead of wedging every session sharing it.
+	writeTimeout = 5 * time.Second
+	// window is each session's prediction (or rollup) receive buffer:
+	// the frames the reader can stay ahead of Recv.
+	window = 1024
+)
+
 func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 5 * time.Second
-	}
-	if c.Window <= 0 {
-		c.Window = 1024
 	}
 	if c.BatchSize < 1 {
 		c.BatchSize = 1
@@ -177,6 +171,8 @@ type Session struct {
 	preds chan wire.Prediction
 	drain chan wire.Drain
 	errs  chan error
+	// acked is set by the reader when the session's Ack arrives.
+	acked atomic.Bool
 
 	failOnce sync.Once
 	done     chan struct{}
@@ -294,7 +290,7 @@ func (c *Client) handshake(ctx context.Context, id uint64, granularityUops uint6
 		c:           c,
 		id:          id,
 		acks:        make(chan wire.Ack, 1),
-		preds:       make(chan wire.Prediction, c.cfg.Window),
+		preds:       make(chan wire.Prediction, window),
 		drain:       make(chan wire.Drain, 1),
 		errs:        make(chan error, 1),
 		done:        make(chan struct{}),
@@ -378,9 +374,7 @@ func (c *Client) dialLocked(ctx context.Context) (net.Conn, error) {
 				c.cfg.Addr, ctx.Err(), err)
 		case <-time.After(sleep):
 		}
-		if delay *= 2; delay > c.cfg.BackoffMax {
-			delay = c.cfg.BackoffMax
-		}
+		delay = min(2*delay, backoffMax)
 	}
 }
 
@@ -395,11 +389,9 @@ func (c *Client) writeLocked(encode func([]byte) []byte) error {
 		return err
 	}
 	c.wbuf = encode(c.wbuf[:0])
-	if d := c.cfg.WriteTimeout; d > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			c.teardownLocked(err)
-			return ErrDisconnected
-		}
+	if err := c.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		c.teardownLocked(err)
+		return ErrDisconnected
 	}
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		c.teardownLocked(err)
@@ -427,11 +419,9 @@ func (c *Client) flushPendLocked() error {
 		return err
 	}
 	c.wbuf = buf
-	if d := c.cfg.WriteTimeout; d > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			c.teardownLocked(err)
-			return ErrDisconnected
-		}
+	if err := c.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		c.teardownLocked(err)
+		return ErrDisconnected
 	}
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		c.teardownLocked(err)
@@ -485,6 +475,7 @@ func (c *Client) demux(kind wire.FrameKind, payload []byte) error {
 			return err
 		}
 		if s := c.lookup(a.SessionID); s != nil {
+			s.acked.Store(true)
 			select {
 			case s.acks <- a:
 			default:
@@ -521,7 +512,17 @@ func (c *Client) demux(kind wire.FrameKind, payload []byte) error {
 			return err
 		}
 		serr := &ServerError{Code: e.Code, SessionID: e.SessionID, Msg: string(e.Msg)}
-		if s := c.lookup(e.SessionID); s != nil {
+		s := c.lookup(e.SessionID)
+		if s != nil && e.Code == wire.CodeUnknownSession && !s.acked.Load() {
+			// The server sends unknown-session only in answer to a
+			// sample or a drain, and a session awaiting its Ack has
+			// sent neither. The error answers an earlier session
+			// under this id, whose samples reached the server after
+			// it dropped that session (a Hello or Restore flushes
+			// buffered samples first), so it is not this session's.
+			s = nil
+		}
+		if s != nil {
 			// A session-scoped error is terminal for that session on
 			// the server; unregister it so the same id can be
 			// reopened or resumed on this client — before failing
@@ -811,7 +812,7 @@ func (c *Client) SubscribeRollups(ctx context.Context, id uint64) (*RollupSub, e
 		errs:  make(chan error, 1),
 		done:  make(chan struct{}),
 	}
-	ch := make(chan wire.Rollup, c.cfg.Window)
+	ch := make(chan wire.Rollup, window)
 	c.sessions[id] = s
 	c.rollupSess, c.rollupCh = s, ch
 	err := c.writeLocked(func(b []byte) []byte {

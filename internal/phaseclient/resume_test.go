@@ -143,6 +143,111 @@ func scriptedDrainServer(t *testing.T, ln net.Listener, id uint64) error {
 	return err
 }
 
+// TestStaleUnknownSessionSkipsResume reproduces the rolling-restart
+// race where samples a drained session buffered are flushed ahead of
+// its Restore (a control frame flushes pending samples first). The
+// server no longer knows the id, so it answers them unknown-session
+// just before it acks the Restore. That error answers the old
+// session's samples, not the new session waiting for its Ack, so the
+// Resume must succeed.
+func TestStaleUnknownSessionSkipsResume(t *testing.T) {
+	const id = 9
+	cliConn, srvConn := net.Pipe()
+	defer srvConn.Close()
+	erred := make(chan struct{})
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- staleSampleServer(srvConn, id, erred) }()
+
+	// A large batch and a long flush interval keep the samples buffered
+	// until the Restore flushes them.
+	c := New(Config{Addr: "pipe", BatchSize: 64, FlushInterval: time.Hour})
+	defer c.Close()
+	c.mu.Lock()
+	c.conn = cliConn
+	c.mu.Unlock()
+	go c.readLoop(cliConn)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sess, _, err := c.OpenResumable(ctx, id, "lastvalue", 100e6)
+	if err != nil {
+		t.Fatalf("OpenResumable: %v", err)
+	}
+	for seq := uint64(0); seq < 2; seq++ {
+		if err := sess.Send(wire.Sample{Seq: seq, Uops: 100e6}); err != nil {
+			t.Fatalf("Send %d: %v", seq, err)
+		}
+	}
+	close(erred) // let the server fail the drained session
+	if _, err := sess.Recv(ctx); !errors.Is(err, ErrResumable) {
+		t.Fatalf("Recv error = %v, want ErrResumable", err)
+	}
+	snap, ok := sess.Snapshot()
+	if !ok {
+		t.Fatal("no snapshot after resumable failure")
+	}
+	if _, _, err := c.Resume(ctx, snap); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("scripted server: %v", err)
+	}
+}
+
+// staleSampleServer acks the resumable Hello and hands back a
+// Snapshot. Once erred closes it fails the session with an
+// unknown-session error, as a draining server answers a late sample.
+// It then expects the buffered samples, answers them unknown-session,
+// and acks the Restore that follows them.
+func staleSampleServer(conn net.Conn, id uint64, erred <-chan struct{}) error {
+	dec := wire.NewDecoder(conn)
+	kind, payload, err := dec.Next()
+	if err != nil {
+		return err
+	}
+	var h wire.Hello
+	if kind != wire.KindHello {
+		return errors.New("want Hello first")
+	}
+	if err := wire.DecodeHello(payload, &h); err != nil {
+		return err
+	}
+	buf := wire.AppendAck(nil, &wire.Ack{SessionID: id, NumPhases: 6, Flags: wire.FlagSnapshot})
+	if buf, err = wire.AppendSnapshot(buf, &wire.Snapshot{SessionID: id, LastSeq: wire.NoSamples,
+		Spec: h.Spec, State: []byte{0x4D, 1, 6}}); err != nil {
+		return err
+	}
+	if _, err := conn.Write(buf); err != nil {
+		return err
+	}
+	unknown, err := wire.AppendError(nil, &wire.ErrorFrame{Code: wire.CodeUnknownSession, SessionID: id,
+		Msg: []byte("no such session on this connection")})
+	if err != nil {
+		return err
+	}
+	<-erred
+	if _, err := conn.Write(unknown); err != nil {
+		return err
+	}
+	if kind, _, err = dec.Next(); err != nil {
+		return err
+	}
+	if kind != wire.KindBatch {
+		return fmt.Errorf("got %v, want the buffered samples ahead of the Restore", kind)
+	}
+	if _, err := conn.Write(unknown); err != nil {
+		return err
+	}
+	if kind, _, err = dec.Next(); err != nil {
+		return err
+	}
+	if kind != wire.KindRestore {
+		return fmt.Errorf("got %v, want Restore", kind)
+	}
+	_, err = conn.Write(wire.AppendAck(nil, &wire.Ack{SessionID: id, NumPhases: 6}))
+	return err
+}
+
 // TestCorruptSnapshotFailsLoudly: a Snapshot frame whose inner state
 // CRC fails — one state byte flipped, the frame trailer resealed so
 // only the inner check can tell — must tear the connection down like

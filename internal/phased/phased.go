@@ -89,9 +89,6 @@ type Config struct {
 	// buckets as Rollup frames (to subscribers and the node's own
 	// merged /rollup view). Zero selects 1s.
 	RollupFlush time.Duration
-	// Classifier defines the phase taxonomy for every session; nil
-	// selects the paper's Table 1 (phase.Default).
-	Classifier phase.Classifier
 	// Telemetry observes the server when non-nil (the phasemon_phased_*
 	// instrument family plus the per-session monitors' accuracy
 	// counters). Nil serves unobserved.
@@ -125,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RollupFlush <= 0 {
 		c.RollupFlush = time.Second
-	}
-	if c.Classifier == nil {
-		c.Classifier = phase.Default()
 	}
 	return c
 }
@@ -185,10 +179,9 @@ type Server struct {
 // New validates the configuration and builds a stopped server.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	trans, err := dvfs.Identity(dvfs.PentiumM(), cfg.Classifier.NumPhases())
+	trans, err := dvfs.Identity(dvfs.PentiumM(), phase.Default().NumPhases())
 	if err != nil {
-		return nil, fmt.Errorf("phased: %d-phase classifier has no identity translation: %w",
-			cfg.Classifier.NumPhases(), err)
+		return nil, fmt.Errorf("phased: %w", err)
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -207,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 		NodeID:      cfg.NodeID,
 		Shards:      cfg.Workers,
 		BucketLenNs: cfg.RollupBucket.Nanoseconds(),
-		Clock:       s.clock,
 		Telemetry:   cfg.Telemetry,
 	})
 	if tel := cfg.Telemetry; tel != nil {
@@ -525,14 +517,13 @@ func (s *Server) protoError(sc *serverConn, code wire.ErrorCode, id uint64, msg 
 // seeds the stream position and accounting from it; a restored session
 // is always re-migratable. A failure returns the Error code to answer.
 func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, snap *wire.Snapshot) (*session, wire.ErrorCode, error) {
-	pred, err := core.NewPredictorFromSpec(strings.TrimPrefix(string(spec), governor.MonitorPrefix),
-		core.SpecEnv{Classifier: s.cfg.Classifier})
+	pred, err := core.NewPredictorFromSpec(strings.TrimPrefix(string(spec), governor.MonitorPrefix), core.SpecEnv{})
 	if err != nil {
 		return nil, wire.CodeBadSpec, err
 	}
 	// The monitor carries no hub: served steps record their telemetry
 	// into the stepping worker's batch (worker.tel).
-	mon, err := core.NewMonitor(s.cfg.Classifier, pred)
+	mon, err := core.NewMonitor(phase.Default(), pred)
 	if err != nil {
 		return nil, wire.CodeBadSpec, err
 	}
@@ -545,7 +536,7 @@ func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, snap *wire.S
 		w:         s.workers[s.agg.ShardFor(id)],
 		mon:       mon,
 		trans:     s.trans,
-		numPhases: s.cfg.Classifier.NumPhases(),
+		numPhases: phase.Default().NumPhases(),
 		queue:     newSampleRing(s.cfg.QueueDepth),
 		state:     StateNegotiating,
 		spec:      append([]byte(nil), spec...),
@@ -616,7 +607,7 @@ func (s *Server) registerAndAck(sc *serverConn, sess *session) bool {
 		ackFlags = wire.FlagSnapshot
 	}
 	if err := sc.writeAck(&wire.Ack{SessionID: sess.id,
-		NumPhases: uint8(s.cfg.Classifier.NumPhases()), Flags: ackFlags}); err != nil {
+		NumPhases: uint8(phase.Default().NumPhases()), Flags: ackFlags}); err != nil {
 		return false
 	}
 	w := sess.w
@@ -667,7 +658,7 @@ func (s *Server) handleRollupHello(sc *serverConn, h *wire.Hello) bool {
 	s.rollupSubs[sc] = struct{}{}
 	s.mu.Unlock()
 	return sc.writeAck(&wire.Ack{SessionID: h.SessionID,
-		NumPhases: uint8(s.cfg.Classifier.NumPhases()),
+		NumPhases: uint8(phase.Default().NumPhases()),
 		Flags:     wire.FlagRollup}) == nil
 }
 

@@ -112,16 +112,14 @@ func (c *Cursor) Reset() { c.i = 0 }
 // re-collecting it. Read-only, as for Trace.Works.
 func (c *Cursor) Works() []cpusim.Work { return c.t.works }
 
-// DefaultMaxSamples bounds the cache at 1Mi work items (~72 MB of
-// cpusim.Work), roughly a thousand paper-scale benchmark traces.
-const DefaultMaxSamples = 1 << 20
+// maxSamples bounds the total number of cached work items across all
+// traces at 1Mi (~72 MB of cpusim.Work), roughly a thousand
+// paper-scale benchmark traces. Traces longer than the bound are
+// synthesized and returned but never cached.
+const maxSamples = 1 << 20
 
 // Config parameterizes a Cache.
 type Config struct {
-	// MaxSamples bounds the total number of cached work items across
-	// all traces; zero selects DefaultMaxSamples. Traces longer than
-	// the bound are synthesized and returned but never cached.
-	MaxSamples int
 	// Telemetry, when non-nil, receives hit/miss/eviction counters and
 	// the live cached-sample gauge. Nil runs unobserved.
 	Telemetry *telemetry.Hub
@@ -129,7 +127,7 @@ type Config struct {
 
 // Cache is the store. Safe for concurrent use.
 type Cache struct {
-	max int
+	max int // maxSamples; eviction tests lower it
 	tel *telemetry.Hub
 
 	mu       sync.Mutex
@@ -146,11 +144,8 @@ type flight struct {
 
 // New builds a cache.
 func New(cfg Config) *Cache {
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefaultMaxSamples
-	}
 	return &Cache{
-		max:      cfg.MaxSamples,
+		max:      maxSamples,
 		tel:      cfg.Telemetry,
 		entries:  make(map[Key]*list.Element),
 		lru:      list.New(),

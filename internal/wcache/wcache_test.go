@@ -75,7 +75,8 @@ func TestKeyResolution(t *testing.T) {
 func TestEvictionBound(t *testing.T) {
 	p := profile(t, "applu_in")
 	hub := telemetry.NewHub(6)
-	c := New(Config{MaxSamples: 250, Telemetry: hub})
+	c := New(Config{Telemetry: hub})
+	c.max = 250
 
 	k1 := c.Get(p, workload.Params{Seed: 1, Intervals: 100}).key
 	k2 := c.Get(p, workload.Params{Seed: 2, Intervals: 100}).key
