@@ -337,9 +337,9 @@ func BenchmarkGovernorRun(b *testing.B) {
 }
 
 // BenchmarkGovernorReplay is GovernorRun/paper replayed over a machine
-// table of the same 200-interval trace, filled beforehand: what each
-// tournament cell pays once its trace's table is filled. The records'
-// storage is reused from run to run, as the fleet engine reuses it.
+// table of the same 200-interval trace: what each tournament cell pays
+// per replay. The records' storage is reused from run to run, as the
+// fleet engine reuses it.
 func BenchmarkGovernorReplay(b *testing.B) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {
@@ -349,11 +349,6 @@ func BenchmarkGovernorReplay(b *testing.B) {
 	tab, err := machine.NewTable(workload.Collect(gen, 0), 100_000_000)
 	if err != nil {
 		b.Fatal(err)
-	}
-	for i := range tab.Len() {
-		for s := range tab.Ladder().Len() {
-			tab.At(i, dvfs.Setting(s))
-		}
 	}
 	b.Run("paper", func(b *testing.B) {
 		var recs []governor.Record

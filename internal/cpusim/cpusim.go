@@ -77,17 +77,6 @@ func (w Work) Validate() error {
 	return nil
 }
 
-// normalized returns w with defaults applied.
-func (w Work) normalized() Work {
-	if w.Instructions == 0 {
-		w.Instructions = w.Uops
-	}
-	if w.MLP == 0 {
-		w.MLP = 1
-	}
-	return w
-}
-
 // Result reports the observable outcome of executing a Work interval
 // at a specific frequency — exactly the quantities the platform's
 // performance counters and time-stamp counter expose.
@@ -155,22 +144,15 @@ func (m *Model) Execute(w Work, freqHz float64) (Result, error) {
 
 // ExecuteValid is Execute without the input checks, for a caller that
 // has already made them: w passes Validate and freqHz is positive and
-// finite. It returns exactly Execute's result. machine.Run validates
-// each generator item once and runs every PMI-sized chunk of it here.
+// finite. It returns exactly Execute's result, built from Interval.
 func (m *Model) ExecuteValid(w Work, freqHz float64) Result {
-	w = w.normalized()
-
-	memTx := w.MemPerUop * w.Uops
-	computeTime := w.Uops / (w.CoreUPC * freqHz)
-	memTime := memTx * m.cfg.MemLatencyS / w.MLP
-	total := computeTime + memTime
+	total, computeTime, memTime, instructions, memTx := m.Interval(&w, w.Uops, freqHz)
 	cycles := total * freqHz
-
 	return Result{
 		Time:            total,
 		Cycles:          cycles,
 		Uops:            w.Uops,
-		Instructions:    w.Instructions,
+		Instructions:    instructions,
 		MemTransactions: memTx,
 		UPC:             w.Uops / cycles,
 		MemPerUop:       w.MemPerUop,
@@ -180,6 +162,31 @@ func (m *Model) ExecuteValid(w Work, freqHz float64) Result {
 	}
 }
 
+// Interval evaluates the timing equation for the first uops micro-ops
+// of w at freqHz, with w's instructions scaled alike and its defaults
+// applied (instructions default to the uops, MLP to 1). It returns the
+// interval's time and its compute and memory terms, the instructions
+// retired and the memory transactions issued. It is the one place the
+// equation is evaluated: ExecuteValid builds its Result from it, and
+// machine runs every chunk and replays every table interval through it.
+// It takes w by pointer and returns scalars, so a per-interval loop
+// copies no struct. It makes no checks: w must pass Validate, uops lie
+// in (0, w.Uops] and freqHz be positive and finite.
+func (m *Model) Interval(w *Work, uops, freqHz float64) (total, computeTime, memTime, instructions, memTx float64) {
+	mlp := w.MLP
+	if mlp == 0 {
+		mlp = 1
+	}
+	instructions = w.Instructions * (uops / w.Uops)
+	if instructions == 0 {
+		instructions = uops
+	}
+	memTx = w.MemPerUop * uops
+	computeTime = uops / (w.CoreUPC * freqHz)
+	memTime = memTx * m.cfg.MemLatencyS / mlp
+	return computeTime + memTime, computeTime, memTime, instructions, memTx
+}
+
 // ObservedUPC returns the UPC the counters would report for code with
 // the given intrinsic properties at frequency f, without constructing
 // a full interval.
@@ -187,7 +194,9 @@ func (m *Model) ObservedUPC(memPerUop, coreUPC, mlp, f float64) float64 {
 	if mlp <= 0 {
 		mlp = 1
 	}
-	return 1 / (1/coreUPC + memPerUop*m.cfg.MemLatencyS*f/mlp)
+	// float64 rounds the memory term before the add, so no architecture
+	// fuses the two.
+	return 1 / (1/coreUPC + float64(memPerUop*m.cfg.MemLatencyS*f/mlp))
 }
 
 // SlowdownMLP predicts T(f)/T(fmax) for code with the given Mem/Uop
@@ -219,7 +228,9 @@ func memBoundedFraction(memPerUop float64) float64 {
 	if memPerUop <= 0 {
 		return 0
 	}
-	beta := 0.08 + memPerUop*15
+	// float64 rounds the product before the add, so no architecture
+	// fuses the two.
+	beta := 0.08 + float64(memPerUop*15)
 	if beta > 0.74 {
 		beta = 0.74
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -25,8 +26,9 @@ import (
 //   - workload traces, in one wcache.Cache that the fleet engines
 //     behind Figures 11-13 read as well;
 //   - observation streams, keyed by the trace they observe;
-//   - governed runs, keyed by their fleet.Spec and reduced on the
-//     worker that ran them to the machine.RunResult the figures read;
+//   - governed runs, keyed by their fleet.Spec, each replayed over its
+//     trace's machine table and reduced on the worker that replayed it
+//     to the machine.RunResult the figures read;
 //   - figure results, keyed by figure and workload parameters.
 //
 // Every key is a full content key and every value is deterministic,
@@ -53,9 +55,11 @@ func newCache(tel *telemetry.Hub) *Cache {
 
 // run returns one result per spec, in spec order, each carrying only
 // the run's machine.RunResult (Run), which is all the figures' metrics
-// read. Specs the Cache has not seen run on a fleet engine sharing the
-// Cache's traces, o.Workers at a time; each run is reduced on its
-// worker, so no kernel log outlives its run.
+// read. Specs the Cache has not seen play on a fleet engine sharing the
+// Cache's traces, o.Workers at a time, each replayed over its whole
+// trace (fleet.Play) and reduced on its worker, so no record outlives
+// its replay. Every slot claimed here is set, failed specs included,
+// since figures waiting on an unset slot would block for ever.
 func (c *Cache) run(o Options, specs []fleet.Spec) ([]*governor.Result, error) {
 	slots := make([]*slot[machine.RunResult], len(specs))
 	var todo []fleet.Spec
@@ -70,20 +74,31 @@ func (c *Cache) run(o Options, specs []fleet.Spec) ([]*governor.Result, error) {
 	}
 	if len(todo) > 0 {
 		type outcome struct {
-			run machine.RunResult
-			err error
+			run    machine.RunResult
+			err    error
+			played bool
 		}
+		ctx := context.Background()
 		e := fleet.New(fleet.Config{Workers: o.Workers, Traces: c.traces, Telemetry: c.tel})
-		// Every spec gets its own outcome, so the sweep-level error adds
-		// nothing.
-		outs, _ := fleet.Reduce(context.Background(), e, todo, func(r fleet.Result) outcome {
-			if r.Err != nil {
-				return outcome{err: fmt.Errorf("experiments: %s under %s: %w", r.Spec.Workload, r.Spec.Policy, r.Err)}
+		play := func(sp fleet.Spec, rp *governor.Replay) (outcome, error) {
+			res, err := rp.Run(ctx, rp.Len())
+			if err != nil {
+				return outcome{err: fmt.Errorf("experiments: %s under %s: %w", sp.Workload, sp.Policy, err), played: true}, nil
 			}
-			return outcome{run: r.Res.Run}
-		})
+			return outcome{run: res.Run, played: true}, nil
+		}
+		// Every played spec gets its own outcome; the sweep error is only
+		// that of the lowest spec that could not be set up.
+		outs, _ := fleet.Play(ctx, e, todo, play)
 		for i, s := range mine {
-			s.set(outs[i].run, outs[i].err)
+			o := outs[i]
+			if !o.played {
+				// Play reduces no spec it could not set up: set this one
+				// up alone for its own error.
+				_, err := fleet.Play(ctx, e, todo[i:i+1], play)
+				o.err = fmt.Errorf("experiments: %s under %s: %w", todo[i].Workload, todo[i].Policy, errors.Unwrap(err))
+			}
+			s.set(o.run, o.err)
 		}
 	}
 	out := make([]*governor.Result, len(specs))

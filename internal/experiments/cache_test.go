@@ -159,6 +159,50 @@ func TestCacheKeyCompleteness(t *testing.T) {
 	}
 }
 
+// TestCacheSetupFailure: specs that cannot be set up fail, each with
+// its own error, and a later request for one of them — a figure
+// sharing the Cache — gets that error instead of waiting on a slot
+// nobody sets.
+func TestCacheSetupFailure(t *testing.T) {
+	c := NewCache()
+	o := Options{Intervals: 100, Workers: 2, Cache: c}.withDefaults()
+	badPhases := spec(o, "applu_in", deployedSpec)
+	badPhases.Phases = "0.01,x"
+	specs := []fleet.Spec{spec(o, "applu_in", deployedSpec), badPhases, spec(o, "no_such_bench", deployedSpec)}
+	run := func(specs []fleet.Spec) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.run(o, specs)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run of %d specs did not return", len(specs))
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		specs []fleet.Spec
+		want  string // "" for success
+	}{
+		{specs, `boundary "x"`},
+		{specs[:1], ""},
+		{specs[1:2], `boundary "x"`},
+		{specs[2:], `unknown benchmark "no_such_bench"`},
+	} {
+		err := run(tc.specs)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%d specs from %s: %v", len(tc.specs), tc.specs[0].Workload, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%d specs from %s: error %v, want one containing %q", len(tc.specs), tc.specs[0].Workload, err, tc.want)
+		}
+	}
+}
+
 // TestExportCSVReusesCache: after the runners of "-run all" have
 // filled a Cache, exporting the CSV datasets from it computes nothing
 // new, and the files are byte-identical to the ones a build without

@@ -9,7 +9,7 @@
 // so a sweep holds at most Workers kernel logs however many specs it
 // has. RunAll is Reduce with a reduction that copies each log out.
 // Play runs each spec instead as a replay over a machine table of its
-// trace, shared by the specs over that trace (governor.Replay).
+// trace, a view shared by the specs over that trace (governor.Replay).
 //
 // The determinism contract has three legs:
 //
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"phasemon/internal/cpusim"
@@ -194,46 +193,48 @@ func Reduce[T any](ctx context.Context, e *Engine, specs []Spec, f func(Result) 
 // f to each spec's replay on the worker that set it up: f advances the
 // replay with Replay.Run and reduces what it reads. f is called at
 // most once per spec — not for a spec that failed to set up or was
-// canceled before it started — and must be safe to call concurrently.
+// canceled before it started, whose T stays the zero value — and must
+// be safe to call concurrently.
 // The replay's records are storage the engine reuses for a later
 // replay once f returns, so Records is valid only inside f, like
 // Reduce's kernel logs.
 //
-// Specs over the same trace share one table, which their replays fill
-// on demand. It is built when the first of them starts and dropped
-// when the last finishes, so a sweep ordered trace by trace holds about
-// Workers tables however many traces it covers. A spec the table or
-// the replay refuses (see machine.NewTable and governor.NewReplay)
-// fails with that error; nothing falls back to the full machine.
+// A table stores nothing per interval: its replays evaluate each
+// interval from the trace as they reach it. Specs over the same trace
+// share one table, so the trace is validated once, when the first of
+// them starts. A spec the table or the replay refuses (see
+// machine.NewTable and governor.NewReplay) fails with that error;
+// nothing falls back to the full machine.
 //
 // Telemetry, the trace cache and the ordering and error contract are
 // Reduce's; f's error fails its spec like a run error.
 func Play[T any](ctx context.Context, e *Engine, specs []Spec, f func(Spec, *governor.Replay) (T, error)) ([]T, error) {
 	resolved := make([]Spec, len(specs))
-	tables := make([]*sharedTable, len(specs))
-	byTrace := make(map[Spec]*sharedTable)
+	tables := make([]*traceTable, len(specs))
+	byTrace := make(map[Spec]*traceTable)
 	for i, sp := range specs {
 		sp = e.resolve(sp)
 		resolved[i] = sp
 		key := Spec{Workload: sp.Workload, Seed: sp.Seed, Intervals: sp.Intervals, GranularityUops: sp.GranularityUops}
-		st := byTrace[key]
-		if st == nil {
-			st = new(sharedTable)
-			byTrace[key] = st
+		if byTrace[key] == nil {
+			byTrace[key] = new(traceTable)
 		}
-		st.users.Add(1)
-		tables[i] = st
+		tables[i] = byTrace[key]
 	}
 	e.addPending(len(specs))
 	out, err := mapIndex(e.cfg.Workers, len(resolved), func(i int) (T, error) {
 		defer e.addPending(-1)
-		defer tables[i].release()
+		// Drop the sweep's reference to this spec's table, so a trace's
+		// table, and through it the trace, is garbage once the trace's
+		// last spec is done, even if the trace cache has let it go.
+		tt := tables[i]
+		tables[i] = nil
 		recs := e.records.take()
 		defer e.records.put(recs)
 		sp := resolved[i]
 		var out T
 		err := e.observe(ctx, func() error {
-			rp, err := e.replay(sp, tables[i], *recs)
+			rp, err := e.replay(sp, tt, *recs)
 			if err != nil {
 				return err
 			}
@@ -252,26 +253,18 @@ func Play[T any](ctx context.Context, e *Engine, specs []Spec, f func(Spec, *gov
 	return out, err
 }
 
-// sharedTable is one trace's machine table, shared by the specs of a
+// traceTable is one trace's machine table, shared by the specs of a
 // Play sweep that run over the trace.
-type sharedTable struct {
-	once  sync.Once
-	tab   *machine.Table
-	err   error
-	users atomic.Int64 // specs that have not finished with the table
+type traceTable struct {
+	once sync.Once
+	tab  *machine.Table
+	err  error
 }
 
 // get returns the table of trace, building it on first use.
-func (st *sharedTable) get(trace *wcache.Trace, gran uint64) (*machine.Table, error) {
-	st.once.Do(func() { st.tab, st.err = machine.NewTable(trace.Works(), gran) })
-	return st.tab, st.err
-}
-
-// release drops the table once its last spec is done with it.
-func (st *sharedTable) release() {
-	if st.users.Add(-1) == 0 {
-		st.tab = nil
-	}
+func (tt *traceTable) get(trace *wcache.Trace, gran uint64) (*machine.Table, error) {
+	tt.once.Do(func() { tt.tab, tt.err = machine.NewTable(trace.Works(), gran) })
+	return tt.tab, tt.err
 }
 
 // resolve fills a spec's derived fields so seeding and execution see
@@ -338,12 +331,12 @@ func (e *Engine) runSpec(ctx context.Context, sp Spec, log *[]kernelsim.Entry) (
 
 // replay sets one resolved spec up as a replay over its trace's shared
 // table, its records stored in recs.
-func (e *Engine) replay(sp Spec, st *sharedTable, recs []governor.Record) (*governor.Replay, error) {
+func (e *Engine) replay(sp Spec, tt *traceTable, recs []governor.Record) (*governor.Replay, error) {
 	trace, _, cfg, pol, err := e.setup(sp)
 	if err != nil {
 		return nil, err
 	}
-	tab, err := st.get(trace, sp.GranularityUops)
+	tab, err := tt.get(trace, sp.GranularityUops)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // Replay is a governed run replayed over a machine.Table instead of
-// simulated on a machine. Each interval it reads the table's row at
-// the current setting, charges the work span, and runs the PMI
-// handler's Figure 8 flow — classify, predict, translate, actuate —
+// simulated on a machine. Each interval it evaluates the interval at
+// the current setting (Table.At), charges the work span, and runs the
+// PMI handler's Figure 8 flow — classify, predict, translate, actuate —
 // charging the handler span as Run charges it. The result is the one
 // RunContext returns over the table's trace, bit for bit, when the run
 // has no actuator; the kernel log is kept in compact form (Records),
@@ -201,6 +201,10 @@ func (r *Replay) replay(ctx context.Context, n int) error {
 	}
 	return nil
 }
+
+// Len returns the number of intervals in the replay's table: the
+// length of its whole run.
+func (r *Replay) Len() int { return r.tab.Len() }
 
 // Records returns the newest replayed intervals, oldest first, the
 // last of them interval n-1 after Run(ctx, n): every interval of a

@@ -360,15 +360,10 @@ func TestReplayTelemetry(t *testing.T) {
 	}
 }
 
-// TestReplayZeroAllocsPerInterval: over a filled table, the replay
-// loop allocates nothing per interval.
+// TestReplayZeroAllocsPerInterval: the replay loop, the table's
+// per-interval evaluation included, allocates nothing per interval.
 func TestReplayZeroAllocsPerInterval(t *testing.T) {
 	tr := newTrace(t, "applu_in", 100_000_000, 4000)
-	for i := range tr.tab.Len() {
-		for s := range tr.tab.Ladder().Len() {
-			tr.tab.At(i, dvfs.Setting(s))
-		}
-	}
 	rp, err := NewReplay(tr.tab, Proactive(8, 128), Config{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -182,13 +182,14 @@ func (m *Machine) OverheadFraction() float64 { return m.acct.OverheadFraction() 
 // the tabulated leakage in place of Leakage(V). With a thermal model
 // attached it is PowerAt at the current die temperature instead —
 // the leakage scaled exactly as LeakageAt scales it — so leakage
-// feeds back into heat.
+// feeds back into heat. The float64 conversion rounds the dynamic
+// power before the add, so no architecture fuses the two.
 func (m *Machine) powerNow(sp *settingPower, upc float64) float64 {
 	leak := sp.leakW
 	if m.therm != nil {
 		leak *= m.power.LeakageScale(m.therm.TemperatureC())
 	}
-	return m.power.Dynamic(sp.point.VoltageV, sp.point.FrequencyHz, upc) + leak + m.baseW
+	return float64(m.power.Dynamic(sp.point.VoltageV, sp.point.FrequencyHz, upc)) + leak + m.baseW
 }
 
 // handlerPower is powerNow at the handler's nominal UPC, read straight
@@ -225,13 +226,14 @@ type Account struct {
 }
 
 // span advances time and energy by one waveform span; a span of no
-// duration is not emitted.
+// duration is not emitted. The energy's product is rounded before the
+// add (float64), so no architecture fuses the two.
 func (a *Account) span(dur, watts float64) {
 	if dur <= 0 {
 		return
 	}
 	a.nowS += dur
-	a.energyJ += watts * dur
+	a.energyJ += float64(watts * dur)
 }
 
 // Work charges one executed chunk: its span at watts, and the
@@ -264,30 +266,24 @@ func (a *Account) Result(pmis uint64, transitions int) RunResult {
 	return a.totals(pmis, transitions).since(totals{})
 }
 
-// execute runs chunkUops of w at setting sp: the chunk is w with its
-// uops cut to chunkUops and its instructions scaled alike. It stores
-// the timing model's result in res and returns the rail power the
-// chunk drew; Run and the table fills compute every work span through
-// it.
-func (m *Machine) execute(res *cpusim.Result, w *cpusim.Work, chunkUops float64, sp *settingPower) float64 {
-	chunk := *w
-	chunk.Instructions *= chunkUops / w.Uops
-	chunk.Uops = chunkUops
-	// A chunk with its uops cut to (0, w.Uops] is as valid as w, and
-	// New checked every ladder frequency: execute it unchecked.
-	*res = m.cpu.ExecuteValid(chunk, sp.point.FrequencyHz)
-	return m.powerNow(sp, res.UPC)
+// execute runs the first uops micro-ops of w at setting sp, through
+// the timing model's cpusim.Interval: it returns the chunk's duration,
+// its cycle count (duration × frequency, the TSC delta), the
+// instructions it retired and the memory transactions it issued, and
+// the rail power it drew at its observed UPC. Run and Table.At compute
+// every work span through it, so both do the same float operations in
+// the same order.
+func (m *Machine) execute(w *cpusim.Work, uops float64, sp *settingPower) (dur, cycles, instructions, memTx, watts float64) {
+	f := sp.point.FrequencyHz
+	// A chunk of (0, w.Uops] uops is as valid as w, and New checked
+	// every ladder frequency: evaluate it unchecked.
+	dur, _, _, instructions, memTx = m.cpu.Interval(w, uops, f)
+	cycles = dur * f
+	return dur, cycles, instructions, memTx, m.powerNow(sp, uops/cycles)
 }
 
-// delta is what the counters count for one executed chunk.
-func delta(res cpusim.Result) pmc.Delta {
-	return pmc.Delta{
-		Uops:            uint64(math.Round(res.Uops)),
-		Instructions:    uint64(math.Round(res.Instructions)),
-		MemTransactions: uint64(math.Round(res.MemTransactions)),
-		Cycles:          uint64(math.Round(res.Cycles)),
-	}
-}
+// count is what a counter counts of a simulated quantity.
+func count(x float64) uint64 { return uint64(math.Round(x)) }
 
 // ErrNoUopCounter reports a run attempted without an armed uop counter.
 var ErrNoUopCounter = errors.New("machine: no interrupt-enabled UOPS_RETIRED counter configured")
@@ -362,12 +358,16 @@ func (m *Machine) Run(gen workload.Generator, handler Handler) (RunResult, error
 				chunkUops = f
 			}
 			sp := &m.settings[m.ctrl.Current()]
-			var res cpusim.Result
-			watts := m.execute(&res, &w, chunkUops, sp)
-			m.record(res.Time, watts, sp.point.VoltageV)
-			m.acct.Work(res.Time, watts, res.Instructions, res.Uops)
+			dur, cycles, instructions, memTx, watts := m.execute(&w, chunkUops, sp)
+			m.record(dur, watts, sp.point.VoltageV)
+			m.acct.Work(dur, watts, instructions, chunkUops)
 
-			pmi := m.pmcs.Advance(delta(res))
+			pmi := m.pmcs.Advance(pmc.Delta{
+				Uops:            count(chunkUops),
+				Instructions:    count(instructions),
+				MemTransactions: count(memTx),
+				Cycles:          count(cycles),
+			})
 			remaining -= chunkUops
 
 			if pmi && handler != nil {

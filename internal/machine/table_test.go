@@ -43,14 +43,16 @@ func works(t *testing.T, name string, gran uint64, n int) []cpusim.Work {
 	return workload.Collect(p.Generator(workload.Params{Seed: 1, Intervals: n, GranularityUops: float64(gran)}), 0)
 }
 
-// TestTableMatchesRun checks every row of a table against Run pinned at
-// the row's setting: the work span the recorder sees, the memory
-// transactions and cycles the handler reads, and the sample it derives
-// from them. Cycles, derived from the span's duration, must equal the
-// counter's rounding bit for bit.
+// TestTableMatchesRun checks every interval of a table against Run
+// pinned at each setting, for every registered workload profile (the
+// paper figures' benchmarks among them): the work span the recorder
+// sees, the memory transactions and cycles the handler reads, and the
+// sample it derives from them. Cycles, derived from the span's
+// duration, must equal the counter's rounding bit for bit.
 func TestTableMatchesRun(t *testing.T) {
 	const gran = 50_000_000
-	for _, name := range []string{"applu_in", "mcf_inp"} {
+	for _, p := range workload.All() {
+		name := p.Name
 		ws := works(t, name, gran, 600)
 		tab, err := NewTable(ws, gran)
 		if err != nil {
@@ -140,11 +142,12 @@ func TestTableRefusals(t *testing.T) {
 	}
 }
 
-// TestTableConcurrentFill: goroutines demand-filling the same blocks
-// see the rows a lone reader sees. Run it under -race.
+// TestTableConcurrentFill: goroutines reading the same table at once
+// see what a lone reader of another table sees, since At may be called
+// concurrently. Run it under -race.
 func TestTableConcurrentFill(t *testing.T) {
 	const gran = 100_000_000
-	ws := works(t, "swim_in", gran, 3*tableBlock+17)
+	ws := works(t, "swim_in", gran, 1553)
 	shared, err := NewTable(ws, gran)
 	if err != nil {
 		t.Fatal(err)

@@ -134,7 +134,9 @@ func (m *Model) Activity(upc float64) float64 {
 	if math.IsNaN(upc) || upc < 0 {
 		upc = 0
 	}
-	a := m.cfg.ActivityMin + m.cfg.ActivitySlope*upc
+	// float64 rounds the product before the add, so no architecture
+	// fuses the two.
+	a := m.cfg.ActivityMin + float64(m.cfg.ActivitySlope*upc)
 	if a > m.cfg.ActivityMax {
 		a = m.cfg.ActivityMax
 	}

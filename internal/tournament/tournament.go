@@ -45,9 +45,9 @@ type Config struct {
 // on longer, harder streams.
 //
 // Every cell plays as a replay over a machine table of its workload
-// trace (fleet.Play), shared by the cells over that trace, so the
-// machine is tabulated once per trace instead of simulated once per
-// cell. The rounds share replays too: the workload stream is one
+// trace (fleet.Play), shared by the cells over that trace, so no cell
+// simulates the machine: each evaluates the timing model per interval
+// at the setting its policy chose. The rounds share replays too: the workload stream is one
 // seeded sequence and every policy but the oracle decides from the
 // past alone, so the first N intervals of a 2N-interval run are an
 // N-interval run. Each cell therefore replays once, to the length of

@@ -25,12 +25,16 @@ trap 'kill $PHASED_PID $FEED_PID 2>/dev/null || true' EXIT
 # start_phased LOG ADDR starts phased listening on ADDR (port 0 picks a
 # free one) and sets PHASED_PID, ADDR and METRICS. The log carries both
 # bound addresses; readiness is polled separately (await_ready), so
-# this loop only waits for the lines to appear.
+# this loop only waits for the lines to appear. The log is emptied
+# here, before the launch: a background child that truncated it itself
+# could do so after the first read below, which would then parse a
+# previous run's addresses.
 start_phased() {
   local log=$1
+  : >"$log"
   "$OUT/phased" -addr "$2" -metrics-addr 127.0.0.1:0 \
     -node-id 1 -rollup-bucket 200ms -rollup-flush 100ms \
-    >"$log" 2>&1 &
+    >>"$log" 2>&1 &
   PHASED_PID=$!
   ADDR=""
   METRICS=""
