@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all build test test-short check lint fuzz-targets-check perfbench-check fleet-race replay-long serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
+.PHONY: all build test test-short check lint fuzz-targets-check fma-check perfbench-check fleet-race replay-long serve-race fuzz-smoke race serve-smoke tournament-smoke bench bench-json bench-smoke experiments extensions csv clean
 
 all: build test
 
@@ -112,13 +112,23 @@ fuzz-smoke: fuzz-targets-check
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 	done
 
-# The strict gate: lint, the benchmark module's build and tests, the
-# fleet determinism and serving race suites, a short fuzzing pass, the
-# full suite under the race detector, then a live client/server smoke
-# over real sockets. The telemetry hot paths are lock-free atomics
-# shared with HTTP readers, so -race is part of the default bar, not
-# an extra.
-check: lint perfbench-check fleet-race replay-long serve-race fuzz-smoke
+# Floats that do not depend on the architecture (ROADMAP item 8): the
+# packages listed here compile for arm64 with no fused multiply-add,
+# and fma-check keeps them so. Add a package once its count is 0.
+FMA_PACKAGES := ./internal/cpusim ./internal/machine ./internal/governor \
+	./internal/core ./internal/agg ./internal/kernelsim \
+	./internal/telemetry ./internal/phased
+
+fma-check:
+	./scripts/fma_check.sh $(FMA_PACKAGES)
+
+# The strict gate: lint, the fused multiply-add check, the benchmark
+# module's build and tests, the fleet determinism and serving race
+# suites, a short fuzzing pass, the full suite under the race
+# detector, then a live client/server smoke over real sockets. The
+# telemetry hot paths are lock-free atomics shared with HTTP readers,
+# so -race is part of the default bar, not an extra.
+check: lint fma-check perfbench-check fleet-race replay-long serve-race fuzz-smoke
 	$(GO) test -race ./...
 	$(MAKE) serve-smoke
 	$(MAKE) tournament-smoke

@@ -18,11 +18,12 @@ import (
 // predictor spec policy names; the oracle, which reads phases that
 // have not happened yet, is refused. It needs counter access and
 // a writable `userspace` cpufreq governor; each missing capability is
-// reported plainly. Telemetry always observes the loop, which records
-// each interval into its own StepBatch under one clock reading and
-// publishes it: a one-line hub summary prints every telemetryEvery
-// intervals (0 disables), and telemetryAddr, when non-empty,
-// additionally serves the hub over HTTP for the duration of the run.
+// reported plainly. Telemetry always observes the loop, which folds
+// each interval's (sample, actual, next) into its own StepBatch under
+// one clock reading and publishes it: a one-line hub summary prints
+// every telemetryEvery intervals (0 disables), and telemetryAddr, when
+// non-empty, additionally serves the hub over HTTP for the duration of
+// the run.
 func runLive(dur, period time.Duration, pid int, policy, telemetryAddr string, telemetryEvery int) error {
 	if governor.ReadsFuture(policy) {
 		return fmt.Errorf("live mode cannot follow the oracle: it reads phases that have not happened yet")
@@ -76,11 +77,17 @@ func runLive(dur, period time.Duration, pid int, policy, telemetryAddr string, t
 	fmt.Printf("live governing pid %d for %v over %d frequency settings\n", pid, dur, act.Len())
 	fmt.Println("interval  miss/instr   phase   next   setting[kHz]")
 	tel := hub.NewStepBatch()
+	var prev, pending phase.ID
 	i := 0
 	lastSetting := -1
 	for s := range samples {
 		nowNs := hub.Now().UnixNano()
-		actual, next := mon.StepAt(s, tel, nowNs)
+		hits, misses := core.PHTLookups(pred)
+		actual, next := mon.Step(s)
+		nowHits, nowMisses := core.PHTLookups(pred)
+		tel.GPHTLookups(nowHits-hits, nowMisses-misses)
+		tel.Fold(i, s.MemPerUop, int(prev), int(pending), int(actual), int(next), nowNs)
+		prev, pending = actual, next
 		setting := settingFor(next, cls.NumPhases(), act.Len())
 		applyErr := act.Set(setting)
 		if applyErr == nil && setting != lastSetting {

@@ -16,9 +16,9 @@ import (
 // whatever machine this runs on. pid 0 monitors this process; withLoad
 // adds a synthetic memory-walking load so a bare invocation has
 // something to observe. A non-nil hub observes every interval — the
-// loop records each into its own StepBatch under one clock reading and
-// publishes it — and is typically served over HTTP for the duration of
-// the run.
+// loop folds each (sample, actual, next) into its own StepBatch under
+// one clock reading and publishes it — and is typically served over
+// HTTP for the duration of the run.
 func runLive(pred core.Predictor, dur, period time.Duration, pid int, withLoad bool, hub *telemetry.Hub) error {
 	if err := perfevent.Available(); err != nil {
 		return fmt.Errorf("live mode needs hardware counter access (try the simulated mode instead): %w", err)
@@ -52,15 +52,21 @@ func runLive(pred core.Predictor, dur, period time.Duration, pid int, withLoad b
 	fmt.Printf("live monitoring pid %d for %v (sampling every %v)\n", pid, dur, period)
 	fmt.Println("interval  miss/instr   phase   predicted-next")
 	tel := hub.NewStepBatch()
+	var prev, pending phase.ID
 	i := 0
 	for s := range samples {
 		var nowNs int64
 		if hub != nil {
 			nowNs = hub.Now().UnixNano()
 		}
-		actual, next := mon.StepAt(s, tel, nowNs)
+		hits, misses := core.PHTLookups(pred)
+		actual, next := mon.Step(s)
+		nowHits, nowMisses := core.PHTLookups(pred)
+		tel.GPHTLookups(nowHits-hits, nowMisses-misses)
+		tel.Fold(i, s.MemPerUop, int(prev), int(pending), int(actual), int(next), nowNs)
 		tel.PMISample(i, s.MemPerUop, s.UPC, nowNs)
 		tel.Publish()
+		prev, pending = actual, next
 		fmt.Printf("%8d  %10.5f   %-5s   %s\n", i, s.MemPerUop, actual, next)
 		i++
 	}

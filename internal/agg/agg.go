@@ -1,7 +1,10 @@
 // Package agg is the fleet-rollup pipeline: it turns the firehose of
 // per-session prediction outcomes produced by a phased node into
 // compact, time-bucketed rollups with bounded memory (ROADMAP item 2,
-// DESIGN.md §12).
+// DESIGN.md §12). A phased worker ingests each session batch straight
+// from its prediction replies (IngestBatchAt), which carry everything
+// a rollup counts; shed samples, which have no reply, go one at a time
+// through IngestAt.
 //
 // Each shard (one per phased worker) accumulates (phase.Class ×
 // dvfs.Setting) sample/hit/miss counts, shed counts, and a serving-
@@ -242,47 +245,48 @@ func (a *Aggregator) IngestAt(shardIdx int, nowNs int64, sessionID uint64, class
 	sh.mu.Unlock()
 }
 
-// Record is one sample outcome of an IngestBatchAt batch: the
-// (class, setting) pair the serving path answered with, and what it
-// did with the sample.
-type Record struct {
-	Class   phase.Class
-	Setting dvfs.Setting
-	Outcome Outcome
-}
-
-// IngestBatchAt accumulates a batch of one session's sample outcomes,
-// all observed at nowNs and each carrying serving latency latNs. The
-// result is exactly that of calling IngestAt once per record with the
-// same arguments — every cell, tally, latency bucket, session count
-// and self-telemetry counter — but the shard lock is taken, the bucket
-// resolved and the session counted once per batch instead of once per
-// sample.
+// IngestBatchAt accumulates one session's batch of served replies, all
+// observed at nowNs and each carrying serving latency latNs. Each
+// reply lands in the (Class, Setting) cell it answered with — the pair
+// the translation applies next interval — and is scored against the
+// prediction pending for it: pending for the first reply, the
+// previous reply's Next after that. A pending phase.None marks the
+// session's first interval, which is unscored (a predictor always
+// predicts a phase, so None is pending only before a monitor's first
+// step). The result is exactly that of calling IngestAt once per reply
+// with the outcome the monitor scored — every cell, tally, latency
+// bucket, session count and self-telemetry counter — but the shard
+// lock is taken, the bucket resolved and the session counted once per
+// batch instead of once per sample.
 //
 //lint:hotpath
-func (a *Aggregator) IngestBatchAt(shardIdx int, nowNs int64, sessionID uint64, recs []Record, latNs int64) {
-	if len(recs) == 0 {
+func (a *Aggregator) IngestBatchAt(shardIdx int, nowNs int64, sessionID uint64, replies []wire.Prediction, pending phase.ID, latNs int64) {
+	if len(replies) == 0 {
 		return
 	}
-	a.ingested.Add(uint64(len(recs)))
+	a.ingested.Add(uint64(len(replies)))
 	sh := &a.shards[shardIdx]
 	sh.mu.Lock()
 	b := sh.bucketLocked(a, nowNs)
 	if b == nil {
 		sh.mu.Unlock()
-		a.lateSamples.Add(uint64(len(recs)))
+		a.lateSamples.Add(uint64(len(replies)))
 		return
 	}
-	served := uint64(0)
-	for i := range recs {
-		if b.count(recs[i].Class, recs[i].Setting, recs[i].Outcome) {
-			served++
+	for i := range replies {
+		p := &replies[i]
+		outcome := OutcomeMiss
+		switch pending {
+		case phase.None:
+			outcome = OutcomeUnscored
+		case phase.ID(p.Actual):
+			outcome = OutcomeHit
 		}
+		b.count(phase.Class(p.Class), dvfs.Setting(p.Setting), outcome)
+		pending = phase.ID(p.Next)
 	}
-	if served > 0 {
-		b.observeLatency(a, latNs, served)
-		b.sess.add(sessionID, served)
-	}
+	b.observeLatency(a, latNs, uint64(len(replies)))
+	b.sess.add(sessionID, uint64(len(replies)))
 	sh.mu.Unlock()
 }
 

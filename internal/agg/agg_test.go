@@ -233,14 +233,17 @@ func TestMergerTotalsMatchFeed(t *testing.T) {
 }
 
 // TestBatchIngestEqualsSingle is the batch ingest's equivalence
-// property: a seeded stream of random batches fed through
+// property: a seeded stream of random reply batches fed through
 // IngestBatchAt flushes byte-identical Rollup frames, and leaves
 // identical self-telemetry, to the same samples fed one at a time
-// through IngestAt at the same instant and latency. The batches mix
-// every outcome, out-of-grid classes and settings (the cellFor clamp),
-// session id 0 (the table's sentinel key), negative and overflow
-// latencies, and instants that fall behind the ring (late) or jump
-// past an unflushed window (lapped slot).
+// through IngestAt at the same instant and latency, each with the
+// outcome the monitor scored: unscored under a pending phase.None, a
+// hit when the pending prediction matched the reply's Actual, a miss
+// otherwise, the next pending prediction being the reply's Next. The
+// batches mix every served outcome, out-of-grid classes and settings
+// (the cellFor clamp), session id 0 (the table's sentinel key),
+// negative and overflow latencies, and instants that fall behind the
+// ring (late) or jump past an unflushed window (lapped slot).
 func TestBatchIngestEqualsSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const (
@@ -274,8 +277,7 @@ func TestBatchIngestEqualsSingle(t *testing.T) {
 		gotBuf, wantBuf = got, want
 	}
 
-	outcomes := []Outcome{OutcomeUnscored, OutcomeHit, OutcomeHit, OutcomeMiss, OutcomeMiss, OutcomeShed, Outcome(9)}
-	var recs []Record
+	var replies []wire.Prediction
 	nowNs := int64(50_000)
 	for batch := 0; batch < 3000; batch++ {
 		switch r := rng.Intn(20); {
@@ -289,17 +291,26 @@ func TestBatchIngestEqualsSingle(t *testing.T) {
 		shard := rng.Intn(shards)
 		sid := uint64(rng.Intn(40))
 		latNs := int64(rng.Intn(300_000)) - 1000 // negative through the overflow bucket
-		recs = recs[:0]
+		replies = replies[:0]
 		for n := 1 + rng.Intn(80); n > 0; n-- {
-			recs = append(recs, Record{
-				Class:   phase.Class(rng.Intn(wire.RollupClasses + 3)),
-				Setting: dvfs.Setting(rng.Intn(wire.RollupSettings+4) - 2),
-				Outcome: outcomes[rng.Intn(len(outcomes))],
+			replies = append(replies, wire.Prediction{
+				Actual:  uint8(1 + rng.Intn(3)),
+				Next:    uint8(rng.Intn(4)), // phase.None now and then
+				Class:   uint8(rng.Intn(wire.RollupClasses + 3)),
+				Setting: uint8(rng.Intn(256)),
 			})
 		}
-		batched.IngestBatchAt(shard, nowNs, sid, recs, latNs)
-		for _, r := range recs {
-			single.IngestAt(shard, nowNs, sid, r.Class, r.Setting, r.Outcome, latNs)
+		pending := phase.ID(rng.Intn(4))
+		batched.IngestBatchAt(shard, nowNs, sid, replies, pending, latNs)
+		for _, p := range replies {
+			outcome := OutcomeMiss
+			if pending == phase.None {
+				outcome = OutcomeUnscored
+			} else if pending == phase.ID(p.Actual) {
+				outcome = OutcomeHit
+			}
+			single.IngestAt(shard, nowNs, sid, phase.Class(p.Class), dvfs.Setting(p.Setting), outcome, latNs)
+			pending = phase.ID(p.Next)
 		}
 		if rng.Intn(25) == 0 {
 			flush(nowNs-int64(rng.Intn(2*bucketLen)), false)
@@ -340,13 +351,14 @@ func TestIngestZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("ingest allocs/op = %v, want 0", n)
 	}
-	recs := make([]Record, 64)
-	for i := range recs {
-		recs[i] = Record{Class: phase.Class(i % wire.RollupClasses), Setting: dvfs.Setting(i % wire.RollupSettings), Outcome: Outcome(1 + i%2)}
+	replies := make([]wire.Prediction, 64)
+	for i := range replies {
+		replies[i] = wire.Prediction{Actual: uint8(1 + i%3), Next: uint8(1 + i%2),
+			Class: uint8(i % wire.RollupClasses), Setting: uint8(i % wire.RollupSettings)}
 	}
 	if n := testing.AllocsPerRun(10_000, func() {
 		sid = sid%64 + 1
-		a.IngestBatchAt(1, 500_000, sid, recs, 1234)
+		a.IngestBatchAt(1, 500_000, sid, replies, 1, 1234)
 	}); n != 0 {
 		t.Errorf("batch ingest allocs/op = %v, want 0", n)
 	}
@@ -454,15 +466,18 @@ func BenchmarkRollupIngest(b *testing.B) {
 	})
 	b.Run("batch64", func(b *testing.B) {
 		a := warm()
-		recs := make([]Record, 64)
-		for i := range recs {
-			recs[i] = Record{Class: phase.ClassMemoryHeavy, Setting: dvfs.SpeedStep800, Outcome: OutcomeHit}
+		// Every reply a hit: Actual is the pending prediction, and
+		// Next predicts the same phase again.
+		replies := make([]wire.Prediction, 64)
+		for i := range replies {
+			replies[i] = wire.Prediction{Actual: 3, Next: 3,
+				Class: uint8(phase.ClassMemoryHeavy), Setting: uint8(dvfs.SpeedStep800)}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i += len(recs) {
-			sid := uint64(i/len(recs))%256 + 1
-			a.IngestBatchAt(0, 1000, sid, recs[:min(len(recs), b.N-i)], 1234)
+		for i := 0; i < b.N; i += len(replies) {
+			sid := uint64(i/len(replies))%256 + 1
+			a.IngestBatchAt(0, 1000, sid, replies[:min(len(replies), b.N-i)], 3, 1234)
 		}
 	})
 }

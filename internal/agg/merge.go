@@ -264,7 +264,9 @@ func (m *Merger) Snapshot(topN int) View {
 		if v.Samples > 0 {
 			v.Settings[s].Share = float64(settingSamples[s]) / float64(v.Samples)
 		}
-		vfSum += float64(settingSamples[s]) * p.VoltageV * p.VoltageV * p.FrequencyHz
+		// float64 rounds the product before the add, so no architecture
+		// fuses the two.
+		vfSum += float64(float64(settingSamples[s]) * p.VoltageV * p.VoltageV * p.FrequencyHz)
 	}
 	if v.Samples > 0 {
 		v.PowerProxy = vfSum / (float64(v.Samples) * vfTop)

@@ -79,7 +79,9 @@ func (p *DurationPredictor) Observe(o Observation) phase.ID {
 		if p.avgRun[i] == 0 {
 			p.avgRun[i] = float64(p.runLen)
 		} else {
-			p.avgRun[i] = p.alpha*float64(p.runLen) + (1-p.alpha)*p.avgRun[i]
+			// float64 rounds each product before the add, so no
+			// architecture fuses them.
+			p.avgRun[i] = float64(p.alpha*float64(p.runLen)) + float64((1-p.alpha)*p.avgRun[i])
 		}
 		p.succ[i][int(actual)-1]++
 		p.current = actual

@@ -103,8 +103,8 @@ type GPHT struct {
 
 var _ StatefulPredictor = (*GPHT)(nil)
 
-// NewGPHT builds the predictor. A monitor that steps it with
-// telemetry attached reports its PHT lookup outcomes to the hub.
+// NewGPHT builds the predictor. Every Observe is one PHT lookup,
+// counted as a hit or a miss (PHTLookups).
 func NewGPHT(cfg GPHTConfig) (*GPHT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -134,6 +134,17 @@ func MustNewGPHT(cfg GPHTConfig) *GPHT {
 
 // Name implements Predictor.
 func (g *GPHT) Name() string { return g.name }
+
+// PHTLookups returns p's running PHT lookup counts when p is a GPHT,
+// and zeros otherwise. Every Observe counts one lookup, so a stepping
+// loop that publishes telemetry reads them before and after a batch
+// and publishes the difference.
+func PHTLookups(p Predictor) (hits, misses uint64) {
+	if g, ok := p.(*GPHT); ok {
+		return g.hits, g.misses
+	}
+	return 0, 0
+}
 
 // TableEntries reports the PHT capacity; the kernel module uses it to
 // model the handler's associative-search cost.

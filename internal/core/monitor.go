@@ -6,20 +6,18 @@ import (
 	"phasemon/internal/cpusim"
 	"phasemon/internal/phase"
 	"phasemon/internal/stats"
-	"phasemon/internal/telemetry"
 )
 
 // Monitor binds phase classification and prediction into the sampling
 // loop: the PMI handler feeds it one Sample per interval and gets back
 // the interval's classified phase plus the prediction for the next
 // interval. It also keeps the running prediction-accuracy accounting
-// the paper's kernel log maintains.
+// the paper's kernel log maintains. It records no telemetry: a
+// stepping loop that publishes some folds each interval's (sample,
+// actual, next) itself, once, from the record it already keeps.
 type Monitor struct {
 	cls  phase.Classifier
 	pred Predictor
-	// gpht is pred when it is a *GPHT: an observed step reports its
-	// PHT lookup outcome.
-	gpht *GPHT
 
 	lastPrediction phase.ID
 	lastActual     phase.ID
@@ -28,9 +26,7 @@ type Monitor struct {
 	steps          int
 }
 
-// NewMonitor builds a monitor around a classifier and predictor. The
-// monitor holds no telemetry hub: the stepping loop that drives it
-// owns one and passes its batch to StepAt.
+// NewMonitor builds a monitor around a classifier and predictor.
 func NewMonitor(cls phase.Classifier, pred Predictor) (*Monitor, error) {
 	if cls == nil || pred == nil {
 		return nil, fmt.Errorf("core: monitor needs a classifier and a predictor")
@@ -39,9 +35,7 @@ func NewMonitor(cls phase.Classifier, pred Predictor) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Monitor{cls: cls, pred: pred, confusion: conf}
-	m.gpht, _ = pred.(*GPHT)
-	return m, nil
+	return &Monitor{cls: cls, pred: pred, confusion: conf}, nil
 }
 
 // Predictor returns the monitor's predictor.
@@ -50,71 +44,29 @@ func (m *Monitor) Predictor() Predictor { return m.pred }
 // Step processes one completed sampling interval: it classifies the
 // sample, scores the pending prediction against it, and produces the
 // next prediction. The first interval is not scored (there was nothing
-// to predict it from). It records no telemetry; an observed loop steps
-// through StepAt.
+// to predict it from).
 //
 //lint:hotpath
 func (m *Monitor) Step(s phase.Sample) (actual, next phase.ID) {
-	return m.StepAt(s, nil, 0)
-}
-
-// StepAt is Step with the step's telemetry recorded into b, a batch
-// the calling loop owns and publishes, its journal events stamped
-// unixNs (Unix nanoseconds, normally the loop's hub clock reading for
-// the interval or batch). A nil b records nothing. Neither b nor the
-// stamp touches classification or prediction.
-//
-//lint:hotpath
-func (m *Monitor) StepAt(s phase.Sample, b *telemetry.StepBatch, unixNs int64) (actual, next phase.ID) {
 	actual = m.cls.Classify(s)
-	scored := m.steps > 0
-	if scored {
+	if m.steps > 0 {
 		m.tally.Record(m.lastPrediction, actual)
 		m.confusion.Record(m.lastPrediction, actual)
 	}
-	if b == nil {
-		next = m.pred.Observe(Observation{Sample: s, Phase: actual})
-	} else {
-		next = m.observeInto(b, s, actual, scored, unixNs)
-	}
+	next = m.pred.Observe(Observation{Sample: s, Phase: actual})
 	m.lastActual = actual
 	m.lastPrediction = next
 	m.steps++
 	return actual, next
 }
 
-// observeInto is the observed half of StepAt: it runs the predictor
-// and records the step — Mem/Uop reading, gauges that moved, the
-// scored verdict and any phase transition, the PHT lookup outcome —
-// into b.
-func (m *Monitor) observeInto(b *telemetry.StepBatch, s phase.Sample, actual phase.ID, scored bool, unixNs int64) phase.ID {
-	var hits uint64
-	if m.gpht != nil {
-		hits = m.gpht.hits
-	}
-	next := m.pred.Observe(Observation{Sample: s, Phase: actual})
-	if m.gpht != nil {
-		b.GPHTLookup(m.gpht.hits != hits)
-	}
-	b.Step(s.MemPerUop)
-	if actual != m.lastActual {
-		b.Current(int(actual))
-	}
-	if next != m.lastPrediction {
-		b.Predicted(int(next))
-	}
-	if scored {
-		b.Prediction(m.steps, int(m.lastPrediction), int(actual), unixNs)
-		if actual != m.lastActual {
-			b.Transition(m.steps, int(m.lastActual), int(actual), unixNs)
-		}
-	}
-	return next
-}
-
 // LastPrediction returns the prediction pending for the interval
 // currently executing.
 func (m *Monitor) LastPrediction() phase.ID { return m.lastPrediction }
+
+// LastActual returns the phase the last stepped interval classified
+// as, phase.None before the first step.
+func (m *Monitor) LastActual() phase.ID { return m.lastActual }
 
 // Tally returns a copy of the prediction accounting.
 func (m *Monitor) Tally() stats.Tally { return m.tally }

@@ -146,7 +146,9 @@ func (p *fixedWindow) Observe(o Observation) phase.ID {
 			p.ema = o.Sample.MemPerUop
 			p.emaInit = true
 		} else {
-			p.ema = alpha*o.Sample.MemPerUop + (1-alpha)*p.ema
+			// float64 rounds each product before the add, so no
+			// architecture fuses them.
+			p.ema = float64(alpha*o.Sample.MemPerUop) + float64((1-alpha)*p.ema)
 		}
 		return p.cls.Classify(phase.Sample{MemPerUop: p.ema})
 	case ModeMean:

@@ -192,9 +192,9 @@ func TestRegisteredPredictorsSorted(t *testing.T) {
 
 func TestWithTelemetryViaMonitorForwards(t *testing.T) {
 	// The GPHT takes no hub of its own: the observed step that drives
-	// it reports each PHT lookup, so the hub's counters mirror the
-	// predictor's own accounting exactly, and a predictor without a
-	// PHT reports none.
+	// it publishes the difference of its PHT lookup counts, so the
+	// hub's counters mirror the predictor's own accounting exactly,
+	// and a predictor without a PHT reports none.
 	hub := telemetry.NewHub(6)
 	g := MustNewGPHT(DefaultGPHTConfig())
 	mon, err := NewMonitor(phase.Default(), g)

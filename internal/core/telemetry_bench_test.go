@@ -41,8 +41,8 @@ func benchmarkStep(b *testing.B, hub *telemetry.Hub) {
 func BenchmarkMonitorStep(b *testing.B) { benchmarkStep(b, nil) }
 
 // BenchmarkTelemetryStep is the guard for the instrumentation budget:
-// each step is StepAt into a batch, one hub clock reading and one
-// Publish, an observed stepping loop's per-interval shape. Compare its
+// each step is a bare Step folded into a batch, one hub clock reading
+// and one Publish, an observed stepping loop's per-interval shape. Compare its
 // ns/op against BenchmarkMonitorStep; targets (documented here and in
 // DESIGN.md, not enforced):
 //

@@ -8,22 +8,37 @@ import (
 	"phasemon/internal/telemetry"
 )
 
+// foldStep steps mon bare and folds the interval into b the way an
+// observed stepping loop does (kernelsim.HandlePMI): what the monitor
+// held before the step, its (actual, next), the sample's Mem/Uop
+// reading, and the step's PHT lookups as the difference of the
+// predictor's counts, journaled stamped unixNs.
+func foldStep(mon *Monitor, b *telemetry.StepBatch, s phase.Sample, unixNs int64) (actual, next phase.ID) {
+	step, prev, pending := mon.steps, mon.LastActual(), mon.LastPrediction()
+	hits, misses := PHTLookups(mon.Predictor())
+	actual, next = mon.Step(s)
+	nowHits, nowMisses := PHTLookups(mon.Predictor())
+	b.GPHTLookups(nowHits-hits, nowMisses-misses)
+	b.Fold(step, s.MemPerUop, int(prev), int(pending), int(actual), int(next), unixNs)
+	return actual, next
+}
+
 // observedStep returns a step function that drives mon the way an
-// observed stepping loop does: each step recorded into the loop's own
+// observed stepping loop does: each step folded into the loop's own
 // StepBatch, stamped with one hub clock reading, and published before
 // the next.
 func observedStep(mon *Monitor, hub *telemetry.Hub) func(phase.Sample) (phase.ID, phase.ID) {
 	b := hub.NewStepBatch()
 	return func(s phase.Sample) (phase.ID, phase.ID) {
-		actual, next := mon.StepAt(s, b, hub.Now().UnixNano())
+		actual, next := foldStep(mon, b, s, hub.Now().UnixNano())
 		b.Publish()
 		return actual, next
 	}
 }
 
 // TestMonitorStepInstrumentation verifies the instrument flow of an
-// observed step end to end, including the GPHT hit/miss counters the
-// monitor reports for its predictor.
+// observed step end to end, including the GPHT hit/miss counters read
+// from the predictor around the step.
 func TestMonitorStepInstrumentation(t *testing.T) {
 	cls := phase.Default()
 	gpht := MustNewGPHT(GPHTConfig{GPHRDepth: 2, PHTEntries: 16, NumPhases: cls.NumPhases()})
@@ -73,7 +88,7 @@ func TestMonitorStepInstrumentation(t *testing.T) {
 		t.Errorf("monitor accounting disturbed: steps=%d tally=%d", mon.steps, mon.Tally().Total())
 	}
 
-	// Step records nothing: the monitor holds no hub.
+	// A bare Step records nothing: the monitor holds no hub.
 	mon.Step(phase.Sample{MemPerUop: 0.001, UPC: 1.5})
 	if got := hub.Steps.Value(); got != 2 {
 		t.Errorf("Step leaked into the hub: steps = %d", got)
@@ -105,14 +120,13 @@ func TestMonitorStepsMatchWithAndWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// TestStepAtStampsCallerTime pins the publication contract of the
-// observed step: StepAt records into the caller's batch — the hub sees
+// TestFoldStampsCallerTime pins the publication contract of the
+// observed step: Fold records into the caller's batch — the hub sees
 // nothing until the caller publishes — and stamps every event it
-// journals with the caller's timestamp. A batch of many steps
-// published once and a batch published after every step predict
-// identically and leave identical hub counters, journals and
-// confusion matrices.
-func TestStepAtStampsCallerTime(t *testing.T) {
+// journals with the caller's timestamp. A batch of many folded steps
+// published once and a batch published after every step leave
+// identical hub counters, journals and confusion matrices.
+func TestFoldStampsCallerTime(t *testing.T) {
 	cls := phase.Default()
 	atHub, stepHub := telemetry.NewHub(cls.NumPhases()), telemetry.NewHub(cls.NumPhases())
 	mk := func() *Monitor {
@@ -130,11 +144,11 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 	const steps = 30
 	for i := 0; i < steps; i++ {
 		s := samples[i%len(samples)]
-		a1, n1 := at.StepAt(s, batch, 777)
+		a1, n1 := foldStep(at, batch, s, 777)
 		if got := atHub.Steps.Value(); got != 0 {
-			t.Fatalf("step %d: StepAt reached the hub before publication (steps = %d)", i, got)
+			t.Fatalf("step %d: Fold reached the hub before publication (steps = %d)", i, got)
 		}
-		a2, n2 := stepped.StepAt(s, own, 777)
+		a2, n2 := foldStep(stepped, own, s, 777)
 		own.Publish()
 		if a1 != a2 || n1 != n2 {
 			t.Fatalf("step %d: batched (%v,%v) diverged from per-step (%v,%v)", i, a1, n1, a2, n2)
@@ -144,7 +158,7 @@ func TestStepAtStampsCallerTime(t *testing.T) {
 		}
 	}
 	if atHub.Journal.Len() != 0 {
-		t.Fatal("StepAt journaled before publication")
+		t.Fatal("Fold journaled before publication")
 	}
 	batch.Publish()
 	for _, e := range atHub.Journal.Recent(0) {

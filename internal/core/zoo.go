@@ -534,15 +534,17 @@ func (p *linReg) Observe(o Observation) phase.ID {
 		}
 		v := p.ring[idx]
 		sy += v
-		sxy += float64(i) * v
+		sxy += float64(float64(i) * v)
 	}
+	// float64 rounds each product before its add or subtract (in the
+	// sxy sum too), so no architecture fuses them.
 	fm := float64(m)
 	sx := fm * (fm - 1) / 2
 	sxx := fm * (fm - 1) * (2*fm - 1) / 6
-	denom := fm*sxx - sx*sx
-	slope := (fm*sxy - sx*sy) / denom
-	intercept := (sy - slope*sx) / fm
-	next := intercept + slope*fm
+	denom := float64(fm*sxx) - float64(sx*sx)
+	slope := (float64(fm*sxy) - float64(sx*sy)) / denom
+	intercept := (sy - float64(slope*sx)) / fm
+	next := intercept + float64(slope*fm)
 	if next < 0 {
 		next = 0
 	}

@@ -57,11 +57,11 @@ type Config struct {
 	// allocation-free until it stops growing.
 	Log []Entry
 	// Telemetry, when non-nil, observes the run live. The PMI handler
-	// is its only holder: it records each interval's verdict, phase
-	// transition, DVFS change and PMI sample into its own StepBatch
-	// under one hub clock reading and publishes the batch once per
-	// interval. Nil (the default) leaves the run unobserved at
-	// near-zero cost.
+	// is its only holder: it folds each interval's kernel-log entry —
+	// verdict, phase transition — and records its DVFS change and PMI
+	// sample into its own StepBatch under one hub clock reading, and
+	// publishes the batch once per interval. Nil (the default) leaves
+	// the run unobserved at near-zero cost.
 	Telemetry *telemetry.Hub
 }
 
@@ -200,9 +200,18 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	}
 
 	// Translate counter readings to the corresponding phase and update
-	// the predictor state / predict the next phase.
+	// the predictor state / predict the next phase. An observed
+	// handler notes what the monitor held before the step, for the
+	// fold below.
+	mon := mod.cfg.Monitor
+	var prev, pending phase.ID
+	var hits, misses uint64
+	if mod.tel != nil {
+		prev, pending = mon.LastActual(), mon.LastPrediction()
+		hits, misses = core.PHTLookups(mon.Predictor())
+	}
 	s := phase.FromCounters(uops, memTx, cycles)
-	actual, next := mod.cfg.Monitor.StepAt(s, mod.tel, nowNs)
+	actual, next := mon.Step(s)
 
 	// The logged interval ran at the setting current *before* this
 	// handler's actuation.
@@ -231,9 +240,13 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	e.Predicted = next
 	e.Setting = ranAt
 
-	// Journal the actuation and the sample after the monitor's verdict
-	// and transition, and publish the interval's telemetry at once.
+	// Fold the entry — verdict and transition — then journal the
+	// actuation and the sample, and publish the interval's telemetry
+	// at once.
 	if mod.tel != nil {
+		nowHits, nowMisses := core.PHTLookups(mon.Predictor())
+		mod.tel.GPHTLookups(nowHits-hits, nowMisses-misses)
+		mod.tel.Fold(e.Index, e.MemPerUop, int(prev), int(pending), int(e.Actual), int(e.Predicted), nowNs)
 		if set := m.DVFS().Current(); set != ranAt {
 			mod.tel.DVFSChange(mod.index, int(ranAt), int(set), nowNs)
 		}
@@ -290,7 +303,9 @@ const BudgetS = 50e-6
 func HandlerCost(p core.Predictor) float64 {
 	cost := baseHandlerCostS
 	if s, ok := p.(interface{ TableEntries() int }); ok {
-		cost += float64(s.TableEntries()) * perEntrySearchCostS
+		// float64 rounds the product before the add, so no architecture
+		// fuses the two.
+		cost += float64(float64(s.TableEntries()) * perEntrySearchCostS)
 	}
 	return cost
 }

@@ -12,13 +12,15 @@ import (
 // translation, prediction assembly — with the transport excluded.
 // Together with BenchmarkWireRoundTrip it bounds the server's
 // per-sample CPU cost; the steady state must not allocate. Sessions
-// are built by newSession, exactly as the server builds them: bare
-// serves unobserved, hub serves with a telemetry hub as cmd/phased
-// always does (step counters, gauges, accuracy matrix and journal):
-// each step records into a worker-style StepBatch that is published,
-// and the hub clock read, once per 64 samples, as a worker does once
-// per session batch. Both step one warm session; interleaved steps as
-// a busy server does (benchmarkInterleaved).
+// are built by newSession, exactly as the server builds them, and
+// served 64 samples at a time through worker.serve, the worker's own
+// batch step, with the hub clock read once per batch as a worker does:
+// bare serves unobserved (the bare steps alone), hub serves with a
+// telemetry hub as cmd/phased always does, so each batch's replies are
+// also folded once into the worker's StepBatch (step counters, gauges,
+// accuracy matrix and journal) and published. Both step one warm
+// session; interleaved steps as a busy server does
+// (benchmarkInterleaved).
 func BenchmarkSessionStep(b *testing.B) {
 	b.Run("interleaved", benchmarkInterleaved)
 	for _, bc := range []struct {
@@ -37,39 +39,38 @@ func BenchmarkSessionStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			smp := wire.Sample{SessionID: 1, Uops: 100e6, Cycles: 90e6}
-			var p wire.Prediction
-			tel := bc.hub.NewStepBatch()
-			var nowNs int64
+			// Mem/Uop cycles with period 7 across batches: 7 batches of
+			// 64 samples repeat the pattern exactly.
+			smps := make([]wire.Sample, 7*batchLen)
+			for i := range smps {
+				smps[i] = wire.Sample{SessionID: 1, Seq: uint64(i), Uops: 100e6, MemTx: uint64(i%7) * 1e6, Cycles: 90e6}
+			}
+			preds := make([]wire.Prediction, batchLen)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%64 == 0 {
-					nowNs = srv.clock().UnixNano()
-				}
-				smp.Seq = uint64(i)
-				smp.MemTx = uint64(i%7) * 1e6
-				_ = sess.step(&smp, &p, 0, tel, nowNs)
-				if i%64 == 63 {
-					tel.Publish()
-				}
+			for i := 0; i < b.N; i += batchLen {
+				n := min(batchLen, b.N-i)
+				off := i % len(smps)
+				sess.w.serve(sess, preds[:n], smps[off:off+n], nil, 0, srv.clock().UnixNano())
 			}
-			tel.Publish()
 		})
 	}
 }
 
+// batchLen is the session batch the benchmarks serve.
+const batchLen = 64
+
 // benchmarkInterleaved is SessionStep as a loaded server runs it: 128
 // gpht_8_128 sessions, each replaying the recorded counters of a
 // monitor-only governed run of applu_in, gzip_graphic, swim_in or
-// mcf_inp (the workloads phasefeed -check replays), step 64-sample
-// batches in turn through one worker StepBatch, published once per
-// batch. Every session's tables compete for the cache, as they do in
-// phased; one warm-up round fills them before timing starts.
+// mcf_inp (the workloads phasefeed -check replays), are served in
+// 64-sample batches in turn through worker.serve, each batch folded
+// into the worker's StepBatch and published once. Every session's
+// tables compete for the cache, as they do in phased; one warm-up
+// round fills them before timing starts.
 func benchmarkInterleaved(b *testing.B) {
 	const (
 		sessions  = 128
-		batch     = 64
 		intervals = 2048
 	)
 	var traces [][]wire.Sample
@@ -92,34 +93,27 @@ func benchmarkInterleaved(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Sessions replaying one workload start a batch apart.
-		cur[k] = (k / len(traces)) * batch % intervals
+		cur[k] = (k / len(traces)) * batchLen % intervals
 	}
-	tel := hub.NewStepBatch()
-	var (
-		nowNs int64
-		p     wire.Prediction
-	)
-	step := func(i int) {
-		if i%batch == 0 {
-			nowNs = srv.clock().UnixNano()
-		}
-		k := i / batch % sessions
+	preds := make([]wire.Prediction, batchLen)
+	// serve steps n samples of the next session in turn; a batch never
+	// wraps its trace, since batchLen divides the trace length.
+	next := 0
+	serve := func(n int) {
+		k := next
+		next = (next + 1) % sessions
 		tr := traces[k%len(traces)]
-		_ = sess[k].step(&tr[cur[k]], &p, 0, tel, nowNs)
-		if cur[k]++; cur[k] == len(tr) {
+		sess[k].w.serve(sess[k], preds[:n], tr[cur[k]:cur[k]+n], nil, 0, srv.clock().UnixNano())
+		if cur[k] += n; cur[k] == len(tr) {
 			cur[k] = 0
 		}
-		if i%batch == batch-1 {
-			tel.Publish()
-		}
 	}
-	for i := 0; i < sessions*batch; i++ {
-		step(i)
+	for k := 0; k < sessions; k++ {
+		serve(batchLen)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step(i)
+	for i := 0; i < b.N; i += batchLen {
+		serve(min(batchLen, b.N-i))
 	}
-	tel.Publish()
 }

@@ -521,8 +521,8 @@ func (s *Server) newSession(sc *serverConn, id uint64, spec []byte, snap *wire.S
 	if err != nil {
 		return nil, wire.CodeBadSpec, err
 	}
-	// The monitor carries no hub: served steps record their telemetry
-	// into the stepping worker's batch (worker.tel).
+	// The monitor carries no hub: the stepping worker folds each
+	// served batch's replies into its own (worker.serve).
 	mon, err := core.NewMonitor(phase.Default(), pred)
 	if err != nil {
 		return nil, wire.CodeBadSpec, err

@@ -3,11 +3,9 @@ package phased
 import (
 	"fmt"
 
-	"phasemon/internal/agg"
 	"phasemon/internal/core"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/phase"
-	"phasemon/internal/telemetry"
 	"phasemon/internal/wire"
 )
 
@@ -129,33 +127,19 @@ type session struct {
 
 // step runs one sample through the session's monitor and fills p with
 // the prediction reply. It is the pure compute core of the serving
-// path — no locks, no I/O — and converts counters through
-// phase.FromCounters, as kernelsim.HandlePMI does, so a streamed
-// session is bit-identical to a local simulated run over the same
-// counters. dropped is the worker's snapshot of the session's
+// path — no locks, no I/O, no telemetry — and converts counters
+// through phase.FromCounters, as kernelsim.HandlePMI does, so a
+// streamed session is bit-identical to a local simulated run over the
+// same counters. dropped is the worker's snapshot of the session's
 // cumulative eviction count (taken under the worker lock, so step
-// itself stays lock-free). The step's telemetry goes into tel, the
-// worker's batch, its journal events stamped nowNs, the worker's clock
-// reading at batch start (core.Monitor.StepAt). p is written field by
+// itself stays lock-free). The reply is the sample's one record: the
+// worker folds the batch's replies into the hub and the rollup
+// afterwards (worker.serve, agg.IngestBatchAt). p is written field by
 // field: a composed copy stalls on store forwarding.
 //
-// The returned Outcome scores the prediction that was pending for this
-// interval, by the monitor's own rule (core.Monitor.Step): the first
-// interval is unscored, after that the pending prediction either hit
-// or missed the classified phase. It feeds the rollup pipeline, so a
-// bucket's hit/miss counts agree exactly with the monitors' tallies.
-func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64, tel *telemetry.StepBatch, nowNs int64) agg.Outcome {
-	in := phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles)
-	pending := s.mon.LastPrediction()
-	actual, next := s.mon.StepAt(in, tel, nowNs)
-	outcome := agg.OutcomeUnscored
-	if s.processed > 0 {
-		if pending == actual {
-			outcome = agg.OutcomeHit
-		} else {
-			outcome = agg.OutcomeMiss
-		}
-	}
+//lint:hotpath
+func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64) {
+	actual, next := s.mon.Step(phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles))
 	s.lastSeq = smp.Seq
 	s.processed++
 	p.SessionID = s.id
@@ -165,5 +149,4 @@ func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64, tel
 	p.Class = uint8(phase.ClassOf(next, s.numPhases))
 	p.Setting = uint8(s.trans.Setting(next))
 	p.Dropped = dropped
-	return outcome
 }

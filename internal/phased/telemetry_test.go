@@ -42,11 +42,27 @@ func telStreams(sessions, samples int) [][]wire.Sample {
 // several sessions share.
 func telStamp(s, b int) int64 { return int64(s+1)*1e9 + int64(b) }
 
-// stepReference steps every stream through core.Monitor.StepAt with
-// one publication per step — the simulated PMI handler's shape — into
-// a hub whose clock reads the stamp of the batch a worker would have
-// stepped the sample in, visiting the session batches in the given
-// order.
+// modelStep is the test's per-step model of an observed interval, the
+// simulated PMI handler's shape: it steps mon bare and folds the step
+// into tel from the monitor's own state around it — the phase and
+// prediction it held before, the step count, the sample's reading and
+// the PHT lookups as the predictor's counts before and after this one
+// step — then publishes the step alone.
+func modelStep(mon *core.Monitor, tel *telemetry.StepBatch, step int, smp *wire.Sample, nowNs int64) {
+	s := phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles)
+	prev, pending := mon.LastActual(), mon.LastPrediction()
+	hits, misses := core.PHTLookups(mon.Predictor())
+	actual, next := mon.Step(s)
+	nowHits, nowMisses := core.PHTLookups(mon.Predictor())
+	tel.GPHTLookups(nowHits-hits, nowMisses-misses)
+	tel.Fold(step, s.MemPerUop, int(prev), int(pending), int(actual), int(next), nowNs)
+	tel.Publish()
+}
+
+// stepReference steps every stream through modelStep, one publication
+// per step, into a hub whose clock reads the stamp of the batch a
+// worker would have stepped the sample in, visiting the session
+// batches in the given order.
 func stepReference(t *testing.T, streams [][]wire.Sample, k int, order [][2]int) *telemetry.Hub {
 	t.Helper()
 	cls := phase.Default()
@@ -66,9 +82,8 @@ func stepReference(t *testing.T, streams [][]wire.Sample, k int, order [][2]int)
 	for _, sb := range order {
 		s, b := sb[0], sb[1]
 		now = telStamp(s, b)
-		for _, smp := range streams[s][b*k : min((b+1)*k, len(streams[s]))] {
-			mons[s].StepAt(phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles), tel, hub.Now().UnixNano())
-			tel.Publish()
+		for i := b * k; i < min((b+1)*k, len(streams[s])); i++ {
+			modelStep(mons[s], tel, i, &streams[s][i], hub.Now().UnixNano())
 		}
 	}
 	return hub
@@ -92,15 +107,13 @@ func telSessions(t *testing.T, streams [][]wire.Sample, workers int) (*Server, [
 	return srv, sess, hub
 }
 
-// stepBatch steps session s's batch b of k samples as a worker does:
-// every step records into the worker's StepBatch, stamped with the
-// batch's time, and the batch is published once.
-func stepBatch(sess *session, tel *telemetry.StepBatch, stream []wire.Sample, s, b, k int) {
-	var p wire.Prediction
-	for i := b * k; i < min((b+1)*k, len(stream)); i++ {
-		sess.step(&stream[i], &p, 0, tel, telStamp(s, b))
-	}
-	tel.Publish()
+// stepBatch serves session s's batch b of k samples through worker w
+// as its run loop does: every sample stepped into its reply, then the
+// replies folded into w's StepBatch once, stamped with the batch's
+// time, and published.
+func stepBatch(w *worker, sess *session, stream []wire.Sample, s, b, k int) {
+	batch := stream[b*k : min((b+1)*k, len(stream))]
+	w.serve(sess, make([]wire.Prediction, len(batch)), batch, nil, 0, telStamp(s, b))
 }
 
 // batchOrder visits the session batches round-robin: batch 0 of every
@@ -129,8 +142,8 @@ func sessionEvents(evs []telemetry.Event) map[int64][]string {
 	return out
 }
 
-// assertHubsMatch compares what batched publication left in got with
-// what per-step publication left in want: exact counters, confusion
+// assertHubsMatch compares what the served fold left in got with what
+// the per-step model left in want: exact counters, confusion
 // matrix, Mem/Uop buckets and per-session journal subsequences, the
 // Mem/Uop sum up to float reassociation and, when the publication
 // order is deterministic, the final gauges.
@@ -191,10 +204,10 @@ func assertHubsMatch(t *testing.T, got, want *telemetry.Hub, gauges bool) {
 	}
 }
 
-// TestBatchedTelemetryEqualsPerStep: publishing served steps once per
+// TestBatchedTelemetryEqualsPerStep: folding served replies once per
 // session batch, through a worker's StepBatch, leaves the hub exactly
-// where publishing every step through core.Monitor.Step does, for
-// batches of 1, 7 and 64 over interleaved sessions.
+// where the per-step model (modelStep) does, for batches of 1, 7 and
+// 64 over interleaved sessions.
 func TestBatchedTelemetryEqualsPerStep(t *testing.T) {
 	const sessions, samples = 6, 150
 	streams := telStreams(sessions, samples)
@@ -203,9 +216,8 @@ func TestBatchedTelemetryEqualsPerStep(t *testing.T) {
 			order := batchOrder(sessions, samples, k, func(int) bool { return true })
 			want := stepReference(t, streams, k, order)
 			srv, sess, got := telSessions(t, streams, 1)
-			tel := srv.workers[0].tel
 			for _, sb := range order {
-				stepBatch(sess[sb[0]], tel, streams[sb[0]], sb[0], sb[1], k)
+				stepBatch(srv.workers[0], sess[sb[0]], streams[sb[0]], sb[0], sb[1], k)
 			}
 			assertHubsMatch(t, got, want, true)
 		})
@@ -213,7 +225,7 @@ func TestBatchedTelemetryEqualsPerStep(t *testing.T) {
 }
 
 // TestBatchedTelemetryTwoWorkers: two workers publishing their batches
-// into one hub concurrently leave it where per-step publication does,
+// into one hub concurrently leave it where the per-step model does,
 // up to the order of whole batches — which the journal comparison,
 // per session, and the counters, sums of integers, do not see. Run
 // under -race by make serve-race.
@@ -227,9 +239,8 @@ func TestBatchedTelemetryTwoWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tel := srv.workers[w].tel
 			for _, sb := range batchOrder(sessions, samples, k, func(s int) bool { return s%2 == w }) {
-				stepBatch(sess[sb[0]], tel, streams[sb[0]], sb[0], sb[1], k)
+				stepBatch(srv.workers[w], sess[sb[0]], streams[sb[0]], sb[0], sb[1], k)
 			}
 		}(w)
 	}

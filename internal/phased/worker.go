@@ -4,8 +4,7 @@ import (
 	"slices"
 	"sync"
 
-	"phasemon/internal/agg"
-	"phasemon/internal/dvfs"
+	"phasemon/internal/core"
 	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
 	"phasemon/internal/wire"
@@ -34,9 +33,8 @@ type worker struct {
 	snapBuf []byte // owned by the run goroutine
 	// spare is the empty ring run swaps in for a session's.
 	spare sampleRing // owned by the run goroutine
-	// tel collects the monitor-step telemetry of the session batch
-	// being stepped and publishes it to the server's hub once per
-	// batch; nil when the server is unobserved.
+	// tel is the hub batch serve folds each stepped session batch into
+	// and publishes once per batch; nil when the server is unobserved.
 	tel *telemetry.StepBatch // owned by the run goroutine
 }
 
@@ -59,27 +57,26 @@ func (w *worker) stop() {
 }
 
 // run is the worker loop: pop a session, take its whole pending batch,
-// step each sample through the monitor, hand the batch's predictions
-// to the connection's coalescer, and settle the batch (which flushes
-// the replies if nothing else is in flight there). The batch is taken
-// in one swap of the session's ring for the worker's empty spare
-// (every ring has QueueDepth slots) and stepped where the reader
-// decoded it; the reader refills the new ring meanwhile, and the
-// drained ring is the next spare. A session re-queues itself if more
+// serve it (step each sample through the monitor into its reply, then
+// fold the replies once into the hub), hand the replies to the
+// connection's coalescer, ingest them into the rollup, and settle the
+// batch (which flushes the replies if nothing else is in flight
+// there). The batch is taken in one swap of the session's ring for
+// the worker's empty spare (every ring has QueueDepth slots) and
+// stepped where the reader decoded it; the reader refills the new
+// ring meanwhile, and the drained ring is the next spare. A session re-queues itself if more
 // samples arrive mid-batch, preserving FIFO order because it is
 // always this one goroutine that processes it. Bookkeeping is per
-// batch: two clock reads, one hub publication, one coalescer section,
-// one histogram update and one rollup ingest, however many samples the
-// batch holds. The hub publication precedes the hand-off to the
+// batch: two clock reads, one hub fold and publication, one coalescer
+// section, one histogram update and one rollup ingest, however many
+// samples the batch holds; the replies are the batch's one record of
+// its samples. The hub publication precedes the hand-off to the
 // coalescer, so anything that has seen a reply also sees its step
 // counted in the hub.
 //
 //lint:hotpath
 func (w *worker) run() {
-	var (
-		preds []wire.Prediction
-		recs  []agg.Record
-	)
+	var preds []wire.Prediction
 	w.mu.Lock()
 	for {
 		for len(w.runq) == 0 && !w.stopped {
@@ -106,26 +103,15 @@ func (w *worker) run() {
 		if n := len(first) + len(wrapped); !closed && n > 0 {
 			start := w.srv.clock()
 			startNs := start.UnixNano()
-			preds, recs = slices.Grow(preds[:0], n)[:n], slices.Grow(recs[:0], n)[:n]
-			j := 0
-			for _, seg := range [...][]wire.Sample{first, wrapped} {
-				for i := range seg {
-					p, r := &preds[j], &recs[j]
-					r.Outcome = sess.step(&seg[i], p, dropped, w.tel, startNs)
-					// Class/Setting come from the prediction: the pair the
-					// translation will actually apply next interval.
-					r.Class, r.Setting = phase.Class(p.Class), dvfs.Setting(p.Setting)
-					j++
-				}
-			}
-			w.tel.Publish()
+			preds = slices.Grow(preds[:0], n)[:n]
+			pending := w.serve(sess, preds, first, wrapped, dropped, startNs)
 			err := sess.conn.writePredictions(preds, startNs)
 			// Every sample of the batch is recorded at the batch's mean
 			// latency: counts and sums stay exact with one clock read
 			// at each end of the batch.
 			elapsed := w.srv.clock().Sub(start)
 			w.srv.frameSeconds.ObserveN(elapsed.Seconds()/float64(n), n)
-			w.srv.agg.IngestBatchAt(w.idx, startNs, sess.id, recs, elapsed.Nanoseconds()/int64(n))
+			w.srv.agg.IngestBatchAt(w.idx, startNs, sess.id, preds, pending, elapsed.Nanoseconds()/int64(n))
 			if err == nil {
 				err = sess.conn.settle(n)
 			}
@@ -175,4 +161,47 @@ func (w *worker) run() {
 
 		w.mu.Lock()
 	}
+}
+
+// serve steps a session batch — the ring's two segments, oldest first
+// — into preds, one reply per sample, then folds the replies once into
+// the worker's StepBatch and publishes it: each reply's (Actual, Next)
+// against the reply before it (the monitor's state before the batch,
+// for the first), its Mem/Uop reading recomputed from its sample, its
+// journal events stamped nowNs, and the batch's PHT lookups as the
+// difference of the predictor's running counts. It returns the
+// prediction pending before the batch, which the rollup ingest scores
+// the first reply against.
+//
+//lint:hotpath
+func (w *worker) serve(sess *session, preds []wire.Prediction, first, wrapped []wire.Sample, dropped uint64, nowNs int64) phase.ID {
+	mon := sess.mon
+	pending, lastActual, step := mon.LastPrediction(), mon.LastActual(), int(sess.processed)
+	hits, misses := core.PHTLookups(mon.Predictor())
+	segs := [...][]wire.Sample{first, wrapped}
+	j := 0
+	for _, seg := range segs {
+		for i := range seg {
+			sess.step(&seg[i], &preds[j], dropped)
+			j++
+		}
+	}
+	if w.tel == nil {
+		return pending
+	}
+	nowHits, nowMisses := core.PHTLookups(mon.Predictor())
+	w.tel.GPHTLookups(nowHits-hits, nowMisses-misses)
+	lastNext := pending
+	j = 0
+	for _, seg := range segs {
+		for i := range seg {
+			p := &preds[j]
+			mem := phase.FromCounters(seg[i].Uops, seg[i].MemTx, seg[i].Cycles).MemPerUop
+			w.tel.Fold(step+j, mem, int(lastActual), int(lastNext), int(p.Actual), int(p.Next), nowNs)
+			lastActual, lastNext = phase.ID(p.Actual), phase.ID(p.Next)
+			j++
+		}
+	}
+	w.tel.Publish()
+	return pending
 }

@@ -59,16 +59,14 @@ func BenchmarkJournalRecord(b *testing.B) {
 }
 
 // BenchmarkStepBatchPublish costs one monitor step's telemetry —
-// histogram sample, verdict, transition — recorded into a StepBatch
-// and published in batches of 64, the phased worker's shape.
+// histogram sample, verdict, transition — folded into a StepBatch and
+// published in batches of 64, the phased worker's shape.
 func BenchmarkStepBatchPublish(b *testing.B) {
 	h := NewHub(6)
 	sb := h.NewStepBatch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sb.Step(float64(i%7) * 0.006)
-		sb.Prediction(i, i%6+1, (i/2)%6+1, int64(i))
-		sb.Transition(i, (i/2)%6+1, i%6+1, int64(i))
+		sb.Fold(i, float64(i%7)*0.006, i%6+1, (i/2)%6+1, i%6+1, (i/2)%6+1, int64(i))
 		if i%64 == 63 {
 			sb.Publish()
 		}

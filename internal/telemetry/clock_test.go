@@ -20,20 +20,20 @@ func TestWithClockStampsEvents(t *testing.T) {
 	h := NewHub(6, WithClock(clock))
 
 	b := h.NewStepBatch()
-	b.Prediction(0, 2, 2, h.Now().UnixNano())
-	b.Publish()
-	b.Transition(1, 2, 3, h.Now().UnixNano())
+	b.Fold(0, 0.01, 2, 2, 2, 2, h.Now().UnixNano()) // a verdict
 	b.Publish()
 	b.DVFSChange(1, 0, 4, h.Now().UnixNano())
 	b.PMISample(2, 0.01, 1.5, h.Now().UnixNano())
 	b.Publish()
+	b.Fold(3, 0.01, 2, 3, 3, 3, h.Now().UnixNano()) // a verdict and a transition
+	b.Publish()
 
 	events := h.Journal.Recent(0)
-	if len(events) != 4 {
-		t.Fatalf("journal holds %d events, want 4", len(events))
+	if len(events) != 5 {
+		t.Fatalf("journal holds %d events, want 5", len(events))
 	}
 	for i, e := range events {
-		want := int64(i+1) * 1_000_000
+		want := int64(min(i, 3)+1) * 1_000_000
 		if e.UnixNs != want {
 			t.Errorf("event %d (%v): UnixNs = %d, want %d", i, e.Kind, e.UnixNs, want)
 		}

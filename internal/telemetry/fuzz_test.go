@@ -115,10 +115,10 @@ func FuzzJournalRecent(f *testing.F) {
 				x, y := rng.Intn(8), rng.Intn(8)
 				ns := rng.Int63()
 				switch rng.Intn(4) {
-				case 0:
-					b.Prediction(step, x, y, ns)
-				case 1:
-					b.Transition(step, x, y, ns)
+				case 0: // a verdict alone (none when x is 0, phase.None)
+					b.Fold(step, 0.01, y, x, y, x, ns)
+				case 1: // a verdict, then a transition when x != y
+					b.Fold(step, 0.01, x, y, y, y, ns)
 				case 2:
 					b.DVFSChange(step, x, y, ns)
 				default:

@@ -16,12 +16,8 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	if b != nil {
 		t.Error("nil Hub NewStepBatch() non-nil")
 	}
-	b.Step(0.01)
-	b.Current(2)
-	b.Predicted(2)
-	b.GPHTLookup(true)
-	b.Prediction(1, 2, 2, 0)
-	b.Transition(1, 1, 2, 0)
+	b.Fold(1, 0.01, 1, 2, 2, 3, 0)
+	b.GPHTLookups(1, 1)
 	b.DVFSChange(1, 0, 3, 0)
 	b.PMISample(1, 0.01, 1.2, 0)
 	b.Publish()

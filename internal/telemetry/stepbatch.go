@@ -22,9 +22,12 @@ type stepEvent struct {
 // hit/miss counts, the last current and predicted phase and DVFS
 // setting, and the batch's journal events.
 //
-// A StepBatch is owned by one stepping loop — the simulated PMI
-// handler and the live loops publish theirs once per interval, a
-// phased worker once per session batch — and Publish is the only
+// A StepBatch is owned by one stepping loop, which steps its monitor
+// bare and folds each interval in once (Fold) from the record it
+// already keeps — the simulated PMI handler its kernel-log entry, the
+// live loops their (sample, actual, next), a phased worker its reply
+// slice. The PMI handler and the live loops publish once per
+// interval, a phased worker once per session batch; Publish is the only
 // writer of the journal and of the step, PMI and DVFS instruments: one
 // atomic add per non-zero cell, one store per gauge that moved and one
 // journal lock section for the whole batch. Like every hub handle it
@@ -70,51 +73,61 @@ func (h *Hub) NewStepBatch() *StepBatch {
 	}
 }
 
-// Step counts one monitor step and its sample's Mem/Uop reading. A NaN
-// reading counts the step but, as in Histogram.Observe, no bucket.
+// Fold records one monitored interval from the loop's own record of
+// it: its step index, its sample's Mem/Uop reading, the phase the
+// previous interval classified as (prev), the prediction pending for
+// this one (pending), and this interval's classified phase and
+// prediction (actual, next). It counts the step and buckets the
+// reading (a NaN reading counts the step but, as in
+// Histogram.Observe, no bucket) and moves the current- and
+// predicted-phase gauges where they changed. A pending prediction —
+// any but 0, phase.None, which is pending only before a monitor's
+// first step — is scored: the misprediction count and confusion cell,
+// then the verdict and any phase transition journaled stamped unixNs.
 //
 //lint:hotpath
-func (b *StepBatch) Step(memPerUop float64) {
+func (b *StepBatch) Fold(step int, memPerUop float64, prev, pending, actual, next int, unixNs int64) {
 	if b == nil {
 		return
 	}
 	b.steps++
-	if math.IsNaN(memPerUop) {
+	if !math.IsNaN(memPerUop) {
+		b.mem[b.memHist.bucket(memPerUop)]++
+		b.memSum += memPerUop
+	}
+	if actual != prev {
+		b.current, b.currentSet = actual, true
+	}
+	if next != pending {
+		b.predicted, b.predictedSet = next, true
+	}
+	if pending == 0 {
 		return
 	}
-	b.mem[b.memHist.bucket(memPerUop)]++
-	b.memSum += memPerUop
-}
-
-// Prediction scores one prediction verdict of the given step — the
-// misprediction count, the confusion cell — and journals it stamped
-// unixNs.
-//
-//lint:hotpath
-func (b *StepBatch) Prediction(step, predicted, actual int, unixNs int64) {
-	if b == nil {
-		return
-	}
-	if predicted != actual {
+	if pending != actual {
 		b.mispredictions++
 	}
-	c := confCell(b.numPhases, actual)*(b.numPhases+1) + confCell(b.numPhases, predicted)
+	c := confCell(b.numPhases, actual)*(b.numPhases+1) + confCell(b.numPhases, pending)
 	if b.conf[c] == 0 {
 		b.dirty = append(b.dirty, c)
 	}
 	b.conf[c]++
-	b.record(KindPrediction, step, int64(predicted), int64(actual), unixNs)
+	b.record(KindPrediction, step, int64(pending), int64(actual), unixNs)
+	if actual != prev {
+		b.transitions++
+		b.record(KindPhaseTransition, step, int64(prev), int64(actual), unixNs)
+	}
 }
 
-// Transition counts and journals a change of the classified phase.
+// GPHTLookups adds a batch's PHT lookup outcomes: the difference of
+// the predictor's running counts (core.PHTLookups) across the batch.
 //
 //lint:hotpath
-func (b *StepBatch) Transition(step, from, to int, unixNs int64) {
-	if b == nil {
-		return
+func (b *StepBatch) GPHTLookups(hits, misses uint64) {
+	if b != nil {
+		b.gphtHits += hits
+		b.gphtMisses += misses
 	}
-	b.transitions++
-	b.record(KindPhaseTransition, step, int64(from), int64(to), unixNs)
 }
 
 // DVFSChange counts and journals an operating-point change the given
@@ -152,40 +165,6 @@ func (b *StepBatch) record(kind EventKind, step int, x, y, unixNs int64) {
 	b.events = append(b.events, stepEvent{})
 	e := &b.events[len(b.events)-1]
 	e.step, e.unixNs, e.a, e.b, e.kind = step, unixNs, x, y, kind
-}
-
-// Current records the classified phase for the current-phase gauge;
-// Publish stores the batch's last one.
-//
-//lint:hotpath
-func (b *StepBatch) Current(p int) {
-	if b != nil {
-		b.current, b.currentSet = p, true
-	}
-}
-
-// Predicted records the predicted phase for the predicted-phase gauge;
-// Publish stores the batch's last one.
-//
-//lint:hotpath
-func (b *StepBatch) Predicted(p int) {
-	if b != nil {
-		b.predicted, b.predictedSet = p, true
-	}
-}
-
-// GPHTLookup counts one PHT lookup outcome.
-//
-//lint:hotpath
-func (b *StepBatch) GPHTLookup(hit bool) {
-	if b == nil {
-		return
-	}
-	if hit {
-		b.gphtHits++
-	} else {
-		b.gphtMisses++
-	}
 }
 
 // Publish applies the batch to the hub and empties it for reuse.

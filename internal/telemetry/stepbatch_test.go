@@ -6,26 +6,23 @@ import (
 	"unsafe"
 )
 
-// TestStepBatchPublish pins what one Publish applies: the counters,
-// the confusion cells, the Mem/Uop buckets and sum, the last gauge
-// values, and the batch's events journaled contiguously with
-// consecutive sequence numbers — past the ring's capacity too, where
-// the oldest are evicted and counted as dropped. A published batch is
-// empty: publishing it again changes nothing.
+// TestStepBatchPublish pins what one Publish of folded intervals
+// applies: the counters, the confusion cells, the Mem/Uop buckets and
+// sum, the last gauge values, and the batch's events journaled
+// contiguously with consecutive sequence numbers — past the ring's
+// capacity too, where the oldest are evicted and counted as dropped. A
+// published batch is empty: publishing it again changes nothing.
 func TestStepBatchPublish(t *testing.T) {
 	h := NewHub(3)
 	h.Journal = NewJournal(4)
 	journalPMIs(h.Journal, 1)
 	b := h.NewStepBatch()
+	// Step i was predicted phase 1, classified phase i%3+1 after phase
+	// i (always a transition), and predicts phase 2.
 	for i, mem := range []float64{0.001, 0.012, 0.05, math.NaN()} {
-		b.Step(mem)
-		b.Prediction(i, 1, i%3+1, int64(100+i))
-		b.Transition(i, i, i+1, int64(100+i))
-		b.GPHTLookup(i%2 == 0)
+		b.Fold(i, mem, i, 1, i%3+1, 2, int64(100+i))
 	}
-	b.Current(3)
-	b.Predicted(2)
-	b.Current(1)
+	b.GPHTLookups(2, 2)
 	for _, again := range []bool{false, true} {
 		b.Publish()
 		for _, c := range []struct {
@@ -77,8 +74,8 @@ func TestStepBatchPublish(t *testing.T) {
 			if e != want {
 				t.Errorf("event %d = %+v, want %+v", i, e, want)
 			}
-		} else if e.Kind != KindPhaseTransition || e.From != step || e.To != step+1 {
-			t.Errorf("event %d = %+v, want transition %d→%d", i, e, step, step+1)
+		} else if e.Kind != KindPhaseTransition || e.From != step || e.To != step%3+1 {
+			t.Errorf("event %d = %+v, want transition %d→%d", i, e, step, step%3+1)
 		}
 	}
 }
@@ -98,7 +95,7 @@ func TestStepBatchIntervalEvents(t *testing.T) {
 	if h.CurrentSetting.Value() != 5 {
 		t.Errorf("a batch without a DVFS change moved the setting gauge to %v", h.CurrentSetting.Value())
 	}
-	b.Prediction(1, 2, 3, 20)
+	b.Fold(1, 0.012, 3, 2, 3, 2, 20) // a verdict alone: no transition
 	b.DVFSChange(1, 0, 3, 20)
 	b.PMISample(1, 0.012, 0.8, 20)
 	b.DVFSChange(2, 3, 1, 30)
@@ -146,11 +143,8 @@ func TestStepBatchZeroAlloc(t *testing.T) {
 	b := h.NewStepBatch()
 	run := func() {
 		for i := 0; i < 64; i++ {
-			b.Step(float64(i%7) * 0.006)
-			b.Prediction(i, i%6+1, (i/2)%6+1, int64(i))
-			b.Transition(i, i%6+1, (i+1)%6+1, int64(i))
-			b.GPHTLookup(i%3 == 0)
-			b.Current(i%6 + 1)
+			b.Fold(i, float64(i%7)*0.006, i%6+1, (i/2)%6+1, (i+1)%6+1, i%6+1, int64(i))
+			b.GPHTLookups(uint64(i%2), 1)
 			b.DVFSChange(i, i%6, (i+1)%6, int64(i))
 			b.PMISample(i, 0.01, 1.2, int64(i))
 		}

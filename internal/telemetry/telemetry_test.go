@@ -41,9 +41,8 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	}
 	var hub *Hub
 	b := hub.NewStepBatch()
-	b.Step(0.01)
-	b.Prediction(0, 1, 2, 0)
-	b.Transition(0, 1, 2, 0)
+	b.Fold(0, 0.01, 1, 1, 2, 2, 0)
+	b.GPHTLookups(1, 0)
 	b.DVFSChange(0, 1, 2, 0)
 	b.PMISample(0, 0.1, 1, 0)
 	b.Publish()
@@ -177,7 +176,6 @@ func TestHubSummaryLine(t *testing.T) {
 	if !strings.Contains(h.Summary(), "acc=-") {
 		t.Errorf("empty hub summary = %q, want unscored accuracy", h.Summary())
 	}
-	h.Steps.Inc()
 	h.CurrentPhase.Set(4)
 	recordVerdicts(h, [3]int{1, 2, 2})
 	line := h.Summary()
@@ -220,7 +218,6 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestHTTPHandlers(t *testing.T) {
 	h := NewHub(6)
-	h.Steps.Inc()
 	recordVerdicts(h, [3]int{1, 3, 3})
 	b := h.NewStepBatch()
 	b.PMISample(1, 0.012, 0.8, 0)
@@ -329,7 +326,6 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			b := h.NewStepBatch()
 			for i := 0; i < perWriter; i++ {
-				h.Steps.Inc()
 				h.CurrentPhase.Set(float64(i % 6))
 				h.MemPerUop.Observe(float64(i%40) / 1000)
 				recordVerdicts(h, [3]int{i, i%6 + 1, (i+w)%6 + 1})
@@ -362,8 +358,10 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-// recordVerdicts publishes {step, predicted, actual} prediction
-// verdicts through a StepBatch, the hub's one verdict path.
+// recordVerdicts folds {step, predicted, actual} prediction verdicts
+// through a StepBatch, the hub's one verdict path, and publishes them:
+// each a counted step with a NaN reading (no Mem/Uop bucket) and no
+// phase transition or gauge change.
 // journalPMIs journals n PMI-sample events, steps 0 to n-1, into j
 // through the one journal write path: StepBatch publication.
 func journalPMIs(j *Journal, n int) {
@@ -379,7 +377,7 @@ func journalPMIs(j *Journal, n int) {
 func recordVerdicts(h *Hub, verdicts ...[3]int) {
 	b := h.NewStepBatch()
 	for _, v := range verdicts {
-		b.Prediction(v[0], v[1], v[2], 0)
+		b.Fold(v[0], math.NaN(), v[2], v[1], v[2], v[1], 0)
 	}
 	b.Publish()
 }
