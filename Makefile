@@ -39,14 +39,15 @@ perfbench-check:
 
 # The fleet engine's determinism contract (bit-identical results at
 # any worker count) is the most concurrency-sensitive surface in the
-# repo: run it, the governor it drives, the machine tables its replays
-# fill concurrently, and the callers that fan out on fleet.Map (the
-# tournament and the experiment figures, including the fleet workers
-# filling a shared experiments.Cache) under the race detector
-# uncached, so a schedule-dependent bug can't hide behind the test
-# cache.
+# repo: run it, the governor it drives, the machine tables its
+# concurrent replays share, and the callers that fan out on fleet.Map
+# and fleet.Play (the tournament, dvfsgov — whose replays fold into
+# one shared telemetry hub — and the experiment figures, including the
+# fleet workers filling a shared experiments.Cache) under the race
+# detector uncached, so a schedule-dependent bug can't hide behind the
+# test cache.
 fleet-race:
-	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament ./internal/machine
+	$(GO) test -race -count=1 ./internal/fleet ./internal/governor ./internal/tournament ./internal/machine ./cmd/dvfsgov
 	$(GO) test -race -count=1 -run 'TestFiguresWorkerInvariance|TestSharedCacheWork|TestCacheKeyCompleteness|TestMemoSingleFlight' ./internal/experiments
 
 # The replay's long differential cases — a kernel log that wraps the
@@ -117,7 +118,9 @@ fuzz-smoke: fuzz-targets-check
 # and fma-check keeps them so. Add a package once its count is 0.
 FMA_PACKAGES := ./internal/cpusim ./internal/machine ./internal/governor \
 	./internal/core ./internal/agg ./internal/kernelsim \
-	./internal/telemetry ./internal/phased
+	./internal/telemetry ./internal/phased ./internal/fleet \
+	./internal/thermal ./internal/power ./internal/tournament \
+	./internal/experiments
 
 fma-check:
 	./scripts/fma_check.sh $(FMA_PACKAGES)

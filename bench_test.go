@@ -339,7 +339,9 @@ func BenchmarkGovernorRun(b *testing.B) {
 // BenchmarkGovernorReplay is GovernorRun/paper replayed over a machine
 // table of the same 200-interval trace: what each tournament cell pays
 // per replay. The records' storage is reused from run to run, as the
-// fleet engine reuses it.
+// fleet engine reuses it. /hub is /paper observed by a telemetry hub,
+// so the replay folds every interval and reads the hub clock and
+// publishes once per 32 — the pair to GovernorRun's /paper and /hub.
 func BenchmarkGovernorReplay(b *testing.B) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {
@@ -350,19 +352,27 @@ func BenchmarkGovernorReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("paper", func(b *testing.B) {
-		var recs []governor.Record
-		for i := 0; i < b.N; i++ {
-			rp, err := governor.NewReplay(tab, governor.Proactive(8, 128), governor.Config{}, recs)
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cfg  governor.Config
+	}{
+		{"paper", governor.Config{}},
+		{"hub", governor.Config{Telemetry: telemetry.NewHub(phase.Default().NumPhases())}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var recs []governor.Record
+			for i := 0; i < b.N; i++ {
+				rp, err := governor.NewReplay(tab, governor.Proactive(8, 128), c.cfg, recs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rp.Run(context.Background(), tab.Len()); err != nil {
+					b.Fatal(err)
+				}
+				recs = rp.Records()
 			}
-			if _, err := rp.Run(context.Background(), tab.Len()); err != nil {
-				b.Fatal(err)
-			}
-			recs = rp.Records()
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkGranularityAblation sweeps the sampling granularity: finer

@@ -18,8 +18,6 @@ import (
 	"os"
 	"time"
 
-	"phasemon/internal/cpusim"
-	"phasemon/internal/dvfs"
 	"phasemon/internal/fleet"
 	"phasemon/internal/governor"
 	"phasemon/internal/machine"
@@ -113,11 +111,7 @@ func run(w io.Writer, bench, policy string, intervals int, seed int64, compare b
 	if bound > 0 {
 		// The fleet engine derives the same conservative translation per
 		// run from Spec.Bound; derive it here once more only to print it.
-		model := cpusim.New(cpusim.DefaultConfig())
-		slow := func(mem, coreUPC, f, fmax float64) float64 {
-			return model.SlowdownMLP(mem, coreUPC, 2.0, f, fmax)
-		}
-		tr, err := dvfs.DeriveBounded(dvfs.PentiumM(), phase.Default(), slow, bound, 1.5)
+		tr, err := fleet.BoundedTranslation(bound, nil)
 		if err != nil {
 			return err
 		}
@@ -151,7 +145,7 @@ func run(w io.Writer, bench, policy string, intervals int, seed int64, compare b
 		}
 	}
 	engine := fleet.New(fleet.Config{Workers: workers, Telemetry: hub})
-	rows, err := fleet.Reduce(context.Background(), engine, specs, tableRow)
+	rows, err := fleet.Play(context.Background(), engine, specs, tableRow)
 	if err != nil {
 		return err
 	}
@@ -163,23 +157,25 @@ func run(w io.Writer, bench, policy string, intervals int, seed int64, compare b
 	return nil
 }
 
-// row is what the results table prints of one run. Each run is reduced
-// to its row on the fleet worker that ran it, so no kernel log is kept.
+// row is what the results table prints of one run.
 type row struct {
 	policy string
 	run    machine.RunResult
 	acc    string
 }
 
-func tableRow(r fleet.Result) row {
-	if r.Res == nil {
-		return row{}
+// tableRow plays a spec's whole run on the fleet worker that set its
+// replay up and reduces it to its row, so no replay record is kept.
+func tableRow(_ fleet.Spec, rp *governor.Replay) (row, error) {
+	r, err := rp.Run(context.Background(), rp.Len())
+	if err != nil {
+		return row{}, err
 	}
 	acc := "-"
-	if a, err := r.Res.Accuracy.Accuracy(); err == nil {
+	if a, err := r.Accuracy.Accuracy(); err == nil {
 		acc = fmt.Sprintf("%.1f%%", a*100)
 	}
-	return row{policy: r.Res.Policy, run: r.Res.Run, acc: acc}
+	return row{policy: r.Policy, run: r.Run, acc: acc}, nil
 }
 
 // writeTable prints every row against the first, the baseline.

@@ -30,29 +30,39 @@ func TestRunCompareMode(t *testing.T) {
 }
 
 // referenceTable prints the compare-mode table the way it was built
-// before runs were reduced to rows on the fleet workers: from the full
-// governor results of a RunAll sweep.
+// before runs became replays reduced to rows on the fleet workers:
+// from the full governor results of serial runs on the machine.
 func referenceTable(t *testing.T, bench string, intervals int, seed int64, bound float64) string {
 	t.Helper()
-	var specs []fleet.Spec
-	for _, ps := range []string{"baseline", "reactive", "gpht_8_128"} {
-		specs = append(specs, fleet.Spec{Workload: bench, Policy: ps, Intervals: intervals, Seed: seed, Bound: bound})
-	}
-	runs, err := fleet.New(fleet.Config{Workers: 1}).RunAll(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cfg governor.Config
+	if bound > 0 {
+		if cfg.Translation, err = fleet.BoundedTranslation(bound, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var runs []*governor.Result
+	for _, ps := range []string{"baseline", "reactive", "gpht_8_128"} {
+		pol, err := governor.PolicyFromSpec(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := prof.Generator(workload.Params{Seed: seed, Intervals: intervals})
+		r, err := governor.RunContext(context.Background(), gen, pol, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
 	var b strings.Builder
-	base := runs[0].Res
+	base := runs[0]
 	fmt.Fprintf(&b, "benchmark: %s (%s)\n\n", prof.Name, prof.Quadrant)
 	fmt.Fprintf(&b, "%-16s %10s %10s %8s %12s %9s %9s %9s %8s\n",
 		"policy", "time[s]", "energy[J]", "BIPS", "EDP[Js]", "EDPimpr", "perfdeg", "powersav", "acc")
-	for _, run := range runs {
-		r := run.Res
+	for _, r := range runs {
 		acc := "-"
 		if a, err := r.Accuracy.Accuracy(); err == nil {
 			acc = fmt.Sprintf("%.1f%%", a*100)

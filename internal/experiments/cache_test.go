@@ -17,7 +17,10 @@ import (
 	"time"
 
 	"phasemon/internal/fleet"
+	"phasemon/internal/governor"
+	"phasemon/internal/phase"
 	"phasemon/internal/telemetry"
+	"phasemon/internal/workload"
 )
 
 // figuresJob is the runner list of the benchmark's figures job.
@@ -148,15 +151,44 @@ func TestCacheKeyCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fleet.New(fleet.Config{Workers: 1}).RunAll(context.Background(), specs)
+	for i, sp := range specs {
+		if want := fullRun(t, sp); got[i].Run != want.Run {
+			t.Errorf("spec %+v: cached run %+v, want %+v", sp, got[i].Run, want.Run)
+		}
+	}
+}
+
+// fullRun runs a spec with an explicit seed serially on the full
+// machine (governor.RunContext): the run a cached replay must match.
+func fullRun(t *testing.T, sp fleet.Spec) *governor.Result {
+	t.Helper()
+	prof, err := workload.ByName(sp.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range specs {
-		if got[i].Run != want[i].Res.Run {
-			t.Errorf("spec %+v: cached run %+v, want %+v", specs[i], got[i].Run, want[i].Res.Run)
+	pol, err := governor.PolicyFromSpec(sp.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := governor.Config{GranularityUops: sp.GranularityUops}
+	var tab *phase.Table
+	if sp.Phases != "" {
+		if tab, err = phase.ParseTable("custom", sp.Phases); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Classifier = tab
+	}
+	if sp.Bound > 0 {
+		if cfg.Translation, err = fleet.BoundedTranslation(sp.Bound, tab); err != nil {
+			t.Fatal(err)
 		}
 	}
+	gen := prof.Generator(workload.Params{GranularityUops: float64(sp.GranularityUops), Seed: sp.Seed, Intervals: sp.Intervals})
+	r, err := governor.RunContext(context.Background(), gen, pol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestCacheSetupFailure: specs that cannot be set up fail, each with

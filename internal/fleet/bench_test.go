@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"phasemon/internal/governor"
 )
 
 // BenchmarkFleetSweep measures sweep throughput at several pool sizes
 // over a fixed 16-run sweep (one workload, 16 distinct seeds, equal
-// per-run work). Every iteration executes every run; on a multi-core
-// machine the workers=8 case should approach an 8x speedup over
-// workers=1, since runs share no state.
+// per-run work), each run a Play replay to its whole length. Every
+// iteration replays every run over the engine's cached traces; on a
+// multi-core machine the workers=8 case should approach an 8x speedup
+// over workers=1, since runs share no mutable state.
 //
 // Run with:
 //
@@ -32,7 +35,13 @@ func BenchmarkFleetSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := e.RunAll(context.Background(), specs)
+				results, err := Play(context.Background(), e, specs, func(_ Spec, rp *governor.Replay) (uint64, error) {
+					res, err := rp.Run(context.Background(), rp.Len())
+					if err != nil {
+						return 0, err
+					}
+					return res.Run.PMIs, nil
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,13 +3,13 @@
 // returns typed results in spec order, while guaranteeing that the
 // numbers are bit-identical to a serial execution.
 //
-// Reduce runs each spec on the full machine (governor.RunContext) and
-// applies a caller's reduction to each run on the worker that ran it;
-// the run's kernel log is storage the engine reuses for its next run,
-// so a sweep holds at most Workers kernel logs however many specs it
-// has. RunAll is Reduce with a reduction that copies each log out.
-// Play runs each spec instead as a replay over a machine table of its
-// trace, a view shared by the specs over that trace (governor.Replay).
+// Play runs each spec as a replay over a machine table of its trace, a
+// view shared by the specs over that trace (governor.Replay), and
+// applies a caller's reduction to each replay on the worker that set it
+// up; the replay's records are storage the engine reuses for its next
+// replay, so a sweep holds at most Workers record buffers however many
+// specs it has. Runs a table cannot replay — a DAQ, thermal or
+// actuator run — go through governor.RunContext instead.
 //
 // The determinism contract has three legs:
 //
@@ -22,16 +22,16 @@
 //     aggregation orders by index, not by completion.
 //
 // On top sit the operational concerns a long sweep needs: context
-// cancellation (through governor.RunContext and Replay.Run), a
-// workload-trace cache shared by the engine's runs, and live telemetry
-// through the same *telemetry.Hub the rest of the pipeline reports to.
+// cancellation (through Replay.Run), a workload-trace cache shared by
+// the engine's runs, and live telemetry through the same
+// *telemetry.Hub the rest of the pipeline reports to, into which every
+// replay folds its intervals.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -83,29 +83,28 @@ type Engine struct {
 	pendingMu sync.Mutex
 	pending   int64 // guarded by pendingMu
 
-	// logs and records are the engine's free lists of kernel-log and
-	// replay-record storage: a worker takes one buffer per run and
-	// returns it once the run's reduction has returned, so the engine
-	// allocates one only when every buffer it has is in use (or too
-	// small) and never zeroes, frees and re-faults one per run.
-	logs    freeList[kernelsim.Entry]
-	records freeList[governor.Record]
+	// records is the engine's free list of replay-record storage: a
+	// worker takes one buffer per replay and returns it once the
+	// replay's reduction has returned, so the engine allocates one only
+	// when every buffer it has is in use (or too small) and never
+	// zeroes, frees and re-faults one per replay.
+	records freeList
 }
 
-// freeList is a free list of reusable slice buffers.
-type freeList[T any] struct {
+// freeList is a free list of reusable replay-record buffers.
+type freeList struct {
 	mu   sync.Mutex
-	bufs []*[]T
+	bufs []*[]governor.Record
 }
 
 // take hands a worker a buffer from the list, or a new empty one when
 // every buffer is in use.
-func (l *freeList[T]) take() *[]T {
+func (l *freeList) take() *[]governor.Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.bufs)
 	if n == 0 {
-		return new([]T)
+		return new([]governor.Record)
 	}
 	buf := l.bufs[n-1]
 	l.bufs = l.bufs[:n-1]
@@ -113,7 +112,7 @@ func (l *freeList[T]) take() *[]T {
 }
 
 // put returns a worker's buffer to the list.
-func (l *freeList[T]) put(buf *[]T) {
+func (l *freeList) put(buf *[]governor.Record) {
 	l.mu.Lock()
 	l.bufs = append(l.bufs, buf)
 	l.mu.Unlock()
@@ -128,76 +127,16 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg, traces: traces}
 }
 
-// RunAll runs every spec on the worker pool and returns one Result
-// per spec, in spec order, each with its full governor.Result. It is
-// the one caller that keeps kernel logs past its reduction, so it
-// copies each run's log out of the engine's storage, once. Callers
-// that need only a summary of each run should Reduce instead.
-//
-//lint:unusedexport the one retaining form of Reduce, which the fleet, tournament, experiments and dvfsgov tests share instead of each copying logs out of the engine
-func (e *Engine) RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
-	return Reduce(ctx, e, specs, func(r Result) Result {
-		if r.Res != nil && r.Res.Log != nil {
-			r.Res.Log = slices.Clone(r.Res.Log)
-		}
-		return r
-	})
-}
-
-// Reduce runs every spec on the engine's worker pool and applies f to
-// each spec's Result on the worker that produced it. f is called
-// exactly once per spec, failed and canceled runs included (their
-// Result carries Err and a nil Res), and must be safe to call
-// concurrently.
-//
-// The run's kernel log is storage the engine reuses for a later run
-// once f returns, so Res.Log is valid only inside f, like
-// bufio.Scanner.Bytes: f must copy what it keeps of it. The rest of
-// the Result stays valid.
-//
-// The reductions come back in spec order. The returned error is
-// ctx.Err() if the sweep was canceled, else the lowest-index run
-// failure, else nil; the full reduction slice is returned either way
-// so partial sweeps stay inspectable.
-func Reduce[T any](ctx context.Context, e *Engine, specs []Spec, f func(Result) T) ([]T, error) {
-	resolved := make([]Spec, len(specs))
-	for i, sp := range specs {
-		resolved[i] = e.resolve(sp)
-	}
-	e.addPending(len(specs))
-	out, err := mapIndex(e.cfg.Workers, len(resolved), func(i int) (T, error) {
-		defer e.addPending(-1)
-		log := e.logs.take()
-		defer e.logs.put(log)
-		r := Result{Spec: resolved[i]}
-		r.Err = e.observe(ctx, func() (err error) {
-			r.Res, err = e.runSpec(ctx, r.Spec, log)
-			return err
-		})
-		var err error
-		if r.Err != nil {
-			r.Res = nil
-			err = fmt.Errorf("fleet: spec %d (%s under %s): %w",
-				i, r.Spec.Workload, r.Spec.Policy, r.Err)
-		}
-		return f(r), err
-	})
-	if cerr := ctx.Err(); cerr != nil {
-		return out, cerr
-	}
-	return out, err
-}
-
 // Play runs every spec on the engine's worker pool as a replay over a
 // machine.Table of its workload trace (governor.NewReplay), and applies
 // f to each spec's replay on the worker that set it up: f advances the
 // replay with Replay.Run and reduces what it reads. f is called at
 // most once per spec — not for a spec that failed to set up or was
 // canceled before it started, whose T stays the zero value — and must
-// be safe to call concurrently.
-// The replay's records are storage the engine reuses for a later
-// replay once f returns, so Records is valid only inside f, like
-// Reduce's kernel logs.
+// be safe to call concurrently. The replay's records are storage the
+// engine reuses for a later replay once f returns, so Records is valid
+// only inside f, like bufio.Scanner.Bytes: f must copy what it keeps
+// of them.
 //
 // A table stores nothing per interval: its replays evaluate each
 // interval from the trace as they reach it. Specs over the same trace
@@ -206,8 +145,11 @@ func Reduce[T any](ctx context.Context, e *Engine, specs []Spec, f func(Result) 
 // machine.NewTable and governor.NewReplay) fails with that error;
 // nothing falls back to the full machine.
 //
-// Telemetry, the trace cache and the ordering and error contract are
-// Reduce's; f's error fails its spec like a run error.
+// The reductions come back in spec order. The returned error is
+// ctx.Err() if the sweep was canceled, else the lowest-index failure —
+// a spec that failed to set up, or whose f returned an error — else
+// nil; the full reduction slice is returned either way so partial
+// sweeps stay inspectable.
 func Play[T any](ctx context.Context, e *Engine, specs []Spec, f func(Spec, *governor.Replay) (T, error)) ([]T, error) {
 	resolved := make([]Spec, len(specs))
 	tables := make([]*traceTable, len(specs))
@@ -310,54 +252,20 @@ func (e *Engine) observe(ctx context.Context, run func() error) error {
 	return err
 }
 
-// runSpec executes one resolved spec on the full machine, with *log as
-// the kernel log's storage, grown first if the run needs more.
-func (e *Engine) runSpec(ctx context.Context, sp Spec, log *[]kernelsim.Entry) (*governor.Result, error) {
-	trace, gen, cfg, pol, err := e.setup(sp)
-	if err != nil {
-		return nil, err
-	}
-	// The run logs exactly one entry per interval; bounding the kernel
-	// log at that count (clamped to the module's default bound, so ring
-	// semantics are unchanged) makes the PMI path allocation-free. A
-	// larger reused buffer is re-sliced to the bound, which stays exact.
-	n := min(trace.Len(), kernelsim.DefaultLogCapacity)
-	if cap(*log) < n {
-		*log = make([]kernelsim.Entry, 0, n)
-	}
-	cfg.Log = (*log)[:0:n]
-	return governor.RunContext(ctx, gen, pol, cfg)
-}
-
 // replay sets one resolved spec up as a replay over its trace's shared
-// table, its records stored in recs.
+// table, its records stored in recs: it reads the trace from the
+// engine's cache and builds the governor configuration (classifier,
+// bounded translation, telemetry) and policy the spec runs under.
 func (e *Engine) replay(sp Spec, tt *traceTable, recs []governor.Record) (*governor.Replay, error) {
-	trace, _, cfg, pol, err := e.setup(sp)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := tt.get(trace, sp.GranularityUops)
-	if err != nil {
-		return nil, err
-	}
-	return governor.NewReplay(tab, pol, cfg, recs)
-}
-
-// setup materializes one resolved spec: its workload trace, from the
-// engine's cache, a generator over it, and the governor configuration
-// (classifier, bounded translation, telemetry) and policy it runs
-// under.
-func (e *Engine) setup(sp Spec) (*wcache.Trace, workload.Generator, governor.Config, governor.Policy, error) {
 	cfg := governor.Config{GranularityUops: sp.GranularityUops, Telemetry: e.cfg.Telemetry}
 	prof, err := workload.ByName(sp.Workload)
 	if err != nil {
-		return nil, nil, cfg, nil, err
+		return nil, err
 	}
 	var tab *phase.Table
 	if sp.Phases != "" {
-		tab, err = phase.ParseTable("custom", sp.Phases)
-		if err != nil {
-			return nil, nil, cfg, nil, err
+		if tab, err = phase.ParseTable("custom", sp.Phases); err != nil {
+			return nil, err
 		}
 		cfg.Classifier = tab
 	}
@@ -367,25 +275,27 @@ func (e *Engine) setup(sp Spec) (*wcache.Trace, workload.Generator, governor.Con
 		Intervals:       sp.Intervals,
 	})
 	if sp.Bound > 0 {
-		tr, err := boundedTranslation(sp.Bound, tab)
-		if err != nil {
-			return nil, nil, cfg, nil, err
+		if cfg.Translation, err = BoundedTranslation(sp.Bound, tab); err != nil {
+			return nil, err
 		}
-		cfg.Translation = tr
 	}
-	gen := trace.Generator()
-	pol, err := policyFor(sp, gen, cfg.Classifier)
+	pol, err := policyFor(sp, trace.Generator(), cfg.Classifier)
 	if err != nil {
-		return nil, nil, cfg, nil, err
+		return nil, err
 	}
-	return trace, gen, cfg, pol, nil
+	mt, err := tt.get(trace, sp.GranularityUops)
+	if err != nil {
+		return nil, err
+	}
+	return governor.NewReplay(mt, pol, cfg, recs)
 }
 
-// boundedTranslation derives the Section 6.3 conservative translation:
-// settings chosen so the model's worst-case slowdown stays under the
-// bound, derived at a pessimistic memory-level parallelism of 2 and
-// the core's peak UPC of 1.5.
-func boundedTranslation(bound float64, tab *phase.Table) (*dvfs.Translation, error) {
+// BoundedTranslation derives the Section 6.3 conservative translation
+// a spec's Bound selects over the phase table tab (nil for the
+// paper's Table 1): settings chosen so the model's worst-case slowdown
+// stays under the bound, derived at a pessimistic memory-level
+// parallelism of 2 and the core's peak UPC of 1.5.
+func BoundedTranslation(bound float64, tab *phase.Table) (*dvfs.Translation, error) {
 	if tab == nil {
 		tab = phase.Default()
 	}

@@ -21,7 +21,7 @@ func Map[T, R any](workers int, items []T, f func(T) (R, error)) ([]R, error) {
 }
 
 // mapIndex is Map over the indices 0..n-1: the one worker pool behind
-// Map and Reduce.
+// Map and Play.
 func mapIndex[R any](workers, n int, f func(int) (R, error)) ([]R, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

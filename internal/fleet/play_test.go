@@ -13,59 +13,65 @@ import (
 	"phasemon/internal/telemetry"
 )
 
-// replayed is what a test reads of a replay: its result and a copy of
-// its records.
+// replayed is what a test reads of a replay: the resolved spec it
+// played, its result and a copy of its records.
 type replayed struct {
+	spec Spec
 	res  *governor.Result
 	recs []governor.Record
 }
 
-// replayAll is a Play reduction that replays each spec to its full
-// length and copies its records out.
+// replayAll is a Play reduction that replays each spec to its whole
+// run and copies its records out.
 func replayAll(ctx context.Context) func(Spec, *governor.Replay) (replayed, error) {
 	return func(sp Spec, rp *governor.Replay) (replayed, error) {
-		res, err := rp.Run(ctx, sp.Intervals)
-		return replayed{res, slices.Clone(rp.Records())}, err
+		res, err := rp.Run(ctx, rp.Len())
+		return replayed{sp, res, slices.Clone(rp.Records())}, err
 	}
 }
 
-// TestPlayMatchesRunAll: every spec of the sweep — the oracle, a
+// TestPlayMatchesRunContext: every spec of the sweep — the oracle, a
 // bounded translation and a custom classifier included — replays to
-// RunAll's result over the full machine, its records matching the
-// kernel log, at any worker count.
-func TestPlayMatchesRunAll(t *testing.T) {
+// the result a serial governor.RunContext over the full machine
+// returns, its records matching the kernel log, at any worker count.
+func TestPlayMatchesRunContext(t *testing.T) {
 	specs := sweepSpecs()
-	full, err := New(Config{Workers: 1, BaseSeed: 42}).RunAll(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 2, 4} {
 		got, err := Play(context.Background(), New(Config{Workers: workers, BaseSeed: 42}), specs, replayAll(context.Background()))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, r := range full {
-			want := *r.Res
+		for i, r := range got {
+			full := referenceRun(t, r.spec)
+			want := *full
 			want.Log = nil
-			recs := make([]governor.Record, len(r.Res.Log))
-			for j, e := range r.Res.Log {
+			recs := make([]governor.Record, len(full.Log))
+			for j, e := range full.Log {
 				recs[j] = governor.Record{UPC: e.UPC, Setting: uint8(e.Setting), Actual: uint8(e.Actual), Predicted: uint8(e.Predicted)}
 			}
-			if !reflect.DeepEqual(*got[i].res, want) || !reflect.DeepEqual(got[i].recs, recs) {
-				t.Errorf("workers=%d spec %d (%s under %s): replay differs from the full run", workers, i, r.Spec.Workload, r.Spec.Policy)
+			if !reflect.DeepEqual(*r.res, want) || !reflect.DeepEqual(r.recs, recs) {
+				t.Errorf("workers=%d spec %d (%s under %s): replay differs from the full run", workers, i, r.spec.Workload, r.spec.Policy)
 			}
 		}
 	}
 }
 
 // TestPlayTelemetry: a replay sweep records the run lifecycle, one
-// governor run per spec and one trace-cache lookup per spec, and
-// settles the queue depth.
+// governor run per spec and one trace-cache lookup per spec, folds
+// every replayed interval into the shared hub, and settles the queue
+// depth.
 func TestPlayTelemetry(t *testing.T) {
 	hub := telemetry.NewHub(6)
 	specs := sweepSpecs()
 	if _, err := Play(context.Background(), New(Config{Workers: 3, Telemetry: hub}), specs, replayAll(context.Background())); err != nil {
 		t.Fatal(err)
+	}
+	intervals := 0
+	for _, sp := range specs {
+		intervals += sp.Intervals
+	}
+	if got := hub.Steps.Value(); got != uint64(intervals) {
+		t.Errorf("Steps = %d, want the sweep's %d intervals", got, intervals)
 	}
 	n := uint64(len(specs))
 	for name, got := range map[string]uint64{

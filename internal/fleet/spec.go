@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"hash/fnv"
-
-	"phasemon/internal/governor"
-)
+import "hash/fnv"
 
 // Spec describes one governed run: which workload to generate, which
 // policy to manage it with, and the run geometry. Specs are plain
@@ -58,15 +54,4 @@ func (s Spec) EffectiveSeed(base int64) int64 {
 		mixed = 1
 	}
 	return mixed
-}
-
-// Result is one spec's outcome.
-type Result struct {
-	// Spec is the resolved spec (defaults and derived seed filled in).
-	Spec Spec
-	// Res is the governed run's result when the run succeeded.
-	Res *governor.Result
-	// Err is set when the run failed or the sweep was canceled before
-	// or during it.
-	Err error
 }

@@ -6,9 +6,9 @@ import (
 	"phasemon/internal/cpusim"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/kernelsim"
-	"phasemon/internal/machine"
 	"phasemon/internal/phase"
 	"phasemon/internal/power"
+	"phasemon/internal/thermal"
 )
 
 // This file implements the management goals beyond EDP that the paper
@@ -38,10 +38,9 @@ type ThermalThrottle struct {
 var _ kernelsim.Actuator = (*ThermalThrottle)(nil)
 
 // Choose implements kernelsim.Actuator.
-func (a *ThermalThrottle) Choose(m *machine.Machine, predicted phase.ID) dvfs.Setting {
+func (a *ThermalThrottle) Choose(die *thermal.Model, predicted phase.ID) dvfs.Setting {
 	s := a.Translation.Setting(predicted)
-	th := m.Thermal()
-	if th == nil {
+	if die == nil {
 		return s
 	}
 	margin := a.MarginC
@@ -56,7 +55,7 @@ func (a *ThermalThrottle) Choose(m *machine.Machine, predicted phase.ID) dvfs.Se
 	if !ladder.ValidSetting(floor) {
 		floor = ladder.Slowest()
 	}
-	switch t := th.TemperatureC(); {
+	switch t := die.TemperatureC(); {
 	case t >= a.LimitC:
 		return ladder.Slowest()
 	case t >= a.LimitC-margin:

@@ -95,8 +95,7 @@ func TestThermalThrottleWithoutThermalModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &ThermalThrottle{Translation: tr, LimitC: 10}
-	m := machine.New(machine.Config{})
-	if got := a.Choose(m, 3); got != tr.Setting(3) {
+	if got := a.Choose(nil, 3); got != tr.Setting(3) {
 		t.Errorf("Choose = %d, want translation's %d", got, tr.Setting(3))
 	}
 }

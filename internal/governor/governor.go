@@ -123,18 +123,11 @@ type Config struct {
 	// Machine configures the platform; the zero value selects all
 	// defaults. Set Machine.Recorder to capture the power waveform.
 	Machine machine.Config
-	// Log is the kernel log's storage (kernelsim.Config.Log): when it
-	// has capacity, cap(Log) is the log's bound and the run writes from
-	// Log[:0], so the PMI path never grows the log mid-run and the
-	// result's Log aliases this storage.
-	// Callers that know the interval count (the fleet engine) pass
-	// storage of that capacity, reused from run to run. Nil keeps the
-	// kernel module's default (65536-entry bound, grow on demand).
-	Log []kernelsim.Entry
-	// Telemetry, when non-nil, observes the run live: it becomes the
-	// kernel module's Config.Telemetry — the PMI handler is the run's
-	// only hub holder — and the governor counts runs. Nil runs
-	// unobserved.
+	// Telemetry, when non-nil, observes the run live: the run's
+	// kernelsim.Stepper folds every interval into it — through the PMI
+	// handler, which publishes once per interval, or through a replay,
+	// which publishes once per 32 — and the governor counts runs. Nil
+	// runs unobserved.
 	Telemetry *telemetry.Hub
 }
 
@@ -167,9 +160,9 @@ type Result struct {
 	Run machine.RunResult
 	// Accuracy is the prediction tally over the run.
 	Accuracy stats.Tally
-	// Log is the kernel log (per-interval records). It is
-	// Config.Log's storage when the run was given some, and then valid
-	// only until the caller reuses that storage.
+	// Log is the kernel log (per-interval records): the newest
+	// kernelsim.DefaultLogCapacity intervals, oldest first. A replay
+	// leaves it nil (Replay.Records reads the intervals back).
 	Log []kernelsim.Entry
 	// OverheadFraction is handler time over total time.
 	OverheadFraction float64
@@ -224,8 +217,6 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	modCfg.Log = cfg.Log
-	modCfg.Telemetry = cfg.Telemetry
 	mod, err := kernelsim.NewModule(modCfg)
 	if err != nil {
 		return nil, err
@@ -269,7 +260,8 @@ func RunContext(ctx context.Context, gen workload.Generator, pol Policy, cfg Con
 // setup resolves cfg's defaults for a run of pol — the classifier,
 // the translation, and the machine's ladder, which must be the
 // translation's — and builds the run's kernel-module configuration:
-// its monitor, and for a managed policy the translation and actuator.
+// its monitor and telemetry, and for a managed policy the translation
+// and actuator.
 // RunContext and NewReplay both set runs up through it.
 func setup(pol Policy, cfg Config) (Config, kernelsim.Config, error) {
 	if cfg.Classifier == nil {
@@ -306,6 +298,7 @@ func setup(pol Policy, cfg Config) (Config, kernelsim.Config, error) {
 	modCfg := kernelsim.Config{
 		GranularityUops: cfg.GranularityUops,
 		Monitor:         mon,
+		Telemetry:       cfg.Telemetry,
 	}
 	if pol.Managed() {
 		modCfg.Translation = cfg.Translation

@@ -10,12 +10,14 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
+	"phasemon/internal/telemetry"
 )
 
 // Replay is a governed run replayed over a machine.Table instead of
 // simulated on a machine. Each interval it evaluates the interval at
-// the current setting (Table.At), charges the work span, and runs the
-// PMI handler's Figure 8 flow — classify, predict, translate, actuate —
+// the current setting (Table.At), charges the work span, and steps the
+// PMI handler's Figure 8 decision — the kernelsim.Stepper HandlePMI
+// steps: classify, predict, translate, actuate, fold the telemetry —
 // charging the handler span as Run charges it. The result is the one
 // RunContext returns over the table's trace, bit for bit, when the run
 // has no actuator; the kernel log is kept in compact form (Records),
@@ -29,17 +31,16 @@ type Replay struct {
 	tab    *machine.Table
 	policy string
 	mon    *core.Monitor
-	tr     *dvfs.Translation // nil when the policy does not actuate
+	step   kernelsim.Stepper
+	hub    *telemetry.Hub // nil when unobserved
 	ctrl   *dvfs.Controller
 	gran   uint64
-	costS  float64
 	// whole is set for a policy that reads the future: its run is the
 	// whole table, replayed in one step.
 	whole bool
 
-	acct       machine.Account
-	violations int
-	done       int // intervals replayed
+	acct machine.Account
+	done int // intervals replayed
 	// recs holds the newest replayed intervals, oldest first: at most
 	// recordWindow, and at least the newest DefaultLogCapacity once
 	// that many have been replayed.
@@ -65,11 +66,13 @@ type Record struct {
 // configures a run, through the same setup. It refuses, with an error,
 // what a table cannot replay: an Actuator (it chooses settings from
 // live machine state), a non-zero Config.Machine (the table fixes the
-// machine; the translation's ladder must match the table's), Config.Log
-// storage (a replay keeps its own records), a granularity other than the
-// table's, and more phases or settings than a compact record holds.
-// With Config.Telemetry set, the replay counts one governor run; it
-// publishes no per-interval events.
+// machine; the translation's ladder must match the table's), a
+// granularity other than the table's, and more phases or settings than
+// a compact record holds. With Config.Telemetry set, the replay counts
+// one governor run and sets the current-setting gauge, as loading the
+// kernel module does, and folds every interval as the PMI handler
+// does; it reads the hub clock and publishes once per 32 intervals and
+// at the end of each Run.
 //
 // recs is the records' storage: the replay appends to recs[:0],
 // growing it only when its capacity falls short of the table or of
@@ -82,8 +85,6 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 		return nil, fmt.Errorf("governor: an actuator reads live machine state, so %s cannot replay over a table", pol.Name())
 	case m.Ladder != nil || m.Recorder != nil || m.Thermal != nil:
 		return nil, fmt.Errorf("governor: a replay runs on its table's machine, so Config.Machine must be zero")
-	case cfg.Log != nil:
-		return nil, fmt.Errorf("governor: a replay keeps its own records, so it takes no kernel-log storage")
 	}
 	cfg, modCfg, err := setup(pol, cfg)
 	if err != nil {
@@ -102,18 +103,20 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 	if cfg.Classifier.NumPhases() > math.MaxUint8 || tab.Ladder().Len() > math.MaxUint8+1 {
 		return nil, fmt.Errorf("governor: %d phases over %d settings do not fit a replay record", cfg.Classifier.NumPhases(), tab.Ladder().Len())
 	}
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.GovernorRuns.Inc()
+	ctrl := tab.NewController()
+	if tel := cfg.Telemetry; tel != nil {
+		tel.GovernorRuns.Inc()
+		tel.CurrentSetting.Set(float64(ctrl.Current()))
 	}
 	_, whole := pol.(oracle)
 	return &Replay{
 		tab:    tab,
 		policy: pol.Name(),
 		mon:    modCfg.Monitor,
-		tr:     modCfg.Translation,
-		ctrl:   tab.NewController(),
+		step:   kernelsim.NewStepper(modCfg, ctrl, nil),
+		hub:    cfg.Telemetry,
+		ctrl:   ctrl,
 		gran:   gran,
-		costS:  kernelsim.HandlerCost(modCfg.Monitor.Predictor()),
 		whole:  whole,
 		recs:   slices.Grow(recs[:0], min(tab.Len(), recordWindow)),
 	}, nil
@@ -161,36 +164,40 @@ func (r *Replay) Run(ctx context.Context, n int) (*Result, error) {
 		Run:              r.acct.Result(uint64(n), r.ctrl.Transitions()),
 		Accuracy:         r.mon.Tally(),
 		OverheadFraction: r.acct.OverheadFraction(),
-		BudgetViolations: r.violations,
+		BudgetViolations: r.step.BudgetViolations(),
 	}, nil
 }
 
 // replay runs intervals r.done to n-1: the work span at the
-// current setting, then the PMI handler — the monitor's step, the
-// actuation, and the handler span, charged as the handler cost plus
-// the controller's added time in transition, exactly as Run charges
-// it (the floats differ from adding the bare transition latency).
+// current setting, then the PMI handler's step — the monitor's step,
+// the actuation and the telemetry fold — and the handler span, charged
+// as the handler cost plus the controller's added time in transition,
+// exactly as Run charges it (the floats differ from adding the bare
+// transition latency). Observed, it stamps each 32 intervals' events
+// with one hub clock reading, publishing the last 32 before it reads
+// the next, and publishes the rest before it returns.
 //
 //lint:hotpath
 func (r *Replay) replay(ctx context.Context, n int) error {
 	uops := float64(r.gran)
-	for i := r.done; i < n; i++ {
-		if i%ctxPollStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
+	from, nowNs := r.done, r.now()
+	for i := from; i < n; i++ {
+		if i%ctxPollStride == 0 {
+			if err := ctx.Err(); err != nil {
+				r.step.Publish()
+				return err
+			}
+			if r.hub != nil && i > from {
+				r.step.Publish()
+				nowNs = r.now()
+			}
 		}
 		set := r.ctrl.Current()
 		dur, watts, instructions, sample := r.tab.At(i, set)
 		r.acct.Work(dur, watts, instructions, uops)
 
-		actual, next := r.mon.Step(sample)
 		pre := r.ctrl.TimeInTransition()
-		if r.tr != nil {
-			_, _ = r.ctrl.Set(r.tr.Setting(next))
-		}
-		if r.costS > kernelsim.BudgetS {
-			r.violations++
-		}
-		overhead := r.costS
+		actual, next, overhead := r.step.Step(i, sample, nowNs)
 		overhead += r.ctrl.TimeInTransition() - pre
 		r.acct.Handler(overhead, r.tab.HandlerWatts(r.ctrl.Current()))
 		if len(r.recs) == recordWindow {
@@ -199,7 +206,17 @@ func (r *Replay) replay(ctx context.Context, n int) error {
 		r.recs = append(r.recs, Record{UPC: sample.UPC, Setting: uint8(set), Actual: uint8(actual), Predicted: uint8(next)})
 		r.done = i + 1
 	}
+	r.step.Publish()
 	return nil
+}
+
+// now reads the hub clock in Unix nanoseconds: the stamp of an
+// observed replay's events. Unobserved, it reads no clock.
+func (r *Replay) now() int64 {
+	if r.hub == nil {
+		return 0
+	}
+	return r.hub.Now().UnixNano()
 }
 
 // Len returns the number of intervals in the replay's table: the

@@ -3,9 +3,12 @@ package governor
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"phasemon/internal/core"
 	"phasemon/internal/daq"
@@ -101,17 +104,18 @@ func expandLog(rp *Replay, n int) []kernelsim.Entry {
 }
 
 // checkReplay runs spec over the trace through RunContext and through
-// a replay of its table, and reports any difference in the result,
-// kernel log included.
+// a replay of its table, each observed by a hub of its own, and
+// reports any difference in the result, kernel log included, or in
+// what the two runs left in their hubs (hubsDiffer).
 func (tr trace) checkReplay(t testing.TB, spec string) {
 	t.Helper()
 	pol := tr.policyFor(t, spec)
-	cfg := Config{GranularityUops: tr.gran}
-	want, err := RunContext(context.Background(), tr.gen, pol, cfg)
+	wantHub, gotHub := telemetry.NewHub(phase.Default().NumPhases()), telemetry.NewHub(phase.Default().NumPhases())
+	want, err := RunContext(context.Background(), tr.gen, pol, Config{GranularityUops: tr.gran, Telemetry: wantHub})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplay(tr.tab, pol, cfg, nil)
+	rp, err := NewReplay(tr.tab, pol, Config{GranularityUops: tr.gran, Telemetry: gotHub}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +132,75 @@ func (tr trace) checkReplay(t testing.TB, spec string) {
 			want.Run, want.Accuracy, want.OverheadFraction, want.BudgetViolations,
 			reflect.DeepEqual(got.Log, want.Log))
 	}
+	if diff := hubsDiffer(gotHub, wantHub, want.Log, n); diff != "" {
+		t.Errorf("%s %s gran %d n=%d: replay hub differs from RunContext's: %s", tr.gen.Name(), spec, tr.gran, n, diff)
+	}
+}
+
+// hubsDiffer reports what a replay of n intervals left in its hub
+// (got) that differs from what RunContext left in its own (want), or
+// "" when nothing does: every counter, gauge and histogram, the
+// confusion cells and the journal, event stamps aside (the two runs
+// read their clocks at different cadences).
+//
+// The Mem/Uop sum is a float sum whose rounding follows the publish
+// cadence: the PMI handler adds each interval's reading to the hub in
+// turn, a replay each 32 intervals' partial sum. So each sum is checked
+// bit for bit against the kernel log's readings summed at its own
+// cadence while the log holds every interval, and within 1e-12 of the
+// other once it has wrapped; the rest of each snapshot must be equal.
+func hubsDiffer(got, want *telemetry.Hub, log []kernelsim.Entry, n int) string {
+	gs, ws := got.Registry.Snapshot(), want.Registry.Snapshot()
+	gm, wm := gs.Histograms[telemetry.MetricMemPerUop], ws.Histograms[telemetry.MetricMemPerUop]
+	if len(log) == n {
+		readings := make([]float64, n)
+		for i, e := range log {
+			readings[i] = e.MemPerUop
+		}
+		if g, w := publishedSum(readings, ctxPollStride), publishedSum(readings, 1); math.Float64bits(gm.Sum) != math.Float64bits(g) || math.Float64bits(wm.Sum) != math.Float64bits(w) {
+			return fmt.Sprintf("Mem/Uop sums %x / %x, want %x / %x", math.Float64bits(gm.Sum), math.Float64bits(wm.Sum), math.Float64bits(g), math.Float64bits(w))
+		}
+	} else if math.Abs(gm.Sum-wm.Sum) > 1e-12*math.Abs(wm.Sum) {
+		return fmt.Sprintf("Mem/Uop sum %v, want %v", gm.Sum, wm.Sum)
+	}
+	gm.Sum, wm.Sum = 0, 0
+	gs.Histograms[telemetry.MetricMemPerUop], ws.Histograms[telemetry.MetricMemPerUop] = gm, wm
+	if !reflect.DeepEqual(gs, ws) {
+		return fmt.Sprintf("registry\n got %+v\nwant %+v", gs, ws)
+	}
+	if g, w := got.Accuracy(), want.Accuracy(); !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("confusion %v, want %v", g.Confusion, w.Confusion)
+	}
+	ge, we := unstamped(got.Journal.Recent(0)), unstamped(want.Journal.Recent(0))
+	if !reflect.DeepEqual(ge, we) || got.Journal.Dropped() != want.Journal.Dropped() {
+		return fmt.Sprintf("journal of %d events (%d dropped), want %d (%d dropped)", len(ge), got.Journal.Dropped(), len(we), want.Journal.Dropped())
+	}
+	return ""
+}
+
+// publishedSum is the Mem/Uop sum a hub holds once readings are
+// published every `every` intervals: each batch summed from zero, then
+// added to the hub's running sum.
+func publishedSum(readings []float64, every int) float64 {
+	var sum float64
+	for len(readings) > 0 {
+		k := min(every, len(readings))
+		var part float64
+		for _, r := range readings[:k] {
+			part += r
+		}
+		sum += part
+		readings = readings[k:]
+	}
+	return sum
+}
+
+// unstamped returns the events with their stamps zeroed.
+func unstamped(evs []telemetry.Event) []telemetry.Event {
+	for i := range evs {
+		evs[i].UnixNs = 0
+	}
+	return evs
 }
 
 // TestReplayMatchesRunContext is the replay's contract: over a table
@@ -315,7 +388,6 @@ func TestReplayRefusals(t *testing.T) {
 		{"thermal machine", Config{Machine: machine.Config{Thermal: th}}, "Config.Machine"},
 		{"recorder", Config{Machine: machine.Config{Recorder: daq.NewWaveform()}}, "Config.Machine"},
 		{"ladder", Config{Machine: machine.Config{Ladder: dtr.Ladder()}, Translation: dtr}, "Config.Machine"},
-		{"log", Config{Log: make([]kernelsim.Entry, 0, 50)}, "kernel-log storage"},
 		{"granularity", Config{GranularityUops: 50_000_000}, "granularity"},
 	}
 	for _, c := range cases {
@@ -340,42 +412,74 @@ func TestReplayCancel(t *testing.T) {
 	}
 }
 
-// TestReplayTelemetry: a replay counts one governor run and records no
-// per-interval events.
+// TestReplayTelemetry: a replay counts one governor run and folds
+// every interval, reading the hub clock once per 32 intervals and at
+// the start of each Run, stamping each interval's events with the
+// reading before it, and publishing everything it folded before Run
+// returns.
 func TestReplayTelemetry(t *testing.T) {
 	tr := newTrace(t, "applu_in", 100_000_000, 100)
-	hub := telemetry.NewHub(6)
+	var reads int64
+	hub := telemetry.NewHub(6, telemetry.WithClock(func() time.Time {
+		reads++
+		return time.Unix(0, reads)
+	}))
 	rp, err := NewReplay(tr.tab, Proactive(8, 128), Config{Telemetry: hub}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rp.Run(context.Background(), 100); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ n, reads int }{{40, 2}, {100, 5}} {
+		if _, err := rp.Run(context.Background(), c.n); err != nil {
+			t.Fatal(err)
+		}
+		if got := hub.Steps.Value(); got != uint64(c.n) {
+			t.Errorf("after Run to %d: Steps = %d", c.n, got)
+		}
+		if got := hub.HandlerCost.Snapshot().Count; got != uint64(c.n) {
+			t.Errorf("after Run to %d: HandlerCost observed %d times", c.n, got)
+		}
+		if reads != int64(c.reads) {
+			t.Errorf("after Run to %d: %d clock reads, want %d", c.n, reads, c.reads)
+		}
 	}
 	if got := hub.GovernorRuns.Value(); got != 1 {
 		t.Errorf("GovernorRuns = %d, want 1", got)
 	}
-	if got := hub.HandlerCost.Snapshot().Count; got != 0 {
-		t.Errorf("HandlerCost observed %d times, want none", got)
+	// The reads came at intervals 0, 32, 40 (the second Run), 64 and 96.
+	starts := []int{0, 32, 40, 64, 96}
+	for _, e := range hub.Journal.Recent(0) {
+		if e.Kind != telemetry.KindPMISample {
+			continue
+		}
+		read := 0
+		for read < len(starts) && starts[read] <= e.Step {
+			read++
+		}
+		if e.UnixNs != int64(read) {
+			t.Errorf("interval %d stamped %d, want clock read %d", e.Step, e.UnixNs, read)
+		}
 	}
 }
 
 // TestReplayZeroAllocsPerInterval: the replay loop, the table's
-// per-interval evaluation included, allocates nothing per interval.
+// per-interval evaluation and an observed replay's fold and publish
+// included, allocates nothing per interval.
 func TestReplayZeroAllocsPerInterval(t *testing.T) {
-	tr := newTrace(t, "applu_in", 100_000_000, 4000)
-	rp, err := NewReplay(tr.tab, Proactive(8, 128), Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		n += 37
-		if err := rp.replay(context.Background(), n); err != nil {
+	for _, hub := range []*telemetry.Hub{nil, telemetry.NewHub(6)} {
+		tr := newTrace(t, "applu_in", 100_000_000, 4000)
+		rp, err := NewReplay(tr.tab, Proactive(8, 128), Config{Telemetry: hub}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("replaying 37 intervals allocates %v times, want 0", allocs)
+		n := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			n += 37
+			if err := rp.replay(context.Background(), n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("observed %v: replaying 37 intervals allocates %v times, want 0", hub != nil, allocs)
+		}
 	}
 }

@@ -46,12 +46,12 @@ func testHandlePMIZeroAlloc(t *testing.T, hub *telemetry.Hub) {
 	mod, err := NewModule(Config{
 		Monitor:     mon,
 		Translation: tr,
-		Log:         make([]Entry, 0, 256), // explicit storage: no growth, ring thereafter
 		Telemetry:   hub,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	boundLog(mod, 256) // preallocated storage: no growth, ring thereafter
 	m := machine.New(machine.Config{})
 	if err := mod.Load(m); err != nil {
 		t.Fatal(err)
@@ -120,10 +120,11 @@ func TestDrainLogMatchesReadLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := NewModule(Config{Monitor: mon, Log: make([]Entry, 0, 8)})
+		mod, err := NewModule(Config{Monitor: mon})
 		if err != nil {
 			t.Fatal(err)
 		}
+		boundLog(mod, 8)
 		for i := 0; i < n; i++ {
 			*mod.logSlot() = Entry{Index: i}
 		}
@@ -145,35 +146,6 @@ func TestDrainLogMatchesReadLog(t *testing.T) {
 		if l := mod.ReadLog(); len(l) != 1 || l[0].Index != 99 {
 			t.Fatalf("n=%d: post-drain append lost: %+v", n, l)
 		}
-	}
-}
-
-// TestExplicitLogCapacityPreallocates: storage passed as Config.Log is
-// the log itself — its capacity is the bound, appends up to it never
-// reallocate, and the drained log is that storage.
-func TestExplicitLogCapacityPreallocates(t *testing.T) {
-	mon, err := core.NewMonitor(phase.Default(), core.NewLastValue())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]Entry, 0, 1024)
-	mod, err := NewModule(Config{Monitor: mon, Log: buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cap(mod.log); got != 1024 {
-		t.Fatalf("preallocated capacity = %d, want 1024", got)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(2048, func() {
-		*mod.logSlot() = Entry{Index: i}
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("logSlot with explicit capacity allocates %.1f allocs/op, want 0", allocs)
-	}
-	if got := mod.DrainLog(); len(got) != 1024 || &got[0] != &buf[:1][0] {
-		t.Errorf("drained log is not the storage passed as Config.Log")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"phasemon/internal/phase"
 	"phasemon/internal/pmc"
 	"phasemon/internal/telemetry"
+	"phasemon/internal/thermal"
 	"phasemon/internal/trace"
 )
 
@@ -44,29 +45,18 @@ type Config struct {
 	// chooses the next interval's setting dynamically, with access to
 	// platform state (e.g. die temperature for thermal throttling).
 	Actuator Actuator
-	// Log, when it has capacity, is the kernel log's storage: cap(Log)
-	// bounds the log (ring buffer) and the module writes from Log[:0],
-	// so the PMI path never grows it. Callers that know the run length
-	// (the fleet engine, through the governor) pass storage of exactly
-	// that capacity and get an allocation-free steady state from the
-	// first interval; a caller that runs many modules one after another
-	// can hand each the same storage, since HandlePMI writes every field
-	// of every entry it logs. The drained log (DrainLog) aliases it. With
-	// no capacity the bound is DefaultLogCapacity and the log grows
-	// geometrically on demand, which is amortized-free but not
-	// allocation-free until it stops growing.
-	Log []Entry
-	// Telemetry, when non-nil, observes the run live. The PMI handler
-	// is its only holder: it folds each interval's kernel-log entry —
-	// verdict, phase transition — and records its DVFS change and PMI
-	// sample into its own StepBatch under one hub clock reading, and
-	// publishes the batch once per interval. Nil (the default) leaves
-	// the run unobserved at near-zero cost.
+	// Telemetry, when non-nil, observes the run live. The run's
+	// Stepper is its only holder: it folds each interval — verdict,
+	// phase transition, DVFS change, PMI sample and handler cost — into
+	// its own StepBatch under the caller's hub clock reading; the PMI
+	// handler publishes the batch once per interval, a governor table
+	// replay once per 32. Nil (the default) leaves the run unobserved at
+	// near-zero cost.
 	Telemetry *telemetry.Hub
 }
 
-// DefaultLogCapacity is the kernel log's default bound, in entries
-// (one per interval).
+// DefaultLogCapacity is the kernel log's bound, in entries (one per
+// interval): the log grows on demand up to it, then wraps as a ring.
 const DefaultLogCapacity = 65536
 
 // DefaultGranularityUops is the sampling interval a zero
@@ -100,15 +90,131 @@ type Entry struct {
 // Actuator chooses the DVFS setting to apply for the upcoming
 // interval, given the predicted phase. Static translations are the
 // Table 2 case; dynamic actuators implement management goals that
-// depend on platform state, such as thermal limits or power caps.
+// depend on platform state, such as thermal limits or power caps. die
+// is the platform's thermal model, nil when it has none.
 type Actuator interface {
-	Choose(m *machine.Machine, predicted phase.ID) dvfs.Setting
+	Choose(die *thermal.Model, predicted phase.ID) dvfs.Setting
 }
+
+// Stepper is the decision half of the Figure 8 flow, the part that
+// does not touch the counters: it updates the predictor state and
+// predicts the next phase, translates the prediction to a DVFS setting
+// and applies it, counts a handler invocation over the interrupt
+// budget, and folds the interval into the run's telemetry batch. The
+// PMI handler steps it once per interrupt, and the governor's table
+// replays once per replayed interval, so both make the one decision.
+type Stepper struct {
+	mon   *core.Monitor
+	tr    *dvfs.Translation
+	act   Actuator
+	ctrl  *dvfs.Controller // the DVFS controller it actuates
+	die   *thermal.Model   // the thermal model an Actuator reads; may be nil
+	costS float64          // the modeled handler cost, fixed by the predictor
+	over  bool             // costS exceeds BudgetS
+	// tel is the run's batch on Config.Telemetry; nil when unobserved.
+	tel *telemetry.StepBatch
+	// pre is what an observed step notes before the monitor steps, for
+	// its fold: the interval, its sample and stamp, the phase and
+	// prediction the monitor held, its PHT lookup counts, and the
+	// setting the interval ran at.
+	pre struct {
+		index         int
+		s             phase.Sample
+		nowNs         int64
+		prev, pending phase.ID
+		hits, misses  uint64
+		ranAt         dvfs.Setting
+	}
+
+	violations int
+}
+
+// NewStepper returns the stepper of a run configured by cfg, whose
+// Monitor must be set, that actuates ctrl: Actuator takes precedence
+// over Translation, reading die, and with neither it only monitors.
+func NewStepper(cfg Config, ctrl *dvfs.Controller, die *thermal.Model) Stepper {
+	cost := HandlerCost(cfg.Monitor.Predictor())
+	return Stepper{
+		mon:   cfg.Monitor,
+		tr:    cfg.Translation,
+		act:   cfg.Actuator,
+		ctrl:  ctrl,
+		die:   die,
+		costS: cost,
+		over:  cost > BudgetS,
+		tel:   cfg.Telemetry.NewStepBatch(),
+	}
+}
+
+// Step decides interval index from its sample s: the monitor's step,
+// then the actuation for the next interval. It returns the interval's
+// phase, the phase predicted for the next one, and the handler's
+// modeled cost. An observed stepper folds the interval, stamped nowNs,
+// into its batch; the caller publishes it (Publish).
+//
+//lint:hotpath
+func (st *Stepper) Step(index int, s phase.Sample, nowNs int64) (actual, next phase.ID, costS float64) {
+	if st.tel != nil {
+		p := &st.pre
+		p.index, p.s, p.nowNs = index, s, nowNs
+		p.prev, p.pending = st.mon.LastActual(), st.mon.LastPrediction()
+		p.hits, p.misses = core.PHTLookups(st.mon.Predictor())
+		p.ranAt = st.ctrl.Current()
+	}
+	actual, next = st.mon.Step(s)
+
+	// Translate the predicted phase to a DVFS setting and apply it if
+	// it differs from the current one; it governs the next interval.
+	switch {
+	case st.act != nil:
+		_, _ = st.ctrl.Set(st.act.Choose(st.die, next))
+	case st.tr != nil:
+		_, _ = st.ctrl.Set(st.tr.Setting(next))
+	}
+	if st.over {
+		st.violations++
+	}
+
+	if st.tel != nil {
+		st.fold(actual, next)
+	}
+	return actual, next, st.costS
+}
+
+// fold records a stepped interval into the batch against what the step
+// noted before (pre): the PHT lookups since, the verdict and any phase
+// transition, any DVFS change, the PMI sample and the handler
+// invocation. It stays out of Step's body, so an unobserved step
+// carries none of it.
+//
+//lint:hotpath
+func (st *Stepper) fold(actual, next phase.ID) {
+	p := &st.pre
+	hits, misses := core.PHTLookups(st.mon.Predictor())
+	st.tel.GPHTLookups(hits-p.hits, misses-p.misses)
+	st.tel.Fold(p.index, p.s.MemPerUop, int(p.prev), int(p.pending), int(actual), int(next), p.nowNs)
+	if set := st.ctrl.Current(); set != p.ranAt {
+		st.tel.DVFSChange(p.index, int(p.ranAt), int(set), p.nowNs)
+	}
+	st.tel.PMISample(p.index, p.s.MemPerUop, p.s.UPC, p.nowNs)
+	st.tel.Handler(st.costS, st.over)
+}
+
+// Publish applies the intervals folded since the last Publish to the
+// hub; unobserved, it does nothing.
+//
+//lint:hotpath
+func (st *Stepper) Publish() { st.tel.Publish() }
+
+// BudgetViolations counts the steps whose handler cost exceeded the
+// interrupt time budget.
+func (st *Stepper) BudgetViolations() int { return st.violations }
 
 // Module is the loaded LKM.
 type Module struct {
 	cfg    Config
 	loaded bool
+	step   Stepper
 
 	lastTSC uint64
 	index   int
@@ -116,15 +222,6 @@ type Module struct {
 	log      []Entry
 	logStart int // ring buffer start when saturated
 	logBound int // entries the ring holds before it wraps
-
-	// handlerCostS is the modeled per-invocation handler cost, fixed
-	// at NewModule because the monitor's predictor never changes.
-	handlerCostS float64
-
-	// tel is the handler's batch on cfg.Telemetry; nil when unobserved.
-	tel *telemetry.StepBatch
-
-	budgetViolations int
 }
 
 // NewModule validates the configuration and returns an unloaded module.
@@ -136,12 +233,7 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.GranularityUops >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
-	mod := &Module{cfg: cfg, tel: cfg.Telemetry.NewStepBatch(), logBound: DefaultLogCapacity}
-	mod.handlerCostS = HandlerCost(cfg.Monitor.Predictor())
-	if n := cap(cfg.Log); n > 0 {
-		mod.log, mod.logBound = cfg.Log[:0], n
-	}
-	return mod, nil
+	return &Module{cfg: cfg, step: NewStepper(cfg, nil, nil), logBound: DefaultLogCapacity}, nil
 }
 
 // Load installs the module on the machine: it configures and arms the
@@ -163,6 +255,7 @@ func (mod *Module) Load(m *machine.Machine) error {
 	b.WriteTSC(0)
 	mod.lastTSC = 0
 	b.Start()
+	mod.step.ctrl, mod.step.die = m.DVFS(), m.Thermal()
 	mod.loaded = true
 	if tel := mod.cfg.Telemetry; tel != nil {
 		tel.CurrentSetting.Set(float64(m.DVFS().Current()))
@@ -199,32 +292,12 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 		nowNs = tel.Now().UnixNano()
 	}
 
-	// Translate counter readings to the corresponding phase and update
-	// the predictor state / predict the next phase. An observed
-	// handler notes what the monitor held before the step, for the
-	// fold below.
-	mon := mod.cfg.Monitor
-	var prev, pending phase.ID
-	var hits, misses uint64
-	if mod.tel != nil {
-		prev, pending = mon.LastActual(), mon.LastPrediction()
-		hits, misses = core.PHTLookups(mon.Predictor())
-	}
+	// Translate counter readings to the corresponding phase, then
+	// predict, translate and actuate. The logged interval ran at the
+	// setting current *before* this handler's actuation.
 	s := phase.FromCounters(uops, memTx, cycles)
-	actual, next := mon.Step(s)
-
-	// The logged interval ran at the setting current *before* this
-	// handler's actuation.
 	ranAt := m.DVFS().Current()
-
-	// Translate the predicted phase to a DVFS setting and apply it if
-	// it differs from the current one; it governs the next interval.
-	switch {
-	case mod.cfg.Actuator != nil:
-		_, _ = m.DVFS().Set(mod.cfg.Actuator.Choose(m, next))
-	case mod.cfg.Translation != nil:
-		_, _ = m.DVFS().Set(mod.cfg.Translation.Setting(next))
-	}
+	actual, next, cost := mod.step.Step(mod.index, s, nowNs)
 
 	// Log the sample for user-level evaluation tools. The fields are
 	// written straight into the log slot, every one of them (a
@@ -239,21 +312,10 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	e.Actual = actual
 	e.Predicted = next
 	e.Setting = ranAt
-
-	// Fold the entry — verdict and transition — then journal the
-	// actuation and the sample, and publish the interval's telemetry
-	// at once.
-	if mod.tel != nil {
-		nowHits, nowMisses := core.PHTLookups(mon.Predictor())
-		mod.tel.GPHTLookups(nowHits-hits, nowMisses-misses)
-		mod.tel.Fold(e.Index, e.MemPerUop, int(prev), int(pending), int(e.Actual), int(e.Predicted), nowNs)
-		if set := m.DVFS().Current(); set != ranAt {
-			mod.tel.DVFSChange(mod.index, int(ranAt), int(set), nowNs)
-		}
-		mod.tel.PMISample(mod.index, s.MemPerUop, s.UPC, nowNs)
-		mod.tel.Publish()
-	}
 	mod.index++
+
+	// Publish the interval's telemetry at once.
+	mod.step.Publish()
 
 	// Flip the phase marker so the DAQ can attribute the next interval.
 	m.Port().Toggle(machine.PortBitPhase)
@@ -271,16 +333,6 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	mod.lastTSC = 0
 	b.Start()
 
-	cost := mod.handlerCostS
-	if cost > BudgetS {
-		mod.budgetViolations++
-	}
-	if tel := mod.cfg.Telemetry; tel != nil {
-		tel.HandlerCost.Observe(cost)
-		if cost > BudgetS {
-			tel.BudgetViolations.Inc()
-		}
-	}
 	return cost
 }
 
@@ -312,7 +364,7 @@ func HandlerCost(p core.Predictor) float64 {
 
 // BudgetViolations counts handler invocations that exceeded the
 // interrupt time budget.
-func (mod *Module) BudgetViolations() int { return mod.budgetViolations }
+func (mod *Module) BudgetViolations() int { return mod.step.BudgetViolations() }
 
 // Samples returns how many intervals the module has logged.
 func (mod *Module) Samples() int { return mod.index }
@@ -331,8 +383,7 @@ func (mod *Module) ReadLog() []Entry {
 }
 
 // DrainLog hands the kernel log to the caller without copying: the
-// module's backing array (Config.Log's storage, when one was given) is
-// rotated in place to oldest-first order, detached, and returned; the
+// module's backing array is rotated in place to oldest-first order, detached, and returned; the
 // module starts a fresh (empty) log. This is the post-run path for
 // owners that discard the module afterwards — the governor reads the
 // log exactly once into its Result, so the system-call copy ReadLog

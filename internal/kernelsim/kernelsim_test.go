@@ -217,8 +217,8 @@ func TestHandlerCostScalesWithPHTEntries(t *testing.T) {
 		if math.Abs(got-c.want) > 1e-15 || got > BudgetS {
 			t.Errorf("%s: HandlerCost = %v, want %v within the %v budget", c.spec, got, c.want, BudgetS)
 		}
-		if mod, _ := newModule(t, pred, nil); mod.handlerCostS != got {
-			t.Errorf("%s: module charges %v, HandlerCost %v", c.spec, mod.handlerCostS, got)
+		if mod, _ := newModule(t, pred, nil); mod.step.costS != got {
+			t.Errorf("%s: module charges %v, HandlerCost %v", c.spec, mod.step.costS, got)
 		}
 	}
 }
@@ -252,10 +252,11 @@ func TestOverheadInvisibleAtPaperGranularity(t *testing.T) {
 
 func TestLogRingBufferSaturation(t *testing.T) {
 	mon, _ := core.NewMonitor(phase.Default(), core.NewLastValue())
-	mod, err := NewModule(Config{Monitor: mon, Log: make([]Entry, 0, 16)})
+	mod, err := NewModule(Config{Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
+	boundLog(mod, 16)
 	m := machine.New(machine.Config{})
 	if err := mod.Load(m); err != nil {
 		t.Fatal(err)
@@ -277,6 +278,13 @@ func TestLogRingBufferSaturation(t *testing.T) {
 }
 
 // Shared helpers for this package's tests.
+
+// boundLog gives mod's kernel log storage for n entries, preallocated,
+// and makes n its bound, so a test reaches the ring's wrap in a few
+// intervals.
+func boundLog(mod *Module, n int) {
+	mod.log, mod.logBound = make([]Entry, 0, n), n
+}
 
 func mustProfile(t *testing.T, name string) *workload.Profile {
 	t.Helper()

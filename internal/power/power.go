@@ -157,7 +157,9 @@ func (m *Model) Leakage(voltageV float64) float64 {
 // Power returns the total CPU rail power in watts for the operating
 // conditions, at the leakage calibration temperature.
 func (m *Model) Power(voltageV, freqHz, upc float64) float64 {
-	return m.Dynamic(voltageV, freqHz, upc) + m.Leakage(voltageV) + m.cfg.BaseW
+	// float64 rounds each term's product before the adds, so no
+	// architecture fuses them.
+	return float64(m.Dynamic(voltageV, freqHz, upc)) + float64(m.Leakage(voltageV)) + m.cfg.BaseW
 }
 
 // LeakageAt returns the leakage power at a die temperature: leakage
@@ -182,5 +184,7 @@ func (m *Model) LeakageScale(tempC float64) float64 {
 //
 //lint:unusedexport reference oracle: tests check machine's precomputed power table against it
 func (m *Model) PowerAt(voltageV, freqHz, upc, tempC float64) float64 {
-	return m.Dynamic(voltageV, freqHz, upc) + m.LeakageAt(voltageV, tempC) + m.cfg.BaseW
+	// float64 rounds each term's product before the adds, so no
+	// architecture fuses them.
+	return float64(m.Dynamic(voltageV, freqHz, upc)) + float64(m.LeakageAt(voltageV, tempC)) + m.cfg.BaseW
 }

@@ -19,18 +19,21 @@ type stepEvent struct {
 // it reaches the hub in one Publish: the step count, the Mem/Uop
 // bucket counts and partial sum, the misprediction, phase-transition,
 // DVFS-transition and PMI-sample counts, the confusion cells, the GPHT
-// hit/miss counts, the last current and predicted phase and DVFS
-// setting, and the batch's journal events.
+// hit/miss counts, the handler invocations and budget violations, the
+// last current and predicted phase and DVFS setting, and the batch's
+// journal events.
 //
 // A StepBatch is owned by one stepping loop, which steps its monitor
 // bare and folds each interval in once (Fold) from the record it
-// already keeps — the simulated PMI handler its kernel-log entry, the
-// live loops their (sample, actual, next), a phased worker its reply
-// slice. The PMI handler and the live loops publish once per
-// interval, a phased worker once per session batch; Publish is the only
-// writer of the journal and of the step, PMI and DVFS instruments: one
-// atomic add per non-zero cell, one store per gauge that moved and one
-// journal lock section for the whole batch. Like every hub handle it
+// already keeps — the simulated PMI handler's and the table replay's
+// kernelsim.Stepper its interval, the live loops their (sample,
+// actual, next), a phased worker its reply slice. The PMI handler and
+// the live loops publish once per interval, a table replay once per 32
+// intervals and at the end of each run, a phased worker once per
+// session batch; Publish is the only writer of the journal and of the
+// step, PMI and DVFS instruments: one atomic add per non-zero cell, one
+// store per gauge that moved and one journal lock section for the
+// whole batch. Like every hub handle it
 // is nil-safe: NewStepBatch on a nil hub returns nil, and every method
 // of a nil batch is a no-op.
 type StepBatch struct {
@@ -41,6 +44,8 @@ type StepBatch struct {
 	steps, mispredictions, transitions uint64
 	gphtHits, gphtMisses               uint64
 	dvfsTransitions, pmiSamples        uint64
+	handlers, budgetViolations         uint64
+	handlerCost                        float64 // every held handler's cost
 
 	mem    []uint64 // Mem/Uop bucket counts, the hub histogram's layout
 	memSum float64
@@ -156,6 +161,24 @@ func (b *StepBatch) PMISample(step int, memPerUop, upc float64, unixNs int64) {
 	b.record(KindPMISample, step, int64(math.Float64bits(memPerUop)), int64(math.Float64bits(upc)), unixNs)
 }
 
+// Handler counts one PMI handler invocation of modeled cost costS, and
+// a budget violation when over is set. A batch's invocations share one
+// cost — its stepping loop's, which the loop's predictor fixes — so
+// Publish observes them with one ObserveN, leaving the count and sum
+// observing each in turn would.
+//
+//lint:hotpath
+func (b *StepBatch) Handler(costS float64, over bool) {
+	if b == nil {
+		return
+	}
+	b.handlerCost = costS
+	b.handlers++
+	if over {
+		b.budgetViolations++
+	}
+}
+
 // record appends one journal event. Its fields are written in place:
 // composing the event whole and copying it in costs a store-forwarding
 // stall per event.
@@ -171,7 +194,7 @@ func (b *StepBatch) record(kind EventKind, step int, x, y, unixNs int64) {
 //
 //lint:hotpath
 func (b *StepBatch) Publish() {
-	if b == nil || b.steps == 0 && len(b.events) == 0 {
+	if b == nil || b.steps == 0 && b.handlers == 0 && len(b.events) == 0 {
 		return
 	}
 	h := b.hub
@@ -185,6 +208,8 @@ func (b *StepBatch) Publish() {
 	addNonZero(h.GPHTMisses, b.gphtMisses)
 	addNonZero(h.DVFSTransitions, b.dvfsTransitions)
 	addNonZero(h.PMISamples, b.pmiSamples)
+	addNonZero(h.BudgetViolations, b.budgetViolations)
+	h.HandlerCost.ObserveN(b.handlerCost, int(b.handlers))
 	h.MemPerUop.addBatch(b.mem, b.memSum)
 	for _, c := range b.dirty {
 		h.conf[c].Add(b.conf[c])
@@ -204,6 +229,7 @@ func (b *StepBatch) Publish() {
 	b.steps, b.mispredictions, b.transitions = 0, 0, 0
 	b.gphtHits, b.gphtMisses = 0, 0
 	b.dvfsTransitions, b.pmiSamples = 0, 0
+	b.handlers, b.budgetViolations = 0, 0
 	clear(b.mem)
 	b.memSum = 0
 	b.dirty = b.dirty[:0]

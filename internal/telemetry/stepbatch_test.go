@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -127,6 +128,31 @@ func TestStepBatchIntervalEvents(t *testing.T) {
 
 // TestStepEventSize guards the batch's per-event footprint: the
 // serving path appends one stepEvent per served verdict.
+// TestStepBatchHandler: the handler invocations a batch holds reach
+// the hub as the same count, buckets and sum bits that observing each
+// in turn leaves, with their budget violations, over two publishes.
+func TestStepBatchHandler(t *testing.T) {
+	h, ref := NewHub(3), NewHub(3)
+	b := h.NewStepBatch()
+	for _, batch := range []struct {
+		n    int
+		cost float64
+	}{{5, 3.1e-6}, {3, 60e-6}} {
+		for range batch.n {
+			b.Handler(batch.cost, batch.cost > 50e-6)
+			ref.HandlerCost.Observe(batch.cost)
+		}
+		b.Publish()
+	}
+	got, want := h.HandlerCost.Snapshot(), ref.HandlerCost.Snapshot()
+	if got.Count != want.Count || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || !slices.Equal(got.Counts, want.Counts) {
+		t.Errorf("handler cost %+v, want %+v", got, want)
+	}
+	if v := h.BudgetViolations.Value(); v != 3 {
+		t.Errorf("BudgetViolations = %d, want 3", v)
+	}
+}
+
 func TestStepEventSize(t *testing.T) {
 	if unsafe.Sizeof(0) != 8 {
 		t.Skip("sized for 64-bit platforms")

@@ -86,7 +86,9 @@ func (m *Model) PeakC() float64 { return m.peakC }
 // SteadyStateC returns the equilibrium temperature under constant
 // power.
 func (m *Model) SteadyStateC(powerW float64) float64 {
-	return m.cfg.AmbientC + powerW*m.cfg.ResistanceKPerW
+	// float64 rounds the product before the add, so no architecture
+	// fuses the two.
+	return m.cfg.AmbientC + float64(powerW*m.cfg.ResistanceKPerW)
 }
 
 // Advance integrates the RC network over dt seconds of constant power.
@@ -98,7 +100,9 @@ func (m *Model) Advance(powerW, dtS float64) {
 	}
 	target := m.SteadyStateC(powerW)
 	tau := m.cfg.ResistanceKPerW * m.cfg.CapacitanceJPerK
-	m.tempC = target + (m.tempC-target)*math.Exp(-dtS/tau)
+	// float64 rounds the product before the add, so no architecture
+	// fuses the two.
+	m.tempC = target + float64((m.tempC-target)*math.Exp(-dtS/tau))
 	if m.tempC > m.peakC {
 		m.peakC = m.tempC
 	}

@@ -116,8 +116,10 @@ const (
 // degradation subtracts directly — a predictor that slows the machine
 // down must pay for it regardless of its hit rate.
 func score(cs CellScore) float64 {
-	s := weightAccuracy*cs.Accuracy +
-		weightEDP*cs.EDPImprovement +
+	// float64 rounds each weighted term before the adds, so no
+	// architecture fuses them.
+	s := float64(weightAccuracy*cs.Accuracy) +
+		float64(weightEDP*cs.EDPImprovement) +
 		weightCPI/(1+cs.CPIError)
 	if cs.PerfDegradation > 0 {
 		s -= cs.PerfDegradation

@@ -249,37 +249,43 @@ func TestLongRoundScoringMatchesFullResults(t *testing.T) {
 	replayRounds(t, cfg.Grid.withDefaults(), runTournament(t, cfg))
 }
 
+// fullRun runs spec serially on the full machine, as a fleet engine
+// with base seed seed resolves it: the standalone governor run a
+// tournament cell's replay must match.
+func fullRun(t *testing.T, spec string, w string, gran uint64, intervals int, seed int64) *governor.Result {
+	t.Helper()
+	p, err := workload.ByName(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := governor.PolicyFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := p.Generator(workload.Params{
+		GranularityUops: float64(gran),
+		Seed:            fleet.Spec{Workload: w}.EffectiveSeed(seed),
+		Intervals:       intervals,
+	})
+	r, err := governor.RunContext(context.Background(), gen, pol, governor.Config{GranularityUops: gran})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // replayRounds runs each of the leaderboard's rounds standalone, one
 // full governor result per baseline and cell, and checks the round's
 // scores against referenceScoreCell.
 func replayRounds(t *testing.T, g Grid, lb *Leaderboard) {
 	t.Helper()
 	numPhases := phase.Default().NumPhases()
-	engine := fleet.New(fleet.Config{Workers: 2, BaseSeed: g.Seed})
 	for _, round := range lb.Rounds {
-		var specs []fleet.Spec
-		for _, w := range g.Workloads {
-			for _, gr := range g.Granularities {
-				specs = append(specs, fleet.Spec{Workload: w, Policy: "baseline", Intervals: round.Intervals, GranularityUops: gr})
-			}
-		}
-		nBase := len(specs)
 		for _, cs := range round.Cells {
-			specs = append(specs, fleet.Spec{Workload: cs.Workload, Policy: cs.Spec, Intervals: round.Intervals, GranularityUops: cs.GranularityUops})
-		}
-		full, err := engine.RunAll(context.Background(), specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, cs := range round.Cells {
 			cell := Cell{Workload: cs.Workload, Spec: cs.Spec, GranularityUops: cs.GranularityUops}
-			var base *governor.Result
-			for _, r := range full[:nBase] {
-				if r.Spec.Workload == cell.Workload && r.Spec.GranularityUops == cell.GranularityUops {
-					base = r.Res
-				}
-			}
-			want := referenceScoreCell(cell, round.Intervals, numPhases, full[nBase+i].Res, base)
+			managed := fullRun(t, cs.Spec, cs.Workload, cs.GranularityUops, round.Intervals, g.Seed)
+			base := fullRun(t, "baseline", cs.Workload, cs.GranularityUops, round.Intervals, g.Seed)
+			want := referenceScoreCell(cell, round.Intervals, numPhases, managed, base)
 			if !sameCellScore(cs, want) {
 				t.Errorf("round %d cell %+v:\n got  %+v\n want %+v", round.Round, cell, cs, want)
 			}

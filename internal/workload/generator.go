@@ -324,7 +324,9 @@ func SPECBoundary(memPerUop float64) float64 {
 	if memPerUop < 0 {
 		memPerUop = 0
 	}
-	return 1 / (1/2.0 + 35*memPerUop)
+	// float64 rounds the product before the add, so no architecture
+	// fuses the two.
+	return 1 / (1/2.0 + float64(35*memPerUop))
 }
 
 // IPCxMEMGrid enumerates the suite configurations covering the
