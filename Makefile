@@ -120,7 +120,7 @@ FMA_PACKAGES := ./internal/cpusim ./internal/machine ./internal/governor \
 	./internal/core ./internal/agg ./internal/kernelsim \
 	./internal/telemetry ./internal/phased ./internal/fleet \
 	./internal/thermal ./internal/power ./internal/tournament \
-	./internal/experiments
+	./internal/experiments ./internal/daq ./internal/analysis
 
 fma-check:
 	./scripts/fma_check.sh $(FMA_PACKAGES)

@@ -299,8 +299,9 @@ func appluObservations(b *testing.B, n int) []core.Observation {
 // (intervals per op reported as time; the suite's scalability knob).
 // /paper is the paper's platform; /thermal runs the same workload with
 // a die-temperature model attached, so leakage is scaled per interval;
-// /hub is /paper observed by a telemetry hub, so each interval also
-// reads the hub clock once and publishes the PMI handler's batch.
+// /hub is /paper observed by a telemetry hub, so the PMI handler also
+// folds each interval, stamped in simulated time, and publishes after
+// every 32nd.
 func BenchmarkGovernorRun(b *testing.B) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {
@@ -340,8 +341,8 @@ func BenchmarkGovernorRun(b *testing.B) {
 // table of the same 200-interval trace: what each tournament cell pays
 // per replay. The records' storage is reused from run to run, as the
 // fleet engine reuses it. /hub is /paper observed by a telemetry hub,
-// so the replay folds every interval and reads the hub clock and
-// publishes once per 32 — the pair to GovernorRun's /paper and /hub.
+// so the replay folds and publishes as GovernorRun/hub's handler does —
+// the pair to GovernorRun's /paper and /hub.
 func BenchmarkGovernorReplay(b *testing.B) {
 	p, err := workload.ByName("applu_in")
 	if err != nil {

@@ -311,15 +311,20 @@ func feedNode(ctx context.Context, cfg feedConfig, id uint64, prof *workload.Pro
 		return res
 	}
 
+	var chk *checker
+	if cfg.check {
+		chk = newChecker(log, trans)
+	}
 	start := 0
 	for {
 		var err error
 		if cfg.open {
 			err = streamOpen(ctx, sess, log, start, cfg.rate, &res)
 		} else {
-			err = streamRange(ctx, sess, log, start, trans, cfg.rate, cfg.check, &res)
+			err = streamRange(ctx, sess, log, start, cfg.rate, chk, &res)
 		}
 		if err == nil {
+			res.mismatches += chk.lost(len(log))
 			break
 		}
 		// A drained server hands resumable sessions their snapshot just
@@ -352,6 +357,7 @@ func feedNode(ctx context.Context, cfg feedConfig, id uint64, prof *workload.Pro
 		} else {
 			start = int(state.LastSeq) + 1
 		}
+		res.mismatches += chk.lost(start)
 	}
 	if d, err := sess.Drain(ctx); err != nil {
 		res.err = fmt.Errorf("drain: %w", err)
@@ -389,9 +395,10 @@ func resumeSession(ctx context.Context, cl *phaseclient.Client, snap phaseclient
 }
 
 // streamRange streams log[start:] over the session and receives until
-// the final sample's prediction, accumulating into res. It returns nil
-// on completion and the session's terminal error otherwise.
-func streamRange(ctx context.Context, sess *phaseclient.Session, log []kernelsim.Entry, start int, trans *dvfs.Translation, rate float64, check bool, res *nodeResult) error {
+// the final sample's prediction, accumulating into res and scoring
+// each reply with chk (nil when unchecked). It returns nil on
+// completion and the session's terminal error otherwise.
+func streamRange(ctx context.Context, sess *phaseclient.Session, log []kernelsim.Entry, start int, rate float64, chk *checker, res *nodeResult) error {
 	// Windowed lockstep: at most window samples outstanding, so a
 	// checking run can never overflow the server's bounded queue (which
 	// would evict samples and — by design — fork the prediction
@@ -451,9 +458,7 @@ func streamRange(ctx context.Context, sess *phaseclient.Session, log []kernelsim
 			}
 		}
 		prevDropped = p.Dropped
-		if check {
-			res.mismatches += verify(&p, log, trans)
-		}
+		res.mismatches += chk.verify(&p)
 		if p.Seq == uint64(len(log)-1) {
 			break
 		}
@@ -523,16 +528,62 @@ func streamOpen(ctx context.Context, sess *phaseclient.Session, log []kernelsim.
 	return <-sendErr
 }
 
-// verify compares one streamed prediction against the local run.
-func verify(p *wire.Prediction, log []kernelsim.Entry, trans *dvfs.Translation) int {
-	i := int(p.Seq)
-	if i >= len(log) {
+// checker is a node's lockstep check against its local run: every
+// sample must be answered exactly once, in sequence order, with the
+// local run's phase, prediction and setting. A nil checker checks
+// nothing.
+type checker struct {
+	log      []kernelsim.Entry
+	trans    *dvfs.Translation
+	answered []bool // answered[i]: a reply for sample i has arrived
+	next     int    // one past the newest sample answered
+	from     int    // where the next lost count starts
+}
+
+func newChecker(log []kernelsim.Entry, trans *dvfs.Translation) *checker {
+	return &checker{log: log, trans: trans, answered: make([]bool, len(log))}
+}
+
+// verify scores one reply: 1 when it answers no sample of the log, a
+// sample already answered (a repeat), or one before a sample already
+// answered (out of order), or when its phase, prediction or setting
+// differs from the local run's; 0 otherwise. A reply that skips ahead
+// scores 0 here: the samples it passed count when lost closes the
+// stream, unless their replies arrive late, which scores them here.
+func (c *checker) verify(p *wire.Prediction) int {
+	if c == nil {
+		return 0
+	}
+	if p.Seq >= uint64(len(c.log)) || c.answered[p.Seq] {
 		return 1
 	}
-	e := log[i]
-	if p.Actual != uint8(e.Actual) || p.Next != uint8(e.Predicted) ||
-		p.Setting != uint8(trans.Setting(e.Predicted)) {
+	i := int(p.Seq)
+	c.answered[i] = true
+	late := i < c.next
+	c.next = max(c.next, i+1)
+	e := c.log[i]
+	if late || p.Actual != uint8(e.Actual) || p.Next != uint8(e.Predicted) ||
+		p.Setting != uint8(c.trans.Setting(e.Predicted)) {
 		return 1
 	}
 	return 0
+}
+
+// lost closes the stream up to sample to — the end of the log, or,
+// when a drained session resumes, the snapshot's LastSeq+1, the sample
+// the server expects next — and counts the samples before it that no
+// reply answered. Replies to them arriving later score as out of
+// order.
+func (c *checker) lost(to int) int {
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for _, ok := range c.answered[c.from:to] {
+		if !ok {
+			n++
+		}
+	}
+	c.from, c.next = to, max(c.next, to)
+	return n
 }

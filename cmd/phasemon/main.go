@@ -163,6 +163,7 @@ func run(bench, predictor, phases string, intervals int, seed int64, csvPath str
 	if err != nil {
 		return err
 	}
+	mod.Unload(m)
 
 	acc, err := mon.Tally().Accuracy()
 	if err != nil {

@@ -149,7 +149,7 @@ func Entropy(ids []phase.ID, numPhases int) (float64, error) {
 	var e float64
 	for _, p := range h {
 		if p > 0 {
-			e -= p * math.Log2(p)
+			e -= float64(p * math.Log2(p)) // rounded before the subtract: never fused
 		}
 	}
 	return e, nil

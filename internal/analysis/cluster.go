@@ -67,7 +67,7 @@ func KMeans1D(values []float64, k int) (centers []float64, wcss float64, err err
 	}
 	for i, v := range sorted {
 		d := v - centers[assign[i]]
-		wcss += d * d
+		wcss += float64(d * d) // rounded before the add: never fused
 	}
 	return centers, wcss, nil
 }

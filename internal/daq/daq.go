@@ -139,12 +139,14 @@ func Acquire(w *Waveform, cfg Config) ([]Sample, error) {
 			itotal = sp.Watts / sp.Volts
 		}
 		ibranch := itotal / 2
-		vup := sp.Volts + ibranch*cfg.SenseOhm
+		// Each float64(...) rounds a product before its add, so no
+		// architecture fuses the two.
+		vup := sp.Volts + float64(ibranch*cfg.SenseOhm)
 
 		// The three measured voltages, each with conditioning noise.
-		v1 := vup + rng.NormFloat64()*cfg.NoiseV
-		v2 := vup + rng.NormFloat64()*cfg.NoiseV
-		vcpu := sp.Volts + rng.NormFloat64()*cfg.NoiseV
+		v1 := vup + float64(rng.NormFloat64()*cfg.NoiseV)
+		v2 := vup + float64(rng.NormFloat64()*cfg.NoiseV)
+		vcpu := sp.Volts + float64(rng.NormFloat64()*cfg.NoiseV)
 
 		out = append(out, Sample{
 			T:    t,
@@ -210,7 +212,9 @@ func Analyze(samples []Sample, cfg Config) (Report, error) {
 
 	for _, s := range samples {
 		p := s.PowerW()
-		rep.TotalEnergyJ += p * dt
+		// float64(p * dt) rounds each product before its add, so no
+		// architecture fuses the two.
+		rep.TotalEnergyJ += float64(p * dt)
 		rep.TotalDurS += dt
 		if s.Port&machine.PortBitHandler != 0 {
 			rep.HandlerDurS += dt
@@ -218,7 +222,7 @@ func Analyze(samples []Sample, cfg Config) (Report, error) {
 		if s.Port&machine.PortBitApp == 0 {
 			continue
 		}
-		rep.AppEnergyJ += p * dt
+		rep.AppEnergyJ += float64(p * dt)
 		rep.AppDurS += dt
 		if s.Port&machine.PortBitHandler != 0 {
 			continue // handler time is not attributed to a phase
@@ -231,7 +235,7 @@ func Analyze(samples []Sample, cfg Config) (Report, error) {
 		}
 		cur.Samples++
 		cur.DurS += dt
-		cur.EnergyJ += p * dt
+		cur.EnergyJ += float64(p * dt)
 	}
 	for i := range rep.Phases {
 		if rep.Phases[i].DurS > 0 {

@@ -124,10 +124,10 @@ type Config struct {
 	// defaults. Set Machine.Recorder to capture the power waveform.
 	Machine machine.Config
 	// Telemetry, when non-nil, observes the run live: the run's
-	// kernelsim.Stepper folds every interval into it — through the PMI
-	// handler, which publishes once per interval, or through a replay,
-	// which publishes once per 32 — and the governor counts runs. Nil
-	// runs unobserved.
+	// kernelsim.Stepper folds every interval into it, through the PMI
+	// handler or a replay alike, stamped in simulated nanoseconds and
+	// published after every 32nd interval and at the run's end; the
+	// governor counts runs. Nil runs unobserved.
 	Telemetry *telemetry.Hub
 }
 

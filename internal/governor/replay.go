@@ -10,7 +10,6 @@ import (
 	"phasemon/internal/dvfs"
 	"phasemon/internal/kernelsim"
 	"phasemon/internal/machine"
-	"phasemon/internal/telemetry"
 )
 
 // Replay is a governed run replayed over a machine.Table instead of
@@ -32,7 +31,6 @@ type Replay struct {
 	policy string
 	mon    *core.Monitor
 	step   kernelsim.Stepper
-	hub    *telemetry.Hub // nil when unobserved
 	ctrl   *dvfs.Controller
 	gran   uint64
 	// whole is set for a policy that reads the future: its run is the
@@ -71,8 +69,7 @@ type Record struct {
 // a compact record holds. With Config.Telemetry set, the replay counts
 // one governor run and sets the current-setting gauge, as loading the
 // kernel module does, and folds every interval as the PMI handler
-// does; it reads the hub clock and publishes once per 32 intervals and
-// at the end of each Run.
+// does; each Run publishes its last stride.
 //
 // recs is the records' storage: the replay appends to recs[:0],
 // growing it only when its capacity falls short of the table or of
@@ -109,17 +106,17 @@ func NewReplay(tab *machine.Table, pol Policy, cfg Config, recs []Record) (*Repl
 		tel.CurrentSetting.Set(float64(ctrl.Current()))
 	}
 	_, whole := pol.(oracle)
-	return &Replay{
+	r := &Replay{
 		tab:    tab,
 		policy: pol.Name(),
 		mon:    modCfg.Monitor,
-		step:   kernelsim.NewStepper(modCfg, ctrl, nil),
-		hub:    cfg.Telemetry,
 		ctrl:   ctrl,
 		gran:   gran,
 		whole:  whole,
 		recs:   slices.Grow(recs[:0], min(tab.Len(), recordWindow)),
-	}, nil
+	}
+	r.step = kernelsim.NewStepper(modCfg, ctrl, nil, &r.acct)
+	return r, nil
 }
 
 // sameLadder reports whether two ladders have the same operating
@@ -156,7 +153,9 @@ func (r *Replay) Run(ctx context.Context, n int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := r.replay(ctx, n); err != nil {
+	err := r.replay(ctx, n)
+	r.step.Publish()
+	if err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -173,31 +172,21 @@ func (r *Replay) Run(ctx context.Context, n int) (*Result, error) {
 // the actuation and the telemetry fold — and the handler span, charged
 // as the handler cost plus the controller's added time in transition,
 // exactly as Run charges it (the floats differ from adding the bare
-// transition latency). Observed, it stamps each 32 intervals' events
-// with one hub clock reading, publishing the last 32 before it reads
-// the next, and publishes the rest before it returns.
+// transition latency).
 //
 //lint:hotpath
 func (r *Replay) replay(ctx context.Context, n int) error {
 	uops := float64(r.gran)
-	from, nowNs := r.done, r.now()
-	for i := from; i < n; i++ {
-		if i%ctxPollStride == 0 {
-			if err := ctx.Err(); err != nil {
-				r.step.Publish()
-				return err
-			}
-			if r.hub != nil && i > from {
-				r.step.Publish()
-				nowNs = r.now()
-			}
+	for i := r.done; i < n; i++ {
+		if i%ctxPollStride == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		set := r.ctrl.Current()
 		dur, watts, instructions, sample := r.tab.At(i, set)
 		r.acct.Work(dur, watts, instructions, uops)
 
 		pre := r.ctrl.TimeInTransition()
-		actual, next, overhead := r.step.Step(i, sample, nowNs)
+		actual, next, overhead := r.step.Step(i, sample)
 		overhead += r.ctrl.TimeInTransition() - pre
 		r.acct.Handler(overhead, r.tab.HandlerWatts(r.ctrl.Current()))
 		if len(r.recs) == recordWindow {
@@ -206,17 +195,7 @@ func (r *Replay) replay(ctx context.Context, n int) error {
 		r.recs = append(r.recs, Record{UPC: sample.UPC, Setting: uint8(set), Actual: uint8(actual), Predicted: uint8(next)})
 		r.done = i + 1
 	}
-	r.step.Publish()
 	return nil
-}
-
-// now reads the hub clock in Unix nanoseconds: the stamp of an
-// observed replay's events. Unobserved, it reads no clock.
-func (r *Replay) now() int64 {
-	if r.hub == nil {
-		return 0
-	}
-	return r.hub.Now().UnixNano()
 }
 
 // Len returns the number of intervals in the replay's table: the

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"phasemon/internal/core"
 	"phasemon/internal/daq"
@@ -132,75 +131,27 @@ func (tr trace) checkReplay(t testing.TB, spec string) {
 			want.Run, want.Accuracy, want.OverheadFraction, want.BudgetViolations,
 			reflect.DeepEqual(got.Log, want.Log))
 	}
-	if diff := hubsDiffer(gotHub, wantHub, want.Log, n); diff != "" {
+	if diff := hubsDiffer(gotHub, wantHub); diff != "" {
 		t.Errorf("%s %s gran %d n=%d: replay hub differs from RunContext's: %s", tr.gen.Name(), spec, tr.gran, n, diff)
 	}
 }
 
-// hubsDiffer reports what a replay of n intervals left in its hub
-// (got) that differs from what RunContext left in its own (want), or
-// "" when nothing does: every counter, gauge and histogram, the
-// confusion cells and the journal, event stamps aside (the two runs
-// read their clocks at different cadences).
-//
-// The Mem/Uop sum is a float sum whose rounding follows the publish
-// cadence: the PMI handler adds each interval's reading to the hub in
-// turn, a replay each 32 intervals' partial sum. So each sum is checked
-// bit for bit against the kernel log's readings summed at its own
-// cadence while the log holds every interval, and within 1e-12 of the
-// other once it has wrapped; the rest of each snapshot must be equal.
-func hubsDiffer(got, want *telemetry.Hub, log []kernelsim.Entry, n int) string {
-	gs, ws := got.Registry.Snapshot(), want.Registry.Snapshot()
-	gm, wm := gs.Histograms[telemetry.MetricMemPerUop], ws.Histograms[telemetry.MetricMemPerUop]
-	if len(log) == n {
-		readings := make([]float64, n)
-		for i, e := range log {
-			readings[i] = e.MemPerUop
-		}
-		if g, w := publishedSum(readings, ctxPollStride), publishedSum(readings, 1); math.Float64bits(gm.Sum) != math.Float64bits(g) || math.Float64bits(wm.Sum) != math.Float64bits(w) {
-			return fmt.Sprintf("Mem/Uop sums %x / %x, want %x / %x", math.Float64bits(gm.Sum), math.Float64bits(wm.Sum), math.Float64bits(g), math.Float64bits(w))
-		}
-	} else if math.Abs(gm.Sum-wm.Sum) > 1e-12*math.Abs(wm.Sum) {
-		return fmt.Sprintf("Mem/Uop sum %v, want %v", gm.Sum, wm.Sum)
-	}
-	gm.Sum, wm.Sum = 0, 0
-	gs.Histograms[telemetry.MetricMemPerUop], ws.Histograms[telemetry.MetricMemPerUop] = gm, wm
-	if !reflect.DeepEqual(gs, ws) {
+// hubsDiffer reports what a replay left in its hub (got) that differs
+// from what RunContext left in its own (want), or "" when nothing does:
+// every counter, gauge and histogram, float sums bit for bit, the
+// confusion cells and the journal, event stamps included.
+func hubsDiffer(got, want *telemetry.Hub) string {
+	if gs, ws := got.Registry.Snapshot(), want.Registry.Snapshot(); !reflect.DeepEqual(gs, ws) {
 		return fmt.Sprintf("registry\n got %+v\nwant %+v", gs, ws)
 	}
 	if g, w := got.Accuracy(), want.Accuracy(); !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("confusion %v, want %v", g.Confusion, w.Confusion)
 	}
-	ge, we := unstamped(got.Journal.Recent(0)), unstamped(want.Journal.Recent(0))
+	ge, we := got.Journal.Recent(0), want.Journal.Recent(0)
 	if !reflect.DeepEqual(ge, we) || got.Journal.Dropped() != want.Journal.Dropped() {
 		return fmt.Sprintf("journal of %d events (%d dropped), want %d (%d dropped)", len(ge), got.Journal.Dropped(), len(we), want.Journal.Dropped())
 	}
 	return ""
-}
-
-// publishedSum is the Mem/Uop sum a hub holds once readings are
-// published every `every` intervals: each batch summed from zero, then
-// added to the hub's running sum.
-func publishedSum(readings []float64, every int) float64 {
-	var sum float64
-	for len(readings) > 0 {
-		k := min(every, len(readings))
-		var part float64
-		for _, r := range readings[:k] {
-			part += r
-		}
-		sum += part
-		readings = readings[k:]
-	}
-	return sum
-}
-
-// unstamped returns the events with their stamps zeroed.
-func unstamped(evs []telemetry.Event) []telemetry.Event {
-	for i := range evs {
-		evs[i].UnixNs = 0
-	}
-	return evs
 }
 
 // TestReplayMatchesRunContext is the replay's contract: over a table
@@ -413,22 +364,24 @@ func TestReplayCancel(t *testing.T) {
 }
 
 // TestReplayTelemetry: a replay counts one governor run and folds
-// every interval, reading the hub clock once per 32 intervals and at
-// the start of each Run, stamping each interval's events with the
-// reading before it, and publishing everything it folded before Run
-// returns.
+// every interval, publishing after every 32nd interval of the run and
+// the rest when Run returns, and stamps each interval's events with the
+// replay's simulated time when its PMI fires: interval 0's stamp is its
+// work span, and the stamps strictly increase.
 func TestReplayTelemetry(t *testing.T) {
 	tr := newTrace(t, "applu_in", 100_000_000, 100)
-	var reads int64
-	hub := telemetry.NewHub(6, telemetry.WithClock(func() time.Time {
-		reads++
-		return time.Unix(0, reads)
-	}))
+	hub := telemetry.NewHub(6)
 	rp, err := NewReplay(tr.tab, Proactive(8, 128), Config{Telemetry: hub}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ n, reads int }{{40, 2}, {100, 5}} {
+	for _, c := range []struct{ n, published int }{{40, 32}, {100, 96}} {
+		if err := rp.replay(context.Background(), c.n); err != nil {
+			t.Fatal(err)
+		}
+		if got := hub.Steps.Value(); got != uint64(c.published) {
+			t.Errorf("replayed to %d: %d steps published, want %d", c.n, got, c.published)
+		}
 		if _, err := rp.Run(context.Background(), c.n); err != nil {
 			t.Fatal(err)
 		}
@@ -438,26 +391,23 @@ func TestReplayTelemetry(t *testing.T) {
 		if got := hub.HandlerCost.Snapshot().Count; got != uint64(c.n) {
 			t.Errorf("after Run to %d: HandlerCost observed %d times", c.n, got)
 		}
-		if reads != int64(c.reads) {
-			t.Errorf("after Run to %d: %d clock reads, want %d", c.n, reads, c.reads)
-		}
 	}
 	if got := hub.GovernorRuns.Value(); got != 1 {
 		t.Errorf("GovernorRuns = %d, want 1", got)
 	}
-	// The reads came at intervals 0, 32, 40 (the second Run), 64 and 96.
-	starts := []int{0, 32, 40, 64, 96}
+	dur, _, _, _ := tr.tab.At(0, 0)
+	last := int64(-1)
 	for _, e := range hub.Journal.Recent(0) {
 		if e.Kind != telemetry.KindPMISample {
 			continue
 		}
-		read := 0
-		for read < len(starts) && starts[read] <= e.Step {
-			read++
+		if e.Step == 0 && e.UnixNs != int64(math.Round(dur*1e9)) {
+			t.Errorf("interval 0 stamped %d ns, want its work span %v s", e.UnixNs, dur)
 		}
-		if e.UnixNs != int64(read) {
-			t.Errorf("interval %d stamped %d, want clock read %d", e.Step, e.UnixNs, read)
+		if e.UnixNs <= last {
+			t.Errorf("interval %d stamped %d ns, not after the previous interval's %d", e.Step, e.UnixNs, last)
 		}
+		last = e.UnixNs
 	}
 }
 

@@ -3,8 +3,8 @@ package governor
 import (
 	"math"
 	"testing"
-	"time"
 
+	"phasemon/internal/cpusim"
 	"phasemon/internal/dvfs"
 	"phasemon/internal/telemetry"
 	"phasemon/internal/workload"
@@ -61,49 +61,60 @@ func TestRunFeedsTelemetryHub(t *testing.T) {
 	}
 }
 
+// publishWatch is a run's workload stream that notes, as the run asks
+// for each interval, how many steps the hub holds: every interval
+// before it has been handled, and its PMI handler has not yet run.
+type publishWatch struct {
+	workload.Generator
+	hub       *telemetry.Hub
+	published []uint64 // published[i]: Steps when interval i is asked for
+	setting   float64  // the current-setting gauge when interval 0 is asked for
+}
+
+func (w *publishWatch) Next() (cpusim.Work, bool) {
+	if len(w.published) == 0 {
+		w.setting = w.hub.CurrentSetting.Value()
+	}
+	w.published = append(w.published, w.hub.Steps.Value())
+	return w.Generator.Next()
+}
+
 // TestObservedRunJournal pins an observed run's journal interval by
 // interval against its kernel log. The PMI handler is the run's only
-// hub holder, so each interval reads the hub clock once and journals,
-// in order, its prediction verdict, its phase transition, the DVFS
-// change its actuation made and its PMI sample — every event stamped
-// with that one reading and carrying the interval's kernel-log index.
-// The DVFS changes account for every transition the run made, and the
+// hub holder: each interval journals, in order, its prediction
+// verdict, its phase transition, the DVFS change its actuation made
+// and its PMI sample — every event stamped with the simulated time
+// its PMI fired and carrying the interval's kernel-log index. Interval
+// 0's stamp is its work span and the stamps strictly increase. The
+// handler publishes after every 32nd interval and Unload the rest. The
+// DVFS changes account for every transition the run made, and the
 // current-setting gauge reads the machine's initial setting once the
 // module is loaded and the final one at the end.
 func TestObservedRunJournal(t *testing.T) {
-	prof, err := workload.ByName("applu_in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := prof.Generator(workload.Params{Seed: 1, Intervals: 200})
-	var hub *telemetry.Hub
-	var reads int64
-	loadedSetting := math.NaN()
-	hub = telemetry.NewHub(6, telemetry.WithClock(func() time.Time {
-		if reads == 0 {
-			// The first reading is the first interval's, before any
-			// publication: the gauge holds what Load set.
-			loadedSetting = hub.CurrentSetting.Value()
-		}
-		reads++
-		return time.Unix(0, reads*1000)
-	}))
+	const n = 200
+	tr := newTrace(t, "applu_in", 100_000_000, n)
+	hub := telemetry.NewHub(6)
 	hub.CurrentSetting.Set(-1)
+	watch := &publishWatch{Generator: tr.gen, hub: hub}
 
-	r, err := Run(gen, Proactive(8, 128), Config{Telemetry: hub})
+	r, err := Run(watch, Proactive(8, 128), Config{Telemetry: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := r.Log
-	n := len(log)
-	if n == 0 || r.Run.Transitions == 0 {
-		t.Fatalf("run logged %d intervals and %d DVFS transitions; the test needs both", n, r.Run.Transitions)
+	if len(log) != n || r.Run.Transitions == 0 {
+		t.Fatalf("run logged %d intervals and %d DVFS transitions; the test needs %d and some", len(log), r.Run.Transitions, n)
 	}
-	if reads != int64(n) {
-		t.Errorf("hub clock read %d times over %d intervals, want one reading per interval", reads, n)
+	for i, got := range watch.published[:n] {
+		if want := uint64(i / 32 * 32); got != want {
+			t.Errorf("hub held %d steps when interval %d was asked for, want %d", got, i, want)
+		}
 	}
-	if want := float64(log[0].Setting); loadedSetting != want {
-		t.Errorf("current-setting gauge after Load = %v, want the initial setting %v", loadedSetting, want)
+	if got := hub.Steps.Value(); got != n {
+		t.Errorf("hub holds %d steps after the run, want %d", got, n)
+	}
+	if want := float64(log[0].Setting); watch.setting != want {
+		t.Errorf("current-setting gauge after Load = %v, want the initial setting %v", watch.setting, want)
 	}
 	if hub.Journal.Dropped() != 0 {
 		t.Fatalf("journal dropped %d events; size the run to fit", hub.Journal.Dropped())
@@ -120,10 +131,11 @@ func TestObservedRunJournal(t *testing.T) {
 	}
 	// The run's translation is Table 2's identity: interval i's
 	// prediction picks the setting interval i+1 runs at.
-	tr, err := dvfs.Identity(dvfs.PentiumM(), 6)
+	trans, err := dvfs.Identity(dvfs.PentiumM(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dur, _, _, _ := tr.tab.At(0, log[0].Setting)
 	changes := 0
 	for i, evs := range byStep {
 		e := log[i]
@@ -136,7 +148,7 @@ func TestObservedRunJournal(t *testing.T) {
 				want = append(want, telemetry.Event{Kind: telemetry.KindPhaseTransition, From: int(prev.Actual), To: int(e.Actual)})
 			}
 		}
-		next := tr.Setting(e.Predicted)
+		next := trans.Setting(e.Predicted)
 		if i+1 < n && log[i+1].Setting != next {
 			t.Fatalf("interval %d predicted %v but interval %d ran at %v", i, e.Predicted, i+1, log[i+1].Setting)
 		}
@@ -155,15 +167,18 @@ func TestObservedRunJournal(t *testing.T) {
 				t.Errorf("interval %d event %d = %+v, want %+v", i, j, got, w)
 			}
 		}
-		if i > 0 && len(byStep[i-1]) > 0 && evs[0].UnixNs == byStep[i-1][0].UnixNs {
-			t.Errorf("intervals %d and %d share stamp %d", i-1, i, evs[0].UnixNs)
+		if i == 0 && evs[0].UnixNs != int64(math.Round(dur*1e9)) {
+			t.Errorf("interval 0 stamped %d ns, want its work span %v s", evs[0].UnixNs, dur)
+		}
+		if i > 0 && evs[0].UnixNs <= byStep[i-1][0].UnixNs {
+			t.Errorf("interval %d stamped %d ns, not after interval %d's %d", i, evs[0].UnixNs, i-1, byStep[i-1][0].UnixNs)
 		}
 	}
 	if changes != r.Run.Transitions || hub.DVFSTransitions.Value() != uint64(changes) {
 		t.Errorf("journal holds %d DVFS changes, the run made %d transitions, the hub counted %d",
 			changes, r.Run.Transitions, hub.DVFSTransitions.Value())
 	}
-	if got, want := hub.CurrentSetting.Value(), float64(tr.Setting(log[n-1].Predicted)); got != want {
+	if got, want := hub.CurrentSetting.Value(), float64(trans.Setting(log[n-1].Predicted)); got != want {
 		t.Errorf("current-setting gauge at the end = %v, want the final setting %v", got, want)
 	}
 }

@@ -48,16 +48,20 @@ type Config struct {
 	// Telemetry, when non-nil, observes the run live. The run's
 	// Stepper is its only holder: it folds each interval — verdict,
 	// phase transition, DVFS change, PMI sample and handler cost — into
-	// its own StepBatch under the caller's hub clock reading; the PMI
-	// handler publishes the batch once per interval, a governor table
-	// replay once per 32. Nil (the default) leaves the run unobserved at
-	// near-zero cost.
+	// its own StepBatch, stamped in simulated time, and publishes it
+	// after every 32nd interval; the run's end publishes the rest. Nil
+	// (the default) leaves the run unobserved at near-zero cost.
 	Telemetry *telemetry.Hub
 }
 
 // DefaultLogCapacity is the kernel log's bound, in entries (one per
 // interval): the log grows on demand up to it, then wraps as a ring.
 const DefaultLogCapacity = 65536
+
+// publishStride is an observed Stepper's publish cadence, in intervals
+// of the run: the hub pays one publish per stride and lags by at most
+// one.
+const publishStride = 32
 
 // DefaultGranularityUops is the sampling interval a zero
 // Config.GranularityUops selects: the paper's 100M uops.
@@ -100,9 +104,10 @@ type Actuator interface {
 // does not touch the counters: it updates the predictor state and
 // predicts the next phase, translates the prediction to a DVFS setting
 // and applies it, counts a handler invocation over the interrupt
-// budget, and folds the interval into the run's telemetry batch. The
-// PMI handler steps it once per interrupt, and the governor's table
-// replays once per replayed interval, so both make the one decision.
+// budget, and folds the interval, stamped in simulated time, into the
+// run's telemetry batch, which it publishes every 32 intervals. The PMI
+// handler steps it once per interrupt, and the governor's table replays
+// once per replayed interval, so both make the one decision.
 type Stepper struct {
 	mon   *core.Monitor
 	tr    *dvfs.Translation
@@ -113,6 +118,8 @@ type Stepper struct {
 	over  bool             // costS exceeds BudgetS
 	// tel is the run's batch on Config.Telemetry; nil when unobserved.
 	tel *telemetry.StepBatch
+	// clock is the run's simulated time, which stamps observed steps.
+	clock interface{ NowNs() int64 }
 	// pre is what an observed step notes before the monitor steps, for
 	// its fold: the interval, its sample and stamp, the phase and
 	// prediction the monitor held, its PHT lookup counts, and the
@@ -132,7 +139,8 @@ type Stepper struct {
 // NewStepper returns the stepper of a run configured by cfg, whose
 // Monitor must be set, that actuates ctrl: Actuator takes precedence
 // over Translation, reading die, and with neither it only monitors.
-func NewStepper(cfg Config, ctrl *dvfs.Controller, die *thermal.Model) Stepper {
+// Observed, it stamps each interval with clock, read as it steps.
+func NewStepper(cfg Config, ctrl *dvfs.Controller, die *thermal.Model, clock interface{ NowNs() int64 }) Stepper {
 	cost := HandlerCost(cfg.Monitor.Predictor())
 	return Stepper{
 		mon:   cfg.Monitor,
@@ -143,20 +151,21 @@ func NewStepper(cfg Config, ctrl *dvfs.Controller, die *thermal.Model) Stepper {
 		costS: cost,
 		over:  cost > BudgetS,
 		tel:   cfg.Telemetry.NewStepBatch(),
+		clock: clock,
 	}
 }
 
-// Step decides interval index from its sample s: the monitor's step,
-// then the actuation for the next interval. It returns the interval's
-// phase, the phase predicted for the next one, and the handler's
-// modeled cost. An observed stepper folds the interval, stamped nowNs,
-// into its batch; the caller publishes it (Publish).
+// Step decides the run's interval index from its sample s: the
+// monitor's step, then the actuation for the next interval. It returns
+// the interval's phase, the phase predicted for the next one, and the
+// handler's modeled cost. An observed stepper folds the interval into
+// its batch; the caller publishes the last stride (Publish).
 //
 //lint:hotpath
-func (st *Stepper) Step(index int, s phase.Sample, nowNs int64) (actual, next phase.ID, costS float64) {
+func (st *Stepper) Step(index int, s phase.Sample) (actual, next phase.ID, costS float64) {
 	if st.tel != nil {
 		p := &st.pre
-		p.index, p.s, p.nowNs = index, s, nowNs
+		p.index, p.s, p.nowNs = index, s, st.clock.NowNs()
 		p.prev, p.pending = st.mon.LastActual(), st.mon.LastPrediction()
 		p.hits, p.misses = core.PHTLookups(st.mon.Predictor())
 		p.ranAt = st.ctrl.Current()
@@ -184,8 +193,8 @@ func (st *Stepper) Step(index int, s phase.Sample, nowNs int64) (actual, next ph
 // fold records a stepped interval into the batch against what the step
 // noted before (pre): the PHT lookups since, the verdict and any phase
 // transition, any DVFS change, the PMI sample and the handler
-// invocation. It stays out of Step's body, so an unobserved step
-// carries none of it.
+// invocation, publishing at the end of a stride. It stays out of
+// Step's body, so an unobserved step carries none of it.
 //
 //lint:hotpath
 func (st *Stepper) fold(actual, next phase.ID) {
@@ -198,10 +207,14 @@ func (st *Stepper) fold(actual, next phase.ID) {
 	}
 	st.tel.PMISample(p.index, p.s.MemPerUop, p.s.UPC, p.nowNs)
 	st.tel.Handler(st.costS, st.over)
+	if (p.index+1)%publishStride == 0 {
+		st.tel.Publish()
+	}
 }
 
 // Publish applies the intervals folded since the last Publish to the
-// hub; unobserved, it does nothing.
+// hub: the run's owner calls it for the last, partial stride.
+// Unobserved, it does nothing.
 //
 //lint:hotpath
 func (st *Stepper) Publish() { st.tel.Publish() }
@@ -233,7 +246,7 @@ func NewModule(cfg Config) (*Module, error) {
 	if cfg.GranularityUops >= 1<<pmc.CounterWidth {
 		return nil, fmt.Errorf("kernelsim: granularity %d exceeds counter width", cfg.GranularityUops)
 	}
-	return &Module{cfg: cfg, step: NewStepper(cfg, nil, nil), logBound: DefaultLogCapacity}, nil
+	return &Module{cfg: cfg, step: NewStepper(cfg, nil, nil, nil), logBound: DefaultLogCapacity}, nil
 }
 
 // Load installs the module on the machine: it configures and arms the
@@ -255,7 +268,7 @@ func (mod *Module) Load(m *machine.Machine) error {
 	b.WriteTSC(0)
 	mod.lastTSC = 0
 	b.Start()
-	mod.step.ctrl, mod.step.die = m.DVFS(), m.Thermal()
+	mod.step.ctrl, mod.step.die, mod.step.clock = m.DVFS(), m.Thermal(), m
 	mod.loaded = true
 	if tel := mod.cfg.Telemetry; tel != nil {
 		tel.CurrentSetting.Set(float64(m.DVFS().Current()))
@@ -263,10 +276,12 @@ func (mod *Module) Load(m *machine.Machine) error {
 	return nil
 }
 
-// Unload stops the counters and marks the module unloaded. The kernel
-// log remains readable, as the paper's user tools read it after runs.
+// Unload stops the counters, publishes the last telemetry stride and
+// marks the module unloaded. The kernel log remains readable, as the
+// paper's user tools read it after runs.
 func (mod *Module) Unload(m *machine.Machine) {
 	m.PMCs().Stop()
+	mod.step.Publish()
 	mod.loaded = false
 }
 
@@ -286,18 +301,12 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	cycles := tsc - mod.lastTSC
 	uops := mod.cfg.GranularityUops // the PMI fires exactly at the granularity
 
-	// One hub clock reading stamps all of the interval's events.
-	var nowNs int64
-	if tel := mod.cfg.Telemetry; tel != nil {
-		nowNs = tel.Now().UnixNano()
-	}
-
 	// Translate counter readings to the corresponding phase, then
 	// predict, translate and actuate. The logged interval ran at the
 	// setting current *before* this handler's actuation.
 	s := phase.FromCounters(uops, memTx, cycles)
 	ranAt := m.DVFS().Current()
-	actual, next, cost := mod.step.Step(mod.index, s, nowNs)
+	actual, next, cost := mod.step.Step(mod.index, s)
 
 	// Log the sample for user-level evaluation tools. The fields are
 	// written straight into the log slot, every one of them (a
@@ -313,9 +322,6 @@ func (mod *Module) HandlePMI(m *machine.Machine) float64 {
 	e.Predicted = next
 	e.Setting = ranAt
 	mod.index++
-
-	// Publish the interval's telemetry at once.
-	mod.step.Publish()
 
 	// Flip the phase marker so the DAQ can attribute the next interval.
 	m.Port().Toggle(machine.PortBitPhase)

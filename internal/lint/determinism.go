@@ -31,7 +31,8 @@ var outputFuncs = map[string]bool{
 }
 
 // DeterminismAnalyzer forbids nondeterminism sources in the simulated
-// substrate: wall-clock reads, the global math/rand source, and output
+// substrate: wall-clock reads (the time package's, and the telemetry
+// hub's clock, Hub.Now), the global math/rand source, and output
 // emitted during map iteration. The substrate must be bit-deterministic
 // so that a seed fully reproduces every phase sequence, GPHT accuracy
 // figure, and energy total; these three are the ways reproductions
@@ -73,6 +74,13 @@ func checkDeterminismSelector(pass *Pass, sel *ast.SelectorExpr) {
 					"deterministic (inject a clock, or annotate a live path "+
 					"with //lint:wallclock)", name)
 		}
+	case name == "Now" && isHubMethod(pass.TypesInfo, sel):
+		if !pass.Suppressed("wallclock", sel.Pos()) {
+			pass.Reportf(sel.Pos(),
+				"(*telemetry.Hub).Now reads the wall clock unless a test "+
+					"injects one; stamp simulated runs in simulated time "+
+					"(or annotate a live path with //lint:wallclock)")
+		}
 	case isRandPkg(pass.TypesInfo, sel.X) && !globalRandAllowed[name]:
 		// Only package-level functions draw from the global source;
 		// methods on a threaded *rand.Rand arrive as selectors on a
@@ -83,6 +91,17 @@ func checkDeterminismSelector(pass *Pass, sel *ast.SelectorExpr) {
 					"*rand.Rand so runs are reproducible", name)
 		}
 	}
+}
+
+// isHubMethod reports whether sel selects a method of telemetry.Hub,
+// as a call's operand or a method expression.
+func isHubMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() == types.FieldVal {
+		return false
+	}
+	pkg, name, ok := namedFrom(s.Recv())
+	return ok && pkg == "telemetry" && name == "Hub"
 }
 
 func isRandPkg(info *types.Info, expr ast.Expr) bool {

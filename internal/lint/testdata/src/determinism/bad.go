@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"determinism/telemetry"
 )
 
 func wallclock() time.Time {
@@ -17,6 +19,17 @@ func wallclock() time.Time {
 
 func allowedWallclock() time.Time {
 	return time.Now() //lint:wallclock live-path timestamp
+}
+
+func hubClock(h *telemetry.Hub) int64 {
+	stamp := h.Now().UnixNano() // want `\(\*telemetry.Hub\).Now reads the wall clock`
+	now := (*telemetry.Hub).Now // want `\(\*telemetry.Hub\).Now reads the wall clock`
+	_ = now
+	return stamp
+}
+
+func allowedHubClock(h *telemetry.Hub) time.Time {
+	return h.Now() //lint:wallclock live-path stamp
 }
 
 func globalRand() float64 {

@@ -20,6 +20,14 @@ func durations(n int) time.Duration {
 	return time.Duration(n) * time.Millisecond
 }
 
+// simClock is a simulated time base: its Now is not the wall clock.
+type simClock struct{ ns int64 }
+
+func (c *simClock) Now() int64 { return c.ns }
+
+// simulatedStamp stamps with simulated time.
+func simulatedStamp(c *simClock) int64 { return c.Now() }
+
 // sortedOutput emits map contents in sorted key order.
 func sortedOutput(m map[string]int) {
 	keys := make([]string, 0, len(m))

@@ -177,6 +177,9 @@ func (m *Machine) Thermal() *thermal.Model { return m.therm }
 // OverheadFraction returns handler time as a fraction of total time.
 func (m *Machine) OverheadFraction() float64 { return m.acct.OverheadFraction() }
 
+// NowNs is Account.NowNs: in a PMI handler, when the PMI fired.
+func (m *Machine) NowNs() int64 { return m.acct.NowNs() }
+
 // powerNow is the rail power at setting sp for an observed UPC. It
 // adds the same operands in the same order as power.Model.Power, with
 // the tabulated leakage in place of Leakage(V). With a thermal model
@@ -250,6 +253,10 @@ func (a *Account) Handler(dur, watts float64) {
 	a.span(dur, watts)
 	a.handlerTimeS += dur
 }
+
+// NowNs returns the simulated time charged so far, in nanoseconds
+// (rounded): a simulated run's telemetry stamp.
+func (a *Account) NowNs() int64 { return int64(math.Round(a.nowS * 1e9)) }
 
 // OverheadFraction returns handler time as a fraction of total time.
 func (a *Account) OverheadFraction() float64 {

@@ -73,10 +73,11 @@ type Event struct {
 	// index. A DVFS change carries the index of the interval whose
 	// actuation made it.
 	Step int `json:"step"`
-	// UnixNs is the stepping loop's hub clock reading for the
-	// interval (or, on the serving path, the session batch) the event
-	// belongs to, in Unix nanoseconds; all of one interval's events
-	// share it.
+	// UnixNs stamps the interval (or, on the serving path, the session
+	// batch) the event belongs to; all of one interval's events share
+	// it. A simulated run stamps simulated nanoseconds since the run
+	// started, when the interval's PMI fired; the live loops and
+	// phased stamp their hub clock reading, in Unix nanoseconds.
 	UnixNs int64 `json:"unix_ns,omitempty"`
 	// From and To describe a transition (phase or setting, per Kind).
 	From int `json:"from,omitempty"`

@@ -27,15 +27,15 @@ type stepEvent struct {
 // bare and folds each interval in once (Fold) from the record it
 // already keeps — the simulated PMI handler's and the table replay's
 // kernelsim.Stepper its interval, the live loops their (sample,
-// actual, next), a phased worker its reply slice. The PMI handler and
-// the live loops publish once per interval, a table replay once per 32
-// intervals and at the end of each run, a phased worker once per
-// session batch; Publish is the only writer of the journal and of the
-// step, PMI and DVFS instruments: one atomic add per non-zero cell, one
-// store per gauge that moved and one journal lock section for the
-// whole batch. Like every hub handle it
-// is nil-safe: NewStepBatch on a nil hub returns nil, and every method
-// of a nil batch is a no-op.
+// actual, next), a phased worker its reply slice. A simulated run's
+// Stepper publishes after every 32nd interval and once more at the end
+// of the run, the live loops once per interval, a phased worker once
+// per session batch. Publish is the only writer of the journal and of
+// the step, PMI and DVFS instruments: one atomic add per non-zero
+// cell, one store per gauge that moved and one journal lock section
+// for the whole batch. Like every hub handle it is nil-safe:
+// NewStepBatch on a nil hub returns nil, and every method of a nil
+// batch is a no-op.
 type StepBatch struct {
 	hub       *Hub
 	memHist   *Histogram // hub.MemPerUop, for bucketing
@@ -59,8 +59,13 @@ type StepBatch struct {
 	events []stepEvent
 }
 
+// batchEvents is a new batch's event room: a full batch, so it never
+// grows — 32 simulated intervals of at most four events (verdict,
+// transition, DVFS change, PMI sample) or 64 served samples of two.
+const batchEvents = 128
+
 // NewStepBatch returns an empty batch that publishes into h, or nil
-// when h is nil.
+// when h is nil. Its buffers hold a full batch from the start.
 func (h *Hub) NewStepBatch() *StepBatch {
 	if h == nil {
 		return nil
@@ -71,10 +76,8 @@ func (h *Hub) NewStepBatch() *StepBatch {
 		numPhases: h.numPhases,
 		mem:       make([]uint64, h.MemPerUop.NumBuckets()),
 		conf:      make([]uint64, len(h.conf)),
-		// Room for one interval's events and cell: a batch of one
-		// interval never grows; a longer batch grows its buffers once.
-		dirty:  make([]int, 0, 1),
-		events: make([]stepEvent, 0, 4),
+		dirty:     make([]int, 0, len(h.conf)),
+		events:    make([]stepEvent, 0, batchEvents),
 	}
 }
 
