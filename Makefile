@@ -120,7 +120,8 @@ FMA_PACKAGES := ./internal/cpusim ./internal/machine ./internal/governor \
 	./internal/core ./internal/agg ./internal/kernelsim \
 	./internal/telemetry ./internal/phased ./internal/fleet \
 	./internal/thermal ./internal/power ./internal/tournament \
-	./internal/experiments ./internal/daq ./internal/analysis
+	./internal/experiments ./internal/daq ./internal/analysis \
+	./internal/workload
 
 fma-check:
 	./scripts/fma_check.sh $(FMA_PACKAGES)
@@ -185,6 +186,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireRoundTrip$$|BenchmarkRollupEncode$$|BenchmarkBatchRoundTrip$$' -benchmem -benchtime=$(BENCHTIME) ./internal/wire >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionStep$$|BenchmarkSamplesPerSecPerCore$$' -benchmem -benchtime=$(BENCHTIME) ./internal/phased >> out/bench.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRollupIngest$$' -benchmem -benchtime=$(BENCHTIME) ./internal/agg >> out/bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkReplyPath$$' -benchmem -benchtime=$(BENCHTIME) ./internal/phaseclient >> out/bench.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) out/bench.txt
 	@echo "wrote $(BENCH_JSON)"
 

@@ -38,8 +38,8 @@ func (s *sawtooth) Next() (cpusim.Work, bool) {
 	return cpusim.Work{
 		Uops:         100e6,
 		Instructions: 90e6,
-		MemPerUop:    0.002 + 0.04*pos,
-		CoreUPC:      1.2 - 0.5*pos,
+		MemPerUop:    0.002 + float64(0.04*pos), // rounded before the add: never fused
+		CoreUPC:      1.2 - float64(0.5*pos),
 		MLP:          1,
 	}, true
 }

@@ -239,7 +239,8 @@ func TestCacheSetupFailure(t *testing.T) {
 // filled a Cache, exporting the CSV datasets from it computes nothing
 // new, and the files are byte-identical to the ones a build without
 // the shared Cache exported (testdata/csv200.sha256, pinned on amd64
-// like the other float goldens).
+// like the other float goldens: math.Exp, math.Log and math/rand's
+// NormFloat64 and ExpFloat64 round differently elsewhere).
 func TestExportCSVReusesCache(t *testing.T) {
 	var want map[string]string
 	if runtime.GOARCH == "amd64" {

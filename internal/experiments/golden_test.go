@@ -41,8 +41,10 @@ const goldenIntervals = 512
 // TestSimulatedFiguresMatchGolden pins the management figures (and the
 // thermal extension, the only one whose leakage depends on die
 // temperature) byte-for-byte, so a change that moves one simulated
-// watt, cycle or joule shows up as a diff. Other architectures may
-// fuse multiply-adds and round differently, so the pin holds on amd64
+// watt, cycle or joule shows up as a diff. Pinned products do not make
+// the floats portable: math.Exp and math.Log run per-architecture
+// assembly, and math/rand's NormFloat64 and ExpFloat64 call both and
+// fuse multiply-adds of their own on arm64, so the pin holds on amd64
 // only.
 func TestSimulatedFiguresMatchGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -71,7 +73,8 @@ func TestSimulatedFiguresMatchGolden(t *testing.T) {
 // through one shared Cache, as cmd/experiments does, and pins the text
 // byte-for-byte. testdata/figures-job.golden was written by a build in
 // which every figure computed its own runs and streams, so it also
-// proves that sharing them changes nothing.
+// proves that sharing them changes nothing. Like the figure pins, it
+// holds on amd64 only.
 func TestFiguresJobMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden floats are pinned on amd64, not %s", runtime.GOARCH)

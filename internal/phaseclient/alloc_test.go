@@ -1,6 +1,7 @@
 package phaseclient
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"testing"
@@ -26,36 +27,42 @@ func (r *replayReader) Read(p []byte) (int, error) {
 }
 
 // TestDemuxZeroAlloc proves the client's frame demux — stream decode,
-// payload parse, route to the session's channel — allocates nothing in
-// steady state, for both the prediction Batch path (here a batch of
-// one) and the per-bucket Rollup path. The decoder's frame buffer and the session
-// channels are the only storage, and both are reused across frames.
+// payload parse, one lookup and one queue push per run of a session's
+// replies — and Recv allocate nothing in steady state, for both the
+// prediction Batch path and the per-bucket Rollup path. The batch here
+// is 64 replies for three sessions in interleaved runs, so a session
+// recurs within one frame. The decoder's frame buffer, the reply
+// queues and the rollup channel are the only storage, and all are
+// reused across frames.
 func TestDemuxZeroAlloc(t *testing.T) {
 	c := New(Config{Addr: "127.0.0.1:0"})
-	s := &Session{
-		c:     c,
-		id:    7,
-		acks:  make(chan wire.Ack, 1),
-		preds: make(chan wire.Prediction, 1),
-		drain: make(chan wire.Drain, 1),
-		errs:  make(chan error, 1),
-		done:  make(chan struct{}),
-	}
+	sess := []*Session{register(c, 7), register(c, 8), register(c, 9)}
 	rollups := make(chan wire.Rollup, 1)
 	c.mu.Lock()
-	c.sessions[s.id] = s
-	c.rollupSess, c.rollupCh = s, rollups
+	c.rollupSess, c.rollupCh = sess[0], rollups
 	c.mu.Unlock()
 
-	p := wire.Prediction{SessionID: 7, Seq: 1, Actual: 2, Next: 3, Class: 1, Setting: 2}
+	// Runs of 10, 20, 5, 15, 4 and 10 replies: sessions 7, 8, 9, 7, 8, 9.
+	var batch []wire.Prediction
+	var per [3]int
+	for r, n := range []int{10, 20, 5, 15, 4, 10} {
+		for i := 0; i < n; i++ {
+			batch = append(batch, wire.Prediction{SessionID: sess[r%3].id, Seq: uint64(len(batch)), Next: 3})
+		}
+		per[r%3] += n
+	}
+	if len(batch) != 64 {
+		t.Fatalf("batch holds %d replies, want 64", len(batch))
+	}
 	r := wire.Rollup{NodeID: 42, Shard: 1, BucketStart: 1e9, BucketLenNs: 1e9}
-	frames, err := wire.AppendBatchPredictions(nil, []wire.Prediction{p})
+	frames, err := wire.AppendBatchPredictions(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames = wire.AppendRollup(frames, &r)
 	dec := wire.NewDecoder(&replayReader{frames: frames})
 
+	ctx := context.Background()
 	step := func() {
 		for i := 0; i < 2; i++ {
 			kind, payload, err := dec.Next()
@@ -66,7 +73,13 @@ func TestDemuxZeroAlloc(t *testing.T) {
 				t.Fatalf("demux treated %v as fatal: %v", kind, err)
 			}
 		}
-		<-s.preds
+		for k, s := range sess {
+			for i := 0; i < per[k]; i++ {
+				if p, err := s.Recv(ctx); err != nil || p.SessionID != s.id {
+					t.Fatalf("session %d Recv = %+v, %v", s.id, p, err)
+				}
+			}
+		}
 		<-rollups
 	}
 	// Warm the decoder's reusable frame buffer (rollups are larger than

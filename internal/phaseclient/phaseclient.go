@@ -7,6 +7,12 @@
 // so the node can pipeline sends ahead of receives. Samples travel in
 // wire.KindBatch frames of up to Config.BatchSize samples each.
 //
+// One reader goroutine per connection routes the server's frames. A
+// reply frame holds a few long runs of one session's replies (the
+// server writes each session batch contiguously), so the reader looks
+// each run's session up once and appends the whole run to that
+// session's bounded reply queue under one lock; Recv pops from it.
+//
 // The client reconnects between sessions, not within one: a dropped
 // connection fails every open session with ErrDisconnected (the
 // server-side predictor state died with the connection, so resuming a
@@ -96,8 +102,9 @@ const (
 	// default: a server too slow to drain our frames fails the
 	// connection instead of wedging every session sharing it.
 	writeTimeout = 5 * time.Second
-	// window is each session's prediction (or rollup) receive buffer:
-	// the frames the reader can stay ahead of Recv.
+	// window is the capacity of each session's reply queue (and of a
+	// rollup subscription's frame channel): how many replies the
+	// reader can stay ahead of Recv before it waits for room.
 	window = 1024
 )
 
@@ -168,14 +175,27 @@ type Session struct {
 	id uint64
 
 	acks  chan wire.Ack
-	preds chan wire.Prediction
 	drain chan wire.Drain
-	errs  chan error
 	// acked is set by the reader when the session's Ack arrives.
 	acked atomic.Bool
 
+	// The reply queue: a ring the reader fills a run at a time (push)
+	// and Recv empties one reply at a time. Each side sleeps only at an
+	// edge — Recv on an empty ring, the reader on a full one — and the
+	// other side wakes it through ready or space.
+	qmu     sync.Mutex
+	q       []wire.Prediction // guarded by qmu; ring storage
+	qhead   int               // guarded by qmu; slot of the oldest reply
+	qlen    int               // guarded by qmu; replies buffered
+	waiters int               // guarded by qmu; Recv callers asleep on ready
+	ready   chan struct{}     // capacity 1: replies arrived for a waiter
+	space   chan struct{}     // capacity 1: a full queue has room again
+
 	failOnce sync.Once
 	done     chan struct{}
+	// cause is the terminal error: written once by fail before done
+	// closes, read only after done is closed.
+	cause error
 
 	// granularity echoes the Hello's GranularityUops into any snapshot
 	// taken from this session, so Resume reopens with the same value.
@@ -286,16 +306,8 @@ func (c *Client) handshake(ctx context.Context, id uint64, granularityUops uint6
 		c.conn = conn
 		go c.readLoop(conn)
 	}
-	s := &Session{
-		c:           c,
-		id:          id,
-		acks:        make(chan wire.Ack, 1),
-		preds:       make(chan wire.Prediction, window),
-		drain:       make(chan wire.Drain, 1),
-		errs:        make(chan error, 1),
-		done:        make(chan struct{}),
-		granularity: granularityUops,
-	}
+	s := newSession(c, id, window)
+	s.granularity = granularityUops
 	c.sessions[id] = s
 	var encErr error
 	werr := c.writeLocked(func(b []byte) []byte {
@@ -333,12 +345,7 @@ func (c *Client) awaitAck(ctx context.Context, s *Session) (*Session, int, error
 		default:
 		}
 		c.forget(s)
-		select {
-		case rerr := <-s.errs:
-			return nil, 0, rerr
-		default:
-			return nil, 0, ErrDisconnected
-		}
+		return nil, 0, s.cause
 	case <-ctx.Done():
 		c.forget(s)
 		return nil, 0, ctx.Err()
@@ -558,17 +565,20 @@ func (c *Client) demux(kind wire.FrameKind, payload []byte) error {
 		if elem != wire.KindPrediction {
 			return fmt.Errorf("%w: %v records from server", wire.ErrBadKind, elem)
 		}
-		for i := 0; i < n; i++ {
-			var p wire.Prediction
-			if err := wire.DecodePrediction(recs[i*wire.PredictionRecordSize:(i+1)*wire.PredictionRecordSize], &p); err != nil {
-				return err
+		// One lookup and one queue push per run of equal session ids.
+		const size = wire.PredictionRecordSize
+		for i := 0; i < n; {
+			id := wire.PredictionSessionID(recs[i*size:])
+			j := i + 1
+			for j < n && wire.PredictionSessionID(recs[j*size:]) == id {
+				j++
 			}
-			if s := c.lookup(p.SessionID); s != nil {
-				select {
-				case s.preds <- p:
-				case <-s.done:
+			if s := c.lookup(id); s != nil {
+				if err := s.push(recs[i*size : j*size]); err != nil {
+					return err
 				}
 			}
+			i = j
 		}
 	default:
 		// Client-to-server kinds (Hello, Restore, standalone Samples),
@@ -641,15 +651,81 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// fail delivers a terminal error to the session exactly once.
+// newSession builds an unregistered session whose reply queue holds
+// depth replies.
+func newSession(c *Client, id uint64, depth int) *Session {
+	return &Session{
+		c:     c,
+		id:    id,
+		acks:  make(chan wire.Ack, 1),
+		drain: make(chan wire.Drain, 1),
+		q:     make([]wire.Prediction, depth),
+		ready: make(chan struct{}, 1),
+		space: make(chan struct{}, 1),
+		done:  make(chan struct{}),
+	}
+}
+
+// fail delivers a terminal error to the session exactly once; err must
+// be non-nil.
 func (s *Session) fail(err error) {
 	s.failOnce.Do(func() {
-		select {
-		case s.errs <- err:
-		default:
-		}
+		s.cause = err
 		close(s.done)
 	})
+}
+
+// wake posts a token on a capacity-1 wake channel; a token already
+// there wakes the same sleeper, so a full channel drops this one.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// push decodes one run of the session's reply records onto the tail of
+// its queue, waiting for room while the queue is full — as long as
+// the session lives: once it is done, the rest of the run is dropped.
+// Only the connection's reader calls it. A Recv asleep on the empty
+// queue is woken once per push, not once per reply.
+//
+//lint:hotpath
+func (s *Session) push(recs []byte) error {
+	const size = wire.PredictionRecordSize
+	for len(recs) > 0 {
+		s.qmu.Lock()
+		room := len(s.q) - s.qlen
+		if room == 0 {
+			s.qmu.Unlock()
+			select {
+			case <-s.space:
+				continue
+			case <-s.done:
+				return nil
+			}
+		}
+		wakeRecv := s.qlen == 0 && s.waiters > 0
+		k := min(room, len(recs)/size)
+		tail := s.qhead + s.qlen
+		for i := 0; i < k; i++ {
+			if tail >= len(s.q) {
+				tail -= len(s.q)
+			}
+			if err := wire.DecodePrediction(recs[i*size:(i+1)*size], &s.q[tail]); err != nil {
+				s.qmu.Unlock()
+				return err
+			}
+			tail++
+		}
+		s.qlen += k
+		s.qmu.Unlock()
+		if wakeRecv {
+			wake(s.ready)
+		}
+		recs = recs[k*size:]
+	}
+	return nil
 }
 
 // Send streams one sample. The session id is stamped by the client.
@@ -679,33 +755,54 @@ func (s *Session) Send(smp wire.Sample) error {
 }
 
 // Recv returns the next prediction, blocking until one arrives, the
-// session fails, or ctx is done.
+// session fails, or ctx is done. Replies buffered before the session
+// failed come first; then every call returns the terminal error (which
+// matches ErrResumable when the server drained the session with a
+// snapshot). Concurrent callers each get distinct replies.
+//
+//lint:hotpath
 func (s *Session) Recv(ctx context.Context) (wire.Prediction, error) {
-	select {
-	case p := <-s.preds:
-		return p, nil
-	default:
-	}
-	select {
-	case p := <-s.preds:
-		return p, nil
-	case err := <-s.errs:
-		s.fail(err) // re-arm done for any concurrent waiter
-		return wire.Prediction{}, err
-	case <-s.done:
-		// fail() closes done and buffers the cause; when both arms are
-		// ready the select picks randomly, so check errs explicitly —
-		// the terminal cause (e.g. ErrResumable) must not be lost to
-		// the generic disconnect.
+	s.qmu.Lock()
+	for s.qlen == 0 {
 		select {
-		case err := <-s.errs:
-			return wire.Prediction{}, err
+		case <-s.done:
+			s.qmu.Unlock()
+			return wire.Prediction{}, s.cause
 		default:
-			return wire.Prediction{}, ErrDisconnected
 		}
-	case <-ctx.Done():
-		return wire.Prediction{}, ctx.Err()
+		s.waiters++
+		s.qmu.Unlock()
+		var err error
+		select {
+		case <-s.ready:
+		case <-s.done:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		s.qmu.Lock()
+		s.waiters--
+		if err != nil {
+			s.qmu.Unlock()
+			return wire.Prediction{}, err
+		}
 	}
+	p := s.q[s.qhead]
+	if s.qhead++; s.qhead == len(s.q) {
+		s.qhead = 0
+	}
+	// The reader may be asleep on a full queue.
+	wakeReader := s.qlen == len(s.q)
+	s.qlen--
+	// Replies remain and another caller sleeps: pass the wake on.
+	wakeRecv := s.qlen > 0 && s.waiters > 0
+	s.qmu.Unlock()
+	if wakeRecv {
+		wake(s.ready)
+	}
+	if wakeReader {
+		wake(s.space)
+	}
+	return p, nil
 }
 
 // Drain asks the server to flush the session and waits for its Drain
@@ -727,10 +824,8 @@ func (s *Session) Drain(ctx context.Context) (wire.Drain, error) {
 	select {
 	case d := <-s.drain:
 		return d, nil
-	case err := <-s.errs:
-		return wire.Drain{}, err
 	case <-s.done:
-		return wire.Drain{}, ErrDisconnected
+		return wire.Drain{}, s.cause
 	case <-ctx.Done():
 		return wire.Drain{}, ctx.Err()
 	}
@@ -803,15 +898,9 @@ func (c *Client) SubscribeRollups(ctx context.Context, id uint64) (*RollupSub, e
 		c.conn = conn
 		go c.readLoop(conn)
 	}
-	s := &Session{
-		c:     c,
-		id:    id,
-		acks:  make(chan wire.Ack, 1),
-		preds: make(chan wire.Prediction, 1),
-		drain: make(chan wire.Drain, 1),
-		errs:  make(chan error, 1),
-		done:  make(chan struct{}),
-	}
+	// The server answers a subscription with rollups, never with
+	// predictions, so its reply queue needs only one slot.
+	s := newSession(c, id, 1)
 	ch := make(chan wire.Rollup, window)
 	c.sessions[id] = s
 	c.rollupSess, c.rollupCh = s, ch
@@ -829,9 +918,9 @@ func (c *Client) SubscribeRollups(ctx context.Context, id uint64) (*RollupSub, e
 	select {
 	case <-s.acks:
 		return &RollupSub{s: s, ch: ch}, nil
-	case rerr := <-s.errs:
+	case <-s.done:
 		c.forget(s)
-		return nil, rerr
+		return nil, s.cause
 	case <-ctx.Done():
 		c.forget(s)
 		return nil, ctx.Err()
@@ -850,9 +939,6 @@ func (r *RollupSub) Recv(ctx context.Context) (wire.Rollup, error) {
 	select {
 	case v := <-r.ch:
 		return v, nil
-	case err := <-r.s.errs:
-		r.s.fail(err) // re-arm done for any concurrent waiter
-		return wire.Rollup{}, err
 	case <-r.s.done:
 		// Drain anything the reader delivered before teardown.
 		select {
@@ -860,7 +946,7 @@ func (r *RollupSub) Recv(ctx context.Context) (wire.Rollup, error) {
 			return v, nil
 		default:
 		}
-		return wire.Rollup{}, ErrDisconnected
+		return wire.Rollup{}, r.s.cause
 	case <-ctx.Done():
 		return wire.Rollup{}, ctx.Err()
 	}

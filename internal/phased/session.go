@@ -125,9 +125,10 @@ type session struct {
 	processed uint64 // samples stepped through the monitor
 }
 
-// step runs one sample through the session's monitor and fills p with
-// the prediction reply. It is the pure compute core of the serving
-// path — no locks, no I/O, no telemetry — and converts counters
+// step runs one sample through the session's monitor, fills p with
+// the prediction reply, and returns the sample's Mem/Uop reading for
+// the worker's telemetry fold. It is the pure compute core of the
+// serving path — no locks, no I/O, no telemetry — and converts counters
 // through phase.FromCounters, as kernelsim.HandlePMI does, so a
 // streamed session is bit-identical to a local simulated run over the
 // same counters. dropped is the worker's snapshot of the session's
@@ -138,8 +139,9 @@ type session struct {
 // field: a composed copy stalls on store forwarding.
 //
 //lint:hotpath
-func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64) {
-	actual, next := s.mon.Step(phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles))
+func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64) (memPerUop float64) {
+	obs := phase.FromCounters(smp.Uops, smp.MemTx, smp.Cycles)
+	actual, next := s.mon.Step(obs)
 	s.lastSeq = smp.Seq
 	s.processed++
 	p.SessionID = s.id
@@ -149,4 +151,5 @@ func (s *session) step(smp *wire.Sample, p *wire.Prediction, dropped uint64) {
 	p.Class = uint8(phase.ClassOf(next, s.numPhases))
 	p.Setting = uint8(s.trans.Setting(next))
 	p.Dropped = dropped
+	return obs.MemPerUop
 }

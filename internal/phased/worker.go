@@ -33,6 +33,9 @@ type worker struct {
 	snapBuf []byte // owned by the run goroutine
 	// spare is the empty ring run swaps in for a session's.
 	spare sampleRing // owned by the run goroutine
+	// mem holds each stepped sample's Mem/Uop reading, beside its
+	// reply, for serve's telemetry fold.
+	mem []float64 // owned by the run goroutine
 	// tel is the hub batch serve folds each stepped session batch into
 	// and publishes once per batch; nil when the server is unobserved.
 	tel *telemetry.StepBatch // owned by the run goroutine
@@ -167,7 +170,7 @@ func (w *worker) run() {
 // — into preds, one reply per sample, then folds the replies once into
 // the worker's StepBatch and publishes it: each reply's (Actual, Next)
 // against the reply before it (the monitor's state before the batch,
-// for the first), its Mem/Uop reading recomputed from its sample, its
+// for the first), its Mem/Uop reading as the step converted it, its
 // journal events stamped nowNs, and the batch's PHT lookups as the
 // difference of the predictor's running counts. It returns the
 // prediction pending before the batch, which the rollup ingest scores
@@ -178,11 +181,12 @@ func (w *worker) serve(sess *session, preds []wire.Prediction, first, wrapped []
 	mon := sess.mon
 	pending, lastActual, step := mon.LastPrediction(), mon.LastActual(), int(sess.processed)
 	hits, misses := core.PHTLookups(mon.Predictor())
-	segs := [...][]wire.Sample{first, wrapped}
+	mem := slices.Grow(w.mem[:0], len(preds))[:len(preds)]
+	w.mem = mem
 	j := 0
-	for _, seg := range segs {
+	for _, seg := range [...][]wire.Sample{first, wrapped} {
 		for i := range seg {
-			sess.step(&seg[i], &preds[j], dropped)
+			mem[j] = sess.step(&seg[i], &preds[j], dropped)
 			j++
 		}
 	}
@@ -192,15 +196,10 @@ func (w *worker) serve(sess *session, preds []wire.Prediction, first, wrapped []
 	nowHits, nowMisses := core.PHTLookups(mon.Predictor())
 	w.tel.GPHTLookups(nowHits-hits, nowMisses-misses)
 	lastNext := pending
-	j = 0
-	for _, seg := range segs {
-		for i := range seg {
-			p := &preds[j]
-			mem := phase.FromCounters(seg[i].Uops, seg[i].MemTx, seg[i].Cycles).MemPerUop
-			w.tel.Fold(step+j, mem, int(lastActual), int(lastNext), int(p.Actual), int(p.Next), nowNs)
-			lastActual, lastNext = phase.ID(p.Actual), phase.ID(p.Next)
-			j++
-		}
+	for j := range preds {
+		p := &preds[j]
+		w.tel.Fold(step+j, mem[j], int(lastActual), int(lastNext), int(p.Actual), int(p.Next), nowNs)
+		lastActual, lastNext = phase.ID(p.Actual), phase.ID(p.Next)
 	}
 	w.tel.Publish()
 	return pending

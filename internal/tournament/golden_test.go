@@ -12,8 +12,10 @@ import (
 // tournament-smoke grid (plus the paper's 64-entry GPHT) across
 // commits: worker-count invariance only compares runs within one tree,
 // so a change that moves a simulated watt or cycle is caught here.
-// Other architectures may fuse multiply-adds and round differently, so
-// the pin holds on amd64 only.
+// Pinned products do not make the floats portable: math.Exp and
+// math.Log run per-architecture assembly, and math/rand's NormFloat64
+// and ExpFloat64 call both and fuse multiply-adds of their own on
+// arm64, so the pin holds on amd64 only.
 func TestLeaderboardMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden floats are pinned on amd64, not %s", runtime.GOARCH)
@@ -47,7 +49,8 @@ func keepAllConfig() Config {
 
 // TestKeepAllLeaderboardMatchesGolden pins the leaderboard bytes of a
 // three-round tournament that eliminates nothing, the path on which a
-// managed cell plays every round from one run.
+// managed cell plays every round from one run. Like the default grid's
+// pin, it holds on amd64 only.
 func TestKeepAllLeaderboardMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden floats are pinned on amd64, not %s", runtime.GOARCH)

@@ -267,3 +267,22 @@ func TestSampleSessionID(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictionSessionID: the routing read agrees with the full decode
+// on every record of a prediction batch.
+func TestPredictionSessionID(t *testing.T) {
+	preds := []Prediction{{SessionID: 7, Seq: 1}, {SessionID: 1 << 63, Seq: 2}, {SessionID: 0, Seq: 3}}
+	frame, err := AppendBatchPredictions(nil, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, recs, err := DecodeBatch(frame[HeaderSize : len(frame)-TrailerSize])
+	if err != nil || n != len(preds) {
+		t.Fatal(n, err)
+	}
+	for i, want := range preds {
+		if got := PredictionSessionID(recs[i*PredictionRecordSize:]); got != want.SessionID {
+			t.Errorf("record %d: PredictionSessionID = %d, want %d", i, got, want.SessionID)
+		}
+	}
+}

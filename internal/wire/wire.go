@@ -790,6 +790,14 @@ func DecodeSample(payload []byte, s *Sample) error {
 //lint:hotpath
 func SampleSessionID(rec []byte) uint64 { return binary.BigEndian.Uint64(rec) }
 
+// PredictionSessionID returns the SessionID of the Prediction record
+// rec (one record of a prediction batch) without decoding the rest, so
+// a reader can find a batch's runs of one session before it decodes
+// them.
+//
+//lint:hotpath
+func PredictionSessionID(rec []byte) uint64 { return binary.BigEndian.Uint64(rec) }
+
 // DecodePrediction parses a Prediction payload into p without
 // allocating.
 //

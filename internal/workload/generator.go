@@ -54,11 +54,15 @@ func clampMem(m float64) float64 {
 	return m
 }
 
+// The recipes below round every product before adding it (float64(a*b)
+// + c), so no architecture fuses the pair into one multiply-add and the
+// generated values do not depend on whether it can (make fma-check).
+
 // steady emits a constant level with Gaussian jitter.
 func steady(level, jitter float64) recipe {
 	return func(rng *rand.Rand) series {
 		return func() float64 {
-			return clampMem(level + rng.NormFloat64()*jitter)
+			return clampMem(level + float64(rng.NormFloat64()*jitter))
 		}
 	}
 }
@@ -79,7 +83,7 @@ func cycle(motif []float64, jitter, disturb float64) recipe {
 			if disturb > 0 && rng.Float64() < disturb {
 				v = cp[rng.Intn(len(cp))]
 			}
-			return clampMem(v + rng.NormFloat64()*jitter)
+			return clampMem(v + float64(rng.NormFloat64()*jitter))
 		}
 	}
 }
@@ -96,7 +100,7 @@ func bursts(base, burst float64, meanGap, meanLen, jitter float64) recipe {
 				mean = 1
 			}
 			// Geometric with the given mean, at least 1.
-			return 1 + int(rng.ExpFloat64()*(mean-1)+0.5)
+			return 1 + int(float64(rng.ExpFloat64()*(mean-1))+0.5)
 		}
 		return func() float64 {
 			if left == 0 {
@@ -112,7 +116,7 @@ func bursts(base, burst float64, meanGap, meanLen, jitter float64) recipe {
 			if inBurst {
 				v = burst
 			}
-			return clampMem(v + rng.NormFloat64()*jitter)
+			return clampMem(v + float64(rng.NormFloat64()*jitter))
 		}
 	}
 }
@@ -139,7 +143,7 @@ func burstsFixed(base, burst float64, meanGap float64, burstLen int, jitter floa
 					if g < 1 {
 						g = 1
 					}
-					left = 1 + int(rng.ExpFloat64()*(g-1)+0.5)
+					left = 1 + int(float64(rng.ExpFloat64()*(g-1))+0.5)
 				}
 			}
 			left--
@@ -147,7 +151,7 @@ func burstsFixed(base, burst float64, meanGap float64, burstLen int, jitter floa
 			if inBurst {
 				v = burst
 			}
-			return clampMem(v + rng.NormFloat64()*jitter)
+			return clampMem(v + float64(rng.NormFloat64()*jitter))
 		}
 	}
 }
@@ -164,7 +168,7 @@ func square(a, b float64, dwellA, dwellB int, jitter float64) recipe {
 				v = b
 			}
 			i++
-			return clampMem(v + rng.NormFloat64()*jitter)
+			return clampMem(v + float64(rng.NormFloat64()*jitter))
 		}
 	}
 }
@@ -237,7 +241,7 @@ func (g *profileGen) Next() (cpusim.Work, bool) {
 	coreUPC := g.p.coreUPC(mem)
 	// Small multiplicative jitter keeps UPC from being unrealistically
 	// flat without perturbing the phase metric.
-	coreUPC *= 1 + g.rng.NormFloat64()*0.02
+	coreUPC *= 1 + float64(g.rng.NormFloat64()*0.02)
 	if coreUPC < 0.05 {
 		coreUPC = 0.05
 	}
