@@ -376,6 +376,50 @@ func BenchmarkGovernorReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkTable is the machine table's two costs over a
+// 32768-interval applu_in trace, the length of a tournament's longest
+// rounds. /build validates the trace and tabulates its
+// setting-invariant column, one table per op, in the column storage of
+// the previous build, as the fleet engine recycles it. /at is one
+// interval at one setting, walking the trace in order and the ladder
+// once per pass, as replays read it; it must not allocate.
+func BenchmarkTable(b *testing.B) {
+	p, err := workload.ByName("applu_in")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const gran = 100_000_000
+	works := workload.Collect(p.Generator(workload.Params{Seed: 1, Intervals: 32768}), 0)
+	tab, err := machine.NewTable(works, gran)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("build", func(b *testing.B) {
+		col := tab.Column()
+		for i := 0; i < b.N; i++ {
+			t, err := machine.NewTableIn(col, works, gran)
+			if err != nil {
+				b.Fatal(err)
+			}
+			col = t.Column()
+		}
+	})
+	b.Run("at", func(b *testing.B) {
+		var sum float64
+		i, s, settings := 0, 0, tab.Ladder().Len()
+		for n := 0; n < b.N; n++ {
+			dur, watts, instructions, smp := tab.At(i, dvfs.Setting(s))
+			sum += dur + watts + instructions + smp.UPC + smp.MemPerUop
+			if i++; i == tab.Len() {
+				i, s = 0, (s+1)%settings
+			}
+		}
+		if sum == 0 {
+			b.Fatal("no interval read")
+		}
+	})
+}
+
 // BenchmarkGranularityAblation sweeps the sampling granularity: finer
 // sampling raises handler-overhead fraction, the trade the paper's
 // 100M-uop choice settles.

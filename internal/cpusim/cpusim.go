@@ -167,24 +167,49 @@ func (m *Model) ExecuteValid(w Work, freqHz float64) Result {
 // applied (instructions default to the uops, MLP to 1). It returns the
 // interval's time and its compute and memory terms, the instructions
 // retired and the memory transactions issued. It is the one place the
-// equation is evaluated: ExecuteValid builds its Result from it, and
-// machine runs every chunk and replays every table interval through it.
-// It takes w by pointer and returns scalars, so a per-interval loop
-// copies no struct. It makes no checks: w must pass Validate, uops lie
-// in (0, w.Uops] and freqHz be positive and finite.
+// equation is evaluated, in two halves: Stall, which does not depend on
+// the frequency, and Time, which does. ExecuteValid builds its Result
+// from it, machine runs every chunk through both halves, and a machine
+// table evaluates Stall once per interval and Time per replayed
+// setting. It takes w by pointer and returns scalars, so a
+// per-interval loop copies no struct. It makes no checks: w must pass
+// Validate, uops lie in (0, w.Uops] and freqHz be positive and finite.
 func (m *Model) Interval(w *Work, uops, freqHz float64) (total, computeTime, memTime, instructions, memTx float64) {
+	memTime, instructions, memTx = m.Stall(w, uops)
+	total, computeTime = Time(w, uops, memTime, freqHz)
+	return total, computeTime, memTime, instructions, memTx
+}
+
+// Stall is the frequency-invariant half of Interval: the memory stall
+// time of the first uops micro-ops of w, the instructions they retire
+// (Retired) and the memory transactions they issue. A machine table
+// evaluates it once per interval for every setting it replays.
+func (m *Model) Stall(w *Work, uops float64) (memTime, instructions, memTx float64) {
 	mlp := w.MLP
 	if mlp == 0 {
 		mlp = 1
 	}
-	instructions = w.Instructions * (uops / w.Uops)
+	memTx = w.MemPerUop * uops
+	return memTx * m.cfg.MemLatencyS / mlp, w.Retired(uops), memTx
+}
+
+// Time is the frequency-dependent half of Interval: the time the first
+// uops micro-ops of w take at freqHz, and its compute term, given their
+// memory stall time memTime from Stall.
+func Time(w *Work, uops, memTime, freqHz float64) (total, computeTime float64) {
+	computeTime = uops / (w.CoreUPC * freqHz)
+	return computeTime + memTime, computeTime
+}
+
+// Retired returns the instructions the first uops micro-ops of w
+// retire: w's instructions scaled alike, or the uops themselves when w
+// leaves its instructions zero.
+func (w *Work) Retired(uops float64) float64 {
+	instructions := w.Instructions * (uops / w.Uops)
 	if instructions == 0 {
 		instructions = uops
 	}
-	memTx = w.MemPerUop * uops
-	computeTime = uops / (w.CoreUPC * freqHz)
-	memTime = memTx * m.cfg.MemLatencyS / mlp
-	return computeTime + memTime, computeTime, memTime, instructions, memTx
+	return instructions
 }
 
 // ObservedUPC returns the UPC the counters would report for code with

@@ -6,10 +6,12 @@
 // Play runs each spec as a replay over a machine table of its trace, a
 // view shared by the specs over that trace (governor.Replay), and
 // applies a caller's reduction to each replay on the worker that set it
-// up; the replay's records are storage the engine reuses for its next
-// replay, so a sweep holds at most Workers record buffers however many
-// specs it has. Runs a table cannot replay — a DAQ, thermal or
-// actuator run — go through governor.RunContext instead.
+// up. The replay's records and the table's column of setting-invariant
+// terms are storage the engine reuses for its next replay and its next
+// trace, so a sweep holds at most Workers record buffers however many
+// specs it has, and one column buffer per trace in play. Runs a table
+// cannot replay — a DAQ, thermal or actuator run — go through
+// governor.RunContext instead.
 //
 // The determinism contract has three legs:
 //
@@ -33,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"phasemon/internal/cpusim"
@@ -83,36 +86,44 @@ type Engine struct {
 	pendingMu sync.Mutex
 	pending   int64 // guarded by pendingMu
 
-	// records is the engine's free list of replay-record storage: a
-	// worker takes one buffer per replay and returns it once the
-	// replay's reduction has returned, so the engine allocates one only
-	// when every buffer it has is in use (or too small) and never
-	// zeroes, frees and re-faults one per replay.
-	records freeList
+	// records and columns are the engine's free lists of replay-record
+	// and table-column storage. A worker takes a record buffer per
+	// replay and returns it once the replay's reduction has returned; a
+	// trace's table takes a column buffer when the first of its specs
+	// builds it and returns it once the last of them is done. So the
+	// engine allocates a buffer only when every one it has is in use
+	// (or too small), and never zeroes, frees and re-faults one per
+	// replay or per trace.
+	records freeList[governor.Record]
+	columns freeList[machine.Invariant]
 }
 
-// freeList is a free list of reusable replay-record buffers.
-type freeList struct {
+// freeList is a free list of reusable buffers of E.
+type freeList[E any] struct {
 	mu   sync.Mutex
-	bufs []*[]governor.Record
+	bufs [][]E
 }
 
-// take hands a worker a buffer from the list, or a new empty one when
-// every buffer is in use.
-func (l *freeList) take() *[]governor.Record {
+// take hands a worker a buffer from the list, or nil when every buffer
+// is in use.
+func (l *freeList[E]) take() []E {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.bufs)
 	if n == 0 {
-		return new([]governor.Record)
+		return nil
 	}
 	buf := l.bufs[n-1]
 	l.bufs = l.bufs[:n-1]
 	return buf
 }
 
-// put returns a worker's buffer to the list.
-func (l *freeList) put(buf *[]governor.Record) {
+// put returns a worker's buffer to the list; a buffer with no storage
+// is dropped.
+func (l *freeList[E]) put(buf []E) {
+	if cap(buf) == 0 {
+		return
+	}
 	l.mu.Lock()
 	l.bufs = append(l.bufs, buf)
 	l.mu.Unlock()
@@ -133,17 +144,19 @@ func New(cfg Config) *Engine {
 // replay with Replay.Run and reduces what it reads. f is called at
 // most once per spec — not for a spec that failed to set up or was
 // canceled before it started, whose T stays the zero value — and must
-// be safe to call concurrently. The replay's records are storage the
-// engine reuses for a later replay once f returns, so Records is valid
-// only inside f, like bufio.Scanner.Bytes: f must copy what it keeps
-// of them.
+// be safe to call concurrently. The replay's records and its table's
+// column are storage the engine reuses once f returns (the column once
+// f has returned for every spec over the trace), so the Replay, its
+// Records and its table are valid only inside f, like
+// bufio.Scanner.Bytes: f must copy what it keeps of them.
 //
-// A table stores nothing per interval: its replays evaluate each
-// interval from the trace as they reach it. Specs over the same trace
-// share one table, so the trace is validated once, when the first of
-// them starts. A spec the table or the replay refuses (see
-// machine.NewTable and governor.NewReplay) fails with that error;
-// nothing falls back to the full machine.
+// A table stores two setting-invariant terms per interval and
+// evaluates the rest of each interval from the trace as a replay
+// reaches it. Specs over the same trace share one table, so the trace
+// is validated and tabulated once, when the first of them starts. A
+// spec the table or the replay refuses (see machine.NewTable and
+// governor.NewReplay) fails with that error; nothing falls back to the
+// full machine.
 //
 // The reductions come back in spec order. The returned error is
 // ctx.Err() if the sweep was canceled, else the lowest-index failure —
@@ -162,6 +175,7 @@ func Play[T any](ctx context.Context, e *Engine, specs []Spec, f func(Spec, *gov
 			byTrace[key] = new(traceTable)
 		}
 		tables[i] = byTrace[key]
+		tables[i].specs.Add(1)
 	}
 	e.addPending(len(specs))
 	out, err := mapIndex(e.cfg.Workers, len(resolved), func(i int) (T, error) {
@@ -171,19 +185,20 @@ func Play[T any](ctx context.Context, e *Engine, specs []Spec, f func(Spec, *gov
 		// last spec is done, even if the trace cache has let it go.
 		tt := tables[i]
 		tables[i] = nil
+		defer tt.done(&e.columns)
 		recs := e.records.take()
-		defer e.records.put(recs)
 		sp := resolved[i]
 		var out T
 		err := e.observe(ctx, func() error {
-			rp, err := e.replay(sp, tt, *recs)
+			rp, err := e.replay(sp, tt, recs)
 			if err != nil {
 				return err
 			}
 			out, err = f(sp, rp)
-			*recs = rp.Records()
+			recs = rp.Records()
 			return err
 		})
+		e.records.put(recs)
 		if err != nil {
 			err = fmt.Errorf("fleet: spec %d (%s under %s): %w", i, sp.Workload, sp.Policy, err)
 		}
@@ -196,17 +211,42 @@ func Play[T any](ctx context.Context, e *Engine, specs []Spec, f func(Spec, *gov
 }
 
 // traceTable is one trace's machine table, shared by the specs of a
-// Play sweep that run over the trace.
+// Play sweep that run over the trace. The first of them to set up
+// builds it in column storage from the engine's free list, and the
+// last of them to finish returns that storage, so each trace returns
+// the buffer it took exactly once, whether its specs played, failed or
+// were canceled.
 type traceTable struct {
 	once sync.Once
 	tab  *machine.Table
 	err  error
+	// col is the storage taken from the free list: the table's column,
+	// or the buffer a refused build left unused.
+	col []machine.Invariant
+	// specs counts the sweep's specs over the trace that are not done;
+	// Play sets it before any worker starts.
+	specs atomic.Int32
 }
 
-// get returns the table of trace, building it on first use.
-func (tt *traceTable) get(trace *wcache.Trace, gran uint64) (*machine.Table, error) {
-	tt.once.Do(func() { tt.tab, tt.err = machine.NewTable(trace.Works(), gran) })
+// get returns the table of trace, building it on first use in column
+// storage from cols.
+func (tt *traceTable) get(cols *freeList[machine.Invariant], trace *wcache.Trace, gran uint64) (*machine.Table, error) {
+	tt.once.Do(func() {
+		tt.col = cols.take()
+		tt.tab, tt.err = machine.NewTableIn(tt.col, trace.Works(), gran)
+		if tt.err == nil {
+			tt.col = tt.tab.Column()
+		}
+	})
 	return tt.tab, tt.err
+}
+
+// done marks one of the trace's specs done; the last one returns the
+// table's column storage to cols.
+func (tt *traceTable) done(cols *freeList[machine.Invariant]) {
+	if tt.specs.Add(-1) == 0 {
+		cols.put(tt.col)
+	}
 }
 
 // resolve fills a spec's derived fields so seeding and execution see
@@ -283,7 +323,7 @@ func (e *Engine) replay(sp Spec, tt *traceTable, recs []governor.Record) (*gover
 	if err != nil {
 		return nil, err
 	}
-	mt, err := tt.get(trace, sp.GranularityUops)
+	mt, err := tt.get(&e.columns, trace, sp.GranularityUops)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"phasemon/internal/governor"
+	"phasemon/internal/machine"
+	"phasemon/internal/pmc"
 	"phasemon/internal/telemetry"
 )
 
@@ -135,5 +137,80 @@ func TestPlayCanceled(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v, want context.Canceled", err)
+	}
+}
+
+// TestPlayReturnsColumns: a sweep hands each trace's table-column buffer
+// back to the engine exactly once — when the trace's specs played,
+// failed to set up (before the table, or in it) or were canceled — so
+// no buffer is lost and none goes to two live tables at once. The free
+// list starts with one buffer per trace, each large enough, so a sweep
+// takes only those and must leave exactly those, each once. A double
+// return could hand one buffer to two concurrent tables, so make
+// fleet-race runs this under -race.
+func TestPlayReturnsColumns(t *testing.T) {
+	specs := []Spec{
+		{Workload: "applu_in", Policy: "gpht_8_128", Intervals: 40},
+		{Workload: "applu_in", Policy: "no_such_predictor", Intervals: 40},
+		{Workload: "applu_in", Policy: "reactive", Intervals: 40},
+		// The only spec of its trace fails before it builds the table.
+		{Workload: "equake_in", Policy: "no_such_predictor", Intervals: 30},
+		// The table refuses a granularity the counter cannot arm.
+		{Workload: "gzip_graphic", Policy: "reactive", Intervals: 20, GranularityUops: 1 << pmc.CounterWidth},
+		{Workload: "swim_in", Policy: "lastvalue", Intervals: 60},
+		{Workload: "swim_in", Policy: "oracle", Intervals: 60},
+		{Workload: "mcf_inp", Policy: "gpht_8_128", Intervals: 50},
+	}
+	const traces = 5
+	cases := []struct {
+		name    string
+		workers int
+		// cancel is 0 for a sweep that runs to the end, 1 for one
+		// canceled before it starts, 2 for one canceled by its first
+		// reduction.
+		cancel int
+	}{
+		{"whole sweep, one worker", 1, 0},
+		{"whole sweep, three workers", 3, 0},
+		{"canceled before it starts", 2, 1},
+		{"canceled by its first reduction", 2, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(Config{Workers: c.workers})
+			want := make(map[*machine.Invariant]bool)
+			for range traces {
+				buf := make([]machine.Invariant, 64)
+				want[&buf[0]] = true
+				e.columns.put(buf)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.cancel == 1 {
+				cancel()
+			}
+			_, err := Play(ctx, e, specs, func(sp Spec, rp *governor.Replay) (int, error) {
+				if c.cancel == 2 {
+					cancel()
+				}
+				_, err := rp.Run(ctx, sp.Intervals)
+				return 0, err
+			})
+			if err == nil {
+				t.Fatal("sweep with failing specs returned no error")
+			}
+			got := make(map[*machine.Invariant]int)
+			for _, buf := range e.columns.bufs {
+				got[&buf[:1][0]]++
+			}
+			if len(e.columns.bufs) != traces {
+				t.Errorf("free list holds %d buffers after the sweep, want the %d it started with", len(e.columns.bufs), traces)
+			}
+			for p := range want {
+				if got[p] != 1 {
+					t.Errorf("a starting buffer is on the free list %d times, want once", got[p])
+				}
+			}
+		})
 	}
 }

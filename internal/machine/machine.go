@@ -192,6 +192,14 @@ func (m *Machine) powerNow(sp *settingPower, upc float64) float64 {
 	if m.therm != nil {
 		leak *= m.power.LeakageScale(m.therm.TemperatureC())
 	}
+	return m.railPower(sp, upc, leak)
+}
+
+// railPower is powerNow with its leakage given: on a machine with no
+// thermal model, powerNow(sp, upc) is railPower(sp, upc, sp.leakW).
+// Small enough to inline, it lets a table read its machine's power
+// without a call.
+func (m *Machine) railPower(sp *settingPower, upc, leak float64) float64 {
 	return float64(m.power.Dynamic(sp.point.VoltageV, sp.point.FrequencyHz, upc)) + leak + m.baseW
 }
 
@@ -274,19 +282,30 @@ func (a *Account) Result(pmis uint64, transitions int) RunResult {
 }
 
 // execute runs the first uops micro-ops of w at setting sp, through
-// the timing model's cpusim.Interval: it returns the chunk's duration,
-// its cycle count (duration × frequency, the TSC delta), the
-// instructions it retired and the memory transactions it issued, and
-// the rail power it drew at its observed UPC. Run and Table.At compute
-// every work span through it, so both do the same float operations in
-// the same order.
+// the two halves of the timing model's cpusim.Interval: it returns the
+// chunk's duration, its cycle count (duration × frequency, the TSC
+// delta), the instructions it retired and the memory transactions it
+// issued, and the rail power it drew at its observed UPC. Run computes
+// every work span through it; Table.At takes the setting-invariant half
+// from its column and the rest through span, so both do the same float
+// operations in the same order.
 func (m *Machine) execute(w *cpusim.Work, uops float64, sp *settingPower) (dur, cycles, instructions, memTx, watts float64) {
-	f := sp.point.FrequencyHz
 	// A chunk of (0, w.Uops] uops is as valid as w, and New checked
 	// every ladder frequency: evaluate it unchecked.
-	dur, _, _, instructions, memTx = m.cpu.Interval(w, uops, f)
+	memS, instructions, memTx := m.cpu.Stall(w, uops)
+	dur, cycles, upc := span(w, uops, memS, sp)
+	return dur, cycles, instructions, memTx, m.powerNow(sp, upc)
+}
+
+// span is execute's setting-dependent half before the power: the
+// duration, cycle count and observed UPC of the first uops micro-ops
+// of w at setting sp, given their memory stall time memS
+// (cpusim.Model.Stall).
+func span(w *cpusim.Work, uops, memS float64, sp *settingPower) (dur, cycles, upc float64) {
+	f := sp.point.FrequencyHz
+	dur, _ = cpusim.Time(w, uops, memS, f)
 	cycles = dur * f
-	return dur, cycles, instructions, memTx, m.powerNow(sp, uops/cycles)
+	return dur, cycles, uops / cycles
 }
 
 // count is what a counter counts of a simulated quantity.

@@ -193,3 +193,51 @@ func TestTableConcurrentFill(t *testing.T) {
 		}
 	}
 }
+
+// TestTableReusedStorage: a table built over another table's column —
+// a dirty buffer from a longer trace, which it reuses, or one from a
+// shorter trace, which it outgrows — reads exactly as a table built
+// over fresh storage, at every interval and setting.
+func TestTableReusedStorage(t *testing.T) {
+	const gran = 100_000_000
+	long, err := NewTable(works(t, "swim_in", gran, 900), gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := NewTable(works(t, "gzip_graphic", gran, 120), gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := works(t, "applu_in", gran, 400)
+	fresh, err := NewTable(ws, gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		buf   []Invariant
+		reuse bool
+	}{
+		{"longer trace's column", long.Column(), true},
+		{"shorter trace's column", short.Column(), false},
+	} {
+		tab, err := NewTableIn(c.buf, ws, gran)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused := &tab.Column()[0] == &c.buf[0]; reused != c.reuse {
+			t.Errorf("%s: storage reused %v, want %v", c.name, reused, c.reuse)
+		}
+		for i := range ws {
+			for s := range tab.Ladder().Len() {
+				set := dvfs.Setting(s)
+				dur, watts, instr, smp := tab.At(i, set)
+				wdur, wwatts, winstr, wsmp := fresh.At(i, set)
+				if dur != wdur || watts != wwatts || instr != winstr || smp != wsmp { //lint:floateq reused storage must read bit for bit as fresh
+					t.Fatalf("%s: interval %d setting %d reads (%v s, %v W, %v instructions, %+v), fresh (%v s, %v W, %v instructions, %+v)",
+						c.name, i, s, dur, watts, instr, smp, wdur, wwatts, winstr, wsmp)
+				}
+			}
+		}
+	}
+}

@@ -65,17 +65,32 @@ type Sample struct {
 // divisor is. Every consumer of raw counters (the simulated PMI
 // handler, the phased server) converts through it, so a streamed
 // interval and a simulated one classify from bit-identical samples.
+// Its two halves are MemPerUop and UPC, which a machine table reads
+// apart: Mem/Uop is DVFS-invariant, UPC is not.
 //
 //lint:hotpath
 func FromCounters(uops, memTx, cycles uint64) Sample {
-	var s Sample
-	if uops != 0 {
-		s.MemPerUop = float64(memTx) / float64(uops)
+	return Sample{MemPerUop: MemPerUop(uops, memTx), UPC: UPC(uops, cycles)}
+}
+
+// MemPerUop is FromCounters' Mem/Uop: memTx/uops, or 0 when uops is 0.
+//
+//lint:hotpath
+func MemPerUop(uops, memTx uint64) float64 {
+	if uops == 0 {
+		return 0
 	}
-	if cycles != 0 {
-		s.UPC = float64(uops) / float64(cycles)
+	return float64(memTx) / float64(uops)
+}
+
+// UPC is FromCounters' UPC: uops/cycles, or 0 when cycles is 0.
+//
+//lint:hotpath
+func UPC(uops, cycles uint64) float64 {
+	if cycles == 0 {
+		return 0
 	}
-	return s
+	return float64(uops) / float64(cycles)
 }
 
 // Classifier maps an observed Sample to a phase ID.

@@ -113,7 +113,7 @@ func TestSendZeroAlloc(t *testing.T) {
 			s := &Session{c: c, id: 7, done: make(chan struct{})}
 			c.mu.Lock()
 			c.conn = discardConn{}
-			c.sessions[s.id] = s
+			c.addLocked(s)
 			c.mu.Unlock()
 
 			smp := wire.Sample{Uops: 1e8, MemTx: 42, Cycles: 9e7}

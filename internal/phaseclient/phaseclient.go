@@ -197,6 +197,10 @@ type Session struct {
 	// closes, read only after done is closed.
 	cause error
 
+	// registered is set while the session is in its client's sessions
+	// map, so Send checks registration without a map lookup.
+	registered bool // guarded by Client.mu
+
 	// granularity echoes the Hello's GranularityUops into any snapshot
 	// taken from this session, so Resume reopens with the same value.
 	granularity uint64
@@ -308,7 +312,7 @@ func (c *Client) handshake(ctx context.Context, id uint64, granularityUops uint6
 	}
 	s := newSession(c, id, window)
 	s.granularity = granularityUops
-	c.sessions[id] = s
+	c.addLocked(s)
 	var encErr error
 	werr := c.writeLocked(func(b []byte) []byte {
 		out, err := encode(b)
@@ -616,9 +620,16 @@ func (c *Client) teardownLocked(cause error) {
 		} else {
 			s.fail(err)
 		}
+		s.registered = false
 		delete(c.sessions, id)
 	}
 	c.rollupSess = nil
+}
+
+// addLocked registers s under its id; callers hold c.mu.
+func (c *Client) addLocked(s *Session) {
+	c.sessions[s.id] = s
+	s.registered = true
 }
 
 func (c *Client) lookup(id uint64) *Session {
@@ -630,7 +641,8 @@ func (c *Client) lookup(id uint64) *Session {
 // forget removes a session that never fully opened (or finished).
 func (c *Client) forget(s *Session) {
 	c.mu.Lock()
-	if c.sessions[s.id] == s {
+	if s.registered {
+		s.registered = false
 		delete(c.sessions, s.id)
 	}
 	if c.rollupSess == s {
@@ -739,7 +751,7 @@ func (s *Session) Send(smp wire.Sample) error {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sessions[s.id] != s || c.conn == nil {
+	if !s.registered || c.conn == nil {
 		return ErrDisconnected
 	}
 	c.pend = append(c.pend, smp)
@@ -811,7 +823,7 @@ func (s *Session) Recv(ctx context.Context) (wire.Prediction, error) {
 func (s *Session) Drain(ctx context.Context) (wire.Drain, error) {
 	s.c.mu.Lock()
 	err := errors.New("phaseclient: session not open")
-	if s.c.sessions[s.id] == s {
+	if s.registered {
 		err = s.c.writeLocked(func(b []byte) []byte {
 			return wire.AppendDrain(b, &wire.Drain{SessionID: s.id})
 		})
@@ -902,7 +914,7 @@ func (c *Client) SubscribeRollups(ctx context.Context, id uint64) (*RollupSub, e
 	// predictions, so its reply queue needs only one slot.
 	s := newSession(c, id, 1)
 	ch := make(chan wire.Rollup, window)
-	c.sessions[id] = s
+	c.addLocked(s)
 	c.rollupSess, c.rollupCh = s, ch
 	err := c.writeLocked(func(b []byte) []byte {
 		// An empty spec cannot exceed MaxPayload, so the encode error

@@ -15,7 +15,7 @@ import (
 func register(c *Client, id uint64) *Session {
 	s := newSession(c, id, window)
 	c.mu.Lock()
-	c.sessions[id] = s
+	c.addLocked(s)
 	c.mu.Unlock()
 	return s
 }
